@@ -3,9 +3,14 @@
 Pins SHA-256 digests of ``trace.csv`` and ``metrics.txt`` for the five
 bundled scenarios plus the two ablation runs of acceptance criteria 5
 (``force_kappa_one`` on testcase2) and 6 (``disable_compensation`` on
-testcase3). Criterion 8 only compares two runs of the same code; this gate
-compares against a fixed baseline, so a refactor or speed-up that changes a
-single output byte fails here.
+testcase3). Three testcase1 variants cover the closed-loop paths the
+bundled runs leave out: measurement noise (so the order of the random draws
+is pinned too), a stiff ``k_p`` that saturates the command ZMP and clamps
+the centre of pressure on many steps, and a push that makes the plant
+diverge, which must end with exit code 2 and a truncated trace. Criterion 8
+only compares two runs of the same code; this gate compares against a fixed
+baseline, so a refactor or speed-up that changes a single output byte fails
+here.
 
 The digests were taken with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux,
 with numpy's bundled OpenBLAS 0.3.31 picking its SkylakeX kernels. Trace
@@ -26,6 +31,12 @@ from locomanip.scenario import (
     load_raw_config,
     parse_config,
     run_scenario,
+)
+
+NOISY = ("plant.com_noise_m=5.0e-4", "plant.force_noise_n=5.0", "seed=7")
+STIFF = ("controller.k_p=4.0",)
+PUSHED = (
+    "disturbances=[{kind: step, axis: x, amplitude_n: -150.0, start_s: 2.0, end_s: 8.0}]",
 )
 
 # (scenario, overrides) -> (trace.csv digest, metrics.txt digest)
@@ -58,7 +69,22 @@ DIGESTS = {
         "1c87c1326a705b0088e8bfb76a65b337591bcdbcba4226c6bea61c6ce9094bec",
         "87e895e98853cff9c52f59b8edf7e2b9499831f370a9d79a74e5240c558ea640",
     ),
+    ("testcase1", NOISY): (
+        "663c0750602ff08fb7e0327ea37d7754ae919f669c86692efd11ad800f201941",
+        "48f51017b5383e0fb0e75a8ce3b9cc5c14f82d3e4063aeba035e5bf5963de955",
+    ),
+    ("testcase1", STIFF): (
+        "2e60770489190db5f3e2871665ac66865882158accd137e69909e7e4ca18edef",
+        "d929feeb504bd98aa5711535db84e966f9793d91282622c4e91c49a5125b0074",
+    ),
+    ("testcase1", PUSHED): (
+        "599861667216880ecc6cebfd3a73a4ed6147e50e4b5349a6fbb025d6bfa4632b",
+        "00111f29e707eacb55ff2a55620dd936d057d6a6f0898684076f16b166aef595",
+    ),
 }
+
+# runs that diverge -> rows of their truncated trace
+DIVERGED_ROWS = {("testcase1", PUSHED): 1808}
 
 
 def _sha256(path) -> str:
@@ -75,7 +101,12 @@ def test_run_outputs_match_pinned_digests(name, overrides, tmp_path):
     if overrides:
         raw = apply_overrides(raw, list(overrides))
     result = run_scenario(parse_config(raw), out_dir=tmp_path)
-    assert result.exit_code == 0
+    rows = DIVERGED_ROWS.get((name, overrides))
+    if rows is None:
+        assert result.exit_code == 0
+    else:
+        assert result.exit_code == 2
+        assert len(result.trace) == rows
     trace_digest, metrics_digest = DIGESTS[(name, overrides)]
     assert _sha256(result.trace_path) == trace_digest
     assert _sha256(result.metrics_path) == metrics_digest
