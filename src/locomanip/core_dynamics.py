@@ -139,23 +139,38 @@ class ZmpPoint:
         object.__setattr__(self, "position", _finite_vec(self.position, 2, "position"))
 
 
-def contact_zmp_offset(contacts, zeta: float, zmp_height: float) -> np.ndarray:
-    """Aggregate 2D ZMP offset gamma induced by a set of external contacts.
+def contact_rows(contacts) -> tuple:
+    """Each contact as one flat float tuple (fx, fy, fz, mx, my, mz, px, py, pz)."""
+    return tuple(
+        tuple(c.force.tolist() + c.moment.tolist() + c.position.tolist())
+        for c in contacts
+    )
 
-    Horizontal contact forces act through their lever arm above the ground,
-    vertical forces through their horizontal offset, and contact moments
-    directly. The sum is normalized by zeta.
+
+def contact_terms(rows, zeta: float, zmp_height: float) -> tuple:
+    """Summed force, ZMP scale and ZMP offset of contacts given as contact_rows.
+
+    Returns (fx, fy, fz, kappa, gamma_x, gamma_y): the force components
+    summed over the contacts, kappa = 1 - fz / zeta, and the offset gamma.
+    Horizontal contact forces act on gamma through their lever arm above the
+    ground, vertical forces through their horizontal offset, and contact
+    moments directly; the sum is normalized by zeta.
     """
-    gx = 0.0
-    gy = 0.0
-    for c in contacts:
-        px, py, pz = c.position.tolist()
-        fx, fy, fz = c.force.tolist()
-        mx, my, _ = c.moment.tolist()
+    fx = fy = fz = gx = gy = 0.0
+    for cfx, cfy, cfz, mx, my, _, px, py, pz in rows:
+        fx += cfx
+        fy += cfy
+        fz += cfz
         arm = pz - zmp_height
-        gx += arm * fx - px * fz + my
-        gy += arm * fy - py * fz - mx
-    return np.array([gx / zeta, gy / zeta])
+        gx += arm * cfx - px * cfz + my
+        gy += arm * cfy - py * cfz - mx
+    return fx, fy, fz, 1.0 - fz / zeta, gx / zeta, gy / zeta
+
+
+def contact_zmp_offset(contacts, zeta: float, zmp_height: float) -> np.ndarray:
+    """Aggregate 2D ZMP offset gamma induced by a set of external contacts."""
+    terms = contact_terms(contact_rows(contacts), zeta, zmp_height)
+    return np.array(terms[4:])
 
 
 def compute_coefficients(
@@ -169,12 +184,8 @@ def compute_coefficients(
         raise NonPhysical("vertical acceleration must exceed -gravity")
     omega = math.sqrt(vert / (params.com_height - params.zmp_height))
     zeta = params.mass * vert
-    fz = 0.0
-    for c in contacts:
-        fz += c.force[2]
-    kappa = 1.0 - fz / zeta
-    gamma = contact_zmp_offset(contacts, zeta, params.zmp_height)
-    return LipmCoefficients(omega=omega, kappa=kappa, gamma=gamma, zeta=zeta)
+    *_, kappa, gx, gy = contact_terms(contact_rows(contacts), zeta, params.zmp_height)
+    return LipmCoefficients(omega=omega, kappa=kappa, gamma=(gx, gy), zeta=zeta)
 
 
 def ext_zmp(coeff: LipmCoefficients, zmp: ZmpPoint) -> ZmpPoint:
@@ -222,43 +233,46 @@ def net_foot_wrench(
     -------
     (force, moment) : two 3-vectors, N and N m
     """
-    cx, cy, cz = np.array(com_position, dtype=float).reshape(3).tolist()
-    ax, ay, az = np.array(com_acceleration, dtype=float).reshape(3).tolist()
-    # scalar arithmetic in the order the array form used (adding 0.0 keeps
-    # the sign of zero identical), without per-call numpy overhead
+    com = np.array(com_position, dtype=float).reshape(3).tolist()
+    acc = np.array(com_acceleration, dtype=float).reshape(3).tolist()
+    w = foot_wrench_terms(params, *com, *acc, contact_rows(contacts))
+    return np.array(w[:3]), np.array(w[3:])
+
+
+def foot_wrench_terms(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:
+    """net_foot_wrench on floats and contact_rows: (fx, fy, fz, mx, my, mz)."""
+    # the order of operations is that of the cross products in array form
+    # (adding 0.0 keeps the sign of zero identical)
     m = params.mass
     fx = m * (ax + 0.0)
     fy = m * (ay + 0.0)
     fz = m * (az + params.gravity)
-    for con in contacts:
-        gx, gy, gz = con.force.tolist()
+    for gx, gy, gz, _, _, _, _, _, _ in rows:
         fx = fx - gx
         fy = fy - gy
         fz = fz - gz
     mx = cy * fz - cz * fy
     my = cz * fx - cx * fz
     mz = cx * fy - cy * fx
-    for con in contacts:
-        gx, gy, gz = con.force.tolist()
-        px, py, pz = con.position.tolist()
+    for gx, gy, gz, tx, ty, tz, px, py, pz in rows:
         rx = px - cx
         ry = py - cy
         rz = pz - cz
-        tx, ty, tz = con.moment.tolist()
         mx = mx - (ry * gz - rz * gy) - tx
         my = my - (rz * gx - rx * gz) - ty
         mz = mz - (rx * gy - ry * gx) - tz
-    return np.array([fx, fy, fz]), np.array([mx, my, mz])
+    return fx, fy, fz, mx, my, mz
 
 
 def wrench_zmp(force: np.ndarray, moment: np.ndarray, zmp_height: float = 0.0) -> np.ndarray:
     """Point on the ground plane where the wrench's horizontal moment vanishes."""
-    fz = force[2]
+    fx, fy, fz = np.asarray(force, dtype=float).tolist()
+    mx, my, _ = np.asarray(moment, dtype=float).tolist()
+    return np.array(pressure_point(fx, fy, fz, mx, my, zmp_height))
+
+
+def pressure_point(fx, fy, fz, mx, my, zmp_height: float) -> tuple:
+    """wrench_zmp on floats: (x, y) of the point, NonPhysical when fz is 0."""
     if not abs(fz) > 0.0:
         raise NonPhysical("wrench has no vertical force; ZMP undefined")
-    return np.array(
-        [
-            (-moment[1] + zmp_height * force[0]) / fz,
-            (moment[0] + zmp_height * force[1]) / fz,
-        ]
-    )
+    return (-my + zmp_height * fx) / fz, (mx + zmp_height * fy) / fz

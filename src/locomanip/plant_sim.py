@@ -4,20 +4,30 @@ The plant integrates the same pendulum-with-external-forces model the
 controller assumes; controller/plant mismatch enters only through injected
 disturbance forces and a first-order lag between commanded and realized ZMP.
 run_closed_loop wires plant, reference, and stabilizer together and logs
-every diagnostic signal per step.
+every diagnostic signal per step. Its step runs on Python floats through the
+same laws as the per-sample API: disturbed_rows (apply_disturbances),
+plant_law (step_plant) and stabilizer.stabilizer_law (Stabilizer.step).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_dynamics import CoMState, ExternalContact, RobotParams, compute_coefficients
+from .core_dynamics import (
+    CoMState,
+    ExternalContact,
+    RobotParams,
+    compute_coefficients,
+    contact_rows,
+    contact_terms,
+)
 from .pattern_generator import DesiredTrajectory
 from .reference_builder import SoleRect
-from .stabilizer import ActualSample, DesiredSample, Stabilizer
+from .stabilizer import Stabilizer, hull_edges, stabilizer_law, support_hull
 
 _DISTURBANCE_KINDS = ("constant", "sinusoid", "step")
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -57,6 +67,60 @@ CSV_COLUMNS = (
     "fext_sum_z",
 )
 
+# internal diagnostics of TraceLog.extra, outside the CSV schema
+EXTRA_COLUMNS = (
+    "command_acc_x",
+    "command_acc_y",
+    "dcm_err_x",
+    "dcm_err_y",
+    "zmp_saturated",
+    "cop_clamped",
+    "zmp_clamped",
+    "com_acc_x^a",
+    "com_acc_y^a",
+)
+
+# columns copied from the plan, then the ones run_closed_loop writes per step
+_PLAN_COLUMNS = (
+    "time",
+    "c_x^d",
+    "c_y^d",
+    "xi_x^d",
+    "xi_y^d",
+    "z_x^d",
+    "z_y^d",
+    "extzmp_x^ref",
+    "extzmp_y^ref",
+)
+_STEP_COLUMNS = (
+    "c_x^a",
+    "c_y^a",
+    "xi_x^a",
+    "xi_y^a",
+    "z_x^c",
+    "z_y^c",
+    "z_x^a",
+    "z_y^a",
+    "gamma_err_x",
+    "gamma_err_y",
+    "gammaH_x",
+    "gammaH_y",
+    "gammaL_x",
+    "gammaL_y",
+    "fext_sum_x",
+    "fext_sum_y",
+    "fext_sum_z",
+    "command_acc_x",
+    "command_acc_y",
+    "dcm_err_x",
+    "dcm_err_y",
+    "zmp_saturated",
+    "cop_clamped",
+    "zmp_clamped",
+    "com_acc_x^a",
+    "com_acc_y^a",
+)
+
 
 @dataclass(frozen=True, eq=False)
 class PlantState:
@@ -87,6 +151,8 @@ class DisturbanceProfile:
     contact_index: int | None = None
 
     def __post_init__(self):
+        if self.contact_index is not None and self.contact_index < 0:
+            raise ValueError("disturbance contact_index must be non-negative")
         if self.kind not in _DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.axis not in _AXES:
@@ -107,31 +173,77 @@ class DisturbanceProfile:
         return self.amplitude
 
 
-def apply_disturbances(contacts, profiles, t: float):
-    """True contacts at time t: desired contacts plus active disturbances."""
-    if not profiles:
-        return contacts
-    deltas = [np.zeros(3) for _ in contacts]
-    touched = False
+def disturbed_rows(rows: tuple, profiles, t: float) -> tuple:
+    """True contacts at time t as contact_rows: desired rows plus disturbances.
+
+    Returns rows itself when no disturbance is active. A contact_index beyond
+    the contacts present raises IndexError.
+    """
+    deltas = None
     for prof in profiles:
         v = prof.value(t)
         if v == 0.0:
             continue
-        touched = True
+        if deltas is None:
+            deltas = [[0.0, 0.0, 0.0] for _ in rows]
         ax = _AXES[prof.axis]
         if prof.contact_index is None:
             for d in deltas:
                 d[ax] += v
-        elif 0 <= prof.contact_index < len(deltas):
+        else:
             deltas[prof.contact_index][ax] += v
-    if not touched:
+    if deltas is None:
+        return rows
+    return tuple(
+        (r[0] + d[0], r[1] + d[1], r[2] + d[2]) + r[3:] for r, d in zip(rows, deltas)
+    )
+
+
+def apply_disturbances(contacts, profiles, t: float):
+    """True contacts at time t: desired contacts plus active disturbances."""
+    rows = contact_rows(contacts)
+    out = disturbed_rows(rows, profiles, t)
+    if out is rows:
         return contacts
     return tuple(
-        ExternalContact(
-            force=con.force + d, moment=con.moment, position=con.position
-        )
-        for con, d in zip(contacts, deltas)
+        ExternalContact(force=r[:3], moment=con.moment, position=con.position)
+        for con, r in zip(contacts, out)
     )
+
+
+def plant_law(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, gy, dt):
+    """step_plant on floats.
+
+    (px, py), (vx, vy) are the CoM position and velocity, (zx, zy) the
+    realized and (cx, cy) the commanded ZMP. decay is the lag factor
+    exp(-rho dt), or None for direct actuation; bounds is (xmin, xmax, ymin,
+    ymax) of the clamp rectangle, or None. omega, kappa, (gx, gy) are the
+    true contacts' coefficients. Returns the new (px, py, vx, vy, ax, ay,
+    zx, zy, zmp_clamped); a non-finite CoM state raises ValueError.
+    """
+    if decay is None:
+        zx, zy = cx, cy
+    else:
+        zx = cx + (zx - cx) * decay
+        zy = cy + (zy - cy) * decay
+    clamped = False
+    if bounds is not None:
+        xmin, xmax, ymin, ymax = bounds
+        if not (xmin <= zx <= xmax and ymin <= zy <= ymax):
+            zx = min(max(zx, xmin), xmax)
+            zy = min(max(zy, ymin), ymax)
+            clamped = True
+    w2 = omega**2
+    ax = w2 * (px - kappa * zx + gx)
+    ay = w2 * (py - kappa * zy + gy)
+    vx = vx + ax * dt
+    vy = vy + ay * dt
+    px = px + vx * dt
+    py = py + vy * dt
+    for name, a, b in (("position", px, py), ("velocity", vx, vy), ("acceleration", ax, ay)):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"{name}: components must be finite")
+    return px, py, vx, vy, ax, ay, zx, zy, clamped
 
 
 def step_plant(
@@ -153,28 +265,36 @@ def step_plant(
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if direct_zmp:
-        zmp = np.array([command_zmp[0], command_zmp[1]])
-    else:
-        decay = math.exp(-rho * dt)
-        zmp = command_zmp + (state.zmp_actual - command_zmp) * decay
-
-    clamped = False
-    if clamp_rect is not None and not clamp_rect.contains(zmp):
-        zmp = clamp_rect.clamp(zmp)
-        clamped = True
-
     coeff = compute_coefficients(params, true_contacts)
-    pos = state.com.position
-    acc = coeff.omega**2 * (pos - coeff.kappa * zmp + coeff.gamma)
-    vel = state.com.velocity + acc * dt
-    pos = pos + vel * dt
+    bounds = None
+    if clamp_rect is not None:
+        r = clamp_rect
+        bounds = (r.xmin, r.xmax, r.ymin, r.ymax)
+    px, py, vx, vy, ax, ay, zx, zy, clamped = plant_law(
+        *state.com.position.tolist(),
+        *state.com.velocity.tolist(),
+        *np.asarray(state.zmp_actual, dtype=float).tolist(),
+        *np.asarray(command_zmp, dtype=float).tolist(),
+        None if direct_zmp else math.exp(-rho * dt),
+        bounds,
+        coeff.omega,
+        coeff.kappa,
+        *coeff.gamma.tolist(),
+        dt,
+    )
     return PlantState(
-        com=CoMState(position=pos, velocity=vel, acceleration=acc),
-        zmp_actual=zmp,
+        com=CoMState(position=(px, py), velocity=(vx, vy), acceleration=(ax, ay)),
+        zmp_actual=np.array([zx, zy]),
         time=state.time + dt,
         zmp_clamped=clamped,
     )
+
+
+def _clamp_bounds(region) -> tuple:
+    """(xmin, xmax, ymin, ymax) the realized ZMP is clamped into on a support region."""
+    base = SoleRect.bounding(region)
+    m = ZMP_CLAMP_MARGIN
+    return (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m)
 
 
 @dataclass(eq=False)
@@ -243,163 +363,160 @@ def run_closed_loop(
     """Simulate the stabilized plant along a planned trajectory.
 
     Per step: read the plant, optionally corrupt the measurements with white
-    noise, run the stabilizer, log, then advance the plant under the true
+    noise, run the stabilizer law (without the foot-wrench split, which the
+    plant never reads), log, then advance the plant under the true
     (disturbed) contacts. Aborts and marks the trace when the actual CoM
-    leaves the desired one by more than divergence_limit.
+    leaves the desired one by more than divergence_limit. The stabilizer's
+    state advances in place, so a reused Stabilizer continues from where
+    the run left it.
     """
     timeline = traj.timeline
     dt = timeline.dt
     n = len(traj.time)
     noisy = (com_noise > 0.0 or force_noise > 0.0) and rng is not None
+    omega = timeline.omega
 
     if initial is None:
-        initial = PlantState(
-            com=CoMState(
-                position=traj.com_pos[0],
-                velocity=traj.com_vel[0],
-                acceleration=traj.com_acc[0],
-            ),
-            zmp_actual=np.array(traj.zmp[0]),
-            time=float(traj.time[0]),
-        )
+        px, py = traj.com_pos[0].tolist()
+        vx, vy = traj.com_vel[0].tolist()
+        ax, ay = traj.com_acc[0].tolist()
+        zax, zay = traj.zmp[0].tolist()
+        plant_time = float(traj.time[0])
+    else:
+        px, py = initial.com.position.tolist()
+        vx, vy = initial.com.velocity.tolist()
+        ax, ay = initial.com.acceleration.tolist()
+        zax, zay = np.asarray(initial.zmp_actual, dtype=float).tolist()
+        plant_time = initial.time
 
-    cols = {name: np.zeros(n) for name in CSV_COLUMNS}
-    cols["time"] = traj.time.copy()
-    cols["c_x^d"] = traj.com_pos[:, 0].copy()
-    cols["c_y^d"] = traj.com_pos[:, 1].copy()
-    cols["xi_x^d"] = traj.dcm[:, 0].copy()
-    cols["xi_y^d"] = traj.dcm[:, 1].copy()
-    cols["z_x^d"] = traj.zmp[:, 0].copy()
-    cols["z_y^d"] = traj.zmp[:, 1].copy()
-    cols["extzmp_x^ref"] = timeline.ext_zmp_ref[:, 0].copy()
-    cols["extzmp_y^ref"] = timeline.ext_zmp_ref[:, 1].copy()
-    extra = {
-        "command_acc_x": np.zeros(n),
-        "command_acc_y": np.zeros(n),
-        "dcm_err_x": np.zeros(n),
-        "dcm_err_y": np.zeros(n),
-        "zmp_saturated": np.zeros(n),
-        "cop_clamped": np.zeros(n),
-        "zmp_clamped": np.zeros(n),
-        "com_acc_x^a": np.zeros(n),
-        "com_acc_y^a": np.zeros(n),
-    }
+    # one column-major buffer: each row is one trace column
+    n_plan = len(_PLAN_COLUMNS)
+    buf = np.zeros((n_plan + len(_STEP_COLUMNS), n))
+    plan_src = (
+        traj.time,
+        traj.com_pos[:, 0],
+        traj.com_pos[:, 1],
+        traj.dcm[:, 0],
+        traj.dcm[:, 1],
+        traj.zmp[:, 0],
+        traj.zmp[:, 1],
+        timeline.ext_zmp_ref[:, 0],
+        timeline.ext_zmp_ref[:, 1],
+    )
+    for row, src in zip(buf, plan_src):
+        row[:] = src
+    out = memoryview(buf).cast("B").cast("d")
 
-    clamp_rects: dict[int, SoleRect] = {}
-    state = initial
-    omega = timeline.omega
+    plan_mv = [
+        memoryview(a[:, i])
+        for a in (traj.com_pos, traj.com_acc, traj.dcm, traj.zmp)
+        for i in (0, 1)
+    ]
+    desired_x = plan_mv[0]
+    desired_y = plan_mv[1]
+
+    state = stabilizer.state
+    gains = stabilizer.gains
+    stab_params = stabilizer.params
+    stab_dt = stabilizer.dt
+    compensate = stabilizer.compensate_forces
+    decay = None if direct_zmp else math.exp(-rho * dt)
+    unloaded = compute_coefficients(params)
+    com_vel_noise = com_noise * omega
+
+    contacts = region = true_rows = None
     diverged = False
     diverged_at = None
     clamp_count = 0
     last = n
 
-    for k in range(n):
-        t = float(traj.time[k])
-        frame = timeline.frames[k]
-        true_contacts = apply_disturbances(frame.contacts, disturbances, t)
+    for k, frame, t, *plan in zip(range(n), timeline.frames, memoryview(buf[0]), *plan_mv):
+        if frame.contacts is not contacts:
+            contacts = frame.contacts
+            desired_rows = contact_rows(contacts)
+        rows = disturbed_rows(desired_rows, disturbances, t)
+        if rows is not true_rows:
+            true_rows = rows
+            fsx, fsy, fsz, kappa, gx, gy = contact_terms(
+                rows, unloaded.zeta, params.zmp_height
+            )
+        if frame.support_region is not region:
+            region = frame.support_region
+            edges = hull_edges(support_hull(region))
+            bounds = _clamp_bounds(region)
 
-        com_meas = state.com.position
-        vel_meas = state.com.velocity
-        contacts_meas = true_contacts
+        com = (px, py)
+        vel = (vx, vy)
+        meas_rows = true_rows
         if noisy:
-            com_meas = com_meas + com_noise * rng.standard_normal(2)
-            vel_meas = vel_meas + com_noise * omega * rng.standard_normal(2)
+            nx, ny = rng.standard_normal(2).tolist()
+            com = (px + com_noise * nx, py + com_noise * ny)
+            nx, ny = rng.standard_normal(2).tolist()
+            vel = (vx + com_vel_noise * nx, vy + com_vel_noise * ny)
             if force_noise > 0.0:
-                contacts_meas = tuple(
-                    ExternalContact(
-                        force=c.force + force_noise * rng.standard_normal(3),
-                        moment=c.moment,
-                        position=c.position,
+                meas_rows = tuple(
+                    tuple(
+                        f + force_noise * e
+                        for f, e in zip(r[:3], rng.standard_normal(3).tolist())
                     )
-                    for c in true_contacts
+                    + r[3:]
+                    for r in true_rows
                 )
 
-        desired = DesiredSample(
-            com_pos=traj.com_pos[k],
-            com_acc=traj.com_acc[k],
-            dcm=traj.dcm[k],
-            zmp=traj.zmp[k],
-            coefficients=frame.coefficients,
-            contacts=frame.contacts,
-            support_region=frame.support_region,
-            support_feet=frame.support_feet,
-        )
-        actual = ActualSample(
-            com_pos=com_meas, com_vel=vel_meas, contacts=contacts_meas
-        )
-        out = stabilizer.step(desired, actual)
-
-        cols["c_x^a"][k] = state.com.position[0]
-        cols["c_y^a"][k] = state.com.position[1]
-        xi_a = state.com.position + state.com.velocity / omega
-        cols["xi_x^a"][k] = xi_a[0]
-        cols["xi_y^a"][k] = xi_a[1]
-        cols["z_x^c"][k] = out.command_zmp[0]
-        cols["z_y^c"][k] = out.command_zmp[1]
-        cols["z_x^a"][k] = state.zmp_actual[0]
-        cols["z_y^a"][k] = state.zmp_actual[1]
-        cols["gamma_err_x"][k] = out.gamma_err[0]
-        cols["gamma_err_y"][k] = out.gamma_err[1]
-        cols["gammaH_x"][k] = out.gamma_high[0]
-        cols["gammaH_y"][k] = out.gamma_high[1]
-        cols["gammaL_x"][k] = out.gamma_low[0]
-        cols["gammaL_y"][k] = out.gamma_low[1]
-        fsum = np.zeros(3)
-        for con in true_contacts:
-            fsum += con.force
-        cols["fext_sum_x"][k] = fsum[0]
-        cols["fext_sum_y"][k] = fsum[1]
-        cols["fext_sum_z"][k] = fsum[2]
-        extra["command_acc_x"][k] = out.command_com_accel[0]
-        extra["command_acc_y"][k] = out.command_com_accel[1]
-        extra["dcm_err_x"][k] = out.dcm_err[0]
-        extra["dcm_err_y"][k] = out.dcm_err[1]
-        extra["zmp_saturated"][k] = float(out.zmp_saturated)
-        extra["cop_clamped"][k] = float(out.cop_clamped)
-        extra["com_acc_x^a"][k] = state.com.acceleration[0]
-        extra["com_acc_y^a"][k] = state.com.acceleration[1]
-
-        key = id(frame.support_region)
-        rect = clamp_rects.get(key)
-        if rect is None:
-            base = SoleRect.bounding(frame.support_region)
-            rect = SoleRect(
-                base.xmin - ZMP_CLAMP_MARGIN,
-                base.xmax + ZMP_CLAMP_MARGIN,
-                base.ymin - ZMP_CLAMP_MARGIN,
-                base.ymax + ZMP_CLAMP_MARGIN,
-            )
-            if len(clamp_rects) < 64:
-                clamp_rects[key] = rect
-        state = step_plant(
+        coeff = frame.coefficients
+        (zcx, zcy), (acx, acy), _, (dex, dey), (gex, gey), sat, cop, _ = stabilizer_law(
             state,
-            out.command_zmp,
-            true_contacts,
-            params,
-            rho,
-            dt,
-            direct_zmp=direct_zmp,
-            clamp_rect=rect,
+            gains,
+            stab_params,
+            stab_dt,
+            compensate,
+            coeff.kappa,
+            coeff.omega,
+            plan,
+            desired_rows,
+            com,
+            vel,
+            meas_rows,
+            edges,
         )
-        if state.zmp_clamped:
+        hx, hy = state.gamma_high
+        lx, ly = state.gamma_low
+        stepped = plant_law(
+            px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
+            unloaded.omega, kappa, gx, gy, dt,
+        )
+        clamped = stepped[8]
+        # this step's values, in _STEP_COLUMNS order, down column k
+        out[n_plan * n + k :: n] = array(
+            "d",
+            (
+                px, py, px + vx / omega, py + vy / omega, zcx, zcy, zax, zay,
+                gex, gey, hx, hy, lx, ly, fsx, fsy, fsz,
+                acx, acy, dex, dey, sat, cop, clamped, ax, ay,
+            ),
+        )
+        px, py, vx, vy, ax, ay, zax, zay, _ = stepped
+        plant_time = plant_time + dt
+        if clamped:
             clamp_count += 1
-            extra["zmp_clamped"][k] = 1.0
 
-        dev = state.com.position - traj.com_pos[min(k + 1, n - 1)]
-        if abs(dev[0]) > divergence_limit or abs(dev[1]) > divergence_limit:
+        j = min(k + 1, n - 1)
+        if (
+            abs(px - desired_x[j]) > divergence_limit
+            or abs(py - desired_y[j]) > divergence_limit
+        ):
             diverged = True
-            diverged_at = state.time
+            diverged_at = plant_time
             last = k + 1
             break
 
     if last < n:
-        cols = {name: arr[:last].copy() for name, arr in cols.items()}
-        extra = {name: arr[:last].copy() for name, arr in extra.items()}
-
+        buf = buf[:, :last].copy()
+    rows_of = dict(zip(_PLAN_COLUMNS + _STEP_COLUMNS, buf))
     return TraceLog(
         dt=dt,
-        columns=cols,
-        extra=extra,
+        columns={name: rows_of[name] for name in CSV_COLUMNS},
+        extra={name: rows_of[name] for name in EXTRA_COLUMNS},
         diverged=diverged,
         diverged_at=diverged_at,
         zmp_clamp_count=clamp_count,

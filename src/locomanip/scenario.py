@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -739,12 +740,28 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(load_raw_config(path))
 
 
+class _OverrideLoader(yaml.SafeLoader):
+    """YAML reader of override values.
+
+    PyYAML follows YAML 1.1, which reads an exponent without a dot or without
+    a sign, such as 1e-8 or 1.0e8, as a string; YAML 1.2 and Python read it
+    as a number, and so does this loader.
+    """
+
+
+_OverrideLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def apply_overrides(raw: dict, overrides) -> dict:
     """Apply key=value overrides to a raw config, creating paths as needed.
 
     The key is a dot path of mapping keys; the value is parsed as YAML, so
-    numbers, booleans and lists all work. Unknown resulting keys are still
-    rejected later by parse_config.
+    numbers (1e-8 included), booleans and lists all work. Unknown resulting
+    keys are still rejected later by parse_config.
     """
     import copy
 
@@ -754,7 +771,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         if not sep or not key:
             raise ConfigError(f"override {item!r} must look like section.field=value")
         try:
-            value = yaml.safe_load(text) if text else None
+            value = yaml.load(text, Loader=_OverrideLoader) if text else None
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r} has unparseable value: {exc}")
         parts = key.split(".")
@@ -871,8 +888,32 @@ def _contact_schedule(hands) -> ContactSchedule:
     )
 
 
+def _check_contact_indices(config: ScenarioConfig):
+    """Reject a disturbance aimed at a hand contact absent while it acts.
+
+    Hand breakpoint i holds from its time (the first one from the start)
+    until the next breakpoint; a disturbance with a contact_index must find
+    that contact in every breakpoint it overlaps within the run.
+    """
+    hands = config.hands or (HandBreakpointSpec(time_s=0.0),)
+    for i, d in enumerate(config.disturbances):
+        end = min(d.end_s, config.duration_s)
+        if d.contact_index is None or not d.start_s < end:
+            continue
+        for j, bp in enumerate(hands):
+            begins = -math.inf if j == 0 else bp.time_s
+            ends = hands[j + 1].time_s if j + 1 < len(hands) else math.inf
+            if begins < end and d.start_s < ends and d.contact_index >= len(bp.contacts):
+                _fail(
+                    f"disturbances[{i}].contact_index",
+                    f"contact {d.contact_index} does not exist: hands[{j}] has "
+                    f"{len(bp.contacts)} contacts while the disturbance acts",
+                )
+
+
 def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
     """Wire references, preview gains, desired trajectory and stabilizer."""
+    _check_contact_indices(config)
     r = config.robot
     params = RobotParams(
         mass=r.mass_kg,

@@ -4,8 +4,16 @@ Closes the loop around the pattern generator output. Contact-force error
 enters as a ZMP-offset error gamma_err; its low-frequency band is absorbed by
 shifting the desired CoM (the pendulum leans against the force), the
 high-frequency band by shifting the commanded ZMP within the support region.
-DCM error is regulated by PID feedback on top. The resulting command wrench
-is distributed to the support feet under center-of-pressure limits.
+DCM error is regulated by PID feedback on top. The command ZMP is saturated
+into the support hull, and the flag ``cop_clamped`` records when the ground
+wrench the feet must realize has its pressure point outside that hull.
+
+Each law runs on Python floats and is written once: stabilizer_law chains
+them for one sample, and both the per-sample API (step_stabilizer,
+Stabilizer.step) and the closed loop of plant_sim call it. Foot-wrench
+distribution (distribute_wrench, an active-set split under sole limits) is
+a per-sample API feature: step_stabilizer returns the per-foot wrenches,
+while the closed loop, which never reads them, does not compute them.
 
 All gains are stated in conventional (no-external-force) terms; the control
 law divides by the ZMP scale kappa so the closed-loop response matches the
@@ -24,8 +32,11 @@ from .core_dynamics import (
     DEGENERATE_KAPPA,
     LipmCoefficients,
     RobotParams,
-    contact_zmp_offset,
-    net_foot_wrench,
+    contact_rows,
+    contact_terms,
+    foot_wrench_terms,
+    net_foot_wrench,  # noqa: F401  (array form of foot_wrench_terms, looked up here)
+    pressure_point,
     wrench_zmp,
 )
 from .errors import DegenerateScale, Infeasible
@@ -33,6 +44,7 @@ from .reference_builder import SoleRect
 
 # Rate estimates use a first-order smoother this many samples wide.
 _RATE_SMOOTHING_STEPS = 5.0
+_BETA = 1.0 / (_RATE_SMOOTHING_STEPS + 1.0)
 
 _ACTIVE_SET_CAP = 50
 
@@ -121,14 +133,28 @@ def conventional_closed_loop_matrix(
 
 @dataclass
 class StabilizerState:
-    """Mutable filter and integrator memory of one stabilizer instance."""
+    """Filter and integrator memory of one stabilizer instance.
 
-    dcm_error_integral: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    gamma_low: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    gamma_high: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    gamma_high_rate: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    dcm_err_prev: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    dcm_err_rate: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    Every field is an (x, y) pair of floats; each step replaces the pairs.
+    """
+
+    dcm_error_integral: tuple = (0.0, 0.0)
+    gamma_low: tuple = (0.0, 0.0)
+    gamma_high: tuple = (0.0, 0.0)
+    gamma_high_rate: tuple = (0.0, 0.0)
+    dcm_err_prev: tuple = (0.0, 0.0)
+    dcm_err_rate: tuple = (0.0, 0.0)
+
+
+def _xy(vec) -> tuple:
+    x, y = np.asarray(vec, dtype=float).tolist()
+    return x, y
+
+
+def _force_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
+    actual = contact_terms(actual_rows, zeta, zmp_height)
+    desired = contact_terms(desired_rows, zeta, zmp_height)
+    return actual[4] - desired[4], actual[5] - desired[5]
 
 
 def measure_gamma_error(
@@ -139,9 +165,31 @@ def measure_gamma_error(
 ) -> np.ndarray:
     """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts."""
     zeta = params.mass * (com_vert_accel + params.gravity)
-    actual = contact_zmp_offset(actual_contacts, zeta, params.zmp_height)
-    desired = contact_zmp_offset(desired_contacts, zeta, params.zmp_height)
-    return actual - desired
+    err = _force_error(
+        contact_rows(actual_contacts),
+        contact_rows(desired_contacts),
+        zeta,
+        params.zmp_height,
+    )
+    return np.array(err)
+
+
+def _split(state: StabilizerState, ex, ey, dt, cutoff_period):
+    tau = cutoff_period / (2.0 * math.pi)
+    alpha = dt / (tau + dt)
+    lx, ly = state.gamma_low
+    hx, hy = state.gamma_high
+    rx, ry = state.gamma_high_rate
+    lx = lx + alpha * (ex - lx)
+    ly = ly + alpha * (ey - ly)
+    new_hx = ex - lx
+    new_hy = ey - ly
+    state.gamma_low = (lx, ly)
+    state.gamma_high = (new_hx, new_hy)
+    state.gamma_high_rate = (
+        rx + _BETA * ((new_hx - hx) / dt - rx),
+        ry + _BETA * ((new_hy - hy) / dt - ry),
+    )
 
 
 def split_frequency(
@@ -152,19 +200,14 @@ def split_frequency(
     The low band is a first-order low-pass with time constant
     cutoff_period / (2 pi); the high band is the exact complement, so
     gamma_low + gamma_high always reconstructs the input. The high-band rate
-    is a smoothed backward difference.
+    is a smoothed backward difference. Returns the three bands as arrays.
     """
-    tau = cutoff_period / (2.0 * math.pi)
-    alpha = dt / (tau + dt)
-    prev_high = state.gamma_high
-    state.gamma_low = state.gamma_low + alpha * (gamma_err - state.gamma_low)
-    state.gamma_high = gamma_err - state.gamma_low
-    raw_rate = (state.gamma_high - prev_high) / dt
-    beta = 1.0 / (_RATE_SMOOTHING_STEPS + 1.0)
-    state.gamma_high_rate = state.gamma_high_rate + beta * (
-        raw_rate - state.gamma_high_rate
+    _split(state, *_xy(gamma_err), dt, cutoff_period)
+    return (
+        np.array(state.gamma_low),
+        np.array(state.gamma_high),
+        np.array(state.gamma_high_rate),
     )
-    return state.gamma_low, state.gamma_high, state.gamma_high_rate
 
 
 @dataclass
@@ -190,6 +233,53 @@ class ActualSample:
     contacts: tuple
 
 
+def _plan_floats(desired: DesiredSample) -> tuple:
+    return (
+        *_xy(desired.com_pos),
+        *_xy(desired.com_acc),
+        *_xy(desired.dcm),
+        *_xy(desired.zmp),
+    )
+
+
+def _dcm_law(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y):
+    if kappa <= DEGENERATE_KAPPA:
+        raise DegenerateScale(f"ZMP scale kappa={kappa:.4f} too small to command")
+    cx, cy, ax, ay, dx, dy, zx, zy = plan
+    lx, ly = state.gamma_low
+    ex = xi_x - (dx - lx)
+    ey = xi_y - (dy - ly)
+    ix, iy = state.dcm_error_integral
+    lim = gains.integrator_limit
+    # min(max()) rounds and signs exactly as np.clip, NaN included
+    ix = min(max(ix + ex * dt, -lim), lim)
+    iy = min(max(iy + ey * dt, -lim), lim)
+    px, py = state.dcm_err_prev
+    rx, ry = state.dcm_err_rate
+    rx = rx + _BETA * ((ex - px) / dt - rx)
+    ry = ry + _BETA * ((ey - py) / dt - ry)
+    state.dcm_error_integral = (ix, iy)
+    state.dcm_err_rate = (rx, ry)
+    state.dcm_err_prev = (ex, ey)
+
+    hx, hy = state.gamma_high
+    hrx, hry = state.gamma_high_rate
+    k_p, k_i, k_d, rho = gains.k_p, gains.k_i, gains.k_d, gains.rho
+    corr_x = k_p * ex + k_i * ix + k_d * rx + hx + hrx / rho
+    corr_y = k_p * ey + k_i * iy + k_d * ry + hy + hry / rho
+    w2 = omega * omega
+    return (
+        zx + corr_x / kappa,
+        zy + corr_y / kappa,
+        ax - w2 * corr_x,
+        ay - w2 * corr_y,
+        cx - lx,
+        cy - ly,
+        ex,
+        ey,
+    )
+
+
 def dcm_feedback(
     desired: DesiredSample,
     actual_dcm: np.ndarray,
@@ -206,32 +296,22 @@ def dcm_feedback(
     scaled by 1/kappa so the closed loop matches the conventional tuning.
     """
     coeff = desired.coefficients
-    kappa = coeff.kappa
-    if kappa <= DEGENERATE_KAPPA:
-        raise DegenerateScale(f"ZMP scale kappa={kappa:.4f} too small to command")
-    omega = coeff.omega
-
-    com_shifted = desired.com_pos - state.gamma_low
-    dcm_shifted = desired.dcm - state.gamma_low
-    err = actual_dcm - dcm_shifted
-
-    integral = state.dcm_error_integral + err * dt
-    lim = gains.integrator_limit
-    state.dcm_error_integral = np.clip(integral, -lim, lim)
-    raw_rate = (err - state.dcm_err_prev) / dt
-    beta = 1.0 / (_RATE_SMOOTHING_STEPS + 1.0)
-    state.dcm_err_rate = state.dcm_err_rate + beta * (raw_rate - state.dcm_err_rate)
-    state.dcm_err_prev = err
-
-    pid = (
-        gains.k_p * err
-        + gains.k_i * state.dcm_error_integral
-        + gains.k_d * state.dcm_err_rate
+    zcx, zcy, acx, acy, csx, csy, ex, ey = _dcm_law(
+        state,
+        gains,
+        dt,
+        coeff.kappa,
+        coeff.omega,
+        _plan_floats(desired),
+        *_xy(actual_dcm),
     )
-    correction = pid + state.gamma_high + state.gamma_high_rate / gains.rho
-    command_zmp = desired.zmp + correction / kappa
-    command_acc = desired.com_acc - omega * omega * correction
-    return command_zmp, command_acc, state, com_shifted, err
+    return (
+        np.array([zcx, zcy]),
+        np.array([acx, acy]),
+        state,
+        np.array([csx, csy]),
+        np.array([ex, ey]),
+    )
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -257,40 +337,55 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _clamp_to_hull(point: np.ndarray, hull: np.ndarray) -> np.ndarray:
-    """Nearest point of a convex polygon (CCW vertices) to the given point.
+def hull_edges(hull: np.ndarray) -> tuple:
+    """Edges of a CCW hull as float tuples (ax, ay, ex, ey, |e|^2).
 
-    A point inside the polygon comes back unchanged; a 2-vertex hull is one
-    segment. Works on Python floats, which is cheaper than per-edge numpy
-    calls on 2-vectors and rounds every product the same way on every CPU
-    (numpy's 2-vector dot goes through BLAS, which may fuse multiply-adds).
+    Each edge runs from vertex a along e to the next vertex. A 2-vertex hull
+    is one segment, a 1-vertex hull one edge of zero length.
     """
-    n = len(hull)
-    if n == 1:
-        return hull[0].copy()
-    px, py = point.tolist()
     verts = hull.tolist()
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n if n > 2 else 1)]
-    if n > 2 and not any(
-        (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0.0
-        for (ax, ay), (bx, by) in edges
-    ):
-        return point.copy()
-    best = None
-    best_d = math.inf
-    for (ax, ay), (bx, by) in edges:
+    n = len(verts)
+    edges = []
+    for i in range(n if n > 2 else 1):
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
         ex = bx - ax
         ey = by - ay
-        ee = ex * ex + ey * ey
-        proj = (px - ax) * ex + (py - ay) * ey
-        t = 0.0 if ee == 0.0 else min(max(proj / ee, 0.0), 1.0)
+        edges.append((ax, ay, ex, ey, ex * ex + ey * ey))
+    return tuple(edges)
+
+
+def _clamp_xy(px, py, edges):
+    """Nearest point (x, y) of a convex polygon, given by hull_edges, to (px, py).
+
+    A point inside the polygon comes back unchanged; a 2-vertex hull is one
+    segment. Float arithmetic rounds every product the same way on every
+    CPU (numpy's 2-vector dot goes through BLAS, which may fuse
+    multiply-adds).
+    """
+    if len(edges) > 2:
+        for ax, ay, ex, ey, _ in edges:
+            if ex * (py - ay) - ey * (px - ax) < 0.0:
+                break
+        else:
+            return px, py
+    best = None
+    best_d = math.inf
+    for ax, ay, ex, ey, ee in edges:
+        if ee == 0.0:  # a single-vertex hull
+            return ax, ay
+        t = min(max(((px - ax) * ex + (py - ay) * ey) / ee, 0.0), 1.0)
         qx = ax + t * ex
         qy = ay + t * ey
         d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
         if d < best_d:
             best_d = d
             best = (qx, qy)
-    return np.array(best)
+    return best
+
+
+def _clamp_to_hull(point: np.ndarray, hull: np.ndarray) -> np.ndarray:
+    """Nearest point of a convex polygon (CCW vertices) to the given point."""
+    return np.array(_clamp_xy(*_xy(point), hull_edges(hull)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -530,6 +625,86 @@ class StabilizerOutput:
     cop_clamped: bool
 
 
+def stabilizer_law(
+    state: StabilizerState,
+    gains: StabilizerGains,
+    params: RobotParams,
+    dt: float,
+    compensate_forces: bool,
+    kappa: float,
+    omega: float,
+    plan: tuple,
+    desired_rows: tuple,
+    com: tuple,
+    vel: tuple,
+    rows: tuple,
+    edges: tuple,
+):
+    """One stabilizer cycle on floats, up to the net ground wrench.
+
+    Chains the force-error measurement, the frequency split, the DCM feedback
+    law, command-ZMP saturation into the support hull and the net ground
+    wrench against the measured CoM, whose pressure point is clamped into
+    the hull. With compensate_forces False both offset bands stay zero
+    (ablation mode); gamma_err is still measured for logging.
+
+    kappa and omega are the planned sample's coefficients; plan is its
+    (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
+    acceleration, DCM and ZMP. desired_rows and rows are the planned and the
+    measured contacts as contact_rows; com and vel the measured CoM (x, y)
+    position and velocity; edges the support hull as hull_edges. The state
+    advances in place.
+
+    Returns (command_zmp, command_acc, shifted_com, dcm_err, gamma_err,
+    zmp_saturated, cop_clamped, wrench): (x, y) pairs, two flags and the net
+    ground wrench (fx, fy, fz, mx, my, mz) with its moment about the world
+    origin. Raises NonPhysical when the wrench has no vertical force and
+    Infeasible when it pulls the feet off the ground.
+    """
+    zmp_height = params.zmp_height
+    ex, ey = _force_error(rows, desired_rows, params.mass * params.gravity, zmp_height)
+    if compensate_forces:
+        _split(state, ex, ey, dt, gains.cutoff_period)
+
+    cx, cy = com
+    vx, vy = vel
+    zcx, zcy, acx, acy, csx, csy, dex, dey = _dcm_law(
+        state, gains, dt, kappa, omega, plan, cx + vx / omega, cy + vy / omega
+    )
+
+    qx, qy = _clamp_xy(zcx, zcy, edges)
+    zmp_saturated = qx != zcx or qy != zcy
+    if zmp_saturated:
+        zcx, zcy = qx, qy
+        w2k = omega * omega * kappa
+        acx = plan[2] - w2k * (zcx - plan[6])
+        acy = plan[3] - w2k * (zcy - plan[7])
+
+    fx, fy, fz, mx, my, mz = foot_wrench_terms(
+        params, cx, cy, params.com_height, acx, acy, 0.0, rows
+    )
+    # the wrench the feet can realize is capped by the support hull: clamp
+    # its pressure point and rebuild the horizontal moment to match
+    px, py = pressure_point(fx, fy, fz, mx, my, zmp_height)
+    qx, qy = _clamp_xy(px, py, edges)
+    cop_clamped = qx != px or qy != py
+    if cop_clamped:
+        mx = qy * fz - zmp_height * fy
+        my = zmp_height * fx - qx * fz
+    if not fz > 0.0:
+        raise Infeasible("net wrench must press downward on the ground")
+    return (
+        (zcx, zcy),
+        (acx, acy),
+        (csx, csy),
+        (dex, dey),
+        (ex, ey),
+        zmp_saturated,
+        cop_clamped,
+        (fx, fy, fz, mx, my, mz),
+    )
+
+
 def step_stabilizer(
     desired: DesiredSample,
     actual: ActualSample,
@@ -539,73 +714,46 @@ def step_stabilizer(
     dt: float,
     compensate_forces: bool = True,
 ) -> StabilizerOutput:
-    """One full stabilizer cycle.
+    """One full stabilizer cycle: stabilizer_law, then the per-foot split.
 
-    Chains the force-error measurement, the frequency split, the DCM feedback
-    law, command-ZMP saturation into the support hull, the net-wrench
-    computation against the actual CoM, and the per-foot distribution. With
-    compensate_forces False both offset bands stay zero (ablation mode);
-    gamma_err is still measured for logging.
+    The net wrench comes from stabilizer_law; distribute_wrench splits it
+    between the support feet. With compensate_forces False both offset
+    bands stay zero (ablation mode); gamma_err is still measured for logging.
     """
-    gamma_err = measure_gamma_error(desired.contacts, actual.contacts, params)
-    if compensate_forces:
-        split_frequency(state, gamma_err, dt, gains.cutoff_period)
-
-    omega = desired.coefficients.omega
-    actual_dcm = actual.com_pos + actual.com_vel / omega
-    command_zmp, command_acc, state, com_shifted, dcm_err = dcm_feedback(
-        desired, actual_dcm, state, gains, dt
+    coeff = desired.coefficients
+    zc, acc, shifted, dcm_err, gamma_err, saturated, cop_clamped, w = stabilizer_law(
+        state,
+        gains,
+        params,
+        dt,
+        compensate_forces,
+        coeff.kappa,
+        coeff.omega,
+        _plan_floats(desired),
+        contact_rows(desired.contacts),
+        _xy(actual.com_pos),
+        _xy(actual.com_vel),
+        contact_rows(actual.contacts),
+        hull_edges(support_hull(desired.support_region)),
     )
-
-    hull = support_hull(desired.support_region)
-    saturated = _clamp_to_hull(command_zmp, hull)
-    zmp_saturated = bool(
-        saturated[0] != command_zmp[0] or saturated[1] != command_zmp[1]
-    )
-    if zmp_saturated:
-        command_zmp = saturated
-        kappa = desired.coefficients.kappa
-        w2 = omega * omega
-        command_acc = desired.com_acc - w2 * kappa * (command_zmp - desired.zmp)
-
-    com3 = np.array([actual.com_pos[0], actual.com_pos[1], params.com_height])
-    acc3 = np.array([command_acc[0], command_acc[1], 0.0])
-    force, moment = net_foot_wrench(params, com3, acc3, actual.contacts)
-
-    # the wrench the feet can realize is capped by the support hull: clamp
-    # its pressure point and rebuild the horizontal moment to match
-    cop = wrench_zmp(force, moment, params.zmp_height)
-    cop_in = _clamp_to_hull(cop, hull)
-    cop_clamped = bool(cop_in[0] != cop[0] or cop_in[1] != cop[1])
-    if cop_clamped:
-        zh = params.zmp_height
-        moment = np.array(
-            [
-                cop_in[1] * force[2] - zh * force[1],
-                zh * force[0] - cop_in[0] * force[2],
-                moment[2],
-            ]
-        )
-    net = Wrench(force=force, moment=moment)
-
+    net = Wrench(force=np.array(w[:3]), moment=np.array(w[3:]))
     by_name = dict(zip(desired.support_feet, desired.support_region))
     left_wrench, right_wrench = distribute_wrench(
         net, by_name.get("left"), by_name.get("right"), params.zmp_height
     )
-
     return StabilizerOutput(
-        command_zmp=command_zmp,
-        command_com_accel=command_acc,
-        shifted_com_des=com_shifted,
+        command_zmp=np.array(zc),
+        command_com_accel=np.array(acc),
+        shifted_com_des=np.array(shifted),
         net_wrench=net,
         left_wrench=left_wrench,
         right_wrench=right_wrench,
-        dcm_err=dcm_err,
-        gamma_err=gamma_err,
-        gamma_low=state.gamma_low,
-        gamma_high=state.gamma_high,
-        gamma_high_rate=state.gamma_high_rate,
-        zmp_saturated=zmp_saturated,
+        dcm_err=np.array(dcm_err),
+        gamma_err=np.array(gamma_err),
+        gamma_low=np.array(state.gamma_low),
+        gamma_high=np.array(state.gamma_high),
+        gamma_high_rate=np.array(state.gamma_high_rate),
+        zmp_saturated=saturated,
         cop_clamped=cop_clamped,
     )
 

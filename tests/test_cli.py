@@ -153,6 +153,18 @@ class TestGains:
         assert float(fields["preview_pole_abs"].split(",")[0]) < 1.0
         assert float(fields["stabilizer_pole_max_real"]) < 0.0
 
+    def test_override_exponent_without_dot_is_a_number(self, capsys):
+        """YAML 1.1 reads 1e-8 as a string; overrides read it as 1.0e-8."""
+        outputs = []
+        for value in ("1e-8", "1.0e-8"):
+            code = run_cli(
+                "gains", "--config", "nominal", "--override", f"controller.r_jerk={value}"
+            )
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     def test_gains_respect_overrides(self, capsys):
         code = run_cli(
             "gains", "--config", "nominal", "--override", "dt_s=0.005",

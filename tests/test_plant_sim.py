@@ -1,5 +1,6 @@
 """Unit tests for the point-mass plant, disturbances, and the closed loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +18,10 @@ from _pipeline import (
 )
 
 from locomanip.core_dynamics import CoMState
+from locomanip.errors import Infeasible, NonPhysical
 from locomanip.plant_sim import (
     CSV_COLUMNS,
+    ZMP_CLAMP_MARGIN,
     DisturbanceProfile,
     PlantState,
     TraceLog,
@@ -27,7 +30,19 @@ from locomanip.plant_sim import (
     step_plant,
 )
 from locomanip.reference_builder import SoleRect
-from locomanip.stabilizer import StabilizerGains
+from locomanip.scenario import (
+    apply_overrides,
+    build_scenario,
+    bundled_scenario_path,
+    load_raw_config,
+    parse_config,
+)
+from locomanip.stabilizer import (
+    ActualSample,
+    DesiredSample,
+    Stabilizer,
+    StabilizerGains,
+)
 
 RHO = 20.0
 
@@ -107,6 +122,13 @@ class TestStepPlant:
         assert nxt.zmp_clamped
         assert nxt.zmp_actual[0] == pytest.approx(0.13, abs=1e-15)
 
+    def test_non_finite_state_is_rejected(self):
+        with pytest.raises(ValueError, match="position: components must be finite"):
+            step_plant(
+                resting_state(), np.array([math.inf, 0.0]), (), PARAMS, RHO, DT,
+                direct_zmp=True,
+            )
+
 
 class TestDisturbanceProfile:
     def test_validation(self):
@@ -118,6 +140,8 @@ class TestDisturbanceProfile:
             DisturbanceProfile(kind="constant", axis="q")
         with pytest.raises(ValueError, match="ends before"):
             DisturbanceProfile(kind="step", start_time=2.0, end_time=1.0)
+        with pytest.raises(ValueError, match="contact_index"):
+            DisturbanceProfile(kind="step", contact_index=-1)
 
     def test_window_and_shape(self):
         prof = DisturbanceProfile(
@@ -146,6 +170,12 @@ class TestDisturbanceProfile:
         assert out[0].force[2] == 0.0
         assert out[1].force[2] == 40.0
         assert out[0].force[0] == -50.0
+
+    def test_apply_rejects_missing_contact(self):
+        """An index past the contacts present fails instead of being dropped."""
+        prof = DisturbanceProfile(kind="constant", amplitude=-400.0, contact_index=7)
+        with pytest.raises(IndexError):
+            apply_disturbances(hand_pair(fx=-50.0), (prof,), 0.0)
 
     def test_apply_broadcasts_without_index(self):
         contacts = hand_pair(fx=-50.0)
@@ -249,3 +279,157 @@ class TestClosedLoop:
             assert np.array_equal(back[name], trace[name]), name
         with open(path) as fh:
             assert fh.readline().strip() == ",".join(CSV_COLUMNS)
+
+
+def scenario_bundle(name, *overrides):
+    raw = load_raw_config(bundled_scenario_path(name))
+    return build_scenario(parse_config(apply_overrides(raw, list(overrides))))
+
+
+def loop_of(bundle):
+    cfg = bundle.config
+    return run_closed_loop(
+        bundle.traj,
+        bundle.stabilizer,
+        bundle.params,
+        rho=cfg.controller.rho_per_s,
+        disturbances=bundle.disturbances,
+        direct_zmp=cfg.plant.direct_zmp,
+        divergence_limit=cfg.plant.divergence_limit_m,
+    )
+
+
+def first_samples(traj, n):
+    """The plan cut to its first n samples."""
+    tl = traj.timeline
+    timeline = dataclasses.replace(
+        tl,
+        time=tl.time[:n],
+        zmp_ref=tl.zmp_ref[:n],
+        kappa=tl.kappa[:n],
+        gamma=tl.gamma[:n],
+        ext_zmp_ref=tl.ext_zmp_ref[:n],
+        frames=tl.frames[:n],
+    )
+    arrays = {
+        f.name: getattr(traj, f.name)[:n]
+        for f in dataclasses.fields(traj)
+        if f.name != "timeline"
+    }
+    return dataclasses.replace(traj, timeline=timeline, **arrays)
+
+
+class TestOneLaw:
+    """The closed loop and the per-sample API run the same laws."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            (),
+            (
+                "disturbances=[{kind: sinusoid, axis: x, amplitude_n: 40.0, "
+                "period_s: 0.3, start_s: 0.1, contact_index: 1}]",
+            ),
+        ],
+        ids=["testcase1", "testcase1-push"],
+    )
+    def test_loop_matches_per_sample_steps(self, overrides):
+        bundle = scenario_bundle("testcase1", *overrides)
+        traj = first_samples(bundle.traj, 500)
+        trace = loop_of(dataclasses.replace(bundle, traj=traj))
+
+        stab = bundle.stabilizer
+        by_hand = Stabilizer(
+            stab.params, stab.gains, stab.omega, stab.dt,
+            compensate_forces=stab.compensate_forces,
+        )
+        rho = bundle.config.controller.rho_per_s
+        state = PlantState(
+            com=CoMState(
+                position=traj.com_pos[0],
+                velocity=traj.com_vel[0],
+                acceleration=traj.com_acc[0],
+            ),
+            zmp_actual=np.array(traj.zmp[0]),
+            time=float(traj.time[0]),
+        )
+        logged = {name: [] for name in (
+            "z_x^c", "z_y^c", "gamma_err_x", "gamma_err_y", "gammaH_x",
+            "gammaH_y", "gammaL_x", "gammaL_y", "command_acc_x",
+            "command_acc_y", "dcm_err_x", "dcm_err_y", "zmp_saturated",
+            "cop_clamped", "zmp_clamped", "c_x^a", "com_acc_x^a",
+        )}
+        for k, frame in enumerate(traj.timeline.frames):
+            true = apply_disturbances(frame.contacts, bundle.disturbances, traj.time[k])
+            out = by_hand.step(
+                DesiredSample(
+                    com_pos=traj.com_pos[k],
+                    com_acc=traj.com_acc[k],
+                    dcm=traj.dcm[k],
+                    zmp=traj.zmp[k],
+                    coefficients=frame.coefficients,
+                    contacts=frame.contacts,
+                    support_region=frame.support_region,
+                    support_feet=frame.support_feet,
+                ),
+                ActualSample(
+                    com_pos=state.com.position,
+                    com_vel=state.com.velocity,
+                    contacts=true,
+                ),
+            )
+            for axis, i in (("x", 0), ("y", 1)):
+                logged[f"z_{axis}^c"].append(out.command_zmp[i])
+                logged[f"gamma_err_{axis}"].append(out.gamma_err[i])
+                logged[f"gammaH_{axis}"].append(out.gamma_high[i])
+                logged[f"gammaL_{axis}"].append(out.gamma_low[i])
+                logged[f"command_acc_{axis}"].append(out.command_com_accel[i])
+                logged[f"dcm_err_{axis}"].append(out.dcm_err[i])
+            logged["zmp_saturated"].append(float(out.zmp_saturated))
+            logged["cop_clamped"].append(float(out.cop_clamped))
+            logged["c_x^a"].append(state.com.position[0])
+            logged["com_acc_x^a"].append(state.com.acceleration[0])
+            base = SoleRect.bounding(frame.support_region)
+            m = ZMP_CLAMP_MARGIN
+            state = step_plant(
+                state, out.command_zmp, true, bundle.params, rho, traj.dt,
+                clamp_rect=SoleRect(
+                    base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m
+                ),
+            )
+            logged["zmp_clamped"].append(float(state.zmp_clamped))
+
+        assert len(trace) == 500
+        for name, values in logged.items():
+            column = trace.columns.get(name, trace.extra.get(name))
+            assert np.array(values).tobytes() == column.tobytes(), name
+        if overrides:
+            assert np.any(trace["gammaH_x"] != 0.0)
+        # the loop leaves its stabilizer where the per-sample steps leave theirs
+        assert stab.state == by_hand.state
+
+    def test_unloading_push_raises_infeasible(self):
+        """A 600 N lift per hand pulls the feet off the ground at t = 5 s."""
+        bundle = scenario_bundle(
+            "testcase1",
+            "disturbances=[{kind: step, axis: z, amplitude_n: 600.0, "
+            "start_s: 5.0, end_s: 8.0}]",
+        )
+        with pytest.raises(Infeasible, match="press downward on the ground"):
+            loop_of(bundle)
+
+    @pytest.mark.parametrize(
+        "share, error", [(0.5, NonPhysical), (0.6, Infeasible)]
+    )
+    def test_unloaded_feet_stop_the_loop(self, share, error):
+        """Hands carrying the whole weight (share 0.5 each) or more."""
+        traj = plan_trajectory(standing_timeline(duration=1.0, schedule=constant_schedule(hand_pair())))
+        lift = (
+            DisturbanceProfile(
+                kind="step", axis="z", amplitude=share * PARAMS.mass * PARAMS.gravity,
+                start_time=0.5,
+            ),
+        )
+        stab = make_stabilizer()
+        with pytest.raises(error):
+            run_closed_loop(traj, stab, PARAMS, RHO, disturbances=lift)

@@ -667,6 +667,31 @@ class TestRunScenario:
         assert res.trace_path is None and res.out_dir is None
         assert not (tmp_path / "mini_out").exists()
 
+    def test_missing_contact_index_is_rejected(self):
+        """A push on contact 7 of two used to vanish from the run unreported."""
+        raw = apply_overrides(
+            load_raw_config(bundled_scenario_path("testcase1")),
+            [
+                "disturbances=[{kind: step, axis: x, amplitude_n: -400.0, "
+                "start_s: 5.0, end_s: 8.0, contact_index: 7}]"
+            ],
+        )
+        with pytest.raises(ConfigError, match="contact 7 does not exist") as info:
+            build_scenario(parse_config(raw))
+        assert info.value.field == "disturbances[0].contact_index"
+
+    def test_contact_index_checked_only_while_the_push_acts(self):
+        hands = mini_config()["hands"] + [{"time_s": 1.5, "contacts": []}]
+        held = {"kind": "step", "amplitude_n": 5.0, "start_s": 0.2, "end_s": 1.0,
+                "contact_index": 0}
+        build_scenario(parse_config(mini_config(hands=hands, disturbances=[held])))
+        late = dict(held, start_s=1.2, end_s=2.5)
+        with pytest.raises(ConfigError, match=r"hands\[2\] has 0 contacts") as info:
+            build_scenario(
+                parse_config(mini_config(hands=hands, disturbances=[held, late]))
+            )
+        assert info.value.field == "disturbances[1].contact_index"
+
     def test_bundle_matches_sample_count(self):
         cfg = parse_config(mini_config())
         bundle = build_scenario(cfg)
