@@ -80,48 +80,6 @@ EXTRA_COLUMNS = (
     "com_acc_y^a",
 )
 
-# columns copied from the plan, then the ones run_closed_loop writes per step
-_PLAN_COLUMNS = (
-    "time",
-    "c_x^d",
-    "c_y^d",
-    "xi_x^d",
-    "xi_y^d",
-    "z_x^d",
-    "z_y^d",
-    "extzmp_x^ref",
-    "extzmp_y^ref",
-)
-_STEP_COLUMNS = (
-    "c_x^a",
-    "c_y^a",
-    "xi_x^a",
-    "xi_y^a",
-    "z_x^c",
-    "z_y^c",
-    "z_x^a",
-    "z_y^a",
-    "gamma_err_x",
-    "gamma_err_y",
-    "gammaH_x",
-    "gammaH_y",
-    "gammaL_x",
-    "gammaL_y",
-    "fext_sum_x",
-    "fext_sum_y",
-    "fext_sum_z",
-    "command_acc_x",
-    "command_acc_y",
-    "dcm_err_x",
-    "dcm_err_y",
-    "zmp_saturated",
-    "cop_clamped",
-    "zmp_clamped",
-    "com_acc_x^a",
-    "com_acc_y^a",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class PlantState:
     """Plant truth at one instant; zmp_clamped marks a support-edge event."""
@@ -268,8 +226,7 @@ def step_plant(
     coeff = compute_coefficients(params, true_contacts)
     bounds = None
     if clamp_rect is not None:
-        r = clamp_rect
-        bounds = (r.xmin, r.xmax, r.ymin, r.ymax)
+        bounds = (clamp_rect.xmin, clamp_rect.xmax, clamp_rect.ymin, clamp_rect.ymax)
     px, py, vx, vy, ax, ay, zx, zy, clamped = plant_law(
         *state.com.position.tolist(),
         *state.com.velocity.tolist(),
@@ -389,21 +346,23 @@ def run_closed_loop(
         zax, zay = np.asarray(initial.zmp_actual, dtype=float).tolist()
         plant_time = initial.time
 
-    # one column-major buffer: each row is one trace column
-    n_plan = len(_PLAN_COLUMNS)
-    buf = np.zeros((n_plan + len(_STEP_COLUMNS), n))
-    plan_src = (
-        traj.time,
-        traj.com_pos[:, 0],
-        traj.com_pos[:, 1],
-        traj.dcm[:, 0],
-        traj.dcm[:, 1],
-        traj.zmp[:, 0],
-        traj.zmp[:, 1],
-        timeline.ext_zmp_ref[:, 0],
-        timeline.ext_zmp_ref[:, 1],
-    )
-    for row, src in zip(buf, plan_src):
+    # one column-major buffer: each row is one column of the trace, the
+    # plan's columns first, then the ones written per step
+    plan_columns = {
+        "time": traj.time,
+        "c_x^d": traj.com_pos[:, 0],
+        "c_y^d": traj.com_pos[:, 1],
+        "xi_x^d": traj.dcm[:, 0],
+        "xi_y^d": traj.dcm[:, 1],
+        "z_x^d": traj.zmp[:, 0],
+        "z_y^d": traj.zmp[:, 1],
+        "extzmp_x^ref": timeline.ext_zmp_ref[:, 0],
+        "extzmp_y^ref": timeline.ext_zmp_ref[:, 1],
+    }
+    step_columns = [c for c in CSV_COLUMNS + EXTRA_COLUMNS if c not in plan_columns]
+    n_plan = len(plan_columns)
+    buf = np.zeros((n_plan + len(step_columns), n))
+    for row, src in zip(buf, plan_columns.values()):
         row[:] = src
     out = memoryview(buf).cast("B").cast("d")
 
@@ -486,7 +445,7 @@ def run_closed_loop(
             unloaded.omega, kappa, gx, gy, dt,
         )
         clamped = stepped[8]
-        # this step's values, in _STEP_COLUMNS order, down column k
+        # this step's values, in step_columns order, into column k
         out[n_plan * n + k :: n] = array(
             "d",
             (
@@ -512,7 +471,7 @@ def run_closed_loop(
 
     if last < n:
         buf = buf[:, :last].copy()
-    rows_of = dict(zip(_PLAN_COLUMNS + _STEP_COLUMNS, buf))
+    rows_of = dict(zip([*plan_columns, *step_columns], buf))
     return TraceLog(
         dt=dt,
         columns={name: rows_of[name] for name in CSV_COLUMNS},

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .core_dynamics import (
     contact_rows,
     contact_terms,
     foot_wrench_terms,
-    net_foot_wrench,  # noqa: F401  (array form of foot_wrench_terms, looked up here)
+    net_foot_wrench,  # noqa: F401  (kept importable from this module)
     pressure_point,
     wrench_zmp,
 )
