@@ -12,7 +12,6 @@ plant_law (step_plant) and stabilizer.stabilizer_law (Stabilizer.step).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,13 +246,6 @@ def step_plant(
     )
 
 
-def _clamp_bounds(region) -> tuple:
-    """(xmin, xmax, ymin, ymax) the realized ZMP is clamped into on a support region."""
-    base = SoleRect.bounding(region)
-    m = ZMP_CLAMP_MARGIN
-    return (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m)
-
-
 @dataclass(eq=False)
 class TraceLog:
     """Per-step record of one closed-loop run.
@@ -346,8 +338,11 @@ def run_closed_loop(
         zax, zay = np.asarray(initial.zmp_actual, dtype=float).tolist()
         plant_time = initial.time
 
-    # one column-major buffer: each row is one column of the trace, the
-    # plan's columns first, then the ones written per step
+    # one preallocated array per column: the plan's columns are copied, the
+    # others written per step through memoryviews. One 2-D buffer would hold
+    # the same bytes, but once freed it raises glibc's dynamic mmap threshold
+    # above the trace-sized temporaries of later runs in the process, which
+    # then stay resident on the heap (+1.8 MB peak RSS over a seed sweep).
     plan_columns = {
         "time": traj.time,
         "c_x^d": traj.com_pos[:, 0],
@@ -359,12 +354,15 @@ def run_closed_loop(
         "extzmp_x^ref": timeline.ext_zmp_ref[:, 0],
         "extzmp_y^ref": timeline.ext_zmp_ref[:, 1],
     }
-    step_columns = [c for c in CSV_COLUMNS + EXTRA_COLUMNS if c not in plan_columns]
-    n_plan = len(plan_columns)
-    buf = np.zeros((n_plan + len(step_columns), n))
-    for row, src in zip(buf, plan_columns.values()):
-        row[:] = src
-    out = memoryview(buf).cast("B").cast("d")
+    columns = {name: np.zeros(n) for name in CSV_COLUMNS + EXTRA_COLUMNS}
+    for name, src in plan_columns.items():
+        columns[name][:] = src
+    step_views = [
+        memoryview(columns[name])
+        for name in columns
+        if name not in plan_columns and name != "zmp_clamped"
+    ]
+    clamp_view = memoryview(columns["zmp_clamped"])
 
     plan_mv = [
         memoryview(a[:, i])
@@ -389,7 +387,7 @@ def run_closed_loop(
     clamp_count = 0
     last = n
 
-    for k, frame, t, *plan in zip(range(n), timeline.frames, memoryview(buf[0]), *plan_mv):
+    for k, frame, t, *plan in zip(range(n), timeline.frames, memoryview(traj.time), *plan_mv):
         if frame.contacts is not contacts:
             contacts = frame.contacts
             desired_rows = contact_rows(contacts)
@@ -402,7 +400,9 @@ def run_closed_loop(
         if frame.support_region is not region:
             region = frame.support_region
             edges = hull_edges(support_hull(region))
-            bounds = _clamp_bounds(region)
+            base = SoleRect.bounding(region)
+            m = ZMP_CLAMP_MARGIN
+            bounds = (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m)
 
         com = (px, py)
         vel = (vx, vy)
@@ -444,20 +444,21 @@ def run_closed_loop(
             px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
             unloaded.omega, kappa, gx, gy, dt,
         )
-        clamped = stepped[8]
-        # this step's values, in step_columns order, into column k
-        out[n_plan * n + k :: n] = array(
-            "d",
+        # this step's values, in the order of step_views
+        for view, value in zip(
+            step_views,
             (
                 px, py, px + vx / omega, py + vy / omega, zcx, zcy, zax, zay,
                 gex, gey, hx, hy, lx, ly, fsx, fsy, fsz,
-                acx, acy, dex, dey, sat, cop, clamped, ax, ay,
+                acx, acy, dex, dey, sat, cop, ax, ay,
             ),
-        )
-        px, py, vx, vy, ax, ay, zax, zay, _ = stepped
+        ):
+            view[k] = value
+        px, py, vx, vy, ax, ay, zax, zay, clamped = stepped
         plant_time = plant_time + dt
         if clamped:
             clamp_count += 1
+            clamp_view[k] = 1.0
 
         j = min(k + 1, n - 1)
         if (
@@ -470,12 +471,11 @@ def run_closed_loop(
             break
 
     if last < n:
-        buf = buf[:, :last].copy()
-    rows_of = dict(zip([*plan_columns, *step_columns], buf))
+        columns = {name: col[:last].copy() for name, col in columns.items()}
     return TraceLog(
         dt=dt,
-        columns={name: rows_of[name] for name in CSV_COLUMNS},
-        extra={name: rows_of[name] for name in EXTRA_COLUMNS},
+        columns={name: columns[name] for name in CSV_COLUMNS},
+        extra={name: columns[name] for name in EXTRA_COLUMNS},
         diverged=diverged,
         diverged_at=diverged_at,
         zmp_clamp_count=clamp_count,

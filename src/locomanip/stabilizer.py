@@ -152,6 +152,7 @@ def _xy(vec) -> tuple:
 
 
 def _force_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
+    """measure_gamma_error on contact_rows: (gamma_err_x, gamma_err_y)."""
     actual = contact_terms(actual_rows, zeta, zmp_height)
     desired = contact_terms(desired_rows, zeta, zmp_height)
     return actual[4] - desired[4], actual[5] - desired[5]
@@ -175,6 +176,7 @@ def measure_gamma_error(
 
 
 def _split(state: StabilizerState, ex, ey, dt, cutoff_period):
+    """split_frequency on floats: replaces the three band pairs of state."""
     tau = cutoff_period / (2.0 * math.pi)
     alpha = dt / (tau + dt)
     lx, ly = state.gamma_low
@@ -243,6 +245,9 @@ def _plan_floats(desired: DesiredSample) -> tuple:
 
 
 def _dcm_law(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y):
+    """dcm_feedback on floats; plan as in stabilizer_law, (xi_x, xi_y) the
+    actual DCM. Returns the command ZMP, command acceleration, shifted
+    desired CoM and DCM error as one flat tuple of 8 floats."""
     if kappa <= DEGENERATE_KAPPA:
         raise DegenerateScale(f"ZMP scale kappa={kappa:.4f} too small to command")
     cx, cy, ax, ay, dx, dy, zx, zy = plan
@@ -251,7 +256,7 @@ def _dcm_law(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y):
     ey = xi_y - (dy - ly)
     ix, iy = state.dcm_error_integral
     lim = gains.integrator_limit
-    # min(max()) rounds and signs exactly as np.clip, NaN included
+    # min(max()) gives np.clip's result bit for bit, signed zeros and NaN too
     ix = min(max(ix + ex * dt, -lim), lim)
     iy = min(max(iy + ey * dt, -lim), lim)
     px, py = state.dcm_err_prev
