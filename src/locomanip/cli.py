@@ -6,11 +6,11 @@ Exit codes: 0 success, 1 config or usage error, 2 plant divergence.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
+from .core_dynamics import compute_coefficients
 from .errors import DegenerateScale, RiccatiDivergence, SchemaMismatch
 from .pattern_generator import PreviewWeights, synthesize_gains
 from .plant_sim import TraceLog
@@ -24,7 +24,6 @@ from .scenario import (
     resolve_config_path,
     run_scenario,
 )
-from .stabilizer import conventional_closed_loop_matrix
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,8 +124,8 @@ def _fmt_vec(values) -> str:
 
 def _cmd_gains(args) -> int:
     config = _load(args)
-    r, c = config.robot, config.controller
-    omega = math.sqrt(r.gravity_mps2 / (r.com_height_m - r.zmp_height_m))
+    c = config.controller
+    omega = compute_coefficients(config.robot.params()).omega
     gains = synthesize_gains(
         PreviewWeights(q_zmp=c.q_zmp, r_jerk=c.r_jerk),
         omega,
@@ -135,11 +134,7 @@ def _cmd_gains(args) -> int:
     )
     closed = gains.A - np.outer(gains.B, gains.k_fb)
     preview_poles = np.sort(np.abs(np.linalg.eigvals(closed)))[::-1]
-    st = conventional_closed_loop_matrix(c.rho_per_s, omega, c.k_p, c.k_i, c.k_d)
-    if c.k_i == 0.0:
-        # integrator decoupled: drop its structural zero eigenvalue
-        st = st[1:, 1:]
-    st_poles = np.sort_complex(np.linalg.eigvals(st))
+    st_poles = c.stabilizer_gains().closed_loop_poles(omega)
     print(f"scenario={config.name}")
     print(f"omega_per_s={omega:.12g}")
     print(f"dt_s={config.dt_s:.12g}")

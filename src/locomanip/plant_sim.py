@@ -273,12 +273,15 @@ class TraceLog:
         return len(self) * self.dt
 
     def to_csv(self, path):
-        header = ",".join(CSV_COLUMNS)
         data = np.column_stack([self.columns[c] for c in CSV_COLUMNS])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+        np.savetxt(
+            path,
+            data,
+            fmt="%.17g",
+            delimiter=",",
+            header=",".join(CSV_COLUMNS),
+            comments="",
+        )
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":

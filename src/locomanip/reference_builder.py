@@ -84,8 +84,8 @@ class ContactSchedule:
 
     Before the first breakpoint the first entry holds; after the last, the
     last entry holds. "hold" segments return the breakpoint's own contact
-    tuple unchanged (same object every call), which lets downstream caches
-    key on tuple identity.
+    tuple unchanged (same object every call), so a caller can tell that the
+    contacts did not change with an `is` test.
     """
 
     def __init__(self, breakpoints):
@@ -374,41 +374,36 @@ def build_reference_frames(
         raise ValueError("timeline needs at least two samples")
     dt = float(times[1] - times[0])
 
-    coeff_cache = {}
-    rect_cache = {}
     frames = []
     kappa = np.empty(n)
     gamma = np.empty((n, 2))
     exz = np.empty((n, 2))
-    omega = None
+    # A hold segment returns one shared contact tuple and an unchanged stance
+    # one shared support tuple, so a sample whose object is the previous
+    # sample's reuses its coefficients or sole region.
+    contacts = sup = None
     for k in range(n):
         t = float(times[k])
-        contacts = schedule.sample(t)
-        key = id(contacts)
-        coeff = coeff_cache.get(key)
-        if coeff is None:
+        sampled = schedule.sample(t)
+        if sampled is not contacts:
+            contacts = sampled
             coeff = compute_coefficients(params, contacts, com_vert_accel)
             if force_kappa_one:
                 coeff = LipmCoefficients(
                     omega=coeff.omega, kappa=1.0, gamma=coeff.gamma, zeta=coeff.zeta
                 )
-            if len(coeff_cache) < 32:  # hold tuples recur; interpolated ones never do
-                coeff_cache[key] = coeff
-        omega = coeff.omega
         z = zmp_ref[k]
         ez = ext_zmp(coeff, ZmpPoint(z)).position
         kappa[k] = coeff.kappa
         gamma[k] = coeff.gamma
         exz[k] = ez
 
-        sup = supports[k]
-        rkey = id(sup)
-        region = rect_cache.get(rkey)
-        if region is None:
+        if supports[k] is not sup:
+            sup = supports[k]
+            feet = tuple(f for f, _ in sup)
             region = tuple(
                 SoleRect.centered(p, sole_half_x, sole_half_y) for _, p in sup
             )
-            rect_cache[rkey] = region
         frames.append(
             ReferenceFrame(
                 time=t,
@@ -416,7 +411,7 @@ def build_reference_frames(
                 contacts=contacts,
                 coefficients=coeff,
                 ext_zmp_ref=ez,
-                support_feet=tuple(f for f, _ in sup),
+                support_feet=feet,
                 support_region=region,
             )
         )
@@ -430,6 +425,6 @@ def build_reference_frames(
         kappa=kappa,
         gamma=gamma,
         ext_zmp_ref=exz,
-        omega=float(omega),
+        omega=float(coeff.omega),
         frames=tuple(frames),
     )

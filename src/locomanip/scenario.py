@@ -6,7 +6,11 @@ disturbance profiles, metric windows and the pass/fail checks that make a
 run self-documenting. Configs are YAML mappings whose field names carry
 their units (_m, _s, _n, ...). Parsing is strict: unknown or ill-typed
 fields raise ConfigError naming the full field path, so a typo cannot
-silently disable part of an experiment.
+silently disable part of an experiment. Each field is declared once, on its
+config dataclass (see _f): YAML key, reader, default and bounds. The parser
+(parse_config) and the dumper (config_to_dict) both work from those
+declarations; a `_check` method holds the rules that relate a section's
+fields to each other.
 
 run_scenario wires the full pipeline (references -> preview gains ->
 desired trajectory -> stabilizer -> plant loop), writes the CSV trace and
@@ -22,6 +26,7 @@ the plant ZMP state and the metric reduces to rms(z^a - zmp_plan).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import re
@@ -48,19 +53,32 @@ from .stabilizer import Stabilizer, StabilizerGains
 
 _MISSING = object()
 
-_GAIT_KINDS = ("standing", "inplace", "footsteps")
-_STEP_FIELDS = ("first_step_s", "step_period_s", "last_step_end_s")
+# Why a kind refuses a field it does not read. Each kind refuses one group:
+# an in-place gait the footsteps, a footsteps gait the step timing, a
+# constant or step disturbance the sinusoid period.
+_UNUSED_BY = {
+    "standing": "not used by a standing gait",
+    "inplace": "only used by a footsteps gait",
+    "footsteps": "only used by an in-place gait",
+    "constant": "only used by a sinusoid",
+    "step": "only used by a sinusoid",
+}
 
 
 def _fail(path: str, message: str):
     raise ConfigError(message, field=path or "config")
 
 
+def _got(v) -> str:
+    return "null" if v is None else type(v).__name__
+
+
 class _Fields:
     """Strict cursor over one mapping of a raw config; tracks its field path.
 
-    Every reader pops the key it consumed; done() rejects whatever is left,
+    Every read pops the key it consumed; done() rejects whatever is left,
     which is what makes unknown keys impossible to sneak past the parser.
+    `given` keeps the keys the mapping had before any was read.
     """
 
     def __init__(self, raw, path: str):
@@ -69,10 +87,11 @@ class _Fields:
         if not isinstance(raw, dict):
             _fail(path, "expected a mapping")
         self._raw = dict(raw)
-        self._path = path
+        self.given = frozenset(raw)
+        self.path = path
 
     def key(self, name: str) -> str:
-        return f"{self._path}.{name}" if self._path else name
+        return f"{self.path}.{name}" if self.path else name
 
     def has(self, name: str) -> bool:
         return name in self._raw
@@ -88,634 +107,381 @@ class _Fields:
             _fail(self.key(name), "missing required field")
         return default
 
-    def number(
-        self,
-        name: str,
-        default=_MISSING,
-        minimum: float | None = None,
-        below: float | None = None,
-        positive: bool = False,
-        allow_inf: bool = False,
-    ):
-        v = self.take(name, default)
-        if v is None:
-            if default is None:
-                return None
-            _fail(self.key(name), "expected a number, got null")
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            _fail(self.key(name), f"expected a number, got {type(v).__name__}")
-        v = float(v)
-        if math.isnan(v) or (math.isinf(v) and not allow_inf):
-            _fail(self.key(name), "must be finite")
-        if positive and not v > 0.0:
-            _fail(self.key(name), "must be > 0")
-        if minimum is not None and v < minimum:
-            _fail(self.key(name), f"must be >= {minimum:g}")
-        if below is not None and not v < below:
-            _fail(self.key(name), f"must be < {below:g}")
-        return v
-
-    def integer(self, name: str, default=_MISSING, minimum: int | None = None):
-        v = self.take(name, default)
-        if v is None:
-            if default is None:
-                return None
-            _fail(self.key(name), "expected an integer, got null")
-        if isinstance(v, bool) or not isinstance(v, int):
-            _fail(self.key(name), f"expected an integer, got {type(v).__name__}")
-        if minimum is not None and v < minimum:
-            _fail(self.key(name), f"must be >= {minimum}")
-        return int(v)
-
-    def boolean(self, name: str, default=_MISSING) -> bool:
-        v = self.take(name, default)
-        if not isinstance(v, bool):
-            _fail(self.key(name), f"expected true or false, got {type(v).__name__}")
-        return bool(v)
-
-    def string(self, name: str, default=_MISSING, choices=None):
-        v = self.take(name, default)
-        if v is None and default is None:
-            return None
-        if not isinstance(v, str):
-            _fail(self.key(name), f"expected a string, got {type(v).__name__}")
-        if choices is not None and v not in choices:
-            _fail(self.key(name), f"expected one of {', '.join(choices)}; got {v!r}")
-        return v
-
-    def vector(self, name: str, size: int, default=_MISSING):
-        v = self.take(name, default)
-        if isinstance(v, tuple):
-            v = list(v)
-        if not isinstance(v, list) or len(v) != size:
-            _fail(self.key(name), f"expected a list of {size} numbers")
-        out = []
-        for i, x in enumerate(v):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                _fail(f"{self.key(name)}[{i}]", "expected a number")
-            x = float(x)
-            if not math.isfinite(x):
-                _fail(f"{self.key(name)}[{i}]", "must be finite")
-            out.append(x)
-        return tuple(out)
-
-    def items(self, name: str, default=()):
-        v = self.take(name, default)
-        if v is None:
-            return []
-        if not isinstance(v, (list, tuple)):
-            _fail(self.key(name), "expected a list")
-        return list(v)
-
-    def section(self, name: str) -> "_Fields":
-        return _Fields(self.take(name, None), self.key(name))
-
     def done(self):
         if self._raw:
-            name = sorted(self._raw)[0]
+            name = min(self._raw, key=str)
             _fail(self.key(name), "unknown field")
+
+
+# Readers: each checks one raw value found at a field path and returns it
+# as the config holds it.
+
+
+def _number(v, path: str, minimum=None, below=None, positive=False, allow_inf=False):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        _fail(path, f"expected a number, got {_got(v)}")
+    try:
+        v = float(v)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf if v > 0 else -math.inf
+    if math.isnan(v) or (math.isinf(v) and not allow_inf):
+        _fail(path, "must be finite")
+    if positive and not v > 0.0:
+        _fail(path, "must be > 0")
+    if minimum is not None and v < minimum:
+        _fail(path, f"must be >= {minimum:g}")
+    if below is not None and not v < below:
+        _fail(path, f"must be < {below:g}")
+    return v
+
+
+def _integer(v, path: str, minimum=None):
+    if isinstance(v, bool) or not isinstance(v, int):
+        _fail(path, f"expected an integer, got {_got(v)}")
+    if minimum is not None and v < minimum:
+        _fail(path, f"must be >= {minimum}")
+    return v
+
+
+def _boolean(v, path: str):
+    if not isinstance(v, bool):
+        _fail(path, f"expected true or false, got {_got(v)}")
+    return v
+
+
+def _string(v, path: str, choices=None):
+    if not isinstance(v, str):
+        _fail(path, f"expected a string, got {_got(v)}")
+    if choices is not None and v not in choices:
+        _fail(path, f"expected one of {', '.join(choices)}; got {v!r}")
+    return v
+
+
+def _vector(v, path: str, size: int) -> tuple:
+    if not isinstance(v, (list, tuple)) or len(v) != size:
+        _fail(path, f"expected a list of {size} numbers")
+    return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
+def _items(v, path: str, of=None, size=None) -> tuple:
+    """A list of `of` sections, or of `size`-vectors when size is given."""
+    if v is None:
+        return ()
+    if not isinstance(v, (list, tuple)):
+        _fail(path, "expected a list")
+    if size is not None:
+        return tuple(_vector(x, f"{path}[{i}]", size) for i, x in enumerate(v))
+    return tuple(_section(x, f"{path}[{i}]", of) for i, x in enumerate(v))
+
+
+def _section(raw, path: str, of):
+    """Build the config dataclass `of` from a raw mapping, declared field by field."""
+    f = _Fields(raw, path)
+    values = {}
+    copies = []
+    for fd in dataclasses.fields(of):
+        spec, key = fd.metadata, _yaml_key(fd)
+        if spec["kinds"] is not None and values["kind"] not in spec["kinds"]:
+            f.forbid(key, _UNUSED_BY[values["kind"]])
+        elif spec["default_to"] is not None and not f.has(key):
+            copies.append((fd.name, spec["default_to"]))
+        else:
+            v = f.take(key, spec["default"])
+            if v is not None or spec["default"] is not None:
+                v = spec["read"](v, f.key(key), **spec["opts"])
+            values[fd.name] = v
+    for name, source in copies:
+        values[name] = values[source]
+    f.done()
+    out = of(**values)
+    if hasattr(out, "_check"):
+        out._check(f)  # the rules that relate a section's fields to each other
+    return out
+
+
+def _f(read, default=_MISSING, *, key=None, kinds=None, default_to=None, **opts):
+    """Declare one config field: its reader, YAML key, default and bounds.
+
+    read is one of the readers above and opts are its keywords (minimum,
+    below, positive, allow_inf, choices, size, of). An absent key takes
+    `default`, and so does a null one when the default is None; without a
+    default the key is required, unless default_to names the field whose
+    value it then copies. key is the YAML key when it differs from the
+    attribute name. kinds lists the values of the section's `kind` field
+    that read this field; the other kinds refuse the key and leave the
+    field None, or () for a list. The dataclass default is `default`, except
+    that a section defaults to its own defaults.
+    """
+    meta = dict(
+        read=read, default=default, key=key, kinds=kinds, default_to=default_to, opts=opts
+    )
+    if read is _section:
+        meta["default"] = {}  # an absent section reads as an empty mapping
+        return field(default_factory=opts["of"], metadata=meta)
+    if kinds is not None:
+        return field(default=() if read is _items else None, metadata=meta)
+    if default is _MISSING:
+        return field(metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _yaml_key(fd: dataclasses.Field) -> str:
+    return fd.metadata["key"] or fd.name
 
 
 # ---------------------------------------------------------------------------
 # parsed configuration
 
 
+def _check_span(span, f: _Fields):
+    if not span.end_s > span.start_s:
+        _fail(f.key("end_s"), "must exceed start_s")
+
+
+def _unique_names(items, path: str, what: str):
+    seen = set()
+    for i, item in enumerate(items):
+        if item.name in seen:
+            _fail(f"{path}[{i}].name", f"duplicate {what} name {item.name!r}")
+        seen.add(item.name)
+
+
 @dataclass(frozen=True)
 class RobotSection:
-    mass_kg: float = 100.0
-    gravity_mps2: float = 9.81
-    com_height_m: float = 0.8
-    zmp_height_m: float = 0.0
+    mass_kg: float = _f(_number, 100.0, positive=True)
+    gravity_mps2: float = _f(_number, 9.81, positive=True)
+    com_height_m: float = _f(_number, 0.8, positive=True)
+    zmp_height_m: float = _f(_number, 0.0)
+
+    def _check(self, f: _Fields):
+        if not self.com_height_m > self.zmp_height_m:
+            _fail(f.key("com_height_m"), "must exceed zmp_height_m")
+
+    def params(self) -> RobotParams:
+        return RobotParams(
+            mass=self.mass_kg,
+            gravity=self.gravity_mps2,
+            com_height=self.com_height_m,
+            zmp_height=self.zmp_height_m,
+        )
 
 
 @dataclass(frozen=True)
 class FeetSection:
-    left_pos_m: tuple = (0.0, 0.1)
-    right_pos_m: tuple = (0.0, -0.1)
-    sole_half_x_m: float = 0.1
-    sole_half_y_m: float = 0.05
+    left_pos_m: tuple = _f(_vector, (0.0, 0.1), size=2)
+    right_pos_m: tuple = _f(_vector, (0.0, -0.1), size=2)
+    sole_half_x_m: float = _f(_number, 0.1, positive=True)
+    sole_half_y_m: float = _f(_number, 0.05, positive=True)
 
 
 @dataclass(frozen=True)
 class FootstepSpec:
-    foot: str
-    position_m: tuple
-    start_s: float
-    end_s: float
+    foot: str = _f(_string, choices=("left", "right"))
+    position_m: tuple = _f(_vector, size=2)
+    start_s: float = _f(_number, minimum=0.0)
+    end_s: float = _f(_number)
+
+    _check = _check_span
 
 
 @dataclass(frozen=True)
 class GaitSection:
-    kind: str = "standing"
-    first_step_s: float | None = None
-    step_period_s: float | None = None
-    last_step_end_s: float | None = None
-    double_support_fraction: float | None = None
-    footsteps: tuple = ()
+    kind: str = _f(_string, "standing", choices=("standing", "inplace", "footsteps"))
+    first_step_s: float | None = _f(_number, 1.8, kinds=("inplace",), minimum=0.0)
+    step_period_s: float | None = _f(_number, 1.0, kinds=("inplace",), positive=True)
+    last_step_end_s: float | None = _f(_number, kinds=("inplace",))
+    double_support_fraction: float | None = _f(
+        _number, 0.2, kinds=("inplace", "footsteps"), minimum=0.0, below=1.0
+    )
+    footsteps: tuple = _f(_items, kinds=("footsteps",), of=FootstepSpec)
+
+    def _check(self, f: _Fields):
+        if self.kind == "inplace" and (
+            self.last_step_end_s < self.first_step_s + self.step_period_s
+        ):
+            _fail(f.key("last_step_end_s"), "leaves no room for a whole step")
+        if self.kind == "footsteps" and not self.footsteps:
+            _fail(f.key("footsteps"), "expected a non-empty list")
 
 
 @dataclass(frozen=True)
 class ControllerSection:
-    q_zmp: float = 1.0
-    r_jerk: float = 1e-8
-    preview_window_s: float = 1.6
-    k_p: float = 1.25
-    k_i: float = 0.0
-    k_d: float = 0.0
-    rho_per_s: float = 20.0
-    cutoff_period_s: float = 1.0
-    integrator_limit_m_s: float = 0.05
+    q_zmp: float = _f(_number, 1.0, positive=True)
+    r_jerk: float = _f(_number, 1e-8, positive=True)
+    preview_window_s: float = _f(_number, 1.6, positive=True)
+    k_p: float = _f(_number, 1.25, minimum=0.0)
+    k_i: float = _f(_number, 0.0, minimum=0.0)
+    k_d: float = _f(_number, 0.0, minimum=0.0)
+    rho_per_s: float = _f(_number, 20.0, positive=True)
+    cutoff_period_s: float = _f(_number, 1.0, positive=True)
+    integrator_limit_m_s: float = _f(_number, 0.05, minimum=0.0)
+
+    def stabilizer_gains(self) -> StabilizerGains:
+        return StabilizerGains(
+            k_p=self.k_p,
+            k_i=self.k_i,
+            k_d=self.k_d,
+            rho=self.rho_per_s,
+            cutoff_period=self.cutoff_period_s,
+            integrator_limit=self.integrator_limit_m_s,
+        )
 
 
 @dataclass(frozen=True)
 class PlantSection:
-    direct_zmp: bool = False
-    com_noise_m: float = 0.0
-    force_noise_n: float = 0.0
-    divergence_limit_m: float = 1.0
+    direct_zmp: bool = _f(_boolean, False)
+    com_noise_m: float = _f(_number, 0.0, minimum=0.0)
+    force_noise_n: float = _f(_number, 0.0, minimum=0.0)
+    divergence_limit_m: float = _f(_number, 1.0, positive=True)
 
 
 @dataclass(frozen=True)
 class HandContactSpec:
-    position_m: tuple
-    force_n: tuple = (0.0, 0.0, 0.0)
-    moment_nm: tuple = (0.0, 0.0, 0.0)
+    position_m: tuple = _f(_vector, size=3)
+    force_n: tuple = _f(_vector, (0.0, 0.0, 0.0), size=3)
+    moment_nm: tuple = _f(_vector, (0.0, 0.0, 0.0), size=3)
 
 
 @dataclass(frozen=True)
 class HandBreakpointSpec:
-    time_s: float
-    mode: str = "hold"
-    contacts: tuple = ()
+    time_s: float = _f(_number)
+    mode: str = _f(_string, "hold", choices=("hold", "linear"))
+    contacts: tuple = _f(_items, (), of=HandContactSpec)
 
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    kind: str
-    axis: str = "x"
-    amplitude_n: float = 0.0
-    period_s: float | None = None
-    start_s: float = 0.0
-    end_s: float = math.inf
-    contact_index: int | None = None
+    kind: str = _f(_string, choices=("constant", "step", "sinusoid"))
+    amplitude_n: float = _f(_number)
+    axis: str = _f(_string, "x", choices=("x", "y", "z"))
+    period_s: float | None = _f(_number, kinds=("sinusoid",), positive=True)
+    start_s: float = _f(_number, 0.0, minimum=0.0)
+    end_s: float = _f(_number, math.inf, allow_inf=True)
+    contact_index: int | None = _f(_integer, None, minimum=0)
+
+    def _check(self, f: _Fields):
+        if self.end_s < self.start_s:
+            _fail(f.key("end_s"), "must not precede start_s")
 
 
 @dataclass(frozen=True)
 class AblationSection:
-    force_kappa_one: bool = False
-    disable_compensation: bool = False
+    force_kappa_one: bool = _f(_boolean, False)
+    disable_compensation: bool = _f(_boolean, False)
 
 
 @dataclass(frozen=True)
 class MetricsWindowSpec:
-    name: str
-    start_s: float
-    end_s: float
+    name: str = _f(_string)
+    start_s: float = _f(_number, minimum=0.0)
+    end_s: float = _f(_number)
+
+    def _check(self, f: _Fields):
+        if not self.name.replace("_", "").isalnum():
+            _fail(f.key("name"), "window names must be alphanumeric")
+        _check_span(self, f)
 
 
 @dataclass(frozen=True)
 class MetricsSection:
-    skip_initial_s: float = 0.0
-    exclude_windows_s: tuple = ()
-    windows: tuple = ()
+    skip_initial_s: float = _f(_number, 0.0, minimum=0.0)
+    exclude_windows_s: tuple = _f(_items, (), size=2)
+    windows: tuple = _f(_items, (), of=MetricsWindowSpec)
+
+    def _check(self, f: _Fields):
+        for i, (a, b) in enumerate(self.exclude_windows_s):
+            if not b > a:
+                _fail(f"{f.key('exclude_windows_s')}[{i}]", "window end must exceed start")
+        _unique_names(self.windows, f.key("windows"), "window")
 
 
 @dataclass(frozen=True)
 class CheckSpec:
     """One pass/fail bound on a metric; thresholds live in the config."""
 
-    name: str
-    metric: str
-    min_value: float | None = None
-    max_value: float | None = None
-    exceeds_metric: str | None = None
-    factor: float = 1.0
+    name: str = _f(_string, default_to="metric")
+    metric: str = _f(_string)
+    min_value: float | None = _f(_number, None, key="min")
+    max_value: float | None = _f(_number, None, key="max")
+    exceeds_metric: str | None = _f(_string, None, key="exceeds")
+    factor: float = _f(_number, 1.0, positive=True)
+
+    def _check(self, f: _Fields):
+        if self.exceeds_metric is None and "factor" in f.given:
+            _fail(f.key("factor"), "factor needs an exceeds metric")
+        if self.min_value is None and self.max_value is None and self.exceeds_metric is None:
+            _fail(f.path, "check needs min, max or exceeds")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    duration_s: float
-    dt_s: float = 0.002
-    seed: int | None = None
-    out_dir: str | None = None
-    robot: RobotSection = field(default_factory=RobotSection)
-    feet: FeetSection = field(default_factory=FeetSection)
-    gait: GaitSection = field(default_factory=GaitSection)
-    controller: ControllerSection = field(default_factory=ControllerSection)
-    plant: PlantSection = field(default_factory=PlantSection)
-    hands: tuple = ()
-    disturbances: tuple = ()
-    ablation: AblationSection = field(default_factory=AblationSection)
-    metrics: MetricsSection = field(default_factory=MetricsSection)
-    checks: tuple = ()
+    name: str = _f(_string)
+    duration_s: float = _f(_number, positive=True)
+    dt_s: float = _f(_number, 0.002, positive=True)
+    seed: int | None = _f(_integer, None, minimum=0)
+    out_dir: str | None = _f(_string, None)
+    robot: RobotSection = _f(_section, of=RobotSection)
+    feet: FeetSection = _f(_section, of=FeetSection)
+    gait: GaitSection = _f(_section, of=GaitSection)
+    controller: ControllerSection = _f(_section, of=ControllerSection)
+    plant: PlantSection = _f(_section, of=PlantSection)
+    hands: tuple = _f(_items, (), of=HandBreakpointSpec)
+    disturbances: tuple = _f(_items, (), of=DisturbanceSpec)
+    ablation: AblationSection = _f(_section, of=AblationSection)
+    metrics: MetricsSection = _f(_section, of=MetricsSection)
+    checks: tuple = _f(_items, (), of=CheckSpec)
+
+    def _check(self, f: _Fields):
+        hands = self.hands
+        for i, (a, b) in enumerate(zip(hands, hands[1:])):
+            if not b.time_s > a.time_s:
+                _fail(f"hands[{i + 1}].time_s", "breakpoint times must increase")
+            if a.mode == "linear" and len(a.contacts) != len(b.contacts):
+                _fail(
+                    f"hands[{i}].contacts",
+                    "linear segment needs equal contact counts on both ends",
+                )
+        if hands and hands[-1].mode == "linear":
+            _fail(f"hands[{len(hands) - 1}].mode", "last breakpoint cannot be linear")
+        _unique_names(self.checks, "checks", "check")
+        samples = self.duration_s / self.dt_s
+        if math.isinf(samples):
+            _fail("duration_s", "too long for the sample rate")
+        if round(samples) < 2:
+            _fail("duration_s", "too short for the sample rate, need at least 2 samples")
 
     @property
     def n_samples(self) -> int:
         return int(round(self.duration_s / self.dt_s))
 
 
-def _parse_robot(f: _Fields) -> RobotSection:
-    out = RobotSection(
-        mass_kg=f.number("mass_kg", 100.0, positive=True),
-        gravity_mps2=f.number("gravity_mps2", 9.81, positive=True),
-        com_height_m=f.number("com_height_m", 0.8, positive=True),
-        zmp_height_m=f.number("zmp_height_m", 0.0),
-    )
-    if not out.com_height_m > out.zmp_height_m:
-        _fail(f.key("com_height_m"), "must exceed zmp_height_m")
-    f.done()
-    return out
-
-
-def _parse_feet(f: _Fields) -> FeetSection:
-    out = FeetSection(
-        left_pos_m=f.vector("left_pos_m", 2, (0.0, 0.1)),
-        right_pos_m=f.vector("right_pos_m", 2, (0.0, -0.1)),
-        sole_half_x_m=f.number("sole_half_x_m", 0.1, positive=True),
-        sole_half_y_m=f.number("sole_half_y_m", 0.05, positive=True),
-    )
-    f.done()
-    return out
-
-
-def _parse_footstep(raw, path: str) -> FootstepSpec:
-    f = _Fields(raw, path)
-    out = FootstepSpec(
-        foot=f.string("foot", choices=("left", "right")),
-        position_m=f.vector("position_m", 2),
-        start_s=f.number("start_s", minimum=0.0),
-        end_s=f.number("end_s"),
-    )
-    if not out.end_s > out.start_s:
-        _fail(f.key("end_s"), "must exceed start_s")
-    f.done()
-    return out
-
-
-def _parse_gait(f: _Fields) -> GaitSection:
-    kind = f.string("kind", "standing", choices=_GAIT_KINDS)
-    if kind == "standing":
-        for name in _STEP_FIELDS + ("double_support_fraction", "footsteps"):
-            f.forbid(name, "not used by a standing gait")
-        f.done()
-        return GaitSection(kind=kind)
-
-    dsf = f.number("double_support_fraction", 0.2, minimum=0.0, below=1.0)
-    if kind == "inplace":
-        f.forbid("footsteps", "only used by a footsteps gait")
-        first = f.number("first_step_s", 1.8, minimum=0.0)
-        period = f.number("step_period_s", 1.0, positive=True)
-        last = f.number("last_step_end_s")
-        if last < first + period:
-            _fail(f.key("last_step_end_s"), "leaves no room for a whole step")
-        f.done()
-        return GaitSection(
-            kind=kind,
-            first_step_s=first,
-            step_period_s=period,
-            last_step_end_s=last,
-            double_support_fraction=dsf,
-        )
-
-    for name in _STEP_FIELDS:
-        f.forbid(name, "only used by an in-place gait")
-    raw_steps = f.items("footsteps", default=_MISSING)
-    if not raw_steps:
-        _fail(f.key("footsteps"), "expected a non-empty list")
-    steps = tuple(
-        _parse_footstep(s, f"{f.key('footsteps')}[{i}]") for i, s in enumerate(raw_steps)
-    )
-    f.done()
-    return GaitSection(kind=kind, double_support_fraction=dsf, footsteps=steps)
-
-
-def _parse_controller(f: _Fields) -> ControllerSection:
-    out = ControllerSection(
-        q_zmp=f.number("q_zmp", 1.0, positive=True),
-        r_jerk=f.number("r_jerk", 1e-8, positive=True),
-        preview_window_s=f.number("preview_window_s", 1.6, positive=True),
-        k_p=f.number("k_p", 1.25, minimum=0.0),
-        k_i=f.number("k_i", 0.0, minimum=0.0),
-        k_d=f.number("k_d", 0.0, minimum=0.0),
-        rho_per_s=f.number("rho_per_s", 20.0, positive=True),
-        cutoff_period_s=f.number("cutoff_period_s", 1.0, positive=True),
-        integrator_limit_m_s=f.number("integrator_limit_m_s", 0.05, minimum=0.0),
-    )
-    f.done()
-    return out
-
-
-def _parse_plant(f: _Fields) -> PlantSection:
-    out = PlantSection(
-        direct_zmp=f.boolean("direct_zmp", False),
-        com_noise_m=f.number("com_noise_m", 0.0, minimum=0.0),
-        force_noise_n=f.number("force_noise_n", 0.0, minimum=0.0),
-        divergence_limit_m=f.number("divergence_limit_m", 1.0, positive=True),
-    )
-    f.done()
-    return out
-
-
-def _parse_contact(raw, path: str) -> HandContactSpec:
-    f = _Fields(raw, path)
-    out = HandContactSpec(
-        position_m=f.vector("position_m", 3),
-        force_n=f.vector("force_n", 3, (0.0, 0.0, 0.0)),
-        moment_nm=f.vector("moment_nm", 3, (0.0, 0.0, 0.0)),
-    )
-    f.done()
-    return out
-
-
-def _parse_hands(raw_list, path: str) -> tuple:
-    breakpoints = []
-    for i, raw in enumerate(raw_list):
-        f = _Fields(raw, f"{path}[{i}]")
-        time_s = f.number("time_s")
-        mode = f.string("mode", "hold", choices=("hold", "linear"))
-        contacts = tuple(
-            _parse_contact(c, f"{f.key('contacts')}[{j}]")
-            for j, c in enumerate(f.items("contacts"))
-        )
-        f.done()
-        breakpoints.append(HandBreakpointSpec(time_s=time_s, mode=mode, contacts=contacts))
-    for i, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])):
-        if not b.time_s > a.time_s:
-            _fail(f"{path}[{i + 1}].time_s", "breakpoint times must increase")
-        if a.mode == "linear" and len(a.contacts) != len(b.contacts):
-            _fail(
-                f"{path}[{i}].contacts",
-                "linear segment needs equal contact counts on both ends",
-            )
-    if breakpoints and breakpoints[-1].mode == "linear":
-        _fail(f"{path}[{len(breakpoints) - 1}].mode", "last breakpoint cannot be linear")
-    return tuple(breakpoints)
-
-
-def _parse_disturbance(raw, path: str) -> DisturbanceSpec:
-    f = _Fields(raw, path)
-    kind = f.string("kind", choices=("constant", "step", "sinusoid"))
-    if kind == "sinusoid":
-        period = f.number("period_s", positive=True)
-    else:
-        f.forbid("period_s", "only used by a sinusoid")
-        period = None
-    out = DisturbanceSpec(
-        kind=kind,
-        axis=f.string("axis", "x", choices=("x", "y", "z")),
-        amplitude_n=f.number("amplitude_n"),
-        period_s=period,
-        start_s=f.number("start_s", 0.0, minimum=0.0),
-        end_s=f.number("end_s", math.inf, allow_inf=True),
-        contact_index=f.integer("contact_index", None, minimum=0),
-    )
-    if out.end_s < out.start_s:
-        _fail(f.key("end_s"), "must not precede start_s")
-    f.done()
-    return out
-
-
-def _parse_ablation(f: _Fields) -> AblationSection:
-    out = AblationSection(
-        force_kappa_one=f.boolean("force_kappa_one", False),
-        disable_compensation=f.boolean("disable_compensation", False),
-    )
-    f.done()
-    return out
-
-
-def _parse_metrics(f: _Fields) -> MetricsSection:
-    skip = f.number("skip_initial_s", 0.0, minimum=0.0)
-    raw_excl = f.items("exclude_windows_s")
-    exclude = []
-    for i, pair in enumerate(raw_excl):
-        sub = _Fields({"window": pair}, f"{f.key('exclude_windows_s')}[{i}]")
-        a, b = sub.vector("window", 2)
-        if not b > a:
-            _fail(f"{f.key('exclude_windows_s')}[{i}]", "window end must exceed start")
-        exclude.append((a, b))
-    windows = []
-    names = set()
-    for i, raw in enumerate(f.items("windows")):
-        sub = _Fields(raw, f"{f.key('windows')}[{i}]")
-        name = sub.string("name")
-        if not name.replace("_", "").isalnum():
-            _fail(sub.key("name"), "window names must be alphanumeric")
-        if name in names:
-            _fail(sub.key("name"), f"duplicate window name {name!r}")
-        names.add(name)
-        start = sub.number("start_s", minimum=0.0)
-        end = sub.number("end_s")
-        if not end > start:
-            _fail(sub.key("end_s"), "must exceed start_s")
-        sub.done()
-        windows.append(MetricsWindowSpec(name=name, start_s=start, end_s=end))
-    f.done()
-    return MetricsSection(
-        skip_initial_s=skip, exclude_windows_s=tuple(exclude), windows=tuple(windows)
-    )
-
-
-def _parse_check(raw, path: str) -> CheckSpec:
-    f = _Fields(raw, path)
-    metric = f.string("metric")
-    name = f.string("name", metric)
-    min_value = f.number("min", None)
-    max_value = f.number("max", None)
-    exceeds = f.string("exceeds", None)
-    had_factor = f.has("factor")
-    factor = f.number("factor", 1.0, positive=True)
-    if exceeds is None and had_factor:
-        _fail(f.key("factor"), "factor needs an exceeds metric")
-    if min_value is None and max_value is None and exceeds is None:
-        _fail(path, "check needs min, max or exceeds")
-    f.done()
-    return CheckSpec(
-        name=name,
-        metric=metric,
-        min_value=min_value,
-        max_value=max_value,
-        exceeds_metric=exceeds,
-        factor=factor,
-    )
-
-
 def parse_config(raw: dict) -> ScenarioConfig:
     """Validate a raw mapping into a ScenarioConfig; strict about every field."""
-    f = _Fields(raw, "")
-    name = f.string("name")
-    duration = f.number("duration_s", positive=True)
-    dt = f.number("dt_s", 0.002, positive=True)
-    seed = f.integer("seed", None, minimum=0)
-    out_dir = f.string("out_dir", None)
-    robot = _parse_robot(f.section("robot"))
-    feet = _parse_feet(f.section("feet"))
-    gait = _parse_gait(f.section("gait"))
-    controller = _parse_controller(f.section("controller"))
-    plant = _parse_plant(f.section("plant"))
-    hands = _parse_hands(f.items("hands"), "hands")
-    disturbances = tuple(
-        _parse_disturbance(d, f"disturbances[{i}]")
-        for i, d in enumerate(f.items("disturbances"))
-    )
-    ablation = _parse_ablation(f.section("ablation"))
-    metrics = _parse_metrics(f.section("metrics"))
-    checks = tuple(
-        _parse_check(c, f"checks[{i}]") for i, c in enumerate(f.items("checks"))
-    )
-    seen = set()
-    for i, c in enumerate(checks):
-        if c.name in seen:
-            _fail(f"checks[{i}].name", f"duplicate check name {c.name!r}")
-        seen.add(c.name)
-    f.done()
-    if int(round(duration / dt)) < 2:
-        _fail("duration_s", "too short for the sample rate, need at least 2 samples")
-    return ScenarioConfig(
-        name=name,
-        duration_s=duration,
-        dt_s=dt,
-        seed=seed,
-        out_dir=out_dir,
-        robot=robot,
-        feet=feet,
-        gait=gait,
-        controller=controller,
-        plant=plant,
-        hands=hands,
-        disturbances=disturbances,
-        ablation=ablation,
-        metrics=metrics,
-        checks=checks,
-    )
+    return _section(raw, "", ScenarioConfig)
 
 
-def config_to_dict(config: ScenarioConfig) -> dict:
-    """Plain mapping that parses back to an identical ScenarioConfig."""
-    gait: dict = {"kind": config.gait.kind}
-    if config.gait.kind == "inplace":
-        gait.update(
-            first_step_s=config.gait.first_step_s,
-            step_period_s=config.gait.step_period_s,
-            last_step_end_s=config.gait.last_step_end_s,
-            double_support_fraction=config.gait.double_support_fraction,
-        )
-    elif config.gait.kind == "footsteps":
-        gait["double_support_fraction"] = config.gait.double_support_fraction
-        gait["footsteps"] = [
-            {
-                "foot": s.foot,
-                "position_m": list(s.position_m),
-                "start_s": s.start_s,
-                "end_s": s.end_s,
-            }
-            for s in config.gait.footsteps
-        ]
-
-    out: dict = {
-        "name": config.name,
-        "duration_s": config.duration_s,
-        "dt_s": config.dt_s,
-        "robot": {
-            "mass_kg": config.robot.mass_kg,
-            "gravity_mps2": config.robot.gravity_mps2,
-            "com_height_m": config.robot.com_height_m,
-            "zmp_height_m": config.robot.zmp_height_m,
-        },
-        "feet": {
-            "left_pos_m": list(config.feet.left_pos_m),
-            "right_pos_m": list(config.feet.right_pos_m),
-            "sole_half_x_m": config.feet.sole_half_x_m,
-            "sole_half_y_m": config.feet.sole_half_y_m,
-        },
-        "gait": gait,
-        "controller": {
-            "q_zmp": config.controller.q_zmp,
-            "r_jerk": config.controller.r_jerk,
-            "preview_window_s": config.controller.preview_window_s,
-            "k_p": config.controller.k_p,
-            "k_i": config.controller.k_i,
-            "k_d": config.controller.k_d,
-            "rho_per_s": config.controller.rho_per_s,
-            "cutoff_period_s": config.controller.cutoff_period_s,
-            "integrator_limit_m_s": config.controller.integrator_limit_m_s,
-        },
-        "plant": {
-            "direct_zmp": config.plant.direct_zmp,
-            "com_noise_m": config.plant.com_noise_m,
-            "force_noise_n": config.plant.force_noise_n,
-            "divergence_limit_m": config.plant.divergence_limit_m,
-        },
-        "ablation": {
-            "force_kappa_one": config.ablation.force_kappa_one,
-            "disable_compensation": config.ablation.disable_compensation,
-        },
-    }
-    if config.seed is not None:
-        out["seed"] = config.seed
-    if config.out_dir is not None:
-        out["out_dir"] = config.out_dir
-    if config.hands:
-        out["hands"] = [
-            {
-                "time_s": bp.time_s,
-                "mode": bp.mode,
-                "contacts": [
-                    {
-                        "position_m": list(c.position_m),
-                        "force_n": list(c.force_n),
-                        "moment_nm": list(c.moment_nm),
-                    }
-                    for c in bp.contacts
-                ],
-            }
-            for bp in config.hands
-        ]
-    if config.disturbances:
-        dists = []
-        for d in config.disturbances:
-            row = {
-                "kind": d.kind,
-                "axis": d.axis,
-                "amplitude_n": d.amplitude_n,
-                "start_s": d.start_s,
-            }
-            if d.kind == "sinusoid":
-                row["period_s"] = d.period_s
-            if math.isfinite(d.end_s):
-                row["end_s"] = d.end_s
-            if d.contact_index is not None:
-                row["contact_index"] = d.contact_index
-            dists.append(row)
-        out["disturbances"] = dists
-    m = config.metrics
-    if m.skip_initial_s or m.exclude_windows_s or m.windows:
-        sec: dict = {}
-        if m.skip_initial_s:
-            sec["skip_initial_s"] = m.skip_initial_s
-        if m.exclude_windows_s:
-            sec["exclude_windows_s"] = [list(w) for w in m.exclude_windows_s]
-        if m.windows:
-            sec["windows"] = [
-                {"name": w.name, "start_s": w.start_s, "end_s": w.end_s}
-                for w in m.windows
-            ]
-        out["metrics"] = sec
-    if config.checks:
-        rows = []
-        for c in config.checks:
-            row: dict = {"name": c.name, "metric": c.metric}
-            if c.min_value is not None:
-                row["min"] = c.min_value
-            if c.max_value is not None:
-                row["max"] = c.max_value
-            if c.exceeds_metric is not None:
-                row["exceeds"] = c.exceeds_metric
-                row["factor"] = c.factor
-            rows.append(row)
-        out["checks"] = rows
+def config_to_dict(config) -> dict:
+    """Plain mapping of a config, or of one of its sections, that parses back
+    to an identical object: each field that differs from its default, under
+    its YAML key."""
+    out = {}
+    for fd in dataclasses.fields(config):
+        value = getattr(config, fd.name)
+        if fd.default_factory is not dataclasses.MISSING:
+            default = fd.default_factory()
+        else:
+            default = fd.default  # MISSING for a required field: never equal
+        if value != default:
+            out[_yaml_key(fd)] = _plain(value)
     return out
+
+
+def _plain(value):
+    if dataclasses.is_dataclass(value):
+        return config_to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def load_raw_config(path) -> dict:
@@ -914,13 +680,7 @@ def _check_contact_indices(config: ScenarioConfig):
 def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
     """Wire references, preview gains, desired trajectory and stabilizer."""
     _check_contact_indices(config)
-    r = config.robot
-    params = RobotParams(
-        mass=r.mass_kg,
-        gravity=r.gravity_mps2,
-        com_height=r.com_height_m,
-        zmp_height=r.zmp_height_m,
-    )
+    params = config.robot.params()
     feet = {
         "left": np.array(config.feet.left_pos_m),
         "right": np.array(config.feet.right_pos_m),
@@ -953,14 +713,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
     traj = generate_trajectory(timeline, gains)
     stabilizer = Stabilizer(
         params,
-        StabilizerGains(
-            k_p=c.k_p,
-            k_i=c.k_i,
-            k_d=c.k_d,
-            rho=c.rho_per_s,
-            cutoff_period=c.cutoff_period_s,
-            integrator_limit=c.integrator_limit_m_s,
-        ),
+        c.stabilizer_gains(),
         timeline.omega,
         config.dt_s,
         compensate_forces=not config.ablation.disable_compensation,

@@ -84,23 +84,27 @@ class StabilizerGains:
         if self.integrator_limit < 0.0:
             raise ValueError("integrator_limit must be non-negative")
 
-    def check_stable(self, omega: float):
-        """Raise ValueError unless the closed loop is Hurwitz at this omega.
-
-        Needs the pendulum frequency, so it cannot run in __post_init__;
-        Stabilizer construction calls it.
-        """
+    def closed_loop_poles(self, omega: float) -> np.ndarray:
+        """Sorted eigenvalues of the conventional closed loop at this omega."""
         m = conventional_closed_loop_matrix(
             self.rho, omega, self.k_p, self.k_i, self.k_d
         )
         if self.k_i == 0.0:
             # integrator decoupled: ignore its structural zero eigenvalue
             m = m[1:, 1:]
-        eig = np.linalg.eigvals(m)
+        return np.sort_complex(np.linalg.eigvals(m))
+
+    def check_stable(self, omega: float):
+        """Raise ValueError unless the closed loop is Hurwitz at this omega.
+
+        Needs the pendulum frequency, so it cannot run in __post_init__;
+        Stabilizer construction calls it.
+        """
+        eig = self.closed_loop_poles(omega)
         if not (eig.real < 0.0).all():
             raise ValueError(
                 f"gains are unstable for omega={omega:g}, rho={self.rho:g}: "
-                f"closed-loop eigenvalues {np.sort_complex(eig)}"
+                f"closed-loop eigenvalues {eig}"
             )
 
 

@@ -82,6 +82,16 @@ class TestRun:
         assert code == 1
         assert "must look like" in capsys.readouterr().err
 
+    def test_sample_count_overflow_exits_one(self, capsys):
+        code = run_cli(
+            "run",
+            "--config", "nominal",
+            "--override", "duration_s=1e308",
+            "--override", "dt_s=1e-300",
+        )
+        assert code == 1
+        assert "config error: duration_s: too long" in capsys.readouterr().err
+
     def test_divergence_exits_two(self, mini_path, tmp_path, capsys):
         code = run_cli(
             "run",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from locomanip import reference_builder
 from locomanip.core_dynamics import ExternalContact, RobotParams
 from locomanip.errors import InvalidSchedule
 from locomanip.reference_builder import (
@@ -46,7 +47,7 @@ def test_standing_reference_pins_midpoint():
     np.testing.assert_array_equal(zmp, np.zeros((5, 2)))
     for sup in supports:
         assert tuple(f for f, _ in sup) == ("left", "right")
-    # every sample shares the same stance tuple, so downstream caches hit
+    # every sample shares the same stance tuple, so the frames share one region
     assert all(sup is supports[0] for sup in supports)
 
 
@@ -217,3 +218,31 @@ def test_force_kappa_one_keeps_gamma():
     np.testing.assert_allclose(tl.gamma[:, 0], -60.0 / 981.0, rtol=1e-15)
     true = build_reference_frames(times, zmp, supports, sched, PARAMS, 0.1, 0.03)
     np.testing.assert_allclose(true.kappa, 1.0 - 300.0 / 981.0, rtol=1e-15)
+
+
+def test_hold_after_long_ramp_computes_coefficients_once(monkeypatch):
+    """A ramp of many samples must not make every later hold sample recompute."""
+    calls = []
+    real = reference_builder.compute_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reference_builder, "compute_coefficients", counting)
+    # 40 ramp samples over [0, 1) s, then 60 hold samples
+    times, zmp, supports = standing_reference(
+        {"left": (0.0, 0.1), "right": (0.0, -0.1)}, dt=0.025, n_samples=100
+    )
+    sched = ContactSchedule(
+        [
+            ContactBreakpoint(0.0, hands(0.0, 0.0), mode="linear"),
+            ContactBreakpoint(1.0, hands(-20.0, 100.0), mode="hold"),
+        ]
+    )
+    tl = build_reference_frames(times, zmp, supports, sched, PARAMS, 0.1, 0.03)
+    assert len(calls) == 41
+    assert calls[-1] is sched.breakpoints[1].contacts
+    hold = tl.frames[40:]
+    assert all(f.coefficients is hold[0].coefficients for f in hold)
+    assert all(f.support_region is tl.frames[0].support_region for f in tl.frames)

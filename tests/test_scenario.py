@@ -1,18 +1,22 @@
 """Tests for scenario configs, metrics, checks, runs and comparisons."""
 
+import copy
 import math
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locomanip.errors import ConfigError, SchemaMismatch
 from locomanip.plant_sim import CSV_COLUMNS, TraceLog
 from locomanip.scenario import (
     CheckSpec,
+    DisturbanceSpec,
     MetricsSection,
     MetricsWindowSpec,
+    ScenarioConfig,
     apply_overrides,
     build_scenario,
     bundled_scenario_path,
@@ -768,3 +772,130 @@ class TestCompareRuns:
         tr = synthetic_trace()
         text = format_comparison(compare_runs(tr, tr, metric_spec=["rms_zmp_dev_x"]))
         assert text == "metric=rms_zmp_dev_x a=0 b=0 ratio=1 larger=equal\n"
+
+
+class TestSchema:
+    """Each field is declared once; the parser and the dumper read the declaration."""
+
+    def test_absent_fields_take_the_dataclass_defaults(self):
+        assert parse_config(minimal()) == ScenarioConfig(name="t", duration_s=1.0)
+        assert config_to_dict(parse_config(minimal())) == minimal()
+
+    def test_inplace_gait_defaults(self):
+        gait = parse_config(minimal(gait={"kind": "inplace", "last_step_end_s": 5.0})).gait
+        assert (gait.first_step_s, gait.step_period_s) == (1.8, 1.0)
+        assert gait.double_support_fraction == 0.2 and gait.footsteps == ()
+
+    def test_explicit_default_factor_still_needs_exceeds(self):
+        checks = [{"metric": "m", "max": 1.0, "factor": 1.0}]
+        with pytest.raises(ConfigError, match=r"checks\[0\]\.factor: factor needs"):
+            parse_config(minimal(checks=checks))
+
+    def test_check_metric_is_required(self):
+        with pytest.raises(ConfigError, match=r"checks\[0\]\.metric: missing required"):
+            parse_config(minimal(checks=[{"name": "a", "max": 1.0}]))
+
+    def test_check_name_null_is_rejected(self):
+        checks = [{"name": None, "metric": "m", "max": 1.0}]
+        with pytest.raises(ConfigError, match=r"checks\[0\]\.name: expected a string"):
+            parse_config(minimal(checks=checks))
+
+    def test_disturbance_amplitude_is_required(self):
+        with pytest.raises(
+            ConfigError, match=r"disturbances\[0\]\.amplitude_n: missing required"
+        ):
+            parse_config(minimal(disturbances=[{"kind": "step"}]))
+        with pytest.raises(TypeError):
+            DisturbanceSpec(kind="step")
+
+    def test_exclusion_window_entry_path(self):
+        with pytest.raises(ConfigError, match=r"exclude_windows_s\[0\]: expected a list"):
+            parse_config(minimal(metrics={"exclude_windows_s": [1.0]}))
+
+    def test_non_string_key_is_an_unknown_field(self):
+        raw = minimal(a=3)
+        raw[1] = 2
+        with pytest.raises(ConfigError, match="1: unknown field"):
+            parse_config(raw)
+
+    def test_int_beyond_float_range_is_not_finite(self):
+        with pytest.raises(ConfigError, match="duration_s: must be finite"):
+            parse_config(minimal(duration_s=10**400))
+        with pytest.raises(ConfigError, match=r"left_pos_m\[1\]: must be finite"):
+            parse_config(minimal(feet={"left_pos_m": [0.0, -(10**400)]}))
+
+    def test_sample_count_beyond_float_range(self):
+        with pytest.raises(ConfigError, match="duration_s: too long for the sample rate"):
+            parse_config(minimal(duration_s=1e308, dt_s=1e-300))
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+def _keys(node):
+    return {p[-1] for p in _paths(node) if p and isinstance(p[-1], str)}
+
+
+_BASES = [RICH] + [load_raw_config(bundled_scenario_path(n)) for n in BUNDLED]
+_NAMES = sorted(set().union(*map(_keys, _BASES)) | {"factor", "period_s", "kind", "mode"})
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(
+        ("standing", "inplace", "footsteps", "constant", "step", "sinusoid", "linear")
+    ),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.one_of(st.sampled_from(_NAMES), st.text(max_size=4), st.integers()),
+            inner,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+class TestParseRaisesOnlyConfigError:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_VALUES)
+    def test_arbitrary_value(self, value):
+        # a mapping is also tried on top of a valid config, to get past `name`
+        merged = {**minimal(), **value} if isinstance(value, dict) else None
+        for raw in (value, merged):
+            try:
+                parse_config(raw)
+            except ConfigError:
+                pass
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.data())
+    def test_valid_config_with_one_value_replaced(self, data):
+        raw = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
+        path = data.draw(st.sampled_from(list(_paths(raw))[1:]))
+        node = raw
+        for k in path[:-1]:
+            node = node[k]
+        target = node[path[-1]]
+        if isinstance(target, dict) and data.draw(st.booleans()):
+            target[data.draw(st.sampled_from(_NAMES))] = data.draw(_VALUES)
+        else:
+            node[path[-1]] = data.draw(_VALUES)
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+        assert parse_config(config_to_dict(cfg)) == cfg
