@@ -1,6 +1,7 @@
 """Command line front end: run scenarios, compare traces, audit gains.
 
-Exit codes: 0 success, 1 config or usage error, 2 plant divergence.
+Exit codes: 0 success, 1 config or usage error, 2 plant divergence, 3 a
+control step failed mid-run (unloaded feet, non-finite plant state).
 """
 
 from __future__ import annotations
@@ -94,12 +95,16 @@ def _load(args):
 def _cmd_run(args) -> int:
     config = _load(args)
     result = run_scenario(config, out_dir=args.out, seed=args.seed)
-    if result.trace.diverged:
+    trace = result.trace
+    if trace.failure is not None:
         print(
-            f"scenario {config.name}: DIVERGED at t={result.trace.diverged_at:.3f} s"
+            f"scenario {config.name}: FAILED at t={trace.failed_at:.3f} s: "
+            f"{trace.failure}: {trace.failure_detail}"
         )
+    elif trace.diverged:
+        print(f"scenario {config.name}: DIVERGED at t={trace.diverged_at:.3f} s")
     else:
-        print(f"scenario {config.name}: completed {result.trace.duration:.3f} s")
+        print(f"scenario {config.name}: completed {trace.duration:.3f} s")
     for c in result.checks:
         state = "PASS" if c.passed else "FAIL"
         print(f"check.{c.name}={state}  ({c.detail})")

@@ -13,6 +13,10 @@ class RiccatiDivergence(RuntimeError):
     """Fixed-point Riccati iteration failed to converge."""
 
 
+class NonFiniteState(ValueError):
+    """The plant's CoM state is no longer finite."""
+
+
 class InvalidSchedule(ValueError):
     """Footstep or contact schedule is inconsistent."""
 

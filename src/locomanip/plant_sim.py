@@ -7,6 +7,8 @@ run_closed_loop wires plant, reference, and stabilizer together and logs
 every diagnostic signal per step. Its step runs on Python floats through the
 same laws as the per-sample API: disturbed_rows (apply_disturbances),
 plant_law (step_plant) and stabilizer.stabilizer_law (Stabilizer.step).
+A step that fails (STEP_FAILURES) ends the run: the exception propagates
+with the trace of the steps before it attached as ``exc.trace``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core_dynamics import (
     contact_rows,
     contact_terms,
 )
+from .errors import Infeasible, NonFiniteState, NonPhysical
 from .pattern_generator import DesiredTrajectory
 from .reference_builder import SoleRect
 from .stabilizer import Stabilizer, hull_edges, stabilizer_law, support_hull
@@ -32,6 +35,11 @@ _DISTURBANCE_KINDS = ("constant", "sinusoid", "step")
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 DIVERGENCE_LIMIT = 1.0
+
+# what a control step can raise once the run is under way: unloaded feet
+# (Infeasible, or NonPhysical with no vertical force left) and a plant state
+# that overflowed
+STEP_FAILURES = (Infeasible, NonPhysical, NonFiniteState)
 
 # realized ZMP may leave the planned support slightly (sole compliance,
 # conservative planning margins); the plant clamps at this inflation
@@ -176,7 +184,7 @@ def plant_law(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, g
     exp(-rho dt), or None for direct actuation; bounds is (xmin, xmax, ymin,
     ymax) of the clamp rectangle, or None. omega, kappa, (gx, gy) are the
     true contacts' coefficients. Returns the new (px, py, vx, vy, ax, ay,
-    zx, zy, zmp_clamped); a non-finite CoM state raises ValueError.
+    zx, zy, zmp_clamped); a non-finite CoM state raises NonFiniteState.
     """
     if decay is None:
         zx, zy = cx, cy
@@ -199,7 +207,7 @@ def plant_law(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, g
     py = py + vy * dt
     for name, a, b in (("position", px, py), ("velocity", vx, vy), ("acceleration", ax, ay)):
         if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"{name}: components must be finite")
+            raise NonFiniteState(f"{name}: components must be finite")
     return px, py, vx, vy, ax, ay, zx, zy, clamped
 
 
@@ -252,7 +260,10 @@ class TraceLog:
 
     columns maps every CSV column name to a 1-D array; extra carries
     internal diagnostics that are not part of the CSV schema. A diverged
-    trace is truncated at the step the divergence was detected.
+    trace is truncated at the step the divergence was detected. A failed
+    trace holds the steps before the one that raised: failure names the
+    exception class (one of STEP_FAILURES), failure_detail its message and
+    failed_at the time of the failed step.
     """
 
     dt: float
@@ -261,6 +272,9 @@ class TraceLog:
     diverged: bool = False
     diverged_at: float | None = None
     zmp_clamp_count: int = 0
+    failure: str | None = None
+    failure_detail: str = ""
+    failed_at: float | None = None
 
     def __len__(self):
         return len(self.columns["time"])
@@ -318,9 +332,10 @@ def run_closed_loop(
     noise, run the stabilizer law (without the foot-wrench split, which the
     plant never reads), log, then advance the plant under the true
     (disturbed) contacts. Aborts and marks the trace when the actual CoM
-    leaves the desired one by more than divergence_limit. The stabilizer's
-    state advances in place, so a reused Stabilizer continues from where
-    the run left it.
+    leaves the desired one by more than divergence_limit. A step that
+    raises one of STEP_FAILURES ends the run; the exception propagates with
+    the truncated trace as ``exc.trace``. The stabilizer's state advances in
+    place, so a reused Stabilizer continues from where the run left it.
     """
     timeline = traj.timeline
     dt = timeline.dt
@@ -384,98 +399,104 @@ def run_closed_loop(
     unloaded = compute_coefficients(params)
     com_vel_noise = com_noise * omega
 
-    contacts = region = true_rows = None
+    contacts = region = true_rows = failure = None
     diverged = False
     diverged_at = None
     clamp_count = 0
     last = n
 
-    for k, frame, t, *plan in zip(range(n), timeline.frames, memoryview(traj.time), *plan_mv):
-        if frame.contacts is not contacts:
-            contacts = frame.contacts
-            desired_rows = contact_rows(contacts)
-        rows = disturbed_rows(desired_rows, disturbances, t)
-        if rows is not true_rows:
-            true_rows = rows
-            fsx, fsy, fsz, kappa, gx, gy = contact_terms(
-                rows, unloaded.zeta, params.zmp_height
-            )
-        if frame.support_region is not region:
-            region = frame.support_region
-            edges = hull_edges(support_hull(region))
-            base = SoleRect.bounding(region)
-            m = ZMP_CLAMP_MARGIN
-            bounds = (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m)
-
-        com = (px, py)
-        vel = (vx, vy)
-        meas_rows = true_rows
-        if noisy:
-            nx, ny = rng.standard_normal(2).tolist()
-            com = (px + com_noise * nx, py + com_noise * ny)
-            nx, ny = rng.standard_normal(2).tolist()
-            vel = (vx + com_vel_noise * nx, vy + com_vel_noise * ny)
-            if force_noise > 0.0:
-                meas_rows = tuple(
-                    tuple(
-                        f + force_noise * e
-                        for f, e in zip(r[:3], rng.standard_normal(3).tolist())
-                    )
-                    + r[3:]
-                    for r in true_rows
+    try:
+        for k, frame, t, *plan in zip(
+            range(n), timeline.frames, memoryview(traj.time), *plan_mv
+        ):
+            if frame.contacts is not contacts:
+                contacts = frame.contacts
+                desired_rows = contact_rows(contacts)
+            rows = disturbed_rows(desired_rows, disturbances, t)
+            if rows is not true_rows:
+                true_rows = rows
+                fsx, fsy, fsz, kappa, gx, gy = contact_terms(
+                    rows, unloaded.zeta, params.zmp_height
                 )
+            if frame.support_region is not region:
+                region = frame.support_region
+                edges = hull_edges(support_hull(region))
+                base = SoleRect.bounding(region)
+                m = ZMP_CLAMP_MARGIN
+                bounds = (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m)
 
-        coeff = frame.coefficients
-        (zcx, zcy), (acx, acy), _, (dex, dey), (gex, gey), sat, cop, _ = stabilizer_law(
-            state,
-            gains,
-            stab_params,
-            stab_dt,
-            compensate,
-            coeff.kappa,
-            coeff.omega,
-            plan,
-            desired_rows,
-            com,
-            vel,
-            meas_rows,
-            edges,
-        )
-        hx, hy = state.gamma_high
-        lx, ly = state.gamma_low
-        stepped = plant_law(
-            px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
-            unloaded.omega, kappa, gx, gy, dt,
-        )
-        # this step's values, in the order of step_views
-        for view, value in zip(
-            step_views,
-            (
-                px, py, px + vx / omega, py + vy / omega, zcx, zcy, zax, zay,
-                gex, gey, hx, hy, lx, ly, fsx, fsy, fsz,
-                acx, acy, dex, dey, sat, cop, ax, ay,
-            ),
-        ):
-            view[k] = value
-        px, py, vx, vy, ax, ay, zax, zay, clamped = stepped
-        plant_time = plant_time + dt
-        if clamped:
-            clamp_count += 1
-            clamp_view[k] = 1.0
+            com = (px, py)
+            vel = (vx, vy)
+            meas_rows = true_rows
+            if noisy:
+                nx, ny = rng.standard_normal(2).tolist()
+                com = (px + com_noise * nx, py + com_noise * ny)
+                nx, ny = rng.standard_normal(2).tolist()
+                vel = (vx + com_vel_noise * nx, vy + com_vel_noise * ny)
+                if force_noise > 0.0:
+                    meas_rows = tuple(
+                        tuple(
+                            f + force_noise * e
+                            for f, e in zip(r[:3], rng.standard_normal(3).tolist())
+                        )
+                        + r[3:]
+                        for r in true_rows
+                    )
 
-        j = min(k + 1, n - 1)
-        if (
-            abs(px - desired_x[j]) > divergence_limit
-            or abs(py - desired_y[j]) > divergence_limit
-        ):
-            diverged = True
-            diverged_at = plant_time
-            last = k + 1
-            break
+            coeff = frame.coefficients
+            (zcx, zcy), (acx, acy), _, (dex, dey), (gex, gey), sat, cop, _ = stabilizer_law(
+                state,
+                gains,
+                stab_params,
+                stab_dt,
+                compensate,
+                coeff.kappa,
+                coeff.omega,
+                plan,
+                desired_rows,
+                com,
+                vel,
+                meas_rows,
+                edges,
+            )
+            hx, hy = state.gamma_high
+            lx, ly = state.gamma_low
+            stepped = plant_law(
+                px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
+                unloaded.omega, kappa, gx, gy, dt,
+            )
+            # this step's values, in the order of step_views
+            for view, value in zip(
+                step_views,
+                (
+                    px, py, px + vx / omega, py + vy / omega, zcx, zcy, zax, zay,
+                    gex, gey, hx, hy, lx, ly, fsx, fsy, fsz,
+                    acx, acy, dex, dey, sat, cop, ax, ay,
+                ),
+            ):
+                view[k] = value
+            px, py, vx, vy, ax, ay, zax, zay, clamped = stepped
+            plant_time = plant_time + dt
+            if clamped:
+                clamp_count += 1
+                clamp_view[k] = 1.0
+
+            j = min(k + 1, n - 1)
+            if (
+                abs(px - desired_x[j]) > divergence_limit
+                or abs(py - desired_y[j]) > divergence_limit
+            ):
+                diverged = True
+                diverged_at = plant_time
+                last = k + 1
+                break
+    except STEP_FAILURES as exc:
+        failure = exc
+        last = k
 
     if last < n:
         columns = {name: col[:last].copy() for name, col in columns.items()}
-    return TraceLog(
+    trace = TraceLog(
         dt=dt,
         columns={name: columns[name] for name in CSV_COLUMNS},
         extra={name: columns[name] for name in EXTRA_COLUMNS},
@@ -483,3 +504,10 @@ def run_closed_loop(
         diverged_at=diverged_at,
         zmp_clamp_count=clamp_count,
     )
+    if failure is not None:
+        trace.failure = type(failure).__name__
+        trace.failure_detail = str(failure)
+        trace.failed_at = float(t)
+        failure.trace = trace
+        raise failure
+    return trace

@@ -40,7 +40,7 @@ import yaml
 from .core_dynamics import ExternalContact, RobotParams
 from .errors import ConfigError, SchemaMismatch
 from .pattern_generator import PreviewWeights, generate_trajectory, synthesize_gains
-from .plant_sim import DisturbanceProfile, TraceLog, run_closed_loop
+from .plant_sim import STEP_FAILURES, DisturbanceProfile, TraceLog, run_closed_loop
 from .reference_builder import (
     ContactBreakpoint,
     ContactSchedule,
@@ -824,6 +824,9 @@ def scenario_metrics(
     }
     if trace.diverged_at is not None:
         out["diverged_at_s"] = float(trace.diverged_at)
+    if trace.failure is not None:
+        out["failure"] = trace.failure
+        out["failed_at_s"] = trace.failed_at
 
     plan = None
     if timeline is not None:
@@ -897,7 +900,9 @@ def evaluate_checks(metrics: dict, checks) -> tuple:
 
 def format_metrics(metrics: dict, checks=()) -> str:
     """Flat key=value text: metrics, then check.NAME=PASS/FAIL, then overall."""
-    lines = [f"{k}={v:.12g}" for k, v in metrics.items()]
+    lines = [
+        f"{k}={v}" if isinstance(v, str) else f"{k}={v:.12g}" for k, v in metrics.items()
+    ]
     for c in checks:
         lines.append(f"check.{c.name}={'PASS' if c.passed else 'FAIL'}")
     lines.append(f"overall={'PASS' if all(c.passed for c in checks) else 'FAIL'}")
@@ -949,28 +954,32 @@ def run_scenario(
 
     The seed only matters when measurement noise is configured; noiseless
     runs are bit-deterministic regardless. Exit code 0 means the run
-    completed, 2 that the plant diverged (the truncated trace is still
-    written).
+    completed, 2 that the plant diverged and 3 that a control step failed
+    (STEP_FAILURES; the metrics then carry failure and failed_at_s). Either
+    way the truncated trace is still written.
     """
     bundle = build_scenario(config)
     noisy = config.plant.com_noise_m > 0.0 or config.plant.force_noise_n > 0.0
     chosen = seed if seed is not None else config.seed
     rng = np.random.default_rng(chosen) if noisy else None
-    trace = run_closed_loop(
-        bundle.traj,
-        bundle.stabilizer,
-        bundle.params,
-        rho=config.controller.rho_per_s,
-        disturbances=bundle.disturbances,
-        direct_zmp=config.plant.direct_zmp,
-        com_noise=config.plant.com_noise_m,
-        force_noise=config.plant.force_noise_n,
-        rng=rng,
-        divergence_limit=config.plant.divergence_limit_m,
-    )
+    try:
+        trace = run_closed_loop(
+            bundle.traj,
+            bundle.stabilizer,
+            bundle.params,
+            rho=config.controller.rho_per_s,
+            disturbances=bundle.disturbances,
+            direct_zmp=config.plant.direct_zmp,
+            com_noise=config.plant.com_noise_m,
+            force_noise=config.plant.force_noise_n,
+            rng=rng,
+            divergence_limit=config.plant.divergence_limit_m,
+        )
+    except STEP_FAILURES as exc:
+        trace = exc.trace
     metrics = scenario_metrics(trace, bundle.timeline, config.metrics)
     checks = evaluate_checks(metrics, config.checks)
-    exit_code = 2 if trace.diverged else 0
+    exit_code = 3 if trace.failure else 2 if trace.diverged else 0
 
     target = trace_path = metrics_path = None
     if write:

@@ -386,7 +386,9 @@ def _clamp_xy(px, py, edges):
         qx = ax + t * ex
         qy = ay + t * ey
         d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
-        if d < best_d:
+        # the first edge always counts, so an overflowing or NaN distance
+        # still yields a point (a NaN one for a NaN input)
+        if best is None or d < best_d:
             best_d = d
             best = (qx, qy)
     return best

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from locomanip.cli import main
+from locomanip.scenario import parse_metrics_file
 
 K_FB_REF = (4715.60195026, 2705.42004837, 391.51776754)
 
@@ -104,6 +105,59 @@ class TestRun:
         out = capsys.readouterr().out
         assert code == 2
         assert "DIVERGED" in out
+
+
+    @pytest.mark.parametrize(
+        "amplitude, kind, detail",
+        [
+            (600.0, "Infeasible", "net wrench must press downward on the ground"),
+            # two hands lifting half the weight each: no vertical force left
+            (490.5, "NonPhysical", "wrench has no vertical force"),
+        ],
+        ids=["unloading-push", "full-weight"],
+    )
+    def test_mid_run_failure_exits_three(self, amplitude, kind, detail, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        code = run_cli(
+            "run",
+            "--config", "testcase1",
+            "--out", str(out_dir),
+            "--override",
+            "disturbances=[{kind: step, axis: z, amplitude_n: %s, start_s: 5.0, end_s: 8.0}]"
+            % amplitude,
+        )
+        out = capsys.readouterr().out
+        assert code == 3
+        assert f"FAILED at t=5.000 s: {kind}: {detail}" in out
+        # the trace holds the 2500 steps before the failed one
+        assert len((out_dir / "trace.csv").read_text().splitlines()) == 1 + 2500
+        metrics = parse_metrics_file(out_dir / "metrics.txt")
+        assert metrics["failure"] == kind
+        assert metrics["failed_at_s"] == 5.0
+        assert metrics["samples"] == 2500.0
+
+    def test_non_finite_state_exits_three(self, tmp_path, capsys):
+        """A 1e300 N push, never declared divergent, overflows the CoM state."""
+        out_dir = tmp_path / "o"
+        code = run_cli(
+            "run",
+            "--config", "nominal",
+            "--out", str(out_dir),
+            "--override", "plant.divergence_limit_m=1.0e308",
+            "--override", "hands=[{time_s: 0.0, contacts: [{position_m: [0.3, 0.0, 0.3]}]}]",
+            "--override",
+            "disturbances=[{kind: step, axis: x, amplitude_n: 1.0e300, start_s: 1.0}]",
+        )
+        assert code == 3
+        assert ": NonFiniteState: " in capsys.readouterr().out
+        metrics = parse_metrics_file(out_dir / "metrics.txt")
+        assert metrics["failure"] == "NonFiniteState"
+        assert metrics["samples"] == round(metrics["failed_at_s"] / 0.002)
+
+    def test_completed_run_has_no_failure_keys(self, mini_path, tmp_path):
+        assert run_cli("run", "--config", str(mini_path), "--out", str(tmp_path / "o")) == 0
+        metrics = parse_metrics_file(tmp_path / "o" / "metrics.txt")
+        assert "failure" not in metrics and "failed_at_s" not in metrics
 
 
 class TestCompare:

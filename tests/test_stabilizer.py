@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locomanip.core_dynamics import (
     ExternalContact,
@@ -363,6 +364,69 @@ class TestDistributeWrench:
                     assert obj_try >= obj_star - 1e-4
 
 
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def feasible_net_wrenches(draw):
+    """A stance, a net wrench whose pressure point lies in its support, a hint.
+
+    Two soles of random size, spread and stagger; the support is both feet
+    or one. The pressure point is a random point of the support (of each
+    sole, mixed by a random share, in double support), at a random ZMP
+    height; force and yaw torque are free apart from fz > 0.
+    """
+    hx, hy = draw(st.floats(0.05, 0.13)), draw(st.floats(0.03, 0.07))
+    stagger, spread = draw(st.floats(-0.2, 0.2)), draw(st.floats(0.08, 0.2))
+    left = SoleRect.centered((stagger, spread), hx, hy)
+    right = SoleRect.centered((-stagger, -spread), hx, hy)
+    support = draw(st.sampled_from(["both", "left", "right"]))
+    feet = [left, right] if support == "both" else [left if support == "left" else right]
+    points = [
+        ((r.xmin + r.xmax) / 2 + draw(_unit) * hx, (r.ymin + r.ymax) / 2 + draw(_unit) * hy)
+        for r in feet
+    ]
+    share = draw(st.floats(0.0, 1.0)) if len(points) == 2 else 1.0
+    px = share * points[0][0] + (1.0 - share) * points[-1][0]
+    py = share * points[0][1] + (1.0 - share) * points[-1][1]
+    h = draw(st.floats(0.0, 0.1))
+    fx, fy = draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0))
+    fz = draw(st.floats(1.0, 3000.0))
+    force = np.array([fx, fy, fz])
+    moment = np.cross([px, py, h], force) + [0.0, 0.0, draw(st.floats(-50.0, 50.0))]
+    hint = draw(st.none() | st.floats(0.0, 1.0))
+    return (
+        Wrench(force=force, moment=moment),
+        left if support != "right" else None,
+        right if support != "left" else None,
+        h,
+        hint,
+    )
+
+
+class TestWrenchRecombination:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(feasible_net_wrenches())
+    def test_split_recombines_to_net_wrench(self, case):
+        """Foot wrenches sum back to the net force, and to its moment once
+        each foot's moment is carried back from its sole centre."""
+        net, left_foot, right_foot, h, hint = case
+        left, right = distribute_wrench(
+            net, left_foot, right_foot, zmp_height=h, vertical_ratio_hint=hint
+        )
+        back_f = left.force + right.force
+        back_m = left.moment + right.moment
+        for rect, w in ((left_foot, left), (right_foot, right)):
+            if rect is None:
+                assert not np.any(w.force) and not np.any(w.moment)
+                continue
+            center = [(rect.xmin + rect.xmax) / 2, (rect.ymin + rect.ymax) / 2, h]
+            back_m = back_m + np.cross(center, w.force)
+        scale = max(1.0, np.max(np.abs(net.force)), np.max(np.abs(net.moment)))
+        assert np.max(np.abs(back_f - net.force)) <= 1e-9 * scale
+        assert np.max(np.abs(back_m - net.moment)) <= 1e-9 * scale
+
+
 class TestStepStabilizer:
     def test_nominal_tracking_reproduces_desired(self):
         contacts = hands(fx=-50.0)
@@ -551,6 +615,15 @@ class TestClampToHull:
         # a point on the segment is no inside point of a 2-vertex hull, but
         # its projection is itself
         assert np.allclose(_clamp_to_hull(np.array([0.1, 0.0]), hull), [0.1, 0.0])
+
+    def test_overflowing_and_nan_points_still_give_a_point(self):
+        # squared distances overflow to inf: a point of the hull comes back
+        out = _clamp_to_hull(np.array([1e200, -1e200]), self.HULL)
+        assert np.isfinite(out).all()
+        assert min(np.hypot(*(self.HULL - out).T)) < 0.3
+        # a NaN coordinate passes through, for the plant to report
+        for p in ([math.nan, 0.0], [0.0, math.nan], [1e200, math.nan]):
+            assert np.isnan(_clamp_to_hull(np.array(p), self.HULL)).any()
 
 
 class TestSupportHullMemo:
