@@ -10,7 +10,7 @@ class DegenerateScale(RuntimeError):
 
 
 class RiccatiDivergence(RuntimeError):
-    """Fixed-point Riccati iteration failed to converge."""
+    """Riccati doubling met a singular step, a non-finite value or its step cap."""
 
 
 class NonFiniteState(ValueError):

@@ -27,7 +27,6 @@ the plant ZMP state and the metric reduces to rms(z^a - zmp_plan).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -613,11 +612,6 @@ class ScenarioBundle:
     disturbances: tuple
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_gains(q_zmp, r_jerk, omega, dt, window):
-    return synthesize_gains(PreviewWeights(q_zmp=q_zmp, r_jerk=r_jerk), omega, dt, window)
-
-
 def _gait_footsteps(gait: GaitSection, feet: dict) -> list:
     if gait.kind == "footsteps":
         return [
@@ -707,8 +701,11 @@ def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
         force_kappa_one=config.ablation.force_kappa_one,
     )
     c = config.controller
-    gains = _cached_gains(
-        c.q_zmp, c.r_jerk, timeline.omega, config.dt_s, c.preview_window_s
+    gains = synthesize_gains(
+        PreviewWeights(q_zmp=c.q_zmp, r_jerk=c.r_jerk),
+        timeline.omega,
+        config.dt_s,
+        c.preview_window_s,
     )
     traj = generate_trajectory(timeline, gains)
     stabilizer = Stabilizer(

@@ -51,6 +51,21 @@ def constant_schedule(contacts=()):
     )
 
 
+def hand_ramp_schedule(contacts, start=0.5, end=1.0):
+    """No hand forces until start, then a linear ramp to contacts by end."""
+    idle = tuple(
+        ExternalContact(force=(0.0, 0.0, 0.0), moment=(0.0, 0.0, 0.0), position=c.position)
+        for c in contacts
+    )
+    return ContactSchedule(
+        breakpoints=(
+            ContactBreakpoint(time=0.0, contacts=idle, mode="hold"),
+            ContactBreakpoint(time=start, contacts=idle, mode="linear"),
+            ContactBreakpoint(time=end, contacts=tuple(contacts), mode="hold"),
+        )
+    )
+
+
 def inplace_steps(first=1.8, period=0.8, until=8.0):
     """Alternating stance episodes on the spot, starting with the left foot."""
     steps = []

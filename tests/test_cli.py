@@ -136,6 +136,8 @@ class TestRun:
         assert metrics["failed_at_s"] == 5.0
         assert metrics["samples"] == 2500.0
 
+    # the metrics of the overflowing steps before the failure overflow too
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_state_exits_three(self, tmp_path, capsys):
         """A 1e300 N push, never declared divergent, overflows the CoM state."""
         out_dir = tmp_path / "o"
@@ -144,7 +146,8 @@ class TestRun:
             "--config", "nominal",
             "--out", str(out_dir),
             "--override", "plant.divergence_limit_m=1.0e308",
-            "--override", "hands=[{time_s: 0.0, contacts: [{position_m: [0.3, 0.0, 0.3]}]}]",
+            "--override",
+            "hands=[{time_s: 0.0, contacts: [{position_m: [0.3, 0.0, 0.3]}]}]",
             "--override",
             "disturbances=[{kind: step, axis: x, amplitude_n: 1.0e300, start_s: 1.0}]",
         )

@@ -10,12 +10,14 @@ from _pipeline import (
     PARAMS,
     constant_schedule,
     hand_pair,
+    hand_ramp_schedule,
     preview_gains,
     standing_timeline,
 )
 
+from locomanip.cli import main
 from locomanip.core_dynamics import ExternalContact
-from locomanip.errors import DegenerateScale
+from locomanip.errors import DegenerateScale, RiccatiDivergence
 from locomanip.pattern_generator import (
     PreviewWeights,
     discretize,
@@ -65,6 +67,47 @@ class TestRiccati:
     def test_feedback_gain_regression(self):
         gains = preview_gains()
         assert np.allclose(gains.k_fb, K_FB_REF, rtol=1e-9)
+
+
+class TestDoubling:
+    @pytest.mark.parametrize("dt", [0.001, 0.002, 0.005])
+    @pytest.mark.parametrize("r", [1e-10, 1e-8, 1e-6])
+    @pytest.mark.parametrize("q", [0.1, 1.0, 100.0])
+    def test_matches_scipy_on_grid(self, q, r, dt):
+        """Largest entry error relative to the largest entry of scipy's P."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        A, B, C = discretize(OMEGA, dt)
+        q_state = q * np.outer(C, C)
+        P = solve_dare_fixed_point(A, B, q_state, r)
+        P_ref = scipy_linalg.solve_discrete_are(
+            A, B.reshape(-1, 1), q_state, np.array([[r]])
+        )
+        assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
+        assert np.all(P == P.T)
+
+    def test_overflowing_weight_raises(self):
+        with pytest.raises(RiccatiDivergence, match="non-finite"):
+            synthesize_gains(PreviewWeights(q_zmp=1.0e308), OMEGA, DT, 1.6)
+
+    def test_overflowing_weight_is_a_config_error(self, capsys):
+        code = main(
+            ["gains", "--config", "nominal", "--override", "controller.q_zmp=1.0e308"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "Riccati" in err
+
+    def test_singular_step_raises(self):
+        # W = I + G H = diag(0, 1, 1) on the first step
+        A = np.eye(3)
+        B = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(RiccatiDivergence, match="singular"):
+            solve_dare_fixed_point(A, B, -np.diag([1.0, 0.0, 0.0]), 1.0)
+
+    def test_step_cap_raises(self):
+        A, B, C = discretize(OMEGA, DT)
+        with pytest.raises(RiccatiDivergence, match="did not settle in 3 steps"):
+            solve_dare_fixed_point(A, B, np.outer(C, C), 1e-8, max_iter=3)
 
 
 class TestSynthesis:
@@ -228,6 +271,28 @@ class TestGenerateTrajectory:
         timeline = standing_timeline(duration=0.5, schedule=constant_schedule(heavy))
         with pytest.raises(DegenerateScale):
             generate_trajectory(timeline, preview_gains())
+
+    @pytest.mark.parametrize("duration", [2.0, 1.0], ids=["longer", "shorter"])
+    def test_equals_step_pg_rollout_bit_for_bit(self, duration):
+        """The rollout is step_pg applied sample by sample, to the last bit,
+        on timelines longer and shorter than the 1.6 s preview window."""
+        timeline = standing_timeline(
+            duration=duration, schedule=hand_ramp_schedule(hand_pair(fx=-50.0, fz=100.0))
+        )
+        gains = preview_gains()
+        traj = generate_trajectory(timeline, gains)
+        npv = gains.n_preview
+        ref = timeline.ext_zmp_ref
+        padded = np.vstack([ref[1:], np.tile(ref[-1], (npv, 1))])
+        assert np.any(padded[:, 0] != padded[0, 0])
+        state = initial_state(timeline.zmp_ref[0])
+        for k in range(len(timeline)):
+            assert state.tobytes() == np.stack(
+                [traj.com_pos[k], traj.com_vel[k], traj.com_acc[k]]
+            ).tobytes(), k
+            state, jerk, out = step_pg(state, gains, padded[k : k + npv])
+            assert jerk.tobytes() == traj.jerk[k].tobytes(), k
+            assert out.tobytes() == traj.ext_zmp_out[k].tobytes(), k
 
     def test_sampling_mismatch_rejected(self):
         timeline = standing_timeline(duration=0.5)

@@ -12,19 +12,26 @@ only compares two runs of the same code; this gate compares against a fixed
 baseline, so a refactor or speed-up that changes a single output byte fails
 here.
 
-The digests were taken with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux,
-with numpy's bundled OpenBLAS 0.3.31 picking its SkylakeX kernels. Trace
-bytes depend on that kernel choice: under ``OPENBLAS_CORETYPE=Nehalem``
-(no fused multiply-add) all seven trace digests and three of the seven
-metrics digests change. Another libm, numpy or BLAS build may likewise move
-the last digit of some values; a deliberate behaviour change re-baselines
-these digests with an argued entry in CHANGES.md.
+The digests were taken with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux.
+No BLAS call lies on the path that writes these files: planning and the
+closed loop run on Python floats and on numpy elementwise operations and
+row sums, so the bytes do not depend on which kernel numpy's OpenBLAS picks
+for the CPU. test_digests_do_not_depend_on_the_blas_kernel checks this for
+one run under the default kernel and under ``OPENBLAS_CORETYPE=Nehalem``
+(no fused multiply-add). Another libm or numpy build may still move the
+last digit of some values; a deliberate behaviour change re-baselines these
+digests with an argued entry in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import locomanip
 from locomanip.scenario import (
     apply_overrides,
     bundled_scenario_path,
@@ -42,44 +49,44 @@ PUSHED = (
 # (scenario, overrides) -> (trace.csv digest, metrics.txt digest)
 DIGESTS = {
     ("cart-like", ()): (
-        "8b01bf73f575b24bbb4fed2ab14be97a1a370a582fa4f26971e6688f352fee57",
-        "2cc689f2121269ed462b0f60d2ec7fc83befec378d00747ca284898b6b75cf75",
+        "443232702fa6af4276366f9f974ccfb77cee96a28ab1ab79d32c08373eb0d82a",
+        "3f97e3c86e79c1c832e06ed0292255c3db4bb2f5d8bf3a99d35e9a6761ebb257",
     ),
     ("nominal", ()): (
-        "b41940fe733732513c595190441cd6d6dacc2a4674d02c66139c5ac72bf453ea",
-        "60af96400342efc93033c4c0be3f8178c3ea22950c6bcc9e1f53e6ff04cdbdd4",
+        "587c2bb20f773ead04cf742b00182b8af6faa5a903507b9e9229edb18618c1a3",
+        "68050e7a1155acd72e9dcd51074eb031eda5a57041cfee7c2af5d46be6b6b34a",
     ),
     ("testcase1", ()): (
-        "c20fd5f3bfa2b841a3385f2c5c4d2ae2779c60accfe4cce58838f9d87c3901d8",
-        "404dabe96ca099f0f1d7e59fa0b0145a5907f6d0c380d87616dc6aeb09aa571e",
+        "075505f0ec65ce49f9c0156dda2726aea9e5fe7550b85f189a559da2e41877d6",
+        "b8ac42d523e75c6e49d36845816c59df81992920130a1b9af499f43c10d97ce4",
     ),
     ("testcase2", ()): (
-        "dbc9c8234580e4277994169ab1dd4b4f27a87b395e91a27980f6cf5839fb8462",
-        "be089cd17db4dfe4ea1080393071c7bb15203ce0054d1c2a8cce9734977087a4",
+        "4764d5e9d9e36ed612ba432cd48b1e9044b4aabdec5e61aecae25e87f0e376ff",
+        "319cd0e5c2018660fef169e11facfebb267a07c938e8abaabe126665ba3c74d3",
     ),
     ("testcase3", ()): (
-        "08d444798e7c789558860f9cc62385a37aea440d8380a963430b9eeeedb8bee7",
-        "3083c0dc8076e99ca626b2eb4db9dd6a1c52fb577bfc0c83eb3ce5a12f539281",
+        "44a747f52c21db8e6b611fcc820464295e11751c3ec391a76ab5011d380193cc",
+        "43c7a7ee4751e1ab0ff0c2121721d3e3c84dabb909dadceabfba2b5d12021356",
     ),
     ("testcase2", ("ablation.force_kappa_one=true",)): (
-        "74599185b75660e76ee9c2d6bd3d513effcb2fadd27aef8ab3e3e3fdc4999ed8",
-        "738190973cd74aaf0711721821e1166b99f395ac2c0232e62ffe2f674f972722",
+        "6037cfbb141aff5439d6f8ec08191b089a871e902c2aa40c6acbf79ca1554d47",
+        "687fe6087fde820a9d6d8ca07528fe749119ed269309a4ac98801c3f289dad0e",
     ),
     ("testcase3", ("ablation.disable_compensation=true",)): (
-        "1c87c1326a705b0088e8bfb76a65b337591bcdbcba4226c6bea61c6ce9094bec",
-        "87e895e98853cff9c52f59b8edf7e2b9499831f370a9d79a74e5240c558ea640",
+        "c2426ab8b2bca11f5843a2577c95239847e478dd0b9c3553c60fa10a3144e4bb",
+        "246e67a4bad8cea887666193d5128c6bfdbbc61260bdb480aae561948d4ff351",
     ),
     ("testcase1", NOISY): (
-        "663c0750602ff08fb7e0327ea37d7754ae919f669c86692efd11ad800f201941",
-        "48f51017b5383e0fb0e75a8ce3b9cc5c14f82d3e4063aeba035e5bf5963de955",
+        "208c088fbfb556f157779eaa1171dbc3c6ef64ab76783e50b3f7822c6b81020b",
+        "68e4d44606fd3614d2bd55547868635208bc2e1209da4f8f98a4bebbbd5d98bb",
     ),
     ("testcase1", STIFF): (
-        "2e60770489190db5f3e2871665ac66865882158accd137e69909e7e4ca18edef",
-        "d929feeb504bd98aa5711535db84e966f9793d91282622c4e91c49a5125b0074",
+        "a63622b052a629293c932edb70e6a865e97b1f3eae778a9835a7116786243b40",
+        "9afc0c2b5d87d96918da710ca26e0236454545c6333ac62bdfe4dd6e0aa33c1f",
     ),
     ("testcase1", PUSHED): (
-        "599861667216880ecc6cebfd3a73a4ed6147e50e4b5349a6fbb025d6bfa4632b",
-        "00111f29e707eacb55ff2a55620dd936d057d6a6f0898684076f16b166aef595",
+        "6759fb17c72ac911ccd2ab9793bfab347ec31adcd2b5a54d61788d348d6ca1ea",
+        "6bfa016aef4b9a5fc1e46c9fbda139562d7ead7a7990fa89ccd97bee4133fdce",
     ),
 }
 
@@ -110,3 +117,29 @@ def test_run_outputs_match_pinned_digests(name, overrides, tmp_path):
     trace_digest, metrics_digest = DIGESTS[(name, overrides)]
     assert _sha256(result.trace_path) == trace_digest
     assert _sha256(result.metrics_path) == metrics_digest
+
+
+@pytest.mark.parametrize("coretype", [None, "Nehalem"], ids=["default", "Nehalem"])
+def test_digests_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    """nominal through the CLI in a fresh process, under one OpenBLAS kernel.
+
+    OPENBLAS_CORETYPE is read when OpenBLAS loads, so each kernel needs its
+    own process. It only takes effect on OpenBLAS builds with DYNAMIC_ARCH,
+    such as the one bundled with numpy wheels.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(Path(locomanip.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-m", "locomanip.cli", "run", "--config", "nominal"]
+        + ["--out", str(out)],
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+    trace_digest, metrics_digest = DIGESTS[("nominal", ())]
+    assert _sha256(out / "trace.csv") == trace_digest
+    assert _sha256(out / "metrics.txt") == metrics_digest
