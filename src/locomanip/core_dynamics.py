@@ -154,7 +154,9 @@ def contact_terms(rows, zeta: float, zmp_height: float) -> tuple:
     summed over the contacts, kappa = 1 - fz / zeta, and the offset gamma.
     Horizontal contact forces act on gamma through their lever arm above the
     ground, vertical forces through their horizontal offset, and contact
-    moments directly; the sum is normalized by zeta.
+    moments directly; the sum is normalized by zeta. The nine values of a
+    row may also be arrays of one shape: the terms of many contact sets then
+    come out elementwise, with the same operations in the same order.
     """
     fx = fy = fz = gx = gy = 0.0
     for cfx, cfy, cfz, mx, my, _, px, py, pz in rows:

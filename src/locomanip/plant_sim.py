@@ -301,6 +301,9 @@ class TraceLog:
     def from_csv(cls, path) -> "TraceLog":
         with open(path) as fh:
             header = fh.readline().strip()
+            has_rows = any(line.strip() for line in fh)
+        if not has_rows:
+            raise ValueError(f"{path}: need a time column with at least 2 rows")
         names = tuple(header.split(","))
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != len(names):
@@ -399,27 +402,33 @@ def run_closed_loop(
     unloaded = compute_coefficients(params)
     com_vel_noise = com_noise * omega
 
-    contacts = region = true_rows = failure = None
+    contact_set = phase = true_rows = failure = None
     diverged = False
     diverged_at = None
     clamp_count = 0
     last = n
 
     try:
-        for k, frame, t, *plan in zip(
-            range(n), timeline.frames, memoryview(traj.time), *plan_mv
+        for k, t, j, ph, kappa_d, *plan in zip(
+            range(n),
+            memoryview(traj.time),
+            memoryview(timeline.contact_index),
+            memoryview(timeline.phase),
+            memoryview(timeline.kappa),
+            *plan_mv,
         ):
-            if frame.contacts is not contacts:
-                contacts = frame.contacts
-                desired_rows = contact_rows(contacts)
+            if j != contact_set:
+                contact_set = j
+                desired_rows = timeline.contact_rows(j)
             rows = disturbed_rows(desired_rows, disturbances, t)
             if rows is not true_rows:
                 true_rows = rows
                 fsx, fsy, fsz, kappa, gx, gy = contact_terms(
                     rows, unloaded.zeta, params.zmp_height
                 )
-            if frame.support_region is not region:
-                region = frame.support_region
+            if ph != phase:
+                phase = ph
+                region = timeline.support_regions[ph]
                 edges = hull_edges(support_hull(region))
                 base = SoleRect.bounding(region)
                 m = ZMP_CLAMP_MARGIN
@@ -443,15 +452,14 @@ def run_closed_loop(
                         for r in true_rows
                     )
 
-            coeff = frame.coefficients
             (zcx, zcy), (acx, acy), _, (dex, dey), (gex, gey), sat, cop, _ = stabilizer_law(
                 state,
                 gains,
                 stab_params,
                 stab_dt,
                 compensate,
-                coeff.kappa,
-                coeff.omega,
+                kappa_d,
+                omega,
                 plan,
                 desired_rows,
                 com,

@@ -1,8 +1,9 @@
 """Sampled gait and contact references for the walking controller.
 
-Turns a footstep plan plus a hand-contact schedule into a per-sample timeline:
-ZMP reference, support feet with their sole rectangles, the scheduled external
-contacts and the pendulum coefficients they induce. The pattern generator and
+Turns a footstep plan plus a hand-contact schedule into a timeline of dense
+per-sample arrays: ZMP reference, the pendulum coefficients the scheduled
+external contacts induce, and indices into small tables of support stances
+(feet with their sole rectangles) and contact sets. The pattern generator and
 stabilizer consume this timeline; nothing here depends on feedback.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,10 +21,10 @@ from .core_dynamics import (
     LipmCoefficients,
     RobotParams,
     compute_coefficients,
-    ext_zmp,
-    ZmpPoint,
+    contact_rows,
+    contact_terms,
 )
-from .errors import InvalidSchedule
+from .errors import InvalidSchedule, NonPhysical
 
 FEET = ("left", "right")
 
@@ -187,9 +189,8 @@ class SoleRect:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceFrame:
-    """Everything the controller needs about one sample of the plan."""
+class PlanSample(NamedTuple):
+    """One sample of a ReferenceTimeline, built on demand by its frame(k)."""
 
     time: float
     zmp_ref: np.ndarray
@@ -202,7 +203,15 @@ class ReferenceFrame:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceTimeline:
-    """Sampled plan: per-frame references plus dense arrays for batch access."""
+    """Sampled plan as dense per-sample arrays over small per-phase tables.
+
+    Sample k stands in support phase phase[k], whose feet and sole
+    rectangles are support_feet[phase[k]] and support_regions[phase[k]].
+    Its hand contacts are contact set contact_index[k]: rows
+    contact_start[j]:contact_start[j + 1] of contact_table, one contact per
+    row in the contact_rows layout. A hold span of the schedule is one
+    contact set, a linear span one set per sample. All arrays are read-only.
+    """
 
     dt: float
     time: np.ndarray
@@ -211,10 +220,68 @@ class ReferenceTimeline:
     gamma: np.ndarray
     ext_zmp_ref: np.ndarray
     omega: float
-    frames: tuple
+    zeta: float
+    phase: np.ndarray
+    support_feet: tuple
+    support_regions: tuple
+    contact_index: np.ndarray
+    contact_start: np.ndarray
+    contact_table: np.ndarray
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.time)
+
+    def contact_rows(self, j: int) -> tuple:
+        """Contact set j as contact_rows: one float tuple per contact."""
+        rows = self.contact_table[self.contact_start[j] : self.contact_start[j + 1]]
+        return tuple(map(tuple, rows.tolist()))
+
+    def frame(self, k: int) -> PlanSample:
+        """Sample k with its contacts and coefficients as objects."""
+        contacts = tuple(
+            ExternalContact(force=r[:3], moment=r[3:6], position=r[6:])
+            for r in self.contact_rows(self.contact_index[k])
+        )
+        coeff = LipmCoefficients(
+            omega=self.omega,
+            kappa=float(self.kappa[k]),
+            gamma=self.gamma[k],
+            zeta=self.zeta,
+        )
+        phase = self.phase[k]
+        return PlanSample(
+            time=float(self.time[k]),
+            zmp_ref=self.zmp_ref[k],
+            contacts=contacts,
+            coefficients=coeff,
+            ext_zmp_ref=self.ext_zmp_ref[k],
+            support_feet=self.support_feet[phase],
+            support_region=self.support_regions[phase],
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SupportPhases:
+    """Support stance of every sample: a phase index into a table of stances.
+
+    Each stance is a ((foot, position), ...) tuple, one per distinct stance
+    of the plan. Indexing returns the shared stance tuple of the sample's
+    phase, so samples in one phase return the same object.
+    """
+
+    phase: np.ndarray
+    stances: tuple
+
+    def __len__(self):
+        return len(self.phase)
+
+    def __getitem__(self, k):
+        return self.stances[self.phase[k]]
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 def _check_sampling(dt: float, n_samples: int):
@@ -228,20 +295,20 @@ def standing_reference(feet: dict, dt: float, n_samples: int):
     """Constant double-support plan: ZMP pinned at the stance midpoint.
 
     feet maps foot name to its 2D center. Returns (times, zmp_ref, supports)
-    where supports is one ((foot, position), ...) tuple per sample.
+    where supports is a SupportPhases with the one two-foot stance.
     """
     _check_sampling(dt, n_samples)
     if set(feet) != set(FEET):
         raise InvalidSchedule(f"standing plan needs feet {FEET}, got {sorted(feet)}")
     positions = {f: np.array(feet[f], dtype=float).reshape(2) for f in FEET}
-    for p in positions.values():
-        p.flags.writeable = False
+    _read_only(*positions.values())
     mid = 0.5 * (positions["left"] + positions["right"])
     times = np.arange(n_samples) * dt
     zmp = np.tile(mid, (n_samples, 1))
+    phase = np.zeros(n_samples, dtype=np.intp)
+    _read_only(phase)
     stance = tuple((f, positions[f]) for f in FEET)
-    supports = [stance] * n_samples
-    return times, zmp, supports
+    return times, zmp, SupportPhases(phase=phase, stances=(stance,))
 
 
 def stepping_reference(
@@ -251,14 +318,15 @@ def stepping_reference(
     n_samples: int,
     initial_positions: dict | None = None,
 ):
-    """Sampled ZMP reference and support sets for a contiguous footstep plan.
+    """Sampled ZMP reference and support phases for a contiguous footstep plan.
 
     Each step transfers the ZMP from the previous stance point to its own
     during a double-support window covering the leading
     `double_support_fraction` of the step; outside that window only the
     stepping foot supports. The plan leads in from (and winds down to) the
     two-foot midpoint. A foot's position before its first step defaults to
-    that first step's position; override via initial_positions.
+    that first step's position; override via initial_positions. Returns
+    (times, zmp_ref, supports) with supports a SupportPhases.
     """
     _check_sampling(dt, n_samples)
     steps = list(steps)
@@ -286,15 +354,19 @@ def stepping_reference(
             f"no known position for feet {missing}; give initial_positions"
         )
     initial = {f: np.array(initial[f], dtype=float).reshape(2) for f in initial}
+    _read_only(*initial.values())
 
     mid0 = 0.5 * (initial["left"] + initial["right"])
+    ds_ends = [
+        s.start_time + double_support_fraction * (s.end_time - s.start_time)
+        for s in steps
+    ]
 
     # ZMP knots: hold, then ramp into each step over its double-support window
     knot_t = [0.0]
     knot_p = [mid0]
     prev_p = mid0
-    for s in steps:
-        ds_end = s.start_time + double_support_fraction * (s.end_time - s.start_time)
+    for s, ds_end in zip(steps, ds_ends):
         knot_t += [s.start_time, ds_end]
         knot_p += [prev_p, s.position]
         prev_p = s.position
@@ -316,44 +388,77 @@ def stepping_reference(
         [np.interp(times, knot_t, knot_p[:, 0]), np.interp(times, knot_t, knot_p[:, 1])]
     )
 
-    # support sets, sweeping foot positions forward through the plan
+    # Support phases: code 0 before the first step; within step i (the last
+    # one started), code 2i + 2 in its single-support window [ds_end, end)
+    # and code 2i + 1 outside it, with both feet where steps 0..i put them.
+    idx = np.searchsorted([s.start_time for s in steps], times, side="right") - 1
+    at = np.maximum(idx, 0)
+    single = (
+        (idx >= 0)
+        & (times < np.array([s.end_time for s in steps])[at])
+        & (times >= np.array(ds_ends)[at])
+    )
+    code = np.where(idx < 0, 0, 2 * idx + 1 + single)
+
+    # each code's stance, shared by value: equal feet at equal positions
     pos = {f: initial[f] for f in FEET}
-    for p in pos.values():
-        p.flags.writeable = False
-    starts = [s.start_time for s in steps]
-    supports = []
-    stance_cache = {}
+    stances = []
+    by_key = {}
 
-    def stance(feet_now, positions):
-        key = tuple((f, positions[f].tobytes()) for f in sorted(feet_now))
-        got = stance_cache.get(key)
-        if got is None:
-            got = tuple((f, positions[f]) for f in sorted(feet_now))
-            stance_cache[key] = got
-        return got
+    def stance(feet_now):
+        key = tuple((f, pos[f].tobytes()) for f in feet_now)
+        if key not in by_key:
+            by_key[key] = len(stances)
+            stances.append(tuple((f, pos[f]) for f in feet_now))
+        return by_key[key]
 
-    for t in times:
-        idx = bisect.bisect_right(starts, t) - 1
-        if idx < 0:
-            supports.append(stance(FEET, pos))
-            continue
-        s = steps[idx]
-        cur = dict(pos)
-        for done in steps[: idx + 1]:
-            cur[done.foot] = done.position
-        if t >= s.end_time:
-            supports.append(stance(FEET, cur))
-        elif t < s.start_time + double_support_fraction * (s.end_time - s.start_time):
-            supports.append(stance(FEET, cur))
+    of_code = [stance(FEET)]
+    for s in steps:
+        pos[s.foot] = s.position
+        of_code += [stance(FEET), stance((s.foot,))]
+    phase = np.array(of_code, dtype=np.intp)[code]
+    _read_only(phase)
+    return times, zmp, SupportPhases(phase=phase, stances=tuple(stances))
+
+
+def _contact_sets(schedule: ContactSchedule, times: np.ndarray):
+    """Contact sets of the schedule over the sample times.
+
+    Returns (contact_index, spans): per sample the index of its contact set,
+    and per run of samples in one schedule segment (k0, k1, rows) with rows
+    an (L, m, 9) array of contact_rows, L = 1 for a hold (one set for the
+    run) and L = k1 - k0 for a linear ramp (one set per sample). Sampled
+    exactly as ContactSchedule.sample: the first breakpoint holds before its
+    time, and a ramp interpolates a + s * (b - a), s = (t - t0) / (t1 - t0).
+    """
+    bps = schedule.breakpoints
+    seg = np.searchsorted([bp.time for bp in bps], times, side="right") - 1
+    cuts = (np.flatnonzero(np.diff(seg)) + 1).tolist()
+    contact_index = np.empty(len(times), dtype=np.intp)
+    spans = []
+    first = 0
+    for k0, k1 in zip([0] + cuts, cuts + [len(times)]):
+        j = int(seg[k0])
+        a = bps[max(j, 0)]
+        rows = np.array(contact_rows(a.contacts), dtype=float)
+        rows = rows.reshape(1, len(a.contacts), 9)
+        if j >= 0 and a.mode == "linear":
+            b = bps[j + 1]
+            end = np.array(contact_rows(b.contacts), dtype=float).reshape(rows.shape)
+            s = (times[k0:k1] - a.time) / (b.time - a.time)
+            rows = rows + s[:, None, None] * (end - rows)
+            contact_index[k0:k1] = np.arange(first, first + k1 - k0)
         else:
-            supports.append(stance((s.foot,), cur))
-    return times, zmp, supports
+            contact_index[k0:k1] = first
+        first += len(rows)
+        spans.append((k0, k1, rows))
+    return contact_index, spans
 
 
 def build_reference_frames(
     times: np.ndarray,
     zmp_ref: np.ndarray,
-    supports,
+    supports: SupportPhases,
     schedule: ContactSchedule,
     params: RobotParams,
     sole_half_x: float,
@@ -363,9 +468,10 @@ def build_reference_frames(
 ) -> ReferenceTimeline:
     """Attach contacts, coefficients and sole rectangles to a sampled plan.
 
-    force_kappa_one models a controller that ignores the ZMP scaling of
-    vertical contact forces: the frame coefficients keep gamma but pin
-    kappa to 1.
+    kappa and gamma are contact_terms of each sample's contacts, computed
+    over whole spans of samples at once; ext_zmp_ref is kappa * zmp_ref -
+    gamma. force_kappa_one models a controller that ignores the ZMP scaling
+    of vertical contact forces: the plan keeps gamma but pins kappa to 1.
     """
     n = len(times)
     if zmp_ref.shape != (n, 2) or len(supports) != n:
@@ -373,58 +479,57 @@ def build_reference_frames(
     if n < 2:
         raise ValueError("timeline needs at least two samples")
     dt = float(times[1] - times[0])
+    unloaded = compute_coefficients(params, (), com_vert_accel)
 
-    frames = []
+    contact_index, spans = _contact_sets(schedule, times)
     kappa = np.empty(n)
     gamma = np.empty((n, 2))
-    exz = np.empty((n, 2))
-    # A hold segment returns one shared contact tuple and an unchanged stance
-    # one shared support tuple, so a sample whose object is the previous
-    # sample's reuses its coefficients or sole region.
-    contacts = sup = None
-    for k in range(n):
-        t = float(times[k])
-        sampled = schedule.sample(t)
-        if sampled is not contacts:
-            contacts = sampled
-            coeff = compute_coefficients(params, contacts, com_vert_accel)
-            if force_kappa_one:
-                coeff = LipmCoefficients(
-                    omega=coeff.omega, kappa=1.0, gamma=coeff.gamma, zeta=coeff.zeta
-                )
-        z = zmp_ref[k]
-        ez = ext_zmp(coeff, ZmpPoint(z)).position
-        kappa[k] = coeff.kappa
-        gamma[k] = coeff.gamma
-        exz[k] = ez
-
-        if supports[k] is not sup:
-            sup = supports[k]
-            feet = tuple(f for f, _ in sup)
-            region = tuple(
-                SoleRect.centered(p, sole_half_x, sole_half_y) for _, p in sup
-            )
-        frames.append(
-            ReferenceFrame(
-                time=t,
-                zmp_ref=z,
-                contacts=contacts,
-                coefficients=coeff,
-                ext_zmp_ref=ez,
-                support_feet=feet,
-                support_region=region,
-            )
+    for k0, k1, rows in spans:
+        # iterating (m, 9, L) hands contact_terms one (9, L) block per
+        # contact, so it sums the contacts in order over all L sets at once
+        *_, kap, gx, gy = contact_terms(
+            rows.transpose(1, 2, 0), unloaded.zeta, params.zmp_height
         )
+        kappa[k0:k1] = kap
+        gamma[k0:k1, 0] = gx
+        gamma[k0:k1, 1] = gy
+    table = np.concatenate([rows.reshape(-1, 9) for *_, rows in spans])
+    counts = np.concatenate([np.full(len(rows), rows.shape[1]) for *_, rows in spans])
+    for i, name in enumerate(("force", "moment", "position")):
+        if not np.isfinite(table[:, 3 * i : 3 * i + 3]).all():
+            raise ValueError(f"{name}: components must be finite")
+    if not np.isfinite(kappa).all():
+        raise NonPhysical("kappa must be finite")
+    if not np.isfinite(gamma).all():
+        raise ValueError("gamma: components must be finite")
+    if force_kappa_one:
+        kappa[:] = 1.0
+    exz = kappa[:, None] * zmp_ref - gamma
+    if not np.isfinite(exz).all():
+        raise ValueError("position: components must be finite")
+
+    regions = tuple(
+        tuple(SoleRect.centered(p, sole_half_x, sole_half_y) for _, p in stance)
+        for stance in supports.stances
+    )
+    feet = tuple(tuple(f for f, _ in stance) for stance in supports.stances)
+    contact_start = np.concatenate([[0], np.cumsum(counts)])
     zmp_ref = zmp_ref.copy()
-    for arr in (kappa, gamma, exz, zmp_ref):
-        arr.flags.writeable = False
+    time = np.array(times)
+    _read_only(time, zmp_ref, kappa, gamma, exz, contact_index, contact_start, table)
     return ReferenceTimeline(
         dt=dt,
-        time=np.array(times),
+        time=time,
         zmp_ref=zmp_ref,
         kappa=kappa,
         gamma=gamma,
         ext_zmp_ref=exz,
-        omega=float(coeff.omega),
-        frames=tuple(frames),
+        omega=float(unloaded.omega),
+        zeta=float(unloaded.zeta),
+        phase=supports.phase,
+        support_feet=feet,
+        support_regions=regions,
+        contact_index=contact_index,
+        contact_start=contact_start,
+        contact_table=table,
     )

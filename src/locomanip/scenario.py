@@ -15,7 +15,8 @@ fields to each other.
 run_scenario wires the full pipeline (references -> preview gains ->
 desired trajectory -> stabilizer -> plant loop), writes the CSV trace and
 a flat key=value metrics file, and maps the outcome to a process exit
-code: 0 completed, 2 diverged; config errors raise and the CLI reports 1.
+code: 0 completed, 2 diverged, 3 a control step failed (every check of
+such a run fails); config errors raise and the CLI reports 1.
 
 Metric notes: all length metrics are meters. The implied-ZMP metric is the
 pivot the actual CoM motion is revolving about, measured against the
@@ -861,12 +862,19 @@ class CheckResult:
 
 
 def evaluate_checks(metrics: dict, checks) -> tuple:
-    """Apply the configured bounds to a metrics dictionary."""
+    """Apply the configured bounds to a metrics dictionary.
+
+    A run that failed mid-loop (metrics carry failure) fails every check,
+    and each detail names the failure first.
+    """
+    failed = metrics.get("failure")
     results = []
     for c in checks:
         value = metrics.get(c.metric, math.nan)
-        passed = c.metric in metrics
-        parts = [] if passed else [f"metric {c.metric!r} not found"]
+        passed = c.metric in metrics and failed is None
+        parts = [] if c.metric in metrics else [f"metric {c.metric!r} not found"]
+        if failed is not None:
+            parts.insert(0, f"run failed at t={metrics['failed_at_s']:.3f} s: {failed}")
         if c.min_value is not None:
             ok = value >= c.min_value
             passed = passed and ok

@@ -135,6 +135,11 @@ class TestRun:
         assert metrics["failure"] == kind
         assert metrics["failed_at_s"] == 5.0
         assert metrics["samples"] == 2500.0
+        # a failed run fails every check, completed included
+        assert f"check.completed=FAIL  (run failed at t=5.000 s: {kind}" in out
+        assert metrics["check.completed"] == "FAIL"
+        assert metrics["overall"] == "FAIL"
+        assert all(v == "FAIL" for k, v in metrics.items() if k.startswith("check."))
 
     # the metrics of the overflowing steps before the failure overflow too
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -161,6 +166,25 @@ class TestRun:
         assert run_cli("run", "--config", str(mini_path), "--out", str(tmp_path / "o")) == 0
         metrics = parse_metrics_file(tmp_path / "o" / "metrics.txt")
         assert "failure" not in metrics and "failed_at_s" not in metrics
+
+
+    def test_failure_on_first_step_fails_checks(self, tmp_path, capsys):
+        """The lift acts from t = 0, so the trace keeps only its header."""
+        out_dir = tmp_path / "o"
+        code = run_cli(
+            "run",
+            "--config", "testcase1",
+            "--out", str(out_dir),
+            "--override",
+            "disturbances=[{kind: step, axis: z, amplitude_n: 600.0, start_s: 0.0, end_s: 8.0}]",
+        )
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "check.completed=FAIL  (run failed at t=0.000 s: Infeasible" in out
+        assert len((out_dir / "trace.csv").read_text().splitlines()) == 1
+        metrics = parse_metrics_file(out_dir / "metrics.txt")
+        assert metrics["samples"] == 0.0
+        assert metrics["overall"] == "FAIL"
 
 
 class TestCompare:
@@ -202,6 +226,16 @@ class TestCompare:
         code = run_cli("compare", str(a), str(broken))
         assert code == 1
         assert "schema mismatch" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_trace_is_too_short(self, two_traces, tmp_path, capsys):
+        """A run that fails on its first step writes only the header."""
+        a, b = two_traces
+        empty = tmp_path / "empty.csv"
+        empty.write_text(b.read_text().splitlines()[0] + "\n")
+        code = run_cli("compare", str(a), str(empty))
+        assert code == 1
+        assert "need a time column with at least 2 rows" in capsys.readouterr().err
 
 
 class TestGains:

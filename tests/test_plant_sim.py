@@ -309,7 +309,8 @@ def first_samples(traj, n):
         kappa=tl.kappa[:n],
         gamma=tl.gamma[:n],
         ext_zmp_ref=tl.ext_zmp_ref[:n],
-        frames=tl.frames[:n],
+        phase=tl.phase[:n],
+        contact_index=tl.contact_index[:n],
     )
     arrays = {
         f.name: getattr(traj, f.name)[:n]
@@ -359,7 +360,8 @@ class TestOneLaw:
             "command_acc_y", "dcm_err_x", "dcm_err_y", "zmp_saturated",
             "cop_clamped", "zmp_clamped", "c_x^a", "com_acc_x^a",
         )}
-        for k, frame in enumerate(traj.timeline.frames):
+        for k in range(len(traj.timeline)):
+            frame = traj.timeline.frame(k)
             true = apply_disturbances(frame.contacts, bundle.disturbances, traj.time[k])
             out = by_hand.step(
                 DesiredSample(

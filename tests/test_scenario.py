@@ -870,7 +870,7 @@ _VALUES = st.recursive(
 
 
 class TestParseRaisesOnlyConfigError:
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(_VALUES)
     def test_arbitrary_value(self, value):
         # a mapping is also tried on top of a valid config, to get past `name`
@@ -881,7 +881,7 @@ class TestParseRaisesOnlyConfigError:
             except ConfigError:
                 pass
 
-    @settings(max_examples=400, deadline=None, database=None)
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_valid_config_with_one_value_replaced(self, data):
         raw = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
