@@ -83,8 +83,10 @@ def main():
     traj = generate_trajectory(timeline, gains)
     print("preview window      %d samples (%.1f s)" % (gains.n_preview, 1.6))
 
-    stabilizer = Stabilizer(params, StabilizerGains(), coeff.omega, DT)
-    trace = run_closed_loop(traj, stabilizer, params, rho=20.0)
+    # the stabilizer carries the robot, the ZMP actuation lag rho and the
+    # control rate; the closed loop gives its plant the same robot and lag
+    stabilizer = Stabilizer(params, StabilizerGains(rho=20.0), DT)
+    trace = run_closed_loop(traj, stabilizer)
 
     t = np.arange(len(trace)) * trace.dt
     # y carries the +-0.1 m gait sway through the first order ankle lag,

@@ -76,7 +76,6 @@ from .stabilizer import (
     StabilizerOutput,
     Wrench,
     distribute_wrench,
-    step_stabilizer,
 )
 
 __version__ = "0.1.0"
@@ -133,7 +132,6 @@ __all__ = [
     "scenario_metrics",
     "standing_reference",
     "step_plant",
-    "step_stabilizer",
     "stepping_reference",
     "synthesize_gains",
     "trace_metrics",

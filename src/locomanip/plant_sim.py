@@ -3,10 +3,10 @@
 The plant integrates the same pendulum-with-external-forces model the
 controller assumes; controller/plant mismatch enters only through injected
 disturbance forces and a first-order lag between commanded and realized ZMP.
-run_closed_loop wires plant, reference, and stabilizer together and logs
-every diagnostic signal per step. Its step runs on Python floats through the
-same laws as the per-sample API: disturbed_rows (apply_disturbances),
-plant_law (step_plant) and stabilizer.stabilizer_law (Stabilizer.step).
+run_closed_loop drives the stabilizer's robot along a plan and logs the CSV
+columns and three event flags per step. Its step runs on Python floats
+through the same laws as the per-sample API: disturbed_rows
+(apply_disturbances), plant_law (step_plant) and stabilizer_law (Stabilizer.step).
 A step that fails (STEP_FAILURES) ends the run: the exception propagates
 with the trace of the steps before it attached as ``exc.trace``.
 """
@@ -75,17 +75,17 @@ CSV_COLUMNS = (
 )
 
 # internal diagnostics of TraceLog.extra, outside the CSV schema
-EXTRA_COLUMNS = (
-    "command_acc_x",
-    "command_acc_y",
-    "dcm_err_x",
-    "dcm_err_y",
-    "zmp_saturated",
-    "cop_clamped",
-    "zmp_clamped",
-    "com_acc_x^a",
-    "com_acc_y^a",
+EXTRA_COLUMNS = ("zmp_saturated", "cop_clamped", "zmp_clamped")
+
+# the columns run_closed_loop writes per step, line by line in the order of
+# its value tuple; the other CSV columns are copied from the plan
+_STEP_COLUMNS = (
+    "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
+    "gamma_err_x", "gamma_err_y", "gammaH_x", "gammaH_y", "gammaL_x", "gammaL_y",
+    "fext_sum_x", "fext_sum_y", "fext_sum_z",
+    *EXTRA_COLUMNS,
 )
+
 
 @dataclass(frozen=True, eq=False)
 class PlantState:
@@ -258,8 +258,8 @@ def step_plant(
 class TraceLog:
     """Per-step record of one closed-loop run.
 
-    columns maps every CSV column name to a 1-D array; extra carries
-    internal diagnostics that are not part of the CSV schema. A diverged
+    columns maps every CSV column name to a 1-D array; extra maps each
+    EXTRA_COLUMNS flag, outside the CSV schema, to a 0/1 array. A diverged
     trace is truncated at the step the divergence was detected. A failed
     trace holds the steps before the one that raised: failure names the
     exception class (one of STEP_FAILURES), failure_detail its message and
@@ -271,7 +271,6 @@ class TraceLog:
     extra: dict = field(default_factory=dict)
     diverged: bool = False
     diverged_at: float | None = None
-    zmp_clamp_count: int = 0
     failure: str | None = None
     failure_detail: str = ""
     failed_at: float | None = None
@@ -319,43 +318,47 @@ class TraceLog:
 def run_closed_loop(
     traj: DesiredTrajectory,
     stabilizer: Stabilizer,
-    params: RobotParams,
-    rho: float,
     disturbances=(),
     direct_zmp: bool = False,
     initial: PlantState | None = None,
     com_noise: float = 0.0,
     force_noise: float = 0.0,
-    rng: np.random.Generator | None = None,
+    seed: int | None = None,
     divergence_limit: float = DIVERGENCE_LIMIT,
 ) -> TraceLog:
     """Simulate the stabilized plant along a planned trajectory.
 
-    Per step: read the plant, optionally corrupt the measurements with white
-    noise, run the stabilizer law (without the foot-wrench split, which the
-    plant never reads), log, then advance the plant under the true
-    (disturbed) contacts. Aborts and marks the trace when the actual CoM
-    leaves the desired one by more than divergence_limit. A step that
-    raises one of STEP_FAILURES ends the run; the exception propagates with
-    the truncated trace as ``exc.trace``. The stabilizer's state advances in
-    place, so a reused Stabilizer continues from where the run left it.
+    The plant is the stabilizer's robot with the ZMP lag of gains.rho; a
+    stabilizer whose dt or omega is not the plan's raises ValueError. Per
+    step: read the plant, optionally corrupt the measurements with white
+    noise from np.random.default_rng(seed), run the stabilizer law (without
+    the foot-wrench split, which the plant never reads), log, then advance
+    the plant under the true (disturbed) contacts. Aborts and marks the
+    trace when the actual CoM leaves the desired one by more than
+    divergence_limit. A step that raises one of STEP_FAILURES ends the run;
+    the exception propagates with the truncated trace as ``exc.trace``. The
+    stabilizer's state advances in place, so a reused Stabilizer continues
+    from where the run left it.
     """
     timeline = traj.timeline
     dt = timeline.dt
-    n = len(traj.time)
-    noisy = (com_noise > 0.0 or force_noise > 0.0) and rng is not None
     omega = timeline.omega
+    if abs(stabilizer.dt - dt) > 1e-12:
+        raise ValueError("stabilizer and plan sample at different rates")
+    if abs(stabilizer.omega - omega) > 1e-9 * omega:
+        raise ValueError("stabilizer built for a different pendulum frequency")
+    n = len(traj.time)
+    noisy = com_noise > 0.0 or force_noise > 0.0
+    rng = np.random.default_rng(seed) if noisy else None
 
     if initial is None:
         px, py = traj.com_pos[0].tolist()
         vx, vy = traj.com_vel[0].tolist()
-        ax, ay = traj.com_acc[0].tolist()
         zax, zay = traj.zmp[0].tolist()
         plant_time = float(traj.time[0])
     else:
         px, py = initial.com.position.tolist()
         vx, vy = initial.com.velocity.tolist()
-        ax, ay = initial.com.acceleration.tolist()
         zax, zay = np.asarray(initial.zmp_actual, dtype=float).tolist()
         plant_time = initial.time
 
@@ -378,12 +381,7 @@ def run_closed_loop(
     columns = {name: np.zeros(n) for name in CSV_COLUMNS + EXTRA_COLUMNS}
     for name, src in plan_columns.items():
         columns[name][:] = src
-    step_views = [
-        memoryview(columns[name])
-        for name in columns
-        if name not in plan_columns and name != "zmp_clamped"
-    ]
-    clamp_view = memoryview(columns["zmp_clamped"])
+    step_views = [memoryview(columns[name]) for name in _STEP_COLUMNS]
 
     plan_mv = [
         memoryview(a[:, i])
@@ -395,17 +393,16 @@ def run_closed_loop(
 
     state = stabilizer.state
     gains = stabilizer.gains
-    stab_params = stabilizer.params
+    params = stabilizer.params
     stab_dt = stabilizer.dt
     compensate = stabilizer.compensate_forces
-    decay = None if direct_zmp else math.exp(-rho * dt)
+    decay = None if direct_zmp else math.exp(-gains.rho * dt)
     unloaded = compute_coefficients(params)
     com_vel_noise = com_noise * omega
 
     contact_set = phase = true_rows = failure = None
     diverged = False
     diverged_at = None
-    clamp_count = 0
     last = n
 
     try:
@@ -452,10 +449,10 @@ def run_closed_loop(
                         for r in true_rows
                     )
 
-            (zcx, zcy), (acx, acy), _, (dex, dey), (gex, gey), sat, cop, _ = stabilizer_law(
+            (zcx, zcy), _, _, _, (gex, gey), sat, cop, _ = stabilizer_law(
                 state,
                 gains,
-                stab_params,
+                params,
                 stab_dt,
                 compensate,
                 kappa_d,
@@ -473,21 +470,19 @@ def run_closed_loop(
                 px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
                 unloaded.omega, kappa, gx, gy, dt,
             )
-            # this step's values, in the order of step_views
+            # this step's values, in the order of _STEP_COLUMNS
             for view, value in zip(
                 step_views,
                 (
                     px, py, px + vx / omega, py + vy / omega, zcx, zcy, zax, zay,
-                    gex, gey, hx, hy, lx, ly, fsx, fsy, fsz,
-                    acx, acy, dex, dey, sat, cop, ax, ay,
+                    gex, gey, hx, hy, lx, ly,
+                    fsx, fsy, fsz,
+                    sat, cop, stepped[8],
                 ),
             ):
                 view[k] = value
-            px, py, vx, vy, ax, ay, zax, zay, clamped = stepped
+            px, py, vx, vy, _, _, zax, zay, _ = stepped
             plant_time = plant_time + dt
-            if clamped:
-                clamp_count += 1
-                clamp_view[k] = 1.0
 
             j = min(k + 1, n - 1)
             if (
@@ -510,7 +505,6 @@ def run_closed_loop(
         extra={name: columns[name] for name in EXTRA_COLUMNS},
         diverged=diverged,
         diverged_at=diverged_at,
-        zmp_clamp_count=clamp_count,
     )
     if failure is not None:
         trace.failure = type(failure).__name__

@@ -464,7 +464,6 @@ def build_reference_frames(
     sole_half_x: float,
     sole_half_y: float,
     force_kappa_one: bool = False,
-    com_vert_accel: float = 0.0,
 ) -> ReferenceTimeline:
     """Attach contacts, coefficients and sole rectangles to a sampled plan.
 
@@ -479,7 +478,7 @@ def build_reference_frames(
     if n < 2:
         raise ValueError("timeline needs at least two samples")
     dt = float(times[1] - times[0])
-    unloaded = compute_coefficients(params, (), com_vert_accel)
+    unloaded = compute_coefficients(params, ())
 
     contact_index, spans = _contact_sets(schedule, times)
     kappa = np.empty(n)

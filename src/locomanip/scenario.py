@@ -605,9 +605,6 @@ class ScenarioBundle:
     """
 
     config: ScenarioConfig
-    params: RobotParams
-    timeline: object
-    gains: object
     traj: object
     stabilizer: Stabilizer
     disturbances: tuple
@@ -712,7 +709,6 @@ def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
     stabilizer = Stabilizer(
         params,
         c.stabilizer_gains(),
-        timeline.omega,
         config.dt_s,
         compensate_forces=not config.ablation.disable_compensation,
     )
@@ -730,9 +726,6 @@ def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
     )
     return ScenarioBundle(
         config=config,
-        params=params,
-        timeline=timeline,
-        gains=gains,
         traj=traj,
         stabilizer=stabilizer,
         disturbances=disturbances,
@@ -964,25 +957,20 @@ def run_scenario(
     way the truncated trace is still written.
     """
     bundle = build_scenario(config)
-    noisy = config.plant.com_noise_m > 0.0 or config.plant.force_noise_n > 0.0
-    chosen = seed if seed is not None else config.seed
-    rng = np.random.default_rng(chosen) if noisy else None
     try:
         trace = run_closed_loop(
             bundle.traj,
             bundle.stabilizer,
-            bundle.params,
-            rho=config.controller.rho_per_s,
             disturbances=bundle.disturbances,
             direct_zmp=config.plant.direct_zmp,
             com_noise=config.plant.com_noise_m,
             force_noise=config.plant.force_noise_n,
-            rng=rng,
+            seed=seed if seed is not None else config.seed,
             divergence_limit=config.plant.divergence_limit_m,
         )
     except STEP_FAILURES as exc:
         trace = exc.trace
-    metrics = scenario_metrics(trace, bundle.timeline, config.metrics)
+    metrics = scenario_metrics(trace, bundle.traj.timeline, config.metrics)
     checks = evaluate_checks(metrics, config.checks)
     exit_code = 3 if trace.failure else 2 if trace.diverged else 0
 

@@ -9,11 +9,11 @@ into the support hull, and the flag ``cop_clamped`` records when the ground
 wrench the feet must realize has its pressure point outside that hull.
 
 Each law runs on Python floats and is written once: stabilizer_law chains
-them for one sample, and both the per-sample API (step_stabilizer,
-Stabilizer.step) and the closed loop of plant_sim call it. Foot-wrench
-distribution (distribute_wrench, an active-set split under sole limits) is
-a per-sample API feature: step_stabilizer returns the per-foot wrenches,
-while the closed loop, which never reads them, does not compute them.
+them for one sample, and both the per-sample API (Stabilizer.step) and the
+closed loop of plant_sim call it. Foot-wrench distribution
+(distribute_wrench, an active-set split under sole limits) is a per-sample
+API feature: Stabilizer.step returns the per-foot wrenches, while the
+closed loop, which never reads them, does not compute them.
 
 All gains are stated in conventional (no-external-force) terms; the control
 law divides by the ZMP scale kappa so the closed-loop response matches the
@@ -32,10 +32,12 @@ from .core_dynamics import (
     DEGENERATE_KAPPA,
     LipmCoefficients,
     RobotParams,
+    compute_coefficients,
     contact_rows,
     contact_terms,
     foot_wrench_terms,
-    net_foot_wrench,  # noqa: F401  (kept importable from this module)
+    # perfbench/tracer.py wraps stabilizer.net_foot_wrench
+    net_foot_wrench,  # noqa: F401
     pressure_point,
     wrench_zmp,
 )
@@ -163,17 +165,13 @@ def _force_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
 
 
 def measure_gamma_error(
-    desired_contacts,
-    actual_contacts,
-    params: RobotParams,
-    com_vert_accel: float = 0.0,
+    desired_contacts, actual_contacts, params: RobotParams
 ) -> np.ndarray:
     """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts."""
-    zeta = params.mass * (com_vert_accel + params.gravity)
     err = _force_error(
         contact_rows(actual_contacts),
         contact_rows(desired_contacts),
-        zeta,
+        params.mass * params.gravity,
         params.zmp_height,
     )
     return np.array(err)
@@ -716,62 +714,10 @@ def stabilizer_law(
     )
 
 
-def step_stabilizer(
-    desired: DesiredSample,
-    actual: ActualSample,
-    state: StabilizerState,
-    gains: StabilizerGains,
-    params: RobotParams,
-    dt: float,
-    compensate_forces: bool = True,
-) -> StabilizerOutput:
-    """One full stabilizer cycle: stabilizer_law, then the per-foot split.
-
-    The net wrench comes from stabilizer_law; distribute_wrench splits it
-    between the support feet. With compensate_forces False both offset
-    bands stay zero (ablation mode); gamma_err is still measured for logging.
-    """
-    coeff = desired.coefficients
-    zc, acc, shifted, dcm_err, gamma_err, saturated, cop_clamped, w = stabilizer_law(
-        state,
-        gains,
-        params,
-        dt,
-        compensate_forces,
-        coeff.kappa,
-        coeff.omega,
-        _plan_floats(desired),
-        contact_rows(desired.contacts),
-        _xy(actual.com_pos),
-        _xy(actual.com_vel),
-        contact_rows(actual.contacts),
-        hull_edges(support_hull(desired.support_region)),
-    )
-    net = Wrench(force=np.array(w[:3]), moment=np.array(w[3:]))
-    by_name = dict(zip(desired.support_feet, desired.support_region))
-    left_wrench, right_wrench = distribute_wrench(
-        net, by_name.get("left"), by_name.get("right"), params.zmp_height
-    )
-    return StabilizerOutput(
-        command_zmp=np.array(zc),
-        command_com_accel=np.array(acc),
-        shifted_com_des=np.array(shifted),
-        net_wrench=net,
-        left_wrench=left_wrench,
-        right_wrench=right_wrench,
-        dcm_err=np.array(dcm_err),
-        gamma_err=np.array(gamma_err),
-        gamma_low=np.array(state.gamma_low),
-        gamma_high=np.array(state.gamma_high),
-        gamma_high_rate=np.array(state.gamma_high_rate),
-        zmp_saturated=saturated,
-        cop_clamped=cop_clamped,
-    )
-
-
 class Stabilizer:
-    """Stateful DCM stabilizer bound to one robot and gain set.
+    """Stateful DCM stabilizer bound to one robot, gain set and control rate.
 
+    omega is the robot's; gains.rho is also the closed loop's plant lag.
     Checks closed-loop stability of the gains at construction. Calls must be
     serialized per instance; construct separate instances for parallel runs.
     compensate_forces=False disables the force-error compensation (both
@@ -782,13 +728,13 @@ class Stabilizer:
         self,
         params: RobotParams,
         gains: StabilizerGains,
-        omega: float,
         dt: float,
         compensate_forces: bool = True,
         check_stability: bool = True,
     ):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("dt must be positive")
+        omega = compute_coefficients(params).omega
         if check_stability:
             gains.check_stable(omega)
         self.params = params
@@ -799,12 +745,46 @@ class Stabilizer:
         self.state = StabilizerState()
 
     def step(self, desired: DesiredSample, actual: ActualSample) -> StabilizerOutput:
-        return step_stabilizer(
-            desired,
-            actual,
-            self.state,
+        """One full stabilizer cycle: stabilizer_law, then the per-foot split.
+
+        The net wrench comes from stabilizer_law; distribute_wrench splits it
+        between the support feet. The state advances in place.
+        """
+        state = self.state
+        params = self.params
+        coeff = desired.coefficients
+        zc, acc, shifted, dcm_err, gamma_err, saturated, cop_clamped, w = stabilizer_law(
+            state,
             self.gains,
-            self.params,
+            params,
             self.dt,
-            compensate_forces=self.compensate_forces,
+            self.compensate_forces,
+            coeff.kappa,
+            coeff.omega,
+            _plan_floats(desired),
+            contact_rows(desired.contacts),
+            _xy(actual.com_pos),
+            _xy(actual.com_vel),
+            contact_rows(actual.contacts),
+            hull_edges(support_hull(desired.support_region)),
+        )
+        net = Wrench(force=np.array(w[:3]), moment=np.array(w[3:]))
+        by_name = dict(zip(desired.support_feet, desired.support_region))
+        left_wrench, right_wrench = distribute_wrench(
+            net, by_name.get("left"), by_name.get("right"), params.zmp_height
+        )
+        return StabilizerOutput(
+            command_zmp=np.array(zc),
+            command_com_accel=np.array(acc),
+            shifted_com_des=np.array(shifted),
+            net_wrench=net,
+            left_wrench=left_wrench,
+            right_wrench=right_wrench,
+            dcm_err=np.array(dcm_err),
+            gamma_err=np.array(gamma_err),
+            gamma_low=np.array(state.gamma_low),
+            gamma_high=np.array(state.gamma_high),
+            gamma_high_rate=np.array(state.gamma_high_rate),
+            zmp_saturated=saturated,
+            cop_clamped=cop_clamped,
         )

@@ -134,7 +134,6 @@ def make_stabilizer(dt=DT, compensate_forces=True, gains=None, **kwargs):
     return Stabilizer(
         PARAMS,
         gains or StabilizerGains(),
-        OMEGA,
         dt,
         compensate_forces=compensate_forces,
         **kwargs,

@@ -188,7 +188,7 @@ class TestClosedLoop:
     def test_static_standing_is_exact(self):
         """No forces, constant references: the loop reproduces the plan."""
         traj = plan_trajectory(standing_timeline(duration=2.0))
-        trace = run_closed_loop(traj, make_stabilizer(), PARAMS, RHO)
+        trace = run_closed_loop(traj, make_stabilizer())
         assert not trace.diverged
         assert np.max(np.abs(trace["c_x^a"] - trace["c_x^d"])) < 1e-6
         assert np.max(np.abs(trace["c_y^a"] - trace["c_y^d"])) < 1e-6
@@ -197,9 +197,7 @@ class TestClosedLoop:
     def test_nominal_stepping_direct_zmp(self):
         """In-place gait without actuation lag: DCM error below 1 mm."""
         traj = plan_trajectory(inplace_timeline(duration=10.0))
-        trace = run_closed_loop(
-            traj, make_stabilizer(), PARAMS, RHO, direct_zmp=True
-        )
+        trace = run_closed_loop(traj, make_stabilizer(), direct_zmp=True)
         assert not trace.diverged
         err = np.hypot(
             trace["xi_x^a"] - trace["xi_x^d"], trace["xi_y^a"] - trace["xi_y^d"]
@@ -208,7 +206,7 @@ class TestClosedLoop:
 
     def test_nominal_stepping_with_lag_stays_bounded(self):
         traj = plan_trajectory(inplace_timeline(duration=10.0))
-        trace = run_closed_loop(traj, make_stabilizer(), PARAMS, RHO)
+        trace = run_closed_loop(traj, make_stabilizer())
         assert not trace.diverged
         err_y = np.abs(trace["xi_y^a"] - trace["xi_y^d"])
         err_x = np.abs(trace["xi_x^a"] - trace["xi_x^d"])
@@ -229,9 +227,7 @@ class TestClosedLoop:
             zmp_actual=np.array(traj.zmp[0]),
             time=0.0,
         )
-        trace = run_closed_loop(
-            traj, stab, PARAMS, RHO, initial=initial, direct_zmp=True
-        )
+        trace = run_closed_loop(traj, stab, initial=initial, direct_zmp=True)
         assert trace.diverged
         assert trace.diverged_at is not None
         assert trace.diverged_at < 4.0
@@ -245,32 +241,40 @@ class TestClosedLoop:
                 kind="sinusoid", axis="x", amplitude=15.0, period=2.0, start_time=1.0
             ),
         )
-        a = run_closed_loop(traj, make_stabilizer(), PARAMS, RHO, disturbances=dist)
-        b = run_closed_loop(traj, make_stabilizer(), PARAMS, RHO, disturbances=dist)
+        a = run_closed_loop(traj, make_stabilizer(), disturbances=dist)
+        b = run_closed_loop(traj, make_stabilizer(), disturbances=dist)
         for name in CSV_COLUMNS:
             assert np.array_equal(a[name], b[name])
 
     def test_noise_respects_seed(self):
         traj = plan_trajectory(standing_timeline(duration=1.0))
         kwargs = dict(com_noise=1e-4, force_noise=0.5)
-        a = run_closed_loop(
-            traj, make_stabilizer(), PARAMS, RHO,
-            rng=np.random.default_rng(42), **kwargs,
-        )
-        b = run_closed_loop(
-            traj, make_stabilizer(), PARAMS, RHO,
-            rng=np.random.default_rng(42), **kwargs,
-        )
-        c = run_closed_loop(
-            traj, make_stabilizer(), PARAMS, RHO,
-            rng=np.random.default_rng(43), **kwargs,
-        )
+        a = run_closed_loop(traj, make_stabilizer(), seed=42, **kwargs)
+        b = run_closed_loop(traj, make_stabilizer(), seed=42, **kwargs)
+        c = run_closed_loop(traj, make_stabilizer(), seed=43, **kwargs)
         assert np.array_equal(a["z_x^c"], b["z_x^c"])
         assert not np.array_equal(a["z_x^c"], c["z_x^c"])
 
+    def test_noise_without_seed_is_not_dropped(self):
+        traj = plan_trajectory(standing_timeline(duration=0.2))
+        clean = run_closed_loop(traj, make_stabilizer())
+        noisy = run_closed_loop(traj, make_stabilizer(), com_noise=1e-4)
+        assert not np.array_equal(clean["z_x^c"], noisy["z_x^c"])
+
+    def test_stabilizer_at_another_rate_is_refused(self):
+        traj = plan_trajectory(standing_timeline(duration=0.2))
+        with pytest.raises(ValueError, match="different rates"):
+            run_closed_loop(traj, make_stabilizer(dt=2 * DT))
+
+    def test_stabilizer_for_another_pendulum_is_refused(self):
+        traj = plan_trajectory(standing_timeline(duration=0.2))
+        taller = dataclasses.replace(PARAMS, com_height=PARAMS.com_height + 0.1)
+        with pytest.raises(ValueError, match="different pendulum frequency"):
+            run_closed_loop(traj, Stabilizer(taller, StabilizerGains(), DT))
+
     def test_csv_round_trip(self, tmp_path):
         traj = plan_trajectory(standing_timeline(duration=1.0))
-        trace = run_closed_loop(traj, make_stabilizer(), PARAMS, RHO)
+        trace = run_closed_loop(traj, make_stabilizer())
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = TraceLog.from_csv(path)
@@ -291,8 +295,6 @@ def loop_of(bundle):
     return run_closed_loop(
         bundle.traj,
         bundle.stabilizer,
-        bundle.params,
-        rho=cfg.controller.rho_per_s,
         disturbances=bundle.disturbances,
         direct_zmp=cfg.plant.direct_zmp,
         divergence_limit=cfg.plant.divergence_limit_m,
@@ -341,10 +343,8 @@ class TestOneLaw:
 
         stab = bundle.stabilizer
         by_hand = Stabilizer(
-            stab.params, stab.gains, stab.omega, stab.dt,
-            compensate_forces=stab.compensate_forces,
+            stab.params, stab.gains, stab.dt, compensate_forces=stab.compensate_forces
         )
-        rho = bundle.config.controller.rho_per_s
         state = PlantState(
             com=CoMState(
                 position=traj.com_pos[0],
@@ -356,9 +356,8 @@ class TestOneLaw:
         )
         logged = {name: [] for name in (
             "z_x^c", "z_y^c", "gamma_err_x", "gamma_err_y", "gammaH_x",
-            "gammaH_y", "gammaL_x", "gammaL_y", "command_acc_x",
-            "command_acc_y", "dcm_err_x", "dcm_err_y", "zmp_saturated",
-            "cop_clamped", "zmp_clamped", "c_x^a", "com_acc_x^a",
+            "gammaH_y", "gammaL_x", "gammaL_y", "zmp_saturated",
+            "cop_clamped", "zmp_clamped", "c_x^a",
         )}
         for k in range(len(traj.timeline)):
             frame = traj.timeline.frame(k)
@@ -385,16 +384,13 @@ class TestOneLaw:
                 logged[f"gamma_err_{axis}"].append(out.gamma_err[i])
                 logged[f"gammaH_{axis}"].append(out.gamma_high[i])
                 logged[f"gammaL_{axis}"].append(out.gamma_low[i])
-                logged[f"command_acc_{axis}"].append(out.command_com_accel[i])
-                logged[f"dcm_err_{axis}"].append(out.dcm_err[i])
             logged["zmp_saturated"].append(float(out.zmp_saturated))
             logged["cop_clamped"].append(float(out.cop_clamped))
             logged["c_x^a"].append(state.com.position[0])
-            logged["com_acc_x^a"].append(state.com.acceleration[0])
             base = SoleRect.bounding(frame.support_region)
             m = ZMP_CLAMP_MARGIN
             state = step_plant(
-                state, out.command_zmp, true, bundle.params, rho, traj.dt,
+                state, out.command_zmp, true, stab.params, stab.gains.rho, traj.dt,
                 clamp_rect=SoleRect(
                     base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m
                 ),
@@ -434,4 +430,4 @@ class TestOneLaw:
         )
         stab = make_stabilizer()
         with pytest.raises(error):
-            run_closed_loop(traj, stab, PARAMS, RHO, disturbances=lift)
+            run_closed_loop(traj, stab, disturbances=lift)

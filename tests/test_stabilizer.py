@@ -29,7 +29,6 @@ from locomanip.stabilizer import (
     measure_gamma_error,
     scaled_closed_loop_matrix,
     split_frequency,
-    step_stabilizer,
     support_hull,
 )
 
@@ -436,9 +435,7 @@ class TestStepStabilizer:
             com_vel=np.zeros(2),
             contacts=contacts,
         )
-        out = step_stabilizer(
-            desired, actual, StabilizerState(), StabilizerGains(), PARAMS, DT
-        )
+        out = Stabilizer(PARAMS, StabilizerGains(), DT).step(desired, actual)
         assert np.all(out.command_zmp == desired.zmp)
         assert np.all(out.command_com_accel == desired.com_acc)
         assert np.all(out.dcm_err == 0.0)
@@ -452,13 +449,12 @@ class TestStepStabilizer:
         desired = standing_sample(hands(fx=-50.0))
         gains = StabilizerGains()
         for _ in range(20):
-            state = StabilizerState()
             actual = ActualSample(
                 com_pos=desired.com_pos + 0.01 * rng.standard_normal(2),
                 com_vel=0.02 * rng.standard_normal(2),
                 contacts=hands(fx=-50.0 + 10.0 * rng.standard_normal()),
             )
-            out = step_stabilizer(desired, actual, state, gains, PARAMS, DT)
+            out = Stabilizer(PARAMS, gains, DT).step(desired, actual)
             net_f = out.left_wrench.force + out.right_wrench.force
             net_m = (
                 out.left_wrench.moment
@@ -487,9 +483,7 @@ class TestStepStabilizer:
             com_vel=np.zeros(2),
             contacts=(),
         )
-        out = step_stabilizer(
-            desired, actual, StabilizerState(), StabilizerGains(), PARAMS, DT
-        )
+        out = Stabilizer(PARAMS, StabilizerGains(), DT).step(desired, actual)
         assert out.zmp_saturated
         assert out.command_zmp[0] == pytest.approx(0.11, abs=1e-12)
         kappa = desired.coefficients.kappa
@@ -504,7 +498,7 @@ class TestStepStabilizer:
 
     def test_ablation_keeps_bands_zero(self):
         desired = standing_sample(hands(fx=-50.0))
-        stab = Stabilizer(PARAMS, StabilizerGains(), OMEGA, DT, compensate_forces=False)
+        stab = Stabilizer(PARAMS, StabilizerGains(), DT, compensate_forces=False)
         actual = ActualSample(
             com_pos=desired.com_pos.copy(),
             com_vel=np.zeros(2),
@@ -529,9 +523,7 @@ class TestStepStabilizer:
             support_feet=("left",),
         )
         actual = ActualSample(com_pos=com.copy(), com_vel=np.zeros(2), contacts=())
-        out = step_stabilizer(
-            desired, actual, StabilizerState(), StabilizerGains(), PARAMS, DT
-        )
+        out = Stabilizer(PARAMS, StabilizerGains(), DT).step(desired, actual)
         assert np.all(out.right_wrench.force == 0.0)
         assert np.allclose(out.left_wrench.force, [0, 0, 981.0], atol=1e-12)
         assert np.allclose(out.left_wrench.moment, 0.0, atol=1e-12)
@@ -639,7 +631,7 @@ class TestSupportHullMemo:
 
     def test_reused_stabilizer_sees_every_fresh_region(self):
         """A hull cached by the region's id() went stale once ids were reused."""
-        stab = Stabilizer(PARAMS, StabilizerGains(), OMEGA, DT)
+        stab = Stabilizer(PARAMS, StabilizerGains(), DT)
         coeff = compute_coefficients(PARAMS, ())
         wrong = 0
         for i in range(200):
