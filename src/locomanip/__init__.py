@@ -16,7 +16,6 @@ from .core_dynamics import (
     RobotParams,
     ZmpPoint,
     compute_coefficients,
-    contact_zmp_offset,
     dcm_of,
     dcm_rate,
     ext_zmp,
@@ -73,7 +72,6 @@ from .scenario import (
 from .stabilizer import (
     Stabilizer,
     StabilizerGains,
-    StabilizerOutput,
     Wrench,
     distribute_wrench,
 )
@@ -107,7 +105,6 @@ __all__ = [
     "SoleRect",
     "Stabilizer",
     "StabilizerGains",
-    "StabilizerOutput",
     "TraceLog",
     "Wrench",
     "ZmpPoint",
@@ -116,7 +113,6 @@ __all__ = [
     "bundled_scenario_path",
     "compare_runs",
     "compute_coefficients",
-    "contact_zmp_offset",
     "dcm_of",
     "dcm_rate",
     "distribute_wrench",

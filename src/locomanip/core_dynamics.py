@@ -8,6 +8,10 @@ External hand contacts enter the horizontal dynamics through two aggregate
 coefficients: a dimensionless scale ``kappa`` on the ZMP (vertical force
 component) and a 2D offset ``gamma`` (horizontal forces and moments). With no
 contacts, kappa = 1 and gamma = 0 and the classic pendulum model is recovered.
+
+The laws a control step evaluates (contact_terms, net_foot_wrench,
+wrench_zmp) take and return Python floats, with a contact set given as
+contact_rows; the closed loop and the tests call them directly.
 """
 
 from __future__ import annotations
@@ -169,12 +173,6 @@ def contact_terms(rows, zeta: float, zmp_height: float) -> tuple:
     return fx, fy, fz, 1.0 - fz / zeta, gx / zeta, gy / zeta
 
 
-def contact_zmp_offset(contacts, zeta: float, zmp_height: float) -> np.ndarray:
-    """Aggregate 2D ZMP offset gamma induced by a set of external contacts."""
-    terms = contact_terms(contact_rows(contacts), zeta, zmp_height)
-    return np.array(terms[4:])
-
-
 def compute_coefficients(
     params: RobotParams, contacts=(), com_vert_accel: float = 0.0
 ) -> LipmCoefficients:
@@ -213,36 +211,15 @@ def dcm_rate(coeff: LipmCoefficients, dcm: DcmState, zmp: ZmpPoint) -> np.ndarra
     )
 
 
-def net_foot_wrench(
-    params: RobotParams,
-    com_position: np.ndarray,
-    com_acceleration: np.ndarray,
-    contacts=(),
-) -> tuple[np.ndarray, np.ndarray]:
+def net_foot_wrench(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:
     """Ground reaction wrench the feet must realize, moment about the world origin.
 
-    The gravito-inertial wrench of the point mass, minus every external
-    contact wrench. Assumes zero rate of angular momentum about the CoM, so
-    the gravito-inertial part acts along the line through the CoM.
-
-    Parameters
-    ----------
-    com_position : 3-vector, m
-    com_acceleration : 3-vector, m/s^2
-    contacts : iterable of ExternalContact
-
-    Returns
-    -------
-    (force, moment) : two 3-vectors, N and N m
+    The gravito-inertial wrench of the point mass at CoM (cx, cy, cz) with
+    acceleration (ax, ay, az), minus every external contact wrench (rows as
+    contact_rows). Assumes zero rate of angular momentum about the CoM, so
+    the gravito-inertial part acts along the line through the CoM. Returns
+    (fx, fy, fz, mx, my, mz), in N and N m.
     """
-    com = np.array(com_position, dtype=float).reshape(3).tolist()
-    acc = np.array(com_acceleration, dtype=float).reshape(3).tolist()
-    w = foot_wrench_terms(params, *com, *acc, contact_rows(contacts))
-    return np.array(w[:3]), np.array(w[3:])
-
-
-def foot_wrench_terms(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:
-    """net_foot_wrench on floats and contact_rows: (fx, fy, fz, mx, my, mz)."""
     # the order of operations is that of the cross products in array form
     # (adding 0.0 keeps the sign of zero identical)
     m = params.mass
@@ -266,15 +243,11 @@ def foot_wrench_terms(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tupl
     return fx, fy, fz, mx, my, mz
 
 
-def wrench_zmp(force: np.ndarray, moment: np.ndarray, zmp_height: float = 0.0) -> np.ndarray:
-    """Point on the ground plane where the wrench's horizontal moment vanishes."""
-    fx, fy, fz = np.asarray(force, dtype=float).tolist()
-    mx, my, _ = np.asarray(moment, dtype=float).tolist()
-    return np.array(pressure_point(fx, fy, fz, mx, my, zmp_height))
+def wrench_zmp(fx, fy, fz, mx, my, zmp_height: float = 0.0) -> tuple:
+    """(x, y) on the ground plane where the wrench's horizontal moment vanishes.
 
-
-def pressure_point(fx, fy, fz, mx, my, zmp_height: float) -> tuple:
-    """wrench_zmp on floats: (x, y) of the point, NonPhysical when fz is 0."""
+    Raises NonPhysical when the wrench has no vertical force.
+    """
     if not abs(fz) > 0.0:
         raise NonPhysical("wrench has no vertical force; ZMP undefined")
     return (-my + zmp_height * fx) / fz, (mx + zmp_height * fy) / fz

@@ -4,9 +4,9 @@ The plant integrates the same pendulum-with-external-forces model the
 controller assumes; controller/plant mismatch enters only through injected
 disturbance forces and a first-order lag between commanded and realized ZMP.
 run_closed_loop drives the stabilizer's robot along a plan and logs the CSV
-columns and three event flags per step. Its step runs on Python floats
-through the same laws as the per-sample API: disturbed_rows
-(apply_disturbances), plant_law (step_plant) and stabilizer_law (Stabilizer.step).
+columns and three event flags per step. Each step runs on Python floats
+through the per-sample laws, each defined once: apply_disturbances,
+Stabilizer.step and step_plant.
 A step that fails (STEP_FAILURES) ends the run: the exception propagates
 with the trace of the steps before it attached as ``exc.trace``.
 """
@@ -18,18 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_dynamics import (
-    CoMState,
-    ExternalContact,
-    RobotParams,
-    compute_coefficients,
-    contact_rows,
-    contact_terms,
-)
+from .core_dynamics import CoMState, compute_coefficients, contact_terms
 from .errors import Infeasible, NonFiniteState, NonPhysical
 from .pattern_generator import DesiredTrajectory
 from .reference_builder import SoleRect
-from .stabilizer import Stabilizer, hull_edges, stabilizer_law, support_hull
+from .stabilizer import Stabilizer, hull_edges, support_hull
 
 _DISTURBANCE_KINDS = ("constant", "sinusoid", "step")
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -89,12 +82,11 @@ _STEP_COLUMNS = (
 
 @dataclass(frozen=True, eq=False)
 class PlantState:
-    """Plant truth at one instant; zmp_clamped marks a support-edge event."""
+    """Plant truth at one instant: the CoM state and the realized ZMP."""
 
     com: CoMState
     zmp_actual: np.ndarray
     time: float
-    zmp_clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,7 @@ class DisturbanceProfile:
         return self.amplitude
 
 
-def disturbed_rows(rows: tuple, profiles, t: float) -> tuple:
+def apply_disturbances(rows: tuple, profiles, t: float) -> tuple:
     """True contacts at time t as contact_rows: desired rows plus disturbances.
 
     Returns rows itself when no disturbance is active. A contact_index beyond
@@ -164,20 +156,13 @@ def disturbed_rows(rows: tuple, profiles, t: float) -> tuple:
     )
 
 
-def apply_disturbances(contacts, profiles, t: float):
-    """True contacts at time t: desired contacts plus active disturbances."""
-    rows = contact_rows(contacts)
-    out = disturbed_rows(rows, profiles, t)
-    if out is rows:
-        return contacts
-    return tuple(
-        ExternalContact(force=r[:3], moment=con.moment, position=con.position)
-        for con, r in zip(contacts, out)
-    )
+def step_plant(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, gy, dt):
+    """Advance the plant one control period.
 
-
-def plant_law(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, gy, dt):
-    """step_plant on floats.
+    The realized ZMP relaxes toward the command through an exact exponential
+    first-order lag (or copies it in direct mode), is hard-clamped into the
+    enlarged support rectangle, and drives a semi-implicit update of the CoM
+    under the true contact forces.
 
     (px, py), (vx, vy) are the CoM position and velocity, (zx, zy) the
     realized and (cx, cy) the commanded ZMP. decay is the lag factor
@@ -209,49 +194,6 @@ def plant_law(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, g
         if not (math.isfinite(a) and math.isfinite(b)):
             raise NonFiniteState(f"{name}: components must be finite")
     return px, py, vx, vy, ax, ay, zx, zy, clamped
-
-
-def step_plant(
-    state: PlantState,
-    command_zmp: np.ndarray,
-    true_contacts,
-    params: RobotParams,
-    rho: float,
-    dt: float,
-    direct_zmp: bool = False,
-    clamp_rect: SoleRect | None = None,
-) -> PlantState:
-    """Advance the plant one control period.
-
-    The realized ZMP relaxes toward the command through an exact exponential
-    first-order lag (or copies it in direct mode), is hard-clamped into the
-    enlarged support rectangle, and drives a semi-implicit update of the CoM
-    under the true contact forces.
-    """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    coeff = compute_coefficients(params, true_contacts)
-    bounds = None
-    if clamp_rect is not None:
-        bounds = (clamp_rect.xmin, clamp_rect.xmax, clamp_rect.ymin, clamp_rect.ymax)
-    px, py, vx, vy, ax, ay, zx, zy, clamped = plant_law(
-        *state.com.position.tolist(),
-        *state.com.velocity.tolist(),
-        *np.asarray(state.zmp_actual, dtype=float).tolist(),
-        *np.asarray(command_zmp, dtype=float).tolist(),
-        None if direct_zmp else math.exp(-rho * dt),
-        bounds,
-        coeff.omega,
-        coeff.kappa,
-        *coeff.gamma.tolist(),
-        dt,
-    )
-    return PlantState(
-        com=CoMState(position=(px, py), velocity=(vx, vy), acceleration=(ax, ay)),
-        zmp_actual=np.array([zx, zy]),
-        time=state.time + dt,
-        zmp_clamped=clamped,
-    )
 
 
 @dataclass(eq=False)
@@ -331,11 +273,11 @@ def run_closed_loop(
     The plant is the stabilizer's robot with the ZMP lag of gains.rho; a
     stabilizer whose dt or omega is not the plan's raises ValueError. Per
     step: read the plant, optionally corrupt the measurements with white
-    noise from np.random.default_rng(seed), run the stabilizer law (without
-    the foot-wrench split, which the plant never reads), log, then advance
-    the plant under the true (disturbed) contacts. Aborts and marks the
-    trace when the actual CoM leaves the desired one by more than
-    divergence_limit. A step that raises one of STEP_FAILURES ends the run;
+    noise from np.random.default_rng(seed), run Stabilizer.step (up to the
+    net ground wrench; the plant never reads a per-foot split), log, then
+    advance the plant under the true (disturbed) contacts with step_plant.
+    Aborts and marks the trace when the actual CoM leaves the desired one
+    by more than divergence_limit. A step that raises one of STEP_FAILURES ends the run;
     the exception propagates with the truncated trace as ``exc.trace``. The
     stabilizer's state advances in place, so a reused Stabilizer continues
     from where the run left it.
@@ -391,12 +333,10 @@ def run_closed_loop(
     desired_x = plan_mv[0]
     desired_y = plan_mv[1]
 
+    step = stabilizer.step
     state = stabilizer.state
-    gains = stabilizer.gains
     params = stabilizer.params
-    stab_dt = stabilizer.dt
-    compensate = stabilizer.compensate_forces
-    decay = None if direct_zmp else math.exp(-gains.rho * dt)
+    decay = None if direct_zmp else math.exp(-stabilizer.gains.rho * dt)
     unloaded = compute_coefficients(params)
     com_vel_noise = com_noise * omega
 
@@ -417,7 +357,7 @@ def run_closed_loop(
             if j != contact_set:
                 contact_set = j
                 desired_rows = timeline.contact_rows(j)
-            rows = disturbed_rows(desired_rows, disturbances, t)
+            rows = apply_disturbances(desired_rows, disturbances, t)
             if rows is not true_rows:
                 true_rows = rows
                 fsx, fsy, fsz, kappa, gx, gy = contact_terms(
@@ -449,24 +389,12 @@ def run_closed_loop(
                         for r in true_rows
                     )
 
-            (zcx, zcy), _, _, _, (gex, gey), sat, cop, _ = stabilizer_law(
-                state,
-                gains,
-                params,
-                stab_dt,
-                compensate,
-                kappa_d,
-                omega,
-                plan,
-                desired_rows,
-                com,
-                vel,
-                meas_rows,
-                edges,
+            (zcx, zcy), _, _, _, (gex, gey), sat, cop, _ = step(
+                kappa_d, omega, plan, desired_rows, com, vel, meas_rows, edges
             )
             hx, hy = state.gamma_high
             lx, ly = state.gamma_low
-            stepped = plant_law(
+            stepped = step_plant(
                 px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
                 unloaded.omega, kappa, gx, gy, dt,
             )

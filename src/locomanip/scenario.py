@@ -796,6 +796,14 @@ def _window_mask(n: int, dt: float, window: MetricsWindowSpec) -> np.ndarray:
     return mask
 
 
+# the per-step flags of TraceLog.extra and the metric that counts each
+_CLAMP_COUNTS = (
+    ("zmp_saturated", "zmp_saturated_steps"),
+    ("cop_clamped", "cop_clamped_steps"),
+    ("zmp_clamped", "zmp_clamped_steps"),
+)
+
+
 def scenario_metrics(
     trace: TraceLog, timeline=None, metrics_cfg: MetricsSection | None = None
 ) -> dict:
@@ -832,11 +840,7 @@ def scenario_metrics(
         return got
 
     out.update(block(_index_mask(n, trace.dt, metrics_cfg)))
-    for name, key in (
-        ("zmp_saturated", "zmp_saturated_steps"),
-        ("cop_clamped", "cop_clamped_steps"),
-        ("zmp_clamped", "zmp_clamped_steps"),
-    ):
+    for name, key in _CLAMP_COUNTS:
         if name in trace.extra:
             out[key] = float(np.sum(trace.extra[name]))
     for w in metrics_cfg.windows:
@@ -1007,7 +1011,9 @@ def compare_runs(trace_a: TraceLog, trace_b: TraceLog, metric_spec=None) -> tupl
     """Per-metric comparison of two traces sharing schema, dt and duration.
 
     ratio is b over a, with 0/0 defined as 1 so identical traces compare
-    clean. metric_spec restricts the comparison to the named metrics.
+    clean. metric_spec restricts the comparison to the named metrics; a
+    name trace_metrics does not yield raises SchemaMismatch listing those
+    it does.
     """
     if set(trace_a.columns) != set(trace_b.columns):
         raise SchemaMismatch("traces have different column sets")
@@ -1025,7 +1031,13 @@ def compare_runs(trace_a: TraceLog, trace_b: TraceLog, metric_spec=None) -> tupl
     rows = []
     for name in names:
         if name not in ma:
-            raise SchemaMismatch(f"unknown comparison metric {name!r}")
+            raise SchemaMismatch(
+                f"unknown comparison metric {name!r}; a trace CSV yields "
+                f"{', '.join(ma)}. The clamp counts "
+                f"({', '.join(key for _, key in _CLAMP_COUNTS)}), "
+                "rms_implied_zmp_dev_* and window metrics come only from "
+                "the metrics.txt of locomanip run"
+            )
         va, vb = ma[name], mb[name]
         if va == 0.0:
             ratio = 1.0 if vb == 0.0 else math.inf

@@ -8,12 +8,12 @@ DCM error is regulated by PID feedback on top. The command ZMP is saturated
 into the support hull, and the flag ``cop_clamped`` records when the ground
 wrench the feet must realize has its pressure point outside that hull.
 
-Each law runs on Python floats and is written once: stabilizer_law chains
-them for one sample, and both the per-sample API (Stabilizer.step) and the
-closed loop of plant_sim call it. Foot-wrench distribution
-(distribute_wrench, an active-set split under sole limits) is a per-sample
-API feature: Stabilizer.step returns the per-foot wrenches, while the
-closed loop, which never reads them, does not compute them.
+Each law runs on Python floats and has one definition: measure_gamma_error,
+split_frequency and dcm_feedback, chained for one sample by Stabilizer.step,
+which the closed loop of plant_sim calls. Stabilizer.step ends at the net
+ground wrench; distribute_wrench (an active-set split under sole limits)
+splits such a wrench between the feet, and the closed loop, which never
+reads the per-foot wrenches, does not call it.
 
 All gains are stated in conventional (no-external-force) terms; the control
 law divides by the ZMP scale kappa so the closed-loop response matches the
@@ -30,15 +30,10 @@ import numpy as np
 
 from .core_dynamics import (
     DEGENERATE_KAPPA,
-    LipmCoefficients,
     RobotParams,
     compute_coefficients,
-    contact_rows,
     contact_terms,
-    foot_wrench_terms,
-    # perfbench/tracer.py wraps stabilizer.net_foot_wrench
-    net_foot_wrench,  # noqa: F401
-    pressure_point,
+    net_foot_wrench,
     wrench_zmp,
 )
 from .errors import DegenerateScale, Infeasible
@@ -157,28 +152,26 @@ def _xy(vec) -> tuple:
     return x, y
 
 
-def _force_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
-    """measure_gamma_error on contact_rows: (gamma_err_x, gamma_err_y)."""
+def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
+    """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts.
+
+    Both contact sets are given as contact_rows; zeta is the normalizing
+    vertical force m g. Returns (gamma_err_x, gamma_err_y).
+    """
     actual = contact_terms(actual_rows, zeta, zmp_height)
     desired = contact_terms(desired_rows, zeta, zmp_height)
     return actual[4] - desired[4], actual[5] - desired[5]
 
 
-def measure_gamma_error(
-    desired_contacts, actual_contacts, params: RobotParams
-) -> np.ndarray:
-    """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts."""
-    err = _force_error(
-        contact_rows(actual_contacts),
-        contact_rows(desired_contacts),
-        params.mass * params.gravity,
-        params.zmp_height,
-    )
-    return np.array(err)
+def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period):
+    """Advance the low/high frequency split of the force-error offset (ex, ey).
 
-
-def _split(state: StabilizerState, ex, ey, dt, cutoff_period):
-    """split_frequency on floats: replaces the three band pairs of state."""
+    The low band is a first-order low-pass with time constant
+    cutoff_period / (2 pi); the high band is the exact complement, so
+    gamma_low + gamma_high always reconstructs the input. The high-band rate
+    is a smoothed backward difference. Replaces the three band pairs of
+    state in place.
+    """
     tau = cutoff_period / (2.0 * math.pi)
     alpha = dt / (tau + dt)
     lx, ly = state.gamma_low
@@ -196,60 +189,17 @@ def _split(state: StabilizerState, ex, ey, dt, cutoff_period):
     )
 
 
-def split_frequency(
-    state: StabilizerState, gamma_err: np.ndarray, dt: float, cutoff_period: float
-):
-    """Advance the low/high frequency split of the force-error offset.
+def dcm_feedback(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y):
+    """PID DCM regulation plus force-error compensation terms.
 
-    The low band is a first-order low-pass with time constant
-    cutoff_period / (2 pi); the high band is the exact complement, so
-    gamma_low + gamma_high always reconstructs the input. The high-band rate
-    is a smoothed backward difference. Returns the three bands as arrays.
+    plan is the planned sample as in Stabilizer.step, (xi_x, xi_y) the actual
+    DCM. Returns the command ZMP, command CoM acceleration, shifted desired
+    CoM and DCM error as one flat tuple of 8 floats; the integrator and
+    derivative filter advance in place. The low-band offset shifts the
+    desired CoM and DCM; the high-band offset and its rate enter the ZMP
+    command as feedforward. All ZMP-shift terms are scaled by 1/kappa so the
+    closed loop matches the conventional tuning.
     """
-    _split(state, *_xy(gamma_err), dt, cutoff_period)
-    return (
-        np.array(state.gamma_low),
-        np.array(state.gamma_high),
-        np.array(state.gamma_high_rate),
-    )
-
-
-@dataclass
-class DesiredSample:
-    """One sample of the planned trajectory, as consumed by the stabilizer."""
-
-    com_pos: np.ndarray
-    com_acc: np.ndarray
-    dcm: np.ndarray
-    zmp: np.ndarray
-    coefficients: LipmCoefficients
-    contacts: tuple
-    support_region: tuple
-    support_feet: tuple
-
-
-@dataclass
-class ActualSample:
-    """Measured plant quantities: horizontal CoM state and true contacts."""
-
-    com_pos: np.ndarray
-    com_vel: np.ndarray
-    contacts: tuple
-
-
-def _plan_floats(desired: DesiredSample) -> tuple:
-    return (
-        *_xy(desired.com_pos),
-        *_xy(desired.com_acc),
-        *_xy(desired.dcm),
-        *_xy(desired.zmp),
-    )
-
-
-def _dcm_law(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y):
-    """dcm_feedback on floats; plan as in stabilizer_law, (xi_x, xi_y) the
-    actual DCM. Returns the command ZMP, command acceleration, shifted
-    desired CoM and DCM error as one flat tuple of 8 floats."""
     if kappa <= DEGENERATE_KAPPA:
         raise DegenerateScale(f"ZMP scale kappa={kappa:.4f} too small to command")
     cx, cy, ax, ay, dx, dy, zx, zy = plan
@@ -284,40 +234,6 @@ def _dcm_law(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y):
         cy - ly,
         ex,
         ey,
-    )
-
-
-def dcm_feedback(
-    desired: DesiredSample,
-    actual_dcm: np.ndarray,
-    state: StabilizerState,
-    gains: StabilizerGains,
-    dt: float,
-):
-    """PID DCM regulation plus force-error compensation terms.
-
-    Returns (command_zmp, command_com_accel, state, shifted_desired_com,
-    dcm_err); the integrator and derivative filter advance in place. The
-    low-band offset shifts the desired CoM and DCM; the high-band offset and
-    its rate enter the ZMP command as feedforward. All ZMP-shift terms are
-    scaled by 1/kappa so the closed loop matches the conventional tuning.
-    """
-    coeff = desired.coefficients
-    zcx, zcy, acx, acy, csx, csy, ex, ey = _dcm_law(
-        state,
-        gains,
-        dt,
-        coeff.kappa,
-        coeff.omega,
-        _plan_floats(desired),
-        *_xy(actual_dcm),
-    )
-    return (
-        np.array([zcx, zcy]),
-        np.array([acx, acy]),
-        state,
-        np.array([csx, csy]),
-        np.array([ex, ey]),
     )
 
 
@@ -431,9 +347,9 @@ def _rect_center3(rect: SoleRect, zmp_height: float) -> np.ndarray:
 
 
 def _clamped_single(net: Wrench, rect: SoleRect, zmp_height: float) -> Wrench:
-    cop = wrench_zmp(net.force, net.moment, zmp_height)
-    px, py = rect.clamp(cop).tolist()
     fx, fy, fz = net.force.tolist()
+    mx, my, _ = net.moment.tolist()
+    px, py = rect.clamp(wrench_zmp(fx, fy, fz, mx, my, zmp_height)).tolist()
     cx = 0.5 * (rect.xmin + rect.xmax)
     cy = 0.5 * (rect.ymin + rect.ymax)
     zh = zmp_height
@@ -490,7 +406,9 @@ def distribute_wrench(
             return placed, zero_wrench()
         return zero_wrench(), placed
 
-    cop = wrench_zmp(net.force, net.moment, zmp_height)
+    fx, fy, fz = net.force.tolist()
+    mx, my, _ = net.moment.tolist()
+    cop = np.array(wrench_zmp(fx, fy, fz, mx, my, zmp_height))
     rects = (left_foot, right_foot)
     hull = support_hull(rects)
     clamped = _clamp_to_hull(cop, hull)
@@ -611,109 +529,6 @@ def _active_set_qp(w0, net, centers, halves):
     raise Infeasible("wrench distribution active set did not settle")
 
 
-@dataclass(frozen=True, eq=False)
-class StabilizerOutput:
-    """Commands and diagnostics of one stabilizer step.
-
-    Foot wrench moments are about the respective foot centers; the net
-    wrench moment is about the world origin.
-    """
-
-    command_zmp: np.ndarray
-    command_com_accel: np.ndarray
-    shifted_com_des: np.ndarray
-    net_wrench: Wrench
-    left_wrench: Wrench
-    right_wrench: Wrench
-    dcm_err: np.ndarray
-    gamma_err: np.ndarray
-    gamma_low: np.ndarray
-    gamma_high: np.ndarray
-    gamma_high_rate: np.ndarray
-    zmp_saturated: bool
-    cop_clamped: bool
-
-
-def stabilizer_law(
-    state: StabilizerState,
-    gains: StabilizerGains,
-    params: RobotParams,
-    dt: float,
-    compensate_forces: bool,
-    kappa: float,
-    omega: float,
-    plan: tuple,
-    desired_rows: tuple,
-    com: tuple,
-    vel: tuple,
-    rows: tuple,
-    edges: tuple,
-):
-    """One stabilizer cycle on floats, up to the net ground wrench.
-
-    Chains the force-error measurement, the frequency split, the DCM feedback
-    law, command-ZMP saturation into the support hull and the net ground
-    wrench against the measured CoM, whose pressure point is clamped into
-    the hull. With compensate_forces False both offset bands stay zero
-    (ablation mode); gamma_err is still measured for logging.
-
-    kappa and omega are the planned sample's coefficients; plan is its
-    (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
-    acceleration, DCM and ZMP. desired_rows and rows are the planned and the
-    measured contacts as contact_rows; com and vel the measured CoM (x, y)
-    position and velocity; edges the support hull as hull_edges. The state
-    advances in place.
-
-    Returns (command_zmp, command_acc, shifted_com, dcm_err, gamma_err,
-    zmp_saturated, cop_clamped, wrench): (x, y) pairs, two flags and the net
-    ground wrench (fx, fy, fz, mx, my, mz) with its moment about the world
-    origin. Raises NonPhysical when the wrench has no vertical force and
-    Infeasible when it pulls the feet off the ground.
-    """
-    zmp_height = params.zmp_height
-    ex, ey = _force_error(rows, desired_rows, params.mass * params.gravity, zmp_height)
-    if compensate_forces:
-        _split(state, ex, ey, dt, gains.cutoff_period)
-
-    cx, cy = com
-    vx, vy = vel
-    zcx, zcy, acx, acy, csx, csy, dex, dey = _dcm_law(
-        state, gains, dt, kappa, omega, plan, cx + vx / omega, cy + vy / omega
-    )
-
-    qx, qy = _clamp_xy(zcx, zcy, edges)
-    zmp_saturated = qx != zcx or qy != zcy
-    if zmp_saturated:
-        zcx, zcy = qx, qy
-        w2k = omega * omega * kappa
-        acx = plan[2] - w2k * (zcx - plan[6])
-        acy = plan[3] - w2k * (zcy - plan[7])
-
-    fx, fy, fz, mx, my, mz = foot_wrench_terms(
-        params, cx, cy, params.com_height, acx, acy, 0.0, rows
-    )
-    # the wrench the feet can realize is capped by the support hull: clamp
-    # its pressure point and rebuild the horizontal moment to match
-    px, py = pressure_point(fx, fy, fz, mx, my, zmp_height)
-    qx, qy = _clamp_xy(px, py, edges)
-    cop_clamped = qx != px or qy != py
-    if cop_clamped:
-        mx = qy * fz - zmp_height * fy
-        my = zmp_height * fx - qx * fz
-    if not fz > 0.0:
-        raise Infeasible("net wrench must press downward on the ground")
-    return (
-        (zcx, zcy),
-        (acx, acy),
-        (csx, csy),
-        (dex, dey),
-        (ex, ey),
-        zmp_saturated,
-        cop_clamped,
-        (fx, fy, fz, mx, my, mz),
-    )
-
-
 class Stabilizer:
     """Stateful DCM stabilizer bound to one robot, gain set and control rate.
 
@@ -744,47 +559,75 @@ class Stabilizer:
         self.compensate_forces = compensate_forces
         self.state = StabilizerState()
 
-    def step(self, desired: DesiredSample, actual: ActualSample) -> StabilizerOutput:
-        """One full stabilizer cycle: stabilizer_law, then the per-foot split.
+    def step(self, kappa, omega, plan, desired_rows, com, vel, rows, edges):
+        """One stabilizer cycle on floats, up to the net ground wrench.
 
-        The net wrench comes from stabilizer_law; distribute_wrench splits it
-        between the support feet. The state advances in place.
+        Chains measure_gamma_error, split_frequency, dcm_feedback,
+        command-ZMP saturation into the support hull and the net ground
+        wrench against the measured CoM (net_foot_wrench), whose pressure
+        point (wrench_zmp) is clamped into the hull. With compensate_forces
+        False both offset bands stay zero (ablation mode); gamma_err is
+        still measured for logging.
+
+        kappa and omega are the planned sample's coefficients; plan is its
+        (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
+        acceleration, DCM and ZMP. desired_rows and rows are the planned and
+        the measured contacts as contact_rows; com and vel the measured CoM
+        (x, y) position and velocity; edges the support hull as hull_edges.
+        The state advances in place.
+
+        Returns (command_zmp, command_acc, shifted_com, dcm_err, gamma_err,
+        zmp_saturated, cop_clamped, wrench): (x, y) pairs, two flags and the
+        net ground wrench (fx, fy, fz, mx, my, mz) with its moment about the
+        world origin; distribute_wrench splits that wrench between the feet.
+        Raises NonPhysical when the wrench has no vertical force and
+        Infeasible when it pulls the feet off the ground.
         """
         state = self.state
+        gains = self.gains
         params = self.params
-        coeff = desired.coefficients
-        zc, acc, shifted, dcm_err, gamma_err, saturated, cop_clamped, w = stabilizer_law(
-            state,
-            self.gains,
-            params,
-            self.dt,
-            self.compensate_forces,
-            coeff.kappa,
-            coeff.omega,
-            _plan_floats(desired),
-            contact_rows(desired.contacts),
-            _xy(actual.com_pos),
-            _xy(actual.com_vel),
-            contact_rows(actual.contacts),
-            hull_edges(support_hull(desired.support_region)),
+        dt = self.dt
+        zmp_height = params.zmp_height
+        ex, ey = measure_gamma_error(
+            rows, desired_rows, params.mass * params.gravity, zmp_height
         )
-        net = Wrench(force=np.array(w[:3]), moment=np.array(w[3:]))
-        by_name = dict(zip(desired.support_feet, desired.support_region))
-        left_wrench, right_wrench = distribute_wrench(
-            net, by_name.get("left"), by_name.get("right"), params.zmp_height
+        if self.compensate_forces:
+            split_frequency(state, ex, ey, dt, gains.cutoff_period)
+
+        cx, cy = com
+        vx, vy = vel
+        zcx, zcy, acx, acy, csx, csy, dex, dey = dcm_feedback(
+            state, gains, dt, kappa, omega, plan, cx + vx / omega, cy + vy / omega
         )
-        return StabilizerOutput(
-            command_zmp=np.array(zc),
-            command_com_accel=np.array(acc),
-            shifted_com_des=np.array(shifted),
-            net_wrench=net,
-            left_wrench=left_wrench,
-            right_wrench=right_wrench,
-            dcm_err=np.array(dcm_err),
-            gamma_err=np.array(gamma_err),
-            gamma_low=np.array(state.gamma_low),
-            gamma_high=np.array(state.gamma_high),
-            gamma_high_rate=np.array(state.gamma_high_rate),
-            zmp_saturated=saturated,
-            cop_clamped=cop_clamped,
+
+        qx, qy = _clamp_xy(zcx, zcy, edges)
+        zmp_saturated = qx != zcx or qy != zcy
+        if zmp_saturated:
+            zcx, zcy = qx, qy
+            w2k = omega * omega * kappa
+            acx = plan[2] - w2k * (zcx - plan[6])
+            acy = plan[3] - w2k * (zcy - plan[7])
+
+        fx, fy, fz, mx, my, mz = net_foot_wrench(
+            params, cx, cy, params.com_height, acx, acy, 0.0, rows
+        )
+        # the wrench the feet can realize is capped by the support hull: clamp
+        # its pressure point and rebuild the horizontal moment to match
+        px, py = wrench_zmp(fx, fy, fz, mx, my, zmp_height)
+        qx, qy = _clamp_xy(px, py, edges)
+        cop_clamped = qx != px or qy != py
+        if cop_clamped:
+            mx = qy * fz - zmp_height * fy
+            my = zmp_height * fx - qx * fz
+        if not fz > 0.0:
+            raise Infeasible("net wrench must press downward on the ground")
+        return (
+            (zcx, zcy),
+            (acx, acy),
+            (csx, csy),
+            (dex, dey),
+            (ex, ey),
+            zmp_saturated,
+            cop_clamped,
+            (fx, fy, fz, mx, my, mz),
         )

@@ -27,6 +27,7 @@ from locomanip.core_dynamics import (
     ExternalContact,
     ZmpPoint,
     compute_coefficients,
+    contact_rows,
     dcm_of,
     dcm_rate,
     lipm_accel,
@@ -271,7 +272,8 @@ def _split_exactness(steps=200, seed=5):
     worst = 0.0
     for _ in range(steps):
         gamma = gamma + rng.normal(scale=0.01, size=2)
-        low, high, _ = split_frequency(state, gamma, 0.002, 1.0)
+        split_frequency(state, *gamma.tolist(), 0.002, 1.0)
+        low, high = np.array(state.gamma_low), np.array(state.gamma_high)
         worst = max(worst, float(np.max(np.abs(low + high - gamma))))
     return worst
 
@@ -289,10 +291,11 @@ def _recombination(draws=100, seed=3):
         target = rng.uniform((-0.08, -0.12), (0.08, 0.12))
         com = np.array([*rng.uniform(-0.03, 0.03, 2), 0.8])
         acc2 = w2 * (com[:2] - coeff.kappa * target + coeff.gamma)
-        force, moment = net_foot_wrench(
-            PARAMS, com, np.array([*acc2, 0.0]), contacts
+        w = net_foot_wrench(
+            PARAMS, *com.tolist(), *acc2.tolist(), 0.0, contact_rows(contacts)
         )
-        assert np.max(np.abs(wrench_zmp(force, moment) - target)) < 1e-9
+        force, moment = np.array(w[:3]), np.array(w[3:])
+        assert np.max(np.abs(np.array(wrench_zmp(*w[:5])) - target)) < 1e-9
         left, right = distribute_wrench(
             Wrench(force=force, moment=moment), LEFT_SOLE, RIGHT_SOLE
         )

@@ -217,6 +217,19 @@ class TestCompare:
         assert lines[0].startswith("metric=rms_zmp_dev_x ")
         assert lines[1].startswith("metric=max_dcm_err_y ")
 
+    def test_run_only_metric_names_what_a_trace_yields(self, two_traces, capsys):
+        """Clamp counts come from metrics.txt; compare says which names work."""
+        a, b = two_traces
+        code = run_cli("compare", str(a), str(b), "--metric", "zmp_saturated_steps")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "unknown comparison metric 'zmp_saturated_steps'" in err
+        assert "a trace CSV yields rms_zmp_dev_x, " in err
+        assert "mean_com_zmp_offset_y." in err
+        assert "cop_clamped_steps" in err
+        assert "rms_implied_zmp_dev_*" in err
+        assert "metrics.txt" in err
+
     def test_schema_mismatch_exits_one(self, two_traces, tmp_path, capsys):
         a, b = two_traces
         text = b.read_text().splitlines()

@@ -12,6 +12,7 @@ from locomanip.core_dynamics import (
     RobotParams,
     ZmpPoint,
     compute_coefficients,
+    contact_rows,
     dcm_of,
     dcm_rate,
     ext_zmp,
@@ -124,13 +125,16 @@ def test_net_wrench_without_contacts_recovers_lipm_zmp():
         vel = rng.normal(size=2) * 0.3
         z = ZmpPoint(rng.normal(size=2) * 0.05)
         com = CoMState(pos, vel, lipm_accel(coeff, CoMState(pos, vel, [0, 0]), z))
-        force, moment = net_foot_wrench(
+        w = net_foot_wrench(
             PARAMS,
-            np.array([pos[0], pos[1], PARAMS.com_height]),
-            np.array([com.acceleration[0], com.acceleration[1], 0.0]),
+            *pos.tolist(),
+            PARAMS.com_height,
+            *com.acceleration.tolist(),
+            0.0,
+            (),
         )
         np.testing.assert_allclose(
-            wrench_zmp(force, moment, PARAMS.zmp_height), z.position, rtol=0, atol=1e-15
+            wrench_zmp(*w[:5], PARAMS.zmp_height), z.position, rtol=0, atol=1e-15
         )
 
 
@@ -148,14 +152,16 @@ def test_net_wrench_cop_is_the_driving_zmp():
         pos = rng.normal(size=2) * 0.1
         z = ZmpPoint(rng.normal(size=2) * 0.05)
         acc = lipm_accel(coeff, CoMState(pos, [0, 0], [0, 0]), z)
-        force, moment = net_foot_wrench(
+        w = net_foot_wrench(
             PARAMS,
-            np.array([pos[0], pos[1], PARAMS.com_height]),
-            np.array([acc[0], acc[1], 0.0]),
-            cons,
+            *pos.tolist(),
+            PARAMS.com_height,
+            *acc.tolist(),
+            0.0,
+            contact_rows(cons),
         )
         np.testing.assert_allclose(
-            wrench_zmp(force, moment, PARAMS.zmp_height), z.position, rtol=0, atol=1e-12
+            wrench_zmp(*w[:5], PARAMS.zmp_height), z.position, rtol=0, atol=1e-12
         )
 
 
@@ -169,9 +175,9 @@ def test_net_wrench_moment_round_trip():
         ]
         c3 = rng.normal(size=3)
         a3 = rng.normal(size=3)
-        force, moment = net_foot_wrench(PARAMS, c3, a3, cons)
-        total_f = force.copy()
-        total_m = moment.copy()
+        w = net_foot_wrench(PARAMS, *c3.tolist(), *a3.tolist(), contact_rows(cons))
+        total_f = np.array(w[:3])
+        total_m = np.array(w[3:])
         for con in cons:
             total_f += con.force
             total_m += np.cross(con.position, con.force) + con.moment
@@ -202,7 +208,8 @@ def test_net_wrench_matches_array_form_bit_for_bit():
             ]
             cases.append((rng.normal(size=3), rng.normal(size=3), cons))
     for c3, a3, cons in cases:
-        got = net_foot_wrench(PARAMS, c3, a3, cons)
+        w = net_foot_wrench(PARAMS, *c3.tolist(), *a3.tolist(), contact_rows(cons))
+        got = np.array(w[:3]), np.array(w[3:])
         want = reference(c3, a3, cons)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -211,14 +218,14 @@ def test_net_wrench_matches_array_form_bit_for_bit():
 def test_wrench_zmp_honors_ground_height():
     force = np.array([10.0, -4.0, 200.0])
     moment = np.array([3.0, 2.0, 0.0])
-    z0 = wrench_zmp(force, moment, 0.0)
-    z1 = wrench_zmp(force, moment, 0.2)
+    z0 = np.array(wrench_zmp(*force.tolist(), *moment[:2].tolist(), 0.0))
+    z1 = np.array(wrench_zmp(*force.tolist(), *moment[:2].tolist(), 0.2))
     np.testing.assert_allclose(z1 - z0, 0.2 * force[:2] / force[2], rtol=1e-14)
 
 
 def test_wrench_zmp_requires_vertical_force():
     with pytest.raises(NonPhysical):
-        wrench_zmp(np.array([10.0, 0.0, 0.0]), np.zeros(3))
+        wrench_zmp(10.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_degenerate_scale_flag():

@@ -17,7 +17,12 @@ from _pipeline import (
     standing_timeline,
 )
 
-from locomanip.core_dynamics import CoMState
+from locomanip.core_dynamics import (
+    CoMState,
+    compute_coefficients,
+    contact_rows,
+    contact_terms,
+)
 from locomanip.errors import Infeasible, NonPhysical
 from locomanip.plant_sim import (
     CSV_COLUMNS,
@@ -38,20 +43,29 @@ from locomanip.scenario import (
     parse_config,
 )
 from locomanip.stabilizer import (
-    ActualSample,
-    DesiredSample,
     Stabilizer,
     StabilizerGains,
+    hull_edges,
+    support_hull,
 )
 
 RHO = 20.0
 
 
 def resting_state(pos=(0.0, 0.0), zmp=(0.0, 0.0)):
-    return PlantState(
-        com=CoMState(position=pos, velocity=(0.0, 0.0), acceleration=(0.0, 0.0)),
-        zmp_actual=np.array(zmp, dtype=float),
-        time=0.0,
+    """A plant at rest as step_plant returns it:
+    (px, py, vx, vy, ax, ay, zx, zy, zmp_clamped)."""
+    return (*pos, 0.0, 0.0, 0.0, 0.0, *zmp, False)
+
+
+def advance(state, zc, contacts=(), direct_zmp=False, bounds=None):
+    """step_plant from a state as it returns one, under the given contacts."""
+    coeff = compute_coefficients(PARAMS, contacts)
+    px, py, vx, vy, _, _, zx, zy, _ = state
+    return step_plant(
+        px, py, vx, vy, zx, zy, *np.asarray(zc, dtype=float).tolist(),
+        None if direct_zmp else math.exp(-RHO * DT), bounds,
+        coeff.omega, coeff.kappa, *coeff.gamma.tolist(), DT,
     )
 
 
@@ -60,74 +74,57 @@ class TestStepPlant:
         state = resting_state()
         zc = np.zeros(2)
         for _ in range(int(1.0 / DT)):
-            state = step_plant(state, zc, (), PARAMS, RHO, DT)
-        assert np.all(np.abs(state.com.position) < 1e-9)
-        assert np.all(state.zmp_actual == 0.0)
+            state = advance(state, zc)
+        assert np.all(np.abs(np.array(state[0:2])) < 1e-9)
+        assert np.all(np.array(state[6:8]) == 0.0)
 
     def test_shifted_equilibrium_with_hands(self):
         contacts = hand_pair(fx=-50.0)
-        from locomanip.core_dynamics import compute_coefficients
-
         coeff = compute_coefficients(PARAMS, contacts)
         com0 = coeff.kappa * np.zeros(2) - coeff.gamma
-        state = PlantState(
-            com=CoMState(position=com0, velocity=(0, 0), acceleration=(0, 0)),
-            zmp_actual=np.zeros(2),
-            time=0.0,
-        )
+        state = resting_state(pos=com0.tolist())
         for _ in range(500):
-            state = step_plant(state, np.zeros(2), contacts, PARAMS, RHO, DT)
-        assert np.allclose(state.com.position, com0, atol=1e-9)
+            state = advance(state, np.zeros(2), contacts)
+        assert np.allclose(state[0:2], com0, atol=1e-9)
 
     def test_direct_mode_copies_command(self):
         state = resting_state(zmp=(0.05, 0.0))
         zc = np.array([0.02, -0.01])
-        nxt = step_plant(state, zc, (), PARAMS, RHO, DT, direct_zmp=True)
-        assert np.all(nxt.zmp_actual == zc)
+        nxt = advance(state, zc, direct_zmp=True)
+        assert np.all(np.array(nxt[6:8]) == zc)
 
     def test_lag_is_exact_exponential(self):
         z0 = np.array([0.08, -0.03])
         zc = np.array([0.01, 0.01])
-        state = resting_state(zmp=z0)
+        state = resting_state(zmp=z0.tolist())
         for k in range(1, 51):
-            state = step_plant(state, zc, (), PARAMS, RHO, DT)
+            state = advance(state, zc)
             expected = zc + (z0 - zc) * math.exp(-RHO * k * DT)
-            assert np.allclose(state.zmp_actual, expected, atol=1e-12)
+            assert np.allclose(state[6:8], expected, atol=1e-12)
 
     def test_free_dcm_grows_exponentially(self):
         """Pinned ZMP, no contacts: the divergent mode follows 0.01 e^(w t)."""
         xi0 = 0.01
-        state = PlantState(
-            com=CoMState(
-                position=(0.5 * xi0, 0.0),
-                velocity=(0.5 * xi0 * OMEGA, 0.0),
-                acceleration=(0.0, 0.0),
-            ),
-            zmp_actual=np.zeros(2),
-            time=0.0,
-        )
+        state = (0.5 * xi0, 0.0, 0.5 * xi0 * OMEGA, 0.0, 0.0, 0.0, 0.0, 0.0, False)
         n = int(0.5 / DT)
         for _ in range(n):
-            state = step_plant(state, np.zeros(2), (), PARAMS, RHO, DT, direct_zmp=True)
-        xi = state.com.position[0] + state.com.velocity[0] / OMEGA
+            state = advance(state, np.zeros(2), direct_zmp=True)
+        xi = state[0] + state[2] / OMEGA
         assert xi == pytest.approx(xi0 * math.exp(OMEGA * n * DT), rel=1e-3)
 
     def test_clamp_into_enlarged_region(self):
         rect = SoleRect(-0.13, 0.13, -0.17, 0.17)
         state = resting_state()
-        nxt = step_plant(
-            state, np.array([0.4, 0.0]), (), PARAMS, RHO, DT,
-            direct_zmp=True, clamp_rect=rect,
+        nxt = advance(
+            state, np.array([0.4, 0.0]), direct_zmp=True,
+            bounds=(rect.xmin, rect.xmax, rect.ymin, rect.ymax),
         )
-        assert nxt.zmp_clamped
-        assert nxt.zmp_actual[0] == pytest.approx(0.13, abs=1e-15)
+        assert nxt[8]
+        assert nxt[6] == pytest.approx(0.13, abs=1e-15)
 
     def test_non_finite_state_is_rejected(self):
         with pytest.raises(ValueError, match="position: components must be finite"):
-            step_plant(
-                resting_state(), np.array([math.inf, 0.0]), (), PARAMS, RHO, DT,
-                direct_zmp=True,
-            )
+            advance(resting_state(), np.array([math.inf, 0.0]), direct_zmp=True)
 
 
 class TestDisturbanceProfile:
@@ -156,32 +153,32 @@ class TestDisturbanceProfile:
         assert const.value(1e6) == -5.0
 
     def test_apply_returns_same_tuple_when_inactive(self):
-        contacts = hand_pair(fx=-50.0)
+        rows = contact_rows(hand_pair(fx=-50.0))
         prof = DisturbanceProfile(kind="step", amplitude=10.0, start_time=4.0)
-        assert apply_disturbances(contacts, (prof,), 1.0) is contacts
-        assert apply_disturbances(contacts, (), 1.0) is contacts
+        assert apply_disturbances(rows, (prof,), 1.0) is rows
+        assert apply_disturbances(rows, (), 1.0) is rows
 
     def test_apply_targets_one_contact(self):
         contacts = hand_pair(fx=-50.0)
         prof = DisturbanceProfile(
             kind="constant", axis="z", amplitude=40.0, contact_index=1
         )
-        out = apply_disturbances(contacts, (prof,), 0.0)
-        assert out[0].force[2] == 0.0
-        assert out[1].force[2] == 40.0
-        assert out[0].force[0] == -50.0
+        out = apply_disturbances(contact_rows(contacts), (prof,), 0.0)
+        assert out[0][2] == 0.0
+        assert out[1][2] == 40.0
+        assert out[0][0] == -50.0
 
     def test_apply_rejects_missing_contact(self):
         """An index past the contacts present fails instead of being dropped."""
         prof = DisturbanceProfile(kind="constant", amplitude=-400.0, contact_index=7)
         with pytest.raises(IndexError):
-            apply_disturbances(hand_pair(fx=-50.0), (prof,), 0.0)
+            apply_disturbances(contact_rows(hand_pair(fx=-50.0)), (prof,), 0.0)
 
     def test_apply_broadcasts_without_index(self):
         contacts = hand_pair(fx=-50.0)
         prof = DisturbanceProfile(kind="constant", axis="x", amplitude=15.0)
-        out = apply_disturbances(contacts, (prof,), 0.0)
-        assert all(c.force[0] == -35.0 for c in out)
+        out = apply_disturbances(contact_rows(contacts), (prof,), 0.0)
+        assert all(r[0] == -35.0 for r in out)
 
 
 class TestClosedLoop:
@@ -323,7 +320,7 @@ def first_samples(traj, n):
 
 
 class TestOneLaw:
-    """The closed loop and the per-sample API run the same laws."""
+    """The closed loop runs the per-sample laws and nothing else."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -333,76 +330,94 @@ class TestOneLaw:
                 "disturbances=[{kind: sinusoid, axis: x, amplitude_n: 40.0, "
                 "period_s: 0.3, start_s: 0.1, contact_index: 1}]",
             ),
+            (
+                "disturbances=[{kind: step, axis: x, amplitude_n: 60.0, "
+                "start_s: 2.0, end_s: 2.4}]",
+            ),
         ],
-        ids=["testcase1", "testcase1-push"],
+        ids=["testcase1", "testcase1-push", "testcase1-shove"],
     )
     def test_loop_matches_per_sample_steps(self, overrides):
+        """4.5 s of testcase1: the first steps (support phases change from
+        1.8 s) and the hand ramp (one contact set per sample over 3-4 s), so
+        the loop's per-phase and per-contact-set caches are compared with
+        hull edges, clamp bounds and contact rows rebuilt on every sample.
+        The shove saturates the command in single support, where a stale
+        double-support hull would not."""
+        n = 2250
         bundle = scenario_bundle("testcase1", *overrides)
-        traj = first_samples(bundle.traj, 500)
+        traj = first_samples(bundle.traj, n)
         trace = loop_of(dataclasses.replace(bundle, traj=traj))
+        timeline = traj.timeline
+        assert len(set(timeline.phase.tolist())) > 2
+        assert len(set(timeline.contact_index.tolist())) > 2
 
         stab = bundle.stabilizer
         by_hand = Stabilizer(
             stab.params, stab.gains, stab.dt, compensate_forces=stab.compensate_forces
         )
-        state = PlantState(
-            com=CoMState(
-                position=traj.com_pos[0],
-                velocity=traj.com_vel[0],
-                acceleration=traj.com_acc[0],
-            ),
-            zmp_actual=np.array(traj.zmp[0]),
-            time=float(traj.time[0]),
-        )
+        params = stab.params
+        unloaded = compute_coefficients(params)
+        decay = math.exp(-stab.gains.rho * traj.dt)
+        px, py = traj.com_pos[0].tolist()
+        vx, vy = traj.com_vel[0].tolist()
+        zx, zy = traj.zmp[0].tolist()
         logged = {name: [] for name in (
             "z_x^c", "z_y^c", "gamma_err_x", "gamma_err_y", "gammaH_x",
             "gammaH_y", "gammaL_x", "gammaL_y", "zmp_saturated",
             "cop_clamped", "zmp_clamped", "c_x^a",
         )}
-        for k in range(len(traj.timeline)):
-            frame = traj.timeline.frame(k)
-            true = apply_disturbances(frame.contacts, bundle.disturbances, traj.time[k])
-            out = by_hand.step(
-                DesiredSample(
-                    com_pos=traj.com_pos[k],
-                    com_acc=traj.com_acc[k],
-                    dcm=traj.dcm[k],
-                    zmp=traj.zmp[k],
-                    coefficients=frame.coefficients,
-                    contacts=frame.contacts,
-                    support_region=frame.support_region,
-                    support_feet=frame.support_feet,
-                ),
-                ActualSample(
-                    com_pos=state.com.position,
-                    com_vel=state.com.velocity,
-                    contacts=true,
-                ),
+        for k in range(len(timeline)):
+            frame = timeline.frame(k)
+            coeff = frame.coefficients
+            desired_rows = contact_rows(frame.contacts)
+            true = apply_disturbances(desired_rows, bundle.disturbances, traj.time[k])
+            plan = (
+                *traj.com_pos[k].tolist(),
+                *traj.com_acc[k].tolist(),
+                *traj.dcm[k].tolist(),
+                *traj.zmp[k].tolist(),
             )
+            command_zmp, _, _, _, gamma_err, saturated, cop_clamped, _ = by_hand.step(
+                coeff.kappa,
+                coeff.omega,
+                plan,
+                desired_rows,
+                (px, py),
+                (vx, vy),
+                true,
+                hull_edges(support_hull(frame.support_region)),
+            )
+            state = by_hand.state
             for axis, i in (("x", 0), ("y", 1)):
-                logged[f"z_{axis}^c"].append(out.command_zmp[i])
-                logged[f"gamma_err_{axis}"].append(out.gamma_err[i])
-                logged[f"gammaH_{axis}"].append(out.gamma_high[i])
-                logged[f"gammaL_{axis}"].append(out.gamma_low[i])
-            logged["zmp_saturated"].append(float(out.zmp_saturated))
-            logged["cop_clamped"].append(float(out.cop_clamped))
-            logged["c_x^a"].append(state.com.position[0])
+                logged[f"z_{axis}^c"].append(command_zmp[i])
+                logged[f"gamma_err_{axis}"].append(gamma_err[i])
+                logged[f"gammaH_{axis}"].append(state.gamma_high[i])
+                logged[f"gammaL_{axis}"].append(state.gamma_low[i])
+            logged["zmp_saturated"].append(float(saturated))
+            logged["cop_clamped"].append(float(cop_clamped))
+            logged["c_x^a"].append(px)
             base = SoleRect.bounding(frame.support_region)
             m = ZMP_CLAMP_MARGIN
-            state = step_plant(
-                state, out.command_zmp, true, stab.params, stab.gains.rho, traj.dt,
-                clamp_rect=SoleRect(
-                    base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m
-                ),
+            *_, kappa, gx, gy = contact_terms(true, unloaded.zeta, params.zmp_height)
+            px, py, vx, vy, _, _, zx, zy, clamped = step_plant(
+                px, py, vx, vy, zx, zy, *command_zmp, decay,
+                (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
+                unloaded.omega, kappa, gx, gy, traj.dt,
             )
-            logged["zmp_clamped"].append(float(state.zmp_clamped))
+            logged["zmp_clamped"].append(float(clamped))
 
-        assert len(trace) == 500
+        assert len(trace) == n
         for name, values in logged.items():
             column = trace.columns.get(name, trace.extra.get(name))
             assert np.array(values).tobytes() == column.tobytes(), name
         if overrides:
             assert np.any(trace["gammaH_x"] != 0.0)
+        if "shove" in str(overrides):
+            single = np.array([len(f) == 1 for f in timeline.support_feet])[
+                timeline.phase
+            ]
+            assert np.any(trace.extra["zmp_saturated"][single] != 0.0)
         # the loop leaves its stabilizer where the per-sample steps leave theirs
         assert stab.state == by_hand.state
 

@@ -1,6 +1,7 @@
 """Unit tests for the DCM stabilizer and foot wrench distribution."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,14 +11,12 @@ from locomanip.core_dynamics import (
     ExternalContact,
     RobotParams,
     compute_coefficients,
-    net_foot_wrench,
+    contact_rows,
     wrench_zmp,
 )
 from locomanip.errors import DegenerateScale, Infeasible
 from locomanip.reference_builder import SoleRect
 from locomanip.stabilizer import (
-    ActualSample,
-    DesiredSample,
     Stabilizer,
     StabilizerGains,
     StabilizerState,
@@ -26,6 +25,7 @@ from locomanip.stabilizer import (
     conventional_closed_loop_matrix,
     dcm_feedback,
     distribute_wrench,
+    hull_edges,
     measure_gamma_error,
     scaled_closed_loop_matrix,
     split_frequency,
@@ -33,6 +33,7 @@ from locomanip.stabilizer import (
 )
 
 PARAMS = RobotParams(mass=100.0)
+ZETA = PARAMS.mass * PARAMS.gravity
 OMEGA = math.sqrt(9.81 / 0.8)
 DT = 0.002
 
@@ -59,29 +60,80 @@ def standing_sample(contacts=(), com=None, zmp=None):
         com = coeff.kappa * zmp - coeff.gamma
     com = np.asarray(com, dtype=float)
     acc = coeff.omega**2 * (com - coeff.kappa * zmp + coeff.gamma)
-    return DesiredSample(
+    return planned(com, acc, com.copy(), zmp, coeff, contacts)
+
+
+def planned(com, acc, dcm, zmp, coeff, contacts=()):
+    """A planned sample: its arrays, coefficients, contact_rows and the plan
+    tuple (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y) the laws take."""
+    return SimpleNamespace(
         com_pos=com,
         com_acc=acc,
-        dcm=com.copy(),
+        dcm=dcm,
         zmp=zmp,
         coefficients=coeff,
-        contacts=tuple(contacts),
-        support_region=(LEFT, RIGHT),
-        support_feet=("left", "right"),
+        rows=contact_rows(contacts),
+        plan=(*com.tolist(), *acc.tolist(), *dcm.tolist(), *zmp.tolist()),
     )
+
+
+def gamma_error(desired, actual):
+    return np.array(
+        measure_gamma_error(
+            contact_rows(actual), contact_rows(desired), ZETA, PARAMS.zmp_height
+        )
+    )
+
+
+def bands(state):
+    """(gamma_low, gamma_high, gamma_high_rate) of the state, as arrays."""
+    return tuple(
+        np.array(b) for b in (state.gamma_low, state.gamma_high, state.gamma_high_rate)
+    )
+
+
+def feedback(desired, xi, state, gains):
+    """dcm_feedback on a planned sample: (command_zmp, command_acc,
+    shifted_com, dcm_err) as arrays."""
+    coeff = desired.coefficients
+    out = dcm_feedback(
+        state, gains, DT, coeff.kappa, coeff.omega, desired.plan, *np.asarray(xi).tolist()
+    )
+    return tuple(np.array(out[i : i + 2]) for i in (0, 2, 4, 6))
+
+
+def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
+    """One Stabilizer.step on a planned sample and measured CoM and contacts."""
+    coeff = desired.coefficients
+    return stab.step(
+        coeff.kappa,
+        coeff.omega,
+        desired.plan,
+        desired.rows,
+        tuple(np.asarray(com, dtype=float).tolist()),
+        tuple(np.asarray(vel, dtype=float).tolist()),
+        contact_rows(contacts),
+        hull_edges(support_hull(region)),
+    )
+
+
+def net_of(out):
+    """The net ground wrench a Stabilizer.step returned, as a Wrench."""
+    w = out[7]
+    return Wrench(force=np.array(w[:3]), moment=np.array(w[3:]))
 
 
 class TestGammaError:
     def test_matching_contacts_cancel(self):
         con = hands(fx=-50.0)
-        err = measure_gamma_error(con, con, PARAMS)
+        err = gamma_error(con, con)
         assert np.all(err == 0.0)
 
     def test_hand_force_shortfall(self):
         # 30 N extra backward force per hand at 1 m: 2*(-30)*1.0/981
         desired = hands(fx=-50.0)
         actual = hands(fx=-80.0)
-        err = measure_gamma_error(desired, actual, PARAMS)
+        err = gamma_error(desired, actual)
         assert err[0] == pytest.approx(2.0 * -30.0 / 981.0, rel=1e-12)
         assert err[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -96,13 +148,13 @@ class TestGammaError:
                 force=(0, 0, 160.0), moment=(0, 0, 0), position=(0, 0, 1.0)
             ),
         )
-        err = measure_gamma_error(desired, actual, PARAMS)
+        err = gamma_error(desired, actual)
         assert np.allclose(err, 0.0, atol=1e-15)
 
     def test_different_list_lengths(self):
         desired = hands(fx=-50.0)
         actual = ()
-        err = measure_gamma_error(desired, actual, PARAMS)
+        err = gamma_error(desired, actual)
         assert err[0] == pytest.approx(2.0 * 50.0 / 981.0, rel=1e-12)
 
 
@@ -111,7 +163,8 @@ class TestSplitFrequency:
         state = StabilizerState()
         gam = np.array([0.04, -0.02])
         for _ in range(int(10.0 / DT)):
-            low, high, rate = split_frequency(state, gam, DT, 1.0)
+            split_frequency(state, *gam.tolist(), DT, 1.0)
+            low, high, rate = bands(state)
         assert np.allclose(low, gam, atol=1e-12)
         assert np.allclose(high, 0.0, atol=1e-12)
         assert np.allclose(rate, 0.0, atol=1e-9)
@@ -119,7 +172,8 @@ class TestSplitFrequency:
     def test_step_lands_in_high_band_first(self):
         state = StabilizerState()
         gam = np.array([0.05, 0.0])
-        low, high, _ = split_frequency(state, gam, DT, 1.0)
+        split_frequency(state, *gam.tolist(), DT, 1.0)
+        low, high, _ = bands(state)
         assert high[0] > 0.9 * gam[0]
         assert abs(low[0]) < 0.1 * gam[0]
 
@@ -129,7 +183,8 @@ class TestSplitFrequency:
         gam = np.zeros(2)
         for _ in range(500):
             gam = gam + 0.001 * rng.standard_normal(2)
-            low, high, _ = split_frequency(state, gam, DT, 1.0)
+            split_frequency(state, *gam.tolist(), DT, 1.0)
+            low, high, _ = bands(state)
             assert np.allclose(low + high, gam, rtol=0.0, atol=1e-12)
 
     def test_sinusoid_matches_analytic_high_pass(self):
@@ -146,7 +201,8 @@ class TestSplitFrequency:
         for k in range(n):
             t = k * DT
             gam = np.array([amp * math.sin(w * t), 0.0])
-            _, high, _ = split_frequency(state, gam, DT, cutoff)
+            split_frequency(state, *gam.tolist(), DT, cutoff)
+            _, high, _ = bands(state)
             if t > 8.0 * period:
                 peak = max(peak, abs(high[0]))
         assert peak / amp == pytest.approx(expected, rel=0.05)
@@ -156,8 +212,8 @@ class TestDcmFeedback:
     def test_zero_error_passthrough(self):
         desired = standing_sample(hands(fx=-50.0))
         state = StabilizerState()
-        z_c, acc_c, _, com_shift, err = dcm_feedback(
-            desired, desired.dcm, state, StabilizerGains(), DT
+        z_c, acc_c, com_shift, err = feedback(
+            desired, desired.dcm, state, StabilizerGains()
         )
         assert np.all(z_c == desired.zmp)
         assert np.all(acc_c == desired.com_acc)
@@ -175,8 +231,8 @@ class TestDcmFeedback:
         assert desired.coefficients.kappa == pytest.approx(0.5, rel=1e-12)
         state = StabilizerState()
         e = np.array([0.01, -0.004])
-        z_c, acc_c, _, _, _ = dcm_feedback(
-            desired, desired.dcm + e, state, StabilizerGains(), DT
+        z_c, acc_c, _, _ = feedback(
+            desired, desired.dcm + e, state, StabilizerGains()
         )
         assert np.allclose(z_c - desired.zmp, 2.5 * e, atol=1e-15)
         assert np.allclose(
@@ -188,8 +244,8 @@ class TestDcmFeedback:
         state = StabilizerState()
         state.gamma_low = np.array([-0.03, 0.0])
         # actual DCM tracks the shifted reference: no residual feedback
-        z_c, acc_c, _, com_shift, err = dcm_feedback(
-            desired, desired.dcm - state.gamma_low, state, StabilizerGains(), DT
+        z_c, acc_c, com_shift, err = feedback(
+            desired, desired.dcm - state.gamma_low, state, StabilizerGains()
         )
         assert np.all(com_shift == desired.com_pos - state.gamma_low)
         assert np.allclose(err, 0.0, atol=1e-15)
@@ -201,8 +257,8 @@ class TestDcmFeedback:
         kappa = desired.coefficients.kappa
         state = StabilizerState()
         state.gamma_high = np.array([0.02, 0.0])
-        z_c, acc_c, _, _, _ = dcm_feedback(
-            desired, desired.dcm, state, StabilizerGains(), DT
+        z_c, acc_c, _, _ = feedback(
+            desired, desired.dcm, state, StabilizerGains()
         )
         assert np.allclose(z_c - desired.zmp, state.gamma_high / kappa, atol=1e-15)
         assert np.allclose(
@@ -218,7 +274,7 @@ class TestDcmFeedback:
         desired = standing_sample(contacts, com=np.zeros(2))
         state = StabilizerState()
         with pytest.raises(DegenerateScale):
-            dcm_feedback(desired, desired.dcm, state, StabilizerGains(), DT)
+            feedback(desired, desired.dcm, state, StabilizerGains())
 
     def test_integrator_clamps(self):
         desired = standing_sample()
@@ -226,7 +282,7 @@ class TestDcmFeedback:
         state = StabilizerState()
         e = np.array([0.05, -0.05])
         for _ in range(2000):
-            dcm_feedback(desired, desired.dcm + e, state, gains, DT)
+            feedback(desired, desired.dcm + e, state, gains)
         assert np.all(np.abs(state.dcm_error_integral) <= 0.01 + 1e-15)
 
 
@@ -430,18 +486,20 @@ class TestStepStabilizer:
     def test_nominal_tracking_reproduces_desired(self):
         contacts = hands(fx=-50.0)
         desired = standing_sample(contacts)
-        actual = ActualSample(
-            com_pos=desired.com_pos.copy(),
-            com_vel=np.zeros(2),
-            contacts=contacts,
+        out = stabilize(
+            Stabilizer(PARAMS, StabilizerGains(), DT),
+            desired,
+            desired.com_pos.copy(),
+            np.zeros(2),
+            contacts,
         )
-        out = Stabilizer(PARAMS, StabilizerGains(), DT).step(desired, actual)
-        assert np.all(out.command_zmp == desired.zmp)
-        assert np.all(out.command_com_accel == desired.com_acc)
-        assert np.all(out.dcm_err == 0.0)
-        assert not out.zmp_saturated and not out.cop_clamped
+        command_zmp, command_com_accel, _, dcm_err, _, saturated, cop_clamped, w = out
+        assert np.all(np.array(command_zmp) == desired.zmp)
+        assert np.all(np.array(command_com_accel) == desired.com_acc)
+        assert np.all(np.array(dcm_err) == 0.0)
+        assert not saturated and not cop_clamped
         # realized pressure point is the desired ZMP
-        cop = wrench_zmp(out.net_wrench.force, out.net_wrench.moment)
+        cop = np.array(wrench_zmp(*w[:5]))
         assert np.allclose(cop, desired.zmp, atol=1e-12)
 
     def test_wrench_recombination_under_disturbance(self):
@@ -449,22 +507,27 @@ class TestStepStabilizer:
         desired = standing_sample(hands(fx=-50.0))
         gains = StabilizerGains()
         for _ in range(20):
-            actual = ActualSample(
-                com_pos=desired.com_pos + 0.01 * rng.standard_normal(2),
-                com_vel=0.02 * rng.standard_normal(2),
-                contacts=hands(fx=-50.0 + 10.0 * rng.standard_normal()),
+            out = stabilize(
+                Stabilizer(PARAMS, gains, DT),
+                desired,
+                desired.com_pos + 0.01 * rng.standard_normal(2),
+                0.02 * rng.standard_normal(2),
+                hands(fx=-50.0 + 10.0 * rng.standard_normal()),
             )
-            out = Stabilizer(PARAMS, gains, DT).step(desired, actual)
-            net_f = out.left_wrench.force + out.right_wrench.force
+            net = net_of(out)
+            left_wrench, right_wrench = distribute_wrench(
+                net, LEFT, RIGHT, PARAMS.zmp_height
+            )
+            net_f = left_wrench.force + right_wrench.force
             net_m = (
-                out.left_wrench.moment
-                + out.right_wrench.moment
-                + np.cross([0.0, -0.1, 0.0], out.left_wrench.force)
-                + np.cross([0.0, 0.1, 0.0], out.right_wrench.force)
+                left_wrench.moment
+                + right_wrench.moment
+                + np.cross([0.0, -0.1, 0.0], left_wrench.force)
+                + np.cross([0.0, 0.1, 0.0], right_wrench.force)
             )
-            assert np.allclose(net_f, out.net_wrench.force, atol=1e-12)
-            assert np.allclose(net_m, out.net_wrench.moment, atol=1e-9)
-            for wrench, rect in ((out.left_wrench, LEFT), (out.right_wrench, RIGHT)):
+            assert np.allclose(net_f, net.force, atol=1e-12)
+            assert np.allclose(net_m, net.moment, atol=1e-9)
+            for wrench, rect in ((left_wrench, LEFT), (right_wrench, RIGHT)):
                 fz = wrench.force[2]
                 assert fz >= -1e-9
                 if fz > 1e-9:
@@ -478,55 +541,55 @@ class TestStepStabilizer:
 
     def test_command_zmp_saturates_to_hull(self):
         desired = standing_sample()
-        actual = ActualSample(
-            com_pos=desired.com_pos + np.array([0.4, 0.0]),
-            com_vel=np.zeros(2),
-            contacts=(),
+        out = stabilize(
+            Stabilizer(PARAMS, StabilizerGains(), DT),
+            desired,
+            desired.com_pos + np.array([0.4, 0.0]),
+            np.zeros(2),
+            (),
         )
-        out = Stabilizer(PARAMS, StabilizerGains(), DT).step(desired, actual)
-        assert out.zmp_saturated
-        assert out.command_zmp[0] == pytest.approx(0.11, abs=1e-12)
+        command_zmp = np.array(out[0])
+        assert out[5]
+        assert command_zmp[0] == pytest.approx(0.11, abs=1e-12)
         kappa = desired.coefficients.kappa
         expected_acc = desired.com_acc - OMEGA**2 * kappa * (
-            out.command_zmp - desired.zmp
+            command_zmp - desired.zmp
         )
-        assert np.allclose(out.command_com_accel, expected_acc, atol=1e-12)
+        assert np.allclose(np.array(out[1]), expected_acc, atol=1e-12)
         # realizable wrench also capped: pressure point stays in the hull
-        cop = wrench_zmp(out.net_wrench.force, out.net_wrench.moment)
+        cop = np.array(wrench_zmp(*out[7][:5]))
         hull = support_hull((LEFT, RIGHT))
         assert cop[0] <= 0.11 + 1e-9
 
     def test_ablation_keeps_bands_zero(self):
         desired = standing_sample(hands(fx=-50.0))
         stab = Stabilizer(PARAMS, StabilizerGains(), DT, compensate_forces=False)
-        actual = ActualSample(
-            com_pos=desired.com_pos.copy(),
-            com_vel=np.zeros(2),
-            contacts=hands(fx=-90.0),
+        out = stabilize(
+            stab, desired, desired.com_pos.copy(), np.zeros(2), hands(fx=-90.0)
         )
-        out = stab.step(desired, actual)
-        assert np.all(out.gamma_low == 0.0)
-        assert np.all(out.gamma_high == 0.0)
-        assert out.gamma_err[0] != 0.0
+        gamma_low, gamma_high, _ = bands(stab.state)
+        assert np.all(gamma_low == 0.0)
+        assert np.all(gamma_high == 0.0)
+        assert out[4][0] != 0.0
 
     def test_single_support_frame(self):
         coeff = compute_coefficients(PARAMS, ())
         com = np.array([0.0, -0.1])
-        desired = DesiredSample(
-            com_pos=com,
-            com_acc=np.zeros(2),
-            dcm=com.copy(),
-            zmp=com.copy(),
-            coefficients=coeff,
-            contacts=(),
-            support_region=(LEFT,),
-            support_feet=("left",),
+        desired = planned(com, np.zeros(2), com.copy(), com.copy(), coeff)
+        out = stabilize(
+            Stabilizer(PARAMS, StabilizerGains(), DT),
+            desired,
+            com.copy(),
+            np.zeros(2),
+            (),
+            region=(LEFT,),
         )
-        actual = ActualSample(com_pos=com.copy(), com_vel=np.zeros(2), contacts=())
-        out = Stabilizer(PARAMS, StabilizerGains(), DT).step(desired, actual)
-        assert np.all(out.right_wrench.force == 0.0)
-        assert np.allclose(out.left_wrench.force, [0, 0, 981.0], atol=1e-12)
-        assert np.allclose(out.left_wrench.moment, 0.0, atol=1e-12)
+        left_wrench, right_wrench = distribute_wrench(
+            net_of(out), LEFT, None, PARAMS.zmp_height
+        )
+        assert np.all(right_wrench.force == 0.0)
+        assert np.allclose(left_wrench.force, [0, 0, 981.0], atol=1e-12)
+        assert np.allclose(left_wrench.moment, 0.0, atol=1e-12)
 
 
 def _segment_distance(p, a, b):
@@ -637,22 +700,17 @@ class TestSupportHullMemo:
         for i in range(200):
             rect = SoleRect.centered((0.01 * i, 0.0), 0.1, 0.05)
             com = np.array([0.01 * i, 0.0])
-            desired = DesiredSample(
-                com_pos=com,
-                com_acc=np.zeros(2),
-                dcm=com.copy(),
-                zmp=com.copy(),
-                coefficients=coeff,
-                contacts=(),
-                support_region=(rect,),
-                support_feet=("left",),
-            )
+            desired = planned(com, np.zeros(2), com.copy(), com.copy(), coeff)
             # CoM half a meter ahead: the command saturates at the front edge
-            actual = ActualSample(
-                com_pos=com + np.array([0.5, 0.0]), com_vel=np.zeros(2), contacts=()
+            out = stabilize(
+                stab,
+                desired,
+                com + np.array([0.5, 0.0]),
+                np.zeros(2),
+                (),
+                region=(rect,),
             )
-            out = stab.step(desired, actual)
-            assert out.zmp_saturated
-            if out.command_zmp[0] != rect.xmax:
+            assert out[5]
+            if out[0][0] != rect.xmax:
                 wrong += 1
         assert wrong == 0
