@@ -4,15 +4,19 @@ The plant integrates the same pendulum-with-external-forces model the
 controller assumes; controller/plant mismatch enters only through injected
 disturbance forces and a first-order lag between commanded and realized ZMP.
 run_closed_loop drives the stabilizer's robot along a plan and logs the CSV
-columns and three event flags per step. Each step runs on Python floats
-through the per-sample laws, each defined once: apply_disturbances,
-Stabilizer.step and step_plant.
+columns and three event flags. It goes through the plan in blocks of
+samples. The force-measurement half of the step reads no plant state, so it
+runs first for the whole block, on arrays: apply_disturbances, the true
+contacts' contact_terms, the measurement noise and
+Stabilizer.measure_forces. Then the feedback half runs one step at a time on
+Python floats: Stabilizer.step and step_plant. Each law is defined once.
 A step that fails (STEP_FAILURES) ends the run: the exception propagates
 with the trace of the steps before it attached as ``exc.trace``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -70,12 +74,20 @@ CSV_COLUMNS = (
 # internal diagnostics of TraceLog.extra, outside the CSV schema
 EXTRA_COLUMNS = ("zmp_saturated", "cop_clamped", "zmp_clamped")
 
-# the columns run_closed_loop writes per step, line by line in the order of
-# its value tuple; the other CSV columns are copied from the plan
+# samples per block of run_closed_loop: the open-loop pass's temporaries grow
+# with it, its per-call overhead per sample shrinks with it
+BLOCK_SAMPLES = 512
+
+# the columns the open-loop pass writes per block, in the order of its values
+_MEASURED_COLUMNS = (
+    "gamma_err_x", "gamma_err_y", "gammaL_x", "gammaL_y", "gammaH_x", "gammaH_y",
+    "fext_sum_x", "fext_sum_y", "fext_sum_z",
+)
+
+# the columns the closed-loop pass writes per step, line by line in the order
+# of its value tuple; the other CSV columns are copied from the plan
 _STEP_COLUMNS = (
     "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
-    "gamma_err_x", "gamma_err_y", "gammaH_x", "gammaH_y", "gammaL_x", "gammaL_y",
-    "fext_sum_x", "fext_sum_y", "fext_sum_z",
     *EXTRA_COLUMNS,
 )
 
@@ -121,7 +133,20 @@ class DisturbanceProfile:
         if self.end_time < self.start_time:
             raise ValueError("disturbance ends before it starts")
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """The signal at time t, or at each time of an array t.
+
+        A sinusoid is evaluated by math.sin one time at a time, so an array
+        gives the values of the scalar calls bit for bit.
+        """
+        if isinstance(t, np.ndarray):
+            out = np.zeros(t.shape)
+            on = (t >= self.start_time) & (t < self.end_time)
+            if self.kind == "sinusoid":
+                out[on] = [self.value(x) for x in t[on].tolist()]
+            else:
+                out[on] = self.amplitude
+            return out
         if t < self.start_time or t >= self.end_time:
             return 0.0
         if self.kind == "sinusoid":
@@ -130,29 +155,41 @@ class DisturbanceProfile:
         return self.amplitude
 
 
-def apply_disturbances(rows: tuple, profiles, t: float) -> tuple:
+def apply_disturbances(rows: tuple, profiles, t) -> tuple:
     """True contacts at time t as contact_rows: desired rows plus disturbances.
 
-    Returns rows itself when no disturbance is active. A contact_index beyond
-    the contacts present raises IndexError.
+    t may also be an array of times, and the values of rows arrays of that
+    shape, as for contact_terms: each sample then comes out as the scalar
+    call at its time would give it. A sample where no profile is active
+    keeps its desired values untouched. Returns rows itself when no
+    disturbance is active at any time. A contact_index beyond the contacts
+    present raises IndexError while its profile acts.
     """
     deltas = None
     for prof in profiles:
         v = prof.value(t)
-        if v == 0.0:
+        hit = v != 0.0
+        if not np.any(hit):
             continue
         if deltas is None:
             deltas = [[0.0, 0.0, 0.0] for _ in rows]
-        ax = _AXES[prof.axis]
-        if prof.contact_index is None:
-            for d in deltas:
-                d[ax] += v
+            active = hit
         else:
-            deltas[prof.contact_index][ax] += v
+            active = active | hit
+        ax = _AXES[prof.axis]
+        # a profile adds nothing where it is 0.0 or -0.0: a delta starts at
+        # 0.0 and only sums nonzero values, so it is never -0.0 itself
+        for d in deltas if prof.contact_index is None else (deltas[prof.contact_index],):
+            d[ax] = d[ax] + v
     if deltas is None:
         return rows
+    if not isinstance(t, np.ndarray):
+        return tuple(
+            (r[0] + d[0], r[1] + d[1], r[2] + d[2]) + r[3:] for r, d in zip(rows, deltas)
+        )
     return tuple(
-        (r[0] + d[0], r[1] + d[1], r[2] + d[2]) + r[3:] for r, d in zip(rows, deltas)
+        tuple(np.where(active, f + df, f) for f, df in zip(r[:3], d)) + r[3:]
+        for r, d in zip(rows, deltas)
     )
 
 
@@ -257,6 +294,105 @@ class TraceLog:
         return cls(dt=dt, columns=columns)
 
 
+def _block_contacts(timeline, b0: int, b1: int):
+    """Planned contacts of samples b0 to b1, cut where the contact count changes.
+
+    Returns (end, rows): the block ends before the first sample whose count
+    differs from sample b0's, and rows are its contacts as contact_rows
+    whose values are arrays over the block.
+    """
+    sets = timeline.contact_index[b0:b1]
+    first = timeline.contact_start[sets]
+    count = timeline.contact_start[sets + 1] - first
+    cut = np.flatnonzero(count != count[0])
+    if len(cut):
+        b1 = b0 + int(cut[0])
+        first = first[: cut[0]]
+    table = timeline.contact_table
+    return b1, tuple(tuple(table[first + i].T) for i in range(int(count[0])))
+
+
+def _rebuilt_rows(measured, desired) -> list:
+    """Per sample, the measured contacts as lists of contact_rows values, or
+    None where they equal the planned contacts bit for bit."""
+    block = np.stack([np.stack(r, axis=1) for r in measured], axis=1)
+    plan = np.stack([np.stack(r, axis=1) for r in desired], axis=1)
+    same = (block.view(np.int64) == plan.view(np.int64)).all(axis=(1, 2))
+    return [None if s else rows for rows, s in zip(block.tolist(), same.tolist())]
+
+
+def _open_loop(traj, stabilizer, disturbances, columns, noise, rng):
+    """The open-loop half of run_closed_loop, one block of samples at a time.
+
+    Yields per sample (k, contact set, phase, planned kappa, plan, kappa,
+    gamma_x, gamma_y, bands, noise, rows): the plan tuple as Stabilizer.step
+    takes it, the true contacts' coefficients, the bands of
+    Stabilizer.measure_forces, the sample's (com_x, com_y, vel_x, vel_y)
+    noise (None without noise) and its measured contacts (None where they
+    are the plan's). Writes the _MEASURED_COLUMNS of a block into columns
+    before its first sample. Each block is one call of _open_loop_block,
+    so its temporaries are freed before the next block's are made.
+    """
+    n = len(traj.time)
+    b0 = 0
+    while b0 < n:
+        b0 = yield from _open_loop_block(
+            traj, b0, stabilizer, disturbances, columns, noise, rng
+        )
+
+
+def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng):
+    """One block of _open_loop, from sample b0; returns the block's end."""
+    timeline = traj.timeline
+    params = stabilizer.params
+    b1, desired = _block_contacts(
+        timeline, b0, min(b0 + BLOCK_SAMPLES, len(timeline))
+    )
+    m = b1 - b0
+    true = apply_disturbances(desired, disturbances, traj.time[b0:b1])
+    fsx, fsy, fsz, kappa, gx, gy = contact_terms(
+        true, params.mass * params.gravity, params.zmp_height
+    )
+    measured = true
+    sample_noise = itertools.repeat(None)
+    if rng is not None:
+        com_noise, vel_noise, force_noise = noise
+        # per sample: CoM 2, velocity 2, then 3 per contact with force noise
+        width = 4 + 3 * len(true) if force_noise > 0.0 else 4
+        draws = rng.standard_normal((m, width)).T
+        scales = (com_noise, com_noise, vel_noise, vel_noise)
+        sample_noise = zip(*(memoryview(s * e) for s, e in zip(scales, draws)))
+        if force_noise > 0.0:
+            e = iter(draws[4:])
+            measured = tuple(
+                tuple(f + force_noise * next(e) for f in r[:3]) + r[3:] for r in true
+            )
+    gex, gey, bands = stabilizer.measure_forces(measured, desired, m)
+    for name, value in zip(_MEASURED_COLUMNS, (gex, gey, *bands[:4], fsx, fsy, fsz)):
+        columns[name][b0:b1] = value
+    # where the measured contacts are the plan's, the loop's cached rows serve
+    rows = itertools.repeat(None) if measured is desired else _rebuilt_rows(measured, desired)
+    yield from zip(
+        range(b0, b1),
+        *(
+            memoryview(a)[b0:b1]
+            for a in (timeline.contact_index, timeline.phase, timeline.kappa)
+        ),
+        zip(
+            *(
+                memoryview(a[b0:b1, i])
+                for a in (traj.com_pos, traj.com_acc, traj.dcm, traj.zmp)
+                for i in (0, 1)
+            )
+        ),
+        *(memoryview(np.broadcast_to(a, m)) for a in (kappa, gx, gy)),
+        zip(*map(memoryview, bands)),
+        sample_noise,
+        rows,
+    )
+    return b1
+
+
 def run_closed_loop(
     traj: DesiredTrajectory,
     stabilizer: Stabilizer,
@@ -271,16 +407,29 @@ def run_closed_loop(
     """Simulate the stabilized plant along a planned trajectory.
 
     The plant is the stabilizer's robot with the ZMP lag of gains.rho; a
-    stabilizer whose dt or omega is not the plan's raises ValueError. Per
-    step: read the plant, optionally corrupt the measurements with white
-    noise from np.random.default_rng(seed), run Stabilizer.step (up to the
-    net ground wrench; the plant never reads a per-foot split), log, then
-    advance the plant under the true (disturbed) contacts with step_plant.
+    stabilizer whose dt or omega is not the plan's raises ValueError. The
+    run goes in blocks of at most BLOCK_SAMPLES samples, cut where the
+    number of hand contacts changes, and each block in two passes:
+
+    - open loop, on arrays over the block: the true contacts by
+      apply_disturbances and their contact_terms; white measurement noise
+      from np.random.default_rng(seed), drawn per sample in the order CoM
+      (2), velocity (2), then 3 per contact with force noise; and
+      Stabilizer.measure_forces, which measures the force error of every
+      sample and splits it into bands. None of this reads the plant.
+    - closed loop, per step: read the plant, add the sample's noise, run
+      Stabilizer.step on the sample's bands (up to the net ground wrench;
+      the plant never reads a per-foot split), log, then advance the plant
+      under the true (disturbed) contacts with step_plant.
+
     Aborts and marks the trace when the actual CoM leaves the desired one
-    by more than divergence_limit. A step that raises one of STEP_FAILURES ends the run;
-    the exception propagates with the truncated trace as ``exc.trace``. The
-    stabilizer's state advances in place, so a reused Stabilizer continues
-    from where the run left it.
+    by more than divergence_limit. A step that raises one of STEP_FAILURES
+    ends the run; the exception propagates with the truncated trace as
+    ``exc.trace``. The stabilizer's state advances in place, so a reused
+    Stabilizer continues from where the run left it; a run that stops at
+    step k leaves it as per-sample steps would, with the bands of sample k.
+    A disturbance whose contact_index is past the contacts present raises
+    IndexError from the open-loop pass of the block where it first acts.
     """
     timeline = traj.timeline
     dt = timeline.dt
@@ -305,8 +454,8 @@ def run_closed_loop(
         plant_time = initial.time
 
     # one preallocated array per column: the plan's columns are copied, the
-    # others written per step through memoryviews. One 2-D buffer would hold
-    # the same bytes, but once freed it raises glibc's dynamic mmap threshold
+    # others written per block or per step. One 2-D buffer would hold the
+    # same bytes, but once freed it raises glibc's dynamic mmap threshold
     # above the trace-sized temporaries of later runs in the process, which
     # then stay resident on the heap (+1.8 MB peak RSS over a seed sweep).
     plan_columns = {
@@ -324,45 +473,33 @@ def run_closed_loop(
     for name, src in plan_columns.items():
         columns[name][:] = src
     step_views = [memoryview(columns[name]) for name in _STEP_COLUMNS]
-
-    plan_mv = [
-        memoryview(a[:, i])
-        for a in (traj.com_pos, traj.com_acc, traj.dcm, traj.zmp)
-        for i in (0, 1)
-    ]
-    desired_x = plan_mv[0]
-    desired_y = plan_mv[1]
+    desired_x = memoryview(traj.com_pos[:, 0])
+    desired_y = memoryview(traj.com_pos[:, 1])
 
     step = stabilizer.step
     state = stabilizer.state
-    params = stabilizer.params
     decay = None if direct_zmp else math.exp(-stabilizer.gains.rho * dt)
-    unloaded = compute_coefficients(params)
-    com_vel_noise = com_noise * omega
+    plant_omega = compute_coefficients(stabilizer.params).omega
+    samples = _open_loop(
+        traj,
+        stabilizer,
+        disturbances,
+        columns,
+        (com_noise, com_noise * omega, force_noise),
+        rng,
+    )
 
-    contact_set = phase = true_rows = failure = None
+    contact_set = phase = band = failure = None
     diverged = False
     diverged_at = None
     last = n
+    k = 0
 
     try:
-        for k, t, j, ph, kappa_d, *plan in zip(
-            range(n),
-            memoryview(traj.time),
-            memoryview(timeline.contact_index),
-            memoryview(timeline.phase),
-            memoryview(timeline.kappa),
-            *plan_mv,
-        ):
+        for k, j, ph, kappa_d, plan, kappa, gx, gy, band, noise, rows in samples:
             if j != contact_set:
                 contact_set = j
                 desired_rows = timeline.contact_rows(j)
-            rows = apply_disturbances(desired_rows, disturbances, t)
-            if rows is not true_rows:
-                true_rows = rows
-                fsx, fsy, fsz, kappa, gx, gy = contact_terms(
-                    rows, unloaded.zeta, params.zmp_height
-                )
             if ph != phase:
                 phase = ph
                 region = timeline.support_regions[ph]
@@ -371,40 +508,26 @@ def run_closed_loop(
                 m = ZMP_CLAMP_MARGIN
                 bounds = (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m)
 
-            com = (px, py)
-            vel = (vx, vy)
-            meas_rows = true_rows
-            if noisy:
-                nx, ny = rng.standard_normal(2).tolist()
-                com = (px + com_noise * nx, py + com_noise * ny)
-                nx, ny = rng.standard_normal(2).tolist()
-                vel = (vx + com_vel_noise * nx, vy + com_vel_noise * ny)
-                if force_noise > 0.0:
-                    meas_rows = tuple(
-                        tuple(
-                            f + force_noise * e
-                            for f, e in zip(r[:3], rng.standard_normal(3).tolist())
-                        )
-                        + r[3:]
-                        for r in true_rows
-                    )
-
-            (zcx, zcy), _, _, _, (gex, gey), sat, cop, _ = step(
-                kappa_d, omega, plan, desired_rows, com, vel, meas_rows, edges
+            if noise is None:
+                com = (px, py)
+                vel = (vx, vy)
+            else:
+                ncx, ncy, nvx, nvy = noise
+                com = (px + ncx, py + ncy)
+                vel = (vx + nvx, vy + nvy)
+            (zcx, zcy), _, _, _, sat, cop, _ = step(
+                kappa_d, omega, plan, com, vel,
+                desired_rows if rows is None else rows, edges, band,
             )
-            hx, hy = state.gamma_high
-            lx, ly = state.gamma_low
             stepped = step_plant(
                 px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
-                unloaded.omega, kappa, gx, gy, dt,
+                plant_omega, kappa, gx, gy, dt,
             )
             # this step's values, in the order of _STEP_COLUMNS
             for view, value in zip(
                 step_views,
                 (
                     px, py, px + vx / omega, py + vy / omega, zcx, zcy, zax, zay,
-                    gex, gey, hx, hy, lx, ly,
-                    fsx, fsy, fsz,
                     sat, cop, stepped[8],
                 ),
             ):
@@ -424,6 +547,13 @@ def run_closed_loop(
     except STEP_FAILURES as exc:
         failure = exc
         last = k
+    finally:
+        if band is not None:
+            # the open-loop pass split ahead to its block's end; per-sample
+            # steps would have left the bands of the last sample stepped
+            state.gamma_low = band[0:2]
+            state.gamma_high = band[2:4]
+            state.gamma_high_rate = band[4:6]
 
     if last < n:
         columns = {name: col[:last].copy() for name, col in columns.items()}
@@ -437,7 +567,7 @@ def run_closed_loop(
     if failure is not None:
         trace.failure = type(failure).__name__
         trace.failure_detail = str(failure)
-        trace.failed_at = float(t)
+        trace.failed_at = float(traj.time[k])
         failure.trace = trace
         raise failure
     return trace

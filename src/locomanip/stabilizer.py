@@ -8,10 +8,13 @@ DCM error is regulated by PID feedback on top. The command ZMP is saturated
 into the support hull, and the flag ``cop_clamped`` records when the ground
 wrench the feet must realize has its pressure point outside that hull.
 
-Each law runs on Python floats and has one definition: measure_gamma_error,
-split_frequency and dcm_feedback, chained for one sample by Stabilizer.step,
-which the closed loop of plant_sim calls. Stabilizer.step ends at the net
-ground wrench; distribute_wrench (an active-set split under sole limits)
+Each law has one definition. The step has two halves. The force-measurement
+half reads no robot state: Stabilizer.measure_forces runs measure_gamma_error
+elementwise and split_frequency as one float recursion over a block of
+samples. The feedback half, Stabilizer.step, takes one sample's bands and
+runs dcm_feedback, the saturation and the wrench stage on Python floats; the
+closed loop of plant_sim calls it once per step. Stabilizer.step ends at the
+net ground wrench; distribute_wrench (an active-set split under sole limits)
 splits such a wrench between the feet, and the closed loop, which never
 reads the per-foot wrenches, does not call it.
 
@@ -136,7 +139,8 @@ def conventional_closed_loop_matrix(
 class StabilizerState:
     """Filter and integrator memory of one stabilizer instance.
 
-    Every field is an (x, y) pair of floats; each step replaces the pairs.
+    Every field is an (x, y) pair of floats. split_frequency replaces the
+    three band pairs, dcm_feedback the three DCM-error pairs.
     """
 
     dcm_error_integral: tuple = (0.0, 0.0)
@@ -156,54 +160,74 @@ def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: floa
     """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts.
 
     Both contact sets are given as contact_rows; zeta is the normalizing
-    vertical force m g. Returns (gamma_err_x, gamma_err_y).
+    vertical force m g. Returns (gamma_err_x, gamma_err_y). Row values may
+    be arrays of many samples, as for contact_terms; the errors then come
+    out elementwise.
     """
     actual = contact_terms(actual_rows, zeta, zmp_height)
     desired = contact_terms(desired_rows, zeta, zmp_height)
     return actual[4] - desired[4], actual[5] - desired[5]
 
 
-def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period):
-    """Advance the low/high frequency split of the force-error offset (ex, ey).
+def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> np.ndarray:
+    """Run the low/high frequency split of the force-error offset over samples.
 
-    The low band is a first-order low-pass with time constant
-    cutoff_period / (2 pi); the high band is the exact complement, so
-    gamma_low + gamma_high always reconstructs the input. The high-band rate
-    is a smoothed backward difference. Replaces the three band pairs of
-    state in place.
+    ex and ey are the offsets of successive samples, as 1-D arrays or as
+    floats for one sample. The low band is a first-order low-pass with time
+    constant cutoff_period / (2 pi); the high band is the exact complement,
+    so gamma_low + gamma_high always reconstructs the input. The high-band
+    rate is a smoothed backward difference. The recursion runs on Python
+    floats, one sample after the other. Returns a (6, samples) array of the
+    bands after each sample, rows (low_x, low_y, high_x, high_y, rate_x,
+    rate_y), and leaves the three band pairs of state at the last sample's.
     """
     tau = cutoff_period / (2.0 * math.pi)
     alpha = dt / (tau + dt)
     lx, ly = state.gamma_low
     hx, hy = state.gamma_high
     rx, ry = state.gamma_high_rate
-    lx = lx + alpha * (ex - lx)
-    ly = ly + alpha * (ey - ly)
-    new_hx = ex - lx
-    new_hy = ey - ly
+    xs = np.atleast_1d(ex).tolist()
+    bands = np.empty((6, len(xs)))
+    low_x, low_y, high_x, high_y, rate_x, rate_y = map(memoryview, bands)
+    for k, x, y in zip(range(len(xs)), xs, np.atleast_1d(ey).tolist()):
+        lx = lx + alpha * (x - lx)
+        ly = ly + alpha * (y - ly)
+        new_hx = x - lx
+        new_hy = y - ly
+        rx = rx + _BETA * ((new_hx - hx) / dt - rx)
+        ry = ry + _BETA * ((new_hy - hy) / dt - ry)
+        hx = new_hx
+        hy = new_hy
+        low_x[k] = lx
+        low_y[k] = ly
+        high_x[k] = hx
+        high_y[k] = hy
+        rate_x[k] = rx
+        rate_y[k] = ry
     state.gamma_low = (lx, ly)
-    state.gamma_high = (new_hx, new_hy)
-    state.gamma_high_rate = (
-        rx + _BETA * ((new_hx - hx) / dt - rx),
-        ry + _BETA * ((new_hy - hy) / dt - ry),
-    )
+    state.gamma_high = (hx, hy)
+    state.gamma_high_rate = (rx, ry)
+    return bands
 
 
-def dcm_feedback(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y):
+def dcm_feedback(
+    state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y, bands
+):
     """PID DCM regulation plus force-error compensation terms.
 
     plan is the planned sample as in Stabilizer.step, (xi_x, xi_y) the actual
-    DCM. Returns the command ZMP, command CoM acceleration, shifted desired
-    CoM and DCM error as one flat tuple of 8 floats; the integrator and
-    derivative filter advance in place. The low-band offset shifts the
-    desired CoM and DCM; the high-band offset and its rate enter the ZMP
-    command as feedforward. All ZMP-shift terms are scaled by 1/kappa so the
-    closed loop matches the conventional tuning.
+    DCM and bands the sample's (low_x, low_y, high_x, high_y, rate_x,
+    rate_y) from split_frequency. Returns the command ZMP, command CoM
+    acceleration, shifted desired CoM and DCM error as one flat tuple of 8
+    floats; the integrator and derivative filter advance in place. The
+    low-band offset shifts the desired CoM and DCM; the high-band offset and
+    its rate enter the ZMP command as feedforward. All ZMP-shift terms are
+    scaled by 1/kappa so the closed loop matches the conventional tuning.
     """
     if kappa <= DEGENERATE_KAPPA:
         raise DegenerateScale(f"ZMP scale kappa={kappa:.4f} too small to command")
     cx, cy, ax, ay, dx, dy, zx, zy = plan
-    lx, ly = state.gamma_low
+    lx, ly, hx, hy, hrx, hry = bands
     ex = xi_x - (dx - lx)
     ey = xi_y - (dy - ly)
     ix, iy = state.dcm_error_integral
@@ -219,8 +243,6 @@ def dcm_feedback(state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi
     state.dcm_err_rate = (rx, ry)
     state.dcm_err_prev = (ex, ey)
 
-    hx, hy = state.gamma_high
-    hrx, hry = state.gamma_high_rate
     k_p, k_i, k_d, rho = gains.k_p, gains.k_i, gains.k_d, gains.rho
     corr_x = k_p * ex + k_i * ix + k_d * rx + hx + hrx / rho
     corr_y = k_p * ey + k_i * iy + k_d * ry + hy + hry / rho
@@ -559,45 +581,67 @@ class Stabilizer:
         self.compensate_forces = compensate_forces
         self.state = StabilizerState()
 
-    def step(self, kappa, omega, plan, desired_rows, com, vel, rows, edges):
-        """One stabilizer cycle on floats, up to the net ground wrench.
+    def measure_forces(self, rows, desired_rows, samples: int):
+        """The force-measurement half of the cycle, over successive samples.
 
-        Chains measure_gamma_error, split_frequency, dcm_feedback,
-        command-ZMP saturation into the support hull and the net ground
-        wrench against the measured CoM (net_foot_wrench), whose pressure
-        point (wrench_zmp) is clamped into the hull. With compensate_forces
-        False both offset bands stay zero (ablation mode); gamma_err is
-        still measured for logging.
+        rows and desired_rows are the measured and the planned contacts as
+        contact_rows whose values are arrays of `samples` values (or floats
+        for one sample, and () for no contact). Measures gamma_err with
+        measure_gamma_error and splits it into bands with split_frequency;
+        the state's bands advance to the last sample. With compensate_forces
+        False both bands stay where they are (zero, in ablation mode);
+        gamma_err is still measured for logging. None of this reads the
+        robot's state.
+
+        Returns (gamma_err_x, gamma_err_y, bands): two arrays of `samples`
+        values and the (6, samples) array of split_frequency, whose columns
+        are the bands argument of step.
+        """
+        params = self.params
+        state = self.state
+        ex, ey = measure_gamma_error(
+            rows, desired_rows, params.mass * params.gravity, params.zmp_height
+        )
+        ex = np.broadcast_to(ex, samples)
+        ey = np.broadcast_to(ey, samples)
+        if self.compensate_forces:
+            bands = split_frequency(state, ex, ey, self.dt, self.gains.cutoff_period)
+        else:
+            held = (*state.gamma_low, *state.gamma_high, *state.gamma_high_rate)
+            bands = np.repeat(np.array(held)[:, None], samples, axis=1)
+        return ex, ey, bands
+
+    def step(self, kappa, omega, plan, com, vel, rows, edges, bands):
+        """The feedback half of one stabilizer cycle on floats, up to the net
+        ground wrench.
+
+        Chains dcm_feedback, command-ZMP saturation into the support hull and
+        the net ground wrench against the measured CoM (net_foot_wrench),
+        whose pressure point (wrench_zmp) is clamped into the hull. The
+        force-error bands come in from measure_forces.
 
         kappa and omega are the planned sample's coefficients; plan is its
         (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
-        acceleration, DCM and ZMP. desired_rows and rows are the planned and
-        the measured contacts as contact_rows; com and vel the measured CoM
-        (x, y) position and velocity; edges the support hull as hull_edges.
-        The state advances in place.
+        acceleration, DCM and ZMP. com and vel are the measured CoM (x, y)
+        position and velocity, rows the measured contacts as contact_rows,
+        edges the support hull as hull_edges and bands the sample's (low_x,
+        low_y, high_x, high_y, rate_x, rate_y). The DCM integrator and
+        derivative filter advance in place.
 
-        Returns (command_zmp, command_acc, shifted_com, dcm_err, gamma_err,
+        Returns (command_zmp, command_acc, shifted_com, dcm_err,
         zmp_saturated, cop_clamped, wrench): (x, y) pairs, two flags and the
         net ground wrench (fx, fy, fz, mx, my, mz) with its moment about the
         world origin; distribute_wrench splits that wrench between the feet.
         Raises NonPhysical when the wrench has no vertical force and
         Infeasible when it pulls the feet off the ground.
         """
-        state = self.state
-        gains = self.gains
         params = self.params
-        dt = self.dt
         zmp_height = params.zmp_height
-        ex, ey = measure_gamma_error(
-            rows, desired_rows, params.mass * params.gravity, zmp_height
-        )
-        if self.compensate_forces:
-            split_frequency(state, ex, ey, dt, gains.cutoff_period)
-
         cx, cy = com
         vx, vy = vel
         zcx, zcy, acx, acy, csx, csy, dex, dey = dcm_feedback(
-            state, gains, dt, kappa, omega, plan, cx + vx / omega, cy + vy / omega
+            self.state, self.gains, self.dt, kappa, omega, plan,
+            cx + vx / omega, cy + vy / omega, bands,
         )
 
         qx, qy = _clamp_xy(zcx, zcy, edges)
@@ -626,7 +670,6 @@ class Stabilizer:
             (acx, acy),
             (csx, csy),
             (dex, dey),
-            (ex, ey),
             zmp_saturated,
             cop_clamped,
             (fx, fy, fz, mx, my, mz),

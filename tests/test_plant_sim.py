@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from _pipeline import (
     plan_trajectory,
     standing_timeline,
 )
+from test_trace_digests import NOISY, PUSHED
 
+from locomanip import plant_sim
 from locomanip.core_dynamics import (
     CoMState,
     compute_coefficients,
@@ -26,6 +29,7 @@ from locomanip.core_dynamics import (
 from locomanip.errors import Infeasible, NonPhysical
 from locomanip.plant_sim import (
     CSV_COLUMNS,
+    STEP_FAILURES,
     ZMP_CLAMP_MARGIN,
     DisturbanceProfile,
     PlantState,
@@ -180,6 +184,59 @@ class TestDisturbanceProfile:
         out = apply_disturbances(contact_rows(contacts), (prof,), 0.0)
         assert all(r[0] == -35.0 for r in out)
 
+    def test_apply_over_times_matches_scalar_calls(self):
+        """Zero crossings of a sinusoid, negative amplitudes, two profiles on
+        one axis, one contact targeted and -0.0 desired forces: each sample
+        of the array call is the scalar call at its time, bit for bit."""
+        dt = 0.002
+        times = np.arange(1500) * dt
+        rows = (
+            (-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.3, 0.25, 0.3),
+            (-50.0, -0.0, 12.5, 0.0, 0.0, -0.0, 0.3, -0.25, 0.3),
+        )
+        profiles = (
+            # starts at a zero crossing and crosses zero every 0.25 s
+            DisturbanceProfile(
+                kind="sinusoid", axis="x", amplitude=-30.0, period=0.5,
+                start_time=0.5, end_time=2.5,
+            ),
+            DisturbanceProfile(
+                kind="step", axis="x", amplitude=-12.0, start_time=1.0, end_time=2.0
+            ),
+            DisturbanceProfile(
+                kind="constant", axis="z", amplitude=7.0, start_time=0.8,
+                end_time=1.2, contact_index=1,
+            ),
+        )
+        by_sample = [apply_disturbances(rows, profiles, t) for t in times.tolist()]
+        assert sum(r is rows for r in by_sample) > 100
+        assert profiles[0].value(0.5) == 0.0
+        columns = tuple(
+            tuple(np.full(len(times), v) for v in r) for r in rows
+        )
+        out = apply_disturbances(columns, profiles, times)
+        for i in range(len(rows)):
+            for a in range(9):
+                expected = np.array([r[i][a] for r in by_sample])
+                assert out[i][a].tobytes() == expected.tobytes(), (i, a)
+
+    def test_apply_over_times_when_inactive(self):
+        times = np.arange(10) * 0.002
+        rows = tuple(tuple(np.zeros(10) for _ in range(9)) for _ in range(2))
+        prof = DisturbanceProfile(kind="step", amplitude=10.0, start_time=4.0)
+        assert apply_disturbances(rows, (prof,), times) is rows
+
+    def test_apply_over_times_rejects_missing_contact_while_acting(self):
+        times = np.arange(10) * 0.002
+        rows = tuple(tuple(np.zeros(10) for _ in range(9)) for _ in range(2))
+        late = DisturbanceProfile(
+            kind="constant", amplitude=5.0, start_time=1.0, contact_index=2
+        )
+        assert apply_disturbances(rows, (late,), times) is rows
+        acting = dataclasses.replace(late, start_time=0.01)
+        with pytest.raises(IndexError):
+            apply_disturbances(rows, (acting,), times)
+
 
 class TestClosedLoop:
     def test_static_standing_is_exact(self):
@@ -294,8 +351,15 @@ def loop_of(bundle):
         bundle.stabilizer,
         disturbances=bundle.disturbances,
         direct_zmp=cfg.plant.direct_zmp,
+        com_noise=cfg.plant.com_noise_m,
+        force_noise=cfg.plant.force_noise_n,
+        seed=cfg.seed,
         divergence_limit=cfg.plant.divergence_limit_m,
     )
+
+
+def state_bytes(state):
+    return np.array(dataclasses.astuple(state), dtype=float).tobytes()
 
 
 def first_samples(traj, n):
@@ -319,6 +383,24 @@ def first_samples(traj, n):
     return dataclasses.replace(traj, timeline=timeline, **arrays)
 
 
+# two hands ramp to a 50 N pull, then the right one lets go at a hold
+# breakpoint: the contact count drops from two to one at 3.0 s
+ONE_HAND_LEFT = (
+    "hands=["
+    "{time_s: 0.0, mode: hold, contacts: [{position_m: [0.3, 0.25, 0.3]}, "
+    "{position_m: [0.3, -0.25, 0.3]}]}, "
+    "{time_s: 1.0, mode: linear, contacts: [{position_m: [0.3, 0.25, 0.3]}, "
+    "{position_m: [0.3, -0.25, 0.3]}]}, "
+    "{time_s: 2.0, mode: hold, contacts: ["
+    "{position_m: [0.3, 0.25, 0.3], force_n: [-50.0, 0.0, 0.0]}, "
+    "{position_m: [0.3, -0.25, 0.3], force_n: [-50.0, 0.0, 0.0]}]}, "
+    "{time_s: 3.0, mode: hold, contacts: ["
+    "{position_m: [0.3, 0.25, 0.3], force_n: [-50.0, 0.0, 0.0]}]}]",
+    "plant.force_noise_n=5.0",
+    "seed=11",
+)
+
+
 class TestOneLaw:
     """The closed loop runs the per-sample laws and nothing else."""
 
@@ -334,16 +416,26 @@ class TestOneLaw:
                 "disturbances=[{kind: step, axis: x, amplitude_n: 60.0, "
                 "start_s: 2.0, end_s: 2.4}]",
             ),
+            NOISY,
+            ONE_HAND_LEFT,
         ],
-        ids=["testcase1", "testcase1-push", "testcase1-shove"],
+        ids=[
+            "testcase1",
+            "testcase1-push",
+            "testcase1-shove",
+            "testcase1-noisy",
+            "testcase1-one-hand-left",
+        ],
     )
     def test_loop_matches_per_sample_steps(self, overrides):
         """4.5 s of testcase1: the first steps (support phases change from
-        1.8 s) and the hand ramp (one contact set per sample over 3-4 s), so
-        the loop's per-phase and per-contact-set caches are compared with
-        hull edges, clamp bounds and contact rows rebuilt on every sample.
-        The shove saturates the command in single support, where a stale
-        double-support hull would not."""
+        1.8 s) and a hand ramp (one contact set per sample), so the loop's
+        per-phase and per-contact-set caches are compared with hull edges,
+        clamp bounds and contact rows rebuilt on every sample. The shove
+        saturates the command in single support, where a stale
+        double-support hull would not. The noisy runs draw per step, in the
+        order CoM 2, velocity 2, then 3 per contact, against the loop's
+        block draws; the last one also changes its contact count."""
         n = 2250
         bundle = scenario_bundle("testcase1", *overrides)
         traj = first_samples(bundle.traj, n)
@@ -357,49 +449,82 @@ class TestOneLaw:
             stab.params, stab.gains, stab.dt, compensate_forces=stab.compensate_forces
         )
         params = stab.params
+        plant = bundle.config.plant
+        com_noise, force_noise = plant.com_noise_m, plant.force_noise_n
+        rng = np.random.default_rng(bundle.config.seed)
         unloaded = compute_coefficients(params)
         decay = math.exp(-stab.gains.rho * traj.dt)
         px, py = traj.com_pos[0].tolist()
         vx, vy = traj.com_vel[0].tolist()
         zx, zy = traj.zmp[0].tolist()
         logged = {name: [] for name in (
-            "z_x^c", "z_y^c", "gamma_err_x", "gamma_err_y", "gammaH_x",
-            "gammaH_y", "gammaL_x", "gammaL_y", "zmp_saturated",
-            "cop_clamped", "zmp_clamped", "c_x^a",
+            "c_x^a", "c_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
+            "gamma_err_x", "gamma_err_y", "gammaH_x", "gammaH_y", "gammaL_x",
+            "gammaL_y", "fext_sum_x", "fext_sum_y", "fext_sum_z",
+            "zmp_saturated", "cop_clamped", "zmp_clamped",
         )}
+        counts = set()
         for k in range(len(timeline)):
             frame = timeline.frame(k)
             coeff = frame.coefficients
             desired_rows = contact_rows(frame.contacts)
+            counts.add(len(desired_rows))
             true = apply_disturbances(desired_rows, bundle.disturbances, traj.time[k])
+            com, vel, measured = (px, py), (vx, vy), true
+            if com_noise > 0.0 or force_noise > 0.0:
+                nx, ny = rng.standard_normal(2).tolist()
+                com = (px + com_noise * nx, py + com_noise * ny)
+                nx, ny = rng.standard_normal(2).tolist()
+                w = com_noise * coeff.omega
+                vel = (vx + w * nx, vy + w * ny)
+                if force_noise > 0.0:
+                    measured = tuple(
+                        tuple(
+                            f + force_noise * e
+                            for f, e in zip(r[:3], rng.standard_normal(3).tolist())
+                        )
+                        + r[3:]
+                        for r in true
+                    )
             plan = (
                 *traj.com_pos[k].tolist(),
                 *traj.com_acc[k].tolist(),
                 *traj.dcm[k].tolist(),
                 *traj.zmp[k].tolist(),
             )
-            command_zmp, _, _, _, gamma_err, saturated, cop_clamped, _ = by_hand.step(
+            gamma_err_x, gamma_err_y, bands = by_hand.measure_forces(
+                measured, desired_rows, 1
+            )
+            command_zmp, _, _, _, saturated, cop_clamped, _ = by_hand.step(
                 coeff.kappa,
                 coeff.omega,
                 plan,
-                desired_rows,
-                (px, py),
-                (vx, vy),
-                true,
+                com,
+                vel,
+                measured,
                 hull_edges(support_hull(frame.support_region)),
+                tuple(bands[:, 0].tolist()),
             )
             state = by_hand.state
+            fsx, fsy, fsz, kappa, gx, gy = contact_terms(
+                true, unloaded.zeta, params.zmp_height
+            )
             for axis, i in (("x", 0), ("y", 1)):
                 logged[f"z_{axis}^c"].append(command_zmp[i])
-                logged[f"gamma_err_{axis}"].append(gamma_err[i])
                 logged[f"gammaH_{axis}"].append(state.gamma_high[i])
                 logged[f"gammaL_{axis}"].append(state.gamma_low[i])
+            logged["gamma_err_x"].append(gamma_err_x[0])
+            logged["gamma_err_y"].append(gamma_err_y[0])
+            for axis, value in zip("xyz", (fsx, fsy, fsz)):
+                logged[f"fext_sum_{axis}"].append(value)
             logged["zmp_saturated"].append(float(saturated))
             logged["cop_clamped"].append(float(cop_clamped))
             logged["c_x^a"].append(px)
+            logged["c_y^a"].append(py)
+            logged["z_x^a"].append(zx)
+            logged["z_y^a"].append(zy)
             base = SoleRect.bounding(frame.support_region)
             m = ZMP_CLAMP_MARGIN
-            *_, kappa, gx, gy = contact_terms(true, unloaded.zeta, params.zmp_height)
             px, py, vx, vy, _, _, zx, zy, clamped = step_plant(
                 px, py, vx, vy, zx, zy, *command_zmp, decay,
                 (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
@@ -418,8 +543,10 @@ class TestOneLaw:
                 timeline.phase
             ]
             assert np.any(trace.extra["zmp_saturated"][single] != 0.0)
+        if overrides == ONE_HAND_LEFT:
+            assert counts == {1, 2}
         # the loop leaves its stabilizer where the per-sample steps leave theirs
-        assert stab.state == by_hand.state
+        assert state_bytes(stab.state) == state_bytes(by_hand.state)
 
     def test_unloading_push_raises_infeasible(self):
         """A 600 N lift per hand pulls the feet off the ground at t = 5 s."""
@@ -446,3 +573,102 @@ class TestOneLaw:
         stab = make_stabilizer()
         with pytest.raises(error):
             run_closed_loop(traj, stab, disturbances=lift)
+
+
+# a 600 N lift per hand from 5 s pulls the feet off the ground
+UNLOADING = (
+    "disturbances=[{kind: step, axis: z, amplitude_n: 600.0, "
+    "start_s: 5.0, end_s: 8.0}]",
+)
+
+
+class TestBlocks:
+    """The open-loop pass runs per block of BLOCK_SAMPLES samples; no block
+    size may show in the trace or in the stabilizer's final state."""
+
+    @staticmethod
+    def blocked(monkeypatch, size, *overrides):
+        """(trace, final state bytes) of testcase1 with blocks of `size`."""
+        monkeypatch.setattr(plant_sim, "BLOCK_SAMPLES", size)
+        bundle = scenario_bundle("testcase1", *overrides)
+        try:
+            trace = loop_of(bundle)
+        except STEP_FAILURES as exc:
+            trace = exc.trace
+        return trace, state_bytes(bundle.stabilizer.state)
+
+    @staticmethod
+    def assert_same(a, b):
+        (ta, sa), (tb, sb) = a, b
+        for name in ta.columns:
+            assert ta[name].tobytes() == tb[name].tobytes(), name
+        for name in ta.extra:
+            assert ta.extra[name].tobytes() == tb.extra[name].tobytes(), name
+        for attr in ("diverged", "diverged_at", "failure", "failed_at"):
+            assert getattr(ta, attr) == getattr(tb, attr), attr
+        assert sa == sb
+
+    def test_block_size_does_not_show(self, monkeypatch):
+        overrides = (
+            "duration_s=6.0",
+            "disturbances=[{kind: sinusoid, axis: x, amplitude_n: 40.0, "
+            "period_s: 0.3, start_s: 0.1, end_s: 4.5, contact_index: 1}]",
+            *NOISY,
+        )
+        default = self.blocked(monkeypatch, plant_sim.BLOCK_SAMPLES, *overrides)
+        assert len(default[0]) == 3000
+        for size in (1, 7):
+            self.assert_same(self.blocked(monkeypatch, size, *overrides), default)
+
+    @pytest.mark.parametrize(
+        "overrides, stop", [(PUSHED, "diverged"), (UNLOADING, "Infeasible")],
+        ids=["diverged", "failed"],
+    )
+    def test_stop_on_a_block_edge(self, monkeypatch, overrides, stop):
+        """The stopping step k as the first sample of a block (size k) and
+        as the last (size k + 1), against the default blocks."""
+        default = self.blocked(monkeypatch, plant_sim.BLOCK_SAMPLES, *overrides)
+        trace = default[0]
+        if stop == "diverged":
+            assert trace.diverged
+            k = len(trace) - 1
+        else:
+            assert trace.failure == stop
+            k = len(trace)
+        for size in (k, k + 1):
+            self.assert_same(self.blocked(monkeypatch, size, *overrides), default)
+
+
+def loop_excess_mb(bundle, seconds):
+    """Peak memory traced inside run_closed_loop over the first `seconds` of
+    the plan, minus the bytes of the trace's own columns, in MB."""
+    stab = bundle.stabilizer
+    run = dataclasses.replace(
+        bundle,
+        traj=first_samples(bundle.traj, round(seconds / bundle.traj.dt)),
+        stabilizer=Stabilizer(stab.params, stab.gains, stab.dt),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = loop_of(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (*trace.columns.values(), *trace.extra.values()))
+    return (peak - before - own) / 1e6
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("testcase3", ()), ("testcase1", ("duration_s=40.0", *NOISY))],
+    ids=["testcase3", "testcase1-noisy"],
+)
+def test_loop_memory_does_not_grow_with_the_run(name, overrides):
+    """Beyond its trace, the loop holds one block's temporaries at a time:
+    the same excess over 10 s as over 40 s."""
+    bundle = scenario_bundle(name, *overrides)
+    loop_excess_mb(bundle, 1.0)  # first-call caches
+    short, long = (loop_excess_mb(bundle, s) for s in (10.0, 40.0))
+    assert abs(long - short) < 0.25, (short, long)

@@ -96,25 +96,33 @@ def feedback(desired, xi, state, gains):
     """dcm_feedback on a planned sample: (command_zmp, command_acc,
     shifted_com, dcm_err) as arrays."""
     coeff = desired.coefficients
+    held = (*state.gamma_low, *state.gamma_high, *state.gamma_high_rate)
     out = dcm_feedback(
-        state, gains, DT, coeff.kappa, coeff.omega, desired.plan, *np.asarray(xi).tolist()
+        state, gains, DT, coeff.kappa, coeff.omega, desired.plan,
+        *np.asarray(xi).tolist(), tuple(np.asarray(held, dtype=float).tolist()),
     )
     return tuple(np.array(out[i : i + 2]) for i in (0, 2, 4, 6))
 
 
 def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
-    """One Stabilizer.step on a planned sample and measured CoM and contacts."""
+    """One stabilizer cycle on a planned sample and measured CoM and contacts:
+    Stabilizer.measure_forces over that one sample, then Stabilizer.step.
+    Returns (command_zmp, command_acc, shifted_com, dcm_err, gamma_err,
+    zmp_saturated, cop_clamped, wrench)."""
     coeff = desired.coefficients
-    return stab.step(
+    rows = contact_rows(contacts)
+    ex, ey, bands = stab.measure_forces(rows, desired.rows, 1)
+    out = stab.step(
         coeff.kappa,
         coeff.omega,
         desired.plan,
-        desired.rows,
         tuple(np.asarray(com, dtype=float).tolist()),
         tuple(np.asarray(vel, dtype=float).tolist()),
-        contact_rows(contacts),
+        rows,
         hull_edges(support_hull(region)),
+        tuple(bands[:, 0].tolist()),
     )
+    return (*out[:4], (float(ex[0]), float(ey[0])), *out[4:])
 
 
 def net_of(out):
