@@ -9,12 +9,9 @@ scenario (configs, metrics, comparisons) and cli.
 """
 
 from .core_dynamics import (
-    CoMState,
-    DcmState,
     ExternalContact,
     LipmCoefficients,
     RobotParams,
-    ZmpPoint,
     compute_coefficients,
     dcm_of,
     dcm_rate,
@@ -79,11 +76,9 @@ from .stabilizer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoMState",
     "ConfigError",
     "ContactBreakpoint",
     "ContactSchedule",
-    "DcmState",
     "DegenerateScale",
     "DesiredTrajectory",
     "DisturbanceProfile",
@@ -107,7 +102,6 @@ __all__ = [
     "StabilizerGains",
     "TraceLog",
     "Wrench",
-    "ZmpPoint",
     "build_reference_frames",
     "build_scenario",
     "bundled_scenario_path",

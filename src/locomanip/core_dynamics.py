@@ -9,9 +9,14 @@ coefficients: a dimensionless scale ``kappa`` on the ZMP (vertical force
 component) and a 2D offset ``gamma`` (horizontal forces and moments). With no
 contacts, kappa = 1 and gamma = 0 and the classic pendulum model is recovered.
 
-The laws a control step evaluates (contact_terms, net_foot_wrench,
-wrench_zmp) take and return Python floats, with a contact set given as
-contact_rows; the closed loop and the tests call them directly.
+Every law is written once and takes Python floats: the pendulum laws
+(ext_zmp, lipm_accel, dcm_of, dcm_rate) one axis at a time, the contact and
+wrench laws (contact_terms, net_foot_wrench, wrench_zmp) with a contact set
+given as contact_rows. The pendulum laws and contact_terms also take numpy
+arrays and then apply elementwise, with the same operations in the same
+order, so an array call gives the per-sample float calls bit for bit. The
+plant, the stabilizer, the closed loop, the reference build, the rollout
+and the tests all call these functions by name.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import numpy as np
 
 from .errors import NonPhysical
 
-# Scale factors at or below this are flagged: the vertical contact forces come
-# close to carrying the robot's full weight and the 1/kappa gain scaling of the
-# stabilizer degenerates.
+# Scale factors at or below this raise DegenerateScale in planning and
+# feedback: the vertical contact forces come close to carrying the robot's
+# full weight and the 1/kappa gain scaling of the stabilizer degenerates.
 DEGENERATE_KAPPA = 0.05
 
 
@@ -101,47 +106,6 @@ class LipmCoefficients:
             raise NonPhysical("kappa must be finite")
         object.__setattr__(self, "gamma", _finite_vec(self.gamma, 2, "gamma"))
 
-    @property
-    def degenerate_scale(self) -> bool:
-        """True when vertical contact forces nearly cancel the robot's weight."""
-        return self.kappa <= DEGENERATE_KAPPA
-
-
-@dataclass(frozen=True, eq=False)
-class CoMState:
-    """Horizontal CoM position, velocity and acceleration (2-vectors)."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _finite_vec(self.position, 2, "position"))
-        object.__setattr__(self, "velocity", _finite_vec(self.velocity, 2, "velocity"))
-        object.__setattr__(
-            self, "acceleration", _finite_vec(self.acceleration, 2, "acceleration")
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class DcmState:
-    """Horizontal divergent component of motion (2-vector)."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", _finite_vec(self.xi, 2, "xi"))
-
-
-@dataclass(frozen=True, eq=False)
-class ZmpPoint:
-    """Horizontal zero-moment point on the ground plane (2-vector)."""
-
-    position: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _finite_vec(self.position, 2, "position"))
-
 
 def contact_rows(contacts) -> tuple:
     """Each contact as one flat float tuple (fx, fy, fz, mx, my, mz, px, py, pz)."""
@@ -188,27 +152,26 @@ def compute_coefficients(
     return LipmCoefficients(omega=omega, kappa=kappa, gamma=(gx, gy), zeta=zeta)
 
 
-def ext_zmp(coeff: LipmCoefficients, zmp: ZmpPoint) -> ZmpPoint:
-    """Scaled-and-offset ZMP that drives the pendulum under external contacts."""
-    return ZmpPoint(coeff.kappa * zmp.position - coeff.gamma)
+def ext_zmp(kappa, z, gamma):
+    """Scaled-and-offset ZMP kappa z - gamma that drives the pendulum."""
+    return kappa * z - gamma
 
 
-def lipm_accel(coeff: LipmCoefficients, com: CoMState, zmp: ZmpPoint) -> np.ndarray:
-    """Horizontal CoM acceleration omega^2 * (c - kappa z + gamma)."""
-    w2 = coeff.omega * coeff.omega
-    return w2 * (com.position - coeff.kappa * zmp.position + coeff.gamma)
+def lipm_accel(omega, kappa, c, z, gamma):
+    """Horizontal CoM acceleration omega^2 (c - kappa z + gamma)."""
+    # omega**2 and omega * omega differ in the last bit for some omega (the
+    # 0.868 m digest pins which one the plant uses)
+    return omega**2 * (c - kappa * z + gamma)
 
 
-def dcm_of(com: CoMState, omega: float) -> DcmState:
-    """Divergent component of motion xi = c + cdot / omega."""
-    return DcmState(com.position + com.velocity / omega)
+def dcm_of(c, v, omega):
+    """Divergent component of motion xi = c + v / omega."""
+    return c + v / omega
 
 
-def dcm_rate(coeff: LipmCoefficients, dcm: DcmState, zmp: ZmpPoint) -> np.ndarray:
-    """DCM velocity omega * (xi - kappa z + gamma)."""
-    return coeff.omega * (
-        dcm.xi - coeff.kappa * zmp.position + coeff.gamma
-    )
+def dcm_rate(omega, kappa, xi, z, gamma):
+    """DCM velocity omega (xi - kappa z + gamma)."""
+    return omega * (xi - kappa * z + gamma)
 
 
 def net_foot_wrench(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:

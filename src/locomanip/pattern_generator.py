@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_dynamics import DEGENERATE_KAPPA
+from .core_dynamics import DEGENERATE_KAPPA, dcm_of
 from .errors import DegenerateScale, RiccatiDivergence
 from .reference_builder import ReferenceTimeline
 
@@ -422,7 +422,7 @@ def generate_trajectory(
             com_acc[:, i],
             exz_out[:, i],
         )
-    dcm = com_pos + com_vel / timeline.omega
+    dcm = dcm_of(com_pos, com_vel, timeline.omega)
     zmp = (exz_out + timeline.gamma) / timeline.kappa[:, None]
     return DesiredTrajectory(
         timeline=timeline,

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_dynamics import CoMState, compute_coefficients, contact_terms
+from .core_dynamics import (
+    _finite_vec,
+    compute_coefficients,
+    contact_terms,
+    dcm_of,
+    lipm_accel,
+)
 from .errors import Infeasible, NonFiniteState, NonPhysical
 from .pattern_generator import DesiredTrajectory
 from .reference_builder import SoleRect
@@ -85,7 +91,8 @@ _MEASURED_COLUMNS = (
 )
 
 # the columns the closed-loop pass writes per step, line by line in the order
-# of its value tuple; the other CSV columns are copied from the plan
+# of its value tuple; the other CSV columns are copied from the plan. The
+# xi^a columns hold the plant velocity until the loop ends.
 _STEP_COLUMNS = (
     "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
     *EXTRA_COLUMNS,
@@ -94,11 +101,24 @@ _STEP_COLUMNS = (
 
 @dataclass(frozen=True, eq=False)
 class PlantState:
-    """Plant truth at one instant: the CoM state and the realized ZMP."""
+    """Plant truth at one instant: CoM position and velocity and realized ZMP,
+    each an (x, y) pair of floats, and the time.
 
-    com: CoMState
-    zmp_actual: np.ndarray
+    Raises ValueError on a value that is not finite or not a pair.
+    """
+
+    com: tuple
+    velocity: tuple
+    zmp_actual: tuple
     time: float
+
+    def __post_init__(self):
+        for name in ("com", "velocity", "zmp_actual"):
+            pair = tuple(_finite_vec(getattr(self, name), 2, name).tolist())
+            object.__setattr__(self, name, pair)
+        if not math.isfinite(self.time):
+            raise ValueError("time must be finite")
+        object.__setattr__(self, "time", float(self.time))
 
 
 @dataclass(frozen=True)
@@ -220,9 +240,8 @@ def step_plant(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, 
             zx = min(max(zx, xmin), xmax)
             zy = min(max(zy, ymin), ymax)
             clamped = True
-    w2 = omega**2
-    ax = w2 * (px - kappa * zx + gx)
-    ay = w2 * (py - kappa * zy + gy)
+    ax = lipm_accel(omega, kappa, px, zx, gx)
+    ay = lipm_accel(omega, kappa, py, zy, gy)
     vx = vx + ax * dt
     vy = vy + ay * dt
     px = px + vx * dt
@@ -448,9 +467,9 @@ def run_closed_loop(
         zax, zay = traj.zmp[0].tolist()
         plant_time = float(traj.time[0])
     else:
-        px, py = initial.com.position.tolist()
-        vx, vy = initial.com.velocity.tolist()
-        zax, zay = np.asarray(initial.zmp_actual, dtype=float).tolist()
+        px, py = initial.com
+        vx, vy = initial.velocity
+        zax, zay = initial.zmp_actual
         plant_time = initial.time
 
     # one preallocated array per column: the plan's columns are copied, the
@@ -525,11 +544,7 @@ def run_closed_loop(
             )
             # this step's values, in the order of _STEP_COLUMNS
             for view, value in zip(
-                step_views,
-                (
-                    px, py, px + vx / omega, py + vy / omega, zcx, zcy, zax, zay,
-                    sat, cop, stepped[8],
-                ),
+                step_views, (px, py, vx, vy, zcx, zcy, zax, zay, sat, cop, stepped[8])
             ):
                 view[k] = value
             px, py, vx, vy, _, _, zax, zay, _ = stepped
@@ -555,6 +570,12 @@ def run_closed_loop(
             state.gamma_high = band[2:4]
             state.gamma_high_rate = band[4:6]
 
+    # dcm_of turns the logged velocity into the DCM in place, a block at a
+    # time: temporaries as long as the trace would raise peak RSS
+    for b in range(0, last, BLOCK_SAMPLES):
+        part = slice(b, b + BLOCK_SAMPLES)
+        for c, xi in (("c_x^a", "xi_x^a"), ("c_y^a", "xi_y^a")):
+            columns[xi][part] = dcm_of(columns[c][part], columns[xi][part], omega)
     if last < n:
         columns = {name: col[:last].copy() for name, col in columns.items()}
     trace = TraceLog(

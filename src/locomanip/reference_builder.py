@@ -12,17 +12,16 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core_dynamics import (
     ExternalContact,
-    LipmCoefficients,
     RobotParams,
     compute_coefficients,
     contact_rows,
     contact_terms,
+    ext_zmp,
 )
 from .errors import InvalidSchedule, NonPhysical
 
@@ -189,18 +188,6 @@ class SoleRect:
         )
 
 
-class PlanSample(NamedTuple):
-    """One sample of a ReferenceTimeline, built on demand by its frame(k)."""
-
-    time: float
-    zmp_ref: np.ndarray
-    contacts: tuple
-    coefficients: LipmCoefficients
-    ext_zmp_ref: np.ndarray
-    support_feet: tuple
-    support_region: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class ReferenceTimeline:
     """Sampled plan as dense per-sample arrays over small per-phase tables.
@@ -235,29 +222,6 @@ class ReferenceTimeline:
         """Contact set j as contact_rows: one float tuple per contact."""
         rows = self.contact_table[self.contact_start[j] : self.contact_start[j + 1]]
         return tuple(map(tuple, rows.tolist()))
-
-    def frame(self, k: int) -> PlanSample:
-        """Sample k with its contacts and coefficients as objects."""
-        contacts = tuple(
-            ExternalContact(force=r[:3], moment=r[3:6], position=r[6:])
-            for r in self.contact_rows(self.contact_index[k])
-        )
-        coeff = LipmCoefficients(
-            omega=self.omega,
-            kappa=float(self.kappa[k]),
-            gamma=self.gamma[k],
-            zeta=self.zeta,
-        )
-        phase = self.phase[k]
-        return PlanSample(
-            time=float(self.time[k]),
-            zmp_ref=self.zmp_ref[k],
-            contacts=contacts,
-            coefficients=coeff,
-            ext_zmp_ref=self.ext_zmp_ref[k],
-            support_feet=self.support_feet[phase],
-            support_region=self.support_regions[phase],
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,9 +432,10 @@ def build_reference_frames(
     """Attach contacts, coefficients and sole rectangles to a sampled plan.
 
     kappa and gamma are contact_terms of each sample's contacts, computed
-    over whole spans of samples at once; ext_zmp_ref is kappa * zmp_ref -
-    gamma. force_kappa_one models a controller that ignores the ZMP scaling
-    of vertical contact forces: the plan keeps gamma but pins kappa to 1.
+    over whole spans of samples at once; ext_zmp_ref is ext_zmp of each
+    sample's kappa, zmp_ref and gamma. force_kappa_one models a controller
+    that ignores the ZMP scaling of vertical contact forces: the plan keeps
+    gamma but pins kappa to 1.
     """
     n = len(times)
     if zmp_ref.shape != (n, 2) or len(supports) != n:
@@ -503,7 +468,7 @@ def build_reference_frames(
         raise ValueError("gamma: components must be finite")
     if force_kappa_one:
         kappa[:] = 1.0
-    exz = kappa[:, None] * zmp_ref - gamma
+    exz = ext_zmp(kappa[:, None], zmp_ref, gamma)
     if not np.isfinite(exz).all():
         raise ValueError("position: components must be finite")
 

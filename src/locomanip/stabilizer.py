@@ -36,6 +36,7 @@ from .core_dynamics import (
     RobotParams,
     compute_coefficients,
     contact_terms,
+    dcm_of,
     net_foot_wrench,
     wrench_zmp,
 )
@@ -641,7 +642,7 @@ class Stabilizer:
         vx, vy = vel
         zcx, zcy, acx, acy, csx, csy, dex, dey = dcm_feedback(
             self.state, self.gains, self.dt, kappa, omega, plan,
-            cx + vx / omega, cy + vy / omega, bands,
+            dcm_of(cx, vx, omega), dcm_of(cy, vy, omega), bands,
         )
 
         qx, qy = _clamp_xy(zcx, zcy, edges)

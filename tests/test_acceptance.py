@@ -22,14 +22,12 @@ from _pipeline import (
 from oracles import classical_preview_rollout, finite_horizon_ls_inputs
 
 from locomanip.core_dynamics import (
-    CoMState,
-    DcmState,
     ExternalContact,
-    ZmpPoint,
     compute_coefficients,
     contact_rows,
     dcm_of,
     dcm_rate,
+    ext_zmp,
     lipm_accel,
     net_foot_wrench,
     wrench_zmp,
@@ -238,11 +236,11 @@ def _fd_consistency(draws=100, h=1e-5, seed=11):
             ),
         )
         coeff = compute_coefficients(PARAMS, contacts)
+        w, kappa, gamma = coeff.omega, coeff.kappa, coeff.gamma
         pos = rng.uniform(-0.4, 0.4, 2)
         vel = rng.uniform(-0.6, 0.6, 2)
-        zmp = ZmpPoint(rng.uniform(-0.15, 0.15, 2))
-        eff = coeff.kappa * zmp.position - coeff.gamma
-        w = coeff.omega
+        zmp = rng.uniform(-0.15, 0.15, 2)
+        eff = ext_zmp(kappa, zmp, gamma)
 
         def flow(s):
             c = eff + (pos - eff) * math.cosh(w * s) + vel * math.sinh(w * s) / w
@@ -250,11 +248,10 @@ def _fd_consistency(draws=100, h=1e-5, seed=11):
             return c, v
 
         (c_p, v_p), (c_m, v_m) = flow(h), flow(-h)
-        com = CoMState(position=pos, velocity=vel, acceleration=np.zeros(2))
-        acc = lipm_accel(coeff, com, zmp)
+        acc = lipm_accel(w, kappa, pos, zmp, gamma)
         fd_acc = (v_p - v_m) / (2.0 * h)
-        xi_rate = dcm_rate(coeff, dcm_of(com, w), zmp)
-        fd_xi = ((c_p + v_p / w) - (c_m + v_m / w)) / (2.0 * h)
+        xi_rate = dcm_rate(w, kappa, dcm_of(pos, vel, w), zmp, gamma)
+        fd_xi = (dcm_of(c_p, v_p, w) - dcm_of(c_m, v_m, w)) / (2.0 * h)
         scale_a = max(1.0, float(np.max(np.abs(acc))))
         scale_x = max(1.0, float(np.max(np.abs(xi_rate))))
         worst = max(
@@ -281,7 +278,6 @@ def _split_exactness(steps=200, seed=5):
 def _recombination(draws=100, seed=3):
     """Feasible double-support wrenches split and recombine to the input."""
     rng = np.random.default_rng(seed)
-    w2 = OMEGA * OMEGA
     worst = 0.0
     for _ in range(draws):
         contacts = hand_pair(
@@ -290,7 +286,7 @@ def _recombination(draws=100, seed=3):
         coeff = compute_coefficients(PARAMS, contacts)
         target = rng.uniform((-0.08, -0.12), (0.08, 0.12))
         com = np.array([*rng.uniform(-0.03, 0.03, 2), 0.8])
-        acc2 = w2 * (com[:2] - coeff.kappa * target + coeff.gamma)
+        acc2 = lipm_accel(OMEGA, coeff.kappa, com[:2], target, coeff.gamma)
         w = net_foot_wrench(
             PARAMS, *com.tolist(), *acc2.tolist(), 0.0, contact_rows(contacts)
         )

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from locomanip.core_dynamics import (
-    CoMState,
     ExternalContact,
-    LipmCoefficients,
     RobotParams,
-    ZmpPoint,
     compute_coefficients,
     contact_rows,
     dcm_of,
@@ -36,8 +33,8 @@ def test_no_contact_reduces_to_classic_pendulum():
     assert coeff.kappa == 1.0
     assert coeff.gamma[0] == 0.0 and coeff.gamma[1] == 0.0
     assert coeff.zeta == 981.0
-    z = ZmpPoint([0.03, -0.11])
-    np.testing.assert_array_equal(ext_zmp(coeff, z).position, z.position)
+    for z, g in ((0.03, coeff.gamma[0]), (-0.11, coeff.gamma[1])):
+        assert ext_zmp(coeff.kappa, z, g) == z
 
 
 def test_vertical_contact_force_scales_zmp():
@@ -78,10 +75,8 @@ def test_vertical_force_with_moment():
 
 
 def test_ext_zmp_scale_and_offset():
-    coeff = LipmCoefficients(omega=3.5, kappa=0.9, gamma=(0.02, -0.01), zeta=981.0)
-    out = ext_zmp(coeff, ZmpPoint([0.1, -0.05]))
-    assert math.isclose(out.position[0], 0.07, rel_tol=0, abs_tol=1e-17)
-    assert math.isclose(out.position[1], -0.035, rel_tol=0, abs_tol=1e-17)
+    assert math.isclose(ext_zmp(0.9, 0.1, 0.02), 0.07, rel_tol=0, abs_tol=1e-17)
+    assert math.isclose(ext_zmp(0.9, -0.05, -0.01), -0.035, rel_tol=0, abs_tol=1e-17)
 
 
 def test_vertical_com_accel_enters_omega_and_zeta():
@@ -93,10 +88,10 @@ def test_vertical_com_accel_enters_omega_and_zeta():
 def test_accel_vanishes_at_shifted_equilibrium():
     cons = [contact((-50.0, 20.0, 30.0), (0.4, 0.1, 1.0))]
     coeff = compute_coefficients(PARAMS, cons)
-    z = ZmpPoint([0.02, -0.03])
     # equilibrium sits at kappa z - gamma, not at z
-    com = CoMState(coeff.kappa * z.position - coeff.gamma, [0.0, 0.0], [0.0, 0.0])
-    np.testing.assert_allclose(lipm_accel(coeff, com, z), [0.0, 0.0], atol=1e-15)
+    for z, g in zip((0.02, -0.03), coeff.gamma.tolist()):
+        c = ext_zmp(coeff.kappa, z, g)
+        assert abs(lipm_accel(coeff.omega, coeff.kappa, c, z, g)) <= 1e-15
 
 
 def test_dcm_rate_matches_accel_dynamics():
@@ -106,14 +101,14 @@ def test_dcm_rate_matches_accel_dynamics():
             contact(rng.normal(size=3) * 40.0, rng.normal(size=3), rng.normal(size=3))
         ]
         coeff = compute_coefficients(PARAMS, cons)
+        w, kappa, gamma = coeff.omega, coeff.kappa, coeff.gamma
         pos = rng.normal(size=2) * 0.1
         vel = rng.normal(size=2) * 0.3
-        z = ZmpPoint(rng.normal(size=2) * 0.05)
-        com = CoMState(pos, vel, lipm_accel(coeff, CoMState(pos, vel, [0, 0]), z))
-        xi = dcm_of(com, coeff.omega)
+        z = rng.normal(size=2) * 0.05
+        acc = lipm_accel(w, kappa, pos, z, gamma)
         # d(xi)/dt = cdot + cddot/omega must equal omega (xi - kappa z + gamma)
-        lhs = com.velocity + com.acceleration / coeff.omega
-        rhs = dcm_rate(coeff, xi, z)
+        lhs = dcm_of(vel, acc, w)
+        rhs = dcm_rate(w, kappa, dcm_of(pos, vel, w), z, gamma)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
 
@@ -122,19 +117,14 @@ def test_net_wrench_without_contacts_recovers_lipm_zmp():
     coeff = compute_coefficients(PARAMS)
     for _ in range(20):
         pos = rng.normal(size=2) * 0.1
-        vel = rng.normal(size=2) * 0.3
-        z = ZmpPoint(rng.normal(size=2) * 0.05)
-        com = CoMState(pos, vel, lipm_accel(coeff, CoMState(pos, vel, [0, 0]), z))
+        rng.normal(size=2)  # a velocity, which the wrench does not read
+        z = rng.normal(size=2) * 0.05
+        acc = lipm_accel(coeff.omega, coeff.kappa, pos, z, coeff.gamma)
         w = net_foot_wrench(
-            PARAMS,
-            *pos.tolist(),
-            PARAMS.com_height,
-            *com.acceleration.tolist(),
-            0.0,
-            (),
+            PARAMS, *pos.tolist(), PARAMS.com_height, *acc.tolist(), 0.0, ()
         )
         np.testing.assert_allclose(
-            wrench_zmp(*w[:5], PARAMS.zmp_height), z.position, rtol=0, atol=1e-15
+            wrench_zmp(*w[:5], PARAMS.zmp_height), z, rtol=0, atol=1e-15
         )
 
 
@@ -150,8 +140,8 @@ def test_net_wrench_cop_is_the_driving_zmp():
         ]
         coeff = compute_coefficients(PARAMS, cons)
         pos = rng.normal(size=2) * 0.1
-        z = ZmpPoint(rng.normal(size=2) * 0.05)
-        acc = lipm_accel(coeff, CoMState(pos, [0, 0], [0, 0]), z)
+        z = rng.normal(size=2) * 0.05
+        acc = lipm_accel(coeff.omega, coeff.kappa, pos, z, coeff.gamma)
         w = net_foot_wrench(
             PARAMS,
             *pos.tolist(),
@@ -161,7 +151,7 @@ def test_net_wrench_cop_is_the_driving_zmp():
             contact_rows(cons),
         )
         np.testing.assert_allclose(
-            wrench_zmp(*w[:5], PARAMS.zmp_height), z.position, rtol=0, atol=1e-12
+            wrench_zmp(*w[:5], PARAMS.zmp_height), z, rtol=0, atol=1e-12
         )
 
 
@@ -228,13 +218,6 @@ def test_wrench_zmp_requires_vertical_force():
         wrench_zmp(10.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_degenerate_scale_flag():
-    near = LipmCoefficients(omega=3.5, kappa=0.05, gamma=(0.0, 0.0), zeta=981.0)
-    ok = LipmCoefficients(omega=3.5, kappa=0.050001, gamma=(0.0, 0.0), zeta=981.0)
-    assert near.degenerate_scale
-    assert not ok.degenerate_scale
-
-
 def test_rejects_nonphysical_params():
     with pytest.raises(NonPhysical):
         RobotParams(mass=-1.0)
@@ -251,15 +234,41 @@ def test_rejects_malformed_vectors():
         contact((1.0, 2.0), (0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         contact((1.0, 2.0, np.nan), (0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        CoMState([0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
 
 def test_states_are_read_only():
-    com = CoMState([0.1, 0.2], [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        com.position[0] = 1.0
     src = np.zeros(3)
     con = contact(src, (0.0, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        con.force[0] = 1.0
     src[0] = 99.0  # later mutation of the source must not leak in
     assert con.force[0] == 0.0
+
+
+@pytest.mark.parametrize("scalar_omega", [False, True], ids=["omega-array", "omega-float"])
+def test_pendulum_laws_on_arrays_match_float_calls_bit_for_bit(scalar_omega):
+    """Each pendulum law on arrays gives its per-sample float calls bit for
+    bit, signed zeros included."""
+    rng = np.random.default_rng(29)
+    n = 300
+    omega = 3.3618214286265045 if scalar_omega else rng.uniform(0.5, 20.0, n)
+    kappa = rng.uniform(0.05, 1.5, n)
+    c, v, z, g, xi = (rng.normal(size=n) * s for s in (0.2, 0.5, 0.1, 0.05, 0.2))
+    # the first 32 samples run through every sign pattern of zeros, where a
+    # change in the order of operations shows in the sign bit
+    for bit, a in enumerate((c, v, z, g, xi)):
+        a[:32] = np.where(np.arange(32) >> bit & 1, -0.0, 0.0)
+    kappa[:32:3] = -0.0
+    columns = [np.broadcast_to(omega, n).tolist()] + [
+        a.tolist() for a in (kappa, c, v, z, g, xi)
+    ]
+    cases = (
+        (ext_zmp, (kappa, z, g), (1, 4, 5)),
+        (lipm_accel, (omega, kappa, c, z, g), (0, 1, 2, 4, 5)),
+        (dcm_of, (c, v, omega), (2, 3, 0)),
+        (dcm_rate, (omega, kappa, xi, z, g), (0, 1, 6, 4, 5)),
+    )
+    for law, args, picks in cases:
+        got = law(*args)
+        want = [law(*row) for row in zip(*(columns[i] for i in picks))]
+        assert got.tobytes() == np.array(want).tobytes(), law.__name__

@@ -16,7 +16,7 @@ from _pipeline import (
 )
 
 from locomanip.cli import main
-from locomanip.core_dynamics import ExternalContact
+from locomanip.core_dynamics import ExternalContact, dcm_of, lipm_accel
 from locomanip.errors import DegenerateScale, RiccatiDivergence
 from locomanip.pattern_generator import (
     PreviewWeights,
@@ -234,20 +234,25 @@ class TestGenerateTrajectory:
         assert np.all(traj.com_vel[0] == 0.0)
 
     def test_model_consistency_every_sample(self):
-        """acc = w^2 (c - kappa z + gamma) and dcm = c + v/w, per sample."""
+        """acc is lipm_accel and dcm is dcm_of, per sample and axis; dcm bit
+        for bit."""
         timeline = standing_timeline(
             duration=2.0, schedule=constant_schedule(hand_pair(fx=-50.0, fz=100.0))
         )
         traj = generate_trajectory(timeline, preview_gains())
-        w2 = OMEGA * OMEGA
-        for k in range(0, len(traj.time), 100):
-            kappa = timeline.kappa[k]
-            gamma = timeline.gamma[k]
-            acc_model = w2 * (traj.com_pos[k] - kappa * traj.zmp[k] + gamma)
-            assert np.allclose(traj.com_acc[k], acc_model, atol=1e-10)
-            assert np.allclose(
-                traj.dcm[k], traj.com_pos[k] + traj.com_vel[k] / OMEGA, atol=1e-15
-            )
+        w = timeline.omega
+        acc_model, dcm = [], []
+        for c, v, z, kappa, gamma in zip(
+            traj.com_pos.tolist(),
+            traj.com_vel.tolist(),
+            traj.zmp.tolist(),
+            timeline.kappa.tolist(),
+            timeline.gamma.tolist(),
+        ):
+            acc_model.append([lipm_accel(w, kappa, c[i], z[i], gamma[i]) for i in (0, 1)])
+            dcm.append([dcm_of(c[i], v[i], w) for i in (0, 1)])
+        assert np.allclose(traj.com_acc, acc_model, atol=1e-10)
+        assert np.array(dcm).tobytes() == traj.dcm.tobytes()
 
     def test_tracks_shifted_ext_zmp(self):
         """Hands pulling backward shift the CoM behind the stance midpoint."""

@@ -21,10 +21,11 @@ from test_trace_digests import NOISY, PUSHED
 
 from locomanip import plant_sim
 from locomanip.core_dynamics import (
-    CoMState,
     compute_coefficients,
     contact_rows,
     contact_terms,
+    dcm_of,
+    ext_zmp,
 )
 from locomanip.errors import Infeasible, NonPhysical
 from locomanip.plant_sim import (
@@ -85,7 +86,7 @@ class TestStepPlant:
     def test_shifted_equilibrium_with_hands(self):
         contacts = hand_pair(fx=-50.0)
         coeff = compute_coefficients(PARAMS, contacts)
-        com0 = coeff.kappa * np.zeros(2) - coeff.gamma
+        com0 = ext_zmp(coeff.kappa, np.zeros(2), coeff.gamma)
         state = resting_state(pos=com0.tolist())
         for _ in range(500):
             state = advance(state, np.zeros(2), contacts)
@@ -113,7 +114,7 @@ class TestStepPlant:
         n = int(0.5 / DT)
         for _ in range(n):
             state = advance(state, np.zeros(2), direct_zmp=True)
-        xi = state[0] + state[2] / OMEGA
+        xi = dcm_of(state[0], state[2], OMEGA)
         assert xi == pytest.approx(xi0 * math.exp(OMEGA * n * DT), rel=1e-3)
 
     def test_clamp_into_enlarged_region(self):
@@ -129,6 +130,36 @@ class TestStepPlant:
     def test_non_finite_state_is_rejected(self):
         with pytest.raises(ValueError, match="position: components must be finite"):
             advance(resting_state(), np.array([math.inf, 0.0]), direct_zmp=True)
+
+
+class TestPlantState:
+    def test_holds_float_pairs(self):
+        state = PlantState(
+            com=np.array([0.1, 0.2]), velocity=[0, 1], zmp_actual=(0.0, -0.0), time=2
+        )
+        assert state.com == (0.1, 0.2)
+        assert state.velocity == (0.0, 1.0)
+        assert math.copysign(1.0, state.zmp_actual[1]) == -1.0
+        assert state.time == 2.0
+        values = (*state.com, *state.velocity, *state.zmp_actual, state.time)
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("com", (0.0, 0.0, 0.0), "com: expected 2 components"),
+            ("com", (0.0,), "com: expected 2 components"),
+            ("velocity", (math.nan, 0.0), "velocity: components must be finite"),
+            ("zmp_actual", (0.0, -math.inf), "zmp_actual: components must be finite"),
+            ("time", math.nan, "time must be finite"),
+            ("time", math.inf, "time must be finite"),
+        ],
+    )
+    def test_rejects_malformed_values(self, name, value, match):
+        fields = dict(com=(0.0, 0.0), velocity=(0.0, 0.0), zmp_actual=(0.0, 0.0), time=0.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=match):
+            PlantState(**fields)
 
 
 class TestDisturbanceProfile:
@@ -272,13 +303,11 @@ class TestClosedLoop:
         stab = make_stabilizer(
             gains=StabilizerGains(k_p=0.0), check_stability=False
         )
+        px, py = traj.com_pos[0].tolist()
         initial = PlantState(
-            com=CoMState(
-                position=traj.com_pos[0] + np.array([0.05, 0.0]),
-                velocity=(0.0, 0.0),
-                acceleration=(0.0, 0.0),
-            ),
-            zmp_actual=np.array(traj.zmp[0]),
+            com=(px + 0.05, py),
+            velocity=(0.0, 0.0),
+            zmp_actual=tuple(traj.zmp[0].tolist()),
             time=0.0,
         )
         trace = run_closed_loop(traj, stab, initial=initial, direct_zmp=True)
@@ -458,16 +487,16 @@ class TestOneLaw:
         vx, vy = traj.com_vel[0].tolist()
         zx, zy = traj.zmp[0].tolist()
         logged = {name: [] for name in (
-            "c_x^a", "c_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
+            "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
             "gamma_err_x", "gamma_err_y", "gammaH_x", "gammaH_y", "gammaL_x",
             "gammaL_y", "fext_sum_x", "fext_sum_y", "fext_sum_z",
             "zmp_saturated", "cop_clamped", "zmp_clamped",
         )}
         counts = set()
         for k in range(len(timeline)):
-            frame = timeline.frame(k)
-            coeff = frame.coefficients
-            desired_rows = contact_rows(frame.contacts)
+            kappa_d = timeline.kappa[k]
+            desired_rows = timeline.contact_rows(timeline.contact_index[k])
+            region = timeline.support_regions[timeline.phase[k]]
             counts.add(len(desired_rows))
             true = apply_disturbances(desired_rows, bundle.disturbances, traj.time[k])
             com, vel, measured = (px, py), (vx, vy), true
@@ -475,7 +504,7 @@ class TestOneLaw:
                 nx, ny = rng.standard_normal(2).tolist()
                 com = (px + com_noise * nx, py + com_noise * ny)
                 nx, ny = rng.standard_normal(2).tolist()
-                w = com_noise * coeff.omega
+                w = com_noise * timeline.omega
                 vel = (vx + w * nx, vy + w * ny)
                 if force_noise > 0.0:
                     measured = tuple(
@@ -496,13 +525,13 @@ class TestOneLaw:
                 measured, desired_rows, 1
             )
             command_zmp, _, _, _, saturated, cop_clamped, _ = by_hand.step(
-                coeff.kappa,
-                coeff.omega,
+                kappa_d,
+                timeline.omega,
                 plan,
                 com,
                 vel,
                 measured,
-                hull_edges(support_hull(frame.support_region)),
+                hull_edges(support_hull(region)),
                 tuple(bands[:, 0].tolist()),
             )
             state = by_hand.state
@@ -521,9 +550,11 @@ class TestOneLaw:
             logged["cop_clamped"].append(float(cop_clamped))
             logged["c_x^a"].append(px)
             logged["c_y^a"].append(py)
+            logged["xi_x^a"].append(dcm_of(px, vx, timeline.omega))
+            logged["xi_y^a"].append(dcm_of(py, vy, timeline.omega))
             logged["z_x^a"].append(zx)
             logged["z_y^a"].append(zy)
-            base = SoleRect.bounding(frame.support_region)
+            base = SoleRect.bounding(region)
             m = ZMP_CLAMP_MARGIN
             px, py, vx, vy, _, _, zx, zy, clamped = step_plant(
                 px, py, vx, vy, zx, zy, *command_zmp, decay,

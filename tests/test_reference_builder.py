@@ -8,9 +8,7 @@ import pytest
 from locomanip import reference_builder
 from locomanip.core_dynamics import (
     ExternalContact,
-    LipmCoefficients,
     RobotParams,
-    ZmpPoint,
     compute_coefficients,
     contact_rows,
     ext_zmp,
@@ -188,15 +186,17 @@ def test_frames_carry_coefficients_and_regions():
     # two hands pulling -50 N each at 1 m: gamma_x = -100/981, kappa = 1
     np.testing.assert_allclose(tl.kappa, 1.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(tl.gamma[:, 0], -100.0 / 981.0, rtol=1e-15)
-    np.testing.assert_allclose(tl.ext_zmp_ref, tl.kappa[:, None] * tl.zmp_ref - tl.gamma)
-    f = tl.frame(2)
-    assert f.support_feet == ("left",)
-    assert len(f.support_region) == 1
-    assert f.support_region[0].contains(f.zmp_ref)
+    np.testing.assert_allclose(
+        tl.ext_zmp_ref, ext_zmp(tl.kappa[:, None], tl.zmp_ref, tl.gamma)
+    )
+    phase = tl.phase[2]
+    assert tl.support_feet[phase] == ("left",)
+    assert len(tl.support_regions[phase]) == 1
+    assert tl.support_regions[phase][0].contains(tl.zmp_ref[2])
     # one hold span: every sample reads the one contact set and its terms
     np.testing.assert_array_equal(tl.contact_index, tl.contact_index[0])
-    assert f.coefficients.kappa == tl.kappa[0]
-    np.testing.assert_array_equal(f.coefficients.gamma, tl.gamma[0])
+    assert tl.contact_rows(tl.contact_index[2]) == contact_rows(hands(-50.0, 0.0))
+    np.testing.assert_array_equal(tl.kappa, tl.kappa[0])
     np.testing.assert_array_equal(tl.gamma, np.tile(tl.gamma[0], (11, 1)))
 
 
@@ -369,11 +369,12 @@ def test_array_plan_matches_per_sample_path(name, gait, force_kappa_one):
     for k, t in enumerate(times.tolist()):
         contacts = sched.sample(t)
         coeff = compute_coefficients(PARAMS, contacts)
-        if force_kappa_one:
-            coeff = LipmCoefficients(coeff.omega, 1.0, coeff.gamma, coeff.zeta)
-        kappa.append(coeff.kappa)
-        gamma.append(coeff.gamma)
-        exz.append(ext_zmp(coeff, ZmpPoint(zmp[k])).position)
+        kap = 1.0 if force_kappa_one else coeff.kappa
+        gx, gy = coeff.gamma.tolist()
+        zx, zy = zmp[k].tolist()
+        kappa.append(kap)
+        gamma.append((gx, gy))
+        exz.append((ext_zmp(kap, zx, gx), ext_zmp(kap, zy, gy)))
         got = tl.contact_rows(tl.contact_index[k])
         assert_same_bits(np.array(got).reshape(-1), np.array(contact_rows(contacts)).reshape(-1))
         assert tl.omega == coeff.omega
@@ -384,9 +385,10 @@ def test_array_plan_matches_per_sample_path(name, gait, force_kappa_one):
     got = [tuple((f, tuple(p.tolist())) for f, p in supports[k]) for k in range(n)]
     assert got == stances
     for k in range(n):
-        f = tl.frame(k)
-        assert f.support_feet == tuple(foot for foot, _ in stances[k])
-        assert [(r.xmin + r.xmax) / 2 for r in f.support_region] == pytest.approx(
+        phase = tl.phase[k]
+        assert tl.support_feet[phase] == tuple(foot for foot, _ in stances[k])
+        region = tl.support_regions[phase]
+        assert [(r.xmin + r.xmax) / 2 for r in region] == pytest.approx(
             [p[0] for _, p in stances[k]], abs=1e-15
         )
     if gait == "uneven":

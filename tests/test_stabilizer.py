@@ -12,6 +12,8 @@ from locomanip.core_dynamics import (
     RobotParams,
     compute_coefficients,
     contact_rows,
+    ext_zmp,
+    lipm_accel,
     wrench_zmp,
 )
 from locomanip.errors import DegenerateScale, Infeasible
@@ -57,9 +59,9 @@ def standing_sample(contacts=(), com=None, zmp=None):
     coeff = compute_coefficients(PARAMS, contacts)
     zmp = np.zeros(2) if zmp is None else np.asarray(zmp, dtype=float)
     if com is None:
-        com = coeff.kappa * zmp - coeff.gamma
+        com = ext_zmp(coeff.kappa, zmp, coeff.gamma)
     com = np.asarray(com, dtype=float)
-    acc = coeff.omega**2 * (com - coeff.kappa * zmp + coeff.gamma)
+    acc = lipm_accel(coeff.omega, coeff.kappa, com, zmp, coeff.gamma)
     return planned(com, acc, com.copy(), zmp, coeff, contacts)
 
 

@@ -7,7 +7,11 @@ testcase3). Three testcase1 variants cover the closed-loop paths the
 bundled runs leave out: measurement noise (so the order of the random draws
 is pinned too), a stiff ``k_p`` that saturates the command ZMP and clamps
 the centre of pressure on many steps, and a push that makes the plant
-diverge, which must end with exit code 2 and a truncated trace. Criterion 8
+diverge, which must end with exit code 2 and a truncated trace. A fourth
+variant raises the CoM to 0.868 m: there omega = 3.3618214286265045 and
+``omega**2`` differs from ``omega * omega`` in the last bit, while at the
+0.8 m of every other run the two agree, so it pins which of them the plant
+uses. Criterion 8
 only compares two runs of the same code; this gate compares against a fixed
 baseline, so a refactor or speed-up that changes a single output byte fails
 here.
@@ -45,6 +49,7 @@ STIFF = ("controller.k_p=4.0",)
 PUSHED = (
     "disturbances=[{kind: step, axis: x, amplitude_n: -150.0, start_s: 2.0, end_s: 8.0}]",
 )
+TALL = ("robot.com_height_m=0.868",)
 
 # (scenario, overrides) -> (trace.csv digest, metrics.txt digest)
 DIGESTS = {
@@ -87,6 +92,10 @@ DIGESTS = {
     ("testcase1", PUSHED): (
         "6759fb17c72ac911ccd2ab9793bfab347ec31adcd2b5a54d61788d348d6ca1ea",
         "6bfa016aef4b9a5fc1e46c9fbda139562d7ead7a7990fa89ccd97bee4133fdce",
+    ),
+    ("testcase1", TALL): (
+        "6221f6e060b2b8c26808e1e849ec8ff691d7195938d8a292b6632fd30f0c814b",
+        "8f8b6dbe5e5f2284b4a0a273f2ab5b942290d5798025ac38bc43dae8104485b6",
     ),
 }
 
