@@ -38,7 +38,6 @@ from .pattern_generator import (
 )
 from .plant_sim import (
     DisturbanceProfile,
-    PlantState,
     TraceLog,
     run_closed_loop,
     step_plant,
@@ -88,7 +87,6 @@ __all__ = [
     "InvalidSchedule",
     "LipmCoefficients",
     "NonPhysical",
-    "PlantState",
     "PreviewGains",
     "PreviewWeights",
     "ReferenceTimeline",

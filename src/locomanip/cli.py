@@ -85,16 +85,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
+def _load(args, seed=None):
+    """Parse --config after every --override. A seed (run --seed) then
+    replaces the config's seed, so the schema checks it and it wins over
+    --override seed=..."""
     raw = load_raw_config(resolve_config_path(args.config))
     if args.override:
         raw = apply_overrides(raw, args.override)
+    if seed is not None:
+        raw = {**raw, "seed": seed}
     return parse_config(raw)
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
-    result = run_scenario(config, out_dir=args.out, seed=args.seed)
+    config = _load(args, args.seed)
+    result = run_scenario(config, out_dir=args.out)
     trace = result.trace
     if trace.failure is not None:
         print(

@@ -86,10 +86,10 @@ class LipmCoefficients:
 
     Attributes
     ----------
-    omega : pendulum frequency sqrt((vertical accel + g) / pendulum height), 1/s
+    omega : pendulum frequency sqrt(g / pendulum height), 1/s
     kappa : dimensionless ZMP scale, 1 with no vertical contact force
     gamma : 2D ZMP offset induced by contact forces and moments, m
-    zeta : normalizing vertical force m * (vertical accel + g), N
+    zeta : normalizing vertical force m g, N
     """
 
     omega: float
@@ -137,17 +137,15 @@ def contact_terms(rows, zeta: float, zmp_height: float) -> tuple:
     return fx, fy, fz, 1.0 - fz / zeta, gx / zeta, gy / zeta
 
 
-def compute_coefficients(
-    params: RobotParams, contacts=(), com_vert_accel: float = 0.0
-) -> LipmCoefficients:
-    """Pendulum coefficients for a robot subject to the given external contacts."""
-    if not math.isfinite(com_vert_accel):
-        raise NonPhysical("com_vert_accel must be finite")
-    vert = com_vert_accel + params.gravity
-    if not vert > 0.0:
-        raise NonPhysical("vertical acceleration must exceed -gravity")
-    omega = math.sqrt(vert / (params.com_height - params.zmp_height))
-    zeta = params.mass * vert
+def compute_coefficients(params: RobotParams, contacts=()) -> LipmCoefficients:
+    """Pendulum coefficients for a robot subject to the given external contacts.
+
+    The CoM height is constant (no vertical CoM acceleration), so only
+    gravity enters omega and zeta.
+    """
+    g = params.gravity
+    omega = math.sqrt(g / (params.com_height - params.zmp_height))
+    zeta = params.mass * g
     *_, kappa, gx, gy = contact_terms(contact_rows(contacts), zeta, params.zmp_height)
     return LipmCoefficients(omega=omega, kappa=kappa, gamma=(gx, gy), zeta=zeta)
 

@@ -34,7 +34,13 @@ from .reference_builder import ReferenceTimeline
 _TAIL_FRACTION = 0.1
 _TAIL_BUDGET = 0.01
 
-_MIN_WINDOW = 1.0  # s
+# shortest preview window synthesize_gains accepts; the config schema's
+# floor for controller.preview_window_s
+MIN_PREVIEW_WINDOW = 1.0  # s
+
+# stopping rule of _doubling
+_DARE_TOL = 1e-15
+_DARE_MAX_STEPS = 50
 
 # Products per feedforward chunk: 64 KB of float64 stays under glibc's
 # 128 KB mmap threshold, so the chunk temporaries neither map pages per
@@ -98,18 +104,18 @@ def _solve(W, R):
     return X
 
 
-def _doubling(a, G, H, tol: float, max_iter: int):
+def _doubling(a, G, H):
     """Structure-preserving doubling on 3x3 float matrices; returns H.
 
     From A0 = a, G0 = G and H0 = H, each step sets W = I + GH and
         H <- H + A'H W^-1 A,  G <- G + A W^-1 G A',  A <- A W^-1 A,
     so step k sums 2^k sweeps of the underlying fixed-point map. W^-1 A and
     W^-1 G come from one elimination; H and G are kept symmetric. Stops
-    when H changes by at most tol relative to its largest entry. Raises
-    RiccatiDivergence if W is singular, a value is not finite or max_iter
-    steps do not settle.
+    when H changes by at most _DARE_TOL relative to its largest entry.
+    Raises RiccatiDivergence if W is singular, a value is not finite or
+    _DARE_MAX_STEPS steps do not settle.
     """
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_STEPS):
         GH = _mul(G, H)
         W = [[float(i == j) + GH[i][j] for j in range(3)] for i in range(3)]
         S = _solve(W, [ra + rg for ra, rg in zip(a, G)])
@@ -122,9 +128,9 @@ def _doubling(a, G, H, tol: float, max_iter: int):
             raise RiccatiDivergence("Riccati doubling produced non-finite values")
         change = max(abs(x - y) for rx, ry in zip(H_next, H) for x, y in zip(rx, ry))
         H = H_next
-        if change <= tol * max(abs(v) for row in H for v in row):
+        if change <= _DARE_TOL * max(abs(v) for row in H for v in row):
             return H
-    raise RiccatiDivergence(f"Riccati doubling did not settle in {max_iter} steps")
+    raise RiccatiDivergence(f"Riccati doubling did not settle in {_DARE_MAX_STEPS} steps")
 
 
 def _feedback(a, b, P, r: float):
@@ -140,12 +146,7 @@ def _closed_loop(a, b, k):
 
 
 def solve_dare_fixed_point(
-    A: np.ndarray,
-    B: np.ndarray,
-    q_state: np.ndarray,
-    r: float,
-    tol: float = 1e-15,
-    max_iter: int = 50,
+    A: np.ndarray, B: np.ndarray, q_state: np.ndarray, r: float
 ) -> np.ndarray:
     """Discrete-time Riccati solution by doubling plus one Newton step.
 
@@ -164,7 +165,7 @@ def solve_dare_fixed_point(
     a = np.asarray(A, dtype=float).tolist()
     b = np.asarray(B, dtype=float).reshape(3).tolist()
     Q = np.asarray(q_state, dtype=float).tolist()
-    P = _doubling(a, [[bi * bj / r for bj in b] for bi in b], Q, tol, max_iter)
+    P = _doubling(a, [[bi * bj / r for bj in b] for bi in b], Q)
     k, s = _feedback(a, b, P, r)
     closed = _closed_loop(a, b, k)
     AtPA = _mul(_t(a), _mul(P, a))
@@ -172,7 +173,7 @@ def solve_dare_fixed_point(
         [[Q[i][j] + AtPA[i][j] - s * k[i] * k[j] for j in range(3)] for i in range(3)],
         [[-v for v in row] for row in P],
     )
-    E = _doubling(closed, [[0.0] * 3 for _ in range(3)], R, tol, max_iter)
+    E = _doubling(closed, [[0.0] * 3 for _ in range(3)], R)
     return np.array(_sym_sum(P, E))
 
 
@@ -230,8 +231,8 @@ def synthesize_gains(
         raise ValueError("omega must be positive")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive")
-    if preview_window < _MIN_WINDOW:
-        raise ValueError(f"preview_window must be at least {_MIN_WINDOW} s")
+    if preview_window < MIN_PREVIEW_WINDOW:
+        raise ValueError(f"preview_window must be at least {MIN_PREVIEW_WINDOW} s")
     n = int(round(preview_window / dt))
     A, B, C = discretize(omega, dt)
     q, r = weights.q_zmp, weights.r_jerk
@@ -369,18 +370,16 @@ class DesiredTrajectory:
 
 
 def generate_trajectory(
-    timeline: ReferenceTimeline,
-    gains: PreviewGains,
-    initial: np.ndarray | None = None,
+    timeline: ReferenceTimeline, gains: PreviewGains
 ) -> DesiredTrajectory:
     """Roll the preview law over a reference timeline.
 
-    Starts at rest with the CoM over the first reference ZMP unless an
-    initial (3, 2) state is given; schedules whose contacts ramp in from
-    zero make that a transient-free equilibrium start. References past the
-    end of the timeline hold the final value. Raises DegenerateScale if any
-    frame's vertical contact force comes close to cancelling the robot's
-    weight, since the real-ZMP command divides by kappa.
+    Starts at rest with the CoM over the first reference ZMP; schedules
+    whose contacts ramp in from zero make that a transient-free equilibrium
+    start. References past the end of the timeline hold the final value.
+    Raises DegenerateScale if any frame's vertical contact force comes close
+    to cancelling the robot's weight, since the real-ZMP command divides by
+    kappa.
     """
     if abs(gains.dt - timeline.dt) > 1e-12:
         raise ValueError("gains and timeline sample at different rates")
@@ -394,11 +393,7 @@ def generate_trajectory(
     n = len(timeline)
     npv = gains.n_preview
     ref = timeline.ext_zmp_ref
-    state = (
-        initial_state(timeline.zmp_ref[0])
-        if initial is None
-        else np.array(initial, dtype=float)
-    )
+    state = initial_state(timeline.zmp_ref[0])
     com_pos = np.empty((n, 2))
     com_vel = np.empty((n, 2))
     com_acc = np.empty((n, 2))

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_dynamics import (
-    _finite_vec,
     compute_coefficients,
     contact_terms,
     dcm_of,
@@ -97,28 +96,6 @@ _STEP_COLUMNS = (
     "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
     *EXTRA_COLUMNS,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class PlantState:
-    """Plant truth at one instant: CoM position and velocity and realized ZMP,
-    each an (x, y) pair of floats, and the time.
-
-    Raises ValueError on a value that is not finite or not a pair.
-    """
-
-    com: tuple
-    velocity: tuple
-    zmp_actual: tuple
-    time: float
-
-    def __post_init__(self):
-        for name in ("com", "velocity", "zmp_actual"):
-            pair = tuple(_finite_vec(getattr(self, name), 2, name).tolist())
-            object.__setattr__(self, name, pair)
-        if not math.isfinite(self.time):
-            raise ValueError("time must be finite")
-        object.__setattr__(self, "time", float(self.time))
 
 
 @dataclass(frozen=True)
@@ -417,7 +394,6 @@ def run_closed_loop(
     stabilizer: Stabilizer,
     disturbances=(),
     direct_zmp: bool = False,
-    initial: PlantState | None = None,
     com_noise: float = 0.0,
     force_noise: float = 0.0,
     seed: int | None = None,
@@ -426,9 +402,11 @@ def run_closed_loop(
     """Simulate the stabilized plant along a planned trajectory.
 
     The plant is the stabilizer's robot with the ZMP lag of gains.rho; a
-    stabilizer whose dt or omega is not the plan's raises ValueError. The
-    run goes in blocks of at most BLOCK_SAMPLES samples, cut where the
-    number of hand contacts changes, and each block in two passes:
+    stabilizer whose dt or omega is not the plan's raises ValueError. It
+    starts from the plan's first sample: planned CoM position and velocity,
+    realized ZMP on the planned ZMP. The run goes in blocks of at most
+    BLOCK_SAMPLES samples, cut where the number of hand contacts changes,
+    and each block in two passes:
 
     - open loop, on arrays over the block: the true contacts by
       apply_disturbances and their contact_terms; white measurement noise
@@ -461,16 +439,10 @@ def run_closed_loop(
     noisy = com_noise > 0.0 or force_noise > 0.0
     rng = np.random.default_rng(seed) if noisy else None
 
-    if initial is None:
-        px, py = traj.com_pos[0].tolist()
-        vx, vy = traj.com_vel[0].tolist()
-        zax, zay = traj.zmp[0].tolist()
-        plant_time = float(traj.time[0])
-    else:
-        px, py = initial.com
-        vx, vy = initial.velocity
-        zax, zay = initial.zmp_actual
-        plant_time = initial.time
+    px, py = traj.com_pos[0].tolist()
+    vx, vy = traj.com_vel[0].tolist()
+    zax, zay = traj.zmp[0].tolist()
+    plant_time = float(traj.time[0])
 
     # one preallocated array per column: the plan's columns are copied, the
     # others written per block or per step. One 2-D buffer would hold the

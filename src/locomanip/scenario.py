@@ -39,7 +39,12 @@ import yaml
 
 from .core_dynamics import ExternalContact, RobotParams
 from .errors import ConfigError, SchemaMismatch
-from .pattern_generator import PreviewWeights, generate_trajectory, synthesize_gains
+from .pattern_generator import (
+    MIN_PREVIEW_WINDOW,
+    PreviewWeights,
+    generate_trajectory,
+    synthesize_gains,
+)
 from .plant_sim import STEP_FAILURES, DisturbanceProfile, TraceLog, run_closed_loop
 from .reference_builder import (
     ContactBreakpoint,
@@ -308,7 +313,7 @@ class GaitSection:
 class ControllerSection:
     q_zmp: float = _f(_number, 1.0, positive=True)
     r_jerk: float = _f(_number, 1e-8, positive=True)
-    preview_window_s: float = _f(_number, 1.6, positive=True)
+    preview_window_s: float = _f(_number, 1.6, minimum=MIN_PREVIEW_WINDOW)
     k_p: float = _f(_number, 1.25, minimum=0.0)
     k_i: float = _f(_number, 0.0, minimum=0.0)
     k_d: float = _f(_number, 0.0, minimum=0.0)
@@ -804,16 +809,12 @@ _CLAMP_COUNTS = (
 )
 
 
-def scenario_metrics(
-    trace: TraceLog, timeline=None, metrics_cfg: MetricsSection | None = None
-) -> dict:
+def scenario_metrics(trace: TraceLog, timeline, metrics_cfg: MetricsSection) -> dict:
     """Full metric set of one run: meta, masked top-level, named windows.
 
-    The timeline supplies the footstep-plan ZMP for the implied-ZMP metric;
-    without it those keys are omitted.
+    The timeline supplies the footstep-plan ZMP (zmp_ref) for the
+    implied-ZMP metric.
     """
-    if metrics_cfg is None:
-        metrics_cfg = MetricsSection()
     n = len(trace)
     out: dict = {
         "samples": float(n),
@@ -827,16 +828,13 @@ def scenario_metrics(
         out["failure"] = trace.failure
         out["failed_at_s"] = trace.failed_at
 
-    plan = None
-    if timeline is not None:
-        plan = np.asarray(timeline.zmp_ref)[:n]
+    plan = np.asarray(timeline.zmp_ref)[:n]
 
     def block(mask: np.ndarray) -> dict:
         got = trace_metrics(trace, mask)
-        if plan is not None:
-            for ax, i in (("x", 0), ("y", 1)):
-                dev = (trace[f"z_{ax}^a"] - plan[:, i])[mask]
-                got[f"rms_implied_zmp_dev_{ax}"] = _rms(dev)
+        for ax, i in (("x", 0), ("y", 1)):
+            dev = (trace[f"z_{ax}^a"] - plan[:, i])[mask]
+            got[f"rms_implied_zmp_dev_{ax}"] = _rms(dev)
         return got
 
     out.update(block(_index_mask(n, trace.dt, metrics_cfg)))
@@ -947,14 +945,11 @@ class ScenarioResult:
 
 
 def run_scenario(
-    config: ScenarioConfig,
-    out_dir=None,
-    seed: int | None = None,
-    write: bool = True,
+    config: ScenarioConfig, out_dir=None, write: bool = True
 ) -> ScenarioResult:
     """Run one scenario end to end and optionally write trace plus metrics.
 
-    The seed only matters when measurement noise is configured; noiseless
+    config.seed only matters when measurement noise is configured; noiseless
     runs are bit-deterministic regardless. Exit code 0 means the run
     completed, 2 that the plant diverged and 3 that a control step failed
     (STEP_FAILURES; the metrics then carry failure and failed_at_s). Either
@@ -969,7 +964,7 @@ def run_scenario(
             direct_zmp=config.plant.direct_zmp,
             com_noise=config.plant.com_noise_m,
             force_noise=config.plant.force_noise_n,
-            seed=seed if seed is not None else config.seed,
+            seed=config.seed,
             divergence_limit=config.plant.divergence_limit_m,
         )
     except STEP_FAILURES as exc:

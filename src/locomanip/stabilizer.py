@@ -556,10 +556,11 @@ class Stabilizer:
     """Stateful DCM stabilizer bound to one robot, gain set and control rate.
 
     omega is the robot's; gains.rho is also the closed loop's plant lag.
-    Checks closed-loop stability of the gains at construction. Calls must be
-    serialized per instance; construct separate instances for parallel runs.
-    compensate_forces=False disables the force-error compensation (both
-    bands forced to zero) for ablation studies.
+    Gains that are not stable at omega (StabilizerGains.check_stable) raise
+    ValueError at construction. Calls must be serialized per instance;
+    construct separate instances for parallel runs. compensate_forces=False
+    disables the force-error compensation (both bands forced to zero) for
+    ablation studies.
     """
 
     def __init__(
@@ -568,13 +569,11 @@ class Stabilizer:
         gains: StabilizerGains,
         dt: float,
         compensate_forces: bool = True,
-        check_stability: bool = True,
     ):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("dt must be positive")
         omega = compute_coefficients(params).omega
-        if check_stability:
-            gains.check_stable(omega)
+        gains.check_stable(omega)
         self.params = params
         self.gains = gains
         self.omega = omega

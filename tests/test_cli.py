@@ -93,6 +93,43 @@ class TestRun:
         assert code == 1
         assert "config error: duration_s: too long" in capsys.readouterr().err
 
+    def test_seed_flag_is_the_config_seed(self, mini_path, tmp_path):
+        """--seed N runs as --override seed=N, and wins over it."""
+
+        def trace(name, *argv):
+            out = tmp_path / name
+            code = run_cli(
+                "run", "--config", str(mini_path), "--out", str(out),
+                "--override", "plant.com_noise_m=1e-4", *argv,
+            )
+            assert code == 0
+            return (out / "trace.csv").read_bytes()
+
+        flag = trace("flag", "--seed", "5")
+        assert flag == trace("override", "--override", "seed=5")
+        assert flag == trace("both", "--override", "seed=4", "--seed", "5")
+        assert flag != trace("other", "--seed", "4")
+
+    @pytest.mark.parametrize("noise", ["0.0", "1e-4"])
+    def test_negative_seed_exits_one(self, noise, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--config", "nominal", "--out", str(out),
+            "--override", f"plant.com_noise_m={noise}", "--seed", "-1",
+        )
+        assert code == 1
+        assert "config error: seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "gains"])
+    def test_short_preview_window_names_field(self, command, capsys):
+        code = run_cli(
+            command, "--config", "nominal", "--override", "controller.preview_window_s=0.5"
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: controller.preview_window_s: must be >= 1" in err
+
     def test_divergence_exits_two(self, mini_path, tmp_path, capsys):
         code = run_cli(
             "run",

@@ -79,12 +79,6 @@ def test_ext_zmp_scale_and_offset():
     assert math.isclose(ext_zmp(0.9, -0.05, -0.01), -0.035, rel_tol=0, abs_tol=1e-17)
 
 
-def test_vertical_com_accel_enters_omega_and_zeta():
-    coeff = compute_coefficients(PARAMS, com_vert_accel=0.5)
-    assert math.isclose(coeff.omega, 3.5899164335677787, rel_tol=0, abs_tol=1e-15)
-    assert coeff.zeta == 1031.0
-
-
 def test_accel_vanishes_at_shifted_equilibrium():
     cons = [contact((-50.0, 20.0, 30.0), (0.4, 0.1, 1.0))]
     coeff = compute_coefficients(PARAMS, cons)
@@ -225,8 +219,6 @@ def test_rejects_nonphysical_params():
         RobotParams(mass=100.0, gravity=0.0)
     with pytest.raises(NonPhysical):
         RobotParams(mass=100.0, com_height=0.1, zmp_height=0.1)
-    with pytest.raises(NonPhysical):
-        compute_coefficients(PARAMS, com_vert_accel=-20.0)
 
 
 def test_rejects_malformed_vectors():

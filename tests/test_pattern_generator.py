@@ -15,6 +15,7 @@ from _pipeline import (
     standing_timeline,
 )
 
+from locomanip import pattern_generator
 from locomanip.cli import main
 from locomanip.core_dynamics import ExternalContact, dcm_of, lipm_accel
 from locomanip.errors import DegenerateScale, RiccatiDivergence
@@ -104,10 +105,11 @@ class TestDoubling:
         with pytest.raises(RiccatiDivergence, match="singular"):
             solve_dare_fixed_point(A, B, -np.diag([1.0, 0.0, 0.0]), 1.0)
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(pattern_generator, "_DARE_MAX_STEPS", 3)
         A, B, C = discretize(OMEGA, DT)
         with pytest.raises(RiccatiDivergence, match="did not settle in 3 steps"):
-            solve_dare_fixed_point(A, B, np.outer(C, C), 1e-8, max_iter=3)
+            solve_dare_fixed_point(A, B, np.outer(C, C), 1e-8)
 
 
 class TestSynthesis:

@@ -33,7 +33,6 @@ from locomanip.plant_sim import (
     STEP_FAILURES,
     ZMP_CLAMP_MARGIN,
     DisturbanceProfile,
-    PlantState,
     TraceLog,
     apply_disturbances,
     run_closed_loop,
@@ -130,36 +129,6 @@ class TestStepPlant:
     def test_non_finite_state_is_rejected(self):
         with pytest.raises(ValueError, match="position: components must be finite"):
             advance(resting_state(), np.array([math.inf, 0.0]), direct_zmp=True)
-
-
-class TestPlantState:
-    def test_holds_float_pairs(self):
-        state = PlantState(
-            com=np.array([0.1, 0.2]), velocity=[0, 1], zmp_actual=(0.0, -0.0), time=2
-        )
-        assert state.com == (0.1, 0.2)
-        assert state.velocity == (0.0, 1.0)
-        assert math.copysign(1.0, state.zmp_actual[1]) == -1.0
-        assert state.time == 2.0
-        values = (*state.com, *state.velocity, *state.zmp_actual, state.time)
-        assert all(type(v) is float for v in values)
-
-    @pytest.mark.parametrize(
-        "name, value, match",
-        [
-            ("com", (0.0, 0.0, 0.0), "com: expected 2 components"),
-            ("com", (0.0,), "com: expected 2 components"),
-            ("velocity", (math.nan, 0.0), "velocity: components must be finite"),
-            ("zmp_actual", (0.0, -math.inf), "zmp_actual: components must be finite"),
-            ("time", math.nan, "time must be finite"),
-            ("time", math.inf, "time must be finite"),
-        ],
-    )
-    def test_rejects_malformed_values(self, name, value, match):
-        fields = dict(com=(0.0, 0.0), velocity=(0.0, 0.0), zmp_actual=(0.0, 0.0), time=0.0)
-        fields[name] = value
-        with pytest.raises(ValueError, match=match):
-            PlantState(**fields)
 
 
 class TestDisturbanceProfile:
@@ -299,22 +268,23 @@ class TestClosedLoop:
         assert np.max(err_x) < 0.01
 
     def test_unstabilized_offset_diverges(self):
-        traj = plan_trajectory(standing_timeline(duration=4.0))
-        stab = make_stabilizer(
-            gains=StabilizerGains(k_p=0.0), check_stability=False
+        """An unplanned 200 N pull on each hand needs a ZMP past the support
+        hull: the command saturates, the CoM drifts off the plan and the run
+        stops at the default divergence gate."""
+        traj = plan_trajectory(
+            standing_timeline(duration=4.0, schedule=constant_schedule(hand_pair()))
         )
-        px, py = traj.com_pos[0].tolist()
-        initial = PlantState(
-            com=(px + 0.05, py),
-            velocity=(0.0, 0.0),
-            zmp_actual=tuple(traj.zmp[0].tolist()),
-            time=0.0,
+        push = (
+            DisturbanceProfile(kind="step", axis="x", amplitude=-200.0, start_time=0.5),
         )
-        trace = run_closed_loop(traj, stab, initial=initial, direct_zmp=True)
+        trace = run_closed_loop(traj, make_stabilizer(), disturbances=push, direct_zmp=True)
         assert trace.diverged
         assert trace.diverged_at is not None
-        assert trace.diverged_at < 4.0
+        assert 0.5 < trace.diverged_at < 4.0
+        # the command ZMP sits on the support hull from the push on
+        assert trace.extra["zmp_saturated"][round(0.5 / DT) :].all()
         assert len(trace) < len(traj.time)
+        assert len(trace) == round(trace.diverged_at / DT)
 
     def test_determinism_bitwise(self):
         timeline = inplace_timeline(duration=4.0, schedule=constant_schedule(hand_pair(fx=-50.0)))
