@@ -10,11 +10,13 @@ The infinite-horizon tracking law splits into state feedback from a Riccati
 solution plus a finite window of feedforward gains over future references.
 The Riccati equation is solved by structure-preserving doubling, polished
 by one Newton step, on 3x3 float matrices. The gains and the per-axis state
-recursion run on Python floats, and the feedforward is a correlation of the
-gains with the padded reference, summed row by row by numpy in a fixed
-order. Nothing on the way to the plan calls BLAS, so its bytes do not
-depend on the BLAS kernel; only the PreviewGains stability check calls
-LAPACK. generate_trajectory and step_pg run the same law.
+recursion run on Python floats. The feedforward is a correlation of the
+gains with the padded reference: each value is added in the pairwise order
+that np.sum uses for a row of its window's products, written out over
+shifted slices of the reference. So the plan's bytes rest on elementwise
+IEEE multiply and add, not on numpy's reduction internals. Nothing on the
+way to the plan calls BLAS, so its bytes do not depend on the BLAS kernel;
+only the PreviewGains stability check calls LAPACK.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_dynamics import DEGENERATE_KAPPA, dcm_of
 from .errors import DegenerateScale, RiccatiDivergence
@@ -42,10 +43,11 @@ MIN_PREVIEW_WINDOW = 1.0  # s
 _DARE_TOL = 1e-15
 _DARE_MAX_STEPS = 50
 
-# Products per feedforward chunk: 64 KB of float64 stays under glibc's
-# 128 KB mmap threshold, so the chunk temporaries neither map pages per
-# chunk nor, once freed, raise the dynamic threshold for later arrays.
-_FF_CHUNK_VALUES = 8192
+# Outputs per feedforward block: a (2, block) float64 array is 128,000
+# bytes, under glibc's 128 KiB default mmap threshold, so the block
+# temporaries neither map pages per block nor, once freed, raise the
+# dynamic threshold for later arrays.
+_FF_BLOCK = 8000
 
 
 def discretize(omega: float, dt: float):
@@ -261,18 +263,58 @@ def initial_state(com_pos) -> np.ndarray:
     return state
 
 
-def _feedforward(k_ff: np.ndarray, ref: np.ndarray, out: np.ndarray):
-    """out[k] = sum_j k_ff[j] ref[k + j]: the preview term of step k.
+def _pairwise(k_ff, ref, lo: int, n: int, b0: int, m: int) -> np.ndarray:
+    """Terms lo .. lo+n-1 of the preview sums of outputs b0 .. b0+m-1.
 
-    Each value is one numpy row sum over the products, which adds in a fixed
-    order for a given window length, so a step computed alone gives the same
-    bits as inside a whole rollout. Rows go in chunks of at most
-    _FF_CHUNK_VALUES products.
+    Term j of output k is k_ff[j] * ref[..., k + j], so term j of the whole
+    block is one slice of ref shifted by j. The terms are added in numpy's
+    pairwise order for a row of n values: more than 128 split at n // 2,
+    rounded down to a multiple of 8; 8 to 128 go in 8 interleaved lanes,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the
+    leftover terms are then added in order; fewer than 8 are added in order
+    from -0.0, which is the same as from the first term.
     """
-    windows = sliding_window_view(ref, len(k_ff))
-    rows = max(1, _FF_CHUNK_VALUES // len(k_ff))
-    for k in range(0, len(out), rows):
-        np.sum(windows[k : k + rows] * k_ff, axis=1, out=out[k : k + rows])
+
+    def term(j):
+        return k_ff[j] * ref[..., b0 + j : b0 + j + m]
+
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise(k_ff, ref, lo, half, b0, m) + _pairwise(
+            k_ff, ref, lo + half, n - half, b0, m
+        )
+    if n < 8:
+        res = term(lo)
+        for j in range(lo + 1, lo + n):
+            res += term(j)
+        return res
+    r = [term(lo + j) for j in range(8)]
+    lanes_end = lo + n - n % 8
+    for i in range(lo + 8, lanes_end, 8):
+        for j in range(8):
+            r[j] += term(i + j)
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(lanes_end, lo + n):
+        res += term(j)
+    return res
+
+
+def _feedforward(k_ff: np.ndarray, ref: np.ndarray, out: np.ndarray):
+    """out[..., k] = sum_j k_ff[j] ref[..., k + j]: the preview term of step k.
+
+    The last axis of ref is len(k_ff) - 1 samples longer than that of out.
+    Each value has the bits of np.sum over its window's products: the terms
+    are added in np.sum's order (see _pairwise), and the sum starts from
+    +0.0 as np.sum's does, so a sum of -0.0 terms is +0.0. Goes in blocks
+    of at most _FF_BLOCK outputs.
+    """
+    k_ff = k_ff.tolist()
+    total = out.shape[-1]
+    for b0 in range(0, total, _FF_BLOCK):
+        m = min(_FF_BLOCK, total - b0)
+        block = _pairwise(k_ff, ref, 0, len(k_ff), b0, m)
+        np.add(block, 0.0, out=out[..., b0 : b0 + m])
 
 
 def _preview_law(gains: PreviewGains, state, jerk, pos, vel, acc, zmp_out):
@@ -303,31 +345,6 @@ def _preview_law(gains: PreviewGains, state, jerk, pos, vel, acc, zmp_out):
             a20 * p + a21 * v + a22 * a + b2 * u,
         )
     return p, v, a
-
-
-def step_pg(state: np.ndarray, gains: PreviewGains, refs: np.ndarray):
-    """Advance one sample against the upcoming reference window.
-
-    state is (3, 2) with rows position/velocity/acceleration and columns x/y;
-    refs is (n_preview, 2) holding the scaled-offset ZMP references for the
-    next n_preview samples. Returns (next_state, jerk (2,), zmp_out (2,))
-    where zmp_out is the scaled-offset ZMP implied by the current state.
-    This is one step of the law generate_trajectory rolls out.
-    """
-    state = np.asarray(state, dtype=float)
-    refs = np.asarray(refs, dtype=float)
-    if refs.shape != (gains.n_preview, 2):
-        raise ValueError(f"refs must be ({gains.n_preview}, 2), got {refs.shape}")
-    nxt = np.empty((3, 2))
-    jerk = np.empty(2)
-    zmp_out = np.empty(2)
-    logged = np.empty((3, 1))  # the start state, which the caller holds already
-    for i in (0, 1):
-        _feedforward(gains.k_ff, refs[:, i], jerk[i : i + 1])
-        nxt[:, i] = _preview_law(
-            gains, state[:, i].tolist(), jerk[i : i + 1], *logged, zmp_out[i : i + 1]
-        )
-    return nxt, jerk, zmp_out
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,15 +416,12 @@ def generate_trajectory(
     com_acc = np.empty((n, 2))
     exz_out = np.empty((n, 2))
     jerks = np.empty((n, 2))
-    # The window of step k covers samples k+1 .. k+npv, holding the final
-    # value. The first `inside` windows lie inside the timeline and read it
-    # in place; only the rest read a padded copy of the last samples.
-    inside = max(0, n - npv)
+    # the window of step k covers samples k+1 .. k+npv, holding the final value
+    padded = np.empty((2, n - 1 + npv))
+    padded[:, : n - 1] = ref[1:].T
+    padded[:, n - 1 :] = ref[-1, :, None]
+    _feedforward(gains.k_ff, padded, jerks.T)
     for i in (0, 1):
-        tail = np.concatenate([ref[inside + 1 :, i], np.full(npv, ref[-1, i])])
-        if inside:
-            _feedforward(gains.k_ff, ref[1:, i], jerks[:inside, i])
-        _feedforward(gains.k_ff, tail, jerks[inside:, i])
         _preview_law(
             gains,
             state[:, i].tolist(),

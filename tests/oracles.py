@@ -5,7 +5,9 @@ with explicit scalar updates, so it shares nothing with the package's
 trajectory generator except the synthesized gains. finite_horizon_ls_inputs
 solves the same tracking problem as a dense least-squares program with a
 Riccati tail cost from scipy, which is an entirely different solution path
-than the recursive preview law.
+than the recursive preview law. step_pg is one sample of the package's
+preview law with the feedforward as a plain np.sum per window, which the
+package's rollout must match to the last bit.
 """
 
 import numpy as np
@@ -48,6 +50,39 @@ def classical_preview_rollout(gains, zmp_ref):
             vel = vel + dt * acc + (dt * dt / 2.0) * u
             acc = acc + dt * u
     return out
+
+
+def step_pg(state, gains, refs):
+    """Advance the preview law one sample against the upcoming window.
+
+    state is (3, 2) with rows position/velocity/acceleration and columns
+    x/y; refs is (n_preview, 2), the scaled-offset ZMP references of the
+    next n_preview samples. Returns (next_state, jerk (2,), zmp_out (2,)),
+    where zmp_out is the scaled-offset ZMP implied by the current state.
+    The feedforward of each axis is one np.sum over the window's products;
+    the state update adds its terms in the order generate_trajectory does.
+    """
+    state = np.asarray(state, dtype=float)
+    refs = np.asarray(refs, dtype=float)
+    assert refs.shape == (gains.n_preview, 2), refs.shape
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = gains.A.tolist()
+    b0, b1, b2 = gains.B.tolist()
+    c0, c1, c2 = gains.C.tolist()
+    k0, k1, k2 = gains.k_fb.tolist()
+    nxt = np.empty((3, 2))
+    jerk = np.empty(2)
+    zmp_out = np.empty(2)
+    for i in (0, 1):
+        p, v, a = state[:, i].tolist()
+        ff = float(np.sum(refs[:, i] * gains.k_ff))
+        zmp_out[i] = c0 * p + c1 * v + c2 * a
+        u = jerk[i] = ff - (k0 * p + k1 * v + k2 * a)
+        nxt[:, i] = (
+            a00 * p + a01 * v + a02 * a + b0 * u,
+            a10 * p + a11 * v + a12 * a + b1 * u,
+            a20 * p + a21 * v + a22 * a + b2 * u,
+        )
+    return nxt, jerk, zmp_out
 
 
 def finite_horizon_ls_inputs(omega, dt, zmp_ref, q_zmp, r_jerk):

@@ -19,7 +19,7 @@ from _pipeline import (
     plan_trajectory,
     preview_gains,
 )
-from oracles import classical_preview_rollout, finite_horizon_ls_inputs
+from oracles import classical_preview_rollout, finite_horizon_ls_inputs, step_pg
 
 from locomanip.core_dynamics import (
     ExternalContact,
@@ -35,7 +35,6 @@ from locomanip.core_dynamics import (
 from locomanip.pattern_generator import (
     PreviewWeights,
     initial_state,
-    step_pg,
     synthesize_gains,
 )
 from locomanip.reference_builder import SoleRect

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from _pipeline import (
     DT,
     OMEGA,
@@ -14,18 +15,20 @@ from _pipeline import (
     preview_gains,
     standing_timeline,
 )
+from oracles import step_pg
 
 from locomanip import pattern_generator
 from locomanip.cli import main
 from locomanip.core_dynamics import ExternalContact, dcm_of, lipm_accel
 from locomanip.errors import DegenerateScale, RiccatiDivergence
 from locomanip.pattern_generator import (
+    _FF_BLOCK,
     PreviewWeights,
+    _feedforward,
     discretize,
     generate_trajectory,
     initial_state,
     solve_dare_fixed_point,
-    step_pg,
     synthesize_gains,
 )
 
@@ -155,6 +158,53 @@ class TestSynthesis:
             PreviewWeights(r_jerk=-1e-9)
 
 
+# window lengths: a single leaf from -0.0, one leaf of 8 lanes with
+# leftover terms, and split rows
+_WINDOWS = st.one_of(
+    st.integers(1, 7),
+    st.integers(9, 127).filter(lambda n: n % 8),
+    st.integers(129, 960),
+)
+
+
+class TestFeedforward:
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        npv=_WINDOWS,
+        n_out=st.sampled_from([1, _FF_BLOCK - 1, _FF_BLOCK, _FF_BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_ref=st.booleans(),
+    )
+    @example(npv=5, n_out=10, seed=0, zero_ref=True)
+    @example(npv=99, n_out=10, seed=0, zero_ref=True)
+    @example(npv=715, n_out=10, seed=0, zero_ref=True)
+    def test_equals_row_sums_bit_for_bit(self, npv, n_out, seed, zero_ref):
+        """_feedforward has the bits of np.sum over each window's products.
+
+        Gains and reference take magnitudes from 1e-8 to 1e8 with random
+        signs; the outputs go into a transposed (n, 2) column pair, as in
+        generate_trajectory. An all-zero reference under negative gains
+        makes every product -0.0, and the sum, as np.sum's, +0.0.
+        """
+        rng = np.random.default_rng(seed)
+
+        def values(*shape):
+            signs = rng.choice([-1.0, 1.0], size=shape)
+            return signs * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+        k_ff = values(npv)
+        ref = values(2, n_out + npv - 1)
+        if zero_ref:
+            k_ff = -np.abs(k_ff)
+            ref[:] = 0.0
+        out = np.empty((n_out, 2))
+        _feedforward(k_ff, ref, out.T)
+        sums = [[np.sum(row[k : k + npv] * k_ff) for k in range(n_out)] for row in ref]
+        assert out.T.tobytes() == np.array(sums).tobytes()
+        if zero_ref:
+            assert not np.any(np.signbit(out))
+
+
 def rollout(gains, refs, state=None):
     """Drive step_pg over a padded reference; returns outputs and jerks."""
     n = len(refs)
@@ -279,14 +329,19 @@ class TestGenerateTrajectory:
         with pytest.raises(DegenerateScale):
             generate_trajectory(timeline, preview_gains())
 
-    @pytest.mark.parametrize("duration", [2.0, 1.0], ids=["longer", "shorter"])
-    def test_equals_step_pg_rollout_bit_for_bit(self, duration):
+    @pytest.mark.parametrize(
+        "duration, window",
+        [(2.0, 1.6), (1.0, 1.6), (2.0, 1.43), (1.0, 1.43)],
+        ids=["longer", "shorter", "longer-715", "shorter-715"],
+    )
+    def test_equals_step_pg_rollout_bit_for_bit(self, duration, window):
         """The rollout is step_pg applied sample by sample, to the last bit,
-        on timelines longer and shorter than the 1.6 s preview window."""
+        on timelines longer and shorter than the preview window. 800 samples
+        split into leaves of 8-sample multiples; 715 leave leftover terms."""
         timeline = standing_timeline(
             duration=duration, schedule=hand_ramp_schedule(hand_pair(fx=-50.0, fz=100.0))
         )
-        gains = preview_gains()
+        gains = preview_gains(window=window)
         traj = generate_trajectory(timeline, gains)
         npv = gains.n_preview
         ref = timeline.ext_zmp_ref

@@ -28,6 +28,11 @@ from locomanip.core_dynamics import (
     ext_zmp,
 )
 from locomanip.errors import Infeasible, NonPhysical
+from locomanip.pattern_generator import (
+    PreviewWeights,
+    generate_trajectory,
+    synthesize_gains,
+)
 from locomanip.plant_sim import (
     CSV_COLUMNS,
     STEP_FAILURES,
@@ -640,6 +645,19 @@ class TestBlocks:
             self.assert_same(self.blocked(monkeypatch, size, *overrides), default)
 
 
+def traced_peak(call):
+    """call() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
 def loop_excess_mb(bundle, seconds):
     """Peak memory traced inside run_closed_loop over the first `seconds` of
     the plan, minus the bytes of the trace's own columns, in MB."""
@@ -649,16 +667,9 @@ def loop_excess_mb(bundle, seconds):
         traj=first_samples(bundle.traj, round(seconds / bundle.traj.dt)),
         stabilizer=Stabilizer(stab.params, stab.gains, stab.dt),
     )
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        trace = loop_of(run)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    trace, peak = traced_peak(lambda: loop_of(run))
     own = sum(a.nbytes for a in (*trace.columns.values(), *trace.extra.values()))
-    return (peak - before - own) / 1e6
+    return (peak - own) / 1e6
 
 
 @pytest.mark.parametrize(
@@ -672,4 +683,36 @@ def test_loop_memory_does_not_grow_with_the_run(name, overrides):
     bundle = scenario_bundle(name, *overrides)
     loop_excess_mb(bundle, 1.0)  # first-call caches
     short, long = (loop_excess_mb(bundle, s) for s in (10.0, 40.0))
+    assert abs(long - short) < 0.25, (short, long)
+
+
+def plan_excess_mb(bundle, gains, seconds):
+    """Peak memory traced inside generate_trajectory over the first `seconds`
+    of the timeline, minus the bytes of the plan's own arrays, in MB."""
+    timeline = first_samples(bundle.traj, round(seconds / bundle.traj.dt)).timeline
+    traj, peak = traced_peak(lambda: generate_trajectory(timeline, gains))
+    own = sum(
+        getattr(traj, f.name).nbytes
+        for f in dataclasses.fields(traj)
+        if f.name != "timeline"
+    )
+    return (peak - own) / 1e6
+
+
+def test_plan_memory_does_not_grow_with_the_run():
+    """Beyond its plan, generate_trajectory holds a padded copy of the
+    reference (16 bytes a sample) and one feedforward block's temporaries
+    at a time: the same excess, to 0.25 MB, over 20 s as over 40 s. Both
+    spans are longer than one block of 8000 samples; a 10 s plan is one
+    shorter block with smaller temporaries."""
+    bundle = scenario_bundle("testcase3")
+    c = bundle.config.controller
+    gains = synthesize_gains(
+        PreviewWeights(c.q_zmp, c.r_jerk),
+        bundle.traj.omega,
+        bundle.traj.dt,
+        c.preview_window_s,
+    )
+    plan_excess_mb(bundle, gains, 1.0)  # first-call caches
+    short, long = (plan_excess_mb(bundle, gains, s) for s in (20.0, 40.0))
     assert abs(long - short) < 0.25, (short, long)

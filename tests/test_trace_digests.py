@@ -11,20 +11,22 @@ diverge, which must end with exit code 2 and a truncated trace. A fourth
 variant raises the CoM to 0.868 m: there omega = 3.3618214286265045 and
 ``omega**2`` differs from ``omega * omega`` in the last bit, while at the
 0.8 m of every other run the two agree, so it pins which of them the plant
-uses. Criterion 8
-only compares two runs of the same code; this gate compares against a fixed
-baseline, so a refactor or speed-up that changes a single output byte fails
-here.
+uses. A short cart-like run with a 1.43 s preview window (715 samples,
+where every other run has 800) pins the feedforward sums whose pairwise
+leaves end in leftover terms. Criterion 8 only compares two runs of the
+same code; this gate compares against a fixed baseline, so a refactor or
+speed-up that changes a single output byte fails here.
 
 The digests were taken with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux.
 No BLAS call lies on the path that writes these files: planning and the
-closed loop run on Python floats and on numpy elementwise operations and
-row sums, so the bytes do not depend on which kernel numpy's OpenBLAS picks
-for the CPU. test_digests_do_not_depend_on_the_blas_kernel checks this for
-one run under the default kernel and under ``OPENBLAS_CORETYPE=Nehalem``
-(no fused multiply-add). Another libm or numpy build may still move the
-last digit of some values; a deliberate behaviour change re-baselines these
-digests with an argued entry in CHANGES.md.
+closed loop run on Python floats and on numpy elementwise operations, and
+only the metrics use numpy reductions, so the bytes do not depend on which
+kernel numpy's OpenBLAS picks for the CPU.
+test_digests_do_not_depend_on_the_blas_kernel checks this for one run under
+the default kernel and under ``OPENBLAS_CORETYPE=Nehalem`` (no fused
+multiply-add). Another libm or numpy build may still move the last digit of
+some values; a deliberate behaviour change re-baselines these digests with
+an argued entry in CHANGES.md.
 """
 
 import hashlib
@@ -50,6 +52,7 @@ PUSHED = (
     "disturbances=[{kind: step, axis: x, amplitude_n: -150.0, start_s: 2.0, end_s: 8.0}]",
 )
 TALL = ("robot.com_height_m=0.868",)
+SHORT_WINDOW = ("controller.preview_window_s=1.43", "duration_s=8.0")
 
 # (scenario, overrides) -> (trace.csv digest, metrics.txt digest)
 DIGESTS = {
@@ -96,6 +99,10 @@ DIGESTS = {
     ("testcase1", TALL): (
         "6221f6e060b2b8c26808e1e849ec8ff691d7195938d8a292b6632fd30f0c814b",
         "8f8b6dbe5e5f2284b4a0a273f2ab5b942290d5798025ac38bc43dae8104485b6",
+    ),
+    ("cart-like", SHORT_WINDOW): (
+        "0d585d20fc01450c80d18125f477faa8db65b8e51e2f2b7d51b537352bba5472",
+        "2023da82bc93d39b888114d892f8fd760b6c1f363e368f7459e8566bcf6d2090",
     ),
 }
 
