@@ -18,11 +18,15 @@ a flat key=value metrics file, and maps the outcome to a process exit
 code: 0 completed, 2 diverged, 3 a control step failed (every check of
 such a run fails); config errors raise and the CLI reports 1.
 
-Metric notes: all length metrics are meters. The implied-ZMP metric is the
-pivot the actual CoM motion is revolving about, measured against the
-footstep-plan ZMP; this plant integrates the pendulum with the actual ZMP
-under the true coefficients, so the motion-implied point coincides with
-the plant ZMP state and the metric reduces to rms(z^a - zmp_plan).
+Metric notes: each metric is declared once, in AXIS_METRICS or the run
+keys beside it. scenario_metrics, trace_metrics (and so compare) and the
+config's check of its checks' metric names all read those declarations,
+so a check on a metric no run reports is a ConfigError before the run.
+All length metrics are meters. The implied-ZMP metric is the pivot the
+actual CoM motion is revolving about, measured against the footstep-plan
+ZMP; this plant integrates the pendulum with the actual ZMP under the true
+coefficients, so the motion-implied point coincides with the plant ZMP
+state and the metric reduces to rms(z^a - zmp_plan).
 """
 
 from __future__ import annotations
@@ -45,7 +49,13 @@ from .pattern_generator import (
     generate_trajectory,
     synthesize_gains,
 )
-from .plant_sim import STEP_FAILURES, DisturbanceProfile, TraceLog, run_closed_loop
+from .plant_sim import (
+    EXTRA_COLUMNS,
+    STEP_FAILURES,
+    DisturbanceProfile,
+    TraceLog,
+    run_closed_loop,
+)
 from .reference_builder import (
     ContactBreakpoint,
     ContactSchedule,
@@ -449,6 +459,13 @@ class ScenarioConfig:
         if hands and hands[-1].mode == "linear":
             _fail(f"hands[{len(hands) - 1}].mode", "last breakpoint cannot be linear")
         _unique_names(self.checks, "checks", "check")
+        known = metric_names(self.metrics.windows)
+        for i, c in enumerate(self.checks):
+            for key, name in (("metric", c.metric), ("exceeds", c.exceeds_metric)):
+                if name == _FAILURE:
+                    _fail(f"checks[{i}].{key}", f"{name} is text; a check needs a number")
+                if name is not None and name not in known:
+                    _fail(f"checks[{i}].{key}", f"unknown metric {name!r}")
         samples = self.duration_s / self.dt_s
         if math.isinf(samples):
             _fail("duration_s", "too long for the sample rate")
@@ -489,6 +506,43 @@ def _plain(value):
     return value
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """YAML reader of config files and override values: libyaml's parser
+    where PyYAML has it, PyYAML's safe constructor either way.
+
+    PyYAML follows YAML 1.1, which reads an exponent without a dot or without
+    a sign, such as 1e-8 or 1.0e8, as a string; YAML 1.2 and Python read it
+    as a number, and so does this loader. YAML requires the keys of a mapping
+    to be unique, but PyYAML keeps the last of two equal keys; this loader
+    refuses a repeated key, so an earlier value cannot silently vanish.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        given = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        # PyYAML's own construction first: it resolves merge keys and refuses
+        # unhashable keys, and it caches every key it built
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in given:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping",
+                    node.start_mark,
+                    f"found repeated key {key!r}",
+                    key_node.start_mark,
+                )
+            seen.add(key)
+        return mapping
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_raw_config(path) -> dict:
     """Read a YAML scenario file into a plain mapping, without validating it."""
     p = Path(path)
@@ -497,7 +551,7 @@ def load_raw_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read {p}: {exc.strerror or exc}")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p.name}: not valid YAML: {exc}")
     if raw is None:
@@ -509,22 +563,6 @@ def load_raw_config(path) -> dict:
 
 def load_config(path) -> ScenarioConfig:
     return parse_config(load_raw_config(path))
-
-
-class _OverrideLoader(yaml.SafeLoader):
-    """YAML reader of override values.
-
-    PyYAML follows YAML 1.1, which reads an exponent without a dot or without
-    a sign, such as 1e-8 or 1.0e8, as a string; YAML 1.2 and Python read it
-    as a number, and so does this loader.
-    """
-
-
-_OverrideLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -542,7 +580,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         if not sep or not key:
             raise ConfigError(f"override {item!r} must look like section.field=value")
         try:
-            value = yaml.load(text, Loader=_OverrideLoader) if text else None
+            value = yaml.load(text, Loader=_Loader) if text else None
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r} has unparseable value: {exc}")
         parts = key.split(".")
@@ -749,38 +787,125 @@ def _peak(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else math.nan
 
 
+def _mean(v: np.ndarray) -> float:
+    return float(np.mean(v)) if v.size else math.nan
+
+
+def _zmp_dev(c, ax):
+    return c[f"z_{ax}^a"] - c[f"z_{ax}^d"]
+
+
+def _com_dev(c, ax):
+    return c[f"c_{ax}^a"] - c[f"c_{ax}^d"]
+
+
+def _dcm_err(c, ax):
+    # stabilizer error is measured against the band-shifted DCM reference
+    return c[f"xi_{ax}^a"] - c[f"xi_{ax}^d"] + c[f"gammaL_{ax}"]
+
+
+@dataclass(frozen=True)
+class AxisMetric:
+    """One per-axis metric: reported as f"{name}_x" and f"{name}_y".
+
+    series maps the columns of a run and an axis to the values over every
+    sample, and reduce maps the masked values to the metric. csv is False
+    when the series needs a column a trace CSV lacks: the footstep-plan ZMP
+    (zmp_plan_x, zmp_plan_y), which only the run has.
+    """
+
+    name: str
+    series: object
+    reduce: object
+    csv: bool = True
+
+
+# Every per-axis metric, in metrics.txt order. Adjacent entries with the same
+# series function share its values; only one series is alive at a time, which
+# keeps the allocator reusing the same memory.
+AXIS_METRICS = (
+    AxisMetric("rms_zmp_dev", _zmp_dev, _rms),
+    AxisMetric("max_zmp_dev", _zmp_dev, _peak),
+    AxisMetric("rms_zmp_cmd", lambda c, ax: c[f"z_{ax}^c"] - c[f"z_{ax}^d"], _rms),
+    AxisMetric("rms_com_dev", _com_dev, _rms),
+    AxisMetric("max_com_dev", _com_dev, _peak),
+    AxisMetric("rms_dcm_err", _dcm_err, _rms),
+    AxisMetric("max_dcm_err", _dcm_err, _peak),
+    AxisMetric("rms_gamma_err", lambda c, ax: c[f"gamma_err_{ax}"], _rms),
+    AxisMetric("rms_gammaH", lambda c, ax: c[f"gammaH_{ax}"], _rms),
+    AxisMetric("rms_gammaL", lambda c, ax: c[f"gammaL_{ax}"], _rms),
+    AxisMetric(
+        "mean_com_zmp_offset", lambda c, ax: c[f"c_{ax}^a"] - c[f"z_{ax}^a"], _mean
+    ),
+    # the implied ZMP against the footstep plan (see the module notes)
+    AxisMetric(
+        "rms_implied_zmp_dev",
+        lambda c, ax: c[f"z_{ax}^a"] - c[f"zmp_plan_{ax}"],
+        _rms,
+        csv=False,
+    ),
+)
+_CSV_METRICS = tuple(m for m in AXIS_METRICS if m.csv)
+_PLAN_METRICS = tuple(m for m in AXIS_METRICS if not m.csv)
+_AXES = ("x", "y")
+
+_FAILURE = "failure"  # the failed step's exception class: the one text value
+_FAILED_AT = "failed_at_s"
+
+# The keys of the run itself, ahead of the per-axis metrics, each with its
+# value on a trace. None leaves the key out: diverged_at_s comes only with a
+# diverged run, failure and failed_at_s only with a failed one.
+_RUN_KEYS = (
+    ("samples", lambda t: float(len(t))),
+    ("duration_s", lambda t: t.duration),
+    ("dt_s", lambda t: t.dt),
+    ("diverged", lambda t: float(t.diverged)),
+    ("diverged_at_s", lambda t: None if t.diverged_at is None else float(t.diverged_at)),
+    (_FAILURE, lambda t: t.failure),
+    (_FAILED_AT, lambda t: t.failed_at),
+)
+
+
+def _clamp_count(flag: str) -> str:
+    """The metric that counts the steps an EXTRA_COLUMNS flag was raised."""
+    return f"{flag}_steps"
+
+
+def metric_names(windows=()) -> frozenset:
+    """Every key the metrics of a run with these metrics windows can hold.
+
+    A run reports each of them, except the run keys of a divergence or a
+    failure it did not have, and a clamp count whose flag its trace lacks.
+    """
+    axis = [f"{m.name}_{ax}" for m in AXIS_METRICS for ax in _AXES]
+    return frozenset(
+        [name for name, _ in _RUN_KEYS]
+        + axis
+        + [_clamp_count(flag) for flag in EXTRA_COLUMNS]
+        + [f"{w.name}.{name}" for w in windows for name in axis]
+    )
+
+
+def _reduce(columns: dict, mask: np.ndarray, metrics) -> dict:
+    out: dict = {}
+    for ax in _AXES:
+        series = values = None
+        for m in metrics:
+            if m.series is not series:
+                series, values = m.series, m.series(columns, ax)[mask]
+            out[f"{m.name}_{ax}"] = m.reduce(values)
+    return out
+
+
 def trace_metrics(trace: TraceLog, mask: np.ndarray | None = None) -> dict:
-    """Per-axis deviation and band-energy metrics over the masked samples.
+    """The CSV-derived per-axis metrics over the masked samples.
 
     Everything here is derivable from the CSV columns alone, so two traces
     loaded from disk produce comparable dictionaries.
     """
     if mask is None:
         mask = np.ones(len(trace), dtype=bool)
-    out: dict = {}
-    for ax in ("x", "y"):
-        zmp_dev = (trace[f"z_{ax}^a"] - trace[f"z_{ax}^d"])[mask]
-        zmp_cmd = (trace[f"z_{ax}^c"] - trace[f"z_{ax}^d"])[mask]
-        com_dev = (trace[f"c_{ax}^a"] - trace[f"c_{ax}^d"])[mask]
-        # stabilizer error is measured against the band-shifted DCM reference
-        dcm_err = (
-            trace[f"xi_{ax}^a"] - trace[f"xi_{ax}^d"] + trace[f"gammaL_{ax}"]
-        )[mask]
-        offset = (trace[f"c_{ax}^a"] - trace[f"z_{ax}^a"])[mask]
-        out[f"rms_zmp_dev_{ax}"] = _rms(zmp_dev)
-        out[f"max_zmp_dev_{ax}"] = _peak(zmp_dev)
-        out[f"rms_zmp_cmd_{ax}"] = _rms(zmp_cmd)
-        out[f"rms_com_dev_{ax}"] = _rms(com_dev)
-        out[f"max_com_dev_{ax}"] = _peak(com_dev)
-        out[f"rms_dcm_err_{ax}"] = _rms(dcm_err)
-        out[f"max_dcm_err_{ax}"] = _peak(dcm_err)
-        out[f"rms_gamma_err_{ax}"] = _rms(trace[f"gamma_err_{ax}"][mask])
-        out[f"rms_gammaH_{ax}"] = _rms(trace[f"gammaH_{ax}"][mask])
-        out[f"rms_gammaL_{ax}"] = _rms(trace[f"gammaL_{ax}"][mask])
-        out[f"mean_com_zmp_offset_{ax}"] = (
-            float(np.mean(offset)) if offset.size else math.nan
-        )
-    return out
+    return _reduce(trace.columns, mask, _CSV_METRICS)
 
 
 def _index_mask(n: int, dt: float, metrics_cfg: MetricsSection) -> np.ndarray:
@@ -801,46 +926,29 @@ def _window_mask(n: int, dt: float, window: MetricsWindowSpec) -> np.ndarray:
     return mask
 
 
-# the per-step flags of TraceLog.extra and the metric that counts each
-_CLAMP_COUNTS = (
-    ("zmp_saturated", "zmp_saturated_steps"),
-    ("cop_clamped", "cop_clamped_steps"),
-    ("zmp_clamped", "zmp_clamped_steps"),
-)
-
-
 def scenario_metrics(trace: TraceLog, timeline, metrics_cfg: MetricsSection) -> dict:
-    """Full metric set of one run: meta, masked top-level, named windows.
+    """Full metric set of one run: run keys, masked per-axis metrics, clamp
+    counts, then the per-axis metrics of each named window.
 
     The timeline supplies the footstep-plan ZMP (zmp_ref) for the
     implied-ZMP metric.
     """
     n = len(trace)
-    out: dict = {
-        "samples": float(n),
-        "duration_s": trace.duration,
-        "dt_s": trace.dt,
-        "diverged": float(trace.diverged),
-    }
-    if trace.diverged_at is not None:
-        out["diverged_at_s"] = float(trace.diverged_at)
-    if trace.failure is not None:
-        out["failure"] = trace.failure
-        out["failed_at_s"] = trace.failed_at
-
+    out: dict = {}
+    for name, value in _RUN_KEYS:
+        v = value(trace)
+        if v is not None:
+            out[name] = v
     plan = np.asarray(timeline.zmp_ref)[:n]
+    columns = {**trace.columns, "zmp_plan_x": plan[:, 0], "zmp_plan_y": plan[:, 1]}
 
     def block(mask: np.ndarray) -> dict:
-        got = trace_metrics(trace, mask)
-        for ax, i in (("x", 0), ("y", 1)):
-            dev = (trace[f"z_{ax}^a"] - plan[:, i])[mask]
-            got[f"rms_implied_zmp_dev_{ax}"] = _rms(dev)
-        return got
+        return _reduce(columns, mask, _CSV_METRICS) | _reduce(columns, mask, _PLAN_METRICS)
 
     out.update(block(_index_mask(n, trace.dt, metrics_cfg)))
-    for name, key in _CLAMP_COUNTS:
-        if name in trace.extra:
-            out[key] = float(np.sum(trace.extra[name]))
+    for flag in EXTRA_COLUMNS:
+        if flag in trace.extra:
+            out[_clamp_count(flag)] = float(np.sum(trace.extra[flag]))
     for w in metrics_cfg.windows:
         for k, v in block(_window_mask(n, trace.dt, w)).items():
             out[f"{w.name}.{k}"] = v
@@ -862,14 +970,16 @@ def evaluate_checks(metrics: dict, checks) -> tuple:
     A run that failed mid-loop (metrics carry failure) fails every check,
     and each detail names the failure first.
     """
-    failed = metrics.get("failure")
+    failed = metrics.get(_FAILURE)
     results = []
     for c in checks:
         value = metrics.get(c.metric, math.nan)
-        passed = c.metric in metrics and failed is None
-        parts = [] if c.metric in metrics else [f"metric {c.metric!r} not found"]
+        named = (c.metric, c.exceeds_metric)
+        missing = [m for m in named if m is not None and m not in metrics]
+        passed = not missing and failed is None
+        parts = [f"metric {m!r} not found" for m in missing]
         if failed is not None:
-            parts.insert(0, f"run failed at t={metrics['failed_at_s']:.3f} s: {failed}")
+            parts.insert(0, f"run failed at t={metrics[_FAILED_AT]:.3f} s: {failed}")
         if c.min_value is not None:
             ok = value >= c.min_value
             passed = passed and ok
@@ -1029,9 +1139,9 @@ def compare_runs(trace_a: TraceLog, trace_b: TraceLog, metric_spec=None) -> tupl
             raise SchemaMismatch(
                 f"unknown comparison metric {name!r}; a trace CSV yields "
                 f"{', '.join(ma)}. The clamp counts "
-                f"({', '.join(key for _, key in _CLAMP_COUNTS)}), "
-                "rms_implied_zmp_dev_* and window metrics come only from "
-                "the metrics.txt of locomanip run"
+                f"({', '.join(_clamp_count(flag) for flag in EXTRA_COLUMNS)}), "
+                f"{', '.join(f'{m.name}_*' for m in _PLAN_METRICS)} and window "
+                "metrics come only from the metrics.txt of locomanip run"
             )
         va, vb = ma[name], mb[name]
         if va == 0.0:

@@ -73,6 +73,46 @@ class TestRun:
         assert code == 1
         assert "config error" in err and "controller.kp" in err
 
+    @pytest.mark.parametrize(
+        "check, field",
+        [
+            ("{metric: tail.mean_com_zmp_ofset_x, max: 1.0}", "checks[0].metric"),
+            ("{metric: rms_zmp_dev_x, exceeds: nosuch}", "checks[0].exceeds"),
+            ("{metric: failure, max: 0.0}", "checks[0].metric"),
+        ],
+        ids=["misspelled", "exceeds", "text"],
+    )
+    def test_unknown_check_metric_exits_one(self, check, field, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--config", "testcase1", "--out", str(out),
+            "--override", f"checks=[{check}]",
+        )
+        assert code == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "appended, argv, key",
+        [
+            ("dt_s: 0.002\n", (), "dt_s"),
+            (
+                "",
+                ("--override", "disturbances=[{kind: step, amplitude_n: -1.0, amplitude_n: 0.0}]"),
+                "amplitude_n",
+            ),
+        ],
+        ids=["file", "override"],
+    )
+    def test_repeated_key_exits_one(self, appended, argv, key, mini_path, tmp_path, capsys):
+        """YAML keys are unique; a repeated one must not drop an earlier value."""
+        mini_path.write_text(mini_path.read_text() + appended)
+        out = tmp_path / "o"
+        code = run_cli("run", "--config", str(mini_path), "--out", str(out), *argv)
+        assert code == 1
+        assert f"found repeated key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = run_cli("run", "--config", str(tmp_path / "absent.yaml"))
         assert code == 1

@@ -1,4 +1,5 @@
-"""The demos and the README's library quick start run to completion."""
+"""The demos and the README's library quick start run to completion, and the
+README lists every metric a run reports."""
 
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import locomanip
+from locomanip.scenario import AXIS_METRICS, metric_names
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(locomanip.__file__).resolve().parents[1]
@@ -43,3 +45,11 @@ def test_readme_library_quick_start_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     lean = float(done.stdout.split()[-1])
     assert 0.0 < lean < 0.1
+
+
+def test_readme_lists_every_metric():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Metrics\n", 1)[1].split("\n## ", 1)[0]
+    axis_keys = {f"{m.name}_{ax}" for m in AXIS_METRICS for ax in "xy"}
+    names = {m.name for m in AXIS_METRICS} | (metric_names() - axis_keys)
+    assert sorted(n for n in names if f"`{n}`" not in section) == []

@@ -12,6 +12,7 @@ from _pipeline import (
     constant_schedule,
     hand_pair,
     hand_ramp_schedule,
+    inplace_timeline,
     preview_gains,
     standing_timeline,
 )
@@ -330,17 +331,31 @@ class TestGenerateTrajectory:
             generate_trajectory(timeline, preview_gains())
 
     @pytest.mark.parametrize(
-        "duration, window",
-        [(2.0, 1.6), (1.0, 1.6), (2.0, 1.43), (1.0, 1.43)],
-        ids=["longer", "shorter", "longer-715", "shorter-715"],
+        "duration, window, stepping",
+        [
+            (2.0, 1.6, False),
+            (1.0, 1.6, False),
+            (2.0, 1.43, False),
+            (1.0, 1.43, False),
+            (2.0, 1.43, True),
+        ],
+        ids=["longer", "shorter", "longer-715", "shorter-715", "stepping-715"],
     )
-    def test_equals_step_pg_rollout_bit_for_bit(self, duration, window):
+    def test_equals_step_pg_rollout_bit_for_bit(self, duration, window, stepping):
         """The rollout is step_pg applied sample by sample, to the last bit,
         on timelines longer and shorter than the preview window. 800 samples
-        split into leaves of 8-sample multiples; 715 leave leftover terms."""
-        timeline = standing_timeline(
-            duration=duration, schedule=hand_ramp_schedule(hand_pair(fx=-50.0, fz=100.0))
-        )
+        split into leaves of 8-sample multiples; 715 leave leftover terms.
+        The standing timelines hold their reference over most windows; the
+        stepping one, under a hand ramp from 0.1 s to its end, moves it on
+        every sample from then on, so each window's sum shows its
+        summation order."""
+        if stepping:
+            ramp = hand_ramp_schedule(hand_pair(fx=-50.0, fz=100.0), 0.1, duration)
+            timeline = inplace_timeline(duration, ramp, first=0.2, until=duration)
+        else:
+            timeline = standing_timeline(
+                duration=duration, schedule=hand_ramp_schedule(hand_pair(fx=-50.0, fz=100.0))
+            )
         gains = preview_gains(window=window)
         traj = generate_trajectory(timeline, gains)
         npv = gains.n_preview

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 import types
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from locomanip.errors import ConfigError, SchemaMismatch
 from locomanip.pattern_generator import MIN_PREVIEW_WINDOW
 from locomanip.plant_sim import CSV_COLUMNS, TraceLog
 from locomanip.scenario import (
+    AXIS_METRICS,
     CheckSpec,
     DisturbanceSpec,
     MetricsSection,
@@ -29,6 +31,7 @@ from locomanip.scenario import (
     list_bundled_scenarios,
     load_config,
     load_raw_config,
+    metric_names,
     parse_config,
     parse_metrics_file,
     resolve_config_path,
@@ -244,6 +247,29 @@ class TestFieldValidation:
         with pytest.raises(ConfigError, match="duplicate check name"):
             parse_config(minimal(checks=checks))
 
+    @pytest.mark.parametrize(
+        "check, field, message",
+        [
+            (
+                {"metric": "tail.mean_com_zmp_ofset_x", "max": 1.0},
+                "checks[0].metric",
+                "unknown metric 'tail.mean_com_zmp_ofset_x'",
+            ),
+            ({"metric": "head.rms_zmp_dev_x", "max": 1.0}, "checks[0].metric",
+             "unknown metric 'head.rms_zmp_dev_x'"),
+            ({"metric": "rms_zmp_dev_x", "exceeds": "nosuch"}, "checks[0].exceeds",
+             "unknown metric 'nosuch'"),
+            ({"metric": "failure", "max": 0.0}, "checks[0].metric",
+             "failure is text; a check needs a number"),
+        ],
+        ids=["misspelled", "undefined-window", "exceeds", "text"],
+    )
+    def test_check_on_a_metric_no_run_reports(self, check, field, message):
+        windows = [{"name": "tail", "start_s": 0.5, "end_s": 1.0}]
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            parse_config(minimal(metrics={"windows": windows}, checks=[check]))
+        assert info.value.field == field
+
     def test_check_name_defaults_to_metric(self):
         cfg = parse_config(minimal(checks=[{"metric": "rms_zmp_dev_x", "max": 1.0}]))
         assert cfg.checks[0].name == "rms_zmp_dev_x"
@@ -360,7 +386,8 @@ RICH = {
     "checks": [
         {"name": "a", "metric": "rms_zmp_dev_x", "max": 0.1},
         {"name": "b", "metric": "rms_com_dev_x", "min": 0.0, "max": 1.0},
-        {"name": "c", "metric": "p_x", "exceeds": "p_y", "factor": 2.0},
+        {"name": "c", "metric": "tail.rms_zmp_dev_x", "exceeds": "tail.rms_com_dev_x",
+         "factor": 2.0},
     ],
 }
 
@@ -425,6 +452,41 @@ class TestLoadersAndOverrides:
         assert resolve_config_path("nominal").name == "nominal.yaml"
         with pytest.raises(ConfigError, match="config file not found"):
             resolve_config_path(str(tmp_path / "missing.yaml"))
+
+    def test_file_reads_an_exponent_without_a_dot_as_the_override_does(self, tmp_path):
+        p = tmp_path / "r.yaml"
+        p.write_text("name: t\nduration_s: 1.0\ncontroller: {r_jerk: 1e-8}\n")
+        overridden = apply_overrides(minimal(), ["controller.r_jerk=1e-8"])
+        assert load_config(p) == parse_config(overridden)
+        assert load_config(p).controller.r_jerk == 1e-8
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("name: t\nduration_s: 1.0\nname: u\n", "'name'", 3),
+            ("name: t\nchecks:\n  - {metric: diverged, max: 0.0, max: 1.0}\n", "'max'", 3),
+        ],
+        ids=["top-level", "flow-mapping"],
+    )
+    def test_repeated_key_in_a_file_is_refused(self, tmp_path, text, key, line):
+        p = tmp_path / "twice.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"found repeated key {key}") as info:
+            load_raw_config(p)
+        assert f"line {line}, column" in str(info.value)
+
+    def test_loader_keeps_pyyaml_construction(self, tmp_path):
+        """Merge keys still merge, and an unhashable key is still a ConfigError."""
+        p = tmp_path / "merge.yaml"
+        p.write_text("base: &b {x: 1, y: 2}\nm:\n  <<: *b\n  x: 5\n")
+        assert load_raw_config(p) == {"base": {"x": 1, "y": 2}, "m": {"x": 5, "y": 2}}
+        p.write_text("? [1, 2]\n: 3\n")
+        with pytest.raises(ConfigError, match="unhashable key"):
+            load_raw_config(p)
+
+    def test_same_field_in_two_overrides_takes_the_last(self):
+        out = apply_overrides(minimal(), ["duration_s=2.0", "duration_s=3.0"])
+        assert out["duration_s"] == 3.0
 
     def test_override_types(self):
         raw = minimal()
@@ -581,8 +643,9 @@ class TestChecks:
         assert not self.run_one(metric="n", exceeds_metric="m", factor=4.0).passed
 
     def test_missing_metric_fails(self):
-        res = self.run_one(metric="absent", max_value=1.0)
-        assert not res.passed and "not found" in res.detail
+        for kw in ({"metric": "absent", "max_value": 1.0}, {"exceeds_metric": "absent"}):
+            res = self.run_one(**kw)
+            assert not res.passed and "metric 'absent' not found" in res.detail
 
     def test_nan_value_fails_either_bound(self):
         res = evaluate_checks({"m": math.nan}, [CheckSpec("c", "m", max_value=1.0)])
@@ -661,6 +724,33 @@ class TestRunScenario:
         # outputs are still written for a diverged run
         assert res.trace_path.is_file() and res.metrics_path.is_file()
         assert parse_metrics_file(res.metrics_path)["check.completed"] == "FAIL"
+
+    def test_metrics_files_hold_exactly_the_declared_names(self, tmp_path):
+        """A completed, a diverged and a failed run: every key of their
+        metrics.txt is declared, and every declared name shows up."""
+        windows = [{"name": "mid", "start_s": 0.2, "end_s": 0.9}]
+        push = {"kind": "step", "amplitude_n": -400.0, "start_s": 0.5}
+        runs = {
+            "completed": mini_config(),
+            "diverged": mini_config(
+                plant={"divergence_limit_m": 0.02}, disturbances=[push]
+            ),
+            # one hand lifting more than the robot's weight unloads the feet
+            "failed": mini_config(disturbances=[dict(push, axis="z", amplitude_n=1200.0)]),
+        }
+        seen = set()
+        for (name, raw), code in zip(runs.items(), (0, 2, 3)):
+            raw["metrics"] = {"windows": windows}
+            res = run_scenario(parse_config(raw), out_dir=tmp_path / name)
+            assert res.exit_code == code, name
+            keys = {
+                k
+                for k in parse_metrics_file(res.metrics_path)
+                if not k.startswith("check.") and k != "overall"
+            }
+            assert keys <= metric_names(res.config.metrics.windows), name
+            seen |= keys
+        assert seen == metric_names(parse_config(runs["completed"]).metrics.windows)
 
     def test_out_dir_precedence(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -754,6 +844,15 @@ class TestCompareRuns:
         tr = synthetic_trace()
         with pytest.raises(SchemaMismatch, match="unknown comparison metric"):
             compare_runs(tr, tr, metric_spec=["not_a_metric"])
+
+    def test_unknown_metric_lists_exactly_the_csv_metrics(self):
+        tr = synthetic_trace()
+        with pytest.raises(SchemaMismatch) as info:
+            compare_runs(tr, tr, metric_spec=["rms_implied_zmp_dev_x"])
+        listed = re.search(r"a trace CSV yields (.*?)\. ", str(info.value)).group(1)
+        csv = [m.name for m in AXIS_METRICS if m.csv]
+        assert listed.split(", ") == [f"{n}_{ax}" for ax in "xy" for n in csv]
+        assert len(csv) == 11
 
     def test_column_mismatch(self):
         a = synthetic_trace()
