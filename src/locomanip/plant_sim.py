@@ -79,8 +79,10 @@ CSV_COLUMNS = (
 # internal diagnostics of TraceLog.extra, outside the CSV schema
 EXTRA_COLUMNS = ("zmp_saturated", "cop_clamped", "zmp_clamped")
 
-# samples per block of run_closed_loop: the open-loop pass's temporaries grow
-# with it, its per-call overhead per sample shrinks with it
+# samples per block of run_closed_loop and of the trace CSV's write and read:
+# the temporaries grow with it, the per-call overhead per sample shrinks with
+# it. A block of the 26 CSV columns (106 KB) stays under glibc's 128 KiB mmap
+# threshold.
 BLOCK_SAMPLES = 512
 
 # the columns the open-loop pass writes per block, in the order of its values
@@ -261,33 +263,44 @@ class TraceLog:
         return len(self) * self.dt
 
     def to_csv(self, path):
-        data = np.column_stack([self.columns[c] for c in CSV_COLUMNS])
-        np.savetxt(
-            path,
-            data,
-            fmt="%.17g",
-            delimiter=",",
-            header=",".join(CSV_COLUMNS),
-            comments="",
-        )
+        """Write the CSV columns with %.17g, one block of rows at a time."""
+        columns = [self.columns[c] for c in CSV_COLUMNS]
+        with open(path, "w") as fh:
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for b in range(0, len(self), BLOCK_SAMPLES):
+                block = np.column_stack([c[b : b + BLOCK_SAMPLES] for c in columns])
+                np.savetxt(fh, block, fmt="%.17g", delimiter=",")
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
+        """Read a trace CSV into one array per column, one block of rows at a
+        time. Blank and comment-only lines are skipped."""
         with open(path) as fh:
-            header = fh.readline().strip()
-            has_rows = any(line.strip() for line in fh)
-        if not has_rows:
-            raise ValueError(f"{path}: need a time column with at least 2 rows")
-        names = tuple(header.split(","))
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != len(names):
-            raise ValueError(f"{path}: row width does not match header")
-        columns = {name: data[:, i].copy() for i, name in enumerate(names)}
+            names = tuple(fh.readline().strip().split(","))
+            rows = sum(1 for _ in _data_lines(fh))
+            fh.seek(0)
+            fh.readline()
+            columns = {name: np.empty(rows) for name in names}
+            lines = _data_lines(fh)
+            for b in range(0, rows, BLOCK_SAMPLES):
+                block = np.loadtxt(
+                    itertools.islice(lines, BLOCK_SAMPLES), delimiter=",", ndmin=2
+                )
+                if block.shape[1] != len(names):
+                    raise ValueError(f"{path}: row width does not match header")
+                for name, values in zip(names, block.T):
+                    columns[name][b : b + len(block)] = values
         time = columns.get("time")
         if time is None or len(time) < 2:
             raise ValueError(f"{path}: need a time column with at least 2 rows")
         dt = float(time[1] - time[0])
         return cls(dt=dt, columns=columns)
+
+
+def _data_lines(fh):
+    """The lines of fh that np.loadtxt reads a row from: those with text
+    before any '#'."""
+    return (line for line in fh if line.partition("#")[0].strip())
 
 
 def _block_contacts(timeline, b0: int, b1: int):

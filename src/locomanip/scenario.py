@@ -506,6 +506,9 @@ def _plain(value):
     return value
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """YAML reader of config files and override values: libyaml's parser
     where PyYAML has it, PyYAML's safe constructor either way.
@@ -518,7 +521,7 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """
 
     def construct_mapping(self, node, deep=False):
-        given = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        given = [k for k, _ in node.value if k.tag != _MERGE_TAG]
         # PyYAML's own construction first: it resolves merge keys and refuses
         # unhashable keys, and it caches every key it built
         mapping = super().construct_mapping(node, deep=deep)
@@ -534,6 +537,21 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 )
             seen.add(key)
         return mapping
+
+    def flatten_mapping(self, node):
+        # PyYAML merges the entries of a merge value without constructing it
+        # as a mapping; construct it first, so its repeated keys are refused
+        # too. A node built before, such as an alias, comes from the cache.
+        for key_node, value_node in node.value:
+            if key_node.tag == _MERGE_TAG:
+                if isinstance(value_node, yaml.SequenceNode):
+                    merged = value_node.value
+                else:
+                    merged = [value_node]
+                for sub in merged:
+                    if isinstance(sub, yaml.MappingNode):
+                        self.construct_object(sub, deep=True)
+        super().flatten_mapping(node)
 
 
 _Loader.add_implicit_resolver(
@@ -968,16 +986,24 @@ def evaluate_checks(metrics: dict, checks) -> tuple:
     """Apply the configured bounds to a metrics dictionary.
 
     A run that failed mid-loop (metrics carry failure) fails every check,
-    and each detail names the failure first.
+    and each detail names the failure first. A check on a missing metric or
+    on a text value fails, and its detail names the metric.
     """
     failed = metrics.get(_FAILURE)
+
+    def number(name):
+        v = metrics.get(name, math.nan)
+        return math.nan if isinstance(v, str) else v
+
     results = []
     for c in checks:
-        value = metrics.get(c.metric, math.nan)
-        named = (c.metric, c.exceeds_metric)
-        missing = [m for m in named if m is not None and m not in metrics]
-        passed = not missing and failed is None
+        value = number(c.metric)
+        named = [m for m in (c.metric, c.exceeds_metric) if m is not None]
+        missing = [m for m in named if m not in metrics]
+        text = [m for m in named if isinstance(metrics.get(m), str)]
+        passed = not missing and not text and failed is None
         parts = [f"metric {m!r} not found" for m in missing]
+        parts += [f"metric {m!r} is not a number: {metrics[m]!r}" for m in text]
         if failed is not None:
             parts.insert(0, f"run failed at t={metrics[_FAILED_AT]:.3f} s: {failed}")
         if c.min_value is not None:
@@ -989,7 +1015,7 @@ def evaluate_checks(metrics: dict, checks) -> tuple:
             passed = passed and ok
             parts.append(f"{value:.6g} <= {c.max_value:.6g}: {'ok' if ok else 'VIOLATED'}")
         if c.exceeds_metric is not None:
-            other = metrics.get(c.exceeds_metric, math.nan)
+            other = number(c.exceeds_metric)
             ok = value > c.factor * other
             passed = bool(passed and ok)
             parts.append(

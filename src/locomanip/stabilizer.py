@@ -262,9 +262,12 @@ def dcm_feedback(
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Counter-clockwise convex hull by monotone chain; returns (m, 2)."""
-    pts = np.unique(points, axis=0)
+    # sorted distinct corners, as np.unique(axis=0) gives them: of equal
+    # corners (0.0 == -0.0) the set keeps the first seen. np.unique's axis
+    # form would import numpy.ma on the first run of a process.
+    pts = sorted(set(map(tuple, points.tolist())))
     if len(pts) <= 2:
-        return pts
+        return np.array(pts)
 
     def half(iterable):
         chain = []

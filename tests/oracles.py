@@ -7,7 +7,9 @@ solves the same tracking problem as a dense least-squares program with a
 Riccati tail cost from scipy, which is an entirely different solution path
 than the recursive preview law. step_pg is one sample of the package's
 preview law with the feedforward as a plain np.sum per window, which the
-package's rollout must match to the last bit.
+package's rollout must match to the last bit. convex_hull_np_unique and
+write_trace_savetxt are the earlier whole-array forms of the support hull
+and of the trace CSV writer, which the package's must match byte for byte.
 """
 
 import numpy as np
@@ -132,3 +134,33 @@ def finite_horizon_ls_inputs(omega, dt, zmp_ref, q_zmp, r_jerk):
     rhs = np.concatenate([rhs_out, rhs_u, rhs_tail])
     u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     return u
+
+
+def convex_hull_np_unique(points):
+    """Counter-clockwise convex hull by monotone chain, with the corners
+    deduplicated and sorted by np.unique(axis=0); returns (m, 2)."""
+    pts = np.unique(points, axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def half(iterable):
+        chain = []
+        for p in iterable:
+            while len(chain) >= 2:
+                a, b = chain[-2], chain[-1]
+                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def write_trace_savetxt(trace, path, columns):
+    """Write a trace's columns as one stacked array through one np.savetxt."""
+    data = np.column_stack([trace.columns[c] for c in columns])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")

@@ -17,6 +17,7 @@ from _pipeline import (
     plan_trajectory,
     standing_timeline,
 )
+from oracles import write_trace_savetxt
 from test_trace_digests import NOISY, PUSHED
 
 from locomanip import plant_sim
@@ -341,6 +342,71 @@ class TestClosedLoop:
             assert np.array_equal(back[name], trace[name]), name
         with open(path) as fh:
             assert fh.readline().strip() == ",".join(CSV_COLUMNS)
+
+
+def random_trace(rows, dt=DT, special=False):
+    """A trace of rows samples at dt with random columns; with special, its
+    values include nan, inf, -inf and -0.0."""
+    rng = np.random.default_rng(rows)
+    columns = {name: rng.standard_normal(rows) for name in CSV_COLUMNS}
+    columns["time"] = np.arange(rows) * dt
+    if special and rows:
+        for i, value in enumerate((math.nan, math.inf, -math.inf, -0.0, 0.0)):
+            columns[CSV_COLUMNS[1 + i]][rows // 2] = value
+    return TraceLog(dt=dt, columns=columns)
+
+
+class TestTraceCsv:
+    """The blocked writer and reader against the whole-array np.savetxt form."""
+
+    BLOCK = plant_sim.BLOCK_SAMPLES
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 3],
+        ids=["header-only", "one-row", "two-rows", "one-block", "block-plus-one",
+             "two-blocks-plus-three"],
+    )
+    def test_bytes_equal_the_whole_array_writer(self, tmp_path, rows):
+        trace = random_trace(rows, special=True)
+        blocked, whole = tmp_path / "blocked.csv", tmp_path / "whole.csv"
+        trace.to_csv(blocked)
+        write_trace_savetxt(trace, whole, CSV_COLUMNS)
+        assert blocked.read_bytes() == whole.read_bytes()
+        if rows < 2:
+            with pytest.raises(ValueError, match="need a time column with at least 2 rows"):
+                TraceLog.from_csv(blocked)
+            return
+        back = TraceLog.from_csv(blocked)
+        assert tuple(back.columns) == CSV_COLUMNS
+        for name in CSV_COLUMNS:
+            # bit for bit: nan, the infinities and the sign of -0.0 too
+            assert back[name].tobytes() == trace[name].tobytes(), name
+            assert back[name].flags.owndata, name
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        trace = random_trace(self.BLOCK + 5)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        # a blank and a comment line on the first block's edge, more at the end
+        lines[self.BLOCK + 1 : self.BLOCK + 1] = ["\n", "# note\n"]
+        path.write_text("".join(lines) + "\n\n# end\n")
+        back = TraceLog.from_csv(path)
+        whole = np.loadtxt(path, delimiter=",", skiprows=1)
+        for i, name in enumerate(CSV_COLUMNS):
+            assert back[name].tobytes() == whole[:, i].tobytes(), name
+
+    def test_header_and_row_widths_must_agree(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time,a,b\n0.0,1.0\n0.1,2.0\n")
+        with pytest.raises(ValueError, match="row width does not match header"):
+            TraceLog.from_csv(path)
+
+    def test_comment_lines_alone_are_too_short(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time,a\n# only a note\n\n")
+        with pytest.raises(ValueError, match="need a time column with at least 2 rows"):
+            TraceLog.from_csv(path)
 
 
 def scenario_bundle(name, *overrides):
@@ -716,3 +782,26 @@ def test_plan_memory_does_not_grow_with_the_run():
     plan_excess_mb(bundle, gains, 1.0)  # first-call caches
     short, long = (plan_excess_mb(bundle, gains, s) for s in (20.0, 40.0))
     assert abs(long - short) < 0.25, (short, long)
+
+
+def trace_io_excess_mb(tmp_path, seconds, dt=0.005):
+    """Peak memory traced inside to_csv and inside from_csv of a random trace
+    of `seconds` at dt, each minus the bytes of the trace's own columns, in
+    MB. The written trace is made before tracing starts. Under tracemalloc
+    the write runs about 20 times slower, so the rate is coarser than DT."""
+    trace = random_trace(round(seconds / dt), dt)
+    path = tmp_path / "trace.csv"
+    _, write = traced_peak(lambda: trace.to_csv(path))
+    back, read = traced_peak(lambda: TraceLog.from_csv(path))
+    own = sum(a.nbytes for a in back.columns.values())
+    return write / 1e6, (read - own) / 1e6
+
+
+def test_trace_io_memory_does_not_grow_with_the_trace(tmp_path):
+    """Beyond the trace, to_csv and from_csv hold one block of rows at a
+    time: the same excess, to 0.25 MB, for a 10 s as for a 40 s trace (2000
+    and 8000 rows; a whole-trace copy of the longer would add 1.2 MB)."""
+    trace_io_excess_mb(tmp_path, 1.0)  # first-call caches
+    short, long = (trace_io_excess_mb(tmp_path, s) for s in (10.0, 40.0))
+    for a, b in zip(short, long):
+        assert abs(b - a) < 0.25, (short, long)

@@ -465,8 +465,10 @@ class TestLoadersAndOverrides:
         [
             ("name: t\nduration_s: 1.0\nname: u\n", "'name'", 3),
             ("name: t\nchecks:\n  - {metric: diverged, max: 0.0, max: 1.0}\n", "'max'", 3),
+            ("name: t\nm: {<<: {x: 1, x: 2}, y: 3}\n", "'x'", 2),
+            ("name: t\nm:\n  <<: [{x: 1}, {y: 1,\n    y: 2}]\n", "'y'", 4),
         ],
-        ids=["top-level", "flow-mapping"],
+        ids=["top-level", "flow-mapping", "merge-value", "merge-sequence"],
     )
     def test_repeated_key_in_a_file_is_refused(self, tmp_path, text, key, line):
         p = tmp_path / "twice.yaml"
@@ -480,6 +482,9 @@ class TestLoadersAndOverrides:
         p = tmp_path / "merge.yaml"
         p.write_text("base: &b {x: 1, y: 2}\nm:\n  <<: *b\n  x: 5\n")
         assert load_raw_config(p) == {"base": {"x": 1, "y": 2}, "m": {"x": 5, "y": 2}}
+        # a merge value's own merge may set a key the value sets again
+        p.write_text("a: &a {x: 1}\nb: &b {<<: *a, x: 2}\nm: {<<: [*b, {<<: *a, x: 3}]}\n")
+        assert load_raw_config(p) == {"a": {"x": 1}, "b": {"x": 2}, "m": {"x": 2}}
         p.write_text("? [1, 2]\n: 3\n")
         with pytest.raises(ConfigError, match="unhashable key"):
             load_raw_config(p)
@@ -646,6 +651,18 @@ class TestChecks:
         for kw in ({"metric": "absent", "max_value": 1.0}, {"exceeds_metric": "absent"}):
             res = self.run_one(**kw)
             assert not res.passed and "metric 'absent' not found" in res.detail
+
+    def test_text_metric_fails_with_a_named_detail(self):
+        metrics = {"failure": "Infeasible", "failed_at_s": 5.0, "m": 1.0}
+        for spec in (
+            CheckSpec("f", "failure", max_value=0.0),
+            CheckSpec("f", "failure", min_value=0.0),
+            CheckSpec("f", "m", exceeds_metric="failure"),
+        ):
+            res = evaluate_checks(metrics, [spec])[0]
+            assert not res.passed
+            assert "metric 'failure' is not a number: 'Infeasible'" in res.detail
+        assert math.isnan(evaluate_checks(metrics, [CheckSpec("f", "failure")])[0].value)
 
     def test_nan_value_fails_either_bound(self):
         res = evaluate_checks({"m": math.nan}, [CheckSpec("c", "m", max_value=1.0)])

@@ -1,11 +1,18 @@
 """Unit tests for the DCM stabilizer and foot wrench distribution."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import convex_hull_np_unique
+
+import locomanip
 
 from locomanip.core_dynamics import (
     ExternalContact,
@@ -24,6 +31,7 @@ from locomanip.stabilizer import (
     StabilizerState,
     Wrench,
     _clamp_to_hull,
+    _convex_hull,
     conventional_closed_loop_matrix,
     dcm_feedback,
     distribute_wrench,
@@ -724,3 +732,81 @@ class TestSupportHullMemo:
             if out[0][0] != rect.xmax:
                 wrong += 1
         assert wrong == 0
+
+
+class TestConvexHull:
+    """_convex_hull against the np.unique(axis=0) form it replaced, byte for byte."""
+
+    @staticmethod
+    def assert_same(points):
+        points = np.array(points, dtype=float)
+        got, want = _convex_hull(points), convex_hull_np_unique(points)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # two soles side by side share the corners of their common edge
+            [[0, 0], [1, 0], [1, 1], [0, 1], [1, 0], [2, 0], [2, 1], [1, 1]],
+            [[0.2, -0.1], [0.2, -0.1], [0.2, -0.1]],
+            [[0.2, -0.1]],
+            [[0.0, -0.1], [0.2, 0.1]],
+            [[0.2, 0.1], [0.0, -0.1], [0.2, 0.1]],
+            # collinear corners: a segment
+            [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2], [0.1, 0.1]],
+        ],
+        ids=["shared-edge", "one-corner-thrice", "one-point", "two-points",
+             "two-points-repeated", "collinear"],
+    )
+    def test_equals_the_np_unique_form(self, points):
+        self.assert_same(points)
+
+    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_of_two_signed_zeros_the_first_seen_is_kept(self, first, second):
+        square = [[first, second], [0.1, 0.0], [0.1, 0.1], [0.0, 0.1], [second, first]]
+        hull = self.assert_same(square)
+        corner = hull[(hull == 0.0).all(axis=1)]
+        assert len(corner) == 1
+        assert [math.copysign(1.0, v) for v in corner[0]] == [
+            math.copysign(1.0, first),
+            math.copysign(1.0, second),
+        ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([-0.1, -0.0, 0.0, 0.05, 0.1, 0.2])] * 2),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example([(0.0, 0.0), (-0.0, -0.0), (0.1, 0.0), (0.1, -0.0)])
+    def test_random_corner_sets(self, points):
+        self.assert_same(points)
+
+
+_SHORT_RUN = """
+import sys
+from locomanip import cli
+code = cli.main(["run", "--config", "testcase1", "--override", "duration_s=1.0",
+                 "--out", sys.argv[1]])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    """np.unique(axis=0) loaded numpy.ma, 1.6 MB, on the first run of a process."""
+    env = dict(os.environ)
+    src = str(Path(locomanip.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _SHORT_RUN, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
