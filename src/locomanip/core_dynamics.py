@@ -11,12 +11,12 @@ contacts, kappa = 1 and gamma = 0 and the classic pendulum model is recovered.
 
 Every law is written once and takes Python floats: the pendulum laws
 (ext_zmp, lipm_accel, dcm_of, dcm_rate) one axis at a time, the contact and
-wrench laws (contact_terms, net_foot_wrench, wrench_zmp) with a contact set
-given as contact_rows. The pendulum laws and contact_terms also take numpy
-arrays and then apply elementwise, with the same operations in the same
-order, so an array call gives the per-sample float calls bit for bit. The
-plant, the stabilizer, the closed loop, the reference build, the rollout
-and the tests all call these functions by name.
+wrench laws (contact_terms, net_foot_force, net_foot_wrench, wrench_zmp) with
+a contact set given as contact_rows. The pendulum, contact and wrench laws
+also take numpy arrays and then apply elementwise, with the same operations
+in the same order, so an array call gives the per-sample float calls bit for
+bit. The plant, the stabilizer, the closed loop, the reference build, the
+rollout and the tests all call these functions by name.
 """
 
 from __future__ import annotations
@@ -172,6 +172,26 @@ def dcm_rate(omega, kappa, xi, z, gamma):
     return omega * (xi - kappa * z + gamma)
 
 
+def net_foot_force(params: RobotParams, ax, ay, az, rows) -> tuple:
+    """Force (fx, fy, fz) the feet must realize, in N.
+
+    The gravito-inertial force of the point mass with acceleration (ax, ay,
+    az) minus every external contact force (rows as contact_rows). fz reads
+    no horizontal acceleration, so with az = 0 it tells from the contacts
+    alone whether the feet stay loaded.
+    """
+    # adding 0.0 keeps the sign of zero of the array form of the cross products
+    m = params.mass
+    fx = m * (ax + 0.0)
+    fy = m * (ay + 0.0)
+    fz = m * (az + params.gravity)
+    for gx, gy, gz, _, _, _, _, _, _ in rows:
+        fx = fx - gx
+        fy = fy - gy
+        fz = fz - gz
+    return fx, fy, fz
+
+
 def net_foot_wrench(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:
     """Ground reaction wrench the feet must realize, moment about the world origin.
 
@@ -182,15 +202,7 @@ def net_foot_wrench(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:
     (fx, fy, fz, mx, my, mz), in N and N m.
     """
     # the order of operations is that of the cross products in array form
-    # (adding 0.0 keeps the sign of zero identical)
-    m = params.mass
-    fx = m * (ax + 0.0)
-    fy = m * (ay + 0.0)
-    fz = m * (az + params.gravity)
-    for gx, gy, gz, _, _, _, _, _, _ in rows:
-        fx = fx - gx
-        fy = fy - gy
-        fz = fz - gz
+    fx, fy, fz = net_foot_force(params, ax, ay, az, rows)
     mx = cy * fz - cz * fy
     my = cz * fx - cx * fz
     mz = cx * fy - cy * fx
@@ -207,8 +219,9 @@ def net_foot_wrench(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:
 def wrench_zmp(fx, fy, fz, mx, my, zmp_height: float = 0.0) -> tuple:
     """(x, y) on the ground plane where the wrench's horizontal moment vanishes.
 
-    Raises NonPhysical when the wrench has no vertical force.
+    The values may be arrays of one shape, as for net_foot_wrench. Raises
+    NonPhysical when the wrench has no vertical force (at any sample).
     """
-    if not abs(fz) > 0.0:
+    if not np.all(abs(fz) > 0.0):
         raise NonPhysical("wrench has no vertical force; ZMP undefined")
     return (-my + zmp_height * fx) / fz, (mx + zmp_height * fy) / fz

@@ -5,13 +5,15 @@ controller assumes; controller/plant mismatch enters only through injected
 disturbance forces and a first-order lag between commanded and realized ZMP.
 run_closed_loop drives the stabilizer's robot along a plan and logs the CSV
 columns and three event flags. It goes through the plan in blocks of
-samples. The force-measurement half of the step reads no plant state, so it
-runs first for the whole block, on arrays: apply_disturbances, the true
-contacts' contact_terms, the measurement noise and
-Stabilizer.measure_forces. Then the feedback half runs one step at a time on
-Python floats: Stabilizer.step and step_plant. Each law is defined once.
-A step that fails (STEP_FAILURES) ends the run: the exception propagates
-with the trace of the steps before it attached as ``exc.trace``.
+samples, each in three passes. The open-loop pass reads no plant state and
+runs on arrays: apply_disturbances, the true contacts' contact_terms, the
+measurement noise, Stabilizer.measure_forces and the search for unloaded
+feet. The feedback pass runs one step at a time on Python floats, with the
+plant state and the DCM memory in local variables: Stabilizer.step and
+step_plant. The ground-wrench pass feeds nothing back and runs on arrays:
+Stabilizer.ground_wrench gives the cop_clamped flag. Each law is defined
+once. A step that fails (STEP_FAILURES) ends the run: the exception
+propagates with the trace of the steps before it attached as ``exc.trace``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core_dynamics import (
     contact_terms,
     dcm_of,
     lipm_accel,
+    net_foot_force,
 )
 from .errors import Infeasible, NonFiniteState, NonPhysical
 from .pattern_generator import DesiredTrajectory
@@ -91,12 +94,13 @@ _MEASURED_COLUMNS = (
     "fext_sum_x", "fext_sum_y", "fext_sum_z",
 )
 
-# the columns the closed-loop pass writes per step, line by line in the order
-# of its value tuple; the other CSV columns are copied from the plan. The
+# the columns the feedback pass logs per step, in the order of its value
+# tuple, which then holds the command acceleration (x, y) for the
+# ground-wrench pass; the other CSV columns are copied from the plan. The
 # xi^a columns hold the plant velocity until the loop ends.
 _STEP_COLUMNS = (
     "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
-    *EXTRA_COLUMNS,
+    "zmp_saturated", "zmp_clamped",
 )
 
 
@@ -135,32 +139,36 @@ class DisturbanceProfile:
     def value(self, t):
         """The signal at time t, or at each time of an array t.
 
-        A sinusoid is evaluated by math.sin one time at a time, so an array
-        gives the values of the scalar calls bit for bit.
+        A sinusoid's phase takes the same operations on an array as on a
+        float, and math.sin is taken of each phase, so an array gives the
+        values of the scalar calls bit for bit.
         """
         if isinstance(t, np.ndarray):
             out = np.zeros(t.shape)
             on = (t >= self.start_time) & (t < self.end_time)
-            if self.kind == "sinusoid":
-                out[on] = [self.value(x) for x in t[on].tolist()]
-            else:
-                out[on] = self.amplitude
+            out[on] = self._acting(t[on])
             return out
         if t < self.start_time or t >= self.end_time:
             return 0.0
-        if self.kind == "sinusoid":
-            phase = 2.0 * math.pi * (t - self.start_time) / self.period
-            return self.amplitude * math.sin(phase)
-        return self.amplitude
+        return self._acting(t)
+
+    def _acting(self, t):
+        """The signal at times t inside the window, a float or an array."""
+        if self.kind != "sinusoid":
+            return self.amplitude
+        phase = 2.0 * math.pi * (t - self.start_time) / self.period
+        if isinstance(phase, np.ndarray):
+            return self.amplitude * np.fromiter(map(math.sin, phase.tolist()), float)
+        return self.amplitude * math.sin(phase)
 
 
-def apply_disturbances(rows: tuple, profiles, t) -> tuple:
-    """True contacts at time t as contact_rows: desired rows plus disturbances.
+def apply_disturbances(rows: tuple, profiles, t: np.ndarray) -> tuple:
+    """True contacts at the times of the array t: desired rows plus disturbances.
 
-    t may also be an array of times, and the values of rows arrays of that
-    shape, as for contact_terms: each sample then comes out as the scalar
-    call at its time would give it. A sample where no profile is active
-    keeps its desired values untouched. Returns rows itself when no
+    rows are contact_rows whose values are arrays of t's shape, as for
+    contact_terms. Each sample comes out as the desired contacts plus the
+    sum of the profiles active at its time; a sample where no profile is
+    active keeps its desired values untouched. Returns rows itself when no
     disturbance is active at any time. A contact_index beyond the contacts
     present raises IndexError while its profile acts.
     """
@@ -182,10 +190,6 @@ def apply_disturbances(rows: tuple, profiles, t) -> tuple:
             d[ax] = d[ax] + v
     if deltas is None:
         return rows
-    if not isinstance(t, np.ndarray):
-        return tuple(
-            (r[0] + d[0], r[1] + d[1], r[2] + d[2]) + r[3:] for r, d in zip(rows, deltas)
-        )
     return tuple(
         tuple(np.where(active, f + df, f) for f, df in zip(r[:3], d)) + r[3:]
         for r, d in zip(rows, deltas)
@@ -225,9 +229,13 @@ def step_plant(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, 
     vy = vy + ay * dt
     px = px + vx * dt
     py = py + vy * dt
-    for name, a, b in (("position", px, py), ("velocity", vx, vy), ("acceleration", ax, ay)):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise NonFiniteState(f"{name}: components must be finite")
+    # x - x is 0.0 for a finite x and NaN otherwise
+    if (px - px) + (py - py) + (vx - vx) + (vy - vy) + (ax - ax) + (ay - ay) != 0.0:
+        for name, a, b in (
+            ("position", px, py), ("velocity", vx, vy), ("acceleration", ax, ay)
+        ):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise NonFiniteState(f"{name}: components must be finite")
     return px, py, vx, vy, ax, ay, zx, zy, clamped
 
 
@@ -321,85 +329,252 @@ def _block_contacts(timeline, b0: int, b1: int):
     return b1, tuple(tuple(table[first + i].T) for i in range(int(count[0])))
 
 
-def _rebuilt_rows(measured, desired) -> list:
-    """Per sample, the measured contacts as lists of contact_rows values, or
-    None where they equal the planned contacts bit for bit."""
-    block = np.stack([np.stack(r, axis=1) for r in measured], axis=1)
-    plan = np.stack([np.stack(r, axis=1) for r in desired], axis=1)
-    same = (block.view(np.int64) == plan.view(np.int64)).all(axis=(1, 2))
-    return [None if s else rows for rows, s in zip(block.tolist(), same.tolist())]
-
-
-def _open_loop(traj, stabilizer, disturbances, columns, noise, rng):
-    """The open-loop half of run_closed_loop, one block of samples at a time.
-
-    Yields per sample (k, contact set, phase, planned kappa, plan, kappa,
-    gamma_x, gamma_y, bands, noise, rows): the plan tuple as Stabilizer.step
-    takes it, the true contacts' coefficients, the bands of
-    Stabilizer.measure_forces, the sample's (com_x, com_y, vel_x, vel_y)
-    noise (None without noise) and its measured contacts (None where they
-    are the plan's). Writes the _MEASURED_COLUMNS of a block into columns
-    before its first sample. Each block is one call of _open_loop_block,
-    so its temporaries are freed before the next block's are made.
-    """
-    n = len(traj.time)
-    b0 = 0
-    while b0 < n:
-        b0 = yield from _open_loop_block(
-            traj, b0, stabilizer, disturbances, columns, noise, rng
-        )
-
-
 def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng):
-    """One block of _open_loop, from sample b0; returns the block's end."""
+    """The open-loop pass over the block from sample b0, on arrays.
+
+    Runs apply_disturbances, the true contacts' contact_terms, the noise
+    draws and Stabilizer.measure_forces, and writes the block's
+    _MEASURED_COLUMNS into columns. None of this reads the plant. Returns
+    (b1, stop, inputs, measured, sample_noise, bands):
+
+    - b1, the block's end;
+    - stop, the block's first sample whose measured contacts leave the feet
+      no downward force (net_foot_force's fz is not > 0, and the
+      ground-wrench stage raises there), or b1;
+    - inputs, the per-sample inputs of samples b0 to stop as lists, in the
+      order _feedback_pass takes them: phase, planned kappa, plan (with one
+      more sample), bands, noise, and the true kappa, gamma_x and gamma_y;
+    - measured, the measured contacts as contact_rows over the block;
+    - sample_noise, the (samples, 4) noise on (com_x, com_y, vel_x, vel_y),
+      or None without noise;
+    - bands, the bands of measure_forces, one tuple per sample.
+    """
     timeline = traj.timeline
     params = stabilizer.params
-    b1, desired = _block_contacts(
-        timeline, b0, min(b0 + BLOCK_SAMPLES, len(timeline))
-    )
+    n = len(timeline)
+    b1, desired = _block_contacts(timeline, b0, min(b0 + BLOCK_SAMPLES, n))
     m = b1 - b0
     true = apply_disturbances(desired, disturbances, traj.time[b0:b1])
     fsx, fsy, fsz, kappa, gx, gy = contact_terms(
         true, params.mass * params.gravity, params.zmp_height
     )
     measured = true
-    sample_noise = itertools.repeat(None)
+    sample_noise = None
     if rng is not None:
         com_noise, vel_noise, force_noise = noise
         # per sample: CoM 2, velocity 2, then 3 per contact with force noise
         width = 4 + 3 * len(true) if force_noise > 0.0 else 4
         draws = rng.standard_normal((m, width)).T
         scales = (com_noise, com_noise, vel_noise, vel_noise)
-        sample_noise = zip(*(memoryview(s * e) for s, e in zip(scales, draws)))
+        sample_noise = np.column_stack([s * e for s, e in zip(scales, draws)])
         if force_noise > 0.0:
             e = iter(draws[4:])
             measured = tuple(
                 tuple(f + force_noise * next(e) for f in r[:3]) + r[3:] for r in true
             )
     gex, gey, bands = stabilizer.measure_forces(measured, desired, m)
-    for name, value in zip(_MEASURED_COLUMNS, (gex, gey, *bands[:4], fsx, fsy, fsz)):
+    low_x, low_y, high_x, high_y = _columns(bands, 6)[:4]
+    for name, value in zip(
+        _MEASURED_COLUMNS, (gex, gey, low_x, low_y, high_x, high_y, fsx, fsy, fsz)
+    ):
         columns[name][b0:b1] = value
-    # where the measured contacts are the plan's, the loop's cached rows serve
-    rows = itertools.repeat(None) if measured is desired else _rebuilt_rows(measured, desired)
-    yield from zip(
-        range(b0, b1),
-        *(
-            memoryview(a)[b0:b1]
-            for a in (timeline.contact_index, timeline.phase, timeline.kappa)
-        ),
-        zip(
-            *(
-                memoryview(a[b0:b1, i])
-                for a in (traj.com_pos, traj.com_acc, traj.dcm, traj.zmp)
-                for i in (0, 1)
-            )
-        ),
-        *(memoryview(np.broadcast_to(a, m)) for a in (kappa, gx, gy)),
-        zip(*map(memoryview, bands)),
-        sample_noise,
-        rows,
+
+    fz = net_foot_force(params, 0.0, 0.0, 0.0, measured)[2]
+    unloaded = np.flatnonzero(~(np.broadcast_to(fz, m) > 0.0))
+    stop = b0 + int(unloaded[0]) if len(unloaded) else b1
+    part = slice(b0, stop)
+    # the plan of samples b0 to stop, and of the next one (the last sample's
+    # own past the end), which the divergence test reads
+    planned = np.minimum(np.arange(b0, stop + 1), n - 1)
+    inputs = (
+        timeline.phase[part].tolist(),
+        timeline.kappa[part].tolist(),
+        np.column_stack(
+            [a[planned] for a in (traj.com_pos, traj.com_acc, traj.dcm, traj.zmp)]
+        ).tolist(),
+        bands[: stop - b0],
+        itertools.repeat(None)
+        if sample_noise is None
+        else sample_noise[: stop - b0].tolist(),
+        *(np.broadcast_to(a, m)[: stop - b0].tolist() for a in (kappa, gx, gy)),
     )
-    return b1
+    return b1, stop, inputs, measured, sample_noise, bands
+
+
+def _columns(rows: list, width: int) -> np.ndarray:
+    """A list of equal tuples of `width` floats (or bools) as a (width,
+    len(rows)) array view, one row per tuple position."""
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, width * len(rows))
+    return flat.reshape(-1, width).T
+
+
+def _feedback_pass(step, omega, law, support, plant, memory, inputs):
+    """The feedback pass over one block's samples, one step at a time.
+
+    Per sample: read the plant, add the sample's noise, run Stabilizer.step
+    on its bands and the DCM memory, then advance the plant under the true
+    contacts with step_plant. The plant state and the memory stay in local
+    variables. law is (decay, plant omega, dt, divergence limit), support
+    maps a phase to its (hull_edges, clamp bounds), plant is (px, py, vx,
+    vy, zx, zy) and inputs are the lists of _open_loop_block.
+
+    Returns (logged, plant, memory, failure, diverged): per step the tuple
+    (px, py, vx, vy, zcx, zcy, zx, zy, zmp_saturated, zmp_clamped, acc_x,
+    acc_y) before step_plant, the plant and the memory after the last step,
+    the STEP_FAILURES exception that stopped the pass (its step is not
+    logged; the memory is its step's) or None, and whether the last step's
+    CoM left the plan by more than the limit.
+    """
+    decay, plant_omega, dt, limit = law
+    px, py, vx, vy, zx, zy = plant
+    phases, kappas, plans, *rest = inputs
+    logged = []
+    append = logged.append
+    phase = None
+    try:
+        for ph, kappa_d, plan, ahead, band, noise, kappa, gx, gy in zip(
+            phases, kappas, plans, itertools.islice(plans, 1, None), *rest
+        ):
+            if ph != phase:
+                phase = ph
+                edges, bounds = support(ph)
+            if noise is None:
+                zcx, zcy, acx, acy, sat, memory = step(
+                    kappa_d, omega, plan, px, py, vx, vy, edges, band, memory
+                )
+            else:
+                ncx, ncy, nvx, nvy = noise
+                zcx, zcy, acx, acy, sat, memory = step(
+                    kappa_d, omega, plan, px + ncx, py + ncy, vx + nvx, vy + nvy,
+                    edges, band, memory,
+                )
+            stepped = step_plant(
+                px, py, vx, vy, zx, zy, zcx, zcy, decay, bounds,
+                plant_omega, kappa, gx, gy, dt,
+            )
+            append((px, py, vx, vy, zcx, zcy, zx, zy, sat, stepped[8], acx, acy))
+            px, py, vx, vy, _, _, zx, zy, _ = stepped
+            if abs(px - ahead[0]) > limit or abs(py - ahead[1]) > limit:
+                return logged, None, memory, None, True
+    except STEP_FAILURES as exc:
+        return logged, None, memory, exc, False
+    return logged, (px, py, vx, vy, zx, zy), memory, None, False
+
+
+def _unloaded_sample(stabilizer, traj, k, plant, memory, noise, band, rows, support):
+    """Sample k, whose measured contacts leave the feet no downward force,
+    as the per-sample loop runs it: Stabilizer.step, then
+    Stabilizer.ground_wrench on floats, which raises. noise is the sample's
+    (com_x, com_y, vel_x, vel_y) noise or None, band its bands and rows its
+    measured contacts. Returns the step's memory and the exception."""
+    timeline = traj.timeline
+    cx, cy, vx, vy, _, _ = plant
+    if noise is not None:
+        ncx, ncy, nvx, nvy = noise
+        cx, cy, vx, vy = cx + ncx, cy + ncy, vx + nvx, vy + nvy
+    plan = [
+        *traj.com_pos[k].tolist(),
+        *traj.com_acc[k].tolist(),
+        *traj.dcm[k].tolist(),
+        *traj.zmp[k].tolist(),
+    ]
+    edges = support(int(timeline.phase[k]))[0]
+    _, _, acx, acy, _, memory = stabilizer.step(
+        float(timeline.kappa[k]), timeline.omega, plan, cx, cy, vx, vy, edges, band,
+        memory,
+    )
+    try:
+        stabilizer.ground_wrench(cx, cy, acx, acy, rows, edges)
+    except STEP_FAILURES as exc:
+        return memory, exc
+    raise RuntimeError(f"sample {k}: the ground-wrench stage accepted unloaded feet")
+
+
+def _closed_loop_block(
+    traj, b0, stabilizer, disturbances, columns, noise, rng, law, support, plant, memory
+):
+    """One block from sample b0 in its three passes: _open_loop_block, then
+    _feedback_pass up to the first unloaded sample, which
+    _unloaded_sample runs on floats, then the ground-wrench pass over the
+    steps taken (_cop_clamped). Writes the block's columns.
+
+    Returns (b1, k, plant, memory, failure, diverged, band): the block's
+    end, the first sample not logged, the plant and the memory after the
+    last step, the STEP_FAILURES exception that stopped the run (at k) or
+    None, whether the step before k diverged, and the bands of the sample
+    that stopped the run (None if none did).
+    """
+    b1, stop, inputs, measured, sample_noise, bands = _open_loop_block(
+        traj, b0, stabilizer, disturbances, columns, noise, rng
+    )
+    logged, end, memory, failure, diverged = _feedback_pass(
+        stabilizer.step, traj.timeline.omega, law, support, plant, memory, inputs
+    )
+    k = b0 + len(logged)
+    if failure is None and not diverged and k < b1:
+        memory, failure = _unloaded_sample(
+            stabilizer, traj, k, end, memory,
+            None if sample_noise is None else sample_noise[k - b0].tolist(),
+            bands[k - b0],
+            tuple(tuple(v[k - b0].item() for v in r) for r in measured),
+            support,
+        )
+    if logged:
+        steps = slice(b0, k)
+        block = _columns(logged, 12)
+        for name, values in zip(_STEP_COLUMNS, block):
+            columns[name][steps] = values
+        com_x, com_y = block[0], block[1]
+        if sample_noise is not None:
+            com_x = com_x + sample_noise[: len(logged), 0]
+            com_y = com_y + sample_noise[: len(logged), 1]
+        columns["cop_clamped"][steps] = _cop_clamped(
+            stabilizer, com_x, com_y, block[10], block[11],
+            tuple(tuple(v[: len(logged)] for v in r) for r in measured),
+            traj.timeline.phase[steps], support,
+        )
+    band = None
+    if failure is not None:
+        band = bands[k - b0]
+    elif diverged:
+        band = bands[k - 1 - b0]
+    return b1, k, end, memory, failure, diverged, band
+
+
+def _cop_clamped(stabilizer, com_x, com_y, acc_x, acc_y, rows, phase, support):
+    """Stabilizer.ground_wrench over samples of one or more support phases,
+    once per run of equal phase. rows are contact_rows over the samples,
+    phase their phase indices and support as for _feedback_pass. Returns the
+    cop_clamped flags."""
+    flags = np.empty(len(phase), dtype=bool)
+    cuts = (np.flatnonzero(np.diff(phase)) + 1).tolist()
+    for s, e in zip([0, *cuts], [*cuts, len(phase)]):
+        run = slice(s, e)
+        flags[run] = stabilizer.ground_wrench(
+            com_x[run], com_y[run], acc_x[run], acc_y[run],
+            tuple(tuple(v[run] for v in r) for r in rows),
+            support(int(phase[s]))[0],
+        )
+    return flags
+
+
+def _support(timeline):
+    """A function from a phase to its (hull_edges of the support hull, ZMP
+    clamp bounds), each built on first use."""
+    cache = {}
+
+    def of(ph):
+        if ph not in cache:
+            region = timeline.support_regions[ph]
+            base = SoleRect.bounding(region)
+            m = ZMP_CLAMP_MARGIN
+            cache[ph] = (
+                hull_edges(support_hull(region)),
+                (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
+            )
+        return cache[ph]
+
+    return of
 
 
 def run_closed_loop(
@@ -419,27 +594,35 @@ def run_closed_loop(
     starts from the plan's first sample: planned CoM position and velocity,
     realized ZMP on the planned ZMP. The run goes in blocks of at most
     BLOCK_SAMPLES samples, cut where the number of hand contacts changes,
-    and each block in two passes:
+    and each block in three passes:
 
-    - open loop, on arrays over the block: the true contacts by
-      apply_disturbances and their contact_terms; white measurement noise
-      from np.random.default_rng(seed), drawn per sample in the order CoM
-      (2), velocity (2), then 3 per contact with force noise; and
-      Stabilizer.measure_forces, which measures the force error of every
-      sample and splits it into bands. None of this reads the plant.
-    - closed loop, per step: read the plant, add the sample's noise, run
-      Stabilizer.step on the sample's bands (up to the net ground wrench;
-      the plant never reads a per-foot split), log, then advance the plant
-      under the true (disturbed) contacts with step_plant.
+    - open loop, on arrays over the block (_open_loop_block): the true
+      contacts by apply_disturbances and their contact_terms; white
+      measurement noise from np.random.default_rng(seed), drawn per sample
+      in the order CoM (2), velocity (2), then 3 per contact with force
+      noise; Stabilizer.measure_forces, which measures the force error of
+      every sample and splits it into bands; and the first sample whose
+      measured contacts leave the feet no downward force.
+    - feedback, per step on floats (_feedback_pass): read the plant, add the
+      sample's noise, run Stabilizer.step, log, then advance the plant under
+      the true (disturbed) contacts with step_plant, up to that unloaded
+      sample, which then runs Stabilizer.step and Stabilizer.ground_wrench
+      on floats and raises.
+    - ground wrench, on arrays over the steps taken: Stabilizer.ground_wrench
+      against the measured CoM and contacts and the command acceleration,
+      for the cop_clamped flag. Nothing reads the net wrench back, and the
+      plant never reads a per-foot split.
 
     Aborts and marks the trace when the actual CoM leaves the desired one
     by more than divergence_limit. A step that raises one of STEP_FAILURES
     ends the run; the exception propagates with the truncated trace as
-    ``exc.trace``. The stabilizer's state advances in place, so a reused
-    Stabilizer continues from where the run left it; a run that stops at
-    step k leaves it as per-sample steps would, with the bands of sample k.
-    A disturbance whose contact_index is past the contacts present raises
-    IndexError from the open-loop pass of the block where it first acts.
+    ``exc.trace``. The stabilizer's state advances in place: the loop
+    writes it at the end of each block and at a stop, so a reused
+    Stabilizer continues from where the run left it, and a run that stops
+    at step k leaves it as per-sample steps would, with the bands of sample
+    k. A disturbance whose contact_index is past the contacts present
+    raises IndexError from the open-loop pass of the block where it first
+    acts.
     """
     timeline = traj.timeline
     dt = timeline.dt
@@ -452,16 +635,11 @@ def run_closed_loop(
     noisy = com_noise > 0.0 or force_noise > 0.0
     rng = np.random.default_rng(seed) if noisy else None
 
-    px, py = traj.com_pos[0].tolist()
-    vx, vy = traj.com_vel[0].tolist()
-    zax, zay = traj.zmp[0].tolist()
-    plant_time = float(traj.time[0])
-
     # one preallocated array per column: the plan's columns are copied, the
-    # others written per block or per step. One 2-D buffer would hold the
-    # same bytes, but once freed it raises glibc's dynamic mmap threshold
-    # above the trace-sized temporaries of later runs in the process, which
-    # then stay resident on the heap (+1.8 MB peak RSS over a seed sweep).
+    # others written per block. One 2-D buffer would hold the same bytes, but
+    # once freed it raises glibc's dynamic mmap threshold above the
+    # trace-sized temporaries of later runs in the process, which then stay
+    # resident on the heap (+1.8 MB peak RSS over a seed sweep).
     plan_columns = {
         "time": traj.time,
         "c_x^d": traj.com_pos[:, 0],
@@ -476,84 +654,35 @@ def run_closed_loop(
     columns = {name: np.zeros(n) for name in CSV_COLUMNS + EXTRA_COLUMNS}
     for name, src in plan_columns.items():
         columns[name][:] = src
-    step_views = [memoryview(columns[name]) for name in _STEP_COLUMNS]
-    desired_x = memoryview(traj.com_pos[:, 0])
-    desired_y = memoryview(traj.com_pos[:, 1])
 
-    step = stabilizer.step
     state = stabilizer.state
+    memory = state.memory()
     decay = None if direct_zmp else math.exp(-stabilizer.gains.rho * dt)
-    plant_omega = compute_coefficients(stabilizer.params).omega
-    samples = _open_loop(
-        traj,
-        stabilizer,
-        disturbances,
-        columns,
-        (com_noise, com_noise * omega, force_noise),
-        rng,
+    law = (decay, compute_coefficients(stabilizer.params).omega, dt, divergence_limit)
+    support = _support(timeline)
+    plant = (
+        *traj.com_pos[0].tolist(), *traj.com_vel[0].tolist(), *traj.zmp[0].tolist()
     )
+    noise = (com_noise, com_noise * omega, force_noise)
 
-    contact_set = phase = band = failure = None
+    failure = None
     diverged = False
-    diverged_at = None
     last = n
-    k = 0
-
-    try:
-        for k, j, ph, kappa_d, plan, kappa, gx, gy, band, noise, rows in samples:
-            if j != contact_set:
-                contact_set = j
-                desired_rows = timeline.contact_rows(j)
-            if ph != phase:
-                phase = ph
-                region = timeline.support_regions[ph]
-                edges = hull_edges(support_hull(region))
-                base = SoleRect.bounding(region)
-                m = ZMP_CLAMP_MARGIN
-                bounds = (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m)
-
-            if noise is None:
-                com = (px, py)
-                vel = (vx, vy)
-            else:
-                ncx, ncy, nvx, nvy = noise
-                com = (px + ncx, py + ncy)
-                vel = (vx + nvx, vy + nvy)
-            (zcx, zcy), _, _, _, sat, cop, _ = step(
-                kappa_d, omega, plan, com, vel,
-                desired_rows if rows is None else rows, edges, band,
-            )
-            stepped = step_plant(
-                px, py, vx, vy, zax, zay, zcx, zcy, decay, bounds,
-                plant_omega, kappa, gx, gy, dt,
-            )
-            # this step's values, in the order of _STEP_COLUMNS
-            for view, value in zip(
-                step_views, (px, py, vx, vy, zcx, zcy, zax, zay, sat, cop, stepped[8])
-            ):
-                view[k] = value
-            px, py, vx, vy, _, _, zax, zay, _ = stepped
-            plant_time = plant_time + dt
-
-            j = min(k + 1, n - 1)
-            if (
-                abs(px - desired_x[j]) > divergence_limit
-                or abs(py - desired_y[j]) > divergence_limit
-            ):
-                diverged = True
-                diverged_at = plant_time
-                last = k + 1
-                break
-    except STEP_FAILURES as exc:
-        failure = exc
-        last = k
-    finally:
-        if band is not None:
-            # the open-loop pass split ahead to its block's end; per-sample
-            # steps would have left the bands of the last sample stepped
-            state.gamma_low = band[0:2]
-            state.gamma_high = band[2:4]
-            state.gamma_high_rate = band[4:6]
+    b0 = 0
+    while b0 < n:
+        # a block's lists and arrays are freed when its call returns, before
+        # the next block builds its own
+        b1, k, plant, memory, failure, diverged, band = _closed_loop_block(
+            traj, b0, stabilizer, disturbances, columns, noise, rng, law, support,
+            plant, memory,
+        )
+        if failure is not None or diverged:
+            last = k
+            # per-sample steps leave the bands of the sample that stopped
+            state.keep(memory, band)
+            break
+        state.keep(memory)
+        b0 = b1
 
     # dcm_of turns the logged velocity into the DCM in place, a block at a
     # time: temporaries as long as the trace would raise peak RSS
@@ -563,6 +692,12 @@ def run_closed_loop(
             columns[xi][part] = dcm_of(columns[c][part], columns[xi][part], omega)
     if last < n:
         columns = {name: col[:last].copy() for name, col in columns.items()}
+    diverged_at = None
+    if diverged:
+        # the plant's clock, advanced by dt once per step
+        diverged_at = float(traj.time[0])
+        for _ in range(last):
+            diverged_at = diverged_at + dt
     trace = TraceLog(
         dt=dt,
         columns={name: columns[name] for name in CSV_COLUMNS},
@@ -573,7 +708,7 @@ def run_closed_loop(
     if failure is not None:
         trace.failure = type(failure).__name__
         trace.failure_detail = str(failure)
-        trace.failed_at = float(traj.time[k])
+        trace.failed_at = float(traj.time[last])
         failure.trace = trace
         raise failure
     return trace

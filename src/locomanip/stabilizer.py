@@ -8,15 +8,18 @@ DCM error is regulated by PID feedback on top. The command ZMP is saturated
 into the support hull, and the flag ``cop_clamped`` records when the ground
 wrench the feet must realize has its pressure point outside that hull.
 
-Each law has one definition. The step has two halves. The force-measurement
+Each law has one definition. The step has three parts. The force-measurement
 half reads no robot state: Stabilizer.measure_forces runs measure_gamma_error
 elementwise and split_frequency as one float recursion over a block of
-samples. The feedback half, Stabilizer.step, takes one sample's bands and
-runs dcm_feedback, the saturation and the wrench stage on Python floats; the
-closed loop of plant_sim calls it once per step. Stabilizer.step ends at the
-net ground wrench; distribute_wrench (an active-set split under sole limits)
-splits such a wrench between the feet, and the closed loop, which never
-reads the per-foot wrenches, does not call it.
+samples. The feedback half, Stabilizer.step, takes one sample's bands and its
+DCM memory and runs dcm_feedback and the command saturation on Python floats,
+up to the command ZMP; the closed loop of plant_sim calls it once per step and
+keeps the memory in local variables. The ground-wrench stage feeds nothing
+back: Stabilizer.ground_wrench builds the net ground wrench (net_foot_wrench)
+and its pressure point (wrench_zmp) over arrays of samples and reports the
+cop_clamped flag, and raises when the feet are unloaded. distribute_wrench (an
+active-set split under sole limits) splits such a wrench between the feet;
+the closed loop, which never reads the per-foot wrenches, does not call it.
 
 All gains are stated in conventional (no-external-force) terms; the control
 law divides by the ZMP scale kappa so the closed-loop response matches the
@@ -85,6 +88,11 @@ class StabilizerGains:
         if self.integrator_limit < 0.0:
             raise ValueError("integrator_limit must be non-negative")
 
+    @functools.cached_property
+    def pid(self) -> tuple:
+        """(k_p, k_i, k_d, rho, integrator_limit), as dcm_feedback takes them."""
+        return self.k_p, self.k_i, self.k_d, self.rho, self.integrator_limit
+
     def closed_loop_poles(self, omega: float) -> np.ndarray:
         """Sorted eigenvalues of the conventional closed loop at this omega."""
         m = conventional_closed_loop_matrix(
@@ -141,7 +149,8 @@ class StabilizerState:
     """Filter and integrator memory of one stabilizer instance.
 
     Every field is an (x, y) pair of floats. split_frequency replaces the
-    three band pairs, dcm_feedback the three DCM-error pairs.
+    three band pairs; the closed loop writes the three DCM-error pairs from
+    the memory dcm_feedback returns (keep), which memory reads back.
     """
 
     dcm_error_integral: tuple = (0.0, 0.0)
@@ -150,6 +159,23 @@ class StabilizerState:
     gamma_high_rate: tuple = (0.0, 0.0)
     dcm_err_prev: tuple = (0.0, 0.0)
     dcm_err_rate: tuple = (0.0, 0.0)
+
+    def memory(self) -> tuple:
+        """The three DCM-error pairs as the memory dcm_feedback takes."""
+        return (*self.dcm_error_integral, *self.dcm_err_prev, *self.dcm_err_rate)
+
+    def keep(self, memory, bands=None):
+        """Write a memory dcm_feedback returned and, if given, one sample's
+        bands (low_x, low_y, high_x, high_y, rate_x, rate_y)."""
+        ix, iy, px, py, rx, ry = memory
+        self.dcm_error_integral = (ix, iy)
+        self.dcm_err_prev = (px, py)
+        self.dcm_err_rate = (rx, ry)
+        if bands is not None:
+            lx, ly, hx, hy, hrx, hry = bands
+            self.gamma_low = (lx, ly)
+            self.gamma_high = (hx, hy)
+            self.gamma_high_rate = (hrx, hry)
 
 
 def _xy(vec) -> tuple:
@@ -170,7 +196,7 @@ def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: floa
     return actual[4] - desired[4], actual[5] - desired[5]
 
 
-def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> np.ndarray:
+def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> list:
     """Run the low/high frequency split of the force-error offset over samples.
 
     ex and ey are the offsets of successive samples, as 1-D arrays or as
@@ -178,19 +204,18 @@ def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> np.nda
     constant cutoff_period / (2 pi); the high band is the exact complement,
     so gamma_low + gamma_high always reconstructs the input. The high-band
     rate is a smoothed backward difference. The recursion runs on Python
-    floats, one sample after the other. Returns a (6, samples) array of the
-    bands after each sample, rows (low_x, low_y, high_x, high_y, rate_x,
-    rate_y), and leaves the three band pairs of state at the last sample's.
+    floats, one sample after the other. Returns the bands after each
+    sample, one (low_x, low_y, high_x, high_y, rate_x, rate_y) tuple per
+    sample, and leaves the three band pairs of state at the last sample's.
     """
     tau = cutoff_period / (2.0 * math.pi)
     alpha = dt / (tau + dt)
     lx, ly = state.gamma_low
     hx, hy = state.gamma_high
     rx, ry = state.gamma_high_rate
-    xs = np.atleast_1d(ex).tolist()
-    bands = np.empty((6, len(xs)))
-    low_x, low_y, high_x, high_y, rate_x, rate_y = map(memoryview, bands)
-    for k, x, y in zip(range(len(xs)), xs, np.atleast_1d(ey).tolist()):
+    bands = []
+    append = bands.append
+    for x, y in zip(np.atleast_1d(ex).tolist(), np.atleast_1d(ey).tolist()):
         lx = lx + alpha * (x - lx)
         ly = ly + alpha * (y - ly)
         new_hx = x - lx
@@ -199,28 +224,23 @@ def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> np.nda
         ry = ry + _BETA * ((new_hy - hy) / dt - ry)
         hx = new_hx
         hy = new_hy
-        low_x[k] = lx
-        low_y[k] = ly
-        high_x[k] = hx
-        high_y[k] = hy
-        rate_x[k] = rx
-        rate_y[k] = ry
+        append((lx, ly, hx, hy, rx, ry))
     state.gamma_low = (lx, ly)
     state.gamma_high = (hx, hy)
     state.gamma_high_rate = (rx, ry)
     return bands
 
 
-def dcm_feedback(
-    state: StabilizerState, gains, dt, kappa, omega, plan, xi_x, xi_y, bands
-):
+def dcm_feedback(pid, dt, kappa, omega, plan, xi_x, xi_y, bands, memory):
     """PID DCM regulation plus force-error compensation terms.
 
-    plan is the planned sample as in Stabilizer.step, (xi_x, xi_y) the actual
-    DCM and bands the sample's (low_x, low_y, high_x, high_y, rate_x,
-    rate_y) from split_frequency. Returns the command ZMP, command CoM
-    acceleration, shifted desired CoM and DCM error as one flat tuple of 8
-    floats; the integrator and derivative filter advance in place. The
+    pid is StabilizerGains.pid, plan the planned sample as in
+    Stabilizer.step, (xi_x, xi_y) the actual DCM, bands the sample's (low_x,
+    low_y, high_x, high_y, rate_x, rate_y) from split_frequency and memory
+    the DCM-error memory (integral_x, integral_y, prev_x, prev_y, rate_x,
+    rate_y), as StabilizerState holds it. Returns two tuples: the command
+    ZMP, command CoM acceleration and shifted desired CoM as 6 floats, and
+    the new memory, whose prev pair is this sample's DCM error. The
     low-band offset shifts the desired CoM and DCM; the high-band offset and
     its rate enter the ZMP command as feedforward. All ZMP-shift terms are
     scaled by 1/kappa so the closed loop matches the conventional tuning.
@@ -229,22 +249,22 @@ def dcm_feedback(
         raise DegenerateScale(f"ZMP scale kappa={kappa:.4f} too small to command")
     cx, cy, ax, ay, dx, dy, zx, zy = plan
     lx, ly, hx, hy, hrx, hry = bands
+    ix, iy, px, py, rx, ry = memory
+    k_p, k_i, k_d, rho, lim = pid
     ex = xi_x - (dx - lx)
     ey = xi_y - (dy - ly)
-    ix, iy = state.dcm_error_integral
-    lim = gains.integrator_limit
-    # min(max()) gives np.clip's result bit for bit, signed zeros and NaN too
-    ix = min(max(ix + ex * dt, -lim), lim)
-    iy = min(max(iy + ey * dt, -lim), lim)
-    px, py = state.dcm_err_prev
-    rx, ry = state.dcm_err_rate
+    # min(max(i, -lim), lim) written out with the same comparisons, so
+    # np.clip's result bit for bit, signed zeros and NaN too
+    low = -lim
+    ix = ix + ex * dt
+    ix = low if low > ix else ix
+    ix = lim if lim < ix else ix
+    iy = iy + ey * dt
+    iy = low if low > iy else iy
+    iy = lim if lim < iy else iy
     rx = rx + _BETA * ((ex - px) / dt - rx)
     ry = ry + _BETA * ((ey - py) / dt - ry)
-    state.dcm_error_integral = (ix, iy)
-    state.dcm_err_rate = (rx, ry)
-    state.dcm_err_prev = (ex, ey)
 
-    k_p, k_i, k_d, rho = gains.k_p, gains.k_i, gains.k_d, gains.rho
     corr_x = k_p * ex + k_i * ix + k_d * rx + hx + hrx / rho
     corr_y = k_p * ey + k_i * iy + k_d * ry + hy + hry / rho
     w2 = omega * omega
@@ -255,9 +275,7 @@ def dcm_feedback(
         ay - w2 * corr_y,
         cx - lx,
         cy - ly,
-        ex,
-        ey,
-    )
+    ), (ix, iy, ex, ey, rx, ry)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -332,6 +350,29 @@ def _clamp_xy(px, py, edges):
             best_d = d
             best = (qx, qy)
     return best
+
+
+def _clamped(px, py, edges):
+    """Whether _clamp_xy moves each point of the arrays (px, py).
+
+    The inside test is _clamp_xy's, with the same operations, on arrays.
+    Points it finds outside, NaN points and every point of a hull of one or
+    two vertices go through _clamp_xy itself, so each flag is the float
+    call's bit for bit. An inside point comes back unchanged (not moved).
+    """
+    with np.errstate(all="ignore"):
+        if len(edges) > 2:
+            check = (px != px) | (py != py)
+            for ax, ay, ex, ey, _ in edges:
+                check |= ex * (py - ay) - ey * (px - ax) < 0.0
+            check = np.flatnonzero(check)
+        else:
+            check = np.arange(len(px))
+    flags = np.zeros(len(px), dtype=bool)
+    for i, x, y in zip(check.tolist(), px[check].tolist(), py[check].tolist()):
+        qx, qy = _clamp_xy(x, y, edges)
+        flags[i] = qx != x or qy != y
+    return flags
 
 
 def _clamp_to_hull(point: np.ndarray, hull: np.ndarray) -> np.ndarray:
@@ -597,8 +638,8 @@ class Stabilizer:
         robot's state.
 
         Returns (gamma_err_x, gamma_err_y, bands): two arrays of `samples`
-        values and the (6, samples) array of split_frequency, whose columns
-        are the bands argument of step.
+        values and the list of split_frequency, whose tuples are the bands
+        argument of step.
         """
         params = self.params
         state = self.state
@@ -611,69 +652,68 @@ class Stabilizer:
             bands = split_frequency(state, ex, ey, self.dt, self.gains.cutoff_period)
         else:
             held = (*state.gamma_low, *state.gamma_high, *state.gamma_high_rate)
-            bands = np.repeat(np.array(held)[:, None], samples, axis=1)
+            bands = [tuple(map(float, held))] * samples
         return ex, ey, bands
 
-    def step(self, kappa, omega, plan, com, vel, rows, edges, bands):
-        """The feedback half of one stabilizer cycle on floats, up to the net
-        ground wrench.
+    def step(
+        self, kappa, omega, plan, com_x, com_y, vel_x, vel_y, edges, bands, memory
+    ):
+        """The feedback half of one stabilizer cycle on floats, up to the
+        command ZMP.
 
-        Chains dcm_feedback, command-ZMP saturation into the support hull and
-        the net ground wrench against the measured CoM (net_foot_wrench),
-        whose pressure point (wrench_zmp) is clamped into the hull. The
-        force-error bands come in from measure_forces.
+        Chains dcm_feedback and the command-ZMP saturation into the support
+        hull. The force-error bands come in from measure_forces, the
+        DCM-error memory from the previous step (StabilizerState.memory for
+        the first); the state is not read or written.
 
         kappa and omega are the planned sample's coefficients; plan is its
         (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
-        acceleration, DCM and ZMP. com and vel are the measured CoM (x, y)
-        position and velocity, rows the measured contacts as contact_rows,
-        edges the support hull as hull_edges and bands the sample's (low_x,
-        low_y, high_x, high_y, rate_x, rate_y). The DCM integrator and
-        derivative filter advance in place.
+        acceleration, DCM and ZMP. (com_x, com_y) and (vel_x, vel_y) are the
+        measured CoM position and velocity, edges the support hull as
+        hull_edges and bands the sample's (low_x, low_y, high_x, high_y,
+        rate_x, rate_y).
 
-        Returns (command_zmp, command_acc, shifted_com, dcm_err,
-        zmp_saturated, cop_clamped, wrench): (x, y) pairs, two flags and the
-        net ground wrench (fx, fy, fz, mx, my, mz) with its moment about the
-        world origin; distribute_wrench splits that wrench between the feet.
+        Returns (zmp_x, zmp_y, acc_x, acc_y, zmp_saturated, memory): the
+        command ZMP and CoM acceleration, whether the saturation moved the
+        command, and the new memory.
+        """
+        (zcx, zcy, acx, acy, _, _), memory = dcm_feedback(
+            self.gains.pid, self.dt, kappa, omega, plan,
+            dcm_of(com_x, vel_x, omega), dcm_of(com_y, vel_y, omega), bands, memory,
+        )
+        qx, qy = _clamp_xy(zcx, zcy, edges)
+        if qx != zcx or qy != zcy:
+            w2k = omega * omega * kappa
+            acx = plan[2] - w2k * (qx - plan[6])
+            acy = plan[3] - w2k * (qy - plan[7])
+            return qx, qy, acx, acy, True, memory
+        return zcx, zcy, acx, acy, False, memory
+
+    def ground_wrench(self, com_x, com_y, acc_x, acc_y, rows, edges):
+        """The ground-wrench stage: whether the net ground wrench's pressure
+        point lies outside the support hull.
+
+        Builds the net ground wrench against the measured CoM (com_x, com_y)
+        at the robot's CoM height with the command acceleration (acc_x,
+        acc_y) and the measured contacts rows (net_foot_wrench), and clamps
+        its pressure point (wrench_zmp) into the hull of edges (hull_edges):
+        the wrench the feet can realize is capped there. The inputs are
+        floats for one sample or arrays of samples of one support phase
+        (rows as contact_rows whose values are such arrays). Returns
+        cop_clamped, a bool or a bool array, each as the float call gives it.
         Raises NonPhysical when the wrench has no vertical force and
-        Infeasible when it pulls the feet off the ground.
+        Infeasible when it pulls the feet off the ground, at any sample.
         """
         params = self.params
         zmp_height = params.zmp_height
-        cx, cy = com
-        vx, vy = vel
-        zcx, zcy, acx, acy, csx, csy, dex, dey = dcm_feedback(
-            self.state, self.gains, self.dt, kappa, omega, plan,
-            dcm_of(cx, vx, omega), dcm_of(cy, vy, omega), bands,
-        )
-
-        qx, qy = _clamp_xy(zcx, zcy, edges)
-        zmp_saturated = qx != zcx or qy != zcy
-        if zmp_saturated:
-            zcx, zcy = qx, qy
-            w2k = omega * omega * kappa
-            acx = plan[2] - w2k * (zcx - plan[6])
-            acy = plan[3] - w2k * (zcy - plan[7])
-
-        fx, fy, fz, mx, my, mz = net_foot_wrench(
-            params, cx, cy, params.com_height, acx, acy, 0.0, rows
-        )
-        # the wrench the feet can realize is capped by the support hull: clamp
-        # its pressure point and rebuild the horizontal moment to match
-        px, py = wrench_zmp(fx, fy, fz, mx, my, zmp_height)
-        qx, qy = _clamp_xy(px, py, edges)
-        cop_clamped = qx != px or qy != py
-        if cop_clamped:
-            mx = qy * fz - zmp_height * fy
-            my = zmp_height * fx - qx * fz
-        if not fz > 0.0:
+        with np.errstate(all="ignore"):
+            fx, fy, fz, mx, my, _ = net_foot_wrench(
+                params, com_x, com_y, params.com_height, acc_x, acc_y, 0.0, rows
+            )
+            px, py = wrench_zmp(fx, fy, fz, mx, my, zmp_height)
+        if not np.all(fz > 0.0):
             raise Infeasible("net wrench must press downward on the ground")
-        return (
-            (zcx, zcy),
-            (acx, acy),
-            (csx, csy),
-            (dex, dey),
-            zmp_saturated,
-            cop_clamped,
-            (fx, fy, fz, mx, my, mz),
-        )
+        if isinstance(px, np.ndarray):
+            return _clamped(px, py, edges)
+        qx, qy = _clamp_xy(px, py, edges)
+        return qx != px or qy != py

@@ -10,10 +10,28 @@ preview law with the feedforward as a plain np.sum per window, which the
 package's rollout must match to the last bit. convex_hull_np_unique and
 write_trace_savetxt are the earlier whole-array forms of the support hull
 and of the trace CSV writer, which the package's must match byte for byte.
+disturbed_rows and closed_loop_by_sample are the closed loop one sample at a
+time on Python floats, which the package's blocked loop must match bit for
+bit: trace columns, flags, the stop and the stabilizer's state.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
+
+from locomanip.core_dynamics import compute_coefficients, contact_terms, dcm_of
+from locomanip.plant_sim import (
+    CSV_COLUMNS,
+    DIVERGENCE_LIMIT,
+    EXTRA_COLUMNS,
+    STEP_FAILURES,
+    ZMP_CLAMP_MARGIN,
+    step_plant,
+)
+from locomanip.reference_builder import SoleRect
+from locomanip.stabilizer import hull_edges, support_hull
 
 
 def classical_preview_rollout(gains, zmp_ref):
@@ -164,3 +182,156 @@ def write_trace_savetxt(trace, path, columns):
     """Write a trace's columns as one stacked array through one np.savetxt."""
     data = np.column_stack([trace.columns[c] for c in columns])
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
+
+
+def disturbed_rows(rows, profiles, t):
+    """The true contacts at one time t: contact_rows of floats plus the
+    profiles' values, rows itself when none is active.
+
+    Each contact's force gets the sum of the active profiles on each axis,
+    summed from 0.0 in profile order and then added to the desired force,
+    as apply_disturbances does on arrays.
+    """
+    axes = {"x": 0, "y": 1, "z": 2}
+    deltas = [[0.0, 0.0, 0.0] for _ in rows]
+    active = False
+    for prof in profiles:
+        v = prof.value(t)
+        if v == 0.0:
+            continue
+        active = True
+        hit = deltas if prof.contact_index is None else [deltas[prof.contact_index]]
+        for d in hit:
+            d[axes[prof.axis]] += v
+    if not active:
+        return rows
+    return tuple(
+        (r[0] + d[0], r[1] + d[1], r[2] + d[2]) + tuple(r[3:])
+        for r, d in zip(rows, deltas)
+    )
+
+
+def closed_loop_by_sample(
+    traj,
+    stabilizer,
+    disturbances=(),
+    direct_zmp=False,
+    com_noise=0.0,
+    force_noise=0.0,
+    seed=None,
+    divergence_limit=DIVERGENCE_LIMIT,
+):
+    """run_closed_loop one sample at a time, every law on floats.
+
+    Per sample: the true contacts (disturbed_rows), the noise drawn in the
+    order CoM (2), velocity (2), then 3 per contact with force noise,
+    Stabilizer.measure_forces over the one sample, Stabilizer.step with the
+    memory the state holds (written back at once), Stabilizer.ground_wrench,
+    then step_plant. Hull edges, clamp bounds and contact rows are rebuilt
+    at every sample. The stabilizer's state advances in place.
+
+    Returns a namespace: columns (every CSV and extra column over the steps
+    taken), diverged_at (the plant's clock at the divergence, or None),
+    failure (the STEP_FAILURES exception that stopped the run, or None) and
+    failed_at (the time of the failed sample, or None).
+    """
+    timeline = traj.timeline
+    omega = timeline.omega
+    dt = timeline.dt
+    params = stabilizer.params
+    state = stabilizer.state
+    unloaded = compute_coefficients(params)
+    decay = None if direct_zmp else math.exp(-stabilizer.gains.rho * dt)
+    rng = np.random.default_rng(seed) if com_noise > 0.0 or force_noise > 0.0 else None
+    px, py = traj.com_pos[0].tolist()
+    vx, vy = traj.com_vel[0].tolist()
+    zx, zy = traj.zmp[0].tolist()
+    clock = float(traj.time[0])
+    logged = {name: [] for name in CSV_COLUMNS + EXTRA_COLUMNS}
+    failure = diverged_at = None
+    k = 0
+    for k in range(len(timeline)):
+        desired = timeline.contact_rows(int(timeline.contact_index[k]))
+        region = timeline.support_regions[int(timeline.phase[k])]
+        edges = hull_edges(support_hull(region))
+        true = disturbed_rows(desired, disturbances, float(traj.time[k]))
+        cx, cy, wx, wy, measured = px, py, vx, vy, true
+        if rng is not None:
+            nx, ny = rng.standard_normal(2).tolist()
+            cx, cy = px + com_noise * nx, py + com_noise * ny
+            nx, ny = rng.standard_normal(2).tolist()
+            wx, wy = vx + com_noise * omega * nx, vy + com_noise * omega * ny
+            if force_noise > 0.0:
+                measured = tuple(
+                    tuple(
+                        f + force_noise * e
+                        for f, e in zip(r[:3], rng.standard_normal(3).tolist())
+                    )
+                    + tuple(r[3:])
+                    for r in true
+                )
+        plan = (
+            *traj.com_pos[k].tolist(),
+            *traj.com_acc[k].tolist(),
+            *traj.dcm[k].tolist(),
+            *traj.zmp[k].tolist(),
+        )
+        gamma_x, gamma_y, bands = stabilizer.measure_forces(measured, desired, 1)
+        fsx, fsy, fsz, kappa, gx, gy = contact_terms(
+            true, unloaded.zeta, params.zmp_height
+        )
+        base = SoleRect.bounding(region)
+        m = ZMP_CLAMP_MARGIN
+        try:
+            zcx, zcy, acx, acy, saturated, memory = stabilizer.step(
+                float(timeline.kappa[k]), omega, plan, cx, cy, wx, wy, edges,
+                bands[0], state.memory(),
+            )
+            state.keep(memory)
+            cop_clamped = stabilizer.ground_wrench(cx, cy, acx, acy, measured, edges)
+            npx, npy, nvx, nvy, _, _, nzx, nzy, zmp_clamped = step_plant(
+                px, py, vx, vy, zx, zy, zcx, zcy, decay,
+                (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
+                unloaded.omega, kappa, gx, gy, dt,
+            )
+        except STEP_FAILURES as exc:
+            failure = exc
+            break
+        lx, ly, hx, hy, _, _ = bands[0]
+        for name, value in (
+            ("c_x^a", px), ("c_y^a", py),
+            ("xi_x^a", dcm_of(px, vx, omega)), ("xi_y^a", dcm_of(py, vy, omega)),
+            ("z_x^c", zcx), ("z_y^c", zcy), ("z_x^a", zx), ("z_y^a", zy),
+            ("gamma_err_x", float(gamma_x[0])), ("gamma_err_y", float(gamma_y[0])),
+            ("gammaH_x", hx), ("gammaH_y", hy), ("gammaL_x", lx), ("gammaL_y", ly),
+            ("fext_sum_x", fsx), ("fext_sum_y", fsy), ("fext_sum_z", fsz),
+            ("zmp_saturated", float(saturated)), ("cop_clamped", float(cop_clamped)),
+            ("zmp_clamped", float(zmp_clamped)),
+        ):
+            logged[name].append(value)
+        px, py, vx, vy, zx, zy = npx, npy, nvx, nvy, nzx, nzy
+        clock = clock + dt
+        ahead = min(k + 1, len(timeline) - 1)
+        if (
+            abs(px - traj.com_pos[ahead, 0]) > divergence_limit
+            or abs(py - traj.com_pos[ahead, 1]) > divergence_limit
+        ):
+            diverged_at = clock
+            break
+    steps = len(logged["c_x^a"])
+    for name, values in (
+        ("time", traj.time),
+        ("c_x^d", traj.com_pos[:, 0]), ("c_y^d", traj.com_pos[:, 1]),
+        ("xi_x^d", traj.dcm[:, 0]), ("xi_y^d", traj.dcm[:, 1]),
+        ("z_x^d", traj.zmp[:, 0]), ("z_y^d", traj.zmp[:, 1]),
+        ("extzmp_x^ref", timeline.ext_zmp_ref[:, 0]),
+        ("extzmp_y^ref", timeline.ext_zmp_ref[:, 1]),
+    ):
+        logged[name] = values[:steps]
+    columns = {name: np.array(values, dtype=float) for name, values in logged.items()}
+    return SimpleNamespace(
+        columns=columns,
+        diverged_at=diverged_at,
+        failure=failure,
+        failed_at=None if failure is None else float(traj.time[k]),
+    )

@@ -1,5 +1,6 @@
 """Unit tests for the point-mass plant, disturbances, and the closed loop."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -17,14 +18,13 @@ from _pipeline import (
     plan_trajectory,
     standing_timeline,
 )
-from oracles import write_trace_savetxt
+from oracles import closed_loop_by_sample, disturbed_rows, write_trace_savetxt
 from test_trace_digests import NOISY, PUSHED
 
 from locomanip import plant_sim
 from locomanip.core_dynamics import (
     compute_coefficients,
     contact_rows,
-    contact_terms,
     dcm_of,
     ext_zmp,
 )
@@ -36,8 +36,9 @@ from locomanip.pattern_generator import (
 )
 from locomanip.plant_sim import (
     CSV_COLUMNS,
+    DIVERGENCE_LIMIT,
+    EXTRA_COLUMNS,
     STEP_FAILURES,
-    ZMP_CLAMP_MARGIN,
     DisturbanceProfile,
     TraceLog,
     apply_disturbances,
@@ -52,12 +53,7 @@ from locomanip.scenario import (
     load_raw_config,
     parse_config,
 )
-from locomanip.stabilizer import (
-    Stabilizer,
-    StabilizerGains,
-    hull_edges,
-    support_hull,
-)
+from locomanip.stabilizer import Stabilizer, StabilizerGains, StabilizerState
 
 RHO = 20.0
 
@@ -137,6 +133,28 @@ class TestStepPlant:
             advance(resting_state(), np.array([math.inf, 0.0]), direct_zmp=True)
 
 
+class CountingState(StabilizerState):
+    """A StabilizerState that counts the writes to each of its fields."""
+
+    def __setattr__(self, name, value):
+        self.__dict__.setdefault("writes", collections.Counter())[name] += 1
+        super().__setattr__(name, value)
+
+
+def one_sample(rows):
+    """contact_rows of floats as contact_rows of one-sample arrays."""
+    return tuple(tuple(np.full(1, v) for v in r) for r in rows)
+
+
+def disturbed_at(rows, profiles, t):
+    """apply_disturbances over the one time t, as float contact_rows; the
+    per-sample oracle gives the same."""
+    out = apply_disturbances(one_sample(rows), profiles, np.array([t]))
+    floats = tuple(tuple(v.item() for v in r) for r in out)
+    assert floats == disturbed_rows(rows, profiles, t)
+    return floats
+
+
 class TestDisturbanceProfile:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -163,17 +181,18 @@ class TestDisturbanceProfile:
         assert const.value(1e6) == -5.0
 
     def test_apply_returns_same_tuple_when_inactive(self):
-        rows = contact_rows(hand_pair(fx=-50.0))
+        rows = one_sample(contact_rows(hand_pair(fx=-50.0)))
         prof = DisturbanceProfile(kind="step", amplitude=10.0, start_time=4.0)
-        assert apply_disturbances(rows, (prof,), 1.0) is rows
-        assert apply_disturbances(rows, (), 1.0) is rows
+        assert apply_disturbances(rows, (prof,), np.array([1.0])) is rows
+        assert apply_disturbances(rows, (), np.array([1.0])) is rows
+        assert disturbed_rows(rows, (prof,), 1.0) is rows
 
     def test_apply_targets_one_contact(self):
         contacts = hand_pair(fx=-50.0)
         prof = DisturbanceProfile(
             kind="constant", axis="z", amplitude=40.0, contact_index=1
         )
-        out = apply_disturbances(contact_rows(contacts), (prof,), 0.0)
+        out = disturbed_at(contact_rows(contacts), (prof,), 0.0)
         assert out[0][2] == 0.0
         assert out[1][2] == 40.0
         assert out[0][0] == -50.0
@@ -181,13 +200,16 @@ class TestDisturbanceProfile:
     def test_apply_rejects_missing_contact(self):
         """An index past the contacts present fails instead of being dropped."""
         prof = DisturbanceProfile(kind="constant", amplitude=-400.0, contact_index=7)
+        rows = contact_rows(hand_pair(fx=-50.0))
         with pytest.raises(IndexError):
-            apply_disturbances(contact_rows(hand_pair(fx=-50.0)), (prof,), 0.0)
+            apply_disturbances(one_sample(rows), (prof,), np.array([0.0]))
+        with pytest.raises(IndexError):
+            disturbed_rows(rows, (prof,), 0.0)
 
     def test_apply_broadcasts_without_index(self):
         contacts = hand_pair(fx=-50.0)
         prof = DisturbanceProfile(kind="constant", axis="x", amplitude=15.0)
-        out = apply_disturbances(contact_rows(contacts), (prof,), 0.0)
+        out = disturbed_at(contact_rows(contacts), (prof,), 0.0)
         assert all(r[0] == -35.0 for r in out)
 
     def test_apply_over_times_matches_scalar_calls(self):
@@ -214,7 +236,7 @@ class TestDisturbanceProfile:
                 end_time=1.2, contact_index=1,
             ),
         )
-        by_sample = [apply_disturbances(rows, profiles, t) for t in times.tolist()]
+        by_sample = [disturbed_rows(rows, profiles, t) for t in times.tolist()]
         assert sum(r is rows for r in by_sample) > 100
         assert profiles[0].value(0.5) == 0.0
         columns = tuple(
@@ -432,6 +454,45 @@ def state_bytes(state):
     return np.array(dataclasses.astuple(state), dtype=float).tobytes()
 
 
+def fresh(stab):
+    """A stabilizer like stab, from its initial state."""
+    return Stabilizer(
+        stab.params, stab.gains, stab.dt, compensate_forces=stab.compensate_forces
+    )
+
+
+def oracle_of(bundle):
+    """closed_loop_by_sample with the run settings loop_of passes."""
+    cfg = bundle.config
+    return closed_loop_by_sample(
+        bundle.traj,
+        bundle.stabilizer,
+        disturbances=bundle.disturbances,
+        direct_zmp=cfg.plant.direct_zmp,
+        com_noise=cfg.plant.com_noise_m,
+        force_noise=cfg.plant.force_noise_n,
+        seed=cfg.seed,
+        divergence_limit=cfg.plant.divergence_limit_m,
+    )
+
+
+def assert_trace_is_oracle(trace, oracle):
+    """Every column and flag, the stop and its time as the oracle's, bit
+    for bit."""
+    for name in CSV_COLUMNS:
+        assert trace[name].tobytes() == oracle.columns[name].tobytes(), name
+    for name in EXTRA_COLUMNS:
+        assert trace.extra[name].tobytes() == oracle.columns[name].tobytes(), name
+    assert trace.diverged == (oracle.diverged_at is not None)
+    assert trace.diverged_at == oracle.diverged_at
+    if oracle.failure is None:
+        assert trace.failure is None
+    else:
+        assert trace.failure == type(oracle.failure).__name__
+        assert trace.failure_detail == str(oracle.failure)
+    assert trace.failed_at == oracle.failed_at
+
+
 def first_samples(traj, n):
     """The plan cut to its first n samples."""
     tl = traj.timeline
@@ -500,8 +561,8 @@ class TestOneLaw:
     def test_loop_matches_per_sample_steps(self, overrides):
         """4.5 s of testcase1: the first steps (support phases change from
         1.8 s) and a hand ramp (one contact set per sample), so the loop's
-        per-phase and per-contact-set caches are compared with hull edges,
-        clamp bounds and contact rows rebuilt on every sample. The shove
+        per-phase and per-block tables are compared with hull edges, clamp
+        bounds and contact rows rebuilt on every sample. The shove
         saturates the command in single support, where a stale
         double-support hull would not. The noisy runs draw per step, in the
         order CoM 2, velocity 2, then 3 per contact, against the loop's
@@ -514,100 +575,12 @@ class TestOneLaw:
         assert len(set(timeline.phase.tolist())) > 2
         assert len(set(timeline.contact_index.tolist())) > 2
 
-        stab = bundle.stabilizer
-        by_hand = Stabilizer(
-            stab.params, stab.gains, stab.dt, compensate_forces=stab.compensate_forces
-        )
-        params = stab.params
-        plant = bundle.config.plant
-        com_noise, force_noise = plant.com_noise_m, plant.force_noise_n
-        rng = np.random.default_rng(bundle.config.seed)
-        unloaded = compute_coefficients(params)
-        decay = math.exp(-stab.gains.rho * traj.dt)
-        px, py = traj.com_pos[0].tolist()
-        vx, vy = traj.com_vel[0].tolist()
-        zx, zy = traj.zmp[0].tolist()
-        logged = {name: [] for name in (
-            "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
-            "gamma_err_x", "gamma_err_y", "gammaH_x", "gammaH_y", "gammaL_x",
-            "gammaL_y", "fext_sum_x", "fext_sum_y", "fext_sum_z",
-            "zmp_saturated", "cop_clamped", "zmp_clamped",
-        )}
-        counts = set()
-        for k in range(len(timeline)):
-            kappa_d = timeline.kappa[k]
-            desired_rows = timeline.contact_rows(timeline.contact_index[k])
-            region = timeline.support_regions[timeline.phase[k]]
-            counts.add(len(desired_rows))
-            true = apply_disturbances(desired_rows, bundle.disturbances, traj.time[k])
-            com, vel, measured = (px, py), (vx, vy), true
-            if com_noise > 0.0 or force_noise > 0.0:
-                nx, ny = rng.standard_normal(2).tolist()
-                com = (px + com_noise * nx, py + com_noise * ny)
-                nx, ny = rng.standard_normal(2).tolist()
-                w = com_noise * timeline.omega
-                vel = (vx + w * nx, vy + w * ny)
-                if force_noise > 0.0:
-                    measured = tuple(
-                        tuple(
-                            f + force_noise * e
-                            for f, e in zip(r[:3], rng.standard_normal(3).tolist())
-                        )
-                        + r[3:]
-                        for r in true
-                    )
-            plan = (
-                *traj.com_pos[k].tolist(),
-                *traj.com_acc[k].tolist(),
-                *traj.dcm[k].tolist(),
-                *traj.zmp[k].tolist(),
-            )
-            gamma_err_x, gamma_err_y, bands = by_hand.measure_forces(
-                measured, desired_rows, 1
-            )
-            command_zmp, _, _, _, saturated, cop_clamped, _ = by_hand.step(
-                kappa_d,
-                timeline.omega,
-                plan,
-                com,
-                vel,
-                measured,
-                hull_edges(support_hull(region)),
-                tuple(bands[:, 0].tolist()),
-            )
-            state = by_hand.state
-            fsx, fsy, fsz, kappa, gx, gy = contact_terms(
-                true, unloaded.zeta, params.zmp_height
-            )
-            for axis, i in (("x", 0), ("y", 1)):
-                logged[f"z_{axis}^c"].append(command_zmp[i])
-                logged[f"gammaH_{axis}"].append(state.gamma_high[i])
-                logged[f"gammaL_{axis}"].append(state.gamma_low[i])
-            logged["gamma_err_x"].append(gamma_err_x[0])
-            logged["gamma_err_y"].append(gamma_err_y[0])
-            for axis, value in zip("xyz", (fsx, fsy, fsz)):
-                logged[f"fext_sum_{axis}"].append(value)
-            logged["zmp_saturated"].append(float(saturated))
-            logged["cop_clamped"].append(float(cop_clamped))
-            logged["c_x^a"].append(px)
-            logged["c_y^a"].append(py)
-            logged["xi_x^a"].append(dcm_of(px, vx, timeline.omega))
-            logged["xi_y^a"].append(dcm_of(py, vy, timeline.omega))
-            logged["z_x^a"].append(zx)
-            logged["z_y^a"].append(zy)
-            base = SoleRect.bounding(region)
-            m = ZMP_CLAMP_MARGIN
-            px, py, vx, vy, _, _, zx, zy, clamped = step_plant(
-                px, py, vx, vy, zx, zy, *command_zmp, decay,
-                (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
-                unloaded.omega, kappa, gx, gy, traj.dt,
-            )
-            logged["zmp_clamped"].append(float(clamped))
+        by_hand = fresh(bundle.stabilizer)
+        oracle = oracle_of(dataclasses.replace(bundle, traj=traj, stabilizer=by_hand))
+        assert oracle.failure is None and oracle.diverged_at is None
 
         assert len(trace) == n
-        for name, values in logged.items():
-            column = trace.columns.get(name, trace.extra.get(name))
-            assert np.array(values).tobytes() == column.tobytes(), name
+        assert_trace_is_oracle(trace, oracle)
         if overrides:
             assert np.any(trace["gammaH_x"] != 0.0)
         if "shove" in str(overrides):
@@ -616,9 +589,10 @@ class TestOneLaw:
             ]
             assert np.any(trace.extra["zmp_saturated"][single] != 0.0)
         if overrides == ONE_HAND_LEFT:
-            assert counts == {1, 2}
+            counts = np.diff(timeline.contact_start)[timeline.contact_index]
+            assert set(counts.tolist()) == {1, 2}
         # the loop leaves its stabilizer where the per-sample steps leave theirs
-        assert state_bytes(stab.state) == state_bytes(by_hand.state)
+        assert state_bytes(bundle.stabilizer.state) == state_bytes(by_hand.state)
 
     def test_unloading_push_raises_infeasible(self):
         """A 600 N lift per hand pulls the feet off the ground at t = 5 s."""
@@ -709,6 +683,124 @@ class TestBlocks:
             k = len(trace)
         for size in (k, k + 1):
             self.assert_same(self.blocked(monkeypatch, size, *overrides), default)
+
+    # the lifted sample and the block size that puts it first in a block,
+    # in its middle and last; sample 0 of the run with the default blocks
+    LIFT_EDGES = {
+        "run-start": (0, None),
+        "block-first": (1000, 500),
+        "block-middle": (1000, 400),
+        "block-last": (1000, 1001),
+    }
+
+    @staticmethod
+    def lifted_runs(
+        monkeypatch, size, share, start, *, divergence_limit=DIVERGENCE_LIMIT, push=(),
+        **noise,
+    ):
+        """run_closed_loop and closed_loop_by_sample over 2.4 s of in-place
+        stepping (single support from 1.8 s) with both hands lifted by
+        `share` of the weight each from sample `start`, blocks of `size`
+        (None: the default). Returns (trace, loop state bytes, loop failure,
+        oracle, oracle state bytes)."""
+        if size is not None:
+            monkeypatch.setattr(plant_sim, "BLOCK_SAMPLES", size)
+        traj = plan_trajectory(
+            inplace_timeline(duration=2.4, schedule=constant_schedule(hand_pair()))
+        )
+        lift = DisturbanceProfile(
+            kind="step", axis="z", amplitude=share * PARAMS.mass * PARAMS.gravity,
+            start_time=float(traj.time[start]),
+        )
+        kwargs = dict(
+            disturbances=(*push, lift), divergence_limit=divergence_limit, seed=7,
+            **noise,
+        )
+        loop, by_hand = make_stabilizer(), make_stabilizer()
+        failure = None
+        try:
+            trace = run_closed_loop(traj, loop, **kwargs)
+        except STEP_FAILURES as exc:
+            failure, trace = exc, exc.trace
+        oracle = closed_loop_by_sample(traj, by_hand, **kwargs)
+        loop_state, oracle_state = state_bytes(loop.state), state_bytes(by_hand.state)
+        return trace, loop_state, failure, oracle, oracle_state
+
+    @pytest.mark.parametrize("edge", list(LIFT_EDGES))
+    @pytest.mark.parametrize(
+        "share, error, noise",
+        [
+            (0.5, NonPhysical, {}),
+            # force noise would leave the feet some load: CoM noise only
+            (0.5, NonPhysical, {"com_noise": 5e-4}),
+            (0.6, Infeasible, {}),
+            (0.6, Infeasible, {"com_noise": 5e-4, "force_noise": 5.0}),
+        ],
+        ids=["nonphysical", "nonphysical-com-noise", "infeasible", "infeasible-noisy"],
+    )
+    def test_unloaded_sample_on_a_block_edge(
+        self, monkeypatch, edge, share, error, noise
+    ):
+        """Hands that carry the whole weight (NonPhysical) or more
+        (Infeasible) from sample k: the loop finds k ahead, steps to it and
+        raises there, as the per-sample loop does."""
+        k, size = self.LIFT_EDGES[edge]
+        trace, state, failure, oracle, oracle_state = self.lifted_runs(
+            monkeypatch, size, share, k, **noise
+        )
+        assert type(failure) is error and type(oracle.failure) is error
+        assert str(failure) == str(oracle.failure)
+        assert len(trace) == k
+        assert_trace_is_oracle(trace, oracle)
+        assert state == oracle_state
+
+    def test_divergence_before_the_unloaded_sample(self, monkeypatch):
+        """A push that diverges the run a few steps before the hands unload
+        the feet, in the same block: the run ends diverged, not failed."""
+        push = (
+            DisturbanceProfile(kind="step", axis="x", amplitude=-400.0, start_time=0.5),
+        )
+        first = self.lifted_runs(
+            monkeypatch, None, 0.6, 1199, push=push, divergence_limit=0.02
+        )
+        diverged = len(first[0]) - 1
+        assert first[0].diverged and diverged < 1190
+        start = diverged + 5
+        trace, state, failure, oracle, oracle_state = self.lifted_runs(
+            monkeypatch, start + 50, 0.6, start, push=push, divergence_limit=0.02
+        )
+        assert failure is None and oracle.failure is None
+        assert trace.diverged and len(trace) == diverged + 1
+        assert_trace_is_oracle(trace, oracle)
+        assert state == oracle_state
+
+    @pytest.mark.parametrize(
+        "overrides", [("duration_s=6.0",), UNLOADING], ids=["done", "failed"]
+    )
+    def test_state_is_written_per_block_not_per_step(self, monkeypatch, overrides):
+        """At most one write to each StabilizerState field per block, plus
+        one at the stop."""
+        blocks = []
+        open_loop = plant_sim._open_loop_block
+
+        def counted(*args):
+            blocks.append(args[1])
+            return open_loop(*args)
+
+        monkeypatch.setattr(plant_sim, "_open_loop_block", counted)
+        bundle = scenario_bundle("testcase1", *overrides)
+        state = CountingState()
+        state.writes.clear()
+        bundle.stabilizer.state = state
+        try:
+            loop_of(bundle)
+        except STEP_FAILURES:
+            pass
+        assert len(blocks) > 3
+        fields = [f.name for f in dataclasses.fields(StabilizerState)]
+        assert set(state.writes) == set(fields)
+        for name in fields:
+            assert state.writes[name] <= len(blocks) + 1, name
 
 
 def traced_peak(call):

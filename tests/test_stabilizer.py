@@ -21,9 +21,11 @@ from locomanip.core_dynamics import (
     contact_rows,
     ext_zmp,
     lipm_accel,
+    net_foot_wrench,
     wrench_zmp,
 )
-from locomanip.errors import DegenerateScale, Infeasible
+from locomanip.errors import DegenerateScale, Infeasible, NonPhysical
+from locomanip.plant_sim import _cop_clamped
 from locomanip.reference_builder import SoleRect
 from locomanip.stabilizer import (
     Stabilizer,
@@ -31,6 +33,8 @@ from locomanip.stabilizer import (
     StabilizerState,
     Wrench,
     _clamp_to_hull,
+    _clamp_xy,
+    _clamped,
     _convex_hull,
     conventional_closed_loop_matrix,
     dcm_feedback,
@@ -103,42 +107,61 @@ def bands(state):
 
 
 def feedback(desired, xi, state, gains):
-    """dcm_feedback on a planned sample: (command_zmp, command_acc,
-    shifted_com, dcm_err) as arrays."""
+    """dcm_feedback on a planned sample, with the bands and the memory the
+    state holds; the new memory is written back. Returns (command_zmp,
+    command_acc, shifted_com, dcm_err) as arrays."""
     coeff = desired.coefficients
     held = (*state.gamma_low, *state.gamma_high, *state.gamma_high_rate)
-    out = dcm_feedback(
-        state, gains, DT, coeff.kappa, coeff.omega, desired.plan,
+    out, memory = dcm_feedback(
+        gains.pid, DT, coeff.kappa, coeff.omega, desired.plan,
         *np.asarray(xi).tolist(), tuple(np.asarray(held, dtype=float).tolist()),
+        state.memory(),
     )
-    return tuple(np.array(out[i : i + 2]) for i in (0, 2, 4, 6))
+    state.keep(memory)
+    pairs = (out[0:2], out[2:4], out[4:6], memory[2:4])
+    return tuple(np.array(pair) for pair in pairs)
 
 
 def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
     """One stabilizer cycle on a planned sample and measured CoM and contacts:
-    Stabilizer.measure_forces over that one sample, then Stabilizer.step.
-    Returns (command_zmp, command_acc, shifted_com, dcm_err, gamma_err,
-    zmp_saturated, cop_clamped, wrench)."""
+    Stabilizer.measure_forces over that one sample, Stabilizer.step with
+    the memory the state holds (written back), then
+    Stabilizer.ground_wrench. Returns a namespace: zmp, acc and dcm_err
+    pairs, gamma_err, the saturated and cop_clamped flags, and wrench, the
+    net ground wrench of the measured CoM and the command acceleration with
+    its pressure point clamped into the hull (the wrench the feet can
+    realize), as a Wrench."""
     coeff = desired.coefficients
     rows = contact_rows(contacts)
+    edges = hull_edges(support_hull(region))
+    cx, cy = np.asarray(com, dtype=float).tolist()
+    vx, vy = np.asarray(vel, dtype=float).tolist()
     ex, ey, bands = stab.measure_forces(rows, desired.rows, 1)
-    out = stab.step(
-        coeff.kappa,
-        coeff.omega,
-        desired.plan,
-        tuple(np.asarray(com, dtype=float).tolist()),
-        tuple(np.asarray(vel, dtype=float).tolist()),
-        rows,
-        hull_edges(support_hull(region)),
-        tuple(bands[:, 0].tolist()),
+    zx, zy, ax, ay, saturated, memory = stab.step(
+        coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, edges, bands[0],
+        stab.state.memory(),
     )
-    return (*out[:4], (float(ex[0]), float(ey[0])), *out[4:])
-
-
-def net_of(out):
-    """The net ground wrench a Stabilizer.step returned, as a Wrench."""
-    w = out[7]
-    return Wrench(force=np.array(w[:3]), moment=np.array(w[3:]))
+    stab.state.keep(memory)
+    cop_clamped = stab.ground_wrench(cx, cy, ax, ay, rows, edges)
+    h = PARAMS.zmp_height
+    fx, fy, fz, mx, my, mz = net_foot_wrench(
+        PARAMS, cx, cy, PARAMS.com_height, ax, ay, 0.0, rows
+    )
+    px, py = wrench_zmp(fx, fy, fz, mx, my, h)
+    qx, qy = _clamp_to_hull(np.array([px, py]), support_hull(region)).tolist()
+    assert cop_clamped == (qx != px or qy != py)
+    if cop_clamped:
+        mx = qy * fz - h * fy
+        my = h * fx - qx * fz
+    return SimpleNamespace(
+        zmp=(zx, zy),
+        acc=(ax, ay),
+        dcm_err=memory[2:4],
+        gamma_err=(float(ex[0]), float(ey[0])),
+        saturated=saturated,
+        cop_clamped=cop_clamped,
+        wrench=Wrench(force=np.array([fx, fy, fz]), moment=np.array([mx, my, mz])),
+    )
 
 
 class TestGammaError:
@@ -511,13 +534,13 @@ class TestStepStabilizer:
             np.zeros(2),
             contacts,
         )
-        command_zmp, command_com_accel, _, dcm_err, _, saturated, cop_clamped, w = out
-        assert np.all(np.array(command_zmp) == desired.zmp)
-        assert np.all(np.array(command_com_accel) == desired.com_acc)
-        assert np.all(np.array(dcm_err) == 0.0)
-        assert not saturated and not cop_clamped
+        assert np.all(np.array(out.zmp) == desired.zmp)
+        assert np.all(np.array(out.acc) == desired.com_acc)
+        assert np.all(np.array(out.dcm_err) == 0.0)
+        assert not out.saturated and not out.cop_clamped
         # realized pressure point is the desired ZMP
-        cop = np.array(wrench_zmp(*w[:5]))
+        w = out.wrench
+        cop = np.array(wrench_zmp(*w.force, *w.moment[:2]))
         assert np.allclose(cop, desired.zmp, atol=1e-12)
 
     def test_wrench_recombination_under_disturbance(self):
@@ -532,7 +555,7 @@ class TestStepStabilizer:
                 0.02 * rng.standard_normal(2),
                 hands(fx=-50.0 + 10.0 * rng.standard_normal()),
             )
-            net = net_of(out)
+            net = out.wrench
             left_wrench, right_wrench = distribute_wrench(
                 net, LEFT, RIGHT, PARAMS.zmp_height
             )
@@ -566,16 +589,18 @@ class TestStepStabilizer:
             np.zeros(2),
             (),
         )
-        command_zmp = np.array(out[0])
-        assert out[5]
+        command_zmp = np.array(out.zmp)
+        assert out.saturated
         assert command_zmp[0] == pytest.approx(0.11, abs=1e-12)
         kappa = desired.coefficients.kappa
         expected_acc = desired.com_acc - OMEGA**2 * kappa * (
             command_zmp - desired.zmp
         )
-        assert np.allclose(np.array(out[1]), expected_acc, atol=1e-12)
+        assert np.allclose(np.array(out.acc), expected_acc, atol=1e-12)
         # realizable wrench also capped: pressure point stays in the hull
-        cop = np.array(wrench_zmp(*out[7][:5]))
+        assert out.cop_clamped
+        w = out.wrench
+        cop = np.array(wrench_zmp(*w.force, *w.moment[:2]))
         hull = support_hull((LEFT, RIGHT))
         assert cop[0] <= 0.11 + 1e-9
 
@@ -588,7 +613,7 @@ class TestStepStabilizer:
         gamma_low, gamma_high, _ = bands(stab.state)
         assert np.all(gamma_low == 0.0)
         assert np.all(gamma_high == 0.0)
-        assert out[4][0] != 0.0
+        assert out.gamma_err[0] != 0.0
 
     def test_single_support_frame(self):
         coeff = compute_coefficients(PARAMS, ())
@@ -603,7 +628,7 @@ class TestStepStabilizer:
             region=(LEFT,),
         )
         left_wrench, right_wrench = distribute_wrench(
-            net_of(out), LEFT, None, PARAMS.zmp_height
+            out.wrench, LEFT, None, PARAMS.zmp_height
         )
         assert np.all(right_wrench.force == 0.0)
         assert np.allclose(left_wrench.force, [0, 0, 981.0], atol=1e-12)
@@ -614,6 +639,119 @@ def _segment_distance(p, a, b):
     e = b - a
     t = min(max(float((p - a) @ e) / float(e @ e), 0.0), 1.0)
     return float(np.hypot(*(p - (a + t * e))))
+
+
+_SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0)
+
+
+@st.composite
+def hulls(draw):
+    """A support hull of n, 2 or 1 vertices, as an array of its vertices."""
+    kind = draw(st.sampled_from(["n", "2", "1"]))
+    if kind == "n":
+        centers = draw(st.lists(st.tuples(_unit, _unit), min_size=1, max_size=2))
+        return support_hull(
+            [SoleRect.centered((0.2 * x, 0.2 * y), 0.11, 0.05) for x, y in centers]
+        )
+    a = (draw(_unit), draw(_unit))
+    if kind == "1":
+        return np.array([a])
+    b = draw(st.tuples(_unit, _unit).filter(lambda p: p != a))
+    return np.array(sorted([a, b]))
+
+
+@st.composite
+def hull_points(draw, hull):
+    """Points of the hull's vertices and edges, about it, and with NaN,
+    +-inf, -0.0 or 0.0 coordinates."""
+    verts = hull.tolist()
+    i = draw(st.integers(0, len(verts) - 1))
+    (ax, ay), (bx, by) = verts[i], verts[(i + 1) % len(verts)]
+    t = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    on_edge = (ax + t * (bx - ax), ay + t * (by - ay))
+    near = st.floats(-0.6, 0.6)
+    special = st.sampled_from(_SPECIAL)
+    return draw(
+        st.sampled_from([tuple(v) for v in verts])
+        | st.just(on_edge)
+        | st.tuples(near, near)
+        | st.tuples(special, near | special)
+        | st.tuples(near, special)
+    )
+
+
+@st.composite
+def wrench_blocks(draw):
+    """A block of samples over 1 to 3 support phases: phase indices, their
+    hulls, measured CoM and command acceleration (NaN and +-inf among
+    them) and contacts that leave the feet loaded."""
+    m = draw(st.integers(1, 24))
+    phase_hulls = draw(st.lists(hulls(), min_size=1, max_size=3))
+    phase = draw(
+        st.lists(st.integers(0, len(phase_hulls) - 1), min_size=m, max_size=m)
+    )
+    coords = []
+    for k in range(m):
+        cx, cy = draw(hull_points(phase_hulls[phase[k]]))
+        ax = draw(st.floats(-5.0, 5.0) | st.sampled_from(_SPECIAL))
+        ay = draw(st.floats(-5.0, 5.0))
+        coords.append((cx, cy, ax, ay))
+    contacts = draw(st.integers(0, 2))
+    value = st.floats(-100.0, 100.0)
+    rows = tuple(
+        tuple(np.array(draw(st.lists(value, min_size=m, max_size=m))) for _ in range(9))
+        for _ in range(contacts)
+    )
+    edges = [hull_edges(h) for h in phase_hulls]
+    return np.array(phase), edges, np.array(coords).T, rows
+
+
+class TestGroundWrenchFlags:
+    """The block form of the cop_clamped flag against per-sample float calls,
+    bit for bit."""
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_clamped_is_clamp_xy(self, data):
+        hull = data.draw(hulls())
+        points = data.draw(st.lists(hull_points(hull), min_size=1, max_size=30))
+        edges = hull_edges(hull)
+        px, py = np.array(points).T
+        flags = _clamped(px, py, edges)
+        expected = []
+        for x, y in points:
+            qx, qy = _clamp_xy(x, y, edges)
+            expected.append(qx != x or qy != y)
+        assert flags.tolist() == expected
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(wrench_blocks())
+    def test_block_flags_are_the_float_calls(self, block):
+        phase, edges, (cx, cy, ax, ay), rows = block
+        stab = Stabilizer(PARAMS, StabilizerGains(), DT)
+        flags = _cop_clamped(
+            stab, cx, cy, ax, ay, rows, phase, lambda ph: (edges[ph], None)
+        )
+        for k in range(len(phase)):
+            sample = tuple(tuple(v[k].item() for v in r) for r in rows)
+            flag = stab.ground_wrench(
+                *(float(v[k]) for v in (cx, cy, ax, ay)), sample, edges[phase[k]]
+            )
+            assert bool(flags[k]) is flag, k
+
+    @pytest.mark.parametrize("share, error", [(0.5, NonPhysical), (0.6, Infeasible)])
+    def test_unloaded_feet_raise_on_arrays_too(self, share, error):
+        fz = share * PARAMS.mass * PARAMS.gravity
+        lift = (0.0, 0.0, fz, 0.0, 0.0, 0.0, 0.3, 0.0, 1.0)
+        rows = (lift, lift)
+        stab = Stabilizer(PARAMS, StabilizerGains(), DT)
+        edges = hull_edges(support_hull((LEFT, RIGHT)))
+        with pytest.raises(error):
+            stab.ground_wrench(0.0, 0.0, 0.0, 0.0, rows, edges)
+        block = tuple(tuple(np.full(3, v) for v in r) for r in rows)
+        with pytest.raises(error):
+            zeros = np.zeros(3)
+            stab.ground_wrench(zeros, zeros, zeros, zeros, block, edges)
 
 
 class TestClampToHull:
@@ -728,8 +866,8 @@ class TestSupportHullMemo:
                 (),
                 region=(rect,),
             )
-            assert out[5]
-            if out[0][0] != rect.xmax:
+            assert out.saturated
+            if out.zmp[0] != rect.xmax:
                 wrong += 1
         assert wrong == 0
 
