@@ -55,6 +55,7 @@ from .reference_builder import (
 from .scenario import (
     ScenarioConfig,
     ScenarioResult,
+    TraceSummary,
     build_scenario,
     bundled_scenario_path,
     compare_runs,
@@ -64,6 +65,7 @@ from .scenario import (
     run_scenario,
     scenario_metrics,
     trace_metrics,
+    trace_summary,
 )
 from .stabilizer import (
     Stabilizer,
@@ -99,6 +101,7 @@ __all__ = [
     "Stabilizer",
     "StabilizerGains",
     "TraceLog",
+    "TraceSummary",
     "Wrench",
     "build_reference_frames",
     "build_scenario",
@@ -123,5 +126,6 @@ __all__ = [
     "stepping_reference",
     "synthesize_gains",
     "trace_metrics",
+    "trace_summary",
     "wrench_zmp",
 ]

@@ -24,6 +24,7 @@ from .scenario import (
     parse_config,
     resolve_config_path,
     run_scenario,
+    trace_summary,
 )
 
 
@@ -118,12 +119,18 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
+def _summary(path):
+    """trace_summary of the trace CSV at path; its columns are freed on return."""
+    try:
+        return trace_summary(TraceLog.from_csv(path))
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
+
+
 def _cmd_compare(args) -> int:
-    rows = compare_runs(
-        TraceLog.from_csv(args.trace_a),
-        TraceLog.from_csv(args.trace_b),
-        metric_spec=args.metric,
-    )
+    # one trace is held at a time: a's columns are freed before b is read
+    a = _summary(args.trace_a)
+    rows = compare_runs(a, _summary(args.trace_b), metric_spec=args.metric)
     sys.stdout.write(format_comparison(rows))
     return 0
 

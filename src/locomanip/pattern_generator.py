@@ -435,7 +435,7 @@ def generate_trajectory(
     zmp = (exz_out + timeline.gamma) / timeline.kappa[:, None]
     return DesiredTrajectory(
         timeline=timeline,
-        time=np.array(timeline.time),
+        time=timeline.time,
         com_pos=com_pos,
         com_vel=com_vel,
         com_acc=com_acc,

@@ -96,7 +96,7 @@ _MEASURED_COLUMNS = (
 
 # the columns the feedback pass logs per step, in the order of its value
 # tuple, which then holds the command acceleration (x, y) for the
-# ground-wrench pass; the other CSV columns are copied from the plan. The
+# ground-wrench pass; the other CSV columns are views of the plan. The
 # xi^a columns hold the plant velocity until the loop ends.
 _STEP_COLUMNS = (
     "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
@@ -244,11 +244,13 @@ class TraceLog:
     """Per-step record of one closed-loop run.
 
     columns maps every CSV column name to a 1-D array; extra maps each
-    EXTRA_COLUMNS flag, outside the CSV schema, to a 0/1 array. A diverged
-    trace is truncated at the step the divergence was detected. A failed
-    trace holds the steps before the one that raised: failure names the
-    exception class (one of STEP_FAILURES), failure_detail its message and
-    failed_at the time of the failed step.
+    EXTRA_COLUMNS flag, outside the CSV schema, to a bool array. In a trace
+    of run_closed_loop the columns that equal the plan (time, c_*^d,
+    xi_*^d, z_*^d, extzmp_*^ref) are read-only views of the plan's arrays,
+    not copies. A diverged trace is truncated at the step the divergence
+    was detected. A failed trace holds the steps before the one that
+    raised: failure names the exception class (one of STEP_FAILURES),
+    failure_detail its message and failed_at the time of the failed step.
     """
 
     dt: float
@@ -635,11 +637,12 @@ def run_closed_loop(
     noisy = com_noise > 0.0 or force_noise > 0.0
     rng = np.random.default_rng(seed) if noisy else None
 
-    # one preallocated array per column: the plan's columns are copied, the
-    # others written per block. One 2-D buffer would hold the same bytes, but
-    # once freed it raises glibc's dynamic mmap threshold above the
-    # trace-sized temporaries of later runs in the process, which then stay
-    # resident on the heap (+1.8 MB peak RSS over a seed sweep).
+    # the plan's columns are read-only views of its arrays; the loop writes
+    # one preallocated array per other column, a block at a time. One 2-D
+    # buffer would hold the same bytes, but once freed it raises glibc's
+    # dynamic mmap threshold above the trace-sized temporaries of later runs
+    # in the process, which then stay resident on the heap (+1.8 MB peak RSS
+    # over a seed sweep).
     plan_columns = {
         "time": traj.time,
         "c_x^d": traj.com_pos[:, 0],
@@ -651,9 +654,8 @@ def run_closed_loop(
         "extzmp_x^ref": timeline.ext_zmp_ref[:, 0],
         "extzmp_y^ref": timeline.ext_zmp_ref[:, 1],
     }
-    columns = {name: np.zeros(n) for name in CSV_COLUMNS + EXTRA_COLUMNS}
-    for name, src in plan_columns.items():
-        columns[name][:] = src
+    columns = {name: np.zeros(n) for name in CSV_COLUMNS if name not in plan_columns}
+    columns.update((name, np.zeros(n, dtype=bool)) for name in EXTRA_COLUMNS)
 
     state = stabilizer.state
     memory = state.memory()
@@ -692,6 +694,7 @@ def run_closed_loop(
             columns[xi][part] = dcm_of(columns[c][part], columns[xi][part], omega)
     if last < n:
         columns = {name: col[:last].copy() for name, col in columns.items()}
+    columns.update((name, view[:last]) for name, view in plan_columns.items())
     diverged_at = None
     if diverged:
         # the plant's clock, advanced by dt once per step

@@ -809,63 +809,66 @@ def _mean(v: np.ndarray) -> float:
     return float(np.mean(v)) if v.size else math.nan
 
 
-def _zmp_dev(c, ax):
-    return c[f"z_{ax}^a"] - c[f"z_{ax}^d"]
-
-
-def _com_dev(c, ax):
-    return c[f"c_{ax}^a"] - c[f"c_{ax}^d"]
-
-
-def _dcm_err(c, ax):
-    # stabilizer error is measured against the band-shifted DCM reference
-    return c[f"xi_{ax}^a"] - c[f"xi_{ax}^d"] + c[f"gammaL_{ax}"]
-
-
 @dataclass(frozen=True)
 class AxisMetric:
     """One per-axis metric: reported as f"{name}_x" and f"{name}_y".
 
-    series maps the columns of a run and an axis to the values over every
-    sample, and reduce maps the masked values to the metric. csv is False
-    when the series needs a column a trace CSV lacks: the footstep-plan ZMP
-    (zmp_plan_x, zmp_plan_y), which only the run has.
+    terms name the columns of its series over every sample, with "{ax}"
+    standing for the axis: the first column, then each later one added
+    ("+name") or subtracted ("-name") in turn. reduce maps the masked
+    series to the metric. csv is False when the series needs a column a
+    trace CSV lacks: the footstep-plan ZMP (zmp_plan_x, zmp_plan_y), which
+    only the run has.
     """
 
     name: str
-    series: object
+    terms: tuple
     reduce: object
     csv: bool = True
 
+    def columns(self, ax: str) -> tuple:
+        """The columns the series reads on axis ax."""
+        return tuple(t.lstrip("+-").format(ax=ax) for t in self.terms)
+
+    def series(self, columns: dict, ax: str) -> np.ndarray:
+        first, *rest = self.terms
+        values = columns[first.format(ax=ax)]
+        for t in rest:
+            column = columns[t[1:].format(ax=ax)]
+            values = values + column if t[0] == "+" else values - column
+        return values
+
+
+_ZMP_DEV = ("z_{ax}^a", "-z_{ax}^d")
+_COM_DEV = ("c_{ax}^a", "-c_{ax}^d")
+# stabilizer error is measured against the band-shifted DCM reference
+_DCM_ERR = ("xi_{ax}^a", "-xi_{ax}^d", "+gammaL_{ax}")
 
 # Every per-axis metric, in metrics.txt order. Adjacent entries with the same
-# series function share its values; only one series is alive at a time, which
-# keeps the allocator reusing the same memory.
+# terms share their series; only one series is alive at a time, which keeps
+# the allocator reusing the same memory.
 AXIS_METRICS = (
-    AxisMetric("rms_zmp_dev", _zmp_dev, _rms),
-    AxisMetric("max_zmp_dev", _zmp_dev, _peak),
-    AxisMetric("rms_zmp_cmd", lambda c, ax: c[f"z_{ax}^c"] - c[f"z_{ax}^d"], _rms),
-    AxisMetric("rms_com_dev", _com_dev, _rms),
-    AxisMetric("max_com_dev", _com_dev, _peak),
-    AxisMetric("rms_dcm_err", _dcm_err, _rms),
-    AxisMetric("max_dcm_err", _dcm_err, _peak),
-    AxisMetric("rms_gamma_err", lambda c, ax: c[f"gamma_err_{ax}"], _rms),
-    AxisMetric("rms_gammaH", lambda c, ax: c[f"gammaH_{ax}"], _rms),
-    AxisMetric("rms_gammaL", lambda c, ax: c[f"gammaL_{ax}"], _rms),
-    AxisMetric(
-        "mean_com_zmp_offset", lambda c, ax: c[f"c_{ax}^a"] - c[f"z_{ax}^a"], _mean
-    ),
+    AxisMetric("rms_zmp_dev", _ZMP_DEV, _rms),
+    AxisMetric("max_zmp_dev", _ZMP_DEV, _peak),
+    AxisMetric("rms_zmp_cmd", ("z_{ax}^c", "-z_{ax}^d"), _rms),
+    AxisMetric("rms_com_dev", _COM_DEV, _rms),
+    AxisMetric("max_com_dev", _COM_DEV, _peak),
+    AxisMetric("rms_dcm_err", _DCM_ERR, _rms),
+    AxisMetric("max_dcm_err", _DCM_ERR, _peak),
+    AxisMetric("rms_gamma_err", ("gamma_err_{ax}",), _rms),
+    AxisMetric("rms_gammaH", ("gammaH_{ax}",), _rms),
+    AxisMetric("rms_gammaL", ("gammaL_{ax}",), _rms),
+    AxisMetric("mean_com_zmp_offset", ("c_{ax}^a", "-z_{ax}^a"), _mean),
     # the implied ZMP against the footstep plan (see the module notes)
-    AxisMetric(
-        "rms_implied_zmp_dev",
-        lambda c, ax: c[f"z_{ax}^a"] - c[f"zmp_plan_{ax}"],
-        _rms,
-        csv=False,
-    ),
+    AxisMetric("rms_implied_zmp_dev", ("z_{ax}^a", "-zmp_plan_{ax}"), _rms, csv=False),
 )
 _CSV_METRICS = tuple(m for m in AXIS_METRICS if m.csv)
 _PLAN_METRICS = tuple(m for m in AXIS_METRICS if not m.csv)
 _AXES = ("x", "y")
+# the columns of a trace that trace_metrics reads
+_METRIC_COLUMNS = tuple(
+    dict.fromkeys(c for ax in _AXES for m in _CSV_METRICS for c in m.columns(ax))
+)
 
 _FAILURE = "failure"  # the failed step's exception class: the one text value
 _FAILED_AT = "failed_at_s"
@@ -907,10 +910,10 @@ def metric_names(windows=()) -> frozenset:
 def _reduce(columns: dict, mask: np.ndarray, metrics) -> dict:
     out: dict = {}
     for ax in _AXES:
-        series = values = None
+        terms = values = None
         for m in metrics:
-            if m.series is not series:
-                series, values = m.series, m.series(columns, ax)[mask]
+            if m.terms != terms:
+                terms, values = m.terms, m.series(columns, ax)[mask]
             out[f"{m.name}_{ax}"] = m.reduce(values)
     return out
 
@@ -1138,26 +1141,54 @@ class MetricComparison:
     larger: str
 
 
-def compare_runs(trace_a: TraceLog, trace_b: TraceLog, metric_spec=None) -> tuple:
-    """Per-metric comparison of two traces sharing schema, dt and duration.
+@dataclass(frozen=True)
+class TraceSummary:
+    """What compare_runs reads of a trace: its column names, dt, sample
+    count and trace_metrics."""
+
+    columns: frozenset
+    dt: float
+    samples: int
+    metrics: dict
+
+    @property
+    def duration(self) -> float:
+        return self.samples * self.dt
+
+
+def trace_summary(trace: TraceLog) -> TraceSummary:
+    """The summary of a trace that compare_runs compares, which holds none
+    of its columns. A trace that lacks a column trace_metrics reads raises
+    SchemaMismatch naming the missing columns."""
+    missing = [name for name in _METRIC_COLUMNS if name not in trace.columns]
+    if missing:
+        raise SchemaMismatch(f"trace lacks metric columns {', '.join(missing)}")
+    return TraceSummary(
+        columns=frozenset(trace.columns),
+        dt=trace.dt,
+        samples=len(trace),
+        metrics=trace_metrics(trace),
+    )
+
+
+def compare_runs(a: TraceSummary, b: TraceSummary, metric_spec=None) -> tuple:
+    """Per-metric comparison of two trace summaries (trace_summary) sharing
+    schema, dt and duration.
 
     ratio is b over a, with 0/0 defined as 1 so identical traces compare
     clean. metric_spec restricts the comparison to the named metrics; a
     name trace_metrics does not yield raises SchemaMismatch listing those
     it does.
     """
-    if set(trace_a.columns) != set(trace_b.columns):
+    if a.columns != b.columns:
         raise SchemaMismatch("traces have different column sets")
-    if abs(trace_a.dt - trace_b.dt) > 1e-12:
+    if abs(a.dt - b.dt) > 1e-12:
+        raise SchemaMismatch(f"sample rates differ: {a.dt:g} s vs {b.dt:g} s")
+    if a.samples != b.samples:
         raise SchemaMismatch(
-            f"sample rates differ: {trace_a.dt:g} s vs {trace_b.dt:g} s"
+            f"durations differ: {a.duration:g} s vs {b.duration:g} s"
         )
-    if len(trace_a) != len(trace_b):
-        raise SchemaMismatch(
-            f"durations differ: {trace_a.duration:g} s vs {trace_b.duration:g} s"
-        )
-    ma = trace_metrics(trace_a)
-    mb = trace_metrics(trace_b)
+    ma, mb = a.metrics, b.metrics
     names = tuple(metric_spec) if metric_spec is not None else tuple(ma)
     rows = []
     for name in names:

@@ -230,10 +230,11 @@ def closed_loop_by_sample(
     then step_plant. Hull edges, clamp bounds and contact rows are rebuilt
     at every sample. The stabilizer's state advances in place.
 
-    Returns a namespace: columns (every CSV and extra column over the steps
-    taken), diverged_at (the plant's clock at the divergence, or None),
-    failure (the STEP_FAILURES exception that stopped the run, or None) and
-    failed_at (the time of the failed sample, or None).
+    Returns a namespace: columns (every CSV column and the bool extra
+    flags over the steps taken), diverged_at (the plant's clock at the
+    divergence, or None), failure (the STEP_FAILURES exception that stopped
+    the run, or None) and failed_at (the time of the failed sample, or
+    None).
     """
     timeline = traj.timeline
     omega = timeline.omega
@@ -305,8 +306,8 @@ def closed_loop_by_sample(
             ("gamma_err_x", float(gamma_x[0])), ("gamma_err_y", float(gamma_y[0])),
             ("gammaH_x", hx), ("gammaH_y", hy), ("gammaL_x", lx), ("gammaL_y", ly),
             ("fext_sum_x", fsx), ("fext_sum_y", fsy), ("fext_sum_z", fsz),
-            ("zmp_saturated", float(saturated)), ("cop_clamped", float(cop_clamped)),
-            ("zmp_clamped", float(zmp_clamped)),
+            ("zmp_saturated", bool(saturated)), ("cop_clamped", bool(cop_clamped)),
+            ("zmp_clamped", bool(zmp_clamped)),
         ):
             logged[name].append(value)
         px, py, vx, vy, zx, zy = npx, npy, nvx, nvy, nzx, nzy
@@ -328,7 +329,10 @@ def closed_loop_by_sample(
         ("extzmp_y^ref", timeline.ext_zmp_ref[:, 1]),
     ):
         logged[name] = values[:steps]
-    columns = {name: np.array(values, dtype=float) for name, values in logged.items()}
+    columns = {
+        name: np.array(values, dtype=bool if name in EXTRA_COLUMNS else float)
+        for name, values in logged.items()
+    }
     return SimpleNamespace(
         columns=columns,
         diverged_at=diverged_at,

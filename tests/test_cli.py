@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import yaml
+from test_plant_sim import random_trace, traced_peak
 
 from locomanip.cli import main
+from locomanip.plant_sim import TraceLog
 from locomanip.scenario import parse_metrics_file
 
 K_FB_REF = (4715.60195026, 2705.42004837, 391.51776754)
@@ -316,6 +318,38 @@ class TestCompare:
         code = run_cli("compare", str(a), str(broken))
         assert code == 1
         assert "schema mismatch" in capsys.readouterr().err
+
+    def test_missing_metric_column_exits_one(self, two_traces, tmp_path, capsys):
+        """Both traces lack z_x^a: the column sets agree, the metrics cannot
+        be taken."""
+        a, _ = two_traces
+        trace = TraceLog.from_csv(a)
+        del trace.columns["z_x^a"]
+        broken = tmp_path / "broken.csv"
+        with open(broken, "w") as fh:
+            fh.write(",".join(trace.columns) + "\n")
+            np.savetxt(fh, np.column_stack(list(trace.columns.values())), delimiter=",")
+        code = run_cli("compare", str(broken), str(broken))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"schema mismatch: {broken}: trace lacks metric columns z_x^a\n"
+
+    def test_one_trace_is_held_at_a_time(self, tmp_path, capsys):
+        """compare frees trace a's columns before it reads trace b: its
+        traced peak stays below 1.3 times the columns of one 8000-row trace
+        (holding both would take twice that)."""
+        paths = []
+        for seed in (1, 2):
+            trace = random_trace(8000, dt=0.005)
+            trace.columns["c_x^a"] = trace.columns["c_x^a"] + seed
+            paths.append(str(tmp_path / f"{seed}.csv"))
+            trace.to_csv(paths[-1])
+        one = sum(c.nbytes for c in trace.columns.values())
+        run_cli("compare", *paths)  # first-call caches
+        code, peak = traced_peak(lambda: run_cli("compare", *paths))
+        assert code == 0
+        assert "larger=b" in capsys.readouterr().out
+        assert peak < 1.3 * one, (peak, one)
 
     @pytest.mark.filterwarnings("error")
     def test_header_only_trace_is_too_short(self, two_traces, tmp_path, capsys):

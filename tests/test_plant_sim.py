@@ -365,6 +365,38 @@ class TestClosedLoop:
         with open(path) as fh:
             assert fh.readline().strip() == ",".join(CSV_COLUMNS)
 
+    @pytest.mark.parametrize("pushed", [False, True], ids=["completed", "diverged"])
+    def test_plan_columns_are_views_of_the_plan(self, pushed):
+        """The nine columns that equal the plan share its memory and are
+        read-only, also in a truncated trace; the loop's columns share
+        none of it, and the flags are bool."""
+        traj = plan_trajectory(
+            standing_timeline(duration=2.0, schedule=constant_schedule(hand_pair()))
+        )
+        push = DisturbanceProfile(kind="step", amplitude=-200.0, start_time=0.5)
+        trace = run_closed_loop(
+            traj, make_stabilizer(), disturbances=(push,) if pushed else (),
+            direct_zmp=True,
+        )
+        assert trace.diverged == pushed
+        assert np.shares_memory(traj.time, traj.timeline.time)
+        plan = {"time": traj.time}
+        for ax in "xy":
+            plan |= {
+                f"c_{ax}^d": traj.com_pos, f"xi_{ax}^d": traj.dcm,
+                f"z_{ax}^d": traj.zmp, f"extzmp_{ax}^ref": traj.timeline.ext_zmp_ref,
+            }
+        assert len(plan) == 9
+        for name in CSV_COLUMNS:
+            if name not in plan:
+                assert not any(np.shares_memory(trace[name], p) for p in plan.values())
+                continue
+            assert np.shares_memory(trace[name], plan[name]), name
+            assert not trace[name].flags.writeable, name
+        for name in EXTRA_COLUMNS:
+            assert trace.extra[name].dtype == bool, name
+            assert len(trace.extra[name]) == len(trace)
+
 
 def random_trace(rows, dt=DT, special=False):
     """A trace of rows samples at dt with random columns; with special, its
@@ -482,6 +514,7 @@ def assert_trace_is_oracle(trace, oracle):
     for name in CSV_COLUMNS:
         assert trace[name].tobytes() == oracle.columns[name].tobytes(), name
     for name in EXTRA_COLUMNS:
+        assert trace.extra[name].dtype == oracle.columns[name].dtype == bool, name
         assert trace.extra[name].tobytes() == oracle.columns[name].tobytes(), name
     assert trace.diverged == (oracle.diverged_at is not None)
     assert trace.diverged_at == oracle.diverged_at
@@ -491,6 +524,11 @@ def assert_trace_is_oracle(trace, oracle):
         assert trace.failure == type(oracle.failure).__name__
         assert trace.failure_detail == str(oracle.failure)
     assert trace.failed_at == oracle.failed_at
+
+
+def plan_arrays(traj):
+    """The arrays of the plan whose columns a trace of run_closed_loop views."""
+    return (traj.time, traj.com_pos, traj.dcm, traj.zmp, traj.timeline.ext_zmp_ref)
 
 
 def first_samples(traj, n):
@@ -816,9 +854,19 @@ def traced_peak(call):
     return result, peak - before
 
 
+def loop_bytes(trace, traj):
+    """The bytes of the trace's columns and flags that run_closed_loop
+    allocated: all but its views of the plan."""
+    return sum(
+        a.nbytes
+        for a in (*trace.columns.values(), *trace.extra.values())
+        if not any(np.shares_memory(a, p) for p in plan_arrays(traj))
+    )
+
+
 def loop_excess_mb(bundle, seconds):
     """Peak memory traced inside run_closed_loop over the first `seconds` of
-    the plan, minus the bytes of the trace's own columns, in MB."""
+    the plan, minus the bytes of the columns the loop allocated, in MB."""
     stab = bundle.stabilizer
     run = dataclasses.replace(
         bundle,
@@ -826,8 +874,7 @@ def loop_excess_mb(bundle, seconds):
         stabilizer=Stabilizer(stab.params, stab.gains, stab.dt),
     )
     trace, peak = traced_peak(lambda: loop_of(run))
-    own = sum(a.nbytes for a in (*trace.columns.values(), *trace.extra.values()))
-    return (peak - own) / 1e6
+    return (peak - loop_bytes(trace, run.traj)) / 1e6
 
 
 @pytest.mark.parametrize(
@@ -846,13 +893,15 @@ def test_loop_memory_does_not_grow_with_the_run(name, overrides):
 
 def plan_excess_mb(bundle, gains, seconds):
     """Peak memory traced inside generate_trajectory over the first `seconds`
-    of the timeline, minus the bytes of the plan's own arrays, in MB."""
+    of the timeline, minus the bytes of the arrays it allocated for the
+    plan, in MB."""
     timeline = first_samples(bundle.traj, round(seconds / bundle.traj.dt)).timeline
     traj, peak = traced_peak(lambda: generate_trajectory(timeline, gains))
+    # the plan's time is the timeline's own
     own = sum(
         getattr(traj, f.name).nbytes
         for f in dataclasses.fields(traj)
-        if f.name != "timeline"
+        if f.name not in ("timeline", "time")
     )
     return (peak - own) / 1e6
 

@@ -38,6 +38,7 @@ from locomanip.scenario import (
     run_scenario,
     scenario_metrics,
     trace_metrics,
+    trace_summary,
 )
 
 BUNDLED = ("cart-like", "nominal", "testcase1", "testcase2", "testcase3")
@@ -706,7 +707,7 @@ class TestRunScenario:
         cfg = parse_config(mini_config())
         res = run_scenario(cfg, out_dir=tmp_path / "out")
         back = TraceLog.from_csv(res.trace_path)
-        rows = compare_runs(res.trace, back)
+        rows = compare(res.trace, back)
         assert all(r.ratio == 1.0 and r.larger == "equal" for r in rows)
 
     def test_deterministic_bytes(self, tmp_path):
@@ -824,6 +825,11 @@ class TestRunScenario:
             assert abs(a[col][-1] - b[col][-1]) < 1e-5
 
 
+def compare(a, b, metric_spec=None):
+    """compare_runs of two traces."""
+    return compare_runs(trace_summary(a), trace_summary(b), metric_spec)
+
+
 def shifted_trace(base, column, delta):
     columns = {k: v.copy() for k, v in base.columns.items()}
     columns[column] = columns[column] + delta
@@ -833,14 +839,14 @@ def shifted_trace(base, column, delta):
 class TestCompareRuns:
     def test_identical_traces_ratio_one(self):
         tr = synthetic_trace()
-        rows = compare_runs(tr, tr)
+        rows = compare(tr, tr)
         assert rows and all(r.ratio == 1.0 and r.larger == "equal" for r in rows)
 
     def test_known_ratio(self):
         a = synthetic_trace()
         a.columns["z_x^a"][:] = 0.01
         b = shifted_trace(a, "z_x^a", 0.01)
-        rows = compare_runs(a, b, metric_spec=["rms_zmp_dev_x"])
+        rows = compare(a, b, metric_spec=["rms_zmp_dev_x"])
         assert len(rows) == 1
         assert rows[0].ratio == pytest.approx(2.0, rel=1e-12)
         assert rows[0].larger == "b"
@@ -848,24 +854,24 @@ class TestCompareRuns:
     def test_zero_to_nonzero_is_infinite(self):
         a = synthetic_trace()
         b = shifted_trace(a, "z_y^a", 0.05)
-        rows = compare_runs(a, b, metric_spec=["rms_zmp_dev_y"])
+        rows = compare(a, b, metric_spec=["rms_zmp_dev_y"])
         assert math.isinf(rows[0].ratio)
 
     def test_metric_spec_order_preserved(self):
         tr = synthetic_trace()
         names = ["rms_com_dev_y", "rms_zmp_dev_x", "max_dcm_err_x"]
-        rows = compare_runs(tr, tr, metric_spec=names)
+        rows = compare(tr, tr, metric_spec=names)
         assert [r.metric for r in rows] == names
 
     def test_unknown_metric_rejected(self):
         tr = synthetic_trace()
         with pytest.raises(SchemaMismatch, match="unknown comparison metric"):
-            compare_runs(tr, tr, metric_spec=["not_a_metric"])
+            compare(tr, tr, metric_spec=["not_a_metric"])
 
     def test_unknown_metric_lists_exactly_the_csv_metrics(self):
         tr = synthetic_trace()
         with pytest.raises(SchemaMismatch) as info:
-            compare_runs(tr, tr, metric_spec=["rms_implied_zmp_dev_x"])
+            compare(tr, tr, metric_spec=["rms_implied_zmp_dev_x"])
         listed = re.search(r"a trace CSV yields (.*?)\. ", str(info.value)).group(1)
         csv = [m.name for m in AXIS_METRICS if m.csv]
         assert listed.split(", ") == [f"{n}_{ax}" for ax in "xy" for n in csv]
@@ -877,23 +883,39 @@ class TestCompareRuns:
         del columns["fext_sum_z"]
         b = TraceLog(dt=a.dt, columns=columns)
         with pytest.raises(SchemaMismatch, match="column sets"):
-            compare_runs(a, b)
+            compare(a, b)
+
+    def test_missing_metric_columns_named(self):
+        tr = synthetic_trace()
+        for name in ("z_x^a", "gammaL_y", "fext_sum_z"):
+            del tr.columns[name]
+        with pytest.raises(SchemaMismatch) as info:
+            trace_summary(tr)
+        assert str(info.value) == "trace lacks metric columns z_x^a, gammaL_y"
+
+    def test_summary_holds_no_columns(self):
+        tr = synthetic_trace()
+        summary = trace_summary(tr)
+        assert summary.columns == frozenset(CSV_COLUMNS)
+        assert (summary.dt, summary.samples) == (tr.dt, len(tr))
+        assert summary.metrics == trace_metrics(tr)
+        assert not any(isinstance(v, np.ndarray) for v in vars(summary).values())
 
     def test_dt_mismatch(self):
         a = synthetic_trace()
         b = synthetic_trace(dt=0.2)
         with pytest.raises(SchemaMismatch, match="sample rates differ"):
-            compare_runs(a, b)
+            compare(a, b)
 
     def test_length_mismatch(self):
         a = synthetic_trace(n=10)
         b = synthetic_trace(n=8)
         with pytest.raises(SchemaMismatch, match="durations differ"):
-            compare_runs(a, b)
+            compare(a, b)
 
     def test_format_comparison_lines(self):
         tr = synthetic_trace()
-        text = format_comparison(compare_runs(tr, tr, metric_spec=["rms_zmp_dev_x"]))
+        text = format_comparison(compare(tr, tr, metric_spec=["rms_zmp_dev_x"]))
         assert text == "metric=rms_zmp_dev_x a=0 b=0 ratio=1 larger=equal\n"
 
 
