@@ -120,9 +120,15 @@ def _cmd_run(args) -> int:
 
 
 def _summary(path):
-    """trace_summary of the trace CSV at path; its columns are freed on return."""
+    """trace_summary of the trace CSV at path; its columns are freed on return.
+    A file that cannot be read as a trace is a SchemaMismatch naming path once."""
     try:
-        return trace_summary(TraceLog.from_csv(path))
+        trace = TraceLog.from_csv(path)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{path}: ")
+        raise SchemaMismatch(f"{path}: {reason}") from None
+    try:
+        return trace_summary(trace)
     except SchemaMismatch as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
 

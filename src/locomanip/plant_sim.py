@@ -12,8 +12,10 @@ feet. The feedback pass runs one step at a time on Python floats, with the
 plant state and the DCM memory in local variables: Stabilizer.step and
 step_plant. The ground-wrench pass feeds nothing back and runs on arrays:
 Stabilizer.ground_wrench gives the cop_clamped flag. Each law is defined
-once. A step that fails (STEP_FAILURES) ends the run: the exception
-propagates with the trace of the steps before it attached as ``exc.trace``.
+once. The support hull's edges and the ZMP clamp bounds of every support
+phase are built once per run, in one table indexed by phase. A step that
+fails (STEP_FAILURES) ends the run: the exception propagates with the trace
+of the steps before it attached as ``exc.trace``.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ _MEASURED_COLUMNS = (
     "fext_sum_x", "fext_sum_y", "fext_sum_z",
 )
 
-# the columns the feedback pass logs per step, in the order of its value
-# tuple, which then holds the command acceleration (x, y) for the
-# ground-wrench pass; the other CSV columns are views of the plan. The
-# xi^a columns hold the plant velocity until the loop ends.
+# the columns a block writes from the feedback pass's logged tuples, in their
+# order: the tuple holds the plant velocity where the xi^a columns take
+# dcm_of(c^a, v), and then the command acceleration (x, y) for the
+# ground-wrench pass; the other CSV columns are views of the plan
 _STEP_COLUMNS = (
     "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
     "zmp_saturated", "zmp_clamped",
@@ -337,19 +339,19 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng):
     Runs apply_disturbances, the true contacts' contact_terms, the noise
     draws and Stabilizer.measure_forces, and writes the block's
     _MEASURED_COLUMNS into columns. None of this reads the plant. Returns
-    (b1, stop, inputs, measured, sample_noise, bands):
+    (b1, stop, inputs, measured, sample_noise):
 
     - b1, the block's end;
     - stop, the block's first sample whose measured contacts leave the feet
       no downward force (net_foot_force's fz is not > 0, and the
       ground-wrench stage raises there), or b1;
-    - inputs, the per-sample inputs of samples b0 to stop as lists, in the
-      order _feedback_pass takes them: phase, planned kappa, plan (with one
-      more sample), bands, noise, and the true kappa, gamma_x and gamma_y;
+    - inputs, the per-sample inputs of samples b0 through stop (to b1 at
+      most) as lists, in the order _feedback_pass takes them: phase,
+      planned kappa, plan (with one more sample), bands, noise (None
+      without noise), and the true kappa, gamma_x and gamma_y;
     - measured, the measured contacts as contact_rows over the block;
     - sample_noise, the (samples, 4) noise on (com_x, com_y, vel_x, vel_y),
-      or None without noise;
-    - bands, the bands of measure_forces, one tuple per sample.
+      or None without noise.
     """
     timeline = traj.timeline
     params = stabilizer.params
@@ -384,23 +386,21 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng):
     fz = net_foot_force(params, 0.0, 0.0, 0.0, measured)[2]
     unloaded = np.flatnonzero(~(np.broadcast_to(fz, m) > 0.0))
     stop = b0 + int(unloaded[0]) if len(unloaded) else b1
-    part = slice(b0, stop)
-    # the plan of samples b0 to stop, and of the next one (the last sample's
-    # own past the end), which the divergence test reads
-    planned = np.minimum(np.arange(b0, stop + 1), n - 1)
+    end = min(stop + 1, b1) - b0
+    # the plan through the stop sample, and of the next one (the last
+    # sample's own past the end), which the divergence test reads
+    planned = np.minimum(np.arange(b0, b0 + end + 1), n - 1)
     inputs = (
-        timeline.phase[part].tolist(),
-        timeline.kappa[part].tolist(),
+        timeline.phase[b0 : b0 + end].tolist(),
+        timeline.kappa[b0 : b0 + end].tolist(),
         np.column_stack(
             [a[planned] for a in (traj.com_pos, traj.com_acc, traj.dcm, traj.zmp)]
         ).tolist(),
-        bands[: stop - b0],
-        itertools.repeat(None)
-        if sample_noise is None
-        else sample_noise[: stop - b0].tolist(),
-        *(np.broadcast_to(a, m)[: stop - b0].tolist() for a in (kappa, gx, gy)),
+        bands[:end],
+        [None] * end if sample_noise is None else sample_noise[:end].tolist(),
+        *(np.broadcast_to(a, m)[:end].tolist() for a in (kappa, gx, gy)),
     )
-    return b1, stop, inputs, measured, sample_noise, bands
+    return b1, stop, inputs, measured, sample_noise
 
 
 def _columns(rows: list, width: int) -> np.ndarray:
@@ -410,15 +410,16 @@ def _columns(rows: list, width: int) -> np.ndarray:
     return flat.reshape(-1, width).T
 
 
-def _feedback_pass(step, omega, law, support, plant, memory, inputs):
-    """The feedback pass over one block's samples, one step at a time.
+def _feedback_pass(step, omega, law, support, plant, memory, inputs, steps):
+    """The feedback pass over a block's first `steps` samples, one step at a
+    time.
 
     Per sample: read the plant, add the sample's noise, run Stabilizer.step
     on its bands and the DCM memory, then advance the plant under the true
     contacts with step_plant. The plant state and the memory stay in local
     variables. law is (decay, plant omega, dt, divergence limit), support
-    maps a phase to its (hull_edges, clamp bounds), plant is (px, py, vx,
-    vy, zx, zy) and inputs are the lists of _open_loop_block.
+    the run's table of (hull_edges, clamp bounds) by phase, plant is (px,
+    py, vx, vy, zx, zy) and inputs are the lists of _open_loop_block.
 
     Returns (logged, plant, memory, failure, diverged): per step the tuple
     (px, py, vx, vy, zcx, zcy, zx, zy, zmp_saturated, zmp_clamped, acc_x,
@@ -434,12 +435,12 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
     append = logged.append
     phase = None
     try:
-        for ph, kappa_d, plan, ahead, band, noise, kappa, gx, gy in zip(
-            phases, kappas, plans, itertools.islice(plans, 1, None), *rest
+        for ph, kappa_d, plan, ahead, band, noise, kappa, gx, gy in itertools.islice(
+            zip(phases, kappas, plans, itertools.islice(plans, 1, None), *rest), steps
         ):
             if ph != phase:
                 phase = ph
-                edges, bounds = support(ph)
+                edges, bounds = support[ph]
             if noise is None:
                 zcx, zcy, acx, acy, sat, memory = step(
                     kappa_d, omega, plan, px, py, vx, vy, edges, band, memory
@@ -463,70 +464,70 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
     return logged, (px, py, vx, vy, zx, zy), memory, None, False
 
 
-def _unloaded_sample(stabilizer, traj, k, plant, memory, noise, band, rows, support):
-    """Sample k, whose measured contacts leave the feet no downward force,
+def _unloaded_sample(stabilizer, omega, support, plant, memory, sample, rows):
+    """The sample whose measured contacts leave the feet no downward force,
     as the per-sample loop runs it: Stabilizer.step, then
-    Stabilizer.ground_wrench on floats, which raises. noise is the sample's
-    (com_x, com_y, vel_x, vel_y) noise or None, band its bands and rows its
-    measured contacts. Returns the step's memory and the exception."""
-    timeline = traj.timeline
+    Stabilizer.ground_wrench on floats, which raises. sample is its (phase,
+    planned kappa, plan, bands, noise) from the lists of _open_loop_block
+    and rows its measured contacts. Returns the step's memory and the
+    exception."""
+    phase, kappa, plan, band, noise = sample
     cx, cy, vx, vy, _, _ = plant
     if noise is not None:
         ncx, ncy, nvx, nvy = noise
         cx, cy, vx, vy = cx + ncx, cy + ncy, vx + nvx, vy + nvy
-    plan = [
-        *traj.com_pos[k].tolist(),
-        *traj.com_acc[k].tolist(),
-        *traj.dcm[k].tolist(),
-        *traj.zmp[k].tolist(),
-    ]
-    edges = support(int(timeline.phase[k]))[0]
+    edges = support[phase][0]
     _, _, acx, acy, _, memory = stabilizer.step(
-        float(timeline.kappa[k]), timeline.omega, plan, cx, cy, vx, vy, edges, band,
-        memory,
+        kappa, omega, plan, cx, cy, vx, vy, edges, band, memory
     )
     try:
         stabilizer.ground_wrench(cx, cy, acx, acy, rows, edges)
     except STEP_FAILURES as exc:
         return memory, exc
-    raise RuntimeError(f"sample {k}: the ground-wrench stage accepted unloaded feet")
+    raise RuntimeError("the ground-wrench stage accepted unloaded feet")
 
 
 def _closed_loop_block(
-    traj, b0, stabilizer, disturbances, columns, noise, rng, law, support, plant, memory
+    traj, b0, stabilizer, disturbances, columns, noise, rng, law, support, plant
 ):
     """One block from sample b0 in its three passes: _open_loop_block, then
     _feedback_pass up to the first unloaded sample, which
     _unloaded_sample runs on floats, then the ground-wrench pass over the
-    steps taken (_cop_clamped). Writes the block's columns.
+    steps taken (_cop_clamped). Writes the block's columns, and the
+    stabilizer's state from its DCM memory: at the block's end, or at a
+    stop with the bands of the sample that stopped the run.
 
-    Returns (b1, k, plant, memory, failure, diverged, band): the block's
-    end, the first sample not logged, the plant and the memory after the
-    last step, the STEP_FAILURES exception that stopped the run (at k) or
-    None, whether the step before k diverged, and the bands of the sample
-    that stopped the run (None if none did).
+    Returns (b1, k, plant, failure, diverged): the block's end, the first
+    sample not logged, the plant after the last step, the STEP_FAILURES
+    exception that stopped the run (at k) or None, and whether the step
+    before k diverged.
     """
-    b1, stop, inputs, measured, sample_noise, bands = _open_loop_block(
+    omega = traj.timeline.omega
+    state = stabilizer.state
+    b1, stop, inputs, measured, sample_noise = _open_loop_block(
         traj, b0, stabilizer, disturbances, columns, noise, rng
     )
     logged, end, memory, failure, diverged = _feedback_pass(
-        stabilizer.step, traj.timeline.omega, law, support, plant, memory, inputs
+        stabilizer.step, omega, law, support, plant, state.memory(), inputs,
+        stop - b0,
     )
     k = b0 + len(logged)
     if failure is None and not diverged and k < b1:
         memory, failure = _unloaded_sample(
-            stabilizer, traj, k, end, memory,
-            None if sample_noise is None else sample_noise[k - b0].tolist(),
-            bands[k - b0],
+            stabilizer, omega, support, end, memory,
+            [values[k - b0] for values in inputs[:5]],
             tuple(tuple(v[k - b0].item() for v in r) for r in measured),
-            support,
         )
     if logged:
         steps = slice(b0, k)
         block = _columns(logged, 12)
-        for name, values in zip(_STEP_COLUMNS, block):
+        com_x, com_y, vel_x, vel_y = block[:4]
+        for name, values in zip(
+            _STEP_COLUMNS,
+            (com_x, com_y, dcm_of(com_x, vel_x, omega), dcm_of(com_y, vel_y, omega),
+             *block[4:10]),
+        ):
             columns[name][steps] = values
-        com_x, com_y = block[0], block[1]
         if sample_noise is not None:
             com_x = com_x + sample_noise[: len(logged), 0]
             com_y = com_y + sample_noise[: len(logged), 1]
@@ -535,19 +536,20 @@ def _closed_loop_block(
             tuple(tuple(v[: len(logged)] for v in r) for r in measured),
             traj.timeline.phase[steps], support,
         )
-    band = None
-    if failure is not None:
-        band = bands[k - b0]
-    elif diverged:
-        band = bands[k - 1 - b0]
-    return b1, k, end, memory, failure, diverged, band
+    if failure is None and not diverged:
+        state.keep(memory)
+    else:
+        # per-sample steps leave the bands of the sample that stopped: the
+        # failed one, or the last one taken before a divergence
+        state.keep(memory, inputs[3][k - b0 - diverged])
+    return b1, k, end, failure, diverged
 
 
 def _cop_clamped(stabilizer, com_x, com_y, acc_x, acc_y, rows, phase, support):
     """Stabilizer.ground_wrench over samples of one or more support phases,
     once per run of equal phase. rows are contact_rows over the samples,
-    phase their phase indices and support as for _feedback_pass. Returns the
-    cop_clamped flags."""
+    phase their phase indices and support the table of _feedback_pass.
+    Returns the cop_clamped flags."""
     flags = np.empty(len(phase), dtype=bool)
     cuts = (np.flatnonzero(np.diff(phase)) + 1).tolist()
     for s, e in zip([0, *cuts], [*cuts, len(phase)]):
@@ -555,28 +557,9 @@ def _cop_clamped(stabilizer, com_x, com_y, acc_x, acc_y, rows, phase, support):
         flags[run] = stabilizer.ground_wrench(
             com_x[run], com_y[run], acc_x[run], acc_y[run],
             tuple(tuple(v[run] for v in r) for r in rows),
-            support(int(phase[s]))[0],
+            support[int(phase[s])][0],
         )
     return flags
-
-
-def _support(timeline):
-    """A function from a phase to its (hull_edges of the support hull, ZMP
-    clamp bounds), each built on first use."""
-    cache = {}
-
-    def of(ph):
-        if ph not in cache:
-            region = timeline.support_regions[ph]
-            base = SoleRect.bounding(region)
-            m = ZMP_CLAMP_MARGIN
-            cache[ph] = (
-                hull_edges(support_hull(region)),
-                (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
-            )
-        return cache[ph]
-
-    return of
 
 
 def run_closed_loop(
@@ -594,9 +577,13 @@ def run_closed_loop(
     The plant is the stabilizer's robot with the ZMP lag of gains.rho; a
     stabilizer whose dt or omega is not the plan's raises ValueError. It
     starts from the plan's first sample: planned CoM position and velocity,
-    realized ZMP on the planned ZMP. The run goes in blocks of at most
-    BLOCK_SAMPLES samples, cut where the number of hand contacts changes,
-    and each block in three passes:
+    realized ZMP on the planned ZMP. Before the first block, it builds one
+    support table for the run: per support phase of timeline.support_regions,
+    the support hull's hull_edges and the ZMP clamp bounds (the soles'
+    bounding rectangle grown by ZMP_CLAMP_MARGIN), which every pass indexes
+    by phase. The run goes in blocks of at most BLOCK_SAMPLES samples, cut
+    where the number of hand contacts changes, and each block in three
+    passes:
 
     - open loop, on arrays over the block (_open_loop_block): the true
       contacts by apply_disturbances and their contact_terms; white
@@ -609,7 +596,8 @@ def run_closed_loop(
       sample's noise, run Stabilizer.step, log, then advance the plant under
       the true (disturbed) contacts with step_plant, up to that unloaded
       sample, which then runs Stabilizer.step and Stabilizer.ground_wrench
-      on floats and raises.
+      on floats and raises. The block then writes its columns; xi_*^a is
+      dcm_of of the logged CoM and velocity.
     - ground wrench, on arrays over the steps taken: Stabilizer.ground_wrench
       against the measured CoM and contacts and the command acceleration,
       for the cop_clamped flag. Nothing reads the net wrench back, and the
@@ -657,11 +645,17 @@ def run_closed_loop(
     columns = {name: np.zeros(n) for name in CSV_COLUMNS if name not in plan_columns}
     columns.update((name, np.zeros(n, dtype=bool)) for name in EXTRA_COLUMNS)
 
-    state = stabilizer.state
-    memory = state.memory()
     decay = None if direct_zmp else math.exp(-stabilizer.gains.rho * dt)
     law = (decay, compute_coefficients(stabilizer.params).omega, dt, divergence_limit)
-    support = _support(timeline)
+    # per support phase: the hull's edges and the ZMP clamp bounds
+    m = ZMP_CLAMP_MARGIN
+    support = []
+    for region in timeline.support_regions:
+        base = SoleRect.bounding(region)
+        support.append((
+            hull_edges(support_hull(region)),
+            (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
+        ))
     plant = (
         *traj.com_pos[0].tolist(), *traj.com_vel[0].tolist(), *traj.zmp[0].tolist()
     )
@@ -674,24 +668,15 @@ def run_closed_loop(
     while b0 < n:
         # a block's lists and arrays are freed when its call returns, before
         # the next block builds its own
-        b1, k, plant, memory, failure, diverged, band = _closed_loop_block(
+        b1, k, plant, failure, diverged = _closed_loop_block(
             traj, b0, stabilizer, disturbances, columns, noise, rng, law, support,
-            plant, memory,
+            plant,
         )
         if failure is not None or diverged:
             last = k
-            # per-sample steps leave the bands of the sample that stopped
-            state.keep(memory, band)
             break
-        state.keep(memory)
         b0 = b1
 
-    # dcm_of turns the logged velocity into the DCM in place, a block at a
-    # time: temporaries as long as the trace would raise peak RSS
-    for b in range(0, last, BLOCK_SAMPLES):
-        part = slice(b, b + BLOCK_SAMPLES)
-        for c, xi in (("c_x^a", "xi_x^a"), ("c_y^a", "xi_y^a")):
-            columns[xi][part] = dcm_of(columns[c][part], columns[xi][part], omega)
     if last < n:
         columns = {name: col[:last].copy() for name, col in columns.items()}
     columns.update((name, view[:last]) for name, view in plan_columns.items())

@@ -151,12 +151,6 @@ class SoleRect:
         cx, cy = float(center[0]), float(center[1])
         return cls(cx - half_x, cx + half_x, cy - half_y, cy + half_y)
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        return (
-            self.xmin - margin <= point[0] <= self.xmax + margin
-            and self.ymin - margin <= point[1] <= self.ymax + margin
-        )
-
     def clamp(self, point) -> np.ndarray:
         return np.array(
             [
@@ -228,9 +222,8 @@ class ReferenceTimeline:
 class SupportPhases:
     """Support stance of every sample: a phase index into a table of stances.
 
-    Each stance is a ((foot, position), ...) tuple, one per distinct stance
-    of the plan. Indexing returns the shared stance tuple of the sample's
-    phase, so samples in one phase return the same object.
+    Sample k stands in stances[phase[k]]. Each stance is a ((foot,
+    position), ...) tuple, one per distinct stance of the plan.
     """
 
     phase: np.ndarray
@@ -238,9 +231,6 @@ class SupportPhases:
 
     def __len__(self):
         return len(self.phase)
-
-    def __getitem__(self, k):
-        return self.stances[self.phase[k]]
 
 
 def _read_only(*arrays):

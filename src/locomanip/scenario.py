@@ -50,6 +50,7 @@ from .pattern_generator import (
     synthesize_gains,
 )
 from .plant_sim import (
+    DIVERGENCE_LIMIT,
     EXTRA_COLUMNS,
     STEP_FAILURES,
     DisturbanceProfile,
@@ -264,9 +265,9 @@ def _unique_names(items, path: str, what: str):
 @dataclass(frozen=True)
 class RobotSection:
     mass_kg: float = _f(_number, 100.0, positive=True)
-    gravity_mps2: float = _f(_number, 9.81, positive=True)
-    com_height_m: float = _f(_number, 0.8, positive=True)
-    zmp_height_m: float = _f(_number, 0.0)
+    gravity_mps2: float = _f(_number, RobotParams.gravity, positive=True)
+    com_height_m: float = _f(_number, RobotParams.com_height, positive=True)
+    zmp_height_m: float = _f(_number, RobotParams.zmp_height)
 
     def _check(self, f: _Fields):
         if not self.com_height_m > self.zmp_height_m:
@@ -321,15 +322,17 @@ class GaitSection:
 
 @dataclass(frozen=True)
 class ControllerSection:
-    q_zmp: float = _f(_number, 1.0, positive=True)
-    r_jerk: float = _f(_number, 1e-8, positive=True)
+    q_zmp: float = _f(_number, PreviewWeights.q_zmp, positive=True)
+    r_jerk: float = _f(_number, PreviewWeights.r_jerk, positive=True)
     preview_window_s: float = _f(_number, 1.6, minimum=MIN_PREVIEW_WINDOW)
-    k_p: float = _f(_number, 1.25, minimum=0.0)
-    k_i: float = _f(_number, 0.0, minimum=0.0)
-    k_d: float = _f(_number, 0.0, minimum=0.0)
-    rho_per_s: float = _f(_number, 20.0, positive=True)
-    cutoff_period_s: float = _f(_number, 1.0, positive=True)
-    integrator_limit_m_s: float = _f(_number, 0.05, minimum=0.0)
+    k_p: float = _f(_number, StabilizerGains.k_p, minimum=0.0)
+    k_i: float = _f(_number, StabilizerGains.k_i, minimum=0.0)
+    k_d: float = _f(_number, StabilizerGains.k_d, minimum=0.0)
+    rho_per_s: float = _f(_number, StabilizerGains.rho, positive=True)
+    cutoff_period_s: float = _f(_number, StabilizerGains.cutoff_period, positive=True)
+    integrator_limit_m_s: float = _f(
+        _number, StabilizerGains.integrator_limit, minimum=0.0
+    )
 
     def stabilizer_gains(self) -> StabilizerGains:
         return StabilizerGains(
@@ -347,7 +350,7 @@ class PlantSection:
     direct_zmp: bool = _f(_boolean, False)
     com_noise_m: float = _f(_number, 0.0, minimum=0.0)
     force_noise_n: float = _f(_number, 0.0, minimum=0.0)
-    divergence_limit_m: float = _f(_number, 1.0, positive=True)
+    divergence_limit_m: float = _f(_number, DIVERGENCE_LIMIT, positive=True)
 
 
 @dataclass(frozen=True)
@@ -1046,21 +1049,6 @@ def format_metrics(metrics: dict, checks=()) -> str:
         lines.append(f"check.{c.name}={'PASS' if c.passed else 'FAIL'}")
     lines.append(f"overall={'PASS' if all(c.passed for c in checks) else 'FAIL'}")
     return "\n".join(lines) + "\n"
-
-
-def parse_metrics_file(path) -> dict:
-    """Read a metrics file back; numeric values become floats."""
-    out: dict = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        try:
-            out[key] = float(value)
-        except ValueError:
-            out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ elementwise and split_frequency as one float recursion over a block of
 samples. The feedback half, Stabilizer.step, takes one sample's bands and its
 DCM memory and runs dcm_feedback and the command saturation on Python floats,
 up to the command ZMP; the closed loop of plant_sim calls it once per step and
-keeps the memory in local variables. The ground-wrench stage feeds nothing
-back: Stabilizer.ground_wrench builds the net ground wrench (net_foot_wrench)
-and its pressure point (wrench_zmp) over arrays of samples and reports the
-cop_clamped flag, and raises when the feet are unloaded. distribute_wrench (an
-active-set split under sole limits) splits such a wrench between the feet;
-the closed loop, which never reads the per-foot wrenches, does not call it.
+keeps the memory in local variables. The support hull (support_hull) comes
+in as its edges (hull_edges); the closed loop builds them once per support
+phase of a run, and no hull outlives the run. The ground-wrench stage feeds
+nothing back: Stabilizer.ground_wrench builds the net ground wrench
+(net_foot_wrench) and its pressure point (wrench_zmp) over arrays of samples
+and reports the cop_clamped flag, and raises when the feet are unloaded.
+distribute_wrench (an active-set split under sole limits) splits such a
+wrench between the feet; the closed loop, which never reads the per-foot
+wrenches, does not call it.
 
 All gains are stated in conventional (no-external-force) terms; the control
 law divides by the ZMP scale kappa so the closed-loop response matches the
@@ -178,11 +181,6 @@ class StabilizerState:
             self.gamma_high_rate = (hrx, hry)
 
 
-def _xy(vec) -> tuple:
-    x, y = np.asarray(vec, dtype=float).tolist()
-    return x, y
-
-
 def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
     """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts.
 
@@ -199,14 +197,14 @@ def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: floa
 def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> list:
     """Run the low/high frequency split of the force-error offset over samples.
 
-    ex and ey are the offsets of successive samples, as 1-D arrays or as
-    floats for one sample. The low band is a first-order low-pass with time
-    constant cutoff_period / (2 pi); the high band is the exact complement,
-    so gamma_low + gamma_high always reconstructs the input. The high-band
-    rate is a smoothed backward difference. The recursion runs on Python
-    floats, one sample after the other. Returns the bands after each
-    sample, one (low_x, low_y, high_x, high_y, rate_x, rate_y) tuple per
-    sample, and leaves the three band pairs of state at the last sample's.
+    ex and ey are the offsets of successive samples, as 1-D arrays. The low
+    band is a first-order low-pass with time constant cutoff_period / (2
+    pi); the high band is the exact complement, so gamma_low + gamma_high
+    always reconstructs the input. The high-band rate is a smoothed
+    backward difference. The recursion runs on Python floats, one sample
+    after the other. Returns the bands after each sample, one (low_x,
+    low_y, high_x, high_y, rate_x, rate_y) tuple per sample, and leaves the
+    three band pairs of state at the last sample's.
     """
     tau = cutoff_period / (2.0 * math.pi)
     alpha = dt / (tau + dt)
@@ -215,7 +213,7 @@ def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> list:
     rx, ry = state.gamma_high_rate
     bands = []
     append = bands.append
-    for x, y in zip(np.atleast_1d(ex).tolist(), np.atleast_1d(ey).tolist()):
+    for x, y in zip(ex.tolist(), ey.tolist()):
         lx = lx + alpha * (x - lx)
         ly = ly + alpha * (y - ly)
         new_hx = x - lx
@@ -377,22 +375,13 @@ def _clamped(px, py, edges):
 
 def _clamp_to_hull(point: np.ndarray, hull: np.ndarray) -> np.ndarray:
     """Nearest point of a convex polygon (CCW vertices) to the given point."""
-    return np.array(_clamp_xy(*_xy(point), hull_edges(hull)))
-
-
-@functools.lru_cache(maxsize=256)
-def _hull_of(region: tuple) -> np.ndarray:
-    hull = _convex_hull(np.vstack([r.corners() for r in region]))
-    hull.flags.writeable = False
-    return hull
+    x, y = np.asarray(point, dtype=float).tolist()
+    return np.array(_clamp_xy(x, y, hull_edges(hull)))
 
 
 def support_hull(region) -> np.ndarray:
-    """Convex hull of the support sole rectangles' corners, read-only.
-
-    Memoised by the rectangles' values, so equal regions share one hull.
-    """
-    return _hull_of(tuple(region))
+    """Convex hull of the support sole rectangles' corners."""
+    return _convex_hull(np.vstack([r.corners() for r in region]))
 
 
 @dataclass(frozen=True, eq=False)

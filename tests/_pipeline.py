@@ -2,6 +2,7 @@
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -138,3 +139,18 @@ def make_stabilizer(dt=DT, compensate_forces=True, gains=None, **kwargs):
         compensate_forces=compensate_forces,
         **kwargs,
     )
+
+
+def parse_metrics_file(path) -> dict:
+    """Read a metrics file back; numeric values become floats."""
+    out: dict = {}
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        try:
+            out[key] = float(value)
+        except ValueError:
+            out[key] = value
+    return out

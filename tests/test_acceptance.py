@@ -268,7 +268,7 @@ def _split_exactness(steps=200, seed=5):
     worst = 0.0
     for _ in range(steps):
         gamma = gamma + rng.normal(scale=0.01, size=2)
-        split_frequency(state, *gamma.tolist(), 0.002, 1.0)
+        split_frequency(state, *gamma[:, None], 0.002, 1.0)
         low, high = np.array(state.gamma_low), np.array(state.gamma_high)
         worst = max(worst, float(np.max(np.abs(low + high - gamma))))
     return worst

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 import yaml
+from _pipeline import parse_metrics_file
 from test_plant_sim import random_trace, traced_peak
 
 from locomanip.cli import main
 from locomanip.plant_sim import TraceLog
-from locomanip.scenario import parse_metrics_file
 
 K_FB_REF = (4715.60195026, 2705.42004837, 391.51776754)
 
@@ -360,6 +360,28 @@ class TestCompare:
         code = run_cli("compare", str(a), str(empty))
         assert code == 1
         assert "need a time column with at least 2 rows" in capsys.readouterr().err
+
+    def test_unreadable_trace_is_a_schema_mismatch(self, two_traces, tmp_path, capsys):
+        """A ragged row, a missing file and a non-numeric cell each exit 1
+        as a schema mismatch that names the file once."""
+        a, b = two_traces
+        lines = b.read_text().splitlines()
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("\n".join([*lines[:3], lines[3] + ",1.0", *lines[4:]]) + "\n")
+        cells = lines[3].split(",")
+        cells[2] = "abc"
+        text = tmp_path / "text.csv"
+        text.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]) + "\n")
+        for path, reason in (
+            (ragged, "the number of columns changed from 26 to 27"),
+            (tmp_path / "missing.csv", "No such file or directory"),
+            (text, "could not convert string 'abc' to float64"),
+        ):
+            code = run_cli("compare", str(a), str(path))
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(f"schema mismatch: {path}: {reason}"), err
+            assert err.count(str(path)) == 1, err
 
 
 class TestGains:

@@ -570,6 +570,24 @@ ONE_HAND_LEFT = (
 )
 
 
+# a 60 N push on both hands from 2.0 to 2.4 s
+SHOVE = (
+    "disturbances=[{kind: step, axis: x, amplitude_n: 60.0, "
+    "start_s: 2.0, end_s: 2.4}]"
+)
+
+# four forward steps, each foot placed 0.1 m ahead of the other, and the
+# shove: nine support phases, each with its own hull
+WALK = (
+    "gait={kind: footsteps, footsteps: ["
+    "{foot: left, position_m: [0.1, 0.1], start_s: 1.0, end_s: 1.7}, "
+    "{foot: right, position_m: [0.2, -0.1], start_s: 1.7, end_s: 2.4}, "
+    "{foot: left, position_m: [0.3, 0.1], start_s: 2.4, end_s: 3.1}, "
+    "{foot: right, position_m: [0.4, -0.1], start_s: 3.1, end_s: 3.8}]}",
+    SHOVE,
+)
+
+
 class TestOneLaw:
     """The closed loop runs the per-sample laws and nothing else."""
 
@@ -581,12 +599,10 @@ class TestOneLaw:
                 "disturbances=[{kind: sinusoid, axis: x, amplitude_n: 40.0, "
                 "period_s: 0.3, start_s: 0.1, contact_index: 1}]",
             ),
-            (
-                "disturbances=[{kind: step, axis: x, amplitude_n: 60.0, "
-                "start_s: 2.0, end_s: 2.4}]",
-            ),
+            (SHOVE,),
             NOISY,
             ONE_HAND_LEFT,
+            WALK,
         ],
         ids=[
             "testcase1",
@@ -594,6 +610,7 @@ class TestOneLaw:
             "testcase1-shove",
             "testcase1-noisy",
             "testcase1-one-hand-left",
+            "testcase1-walk",
         ],
     )
     def test_loop_matches_per_sample_steps(self, overrides):
@@ -604,7 +621,9 @@ class TestOneLaw:
         saturates the command in single support, where a stale
         double-support hull would not. The noisy runs draw per step, in the
         order CoM 2, velocity 2, then 3 per contact, against the loop's
-        block draws; the last one also changes its contact count."""
+        block draws; the one-hand run also changes its contact count. The
+        walk steps forward through nine support phases, each stance with
+        its own hull and clamp bounds."""
         n = 2250
         bundle = scenario_bundle("testcase1", *overrides)
         traj = first_samples(bundle.traj, n)
@@ -621,11 +640,14 @@ class TestOneLaw:
         assert_trace_is_oracle(trace, oracle)
         if overrides:
             assert np.any(trace["gammaH_x"] != 0.0)
-        if "shove" in str(overrides):
+        if SHOVE in overrides:
             single = np.array([len(f) == 1 for f in timeline.support_feet])[
                 timeline.phase
             ]
             assert np.any(trace.extra["zmp_saturated"][single] != 0.0)
+        if overrides == WALK:
+            assert len(set(timeline.phase.tolist())) == 9
+            assert np.any(trace.extra["cop_clamped"])
         if overrides == ONE_HAND_LEFT:
             counts = np.diff(timeline.contact_start)[timeline.contact_index]
             assert set(counts.tolist()) == {1, 2}

@@ -51,10 +51,9 @@ def test_standing_reference_pins_midpoint():
     )
     np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_array_equal(zmp, np.zeros((5, 2)))
-    for sup in supports:
-        assert tuple(f for f, _ in sup) == ("left", "right")
-    # every sample shares the same stance tuple, so the samples share one region
-    assert all(sup is supports[0] for sup in supports)
+    # one stance, which every sample's phase indexes
+    assert len(supports) == 5 and len(supports.stances) == 1
+    assert tuple(f for f, _ in supports.stances[0]) == ("left", "right")
     np.testing.assert_array_equal(supports.phase, 0)
 
 
@@ -82,7 +81,7 @@ def test_stepping_zmp_ramps_and_holds():
 def test_stepping_support_sets():
     steps = in_place_steps(2)
     _, _, supports = stepping_reference(steps, 0.4, dt=0.25, n_samples=11)
-    feet = [tuple(f for f, _ in sup) for sup in supports]
+    feet = [tuple(f for f, _ in supports.stances[p]) for p in supports.phase]
     assert feet == [
         ("left", "right"),  # 0.00 double support
         ("left", "right"),  # 0.25
@@ -97,7 +96,7 @@ def test_stepping_support_sets():
         ("left", "right"),
     ]
     # positions carried along with the feet
-    sup = dict(supports[2])
+    sup = dict(supports.stances[supports.phase[2]])
     np.testing.assert_array_equal(sup["left"], [0.0, 0.1])
 
 
@@ -165,9 +164,9 @@ def test_contact_schedule_validation():
 
 def test_sole_rect_geometry():
     r = SoleRect.centered((0.0, 0.1), 0.1, 0.03)
-    assert r.contains((0.05, 0.09))
-    assert not r.contains((0.11, 0.1))
-    assert r.contains((0.11, 0.1), margin=0.02)
+    for point, margin in (((0.05, 0.09), 0.0), ((0.11, 0.1), 0.02)):
+        assert np.abs(r.clamp(point) - point).max() <= margin
+    assert np.abs(r.clamp((0.11, 0.1)) - (0.11, 0.1)).max() > 0.0
     np.testing.assert_allclose(r.clamp((0.2, 0.0)), [0.1, 0.07])
     both = SoleRect.bounding([r, SoleRect.centered((0.0, -0.1), 0.1, 0.03)])
     assert (both.ymin, both.ymax) == (-0.13, 0.13)
@@ -192,7 +191,8 @@ def test_frames_carry_coefficients_and_regions():
     phase = tl.phase[2]
     assert tl.support_feet[phase] == ("left",)
     assert len(tl.support_regions[phase]) == 1
-    assert tl.support_regions[phase][0].contains(tl.zmp_ref[2])
+    rect = tl.support_regions[phase][0]
+    assert np.array_equal(rect.clamp(tl.zmp_ref[2]), tl.zmp_ref[2])
     # one hold span: every sample reads the one contact set and its terms
     np.testing.assert_array_equal(tl.contact_index, tl.contact_index[0])
     assert tl.contact_rows(tl.contact_index[2]) == contact_rows(hands(-50.0, 0.0))
@@ -382,7 +382,10 @@ def test_array_plan_matches_per_sample_path(name, gait, force_kappa_one):
     assert_same_bits(tl.gamma, gamma)
     assert_same_bits(tl.ext_zmp_ref, exz)
 
-    got = [tuple((f, tuple(p.tolist())) for f, p in supports[k]) for k in range(n)]
+    got = [
+        tuple((f, tuple(p.tolist())) for f, p in supports.stances[supports.phase[k]])
+        for k in range(n)
+    ]
     assert got == stances
     for k in range(n):
         phase = tl.phase[k]

@@ -1,6 +1,7 @@
 """Tests for scenario configs, metrics, checks, runs and comparisons."""
 
 import copy
+import dataclasses
 import math
 import re
 import types
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _pipeline import parse_metrics_file
 from hypothesis import given, settings, strategies as st
 
+from locomanip.core_dynamics import RobotParams
 from locomanip.errors import ConfigError, SchemaMismatch
-from locomanip.pattern_generator import MIN_PREVIEW_WINDOW
-from locomanip.plant_sim import CSV_COLUMNS, TraceLog
+from locomanip.pattern_generator import MIN_PREVIEW_WINDOW, PreviewWeights
+from locomanip.plant_sim import CSV_COLUMNS, DIVERGENCE_LIMIT, TraceLog
 from locomanip.scenario import (
     AXIS_METRICS,
     CheckSpec,
@@ -33,13 +36,13 @@ from locomanip.scenario import (
     load_raw_config,
     metric_names,
     parse_config,
-    parse_metrics_file,
     resolve_config_path,
     run_scenario,
     scenario_metrics,
     trace_metrics,
     trace_summary,
 )
+from locomanip.stabilizer import StabilizerGains
 
 BUNDLED = ("cart-like", "nominal", "testcase1", "testcase2", "testcase3")
 
@@ -87,6 +90,19 @@ class TestFieldValidation:
         assert cfg.plant.direct_zmp is False
         assert cfg.seed is None and cfg.out_dir is None
         assert cfg.hands == () and cfg.disturbances == () and cfg.checks == ()
+
+    def test_section_defaults_are_the_library_defaults(self):
+        """A config with only name and duration_s builds the robot, gains,
+        preview weights and divergence limit the library defaults to."""
+        cfg = parse_config({"name": "bare", "duration_s": 1.0})
+        params = cfg.robot.params()
+        assert dataclasses.astuple(params) == dataclasses.astuple(
+            RobotParams(mass=params.mass)
+        )
+        assert cfg.controller.stabilizer_gains() == StabilizerGains()
+        c = cfg.controller
+        assert PreviewWeights(q_zmp=c.q_zmp, r_jerk=c.r_jerk) == PreviewWeights()
+        assert cfg.plant.divergence_limit_m == DIVERGENCE_LIMIT
 
     def test_top_level_must_be_mapping(self):
         with pytest.raises(ConfigError, match="expected a mapping"):

@@ -204,7 +204,7 @@ class TestSplitFrequency:
         state = StabilizerState()
         gam = np.array([0.04, -0.02])
         for _ in range(int(10.0 / DT)):
-            split_frequency(state, *gam.tolist(), DT, 1.0)
+            split_frequency(state, *gam[:, None], DT, 1.0)
             low, high, rate = bands(state)
         assert np.allclose(low, gam, atol=1e-12)
         assert np.allclose(high, 0.0, atol=1e-12)
@@ -213,7 +213,7 @@ class TestSplitFrequency:
     def test_step_lands_in_high_band_first(self):
         state = StabilizerState()
         gam = np.array([0.05, 0.0])
-        split_frequency(state, *gam.tolist(), DT, 1.0)
+        split_frequency(state, *gam[:, None], DT, 1.0)
         low, high, _ = bands(state)
         assert high[0] > 0.9 * gam[0]
         assert abs(low[0]) < 0.1 * gam[0]
@@ -224,7 +224,7 @@ class TestSplitFrequency:
         gam = np.zeros(2)
         for _ in range(500):
             gam = gam + 0.001 * rng.standard_normal(2)
-            split_frequency(state, *gam.tolist(), DT, 1.0)
+            split_frequency(state, *gam[:, None], DT, 1.0)
             low, high, _ = bands(state)
             assert np.allclose(low + high, gam, rtol=0.0, atol=1e-12)
 
@@ -242,7 +242,7 @@ class TestSplitFrequency:
         for k in range(n):
             t = k * DT
             gam = np.array([amp * math.sin(w * t), 0.0])
-            split_frequency(state, *gam.tolist(), DT, cutoff)
+            split_frequency(state, *gam[:, None], DT, cutoff)
             _, high, _ = bands(state)
             if t > 8.0 * period:
                 peak = max(peak, abs(high[0]))
@@ -578,7 +578,7 @@ class TestStepStabilizer:
                     cop = center + np.array(
                         [-wrench.moment[1] / fz, wrench.moment[0] / fz]
                     )
-                    assert rect.contains(cop, margin=1e-9)
+                    assert np.abs(rect.clamp(cop) - cop).max() <= 1e-9
 
     def test_command_zmp_saturates_to_hull(self):
         desired = standing_sample()
@@ -730,7 +730,7 @@ class TestGroundWrenchFlags:
         phase, edges, (cx, cy, ax, ay), rows = block
         stab = Stabilizer(PARAMS, StabilizerGains(), DT)
         flags = _cop_clamped(
-            stab, cx, cy, ax, ay, rows, phase, lambda ph: (edges[ph], None)
+            stab, cx, cy, ax, ay, rows, phase, [(e, None) for e in edges]
         )
         for k in range(len(phase)):
             sample = tuple(tuple(v[k].item() for v in r) for r in rows)
@@ -838,16 +838,6 @@ class TestClampToHull:
 
 
 class TestSupportHullMemo:
-    def test_equal_regions_share_one_read_only_hull(self):
-        first = support_hull((LEFT, RIGHT))
-        again = support_hull(
-            [SoleRect(LEFT.xmin, LEFT.xmax, LEFT.ymin, LEFT.ymax), RIGHT]
-        )
-        assert again is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 1.0
-
     def test_reused_stabilizer_sees_every_fresh_region(self):
         """A hull cached by the region's id() went stale once ids were reused."""
         stab = Stabilizer(PARAMS, StabilizerGains(), DT)
