@@ -26,6 +26,7 @@ from .errors import (
     Infeasible,
     InvalidSchedule,
     NonPhysical,
+    OutputError,
     RiccatiDivergence,
     SchemaMismatch,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "InvalidSchedule",
     "LipmCoefficients",
     "NonPhysical",
+    "OutputError",
     "PreviewGains",
     "PreviewWeights",
     "ReferenceTimeline",

@@ -1,7 +1,13 @@
 """Command line front end: run scenarios, compare traces, audit gains.
 
-Exit codes: 0 success, 1 config or usage error, 2 plant divergence, 3 a
-control step failed mid-run (unloaded feet, non-finite plant state).
+`run` writes trace.csv, metrics.txt and run.json to its output directory,
+which it creates before the run starts. `compare` takes each trace's
+summary from the run.json beside it when that records the checksum of the
+trace's bytes, and parses the CSV otherwise, with the same output.
+
+Exit codes: 0 success, 1 config, usage or output-directory error, 2 plant
+divergence, 3 a control step failed mid-run (unloaded feet, non-finite
+plant state).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import sys
 import numpy as np
 
 from .core_dynamics import compute_coefficients
-from .errors import DegenerateScale, RiccatiDivergence, SchemaMismatch
+from .errors import DegenerateScale, OutputError, RiccatiDivergence, SchemaMismatch
 from .pattern_generator import PreviewWeights, synthesize_gains
 from .plant_sim import TraceLog
 from .scenario import (
@@ -22,6 +28,7 @@ from .scenario import (
     list_bundled_scenarios,
     load_raw_config,
     parse_config,
+    recorded_summary,
     resolve_config_path,
     run_scenario,
     trace_summary,
@@ -40,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="run one scenario, write trace.csv and metrics.txt",
+        help="run one scenario, write trace.csv, metrics.txt and run.json",
         description=(
             "Run a scenario to completion. --config takes a YAML path or a "
             "bundled name (%s)." % ", ".join(list_bundled_scenarios())
@@ -120,8 +127,13 @@ def _cmd_run(args) -> int:
 
 
 def _summary(path):
-    """trace_summary of the trace CSV at path; its columns are freed on return.
-    A file that cannot be read as a trace is a SchemaMismatch naming path once."""
+    """trace_summary of the trace CSV at path. It comes from the run.json
+    beside path where that records the file's checksum (recorded_summary);
+    otherwise the CSV is parsed, and its columns are freed on return. A file
+    that cannot be read as a trace is a SchemaMismatch naming path once."""
+    summary = recorded_summary(path)
+    if summary is not None:
+        return summary
     try:
         trace = TraceLog.from_csv(path)
     except (OSError, ValueError) as exc:
@@ -182,7 +194,12 @@ def main(argv=None) -> int:
             return _cmd_compare(args)
         return _cmd_gains(args)
     except (ValueError, OSError, DegenerateScale, RiccatiDivergence) as exc:
-        kind = "schema mismatch" if isinstance(exc, SchemaMismatch) else "config error"
+        if isinstance(exc, SchemaMismatch):
+            kind = "schema mismatch"
+        elif isinstance(exc, OutputError):
+            kind = "output error"
+        else:
+            kind = "config error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return 1
 

@@ -37,3 +37,7 @@ class ConfigError(ValueError):
 
 class SchemaMismatch(ValueError):
     """Two traces cannot be compared (different columns, dt, or length)."""
+
+
+class OutputError(OSError):
+    """A run's output directory cannot be created."""

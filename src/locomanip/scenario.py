@@ -13,10 +13,13 @@ declarations; a `_check` method holds the rules that relate a section's
 fields to each other.
 
 run_scenario wires the full pipeline (references -> preview gains ->
-desired trajectory -> stabilizer -> plant loop), writes the CSV trace and
-a flat key=value metrics file, and maps the outcome to a process exit
-code: 0 completed, 2 diverged, 3 a control step failed (every check of
-such a run fails); config errors raise and the CLI reports 1.
+desired trajectory -> stabilizer -> plant loop), writes the CSV trace, a
+flat key=value metrics file and the run record run.json, and maps the
+outcome to a process exit code: 0 completed, 2 diverged, 3 a control step
+failed (every check of such a run fails); config errors raise and the CLI
+reports 1. run.json records what ran and the trace's TraceSummary under a
+checksum of the trace bytes, so compare can skip re-parsing a trace the run
+summarized (recorded_summary).
 
 Metric notes: each metric is declared once, in AXIS_METRICS or the run
 keys beside it. scenario_metrics, trace_metrics (and so compare) and the
@@ -32,8 +35,11 @@ state and the metric reduces to rms(z^a - zmp_plan).
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import platform
 import re
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +48,7 @@ import numpy as np
 import yaml
 
 from .core_dynamics import ExternalContact, RobotParams
-from .errors import ConfigError, SchemaMismatch
+from .errors import ConfigError, OutputError, SchemaMismatch
 from .pattern_generator import (
     MIN_PREVIEW_WINDOW,
     PreviewWeights,
@@ -510,9 +516,10 @@ def _plain(value):
 
 
 _MERGE_TAG = "tag:yaml.org,2002:merge"
+_LIBYAML = hasattr(yaml, "CSafeLoader")
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+class _Loader(yaml.CSafeLoader if _LIBYAML else yaml.SafeLoader):
     """YAML reader of config files and override values: libyaml's parser
     where PyYAML has it, PyYAML's safe constructor either way.
 
@@ -872,6 +879,8 @@ _AXES = ("x", "y")
 _METRIC_COLUMNS = tuple(
     dict.fromkeys(c for ax in _AXES for m in _CSV_METRICS for c in m.columns(ax))
 )
+# the keys of trace_metrics, in its order
+_CSV_METRIC_NAMES = tuple(f"{m.name}_{ax}" for ax in _AXES for m in _CSV_METRICS)
 
 _FAILURE = "failure"  # the failed step's exception class: the one text value
 _FAILED_AT = "failed_at_s"
@@ -1074,14 +1083,28 @@ class ScenarioResult:
 def run_scenario(
     config: ScenarioConfig, out_dir=None, write: bool = True
 ) -> ScenarioResult:
-    """Run one scenario end to end and optionally write trace plus metrics.
+    """Run one scenario end to end and optionally write its outputs.
 
     config.seed only matters when measurement noise is configured; noiseless
     runs are bit-deterministic regardless. Exit code 0 means the run
     completed, 2 that the plant diverged and 3 that a control step failed
     (STEP_FAILURES; the metrics then carry failure and failed_at_s). Either
     way the truncated trace is still written.
+
+    With write, the output directory is created before anything runs, so an
+    unusable one raises OutputError first. After the run it receives
+    trace.csv, metrics.txt and then run.json (run_record), which holds the
+    checksum of the trace.csv bytes.
     """
+    target = trace_path = metrics_path = None
+    if write:
+        target = Path(out_dir or config.out_dir or f"{config.name}_out")
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(
+                f"cannot create output directory {target}: {exc.strerror or exc}"
+            ) from None
     bundle = build_scenario(config)
     try:
         trace = run_closed_loop(
@@ -1100,14 +1123,13 @@ def run_scenario(
     checks = evaluate_checks(metrics, config.checks)
     exit_code = 3 if trace.failure else 2 if trace.diverged else 0
 
-    target = trace_path = metrics_path = None
     if write:
-        target = Path(out_dir or config.out_dir or f"{config.name}_out")
-        target.mkdir(parents=True, exist_ok=True)
         trace_path = target / "trace.csv"
         metrics_path = target / "metrics.txt"
         trace.to_csv(trace_path)
         metrics_path.write_text(format_metrics(metrics, checks))
+        record = run_record(config, trace, exit_code, trace_checksum(trace_path))
+        write_run_record(target / RUN_RECORD, record)
     return ScenarioResult(
         config=config,
         trace=trace,
@@ -1157,6 +1179,127 @@ def trace_summary(trace: TraceLog) -> TraceSummary:
         samples=len(trace),
         metrics=trace_metrics(trace),
     )
+
+
+# ---------------------------------------------------------------------------
+# the run record, run.json
+
+RUN_RECORD = "run.json"
+
+
+def trace_checksum(path) -> dict:
+    """CRC-32 and byte length of the file at path, read 64 KiB at a time:
+    1 MiB reads, each into fresh memory, raised the peak RSS of a testcase3
+    run by 2 MB.
+
+    run.json is a cache of what a run computed, not a security boundary:
+    CRC-32 with the length catches every edit of one byte. zlib is loaded
+    with numpy already, where hashlib would map OpenSSL into the process.
+    """
+    crc = size = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            crc = zlib.crc32(block, crc)
+            size += len(block)
+    return {"crc32": crc, "bytes": size}
+
+
+def _written_summary(trace: TraceLog) -> dict | None:
+    """The TraceSummary that trace_summary(TraceLog.from_csv(...)) gives for
+    the CSV of trace, as run.json holds it. from_csv derives dt from the
+    first two times, and %.17g round-trips every double, so the metrics are
+    the same floats. None where that read raises instead: fewer than 2
+    rows, or a metric column missing."""
+    if len(trace) < 2:
+        return None
+    time = trace["time"]
+    try:
+        summary = trace_summary(trace)
+    except SchemaMismatch:
+        return None
+    return {
+        "columns": list(trace.columns),
+        "dt": float(time[1] - time[0]),
+        "samples": summary.samples,
+        "metrics": summary.metrics,
+    }
+
+
+def run_record(config: ScenarioConfig, trace: TraceLog, exit_code: int, checksum) -> dict:
+    """The run.json of a run: the config (config_to_dict) and seed, the exit
+    code, the divergence or failure, the versions that ran it, then the
+    trace_checksum of its trace.csv and that trace's summary
+    (_written_summary). Nothing in it is a timing, so a rerun writes the
+    same bytes."""
+    from . import __version__
+
+    failure = None
+    if trace.failure is not None:
+        failure = {
+            "kind": trace.failure,
+            "at_s": trace.failed_at,
+            "detail": trace.failure_detail,
+        }
+    return {
+        "config": config_to_dict(config),
+        "seed": config.seed,
+        "exit_code": exit_code,
+        "diverged_at_s": trace.diverged_at,
+        "failure": failure,
+        "versions": {
+            "locomanip": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "pyyaml": yaml.__version__,
+            "libyaml": _LIBYAML,
+        },
+        "trace": checksum,
+        "summary": _written_summary(trace),
+    }
+
+
+def write_run_record(path, record: dict):
+    """Write a run_record as JSON: floats as repr, so each parses back to
+    the same double, and NaN and Infinity spelled out."""
+    Path(path).write_text(json.dumps(record, indent=1) + "\n")
+
+
+def _exactly(kind: type, value):
+    """value if its type is kind itself: JSON's true is no int, 1 no float."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def recorded_summary(trace_path) -> TraceSummary | None:
+    """The TraceSummary that the run.json beside trace_path records, or None.
+
+    It is returned only when run.json parses, holds the types run_record
+    writes, a summary and the metric names trace_metrics yields, and records
+    the trace_checksum of trace_path's bytes. It then equals trace_summary(TraceLog.from_csv(trace_path)) bit
+    for bit, except that JSON keeps no sign of a NaN, which compare does not
+    print. In every other case None leaves the trace to that parse and its
+    errors.
+    """
+    path = Path(trace_path)
+    try:
+        with open(path.parent / RUN_RECORD, "rb") as fh:
+            record = json.load(fh)
+        checksum, s = record["trace"], record["summary"]
+        recorded = {key: _exactly(int, checksum[key]) for key in ("crc32", "bytes")}
+        columns = _exactly(list, s["columns"])
+        metrics = _exactly(dict, s["metrics"])
+        summary = TraceSummary(
+            columns=frozenset(_exactly(str, c) for c in columns),
+            dt=_exactly(float, s["dt"]),
+            samples=_exactly(int, s["samples"]),
+            metrics={k: _exactly(float, v) for k, v in metrics.items()},
+        )
+        if tuple(metrics) != _CSV_METRIC_NAMES or recorded != trace_checksum(path):
+            return None
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return summary
 
 
 def compare_runs(a: TraceSummary, b: TraceSummary, metric_spec=None) -> tuple:

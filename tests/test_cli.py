@@ -1,13 +1,37 @@
 """Command line round trips: run, compare and gains subcommands."""
 
+import json
+import math
+import os
+import platform
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 from _pipeline import parse_metrics_file
 from test_plant_sim import random_trace, traced_peak
+from test_trace_digests import DIGESTS
 
+import locomanip
+from locomanip import scenario
 from locomanip.cli import main
 from locomanip.plant_sim import TraceLog
+from locomanip.scenario import (
+    apply_overrides,
+    bundled_scenario_path,
+    load_raw_config,
+    parse_config,
+    recorded_summary,
+    run_record,
+    run_scenario,
+    trace_checksum,
+    trace_summary,
+    write_run_record,
+)
 
 K_FB_REF = (4715.60195026, 2705.42004837, 391.51776754)
 
@@ -265,6 +289,90 @@ class TestRun:
         assert metrics["samples"] == 0.0
         assert metrics["overall"] == "FAIL"
 
+    def test_unusable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """--out under a plain file exits 1 naming the path, before any step."""
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        steps = []
+        loop = scenario.run_closed_loop
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "run_closed_loop", counted)
+        out = afile / "sub"
+        code = run_cli("run", "--config", "testcase1", "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"output error: cannot create output directory {out}: Not a directory\n"
+        )
+        assert captured.out == ""
+        assert steps == []
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == "kept\n"
+
+    def test_run_record(self, mini_path, tmp_path):
+        """run.json records what ran; a rerun writes the same bytes."""
+        argv = ("--seed", "3", "--override", "plant.com_noise_m=1e-4")
+        for sub in ("a", "b"):
+            out = str(tmp_path / sub)
+            assert run_cli("run", "--config", str(mini_path), "--out", out, *argv) == 0
+        text = (tmp_path / "a" / "run.json").read_bytes()
+        assert text == (tmp_path / "b" / "run.json").read_bytes()
+        record = json.loads(text)
+        assert list(record) == [
+            "config", "seed", "exit_code", "diverged_at_s", "failure", "versions",
+            "trace", "summary",
+        ]
+        expected = {**MINI, "seed": 3, "plant": {"com_noise_m": 1e-4}}
+        assert parse_config(record["config"]) == parse_config(expected)
+        assert record["seed"] == 3
+        assert record["exit_code"] == 0
+        assert record["diverged_at_s"] is None and record["failure"] is None
+        assert record["versions"] == {
+            "locomanip": locomanip.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "pyyaml": yaml.__version__,
+            "libyaml": yaml.__with_libyaml__,
+        }
+        assert record["trace"] == trace_checksum(tmp_path / "a" / "trace.csv")
+        assert record["summary"]["samples"] == 400
+
+    def test_diverged_and_failed_runs_write_a_record(self, mini_path, tmp_path):
+        diverged = tmp_path / "diverged"
+        code = run_cli(
+            "run", "--config", str(mini_path), "--out", str(diverged),
+            "--override", "plant.divergence_limit_m=0.02",
+            "--override",
+            "disturbances=[{kind: step, axis: x, amplitude_n: -400.0, start_s: 0.5}]",
+        )
+        assert code == 2
+        record = json.loads((diverged / "run.json").read_text())
+        metrics = parse_metrics_file(diverged / "metrics.txt")
+        assert record["exit_code"] == 2 and record["failure"] is None
+        assert record["diverged_at_s"] == pytest.approx(metrics["diverged_at_s"], rel=1e-12)
+        assert record["summary"]["samples"] == metrics["samples"]
+
+        failed = tmp_path / "failed"
+        code = run_cli(
+            "run", "--config", "testcase1", "--out", str(failed),
+            "--override", "duration_s=6.0",
+            "--override",
+            "disturbances=[{kind: step, axis: z, amplitude_n: 600.0, start_s: 5.0, end_s: 8.0}]",
+        )
+        assert code == 3
+        record = json.loads((failed / "run.json").read_text())
+        assert record["exit_code"] == 3 and record["diverged_at_s"] is None
+        assert record["failure"] == {
+            "kind": "Infeasible",
+            "at_s": 5.0,
+            "detail": "net wrench must press downward on the ground",
+        }
+        assert record["summary"]["samples"] == 2500
+
 
 class TestCompare:
     @pytest.fixture
@@ -382,6 +490,225 @@ class TestCompare:
             assert code == 1
             assert err.startswith(f"schema mismatch: {path}: {reason}"), err
             assert err.count(str(path)) == 1, err
+
+
+def bits(summary) -> tuple:
+    """A trace summary with each float as its IEEE 754 bytes."""
+    return (
+        summary.columns,
+        struct.pack("<d", summary.dt),
+        summary.samples,
+        {k: struct.pack("<d", v) for k, v in summary.metrics.items()},
+    )
+
+
+def compare_outputs(capsys, *argv) -> tuple:
+    code = run_cli("compare", *map(str, argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def parsed_outputs(capsys, *argv) -> tuple:
+    """compare_outputs with every run.json beside the traces moved away."""
+    records = {Path(p).parent / "run.json" for p in argv}
+    moved = [r for r in records if r.exists()]
+    for r in moved:
+        r.rename(r.with_suffix(".away"))
+    try:
+        return compare_outputs(capsys, *argv)
+    finally:
+        for r in moved:
+            r.with_suffix(".away").rename(r)
+
+
+class TestRecordedSummary:
+    """compare takes a trace's summary from run.json only where its checksum
+    matches, and it then prints exactly what parsing the CSV prints."""
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        list(DIGESTS),
+        ids=[name + "".join(f"[{o}]" for o in ov) for name, ov in DIGESTS],
+    )
+    def test_summary_equals_parsed_trace(self, name, overrides, tmp_path, capsys):
+        raw = load_raw_config(bundled_scenario_path(name))
+        if overrides:
+            raw = apply_overrides(raw, list(overrides))
+        path = run_scenario(parse_config(raw), out_dir=tmp_path).trace_path
+        summary = recorded_summary(path)
+        assert summary is not None
+        assert bits(summary) == bits(trace_summary(TraceLog.from_csv(path)))
+        recorded = compare_outputs(capsys, path, path)
+        assert recorded[0] == 0
+        assert recorded == parsed_outputs(capsys, path, path)
+
+    @pytest.fixture
+    def two_runs(self, mini_path, tmp_path):
+        for sub, argv in (("a", ()), ("b", ("--override", "controller.k_p=1.5"))):
+            out = str(tmp_path / sub)
+            assert run_cli("run", "--config", str(mini_path), "--out", out, *argv) == 0
+        return tmp_path / "a" / "trace.csv", tmp_path / "b" / "trace.csv"
+
+    def test_one_byte_edit_is_parsed(self, two_runs, capsys):
+        a, b = two_runs
+        before = compare_outputs(capsys, a, b)
+        lines = b.read_text().splitlines(keepends=True)
+        column = lines[0].rstrip("\n").split(",").index("z_x^a")
+        cells = lines[100].split(",")
+        digit = next(i for i, ch in enumerate(cells[column]) if ch in "123456789")
+        new = "1" if cells[column][digit] != "1" else "9"
+        cells[column] = cells[column][:digit] + new + cells[column][digit + 1 :]
+        lines[100] = ",".join(cells)
+        edited = "".join(lines)
+        assert len(edited) == len(b.read_text())
+        b.write_text(edited)
+        assert recorded_summary(b) is None
+        after = compare_outputs(capsys, a, b)
+        assert after == parsed_outputs(capsys, a, b)
+        assert after[0] == 0 and after[1] != before[1]
+
+    def test_missing_record_is_parsed(self, two_runs, capsys):
+        a, b = two_runs
+        (b.parent / "run.json").unlink()
+        assert compare_outputs(capsys, a, b) == parsed_outputs(capsys, a, b)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: "",
+            lambda text: "[]",
+            lambda text: text.replace('"summary": {', '"summary": [{', 1),
+        ],
+        ids=["truncated", "empty", "list", "bad-json"],
+    )
+    def test_malformed_record_is_parsed(self, two_runs, capsys, damage):
+        a, b = two_runs
+        record = b.parent / "run.json"
+        record.write_text(damage(record.read_text()))
+        assert recorded_summary(b) is None
+        assert compare_outputs(capsys, a, b) == parsed_outputs(capsys, a, b)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("trace", "crc32", "text"),
+            ("trace", "bytes", True),
+            ("summary", "samples", 400.0),
+            ("summary", "dt", 1),
+            ("summary", "columns", "time"),
+            ("summary", "metrics", [1.0]),
+        ],
+    )
+    def test_record_of_wrong_types_is_parsed(self, two_runs, capsys, section, key, value):
+        a, b = two_runs
+        path = b.parent / "run.json"
+        record = json.loads(path.read_text())
+        record[section][key] = value
+        write_run_record(path, record)
+        assert recorded_summary(b) is None
+        assert compare_outputs(capsys, a, b) == parsed_outputs(capsys, a, b)
+
+    def test_record_of_other_metrics_is_parsed(self, two_runs, capsys):
+        a, b = two_runs
+        path = b.parent / "run.json"
+        record = json.loads(path.read_text())
+        del record["summary"]["metrics"]["rms_gammaL_y"]
+        write_run_record(path, record)
+        assert recorded_summary(b) is None
+        assert compare_outputs(capsys, a, b) == parsed_outputs(capsys, a, b)
+
+    def test_failed_run_of_one_row_is_parsed(self, two_runs, tmp_path, capsys):
+        a, _ = two_runs
+        out = tmp_path / "failed"
+        code = run_cli(
+            "run", "--config", "testcase1", "--out", str(out),
+            "--override",
+            "disturbances=[{kind: step, axis: z, amplitude_n: 600.0, start_s: 0.0, end_s: 8.0}]",
+        )
+        assert code == 3
+        capsys.readouterr()
+        assert json.loads((out / "run.json").read_text())["summary"] is None
+        failed = compare_outputs(capsys, a, out / "trace.csv")
+        assert failed == parsed_outputs(capsys, a, out / "trace.csv")
+        assert failed[0] == 1
+        assert failed[2].startswith("schema mismatch: ")
+        assert failed[2].endswith(" at least 2 rows\n")
+
+    def test_trace_lacking_a_metric_column_is_parsed(self, two_runs, tmp_path, capsys):
+        a, _ = two_runs
+        trace = TraceLog.from_csv(a)
+        del trace.columns["z_x^a"]
+        broken = tmp_path / "broken" / "trace.csv"
+        broken.parent.mkdir()
+        with open(broken, "w") as fh:
+            fh.write(",".join(trace.columns) + "\n")
+            np.savetxt(fh, np.column_stack(list(trace.columns.values())), delimiter=",")
+        record = run_record(parse_config(MINI), trace, 0, trace_checksum(broken))
+        assert record["summary"] is None
+        write_run_record(broken.parent / "run.json", record)
+        lacking = compare_outputs(capsys, broken, broken)
+        assert lacking == parsed_outputs(capsys, broken, broken)
+        assert lacking == (
+            1, "", f"schema mismatch: {broken}: trace lacks metric columns z_x^a\n"
+        )
+
+    def test_non_finite_and_signed_zero_metrics_round_trip(self, two_runs):
+        _, b = two_runs
+        path = b.parent / "run.json"
+        record = json.loads(path.read_text())
+        metrics = record["summary"]["metrics"]
+        special = dict(zip(metrics, (math.nan, math.inf, -math.inf, -0.0, 0.0)))
+        metrics.update(special)
+        write_run_record(path, record)
+        text = path.read_text()
+        for spelled in ("NaN", "Infinity", "-Infinity", "-0.0"):
+            assert f": {spelled},\n" in text
+        read = recorded_summary(b).metrics
+        for name, value in special.items():
+            assert struct.pack("<d", read[name]) == struct.pack("<d", value), name
+
+    def test_special_values_survive_the_csv_and_the_record(self, tmp_path):
+        """A trace with nan, inf, -inf and -0.0 in its columns: the written
+        summary equals the parsed one bit for bit."""
+        trace = random_trace(1000, special=True)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        record = run_record(parse_config(MINI), trace, 0, trace_checksum(path))
+        write_run_record(tmp_path / "run.json", record)
+        summary = recorded_summary(path)
+        assert not all(map(math.isfinite, summary.metrics.values()))
+        assert bits(summary) == bits(trace_summary(TraceLog.from_csv(path)))
+
+
+# after a run and a compare in a fresh interpreter, which modules are loaded
+_LOADED = """
+import sys
+from locomanip import cli
+out = sys.argv[1]
+assert cli.main([
+    "run", "--config", "testcase1", "--override", "duration_s=1.0", "--out", out,
+]) == 0
+assert cli.main(["compare", out + "/trace.csv", out + "/trace.csv"]) == 0
+print(sorted(m for m in sys.modules if "hashlib" in m))
+"""
+
+
+def test_no_hashlib_after_run_and_compare(tmp_path):
+    """The trace checksum needs no hashlib: importing it maps OpenSSL's
+    libcrypto, about 3.5 MB of resident memory in every process."""
+    env = dict(os.environ)
+    src = str(Path(locomanip.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestGains:
