@@ -5,7 +5,7 @@ which it creates before the run starts. `compare` takes each trace's
 summary from the run.json beside it when that records the checksum of the
 trace's bytes, and parses the CSV otherwise, with the same output.
 
-Exit codes: 0 success, 1 config, usage or output-directory error, 2 plant
+Exit codes: 0 success, 1 config, usage or output error, 2 plant
 divergence, 3 a control step failed mid-run (unloaded feet, non-finite
 plant state).
 """

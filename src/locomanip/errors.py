@@ -40,4 +40,4 @@ class SchemaMismatch(ValueError):
 
 
 class OutputError(OSError):
-    """A run's output directory cannot be created."""
+    """A run's output directory cannot be created or an output file written."""

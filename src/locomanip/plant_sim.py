@@ -20,9 +20,12 @@ of the steps before it attached as ``exc.trace``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,11 +87,17 @@ CSV_COLUMNS = (
 # internal diagnostics of TraceLog.extra, outside the CSV schema
 EXTRA_COLUMNS = ("zmp_saturated", "cop_clamped", "zmp_clamped")
 
-# samples per block of run_closed_loop and of the trace CSV's write and read:
-# the temporaries grow with it, the per-call overhead per sample shrinks with
-# it. A block of the 26 CSV columns (106 KB) stays under glibc's 128 KiB mmap
+# samples per block of run_closed_loop and of the trace CSV's read: the
+# temporaries grow with it, the per-call overhead per sample shrinks with it.
+# A block of the 26 CSV columns (106 KB) stays under glibc's 128 KiB mmap
 # threshold.
 BLOCK_SAMPLES = 512
+
+# rows per block of the trace CSV's write: _format_rows keeps a 32-byte cell
+# per value and up to about 12 arrays of 8 bytes per value alive at once, so
+# a block of 64 rows (1664 values) peaks at about 0.31 MB, each array far
+# under the mmap threshold
+CSV_WRITE_ROWS = 64
 
 # the columns the open-loop pass writes per block, in the order of its values
 _MEASURED_COLUMNS = (
@@ -274,14 +283,40 @@ class TraceLog:
     def duration(self) -> float:
         return len(self) * self.dt
 
-    def to_csv(self, path):
-        """Write the CSV columns with %.17g, one block of rows at a time."""
+    def to_csv(self, path) -> dict:
+        """Write the CSV columns, each value as the text of '%.17g' % value,
+        one block of CSV_WRITE_ROWS rows at a time, and return the CRC-32
+        and byte length of what was written, as trace_checksum gives them.
+
+        The text comes from _format_rows, which gives the same bytes as
+        '%.17g' for every double. Its numpy fast path scales each |x| by
+        10**(16 - E), E = floor(log10|x|), to within 1e-14 (a double-double
+        product), and rounds that to the 17 digits D. The
+        result is certified when D has exactly 17 digits, so that E was
+        right, and when the scaled value is more than 1e-9 away from a
+        rounding tie, so that its error cannot move D. Every value it
+        cannot certify, and every NaN, infinity, subnormal or other
+        magnitude outside 1e-250..1e250, is formatted by '%.17g' itself.
+        """
         columns = [self.columns[c] for c in CSV_COLUMNS]
-        with open(path, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for b in range(0, len(self), BLOCK_SAMPLES):
-                block = np.column_stack([c[b : b + BLOCK_SAMPLES] for c in columns])
-                np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+        rows = np.empty((CSV_WRITE_ROWS, len(columns)))
+        cell = np.empty((rows.size, 4), "<i8")
+        seps = np.full(rows.shape, ord(","), np.int64)
+        seps[:, -1] = ord("\n")
+        seps = (seps << 56).ravel()
+        header = (",".join(CSV_COLUMNS) + "\n").encode()
+        crc, size = zlib.crc32(header), len(header)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            for b in range(0, len(self), CSV_WRITE_ROWS):
+                n = min(CSV_WRITE_ROWS, len(self) - b)
+                for j, c in enumerate(columns):
+                    rows[:n, j] = c[b : b + n]
+                for piece in _format_rows(rows[:n].ravel(), seps, cell):
+                    fh.write(piece)
+                    crc = zlib.crc32(piece, crc)
+                    size += len(piece)
+        return {"crc32": crc, "bytes": size}
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
@@ -313,6 +348,250 @@ def _data_lines(fh):
     """The lines of fh that np.loadtxt reads a row from: those with text
     before any '#'."""
     return (line for line in fh if line.partition("#")[0].strip())
+
+
+# ---------------------------------------------------------------------------
+# '%.17g' text of float64 values, for TraceLog.to_csv
+#
+# Each value gets a cell of four little-endian int64 words, 32 bytes, which
+# hold its text with zero bytes between the parts; dropping the zero bytes
+# leaves the text. Word 0 holds the sign and the "0.000" prefix of
+# 1e-4 <= |x| < 1; words 1-3 hold the 17 digits with the decimal point
+# inserted, then the exponent ("e+05", "e-123") and the separator. In a
+# word, the byte at text position j is bits 8j..8j+7, so shifting left by 8
+# moves the text one position later.
+
+_G17_E = range(-260, 261)  # the decimal exponents E the tables hold
+_G17_MIN, _G17_MAX = 1e-250, 1e250  # |x| the fast path formats
+_G17_TIE = 0.5 - 1e-9  # the farthest a certified scaled value lies from an integer
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_DIGIT = np.arange(48, 58)  # the word of each digit's text
+
+
+class _G17Tables(NamedTuple):
+    p10_hi: np.ndarray  # 10**(16 - E) = hi + lo, by E - _G17_E[0]
+    p10_hh: np.ndarray  # hi = hh + hl, for Dekker's product
+    p10_hl: np.ndarray
+    p10_lo: np.ndarray
+    quad: np.ndarray  # the word of a 4-digit group's text
+    ends: tuple  # text position after the last nonzero digit, per group
+    layout: tuple  # (keep, shift, dot) masks of words 1-3, per layout
+    template: np.ndarray  # 18 * the template of E
+    prefix: np.ndarray  # word 0 of E, sign aside
+    suffix: np.ndarray  # the exponent of E in word 3
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+def _pow10_tables():
+    """10**(16 - E) for each E of _G17_E as hi + lo, each correctly rounded
+    (int / int is), and hi = hh + hl split for Dekker's product."""
+    hi, lo = [], []
+    for e in _G17_E:
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    return hi, hh, hi - hh, np.array(lo)
+
+
+def _digit_tables():
+    """The word of each 4-digit group's text, and for each of the groups
+    q1..q4 (text positions 1-4, 5-8, 9-12, 13-16) the position after its
+    last nonzero digit, or 1 for a zero group."""
+    q = np.arange(10000, dtype=np.int16)
+    text = np.stack([(q // 10**i % 10 + 48).astype(np.uint8) for i in (3, 2, 1, 0)], 1)
+    quad = text.view("<u4")[:, 0].astype(np.int64)
+    sig = np.full(len(q), 4, np.uint8)
+    for i in (1, 2, 3):
+        sig -= q % 10**i == 0
+    return quad, tuple(np.where(q == 0, 1, 1 + 4 * k + sig) for k in range(4))
+
+
+def _layout_tables():
+    """The (keep, shift, dot) masks of words 1-3 for each layout 18 * t + n
+    of template t and n digits. Template 0-16 is fixed notation with that
+    E, 17 fixed notation with -4 <= E < 0, 18 exponent notation. Byte j of
+    words 1-3 keeps digit j, takes digit j - 1 (after the point) or is the
+    point."""
+    t, n = np.divmod(np.arange(19 * 18, dtype=np.int16), 18)
+    point = np.select([t < 17, t == 17], [t + 1, 18], 1).astype(np.int8)
+    shown = np.select([t < 17, t == 17], [t + 1, 0], 1)  # digits kept if zero
+    length = np.where(n > point, n + 1, np.maximum(n, shown)).astype(np.int8)
+    j = np.arange(24, dtype=np.int8)
+    keep = j < np.minimum(point, length)[:, None]
+    shift = (j > point[:, None]) & (j < length[:, None])
+    dot = (j == point[:, None]) & (j < length[:, None])
+    return tuple(
+        tuple(np.ascontiguousarray((m * np.uint8(byte)).view("<i8")[:, k]) for k in range(3))
+        for m, byte in ((keep, 0xFF), (shift, 0xFF), (dot, ord(".")))
+    )
+
+
+@functools.cache
+def _g17_tables() -> _G17Tables:
+    """The fast path's lookup tables (180 KB), built from Python ints and
+    bytes on the first write of a process."""
+    es = np.array(_G17_E)
+    template = np.select([(es >= 0) & (es < 17), (es < 0) & (es >= -4)], [es, 17], 18)
+    prefix = [_word(b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"") for e in _G17_E]
+    # at text positions 18-22, after the digits and the point; %g writes
+    # at least two exponent digits
+    suffix = [_word(b"" if -4 <= e < 17 else b"\0\0e%+03d" % e) for e in _G17_E]
+    return _G17Tables(
+        *_pow10_tables(), *_digit_tables(), _layout_tables(), 18 * template,
+        np.array(prefix, np.int64), np.array(suffix, np.int64),
+    )
+
+
+def _g17_product(a, ei, tab: _G17Tables):
+    """(p, t) with p + t within 1e-14 of a * 10**(16 - E): p = fl(a * hi)
+    and t the rest of Dekker's exact product a * hi, plus a * lo."""
+    p = tab.p10_hi.take(ei)
+    p *= a
+    ah = a * _SPLIT
+    ah -= ah - a
+    al = a - ah
+    hh, hl = tab.p10_hh.take(ei), tab.p10_hl.take(ei)
+    t = ah * hh
+    t -= p
+    ah *= hl
+    t += ah
+    np.multiply(al, hh, out=hh)
+    t += hh
+    al *= hl
+    t += al
+    np.take(tab.p10_lo, ei, out=hh)
+    hh *= a
+    t += hh
+    return p, t
+
+
+def _g17_scaled(x, tab: _G17Tables):
+    """The fast path's first stage over the float64 array x: (ei, d, fast).
+
+    ei is E - _G17_E[0] with E = floor(log10|x|), d = round(|x| * 10**(16 -
+    E)) as int64, and fast marks the values whose d is certified: d has 17
+    digits and the scaled value (_g17_product) lies more than 1e-9 from a
+    rounding tie. Zeros are fast with d = 0 and E = 0.
+    """
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= _G17_MIN) & (a <= _G17_MAX)
+    np.copyto(a, 1.0, where=~fast)
+    ei = np.floor(np.log10(a)).astype(np.intp)
+    ei -= _G17_E[0]
+    p, t = _g17_product(a, ei, tab)
+    # p + t >= 1e16, else E was too large (p - 1e16 is exact near 1e16)
+    np.subtract(p, 1e16, out=a)
+    a += t
+    fast &= a >= 0.0
+    r = np.rint(t)
+    t -= r
+    np.abs(t, out=t)
+    fast &= t <= _G17_TIE
+    d = p.astype(np.int64)
+    d += r.astype(np.int64)
+    # d < 1e17, else E was too small or the rounding carried
+    fast &= d < 10**17
+    fast |= zero
+    np.copyto(d, 0, where=zero)
+    np.copyto(ei, -_G17_E[0], where=zero)
+    return ei, d, fast
+
+
+def _g17_digits(d, ei, tab: _G17Tables, cell):
+    """Words 1-3 of each cell: the 17 digits of d (which this consumes)
+    with the point where E's template puts it and the fraction's trailing
+    zeros dropped."""
+    # d0, then the 4-digit groups q1..q4 (q2 and q4 in place)
+    d0 = d // 10**16
+    d -= d0 * 10**16
+    q2 = d // 10**8
+    d -= q2 * 10**8
+    q1 = q2 // 10**4
+    q2 -= q1 * 10**4
+    q3 = d // 10**4
+    d -= q3 * 10**4
+    digits = tab.ends[0].take(q1)
+    for ends, q in zip(tab.ends[1:], (q2, q3, d)):
+        np.maximum(digits, ends.take(q), out=digits)
+    layout = tab.template.take(ei)
+    layout += digits
+    # the digits' text as the words s0 s1 s2 of positions 0-7, 8-15, 16
+    s0 = tab.quad.take(q1) << 8
+    s0 |= _DIGIT.take(d0, mode="clip")
+    w = tab.quad.take(q2)
+    s0 |= w << 40
+    s1 = w >> 24
+    w = tab.quad.take(q3)
+    s1 |= w << 8
+    w = tab.quad.take(d)
+    s1 |= w << 40
+    s2 = w >> 24
+    del q1, q2, q3, d0, digits, w
+    # each s word as it is before the point, and shifted one position
+    # later after it
+    prev = np.zeros(len(d), np.int64)
+    for k, s in enumerate((s0, s1, s2)):
+        keep, shift, dot = (masks[k].take(layout) for masks in tab.layout)
+        later = s << 8
+        later |= prev
+        np.right_shift(s, 56, out=prev)
+        later &= shift
+        keep &= s
+        keep |= later
+        np.bitwise_or(keep, dot, out=cell[:, 1 + k])
+
+
+def _format_rows(x, seps, cell) -> list:
+    """The '%.17g' text of each value of the contiguous float64 array x,
+    each followed by its separator, as a list of bytes-like pieces to write
+    in order. seps holds each value's separator as (char << 56); cell is
+    scratch of at least (len(x), 4) little-endian int64.
+
+    _g17_scaled gives the 17 digits D of the values it certifies (why they
+    are exact: TraceLog.to_csv), _g17_digits lays them out in %g's fixed
+    notation for -4 <= E < 17 and exponent notation otherwise, with the
+    fraction's trailing zeros dropped. Every other value goes through
+    '%.17g' one at a time.
+    """
+    n = len(x)
+    cell = cell[:n]
+    tab = _g17_tables()
+    ei, d, fast = _g17_scaled(x, tab)
+    _g17_digits(d, ei, tab, cell)
+    del d  # each stage's arrays are freed before the next one allocates
+    np.bitwise_or(cell[:, 3], tab.suffix.take(ei), out=cell[:, 3])
+    cell[:, 3] |= seps[:n]
+    # word 0: x >> 63 is -1 where the sign bit is set
+    sign = x.view(np.int64) >> 63
+    sign &= ord("-")
+    np.bitwise_or(tab.prefix.take(ei), sign, out=cell[:, 0])
+    del ei, sign
+
+    slow = np.flatnonzero(~fast)
+    cell[slow, :3] = 0
+    cell[slow, 3] = seps[slow]
+    text = cell.view(np.uint8).ravel()
+    kept = text != 0
+    out = text[kept]
+    if not len(slow):
+        return [out]
+    # a slow value's cell holds its separator alone: its text goes before it
+    pieces, start, done = [], 0, 0
+    for i in slow:
+        end = start + int(np.count_nonzero(kept[32 * done : 32 * i]))
+        pieces += [out[start:end], b"%.17g" % x[i]]
+        start, done = end, i
+    pieces.append(out[start:])
+    return pieces
 
 
 def _block_contacts(timeline, b0: int, b1: int):

@@ -1094,7 +1094,8 @@ def run_scenario(
     With write, the output directory is created before anything runs, so an
     unusable one raises OutputError first. After the run it receives
     trace.csv, metrics.txt and then run.json (run_record), which holds the
-    checksum of the trace.csv bytes.
+    checksum of the trace.csv bytes as TraceLog.to_csv wrote them. A file
+    that cannot be written raises OutputError naming it.
     """
     target = trace_path = metrics_path = None
     if write:
@@ -1126,10 +1127,15 @@ def run_scenario(
     if write:
         trace_path = target / "trace.csv"
         metrics_path = target / "metrics.txt"
-        trace.to_csv(trace_path)
-        metrics_path.write_text(format_metrics(metrics, checks))
-        record = run_record(config, trace, exit_code, trace_checksum(trace_path))
-        write_run_record(target / RUN_RECORD, record)
+        path = trace_path
+        try:
+            checksum = trace.to_csv(path)
+            path = metrics_path
+            path.write_text(format_metrics(metrics, checks))
+            path = target / RUN_RECORD
+            write_run_record(path, run_record(config, trace, exit_code, checksum))
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
     return ScenarioResult(
         config=config,
         trace=trace,
@@ -1228,7 +1234,8 @@ def _written_summary(trace: TraceLog) -> dict | None:
 def run_record(config: ScenarioConfig, trace: TraceLog, exit_code: int, checksum) -> dict:
     """The run.json of a run: the config (config_to_dict) and seed, the exit
     code, the divergence or failure, the versions that ran it, then the
-    trace_checksum of its trace.csv and that trace's summary
+    trace_checksum of its trace.csv (which TraceLog.to_csv returns) and that
+    trace's summary
     (_written_summary). Nothing in it is a timing, so a rerun writes the
     same bytes."""
     from . import __version__

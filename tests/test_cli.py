@@ -313,6 +313,38 @@ class TestRun:
         assert list(tmp_path.iterdir()) == [afile]
         assert afile.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("name", ["trace.csv", "metrics.txt", "run.json"])
+    def test_unwritable_output_file_is_an_output_error(self, name, tmp_path, capsys):
+        """An output file that cannot be written exits 1 naming it, as an
+        output error, not a config error."""
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = run_cli(
+            "run", "--config", "testcase1", "--override", "duration_s=1.0",
+            "--out", str(out),
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"output error: cannot write {out / name}: Is a directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        list(DIGESTS),
+        ids=[name + "".join(f"[{o}]" for o in ov) for name, ov in DIGESTS],
+    )
+    def test_record_holds_the_written_checksum(self, name, overrides, tmp_path):
+        """to_csv returns the checksum of the bytes it wrote, and run.json
+        records it without reading trace.csv back."""
+        raw = load_raw_config(bundled_scenario_path(name))
+        if overrides:
+            raw = apply_overrides(raw, list(overrides))
+        result = run_scenario(parse_config(raw), out_dir=tmp_path)
+        record = json.loads((tmp_path / "run.json").read_text())
+        assert record["trace"] == trace_checksum(result.trace_path)
+        again = tmp_path / "again.csv"
+        assert result.trace.to_csv(again) == trace_checksum(again) == record["trace"]
+
     def test_run_record(self, mini_path, tmp_path):
         """run.json records what ran; a rerun writes the same bytes."""
         argv = ("--seed", "3", "--override", "plant.com_noise_m=1e-4")
@@ -705,6 +737,27 @@ def test_no_hashlib_after_run_and_compare(tmp_path):
         env=env,
         capture_output=True,
         text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+_IMPORTED = """
+import sys
+import locomanip.cli
+print(sorted(m for m in sys.modules if m in ("fractions", "decimal", "_decimal", "_pydecimal")))
+"""
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    """The trace writer's tables are built from Python ints: fractions
+    would import decimal, about 0.55 MB of resident memory."""
+    env = dict(os.environ)
+    src = str(Path(locomanip.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTED], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from _pipeline import (
     DT,
     OMEGA,
@@ -36,11 +37,15 @@ from locomanip.pattern_generator import (
 )
 from locomanip.plant_sim import (
     CSV_COLUMNS,
+    CSV_WRITE_ROWS,
     DIVERGENCE_LIMIT,
     EXTRA_COLUMNS,
     STEP_FAILURES,
     DisturbanceProfile,
     TraceLog,
+    _format_rows,
+    _g17_scaled,
+    _g17_tables,
     apply_disturbances,
     run_closed_loop,
     step_plant,
@@ -52,6 +57,7 @@ from locomanip.scenario import (
     bundled_scenario_path,
     load_raw_config,
     parse_config,
+    trace_checksum,
 )
 from locomanip.stabilizer import Stabilizer, StabilizerGains, StabilizerState
 
@@ -437,6 +443,23 @@ class TestTraceCsv:
             assert back[name].tobytes() == trace[name].tobytes(), name
             assert back[name].flags.owndata, name
 
+    WRITE = CSV_WRITE_ROWS
+
+    @pytest.mark.parametrize(
+        "rows", [WRITE - 1, WRITE, WRITE + 1, 2 * WRITE, 3 * WRITE + 5],
+        ids=["write-block-minus-one", "one-write-block", "write-block-plus-one",
+             "two-write-blocks", "three-write-blocks-plus-five"],
+    )
+    def test_write_block_edges(self, tmp_path, rows):
+        """On the edges of the writer's blocks too: the bytes of the
+        whole-array writer, and the checksum of what was written."""
+        trace = random_trace(rows, special=True)
+        blocked, whole = tmp_path / "blocked.csv", tmp_path / "whole.csv"
+        checksum = trace.to_csv(blocked)
+        write_trace_savetxt(trace, whole, CSV_COLUMNS)
+        assert blocked.read_bytes() == whole.read_bytes()
+        assert checksum == trace_checksum(blocked)
+
     def test_blank_and_comment_lines_are_skipped(self, tmp_path):
         trace = random_trace(self.BLOCK + 5)
         path = tmp_path / "trace.csv"
@@ -461,6 +484,105 @@ class TestTraceCsv:
         path.write_text("time,a\n# only a note\n\n")
         with pytest.raises(ValueError, match="need a time column with at least 2 rows"):
             TraceLog.from_csv(path)
+
+
+def g17_text(values) -> bytes:
+    """The text _format_rows gives for values, each followed by a comma."""
+    x = np.array(values, dtype=np.float64)
+    seps = np.full(len(x), ord(","), np.int64) << 56
+    cell = np.empty((len(x), 4), "<i8")
+    return b"".join(bytes(piece) for piece in _format_rows(x, seps, cell))
+
+
+def printf_text(values) -> bytes:
+    return "".join("%.17g," % v for v in values).encode()
+
+
+def neighbours(values):
+    """Each value and the doubles one ulp below and above it."""
+    values = np.array(values, dtype=np.float64)
+    return [*values, *np.nextafter(values, -np.inf), *np.nextafter(values, np.inf)]
+
+
+def _edge_values():
+    tiny, huge = np.finfo(np.float64).smallest_normal, np.finfo(np.float64).max
+    sub = np.finfo(np.float64).smallest_subnormal
+    g17_min, g17_max = plant_sim._G17_MIN, plant_sim._G17_MAX
+    values = [
+        0.0, math.nan, -math.nan, math.inf,
+        sub, tiny - sub, tiny, huge,
+        *neighbours([10.0**k for k in range(-300, 301)]),
+        *neighbours([float(f"1e{k}") for k in range(-300, 301)]),
+        # %g's notation boundaries, and two- against three-digit exponents
+        *neighbours([1e-5, 1e-4, 9.9999999999999995e-5, 1e16, 1e17, 9.9999999999999998e16]),
+        *neighbours([1e99, 1e100, 1e-99, 1e-100, 9.9999999999999997e99, 9.99e-100]),
+        # exact ties of the 17th digit (odd/4 near 1e15, odd/8 near 1e14),
+        # and values an ulp off them
+        *neighbours([1e15 + k / 4 for k in range(-15, 17, 2)]),
+        *neighbours([1e14 + k / 8 for k in range(-15, 17, 2)]),
+        # the edges of the fast range
+        *neighbours([g17_min, g17_max, 1e-251, 1e251, 9.99e-251, 1.01e250]),
+        # trailing zeros and short fractions
+        1.0, 10.0, 100.0, 0.01, 0.1, 0.3, 0.5, 1.5, 123.456, 1e15 + 0.5, 2.0**52,
+        2.0**63, 2.0**-1022, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 0.1 + 0.2,
+        12345678901234567.0, 98765432109876543e3,
+    ]
+    return [v for value in values for v in (value, -value)]
+
+
+class TestPercentG17:
+    """_format_rows against '%.17g' % x: every double gives the same text."""
+
+    def test_edge_values(self):
+        values = _edge_values()
+        assert g17_text(values) == printf_text(values)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_one_value_each(self, sign):
+        """Each edge value alone: the fallback's splice at either end."""
+        for v in _edge_values()[::7]:
+            assert g17_text([sign * v]) == printf_text([sign * v]), v
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1).map(
+                    lambda bits: float(np.array(bits, np.uint64).view(np.float64))
+                ),
+                st.floats(),
+            ),
+            min_size=1, max_size=80,
+        )
+    )
+    def test_every_bit_pattern(self, values):
+        assert g17_text(values) == printf_text(values)
+
+    @pytest.mark.parametrize("error", [-1.0, -1e-12, 1e-12, 1.0])
+    def test_misestimated_exponent_falls_back(self, monkeypatch, error):
+        """A log10 that is off, by a whole decade or near the powers of ten
+        only, moves no byte: D then lacks 17 digits and the value falls
+        back."""
+        values = _edge_values()
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+        assert g17_text(values) == printf_text(values)
+
+    def test_ties_fall_back(self):
+        """A scaled value within 1e-9 of a tie is not certified, even where
+        the product is exact."""
+        x = np.array([1e15 + 0.25, -1e15 - 0.75, 1e14 + 0.125])
+        assert not _g17_scaled(x, _g17_tables())[2].any()
+
+    def test_common_values_take_the_fast_path(self):
+        """Powers of ten, where log10 is exact and D is 10**16, and every
+        value of a bundled trace take no fallback."""
+        tab = _g17_tables()
+        x = np.array([1.0, 10.0, 0.01, -100.0, 1e-4, 1e16, -0.0, 0.0, 0.005, 51.0])
+        assert _g17_scaled(x, tab)[2].all()
+        trace = loop_of(scenario_bundle("testcase1", "duration_s=2.0"))
+        x = np.concatenate([trace[name] for name in CSV_COLUMNS])
+        assert _g17_scaled(x, tab)[2].all()
 
 
 def scenario_bundle(name, *overrides):
@@ -958,6 +1080,15 @@ def trace_io_excess_mb(tmp_path, seconds, dt=0.005):
     back, read = traced_peak(lambda: TraceLog.from_csv(path))
     own = sum(a.nbytes for a in back.columns.values())
     return write / 1e6, (read - own) / 1e6
+
+
+def test_trace_write_memory_is_bounded(tmp_path):
+    """Beyond the trace, to_csv holds under 0.5 MB for a 40 s trace: one
+    write block's cells and arrays, where a copy of the trace's 8000 rows
+    would add 1.7 MB and their text 3.5 MB."""
+    trace_io_excess_mb(tmp_path, 1.0)  # first-call caches
+    write, _ = trace_io_excess_mb(tmp_path, 40.0)
+    assert write < 0.5, write
 
 
 def test_trace_io_memory_does_not_grow_with_the_trace(tmp_path):
