@@ -216,12 +216,18 @@ def net_foot_wrench(params: RobotParams, cx, cy, cz, ax, ay, az, rows) -> tuple:
     return fx, fy, fz, mx, my, mz
 
 
+def check_vertical_force(fz):
+    """Raise NonPhysical where a wrench's vertical force fz (a float, or an
+    array of samples) is 0 or NaN: its pressure point is then undefined."""
+    if not np.all(abs(fz) > 0.0):
+        raise NonPhysical("wrench has no vertical force; ZMP undefined")
+
+
 def wrench_zmp(fx, fy, fz, mx, my, zmp_height: float = 0.0) -> tuple:
     """(x, y) on the ground plane where the wrench's horizontal moment vanishes.
 
     The values may be arrays of one shape, as for net_foot_wrench. Raises
-    NonPhysical when the wrench has no vertical force (at any sample).
+    as check_vertical_force.
     """
-    if not np.all(abs(fz) > 0.0):
-        raise NonPhysical("wrench has no vertical force; ZMP undefined")
+    check_vertical_force(fz)
     return (-my + zmp_height * fx) / fz, (mx + zmp_height * fy) / fz

@@ -11,9 +11,11 @@ measurement noise, Stabilizer.measure_forces and the search for unloaded
 feet. The feedback pass runs one step at a time on Python floats, with the
 plant state and the DCM memory in local variables: Stabilizer.step and
 step_plant. The ground-wrench pass feeds nothing back and runs on arrays:
-Stabilizer.ground_wrench gives the cop_clamped flag. Each law is defined
-once. The support hull's edges and the ZMP clamp bounds of every support
-phase are built once per run, in one table indexed by phase. A step that
+Stabilizer.ground_wrench gives the cop_clamped flag. The plant state, the
+DCM memory and the force-error bands go from block to block as the run's
+own values; the Stabilizer holds none of them. Each law is defined once.
+The support hull's edges and the ZMP clamp bounds of every support phase
+are built once per run, in one table indexed by phase. A step that
 fails (STEP_FAILURES) ends the run: the exception propagates with the trace
 of the steps before it attached as ``exc.trace``.
 """
@@ -39,7 +41,7 @@ from .core_dynamics import (
 from .errors import Infeasible, NonFiniteState, NonPhysical
 from .pattern_generator import DesiredTrajectory
 from .reference_builder import SoleRect
-from .stabilizer import Stabilizer, hull_edges, support_hull
+from .stabilizer import Stabilizer, check_feet_loaded, hull_edges, support_hull
 
 _DISTURBANCE_KINDS = ("constant", "sinusoid", "step")
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -144,6 +146,8 @@ class DisturbanceProfile:
             raise ValueError("sinusoid period must be positive")
         if not math.isfinite(self.amplitude):
             raise ValueError("disturbance amplitude must be finite")
+        if not math.isfinite(self.start_time) or math.isnan(self.end_time):
+            raise ValueError("disturbance start_time must be finite, end_time a number")
         if self.end_time < self.start_time:
             raise ValueError("disturbance ends before it starts")
 
@@ -612,25 +616,28 @@ def _block_contacts(timeline, b0: int, b1: int):
     return b1, tuple(tuple(table[first + i].T) for i in range(int(count[0])))
 
 
-def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng):
+def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, bands):
     """The open-loop pass over the block from sample b0, on arrays.
 
     Runs apply_disturbances, the true contacts' contact_terms, the noise
-    draws and Stabilizer.measure_forces, and writes the block's
-    _MEASURED_COLUMNS into columns. None of this reads the plant. Returns
-    (b1, stop, inputs, measured, sample_noise):
+    draws and Stabilizer.measure_forces from the bands of the sample before
+    b0, and writes the block's _MEASURED_COLUMNS into columns. None of this
+    reads the plant. Returns (b1, inputs, measured, sample_noise, bands,
+    unloaded):
 
     - b1, the block's end;
-    - stop, the block's first sample whose measured contacts leave the feet
-      no downward force (net_foot_force's fz is not > 0, and the
-      ground-wrench stage raises there), or b1;
-    - inputs, the per-sample inputs of samples b0 through stop (to b1 at
-      most) as lists, in the order _feedback_pass takes them: phase,
-      planned kappa, plan (with one more sample), bands, noise (None
-      without noise), and the true kappa, gamma_x and gamma_y;
+    - inputs, the per-sample inputs of the samples before the block's first
+      unloaded one (to b1 at most) as lists, in the order _feedback_pass
+      takes them: phase, planned kappa, plan (with one more sample), bands,
+      noise (None without noise), and the true kappa, gamma_x and gamma_y;
     - measured, the measured contacts as contact_rows over the block;
     - sample_noise, the (samples, 4) noise on (com_x, com_y, vel_x, vel_y),
-      or None without noise.
+      or None without noise;
+    - bands, those of the block's last sample;
+    - unloaded, the exception check_feet_loaded raises at the block's first
+      sample whose measured contacts leave the feet no downward force
+      (net_foot_force's fz is not > 0), as the ground-wrench stage would
+      raise there, or None.
     """
     timeline = traj.timeline
     params = stabilizer.params
@@ -655,18 +662,23 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng):
             measured = tuple(
                 tuple(f + force_noise * next(e) for f in r[:3]) + r[3:] for r in true
             )
-    gex, gey, bands = stabilizer.measure_forces(measured, desired, m)
+    gex, gey, bands = stabilizer.measure_forces(measured, desired, m, bands)
     low_x, low_y, high_x, high_y = _columns(bands, 6)[:4]
     for name, value in zip(
         _MEASURED_COLUMNS, (gex, gey, low_x, low_y, high_x, high_y, fsx, fsy, fsz)
     ):
         columns[name][b0:b1] = value
 
-    fz = net_foot_force(params, 0.0, 0.0, 0.0, measured)[2]
-    unloaded = np.flatnonzero(~(np.broadcast_to(fz, m) > 0.0))
-    stop = b0 + int(unloaded[0]) if len(unloaded) else b1
-    end = min(stop + 1, b1) - b0
-    # the plan through the stop sample, and of the next one (the last
+    fz = np.broadcast_to(net_foot_force(params, 0.0, 0.0, 0.0, measured)[2], m)
+    stop = np.flatnonzero(~(fz > 0.0))
+    end = int(stop[0]) if len(stop) else m
+    unloaded = None
+    if end < m:
+        try:
+            check_feet_loaded(fz[end])
+        except STEP_FAILURES as exc:
+            unloaded = exc
+    # the plan through the last step, and of the next sample (the last
     # sample's own past the end), which the divergence test reads
     planned = np.minimum(np.arange(b0, b0 + end + 1), n - 1)
     inputs = (
@@ -679,7 +691,7 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng):
         [None] * end if sample_noise is None else sample_noise[:end].tolist(),
         *(np.broadcast_to(a, m)[:end].tolist() for a in (kappa, gx, gy)),
     )
-    return b1, stop, inputs, measured, sample_noise
+    return b1, inputs, measured, sample_noise, bands[-1], unloaded
 
 
 def _columns(rows: list, width: int) -> np.ndarray:
@@ -689,8 +701,8 @@ def _columns(rows: list, width: int) -> np.ndarray:
     return flat.reshape(-1, width).T
 
 
-def _feedback_pass(step, omega, law, support, plant, memory, inputs, steps):
-    """The feedback pass over a block's first `steps` samples, one step at a
+def _feedback_pass(step, omega, law, support, plant, memory, inputs):
+    """The feedback pass over a block's samples in inputs, one step at a
     time.
 
     Per sample: read the plant, add the sample's noise, run Stabilizer.step
@@ -698,14 +710,15 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs, steps):
     contacts with step_plant. The plant state and the memory stay in local
     variables. law is (decay, plant omega, dt, divergence limit), support
     the run's table of (hull_edges, clamp bounds) by phase, plant is (px,
-    py, vx, vy, zx, zy) and inputs are the lists of _open_loop_block.
+    py, vx, vy, zx, zy), memory the DCM memory of the step before and
+    inputs are the lists of _open_loop_block.
 
     Returns (logged, plant, memory, failure, diverged): per step the tuple
     (px, py, vx, vy, zcx, zcy, zx, zy, zmp_saturated, zmp_clamped, acc_x,
     acc_y) before step_plant, the plant and the memory after the last step,
     the STEP_FAILURES exception that stopped the pass (its step is not
-    logged; the memory is its step's) or None, and whether the last step's
-    CoM left the plan by more than the limit.
+    logged) or None, and whether the last step's CoM left the plan by more
+    than the limit.
     """
     decay, plant_omega, dt, limit = law
     px, py, vx, vy, zx, zy = plant
@@ -714,8 +727,8 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs, steps):
     append = logged.append
     phase = None
     try:
-        for ph, kappa_d, plan, ahead, band, noise, kappa, gx, gy in itertools.islice(
-            zip(phases, kappas, plans, itertools.islice(plans, 1, None), *rest), steps
+        for ph, kappa_d, plan, ahead, band, noise, kappa, gx, gy in zip(
+            phases, kappas, plans, itertools.islice(plans, 1, None), *rest
         ):
             if ph != phase:
                 phase = ph
@@ -743,60 +756,31 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs, steps):
     return logged, (px, py, vx, vy, zx, zy), memory, None, False
 
 
-def _unloaded_sample(stabilizer, omega, support, plant, memory, sample, rows):
-    """The sample whose measured contacts leave the feet no downward force,
-    as the per-sample loop runs it: Stabilizer.step, then
-    Stabilizer.ground_wrench on floats, which raises. sample is its (phase,
-    planned kappa, plan, bands, noise) from the lists of _open_loop_block
-    and rows its measured contacts. Returns the step's memory and the
-    exception."""
-    phase, kappa, plan, band, noise = sample
-    cx, cy, vx, vy, _, _ = plant
-    if noise is not None:
-        ncx, ncy, nvx, nvy = noise
-        cx, cy, vx, vy = cx + ncx, cy + ncy, vx + nvx, vy + nvy
-    edges = support[phase][0]
-    _, _, acx, acy, _, memory = stabilizer.step(
-        kappa, omega, plan, cx, cy, vx, vy, edges, band, memory
-    )
-    try:
-        stabilizer.ground_wrench(cx, cy, acx, acy, rows, edges)
-    except STEP_FAILURES as exc:
-        return memory, exc
-    raise RuntimeError("the ground-wrench stage accepted unloaded feet")
-
-
 def _closed_loop_block(
-    traj, b0, stabilizer, disturbances, columns, noise, rng, law, support, plant
+    traj, b0, stabilizer, disturbances, columns, noise, rng, law, support, carried
 ):
     """One block from sample b0 in its three passes: _open_loop_block, then
-    _feedback_pass up to the first unloaded sample, which
-    _unloaded_sample runs on floats, then the ground-wrench pass over the
-    steps taken (_cop_clamped). Writes the block's columns, and the
-    stabilizer's state from its DCM memory: at the block's end, or at a
-    stop with the bands of the sample that stopped the run.
+    _feedback_pass up to the first unloaded sample, then the ground-wrench
+    pass over the steps taken (_cop_clamped). Writes the block's columns.
+    carried is what the block continues from: (plant, DCM memory, bands)
+    after the sample before b0.
 
-    Returns (b1, k, plant, failure, diverged): the block's end, the first
-    sample not logged, the plant after the last step, the STEP_FAILURES
-    exception that stopped the run (at k) or None, and whether the step
-    before k diverged.
+    Returns (b1, k, carried, failure, diverged): the block's end, the first
+    sample not logged, what the next block continues from, the
+    STEP_FAILURES exception that stopped the run (at k) or None, and
+    whether the step before k diverged.
     """
     omega = traj.timeline.omega
-    state = stabilizer.state
-    b1, stop, inputs, measured, sample_noise = _open_loop_block(
-        traj, b0, stabilizer, disturbances, columns, noise, rng
+    plant, memory, bands = carried
+    b1, inputs, measured, sample_noise, bands, unloaded = _open_loop_block(
+        traj, b0, stabilizer, disturbances, columns, noise, rng, bands
     )
-    logged, end, memory, failure, diverged = _feedback_pass(
-        stabilizer.step, omega, law, support, plant, state.memory(), inputs,
-        stop - b0,
+    logged, plant, memory, failure, diverged = _feedback_pass(
+        stabilizer.step, omega, law, support, plant, memory, inputs
     )
+    if failure is None and not diverged:
+        failure = unloaded
     k = b0 + len(logged)
-    if failure is None and not diverged and k < b1:
-        memory, failure = _unloaded_sample(
-            stabilizer, omega, support, end, memory,
-            [values[k - b0] for values in inputs[:5]],
-            tuple(tuple(v[k - b0].item() for v in r) for r in measured),
-        )
     if logged:
         steps = slice(b0, k)
         block = _columns(logged, 12)
@@ -815,13 +799,7 @@ def _closed_loop_block(
             tuple(tuple(v[: len(logged)] for v in r) for r in measured),
             traj.timeline.phase[steps], support,
         )
-    if failure is None and not diverged:
-        state.keep(memory)
-    else:
-        # per-sample steps leave the bands of the sample that stopped: the
-        # failed one, or the last one taken before a divergence
-        state.keep(memory, inputs[3][k - b0 - diverged])
-    return b1, k, end, failure, diverged
+    return b1, k, (plant, memory, bands), failure, diverged
 
 
 def _cop_clamped(stabilizer, com_x, com_y, acc_x, acc_y, rows, phase, support):
@@ -874,9 +852,9 @@ def run_closed_loop(
     - feedback, per step on floats (_feedback_pass): read the plant, add the
       sample's noise, run Stabilizer.step, log, then advance the plant under
       the true (disturbed) contacts with step_plant, up to that unloaded
-      sample, which then runs Stabilizer.step and Stabilizer.ground_wrench
-      on floats and raises. The block then writes its columns; xi_*^a is
-      dcm_of of the logged CoM and velocity.
+      sample, where the run stops with the exception check_feet_loaded
+      raises for its fz, as the ground-wrench stage would. The block then
+      writes its columns; xi_*^a is dcm_of of the logged CoM and velocity.
     - ground wrench, on arrays over the steps taken: Stabilizer.ground_wrench
       against the measured CoM and contacts and the command acceleration,
       for the cop_clamped flag. Nothing reads the net wrench back, and the
@@ -885,13 +863,14 @@ def run_closed_loop(
     Aborts and marks the trace when the actual CoM leaves the desired one
     by more than divergence_limit. A step that raises one of STEP_FAILURES
     ends the run; the exception propagates with the truncated trace as
-    ``exc.trace``. The stabilizer's state advances in place: the loop
-    writes it at the end of each block and at a stop, so a reused
-    Stabilizer continues from where the run left it, and a run that stops
-    at step k leaves it as per-sample steps would, with the bands of sample
-    k. A disturbance whose contact_index is past the contacts present
-    raises IndexError from the open-loop pass of the block where it first
-    acts.
+    ``exc.trace``. The controller's memory is the run's own: the bands and
+    the DCM-error memory start at zero and go from block to block with the
+    plant state, and the stabilizer is only read, so one Stabilizer can
+    drive any number of runs with the same result as a fresh one. A
+    disturbance whose contact_index is past the contacts present raises
+    IndexError from the open-loop pass of the block where it first acts. A
+    divergence_limit that is not positive and a noise level that is
+    negative or not finite raise ValueError.
     """
     timeline = traj.timeline
     dt = timeline.dt
@@ -900,6 +879,10 @@ def run_closed_loop(
         raise ValueError("stabilizer and plan sample at different rates")
     if abs(stabilizer.omega - omega) > 1e-9 * omega:
         raise ValueError("stabilizer built for a different pendulum frequency")
+    if not divergence_limit > 0.0:
+        raise ValueError("divergence_limit must be positive")
+    if not all(math.isfinite(v) and v >= 0.0 for v in (com_noise, force_noise)):
+        raise ValueError("noise levels must be finite and non-negative")
     n = len(traj.time)
     noisy = com_noise > 0.0 or force_noise > 0.0
     rng = np.random.default_rng(seed) if noisy else None
@@ -939,6 +922,8 @@ def run_closed_loop(
         *traj.com_pos[0].tolist(), *traj.com_vel[0].tolist(), *traj.zmp[0].tolist()
     )
     noise = (com_noise, com_noise * omega, force_noise)
+    # the plant, the DCM memory and the bands, each block's from the last
+    carried = (plant, (0.0,) * 6, (0.0,) * 6)
 
     failure = None
     diverged = False
@@ -947,9 +932,9 @@ def run_closed_loop(
     while b0 < n:
         # a block's lists and arrays are freed when its call returns, before
         # the next block builds its own
-        b1, k, plant, failure, diverged = _closed_loop_block(
+        b1, k, carried, failure, diverged = _closed_loop_block(
             traj, b0, stabilizer, disturbances, columns, noise, rng, law, support,
-            plant,
+            carried,
         )
         if failure is not None or diverged:
             last = k

@@ -475,6 +475,10 @@ class ScenarioConfig:
                     _fail(f"checks[{i}].{key}", f"{name} is text; a check needs a number")
                 if name is not None and name not in known:
                     _fail(f"checks[{i}].{key}", f"unknown metric {name!r}")
+        for i, d in enumerate(self.disturbances):
+            phase = 2.0 * math.pi * (min(d.end_s, self.duration_s) - d.start_s)
+            if d.kind == "sinusoid" and not math.isfinite(phase / d.period_s):
+                _fail(f"disturbances[{i}].period_s", "too short: the phase overflows")
         samples = self.duration_s / self.dt_s
         if math.isinf(samples):
             _fail("duration_s", "too long for the sample rate")
@@ -669,10 +673,10 @@ def resolve_config_path(spec: str) -> Path:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioBundle:
-    """One run's worth of wired components.
+    """One scenario's wired components.
 
-    The stabilizer is stateful, so a bundle drives exactly one closed-loop
-    run; build another bundle for a second run.
+    The stabilizer holds no run state, so a bundle may drive any number of
+    closed-loop runs, each with the result of a fresh bundle.
     """
 
     config: ScenarioConfig

@@ -11,15 +11,18 @@ wrench the feet must realize has its pressure point outside that hull.
 Each law has one definition. The step has three parts. The force-measurement
 half reads no robot state: Stabilizer.measure_forces runs measure_gamma_error
 elementwise and split_frequency as one float recursion over a block of
-samples. The feedback half, Stabilizer.step, takes one sample's bands and its
-DCM memory and runs dcm_feedback and the command saturation on Python floats,
-up to the command ZMP; the closed loop of plant_sim calls it once per step and
-keeps the memory in local variables. The support hull (support_hull) comes
+samples, continuing from the bands it is given. The feedback half,
+Stabilizer.step, takes one sample's bands and its DCM memory and runs
+dcm_feedback and the command saturation on Python floats, up to the command
+ZMP; the closed loop of plant_sim calls it once per step. The bands and the
+memory are the caller's, which carries them from sample to sample: a
+Stabilizer holds no run state. The support hull (support_hull) comes
 in as its edges (hull_edges); the closed loop builds them once per support
 phase of a run, and no hull outlives the run. The ground-wrench stage feeds
 nothing back: Stabilizer.ground_wrench builds the net ground wrench
 (net_foot_wrench) and its pressure point (wrench_zmp) over arrays of samples
-and reports the cop_clamped flag, and raises when the feet are unloaded.
+and reports the cop_clamped flag, and raises when the feet are unloaded
+(check_feet_loaded).
 distribute_wrench (an active-set split under sole limits) splits such a
 wrench between the feet; the closed loop, which never reads the per-foot
 wrenches, does not call it.
@@ -40,6 +43,7 @@ import numpy as np
 from .core_dynamics import (
     DEGENERATE_KAPPA,
     RobotParams,
+    check_vertical_force,
     compute_coefficients,
     contact_terms,
     dcm_of,
@@ -147,40 +151,6 @@ def conventional_closed_loop_matrix(
     return scaled_closed_loop_matrix(1.0, rho, omega, k_p, k_i, k_d)
 
 
-@dataclass
-class StabilizerState:
-    """Filter and integrator memory of one stabilizer instance.
-
-    Every field is an (x, y) pair of floats. split_frequency replaces the
-    three band pairs; the closed loop writes the three DCM-error pairs from
-    the memory dcm_feedback returns (keep), which memory reads back.
-    """
-
-    dcm_error_integral: tuple = (0.0, 0.0)
-    gamma_low: tuple = (0.0, 0.0)
-    gamma_high: tuple = (0.0, 0.0)
-    gamma_high_rate: tuple = (0.0, 0.0)
-    dcm_err_prev: tuple = (0.0, 0.0)
-    dcm_err_rate: tuple = (0.0, 0.0)
-
-    def memory(self) -> tuple:
-        """The three DCM-error pairs as the memory dcm_feedback takes."""
-        return (*self.dcm_error_integral, *self.dcm_err_prev, *self.dcm_err_rate)
-
-    def keep(self, memory, bands=None):
-        """Write a memory dcm_feedback returned and, if given, one sample's
-        bands (low_x, low_y, high_x, high_y, rate_x, rate_y)."""
-        ix, iy, px, py, rx, ry = memory
-        self.dcm_error_integral = (ix, iy)
-        self.dcm_err_prev = (px, py)
-        self.dcm_err_rate = (rx, ry)
-        if bands is not None:
-            lx, ly, hx, hy, hrx, hry = bands
-            self.gamma_low = (lx, ly)
-            self.gamma_high = (hx, hy)
-            self.gamma_high_rate = (hrx, hry)
-
-
 def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
     """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts.
 
@@ -194,23 +164,22 @@ def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: floa
     return actual[4] - desired[4], actual[5] - desired[5]
 
 
-def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> list:
+def split_frequency(start, ex, ey, dt, cutoff_period) -> list:
     """Run the low/high frequency split of the force-error offset over samples.
 
-    ex and ey are the offsets of successive samples, as 1-D arrays. The low
-    band is a first-order low-pass with time constant cutoff_period / (2
-    pi); the high band is the exact complement, so gamma_low + gamma_high
-    always reconstructs the input. The high-band rate is a smoothed
-    backward difference. The recursion runs on Python floats, one sample
-    after the other. Returns the bands after each sample, one (low_x,
-    low_y, high_x, high_y, rate_x, rate_y) tuple per sample, and leaves the
-    three band pairs of state at the last sample's.
+    start is the bands to continue from, (low_x, low_y, high_x, high_y,
+    rate_x, rate_y): the previous sample's, or zeros for the first. ex and
+    ey are the offsets of successive samples, as 1-D arrays. The low band
+    is a first-order low-pass with time constant cutoff_period / (2 pi);
+    the high band is the exact complement, so gamma_low + gamma_high always
+    reconstructs the input. The high-band rate is a smoothed backward
+    difference. The recursion runs on Python floats, one sample after the
+    other. Returns the bands after each sample, one tuple like start per
+    sample.
     """
     tau = cutoff_period / (2.0 * math.pi)
     alpha = dt / (tau + dt)
-    lx, ly = state.gamma_low
-    hx, hy = state.gamma_high
-    rx, ry = state.gamma_high_rate
+    lx, ly, hx, hy, rx, ry = start
     bands = []
     append = bands.append
     for x, y in zip(ex.tolist(), ey.tolist()):
@@ -223,9 +192,6 @@ def split_frequency(state: StabilizerState, ex, ey, dt, cutoff_period) -> list:
         hx = new_hx
         hy = new_hy
         append((lx, ly, hx, hy, rx, ry))
-    state.gamma_low = (lx, ly)
-    state.gamma_high = (hx, hy)
-    state.gamma_high_rate = (rx, ry)
     return bands
 
 
@@ -236,7 +202,7 @@ def dcm_feedback(pid, dt, kappa, omega, plan, xi_x, xi_y, bands, memory):
     Stabilizer.step, (xi_x, xi_y) the actual DCM, bands the sample's (low_x,
     low_y, high_x, high_y, rate_x, rate_y) from split_frequency and memory
     the DCM-error memory (integral_x, integral_y, prev_x, prev_y, rate_x,
-    rate_y), as StabilizerState holds it. Returns two tuples: the command
+    rate_y), zeros for the first sample. Returns two tuples: the command
     ZMP, command CoM acceleration and shifted desired CoM as 6 floats, and
     the new memory, whose prev pair is this sample's DCM error. The
     low-band offset shifts the desired CoM and DCM; the high-band offset and
@@ -274,6 +240,17 @@ def dcm_feedback(pid, dt, kappa, omega, plan, xi_x, xi_y, bands, memory):
         cx - lx,
         cy - ly,
     ), (ix, iy, ex, ey, rx, ry)
+
+
+def check_feet_loaded(fz):
+    """Raise unless fz, the net vertical force the feet must realize (a
+    float, or an array of samples), presses on the ground at every sample:
+    NonPhysical where it is 0 or NaN (check_vertical_force), else Infeasible
+    where it is negative. fz reads neither the CoM nor its horizontal
+    acceleration (net_foot_force), so the contacts alone decide."""
+    check_vertical_force(fz)
+    if not np.all(fz > 0.0):
+        raise Infeasible("net wrench must press downward on the ground")
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -586,14 +563,15 @@ def _active_set_qp(w0, net, centers, halves):
 
 
 class Stabilizer:
-    """Stateful DCM stabilizer bound to one robot, gain set and control rate.
+    """DCM stabilizer bound to one robot, gain set and control rate.
 
     omega is the robot's; gains.rho is also the closed loop's plant lag.
     Gains that are not stable at omega (StabilizerGains.check_stable) raise
-    ValueError at construction. Calls must be serialized per instance;
-    construct separate instances for parallel runs. compensate_forces=False
-    disables the force-error compensation (both bands forced to zero) for
-    ablation studies.
+    ValueError at construction. A Stabilizer holds no run state: the
+    force-error bands and the DCM-error memory come in with each call and
+    go out with its result, so one instance may drive any number of runs,
+    one after the other or interleaved. compensate_forces=False disables the
+    force-error compensation (both bands held at zero) for ablation studies.
     """
 
     def __init__(
@@ -612,36 +590,33 @@ class Stabilizer:
         self.omega = omega
         self.dt = dt
         self.compensate_forces = compensate_forces
-        self.state = StabilizerState()
 
-    def measure_forces(self, rows, desired_rows, samples: int):
+    def measure_forces(self, rows, desired_rows, samples: int, start):
         """The force-measurement half of the cycle, over successive samples.
 
         rows and desired_rows are the measured and the planned contacts as
         contact_rows whose values are arrays of `samples` values (or floats
-        for one sample, and () for no contact). Measures gamma_err with
-        measure_gamma_error and splits it into bands with split_frequency;
-        the state's bands advance to the last sample. With compensate_forces
-        False both bands stay where they are (zero, in ablation mode);
-        gamma_err is still measured for logging. None of this reads the
-        robot's state.
+        for one sample, and () for no contact), and start the bands to
+        continue from: the previous sample's, or zeros for the first.
+        Measures gamma_err with measure_gamma_error and splits it into bands
+        with split_frequency. With compensate_forces False the bands stay at
+        start (zeros, in ablation mode); gamma_err is still measured for
+        logging. None of this reads the robot's state.
 
         Returns (gamma_err_x, gamma_err_y, bands): two arrays of `samples`
         values and the list of split_frequency, whose tuples are the bands
         argument of step.
         """
         params = self.params
-        state = self.state
         ex, ey = measure_gamma_error(
             rows, desired_rows, params.mass * params.gravity, params.zmp_height
         )
         ex = np.broadcast_to(ex, samples)
         ey = np.broadcast_to(ey, samples)
         if self.compensate_forces:
-            bands = split_frequency(state, ex, ey, self.dt, self.gains.cutoff_period)
+            bands = split_frequency(start, ex, ey, self.dt, self.gains.cutoff_period)
         else:
-            held = (*state.gamma_low, *state.gamma_high, *state.gamma_high_rate)
-            bands = [tuple(map(float, held))] * samples
+            bands = [start] * samples
         return ex, ey, bands
 
     def step(
@@ -652,8 +627,7 @@ class Stabilizer:
 
         Chains dcm_feedback and the command-ZMP saturation into the support
         hull. The force-error bands come in from measure_forces, the
-        DCM-error memory from the previous step (StabilizerState.memory for
-        the first); the state is not read or written.
+        DCM-error memory from the previous step (zeros for the first).
 
         kappa and omega are the planned sample's coefficients; plan is its
         (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
@@ -690,8 +664,8 @@ class Stabilizer:
         floats for one sample or arrays of samples of one support phase
         (rows as contact_rows whose values are such arrays). Returns
         cop_clamped, a bool or a bool array, each as the float call gives it.
-        Raises NonPhysical when the wrench has no vertical force and
-        Infeasible when it pulls the feet off the ground, at any sample.
+        Raises as check_feet_loaded where the feet are unloaded, at any
+        sample.
         """
         params = self.params
         zmp_height = params.zmp_height
@@ -699,9 +673,8 @@ class Stabilizer:
             fx, fy, fz, mx, my, _ = net_foot_wrench(
                 params, com_x, com_y, params.com_height, acc_x, acc_y, 0.0, rows
             )
+            check_feet_loaded(fz)
             px, py = wrench_zmp(fx, fy, fz, mx, my, zmp_height)
-        if not np.all(fz > 0.0):
-            raise Infeasible("net wrench must press downward on the ground")
         if isinstance(px, np.ndarray):
             return _clamped(px, py, edges)
         qx, qy = _clamp_xy(px, py, edges)

@@ -12,7 +12,7 @@ write_trace_savetxt are the earlier whole-array forms of the support hull
 and of the trace CSV writer, which the package's must match byte for byte.
 disturbed_rows and closed_loop_by_sample are the closed loop one sample at a
 time on Python floats, which the package's blocked loop must match bit for
-bit: trace columns, flags, the stop and the stabilizer's state.
+bit: trace columns, flags and the stop.
 """
 
 import math
@@ -225,10 +225,11 @@ def closed_loop_by_sample(
 
     Per sample: the true contacts (disturbed_rows), the noise drawn in the
     order CoM (2), velocity (2), then 3 per contact with force noise,
-    Stabilizer.measure_forces over the one sample, Stabilizer.step with the
-    memory the state holds (written back at once), Stabilizer.ground_wrench,
-    then step_plant. Hull edges, clamp bounds and contact rows are rebuilt
-    at every sample. The stabilizer's state advances in place.
+    Stabilizer.measure_forces over the one sample from the bands of the
+    sample before, Stabilizer.step with the DCM memory of the step before,
+    Stabilizer.ground_wrench, then step_plant. The bands and the memory
+    start at zero and are local variables. Hull edges, clamp bounds and
+    contact rows are rebuilt at every sample.
 
     Returns a namespace: columns (every CSV column and the bool extra
     flags over the steps taken), diverged_at (the plant's clock at the
@@ -240,7 +241,7 @@ def closed_loop_by_sample(
     omega = timeline.omega
     dt = timeline.dt
     params = stabilizer.params
-    state = stabilizer.state
+    memory = bands = (0.0,) * 6
     unloaded = compute_coefficients(params)
     decay = None if direct_zmp else math.exp(-stabilizer.gains.rho * dt)
     rng = np.random.default_rng(seed) if com_noise > 0.0 or force_noise > 0.0 else None
@@ -277,7 +278,9 @@ def closed_loop_by_sample(
             *traj.dcm[k].tolist(),
             *traj.zmp[k].tolist(),
         )
-        gamma_x, gamma_y, bands = stabilizer.measure_forces(measured, desired, 1)
+        gamma_x, gamma_y, (bands,) = stabilizer.measure_forces(
+            measured, desired, 1, bands
+        )
         fsx, fsy, fsz, kappa, gx, gy = contact_terms(
             true, unloaded.zeta, params.zmp_height
         )
@@ -286,9 +289,8 @@ def closed_loop_by_sample(
         try:
             zcx, zcy, acx, acy, saturated, memory = stabilizer.step(
                 float(timeline.kappa[k]), omega, plan, cx, cy, wx, wy, edges,
-                bands[0], state.memory(),
+                bands, memory,
             )
-            state.keep(memory)
             cop_clamped = stabilizer.ground_wrench(cx, cy, acx, acy, measured, edges)
             npx, npy, nvx, nvy, _, _, nzx, nzy, zmp_clamped = step_plant(
                 px, py, vx, vy, zx, zy, zcx, zcy, decay,
@@ -298,7 +300,7 @@ def closed_loop_by_sample(
         except STEP_FAILURES as exc:
             failure = exc
             break
-        lx, ly, hx, hy, _, _ = bands[0]
+        lx, ly, hx, hy, _, _ = bands
         for name, value in (
             ("c_x^a", px), ("c_y^a", py),
             ("xi_x^a", dcm_of(px, vx, omega)), ("xi_y^a", dcm_of(py, vy, omega)),

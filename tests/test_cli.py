@@ -159,6 +159,20 @@ class TestRun:
         assert code == 1
         assert "config error: duration_s: too long" in capsys.readouterr().err
 
+    def test_overflowing_sinusoid_phase_fails_before_the_run(self, tmp_path, capsys):
+        """A period so short that the phase overflows is a config error
+        naming the field: no warning, no output directory."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--config", "testcase1", "--out", str(out), "--override",
+            "disturbances=[{kind: sinusoid, amplitude_n: 10.0, period_s: 1.0e-310}]",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: disturbances[0].period_s: too short: the phase overflows\n"
+        )
+        assert not out.exists()
+
     def test_seed_flag_is_the_config_seed(self, mini_path, tmp_path):
         """--seed N runs as --override seed=N, and wins over it."""
 

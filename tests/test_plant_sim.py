@@ -1,6 +1,5 @@
 """Unit tests for the point-mass plant, disturbances, and the closed loop."""
 
-import collections
 import dataclasses
 import math
 import tracemalloc
@@ -59,7 +58,7 @@ from locomanip.scenario import (
     parse_config,
     trace_checksum,
 )
-from locomanip.stabilizer import Stabilizer, StabilizerGains, StabilizerState
+from locomanip.stabilizer import Stabilizer, StabilizerGains
 
 RHO = 20.0
 
@@ -139,14 +138,6 @@ class TestStepPlant:
             advance(resting_state(), np.array([math.inf, 0.0]), direct_zmp=True)
 
 
-class CountingState(StabilizerState):
-    """A StabilizerState that counts the writes to each of its fields."""
-
-    def __setattr__(self, name, value):
-        self.__dict__.setdefault("writes", collections.Counter())[name] += 1
-        super().__setattr__(name, value)
-
-
 def one_sample(rows):
     """contact_rows of floats as contact_rows of one-sample arrays."""
     return tuple(tuple(np.full(1, v) for v in r) for r in rows)
@@ -173,6 +164,15 @@ class TestDisturbanceProfile:
             DisturbanceProfile(kind="step", start_time=2.0, end_time=1.0)
         with pytest.raises(ValueError, match="contact_index"):
             DisturbanceProfile(kind="step", contact_index=-1)
+        # a NaN start acted from t = 0 forever, a NaN end never ended
+        for window in (
+            {"start_time": math.nan},
+            {"start_time": math.inf},
+            {"start_time": -math.inf},
+            {"end_time": math.nan},
+        ):
+            with pytest.raises(ValueError, match="start_time must be finite"):
+                DisturbanceProfile(kind="step", amplitude=10.0, **window)
 
     def test_window_and_shape(self):
         prof = DisturbanceProfile(
@@ -358,6 +358,28 @@ class TestClosedLoop:
         taller = dataclasses.replace(PARAMS, com_height=PARAMS.com_height + 0.1)
         with pytest.raises(ValueError, match="different pendulum frequency"):
             run_closed_loop(traj, Stabilizer(taller, StabilizerGains(), DT))
+
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"divergence_limit": math.nan}, "divergence_limit"),
+            ({"divergence_limit": 0.0}, "divergence_limit"),
+            ({"divergence_limit": -1.0}, "divergence_limit"),
+            ({"com_noise": -1e-4}, "noise"),
+            ({"com_noise": math.nan}, "noise"),
+            ({"com_noise": math.inf}, "noise"),
+            ({"force_noise": -5.0}, "noise"),
+            ({"force_noise": math.nan}, "noise"),
+        ],
+    )
+    def test_setting_that_would_turn_off_a_check_or_the_noise_is_refused(
+        self, setting, match
+    ):
+        """A NaN limit never trips the divergence test and a negative or NaN
+        noise level draws no noise; each is refused before the first step."""
+        traj = plan_trajectory(standing_timeline(duration=0.2))
+        with pytest.raises(ValueError, match=match):
+            run_closed_loop(traj, make_stabilizer(), seed=1, **setting)
 
     def test_csv_round_trip(self, tmp_path):
         traj = plan_trajectory(standing_timeline(duration=1.0))
@@ -604,17 +626,6 @@ def loop_of(bundle):
     )
 
 
-def state_bytes(state):
-    return np.array(dataclasses.astuple(state), dtype=float).tobytes()
-
-
-def fresh(stab):
-    """A stabilizer like stab, from its initial state."""
-    return Stabilizer(
-        stab.params, stab.gains, stab.dt, compensate_forces=stab.compensate_forces
-    )
-
-
 def oracle_of(bundle):
     """closed_loop_by_sample with the run settings loop_of passes."""
     cfg = bundle.config
@@ -754,8 +765,7 @@ class TestOneLaw:
         assert len(set(timeline.phase.tolist())) > 2
         assert len(set(timeline.contact_index.tolist())) > 2
 
-        by_hand = fresh(bundle.stabilizer)
-        oracle = oracle_of(dataclasses.replace(bundle, traj=traj, stabilizer=by_hand))
+        oracle = oracle_of(dataclasses.replace(bundle, traj=traj))
         assert oracle.failure is None and oracle.diverged_at is None
 
         assert len(trace) == n
@@ -773,8 +783,6 @@ class TestOneLaw:
         if overrides == ONE_HAND_LEFT:
             counts = np.diff(timeline.contact_start)[timeline.contact_index]
             assert set(counts.tolist()) == {1, 2}
-        # the loop leaves its stabilizer where the per-sample steps leave theirs
-        assert state_bytes(bundle.stabilizer.state) == state_bytes(by_hand.state)
 
     def test_unloading_push_raises_infeasible(self):
         """A 600 N lift per hand pulls the feet off the ground at t = 5 s."""
@@ -810,31 +818,77 @@ UNLOADING = (
 )
 
 
+class TestReuse:
+    """A Stabilizer holds no run state: a bundle that drives a second run, or
+    a stabilizer that drives two plans in turn, gives a fresh one's trace."""
+
+    @staticmethod
+    def trace_bytes(trace, path):
+        """The trace's CSV bytes and its flags' bytes."""
+        trace.to_csv(path)
+        return path.read_bytes(), [trace.extra[n].tobytes() for n in EXTRA_COLUMNS]
+
+    @pytest.mark.parametrize("name", ["testcase3", "cart-like"])
+    def test_bundle_drives_two_runs(self, name, tmp_path):
+        bundle = scenario_bundle(name)
+        held = dict(vars(bundle.stabilizer))
+        fresh = self.trace_bytes(loop_of(scenario_bundle(name)), tmp_path / "fresh.csv")
+        for run in ("first", "second"):
+            trace = loop_of(bundle)
+            assert self.trace_bytes(trace, tmp_path / f"{run}.csv") == fresh, run
+        assert vars(bundle.stabilizer) == held
+
+    def test_interleaved_plans_on_one_stabilizer(self, monkeypatch, tmp_path):
+        """testcase3's stabilizer runs 2.2 s of cart-like's plan between
+        every two blocks of its own run: both runs give the traces they give
+        alone."""
+        walk, fresh = scenario_bundle("testcase3"), scenario_bundle("testcase3")
+        cart = scenario_bundle("cart-like")
+        cart = dataclasses.replace(
+            cart, traj=first_samples(cart.traj, 1100), stabilizer=walk.stabilizer
+        )
+        alone = dataclasses.replace(cart, stabilizer=fresh.stabilizer)
+        cart_alone = self.trace_bytes(loop_of(alone), tmp_path / "cart.csv")
+        walk_alone = self.trace_bytes(loop_of(fresh), tmp_path / "walk.csv")
+
+        open_loop = plant_sim._open_loop_block
+        between = []
+
+        def interleaved(traj, *args):
+            if traj is walk.traj:
+                between.append(loop_of(cart))
+            return open_loop(traj, *args)
+
+        monkeypatch.setattr(plant_sim, "_open_loop_block", interleaved)
+        walk_trace = loop_of(walk)
+        assert self.trace_bytes(walk_trace, tmp_path / "walk-shared.csv") == walk_alone
+        assert len(between) > 40
+        for i, trace in enumerate(between):
+            assert self.trace_bytes(trace, tmp_path / f"cart-{i}.csv") == cart_alone, i
+
+
 class TestBlocks:
     """The open-loop pass runs per block of BLOCK_SAMPLES samples; no block
-    size may show in the trace or in the stabilizer's final state."""
+    size may show in the trace or its flags."""
 
     @staticmethod
     def blocked(monkeypatch, size, *overrides):
-        """(trace, final state bytes) of testcase1 with blocks of `size`."""
+        """The trace of testcase1 with blocks of `size`."""
         monkeypatch.setattr(plant_sim, "BLOCK_SAMPLES", size)
         bundle = scenario_bundle("testcase1", *overrides)
         try:
-            trace = loop_of(bundle)
+            return loop_of(bundle)
         except STEP_FAILURES as exc:
-            trace = exc.trace
-        return trace, state_bytes(bundle.stabilizer.state)
+            return exc.trace
 
     @staticmethod
-    def assert_same(a, b):
-        (ta, sa), (tb, sb) = a, b
+    def assert_same(ta, tb):
         for name in ta.columns:
             assert ta[name].tobytes() == tb[name].tobytes(), name
         for name in ta.extra:
             assert ta.extra[name].tobytes() == tb.extra[name].tobytes(), name
         for attr in ("diverged", "diverged_at", "failure", "failed_at"):
             assert getattr(ta, attr) == getattr(tb, attr), attr
-        assert sa == sb
 
     def test_block_size_does_not_show(self, monkeypatch):
         overrides = (
@@ -844,7 +898,7 @@ class TestBlocks:
             *NOISY,
         )
         default = self.blocked(monkeypatch, plant_sim.BLOCK_SAMPLES, *overrides)
-        assert len(default[0]) == 3000
+        assert len(default) == 3000
         for size in (1, 7):
             self.assert_same(self.blocked(monkeypatch, size, *overrides), default)
 
@@ -855,8 +909,7 @@ class TestBlocks:
     def test_stop_on_a_block_edge(self, monkeypatch, overrides, stop):
         """The stopping step k as the first sample of a block (size k) and
         as the last (size k + 1), against the default blocks."""
-        default = self.blocked(monkeypatch, plant_sim.BLOCK_SAMPLES, *overrides)
-        trace = default[0]
+        trace = default = self.blocked(monkeypatch, plant_sim.BLOCK_SAMPLES, *overrides)
         if stop == "diverged":
             assert trace.diverged
             k = len(trace) - 1
@@ -883,8 +936,8 @@ class TestBlocks:
         """run_closed_loop and closed_loop_by_sample over 2.4 s of in-place
         stepping (single support from 1.8 s) with both hands lifted by
         `share` of the weight each from sample `start`, blocks of `size`
-        (None: the default). Returns (trace, loop state bytes, loop failure,
-        oracle, oracle state bytes)."""
+        (None: the default). Returns (trace, loop failure, oracle); the loop
+        and the oracle share one stabilizer."""
         if size is not None:
             monkeypatch.setattr(plant_sim, "BLOCK_SAMPLES", size)
         traj = plan_trajectory(
@@ -898,15 +951,13 @@ class TestBlocks:
             disturbances=(*push, lift), divergence_limit=divergence_limit, seed=7,
             **noise,
         )
-        loop, by_hand = make_stabilizer(), make_stabilizer()
+        stab = make_stabilizer()
         failure = None
         try:
-            trace = run_closed_loop(traj, loop, **kwargs)
+            trace = run_closed_loop(traj, stab, **kwargs)
         except STEP_FAILURES as exc:
             failure, trace = exc, exc.trace
-        oracle = closed_loop_by_sample(traj, by_hand, **kwargs)
-        loop_state, oracle_state = state_bytes(loop.state), state_bytes(by_hand.state)
-        return trace, loop_state, failure, oracle, oracle_state
+        return trace, failure, closed_loop_by_sample(traj, stab, **kwargs)
 
     @pytest.mark.parametrize("edge", list(LIFT_EDGES))
     @pytest.mark.parametrize(
@@ -927,14 +978,11 @@ class TestBlocks:
         (Infeasible) from sample k: the loop finds k ahead, steps to it and
         raises there, as the per-sample loop does."""
         k, size = self.LIFT_EDGES[edge]
-        trace, state, failure, oracle, oracle_state = self.lifted_runs(
-            monkeypatch, size, share, k, **noise
-        )
+        trace, failure, oracle = self.lifted_runs(monkeypatch, size, share, k, **noise)
         assert type(failure) is error and type(oracle.failure) is error
         assert str(failure) == str(oracle.failure)
         assert len(trace) == k
         assert_trace_is_oracle(trace, oracle)
-        assert state == oracle_state
 
     def test_divergence_before_the_unloaded_sample(self, monkeypatch):
         """A push that diverges the run a few steps before the hands unload
@@ -948,41 +996,12 @@ class TestBlocks:
         diverged = len(first[0]) - 1
         assert first[0].diverged and diverged < 1190
         start = diverged + 5
-        trace, state, failure, oracle, oracle_state = self.lifted_runs(
+        trace, failure, oracle = self.lifted_runs(
             monkeypatch, start + 50, 0.6, start, push=push, divergence_limit=0.02
         )
         assert failure is None and oracle.failure is None
         assert trace.diverged and len(trace) == diverged + 1
         assert_trace_is_oracle(trace, oracle)
-        assert state == oracle_state
-
-    @pytest.mark.parametrize(
-        "overrides", [("duration_s=6.0",), UNLOADING], ids=["done", "failed"]
-    )
-    def test_state_is_written_per_block_not_per_step(self, monkeypatch, overrides):
-        """At most one write to each StabilizerState field per block, plus
-        one at the stop."""
-        blocks = []
-        open_loop = plant_sim._open_loop_block
-
-        def counted(*args):
-            blocks.append(args[1])
-            return open_loop(*args)
-
-        monkeypatch.setattr(plant_sim, "_open_loop_block", counted)
-        bundle = scenario_bundle("testcase1", *overrides)
-        state = CountingState()
-        state.writes.clear()
-        bundle.stabilizer.state = state
-        try:
-            loop_of(bundle)
-        except STEP_FAILURES:
-            pass
-        assert len(blocks) > 3
-        fields = [f.name for f in dataclasses.fields(StabilizerState)]
-        assert set(state.writes) == set(fields)
-        for name in fields:
-            assert state.writes[name] <= len(blocks) + 1, name
 
 
 def traced_peak(call):
@@ -1011,11 +1030,8 @@ def loop_bytes(trace, traj):
 def loop_excess_mb(bundle, seconds):
     """Peak memory traced inside run_closed_loop over the first `seconds` of
     the plan, minus the bytes of the columns the loop allocated, in MB."""
-    stab = bundle.stabilizer
     run = dataclasses.replace(
-        bundle,
-        traj=first_samples(bundle.traj, round(seconds / bundle.traj.dt)),
-        stabilizer=Stabilizer(stab.params, stab.gains, stab.dt),
+        bundle, traj=first_samples(bundle.traj, round(seconds / bundle.traj.dt))
     )
     trace, peak = traced_peak(lambda: loop_of(run))
     return (peak - loop_bytes(trace, run.traj)) / 1e6

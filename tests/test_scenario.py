@@ -238,6 +238,21 @@ class TestFieldValidation:
         with pytest.raises(ConfigError, match="only used by a sinusoid"):
             parse_config(minimal(disturbances=dist))
 
+    def test_sinusoid_phase_must_stay_finite(self):
+        """2 pi (min(end_s, duration_s) - start_s) / period_s must be finite:
+        the last sinusoid's phase overflows over the run, the second's window
+        ends before it can."""
+        dist = [
+            {"kind": "sinusoid", "amplitude_n": 5.0, "period_s": 1e-300},
+            {"kind": "sinusoid", "amplitude_n": 5.0, "period_s": 1e-310,
+             "end_s": 1e-10},
+            {"kind": "sinusoid", "amplitude_n": 5.0, "period_s": 1e-310},
+        ]
+        parse_config(minimal(disturbances=dist[:2]))
+        with pytest.raises(ConfigError, match="phase overflows") as info:
+            parse_config(minimal(disturbances=dist))
+        assert info.value.field == "disturbances[2].period_s"
+
     def test_disturbance_kind_choice(self):
         with pytest.raises(ConfigError, match="expected one of"):
             parse_config(minimal(disturbances=[{"kind": "pulse", "amplitude_n": 1.0}]))

@@ -30,7 +30,6 @@ from locomanip.reference_builder import SoleRect
 from locomanip.stabilizer import (
     Stabilizer,
     StabilizerGains,
-    StabilizerState,
     Wrench,
     _clamp_to_hull,
     _clamp_xy,
@@ -99,49 +98,51 @@ def gamma_error(desired, actual):
     )
 
 
-def bands(state):
-    """(gamma_low, gamma_high, gamma_high_rate) of the state, as arrays."""
-    return tuple(
-        np.array(b) for b in (state.gamma_low, state.gamma_high, state.gamma_high_rate)
-    )
+# the bands and the DCM-error memory of the first sample
+ZEROS = (0.0,) * 6
 
 
-def feedback(desired, xi, state, gains):
-    """dcm_feedback on a planned sample, with the bands and the memory the
-    state holds; the new memory is written back. Returns (command_zmp,
-    command_acc, shifted_com, dcm_err) as arrays."""
+def pairs(bands):
+    """(gamma_low, gamma_high, gamma_high_rate) of a bands tuple, as arrays."""
+    return tuple(np.array(bands[i : i + 2]) for i in (0, 2, 4))
+
+
+def split(bands, gam, cutoff=1.0):
+    """split_frequency over the one sample gam from bands; its new bands."""
+    (out,) = split_frequency(bands, *np.asarray(gam)[:, None], DT, cutoff)
+    return out
+
+
+def feedback(desired, xi, gains, bands=ZEROS, memory=ZEROS):
+    """dcm_feedback on a planned sample with the given bands and memory.
+    Returns (command_zmp, command_acc, shifted_com, dcm_err) as arrays, and
+    the new memory."""
     coeff = desired.coefficients
-    held = (*state.gamma_low, *state.gamma_high, *state.gamma_high_rate)
     out, memory = dcm_feedback(
         gains.pid, DT, coeff.kappa, coeff.omega, desired.plan,
-        *np.asarray(xi).tolist(), tuple(np.asarray(held, dtype=float).tolist()),
-        state.memory(),
+        *np.asarray(xi).tolist(), bands, memory,
     )
-    state.keep(memory)
-    pairs = (out[0:2], out[2:4], out[4:6], memory[2:4])
-    return tuple(np.array(pair) for pair in pairs)
+    return (*(np.array(p) for p in (out[0:2], out[2:4], out[4:6], memory[2:4])), memory)
 
 
 def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
-    """One stabilizer cycle on a planned sample and measured CoM and contacts:
-    Stabilizer.measure_forces over that one sample, Stabilizer.step with
-    the memory the state holds (written back), then
+    """One stabilizer cycle on a planned sample and measured CoM and contacts,
+    the first of a run: Stabilizer.measure_forces over that one sample from
+    zero bands, Stabilizer.step from zero memory, then
     Stabilizer.ground_wrench. Returns a namespace: zmp, acc and dcm_err
-    pairs, gamma_err, the saturated and cop_clamped flags, and wrench, the
-    net ground wrench of the measured CoM and the command acceleration with
-    its pressure point clamped into the hull (the wrench the feet can
-    realize), as a Wrench."""
+    pairs, gamma_err, the sample's bands, the saturated and cop_clamped
+    flags, and wrench, the net ground wrench of the measured CoM and the
+    command acceleration with its pressure point clamped into the hull (the
+    wrench the feet can realize), as a Wrench."""
     coeff = desired.coefficients
     rows = contact_rows(contacts)
     edges = hull_edges(support_hull(region))
     cx, cy = np.asarray(com, dtype=float).tolist()
     vx, vy = np.asarray(vel, dtype=float).tolist()
-    ex, ey, bands = stab.measure_forces(rows, desired.rows, 1)
+    ex, ey, (bands,) = stab.measure_forces(rows, desired.rows, 1, ZEROS)
     zx, zy, ax, ay, saturated, memory = stab.step(
-        coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, edges, bands[0],
-        stab.state.memory(),
+        coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, edges, bands, ZEROS
     )
-    stab.state.keep(memory)
     cop_clamped = stab.ground_wrench(cx, cy, ax, ay, rows, edges)
     h = PARAMS.zmp_height
     fx, fy, fz, mx, my, mz = net_foot_wrench(
@@ -158,6 +159,7 @@ def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
         acc=(ax, ay),
         dcm_err=memory[2:4],
         gamma_err=(float(ex[0]), float(ey[0])),
+        bands=bands,
         saturated=saturated,
         cop_clamped=cop_clamped,
         wrench=Wrench(force=np.array([fx, fy, fz]), moment=np.array([mx, my, mz])),
@@ -201,31 +203,29 @@ class TestGammaError:
 
 class TestSplitFrequency:
     def test_constant_input_converges_to_low_band(self):
-        state = StabilizerState()
+        bands = ZEROS
         gam = np.array([0.04, -0.02])
         for _ in range(int(10.0 / DT)):
-            split_frequency(state, *gam[:, None], DT, 1.0)
-            low, high, rate = bands(state)
+            bands = split(bands, gam)
+        low, high, rate = pairs(bands)
         assert np.allclose(low, gam, atol=1e-12)
         assert np.allclose(high, 0.0, atol=1e-12)
         assert np.allclose(rate, 0.0, atol=1e-9)
 
     def test_step_lands_in_high_band_first(self):
-        state = StabilizerState()
         gam = np.array([0.05, 0.0])
-        split_frequency(state, *gam[:, None], DT, 1.0)
-        low, high, _ = bands(state)
+        low, high, _ = pairs(split(ZEROS, gam))
         assert high[0] > 0.9 * gam[0]
         assert abs(low[0]) < 0.1 * gam[0]
 
     def test_split_is_exact_every_step(self):
         rng = np.random.default_rng(7)
-        state = StabilizerState()
+        bands = ZEROS
         gam = np.zeros(2)
         for _ in range(500):
             gam = gam + 0.001 * rng.standard_normal(2)
-            split_frequency(state, *gam[:, None], DT, 1.0)
-            low, high, _ = bands(state)
+            bands = split(bands, gam)
+            low, high, _ = pairs(bands)
             assert np.allclose(low + high, gam, rtol=0.0, atol=1e-12)
 
     def test_sinusoid_matches_analytic_high_pass(self):
@@ -235,15 +235,15 @@ class TestSplitFrequency:
         tau = cutoff / (2.0 * math.pi)
         w = 2.0 * math.pi / period
         expected = w * tau / math.sqrt(1.0 + (w * tau) ** 2)
-        state = StabilizerState()
+        bands = ZEROS
         amp = 0.03
         n = int(10.0 * period / DT)
         peak = 0.0
         for k in range(n):
             t = k * DT
             gam = np.array([amp * math.sin(w * t), 0.0])
-            split_frequency(state, *gam[:, None], DT, cutoff)
-            _, high, _ = bands(state)
+            bands = split(bands, gam, cutoff)
+            _, high, _ = pairs(bands)
             if t > 8.0 * period:
                 peak = max(peak, abs(high[0]))
         assert peak / amp == pytest.approx(expected, rel=0.05)
@@ -252,9 +252,8 @@ class TestSplitFrequency:
 class TestDcmFeedback:
     def test_zero_error_passthrough(self):
         desired = standing_sample(hands(fx=-50.0))
-        state = StabilizerState()
-        z_c, acc_c, com_shift, err = feedback(
-            desired, desired.dcm, state, StabilizerGains()
+        z_c, acc_c, com_shift, err, _ = feedback(
+            desired, desired.dcm, StabilizerGains()
         )
         assert np.all(z_c == desired.zmp)
         assert np.all(acc_c == desired.com_acc)
@@ -270,11 +269,8 @@ class TestDcmFeedback:
         )
         desired = standing_sample(contacts)
         assert desired.coefficients.kappa == pytest.approx(0.5, rel=1e-12)
-        state = StabilizerState()
         e = np.array([0.01, -0.004])
-        z_c, acc_c, _, _ = feedback(
-            desired, desired.dcm + e, state, StabilizerGains()
-        )
+        z_c, acc_c, _, _, _ = feedback(desired, desired.dcm + e, StabilizerGains())
         assert np.allclose(z_c - desired.zmp, 2.5 * e, atol=1e-15)
         assert np.allclose(
             acc_c - desired.com_acc, -(OMEGA**2) * 1.25 * e, atol=1e-12
@@ -282,13 +278,13 @@ class TestDcmFeedback:
 
     def test_low_band_shifts_com_not_zmp(self):
         desired = standing_sample()
-        state = StabilizerState()
-        state.gamma_low = np.array([-0.03, 0.0])
+        low = np.array([-0.03, 0.0])
         # actual DCM tracks the shifted reference: no residual feedback
-        z_c, acc_c, com_shift, err = feedback(
-            desired, desired.dcm - state.gamma_low, state, StabilizerGains()
+        bands = (*low.tolist(), *ZEROS[2:])
+        z_c, acc_c, com_shift, err, _ = feedback(
+            desired, desired.dcm - low, StabilizerGains(), bands=bands
         )
-        assert np.all(com_shift == desired.com_pos - state.gamma_low)
+        assert np.all(com_shift == desired.com_pos - low)
         assert np.allclose(err, 0.0, atol=1e-15)
         assert np.allclose(z_c, desired.zmp, atol=1e-15)
         assert np.allclose(acc_c, desired.com_acc, atol=1e-12)
@@ -296,15 +292,13 @@ class TestDcmFeedback:
     def test_high_band_feeds_zmp_forward(self):
         desired = standing_sample()
         kappa = desired.coefficients.kappa
-        state = StabilizerState()
-        state.gamma_high = np.array([0.02, 0.0])
-        z_c, acc_c, _, _ = feedback(
-            desired, desired.dcm, state, StabilizerGains()
+        high = np.array([0.02, 0.0])
+        bands = (0.0, 0.0, *high.tolist(), 0.0, 0.0)
+        z_c, acc_c, _, _, _ = feedback(
+            desired, desired.dcm, StabilizerGains(), bands=bands
         )
-        assert np.allclose(z_c - desired.zmp, state.gamma_high / kappa, atol=1e-15)
-        assert np.allclose(
-            acc_c - desired.com_acc, -(OMEGA**2) * state.gamma_high, atol=1e-12
-        )
+        assert np.allclose(z_c - desired.zmp, high / kappa, atol=1e-15)
+        assert np.allclose(acc_c - desired.com_acc, -(OMEGA**2) * high, atol=1e-12)
 
     def test_degenerate_kappa_rejected(self):
         contacts = (
@@ -313,18 +307,17 @@ class TestDcmFeedback:
             ),
         )
         desired = standing_sample(contacts, com=np.zeros(2))
-        state = StabilizerState()
         with pytest.raises(DegenerateScale):
-            feedback(desired, desired.dcm, state, StabilizerGains())
+            feedback(desired, desired.dcm, StabilizerGains())
 
     def test_integrator_clamps(self):
         desired = standing_sample()
         gains = StabilizerGains(k_i=0.5, integrator_limit=0.01)
-        state = StabilizerState()
+        memory = ZEROS
         e = np.array([0.05, -0.05])
         for _ in range(2000):
-            feedback(desired, desired.dcm + e, state, gains)
-        assert np.all(np.abs(state.dcm_error_integral) <= 0.01 + 1e-15)
+            *_, memory = feedback(desired, desired.dcm + e, gains, memory=memory)
+        assert np.all(np.abs(memory[:2]) <= 0.01 + 1e-15)
 
 
 class TestGainScaling:
@@ -610,7 +603,7 @@ class TestStepStabilizer:
         out = stabilize(
             stab, desired, desired.com_pos.copy(), np.zeros(2), hands(fx=-90.0)
         )
-        gamma_low, gamma_high, _ = bands(stab.state)
+        gamma_low, gamma_high, _ = pairs(out.bands)
         assert np.all(gamma_low == 0.0)
         assert np.all(gamma_high == 0.0)
         assert out.gamma_err[0] != 0.0
