@@ -11,13 +11,13 @@ measurement noise, Stabilizer.measure_forces and the search for unloaded
 feet. The feedback pass runs one step at a time on Python floats, with the
 plant state and the DCM memory in local variables: Stabilizer.step and
 step_plant. The ground-wrench pass feeds nothing back and runs on arrays:
-Stabilizer.ground_wrench gives the cop_clamped flag. The plant state, the
-DCM memory and the force-error bands go from block to block as the run's
-own values; the Stabilizer holds none of them. Each law is defined once.
-The support hull's edges and the ZMP clamp bounds of every support phase
-are built once per run, in one table indexed by phase. A step that
-fails (STEP_FAILURES) ends the run: the exception propagates with the trace
-of the steps before it attached as ``exc.trace``.
+Stabilizer.ground_wrench gives the cop_clamped flag, once per block. The
+plant state, the DCM memory and the force-error bands go from block to
+block as the run's own values; the Stabilizer holds none of them. Each law
+is defined once. The compiled support hull and the ZMP clamp bounds of
+every support phase are built once per run, in one table indexed by phase.
+A step that fails (STEP_FAILURES) ends the run: the exception propagates
+with the trace of the steps before it attached as ``exc.trace``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .core_dynamics import (
 from .errors import Infeasible, NonFiniteState, NonPhysical
 from .pattern_generator import DesiredTrajectory
 from .reference_builder import SoleRect
-from .stabilizer import Stabilizer, check_feet_loaded, hull_edges, support_hull
+from .stabilizer import Stabilizer, check_feet_loaded, compile_hull, support_hull
 
 _DISTURBANCE_KINDS = ("constant", "sinusoid", "step")
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -168,10 +168,16 @@ class DisturbanceProfile:
         return self._acting(t)
 
     def _acting(self, t):
-        """The signal at times t inside the window, a float or an array."""
+        """The signal at times t inside the window, a float or an array. A
+        sinusoid's phase that overflows raises ValueError."""
         if self.kind != "sinusoid":
             return self.amplitude
-        phase = 2.0 * math.pi * (t - self.start_time) / self.period
+        with np.errstate(over="ignore"):
+            phase = 2.0 * math.pi * (t - self.start_time) / self.period
+        if not np.all(np.isfinite(phase)):
+            raise ValueError(
+                f"sinusoid period {self.period!r} too short: the phase overflows"
+            )
         if isinstance(phase, np.ndarray):
             return self.amplitude * np.fromiter(map(math.sin, phase.tolist()), float)
         return self.amplitude * math.sin(phase)
@@ -709,9 +715,9 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
     on its bands and the DCM memory, then advance the plant under the true
     contacts with step_plant. The plant state and the memory stay in local
     variables. law is (decay, plant omega, dt, divergence limit), support
-    the run's table of (hull_edges, clamp bounds) by phase, plant is (px,
-    py, vx, vy, zx, zy), memory the DCM memory of the step before and
-    inputs are the lists of _open_loop_block.
+    the run's table (compiled hulls, clamp bounds), two lists by phase,
+    plant is (px, py, vx, vy, zx, zy), memory the DCM memory of the step
+    before and inputs are the lists of _open_loop_block.
 
     Returns (logged, plant, memory, failure, diverged): per step the tuple
     (px, py, vx, vy, zcx, zcy, zx, zy, zmp_saturated, zmp_clamped, acc_x,
@@ -721,6 +727,7 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
     than the limit.
     """
     decay, plant_omega, dt, limit = law
+    hulls, clamp_bounds = support
     px, py, vx, vy, zx, zy = plant
     phases, kappas, plans, *rest = inputs
     logged = []
@@ -732,16 +739,17 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
         ):
             if ph != phase:
                 phase = ph
-                edges, bounds = support[ph]
+                hull = hulls[ph]
+                bounds = clamp_bounds[ph]
             if noise is None:
                 zcx, zcy, acx, acy, sat, memory = step(
-                    kappa_d, omega, plan, px, py, vx, vy, edges, band, memory
+                    kappa_d, omega, plan, px, py, vx, vy, hull, band, memory
                 )
             else:
                 ncx, ncy, nvx, nvy = noise
                 zcx, zcy, acx, acy, sat, memory = step(
                     kappa_d, omega, plan, px + ncx, py + ncy, vx + nvx, vy + nvy,
-                    edges, band, memory,
+                    hull, band, memory,
                 )
             stepped = step_plant(
                 px, py, vx, vy, zx, zy, zcx, zcy, decay, bounds,
@@ -761,7 +769,8 @@ def _closed_loop_block(
 ):
     """One block from sample b0 in its three passes: _open_loop_block, then
     _feedback_pass up to the first unloaded sample, then the ground-wrench
-    pass over the steps taken (_cop_clamped). Writes the block's columns.
+    pass over the steps taken, one Stabilizer.ground_wrench call on arrays.
+    Writes the block's columns.
     carried is what the block continues from: (plant, DCM memory, bands)
     after the sample before b0.
 
@@ -794,29 +803,12 @@ def _closed_loop_block(
         if sample_noise is not None:
             com_x = com_x + sample_noise[: len(logged), 0]
             com_y = com_y + sample_noise[: len(logged), 1]
-        columns["cop_clamped"][steps] = _cop_clamped(
-            stabilizer, com_x, com_y, block[10], block[11],
+        columns["cop_clamped"][steps] = stabilizer.ground_wrench(
+            com_x, com_y, block[10], block[11],
             tuple(tuple(v[: len(logged)] for v in r) for r in measured),
-            traj.timeline.phase[steps], support,
+            support[0], traj.timeline.phase[steps],
         )
     return b1, k, (plant, memory, bands), failure, diverged
-
-
-def _cop_clamped(stabilizer, com_x, com_y, acc_x, acc_y, rows, phase, support):
-    """Stabilizer.ground_wrench over samples of one or more support phases,
-    once per run of equal phase. rows are contact_rows over the samples,
-    phase their phase indices and support the table of _feedback_pass.
-    Returns the cop_clamped flags."""
-    flags = np.empty(len(phase), dtype=bool)
-    cuts = (np.flatnonzero(np.diff(phase)) + 1).tolist()
-    for s, e in zip([0, *cuts], [*cuts, len(phase)]):
-        run = slice(s, e)
-        flags[run] = stabilizer.ground_wrench(
-            com_x[run], com_y[run], acc_x[run], acc_y[run],
-            tuple(tuple(v[run] for v in r) for r in rows),
-            support[int(phase[s])][0],
-        )
-    return flags
 
 
 def run_closed_loop(
@@ -836,11 +828,11 @@ def run_closed_loop(
     starts from the plan's first sample: planned CoM position and velocity,
     realized ZMP on the planned ZMP. Before the first block, it builds one
     support table for the run: per support phase of timeline.support_regions,
-    the support hull's hull_edges and the ZMP clamp bounds (the soles'
-    bounding rectangle grown by ZMP_CLAMP_MARGIN), which every pass indexes
-    by phase. The run goes in blocks of at most BLOCK_SAMPLES samples, cut
-    where the number of hand contacts changes, and each block in three
-    passes:
+    the support hull compiled for the inside test (compile_hull) and the ZMP
+    clamp bounds (the soles' bounding rectangle grown by ZMP_CLAMP_MARGIN),
+    which every pass indexes by phase. The run goes in blocks of at most
+    BLOCK_SAMPLES samples, cut where the number of hand contacts changes,
+    and each block in three passes:
 
     - open loop, on arrays over the block (_open_loop_block): the true
       contacts by apply_disturbances and their contact_terms; white
@@ -855,10 +847,11 @@ def run_closed_loop(
       sample, where the run stops with the exception check_feet_loaded
       raises for its fz, as the ground-wrench stage would. The block then
       writes its columns; xi_*^a is dcm_of of the logged CoM and velocity.
-    - ground wrench, on arrays over the steps taken: Stabilizer.ground_wrench
-      against the measured CoM and contacts and the command acceleration,
-      for the cop_clamped flag. Nothing reads the net wrench back, and the
-      plant never reads a per-foot split.
+    - ground wrench, on arrays over the steps taken: one
+      Stabilizer.ground_wrench call against the measured CoM and contacts
+      and the command acceleration, for the cop_clamped flag; its hull test
+      runs on each phase's slice of the block. Nothing reads the net wrench
+      back, and the plant never reads a per-foot split.
 
     Aborts and marks the trace when the actual CoM leaves the desired one
     by more than divergence_limit. A step that raises one of STEP_FAILURES
@@ -909,15 +902,14 @@ def run_closed_loop(
 
     decay = None if direct_zmp else math.exp(-stabilizer.gains.rho * dt)
     law = (decay, compute_coefficients(stabilizer.params).omega, dt, divergence_limit)
-    # per support phase: the hull's edges and the ZMP clamp bounds
+    # per support phase: the compiled hull and the ZMP clamp bounds
     m = ZMP_CLAMP_MARGIN
-    support = []
+    hulls, clamp_bounds = [], []
     for region in timeline.support_regions:
         base = SoleRect.bounding(region)
-        support.append((
-            hull_edges(support_hull(region)),
-            (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
-        ))
+        hulls.append(compile_hull(support_hull(region)))
+        clamp_bounds.append((base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m))
+    support = (hulls, clamp_bounds)
     plant = (
         *traj.com_pos[0].tolist(), *traj.com_vel[0].tolist(), *traj.zmp[0].tolist()
     )

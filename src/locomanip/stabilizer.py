@@ -16,14 +16,17 @@ Stabilizer.step, takes one sample's bands and its DCM memory and runs
 dcm_feedback and the command saturation on Python floats, up to the command
 ZMP; the closed loop of plant_sim calls it once per step. The bands and the
 memory are the caller's, which carries them from sample to sample: a
-Stabilizer holds no run state. The support hull (support_hull) comes
-in as its edges (hull_edges); the closed loop builds them once per support
-phase of a run, and no hull outlives the run. The ground-wrench stage feeds
-nothing back: Stabilizer.ground_wrench builds the net ground wrench
-(net_foot_wrench) and its pressure point (wrench_zmp) over arrays of samples
-and reports the cop_clamped flag, and raises when the feet are unloaded
-(check_feet_loaded).
-distribute_wrench (an active-set split under sole limits) splits such a
+Stabilizer holds no run state. The support hull (support_hull) comes in
+compiled (compile_hull): its bounding box stands for its axis-aligned edges
+in the inside test, so the hull of SoleRects is four comparisons and the
+cross products of its oblique edges. The closed loop compiles each support
+phase's hull once per run, and no hull outlives the run. The ground-wrench
+stage feeds nothing back: Stabilizer.ground_wrench builds the net ground
+wrench (net_foot_wrench) and its pressure point (wrench_zmp) once over a
+block of samples, tests them against each phase's hull on arrays
+(_clamped) and reports the cop_clamped flag, and raises when the feet are
+unloaded (check_feet_loaded).
+distribute_wrench (a least-distance split under sole limits) splits such a
 wrench between the feet; the closed loop, which never reads the per-foot
 wrenches, does not call it.
 
@@ -36,7 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +62,11 @@ from .reference_builder import SoleRect
 _RATE_SMOOTHING_STEPS = 5.0
 _BETA = 1.0 / (_RATE_SMOOTHING_STEPS + 1.0)
 
-_ACTIVE_SET_CAP = 50
+_NNLS_CAP = 100
+
+_DBL_MAX = sys.float_info.max
+# (xmin, xmax, ymin, ymax) of no bound: also the direction beyond each side
+_UNBOUNDED = (-math.inf, math.inf, -math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -280,7 +289,8 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def hull_edges(hull: np.ndarray) -> tuple:
-    """Edges of a CCW hull as float tuples (ax, ay, ex, ey, |e|^2).
+    """Edges of a CCW hull as float tuples (ax, ay, ex, ey, |e|^2), the
+    edges of its CompiledHull.
 
     Each edge runs from vertex a along e to the next vertex. A 2-vertex hull
     is one segment, a 1-vertex hull one edge of zero length.
@@ -296,20 +306,104 @@ def hull_edges(hull: np.ndarray) -> tuple:
     return tuple(edges)
 
 
-def _clamp_xy(px, py, edges):
-    """Nearest point (x, y) of a convex polygon, given by hull_edges, to (px, py).
+class CompiledHull(NamedTuple):
+    """A convex support hull as _clamp_xy and _clamped read it.
+
+    A point is outside the hull when an edge (ax, ay, ex, ey) has it on its
+    right: ex (py - ay) - ey (px - ax) < 0. For an axis-aligned edge that
+    test is a bound on one coordinate, so box holds those bounds (xmin,
+    xmax, ymin, ymax), +-inf on a side with no such edge, and oblique the
+    other edges, whose cross products are still taken. A hull of one or two
+    vertices has no inside point: its box is None and oblique empty. edges
+    (hull_edges) are every edge, for the projection. reach is the hull's
+    bounding box (xmin, xmax, ymin, ymax) grown by 8 ULPs of its largest
+    coordinate M, which every point the projection computes lies in: such a
+    point a + t e, t in [0, 1], lies between a and fl(a + fl(b - a)),
+    which is within 3 ULPs of M of the next vertex b.
+    """
+
+    box: tuple | None
+    oblique: tuple
+    edges: tuple
+    reach: tuple
+
+
+def _outside(edge, px, py) -> bool:
+    ax, ay, ex, ey, _ = edge
+    return ex * (py - ay) - ey * (px - ax) < 0.0
+
+
+def compile_hull(hull: np.ndarray) -> CompiledHull:
+    """The CompiledHull of a CCW hull (support_hull).
+
+    An axis-aligned edge enters the box only when its own test is exactly
+    the bound for every point whose other coordinate is finite. Where that
+    coordinate is inf or NaN the edge's test is NaN (0 * inf) and rejects
+    nothing, so _clamp_xy counts a bound only where it is finite. The test
+    is monotone in the distance from the line, so it is the bound when it
+    rejects the point one ULP beyond the line at the other coordinate
+    +-DBL_MAX. An edge whose product underflows to zero there (a line at
+    0.0: 0.22 * -5e-324 is -0.0) or whose difference overflows stays
+    oblique. A hull of SoleRects has an axis-aligned edge on every side of
+    its bounding box, so its inside test is four comparisons and the cross
+    products of its oblique edges, if any.
+    """
+    edges = hull_edges(hull)
+    lo = hull.min(axis=0).tolist()
+    hi = hull.max(axis=0).tolist()
+    r = 8.0 * math.ulp(max(map(abs, lo + hi)))
+    reach = (lo[0] - r, hi[0] + r, lo[1] - r, hi[1] + r)
+    if len(edges) <= 2:
+        return CompiledHull(None, (), edges, reach)
+    box = list(_UNBOUNDED)
+    oblique = []
+    for edge in edges:
+        ax, ay, ex, ey, _ = edge
+        if ey == 0.0:  # bottom (ex > 0, ymin) or top (ymax)
+            side = 2 if ex > 0.0 else 3
+            line = ay
+            beyond = math.nextafter(line, _UNBOUNDED[side])
+            points = ((-_DBL_MAX, beyond), (_DBL_MAX, beyond))
+        elif ex == 0.0:  # right (ey > 0, xmax) or left (xmin)
+            side = 1 if ey > 0.0 else 0
+            line = ax
+            beyond = math.nextafter(line, _UNBOUNDED[side])
+            points = ((beyond, -_DBL_MAX), (beyond, _DBL_MAX))
+        else:
+            oblique.append(edge)
+            continue
+        if all(_outside(edge, x, y) for x, y in points):
+            box[side] = line
+        else:
+            oblique.append(edge)
+    return CompiledHull(tuple(box), tuple(oblique), edges, reach)
+
+
+def _clamp_xy(px, py, hull: CompiledHull):
+    """Nearest point (x, y) of a convex polygon, given by its CompiledHull,
+    to (px, py).
 
     A point inside the polygon comes back unchanged; a 2-vertex hull is one
-    segment. Float arithmetic rounds every product the same way on every
-    CPU (numpy's 2-vector dot goes through BLAS, which may fuse
-    multiply-adds).
+    segment. The inside test is the box's bounds, each counted only where
+    the other coordinate is finite, then the oblique edges' cross products:
+    the same answer as every edge's cross product, for every float and NaN
+    (a NaN point is inside). Float arithmetic rounds every product the same
+    way on every CPU (numpy's 2-vector dot goes through BLAS, which may
+    fuse multiply-adds).
     """
-    if len(edges) > 2:
-        for ax, ay, ex, ey, _ in edges:
-            if ex * (py - ay) - ey * (px - ax) < 0.0:
-                break
-        else:
-            return px, py
+    box, oblique, edges, _ = hull
+    if box is not None:
+        xmin, xmax, ymin, ymax = box
+        # x - x is 0.0 for a finite x and NaN otherwise
+        if not (
+            (px < xmin or px > xmax) and py - py == 0.0
+            or (py < ymin or py > ymax) and px - px == 0.0
+        ):
+            for ax, ay, ex, ey, _ in oblique:
+                if ex * (py - ay) - ey * (px - ax) < 0.0:
+                    break
+            else:
+                return px, py
     best = None
     best_d = math.inf
     for ax, ay, ex, ey, ee in edges:
@@ -327,33 +421,67 @@ def _clamp_xy(px, py, edges):
     return best
 
 
-def _clamped(px, py, edges):
-    """Whether _clamp_xy moves each point of the arrays (px, py).
-
-    The inside test is _clamp_xy's, with the same operations, on arrays.
-    Points it finds outside, NaN points and every point of a hull of one or
-    two vertices go through _clamp_xy itself, so each flag is the float
-    call's bit for bit. An inside point comes back unchanged (not moved).
-    """
-    with np.errstate(all="ignore"):
-        if len(edges) > 2:
-            check = (px != px) | (py != py)
-            for ax, ay, ex, ey, _ in edges:
-                check |= ex * (py - ay) - ey * (px - ax) < 0.0
-            check = np.flatnonzero(check)
+def _project(px, py, edges):
+    """_clamp_xy's projection onto the edges, on arrays of points: the same
+    operations elementwise. np.where(0.0 > t, 0.0, t) is max(t, 0.0) and
+    np.where(1.0 < t, 1.0, t) is min(t, 1.0), -0.0 and NaN included
+    (np.maximum would differ on both); the first edge always counts, a
+    later one where its distance is strictly smaller."""
+    for i, (ax, ay, ex, ey, ee) in enumerate(edges):
+        if ee == 0.0:
+            return np.full(len(px), ax), np.full(len(px), ay)
+        t = ((px - ax) * ex + (py - ay) * ey) / ee
+        t = np.where(0.0 > t, 0.0, t)
+        t = np.where(1.0 < t, 1.0, t)
+        qx = ax + t * ex
+        qy = ay + t * ey
+        d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
+        if i == 0:
+            best_x, best_y, best_d = qx, qy, d
         else:
-            check = np.arange(len(px))
-    flags = np.zeros(len(px), dtype=bool)
-    for i, x, y in zip(check.tolist(), px[check].tolist(), py[check].tolist()):
-        qx, qy = _clamp_xy(x, y, edges)
-        flags[i] = qx != x or qy != y
+            closer = d < best_d
+            best_x = np.where(closer, qx, best_x)
+            best_y = np.where(closer, qy, best_y)
+            best_d = np.where(closer, d, best_d)
+    return best_x, best_y
+
+
+def _clamped(px, py, hull: CompiledHull):
+    """Whether _clamp_xy moves each point of the arrays (px, py), on arrays.
+
+    The inside test is _clamp_xy's, elementwise. A point it finds outside
+    is moved if it lies beyond the hull's reach, where no projected point
+    can equal it; the others are projected by _project. So each flag is the
+    float call's bit for bit. An inside point comes back unchanged: not
+    moved, unless it is NaN (NaN != NaN).
+    """
+    box, oblique, edges, reach = hull
+    with np.errstate(all="ignore"):
+        if box is None:
+            out = np.ones(len(px), dtype=bool)
+        else:
+            xmin, xmax, ymin, ymax = box
+            # np.isfinite(y) is _clamp_xy's y - y == 0.0
+            out = ((px < xmin) | (px > xmax)) & np.isfinite(py)
+            out |= ((py < ymin) | (py > ymax)) & np.isfinite(px)
+            for ax, ay, ex, ey, _ in oblique:
+                out |= ex * (py - ay) - ey * (px - ax) < 0.0
+        flags = (px != px) | (py != py)
+        xmin, xmax, ymin, ymax = reach
+        far = out & ((px < xmin) | (px > xmax) | (py < ymin) | (py > ymax))
+        flags |= far
+        near = np.flatnonzero(out & ~far)
+        if len(near):
+            x, y = px[near], py[near]
+            qx, qy = _project(x, y, edges)
+            flags[near] = (qx != x) | (qy != y)
     return flags
 
 
 def _clamp_to_hull(point: np.ndarray, hull: np.ndarray) -> np.ndarray:
     """Nearest point of a convex polygon (CCW vertices) to the given point."""
     x, y = np.asarray(point, dtype=float).tolist()
-    return np.array(_clamp_xy(x, y, hull_edges(hull)))
+    return np.array(_clamp_xy(x, y, compile_hull(hull)))
 
 
 def support_hull(region) -> np.ndarray:
@@ -429,8 +557,7 @@ def distribute_wrench(
     """
     if left_foot is None and right_foot is None:
         raise Infeasible("no support feet")
-    if not net.force[2] > 0.0:
-        raise Infeasible("net wrench must press downward on the ground")
+    check_feet_loaded(net.force[2])
 
     if left_foot is None or right_foot is None:
         rect = left_foot if right_foot is None else right_foot
@@ -485,7 +612,7 @@ def distribute_wrench(
         )
 
     w0 = np.concatenate(forces + moments)
-    sol = _active_set_qp(w0, net, centers, halves)
+    sol = _sole_limited_split(w0, centers, halves)
     return (
         Wrench(force=sol[0:3], moment=sol[6:9]),
         Wrench(force=sol[3:6], moment=sol[9:12]),
@@ -496,13 +623,16 @@ def _cross_matrix(p):
     return np.array([[0.0, -p[2], p[1]], [p[2], 0.0, -p[0]], [-p[1], p[0], 0.0]])
 
 
-def _active_set_qp(w0, net, centers, halves):
+def _sole_limited_split(w0, centers, halves):
     """min ||w - w0||^2 over recombination equalities and sole inequalities.
 
     Unknowns w = (f_left, f_right, m_left, m_right), moments about the foot
-    centers. w0 already satisfies the equalities; the working set grows by
-    the worst violated sole constraint and sheds constraints with negative
-    multipliers. Feasibility is guaranteed by the caller's hull pre-check.
+    centers. w0 already satisfies the equalities E w = (net force, net
+    moment), so w = w0 + N z with N an orthonormal basis of E's null space,
+    and the split is the least-distance program: the shortest z with
+    G N z <= -G w0, G w <= 0 being the sole limits. The equalities then hold
+    to rounding whatever the inequalities' solve does. Feasibility is
+    guaranteed by the caller's hull pre-check.
     """
     E = np.zeros((6, 12))
     E[0:3, 0:3] = np.eye(3)
@@ -511,7 +641,7 @@ def _active_set_qp(w0, net, centers, halves):
     E[3:6, 3:6] = _cross_matrix(centers[1])
     E[3:6, 6:9] = np.eye(3)
     E[3:6, 9:12] = np.eye(3)
-    h = np.concatenate([net.force, net.moment])
+    null = np.linalg.svd(E)[2][6:].T
 
     # rows g with g @ w <= 0: per-foot CoP bounds and vertical force sign
     rows = []
@@ -532,34 +662,56 @@ def _active_set_qp(w0, net, centers, halves):
         row[fz] = -1.0
         rows.append(row)
     G = np.array(rows)
+    return w0 + null @ _least_distance(G @ null, -(G @ w0))
 
-    active: list[int] = []
-    for _ in range(_ACTIVE_SET_CAP):
-        na = len(active)
-        kkt = np.zeros((18 + na, 18 + na))
-        kkt[0:12, 0:12] = 2.0 * np.eye(12)
-        kkt[0:12, 12:18] = E.T
-        kkt[12:18, 0:12] = E
-        rhs = np.concatenate([2.0 * w0, h, np.zeros(na)])
-        if na:
-            Ga = G[active]
-            kkt[0:12, 18:] = Ga.T
-            kkt[18:, 0:12] = Ga
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        w = sol[0:12]
-        viol = G @ w
-        worst = int(np.argmax(viol))
-        if viol[worst] > 1e-10 and worst not in active:
-            active.append(worst)
-            continue
-        if na:
-            mu = sol[18:]
-            drop = int(np.argmin(mu))
-            if mu[drop] < -1e-10:
-                active.pop(drop)
-                continue
-        return w
-    raise Infeasible("wrench distribution active set did not settle")
+
+def _least_distance(a, b):
+    """The shortest z with a z <= b, by Lawson and Hanson's reduction to
+    non-negative least squares (Solving Least Squares Problems, 1974,
+    ch. 23): with u >= 0 minimizing ||[-a, -b]^T u - e_n+1||, the residual
+    r gives z = -r[:n] / r[n]; r[n] < 0 unless the constraints are
+    inconsistent. b is scaled to unit size for the solve."""
+    scale = float(np.abs(b).max())
+    if not np.any(b < 0.0):
+        return np.zeros(a.shape[1])
+    lhs = np.vstack([-a.T, -b / scale])
+    target = np.zeros(len(lhs))
+    target[-1] = 1.0
+    r = lhs @ _nnls(lhs, target) - target
+    if not r[-1] < 0.0:
+        raise Infeasible("sole limits admit no split of the net wrench")
+    return scale * (-r[:-1] / r[-1])
+
+
+def _nnls(a, b):
+    """x >= 0 minimizing ||a x - b||, by Lawson and Hanson's active-set
+    method (ch. 23): grow the passive set by the largest positive gradient
+    entry, solve on it, and step back to the boundary where a passive
+    entry would turn non-positive."""
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * float(np.abs(a).sum(axis=0).max())
+    for _ in range(_NNLS_CAP):
+        grad = a.T @ (b - a @ x)
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if not grad[j] > tol:
+            return x
+        passive[j] = True
+        for _ in range(_NNLS_CAP):
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                break
+            down = passive & (z <= 0.0)
+            alpha = np.min(x[down] / (x[down] - z[down]))
+            x = x + alpha * (z - x)
+            passive &= x > tol
+        else:
+            break
+        x = z
+    raise Infeasible("wrench distribution did not settle")
 
 
 class Stabilizer:
@@ -620,7 +772,7 @@ class Stabilizer:
         return ex, ey, bands
 
     def step(
-        self, kappa, omega, plan, com_x, com_y, vel_x, vel_y, edges, bands, memory
+        self, kappa, omega, plan, com_x, com_y, vel_x, vel_y, hull, bands, memory
     ):
         """The feedback half of one stabilizer cycle on floats, up to the
         command ZMP.
@@ -632,8 +784,8 @@ class Stabilizer:
         kappa and omega are the planned sample's coefficients; plan is its
         (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
         acceleration, DCM and ZMP. (com_x, com_y) and (vel_x, vel_y) are the
-        measured CoM position and velocity, edges the support hull as
-        hull_edges and bands the sample's (low_x, low_y, high_x, high_y,
+        measured CoM position and velocity, hull the support hull as its
+        CompiledHull and bands the sample's (low_x, low_y, high_x, high_y,
         rate_x, rate_y).
 
         Returns (zmp_x, zmp_y, acc_x, acc_y, zmp_saturated, memory): the
@@ -644,7 +796,7 @@ class Stabilizer:
             self.gains.pid, self.dt, kappa, omega, plan,
             dcm_of(com_x, vel_x, omega), dcm_of(com_y, vel_y, omega), bands, memory,
         )
-        qx, qy = _clamp_xy(zcx, zcy, edges)
+        qx, qy = _clamp_xy(zcx, zcy, hull)
         if qx != zcx or qy != zcy:
             w2k = omega * omega * kappa
             acx = plan[2] - w2k * (qx - plan[6])
@@ -652,19 +804,22 @@ class Stabilizer:
             return qx, qy, acx, acy, True, memory
         return zcx, zcy, acx, acy, False, memory
 
-    def ground_wrench(self, com_x, com_y, acc_x, acc_y, rows, edges):
+    def ground_wrench(self, com_x, com_y, acc_x, acc_y, rows, hulls, phase):
         """The ground-wrench stage: whether the net ground wrench's pressure
         point lies outside the support hull.
 
         Builds the net ground wrench against the measured CoM (com_x, com_y)
         at the robot's CoM height with the command acceleration (acc_x,
         acc_y) and the measured contacts rows (net_foot_wrench), and clamps
-        its pressure point (wrench_zmp) into the hull of edges (hull_edges):
-        the wrench the feet can realize is capped there. The inputs are
-        floats for one sample or arrays of samples of one support phase
-        (rows as contact_rows whose values are such arrays). Returns
-        cop_clamped, a bool or a bool array, each as the float call gives it.
-        Raises as check_feet_loaded where the feet are unloaded, at any
+        its pressure point (wrench_zmp) into the sample's support hull: the
+        wrench the feet can realize is capped there. hulls is a table of
+        CompiledHulls and phase the sample's index into it. The inputs are
+        floats for one sample, or arrays of samples (rows as contact_rows
+        whose values are such arrays, phase an int array); the wrench and
+        its pressure point are then taken once over all of them and the
+        hull test (_clamped) once per run of equal phase. Returns
+        cop_clamped, a bool or a bool array, each as the float call gives
+        it. Raises as check_feet_loaded where the feet are unloaded, at any
         sample.
         """
         params = self.params
@@ -675,7 +830,11 @@ class Stabilizer:
             )
             check_feet_loaded(fz)
             px, py = wrench_zmp(fx, fy, fz, mx, my, zmp_height)
-        if isinstance(px, np.ndarray):
-            return _clamped(px, py, edges)
-        qx, qy = _clamp_xy(px, py, edges)
-        return qx != px or qy != py
+        if not isinstance(px, np.ndarray):
+            qx, qy = _clamp_xy(px, py, hulls[phase])
+            return qx != px or qy != py
+        flags = np.empty(len(px), dtype=bool)
+        cuts = (np.flatnonzero(np.diff(phase)) + 1).tolist()
+        for s, e in zip([0, *cuts], [*cuts, len(px)]):
+            flags[s:e] = _clamped(px[s:e], py[s:e], hulls[int(phase[s])])
+        return flags

@@ -12,7 +12,9 @@ write_trace_savetxt are the earlier whole-array forms of the support hull
 and of the trace CSV writer, which the package's must match byte for byte.
 disturbed_rows and closed_loop_by_sample are the closed loop one sample at a
 time on Python floats, which the package's blocked loop must match bit for
-bit: trace columns, flags and the stop.
+bit: trace columns, flags and the stop. clamp_xy_edge_loop is the earlier
+inside test and projection of the support hull clamp, a cross product per
+edge, which the compiled hull's must match bit for bit.
 """
 
 import math
@@ -31,7 +33,7 @@ from locomanip.plant_sim import (
     step_plant,
 )
 from locomanip.reference_builder import SoleRect
-from locomanip.stabilizer import hull_edges, support_hull
+from locomanip.stabilizer import compile_hull, support_hull
 
 
 def classical_preview_rollout(gains, zmp_ref):
@@ -70,6 +72,37 @@ def classical_preview_rollout(gains, zmp_ref):
             vel = vel + dt * acc + (dt * dt / 2.0) * u
             acc = acc + dt * u
     return out
+
+
+def clamp_xy_edge_loop(px, py, edges):
+    """Nearest point (x, y) of a convex polygon, given by hull_edges, to (px, py).
+
+    A point inside the polygon comes back unchanged; a 2-vertex hull is one
+    segment. Float arithmetic rounds every product the same way on every
+    CPU (numpy's 2-vector dot goes through BLAS, which may fuse
+    multiply-adds).
+    """
+    if len(edges) > 2:
+        for ax, ay, ex, ey, _ in edges:
+            if ex * (py - ay) - ey * (px - ax) < 0.0:
+                break
+        else:
+            return px, py
+    best = None
+    best_d = math.inf
+    for ax, ay, ex, ey, ee in edges:
+        if ee == 0.0:  # a single-vertex hull
+            return ax, ay
+        t = min(max(((px - ax) * ex + (py - ay) * ey) / ee, 0.0), 1.0)
+        qx = ax + t * ex
+        qy = ay + t * ey
+        d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
+        # the first edge always counts, so an overflowing or NaN distance
+        # still yields a point (a NaN one for a NaN input)
+        if best is None or d < best_d:
+            best_d = d
+            best = (qx, qy)
+    return best
 
 
 def step_pg(state, gains, refs):
@@ -228,8 +261,8 @@ def closed_loop_by_sample(
     Stabilizer.measure_forces over the one sample from the bands of the
     sample before, Stabilizer.step with the DCM memory of the step before,
     Stabilizer.ground_wrench, then step_plant. The bands and the memory
-    start at zero and are local variables. Hull edges, clamp bounds and
-    contact rows are rebuilt at every sample.
+    start at zero and are local variables. The compiled hull, clamp bounds
+    and contact rows are rebuilt at every sample.
 
     Returns a namespace: columns (every CSV column and the bool extra
     flags over the steps taken), diverged_at (the plant's clock at the
@@ -255,7 +288,7 @@ def closed_loop_by_sample(
     for k in range(len(timeline)):
         desired = timeline.contact_rows(int(timeline.contact_index[k]))
         region = timeline.support_regions[int(timeline.phase[k])]
-        edges = hull_edges(support_hull(region))
+        hull = compile_hull(support_hull(region))
         true = disturbed_rows(desired, disturbances, float(traj.time[k]))
         cx, cy, wx, wy, measured = px, py, vx, vy, true
         if rng is not None:
@@ -288,10 +321,12 @@ def closed_loop_by_sample(
         m = ZMP_CLAMP_MARGIN
         try:
             zcx, zcy, acx, acy, saturated, memory = stabilizer.step(
-                float(timeline.kappa[k]), omega, plan, cx, cy, wx, wy, edges,
+                float(timeline.kappa[k]), omega, plan, cx, cy, wx, wy, hull,
                 bands, memory,
             )
-            cop_clamped = stabilizer.ground_wrench(cx, cy, acx, acy, measured, edges)
+            cop_clamped = stabilizer.ground_wrench(
+                cx, cy, acx, acy, measured, (hull,), 0
+            )
             npx, npy, nvx, nvy, _, _, nzx, nzy, zmp_clamped = step_plant(
                 px, py, vx, vy, zx, zy, zcx, zcy, decay,
                 (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import closed_loop_by_sample, disturbed_rows, write_trace_savetxt
 from test_trace_digests import NOISY, PUSHED
 
 from locomanip import plant_sim
+from locomanip import stabilizer as stabilizer_module
 from locomanip.core_dynamics import (
     compute_coefficients,
     contact_rows,
@@ -347,6 +349,19 @@ class TestClosedLoop:
         clean = run_closed_loop(traj, make_stabilizer())
         noisy = run_closed_loop(traj, make_stabilizer(), com_noise=1e-4)
         assert not np.array_equal(clean["z_x^c"], noisy["z_x^c"])
+
+    def test_overflowing_sinusoid_phase_names_the_period(self):
+        """A sinusoid whose phase overflows within the run: a ValueError
+        that names the period, not math.sin's domain error after a
+        RuntimeWarning."""
+        traj = plan_trajectory(standing_timeline(duration=0.2))
+        prof = DisturbanceProfile(kind="sinusoid", amplitude=10.0, period=1e-310)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="period 1e-310 too short"):
+                run_closed_loop(traj, make_stabilizer(), disturbances=(prof,))
+            with pytest.raises(ValueError, match="period"):
+                prof.value(0.1)
 
     def test_stabilizer_at_another_rate_is_refused(self):
         traj = plan_trajectory(standing_timeline(duration=0.2))
@@ -865,6 +880,34 @@ class TestReuse:
         assert len(between) > 40
         for i, trace in enumerate(between):
             assert self.trace_bytes(trace, tmp_path / f"cart-{i}.csv") == cart_alone, i
+
+
+def test_ground_wrench_pass_makes_no_scalar_clamp(monkeypatch):
+    """On testcase3 the ground-wrench pass tests its hulls on arrays only:
+    none of its 4210 flags comes from a call of the float clamp _clamp_xy.
+    The feedback pass makes at most one per step, in Stabilizer.step."""
+    calls = {"feedback": 0, "ground_wrench": 0}
+    pass_ = ["feedback"]
+    clamp = stabilizer_module._clamp_xy
+    ground_wrench = Stabilizer.ground_wrench
+
+    def counted_clamp(*args):
+        calls[pass_[0]] += 1
+        return clamp(*args)
+
+    def marked_ground_wrench(self, *args):
+        pass_[0] = "ground_wrench"
+        try:
+            return ground_wrench(self, *args)
+        finally:
+            pass_[0] = "feedback"
+
+    monkeypatch.setattr(stabilizer_module, "_clamp_xy", counted_clamp)
+    monkeypatch.setattr(Stabilizer, "ground_wrench", marked_ground_wrench)
+    trace = loop_of(scenario_bundle("testcase3"))
+    assert trace.extra["cop_clamped"].sum() == 4210
+    assert calls["ground_wrench"] == 0
+    assert 0 < calls["feedback"] <= len(trace)
 
 
 class TestBlocks:

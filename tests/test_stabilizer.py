@@ -1,5 +1,6 @@
 """Unit tests for the DCM stabilizer and foot wrench distribution."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -9,8 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from oracles import convex_hull_np_unique
+from hypothesis import assume, example, given, settings, strategies as st
+from oracles import clamp_xy_edge_loop, convex_hull_np_unique
 
 import locomanip
 
@@ -25,7 +26,6 @@ from locomanip.core_dynamics import (
     wrench_zmp,
 )
 from locomanip.errors import DegenerateScale, Infeasible, NonPhysical
-from locomanip.plant_sim import _cop_clamped
 from locomanip.reference_builder import SoleRect
 from locomanip.stabilizer import (
     Stabilizer,
@@ -35,6 +35,8 @@ from locomanip.stabilizer import (
     _clamp_xy,
     _clamped,
     _convex_hull,
+    _project,
+    compile_hull,
     conventional_closed_loop_matrix,
     dcm_feedback,
     distribute_wrench,
@@ -136,14 +138,14 @@ def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
     wrench the feet can realize), as a Wrench."""
     coeff = desired.coefficients
     rows = contact_rows(contacts)
-    edges = hull_edges(support_hull(region))
+    hull = compile_hull(support_hull(region))
     cx, cy = np.asarray(com, dtype=float).tolist()
     vx, vy = np.asarray(vel, dtype=float).tolist()
     ex, ey, (bands,) = stab.measure_forces(rows, desired.rows, 1, ZEROS)
     zx, zy, ax, ay, saturated, memory = stab.step(
-        coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, edges, bands, ZEROS
+        coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, hull, bands, ZEROS
     )
-    cop_clamped = stab.ground_wrench(cx, cy, ax, ay, rows, edges)
+    cop_clamped = stab.ground_wrench(cx, cy, ax, ay, rows, (hull,), 0)
     h = PARAMS.zmp_height
     fx, fy, fz, mx, my, mz = net_foot_wrench(
         PARAMS, cx, cy, PARAMS.com_height, ax, ay, 0.0, rows
@@ -389,6 +391,22 @@ class TestDistributeWrench:
         with pytest.raises(Infeasible):
             distribute_wrench(net, LEFT, RIGHT)
 
+    @pytest.mark.parametrize(
+        "fz, error, message",
+        [
+            (0.0, NonPhysical, "no vertical force"),
+            (math.nan, NonPhysical, "no vertical force"),
+            (-10.0, Infeasible, "press downward"),
+        ],
+    )
+    @pytest.mark.parametrize("feet", [(LEFT, RIGHT), (LEFT, None)], ids=["double", "single"])
+    def test_unloaded_net_force_rejected(self, fz, error, message, feet):
+        """As check_feet_loaded: NonPhysical with no vertical force,
+        Infeasible with an upward one."""
+        net = Wrench(force=np.array([0.0, 0.0, fz]), moment=np.zeros(3))
+        with pytest.raises(error, match=message):
+            distribute_wrench(net, *feet)
+
     def test_constrained_split_is_optimal(self):
         """Active-set result beats a feasible random sweep around it."""
         force = np.array([40.0, -20.0, 981.0])
@@ -496,9 +514,22 @@ def feasible_net_wrenches(draw):
 class TestWrenchRecombination:
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(feasible_net_wrenches())
+    @example(
+        # the pressure point on the right sole's back edge, all weight
+        # hinted to the left foot: the sole limits active at the split are
+        # linearly dependent
+        (
+            Wrench(force=np.array([0.0, 0.0, 1.0]), moment=np.array([-0.125, 0.1875, 0.0])),
+            SoleRect(xmin=-0.0625, xmax=0.1875, ymin=0.0625, ymax=0.1875),
+            SoleRect(xmin=-0.1875, xmax=0.0625, ymin=-0.1875, ymax=-0.0625),
+            0.0,
+            1.0,
+        )
+    )
     def test_split_recombines_to_net_wrench(self, case):
         """Foot wrenches sum back to the net force, and to its moment once
-        each foot's moment is carried back from its sole centre."""
+        each foot's moment is carried back from its sole centre; each foot
+        presses down with its pressure point in its sole."""
         net, left_foot, right_foot, h, hint = case
         left, right = distribute_wrench(
             net, left_foot, right_foot, zmp_height=h, vertical_ratio_hint=hint
@@ -514,6 +545,12 @@ class TestWrenchRecombination:
         scale = max(1.0, np.max(np.abs(net.force)), np.max(np.abs(net.moment)))
         assert np.max(np.abs(back_f - net.force)) <= 1e-9 * scale
         assert np.max(np.abs(back_m - net.moment)) <= 1e-9 * scale
+        for rect, w in ((left_foot, left), (right_foot, right)):
+            if rect is not None:
+                fz = w.force[2]
+                assert fz >= -1e-9 * scale
+                assert abs(w.moment[1]) <= 0.5 * (rect.xmax - rect.xmin) * fz + 1e-9 * scale
+                assert abs(w.moment[0]) <= 0.5 * (rect.ymax - rect.ymin) * fz + 1e-9 * scale
 
 
 class TestStepStabilizer:
@@ -673,6 +710,65 @@ def hull_points(draw, hull):
     )
 
 
+def _sole(cx, cy):
+    return SoleRect.centered((cx, cy), 0.11, 0.05)
+
+
+@st.composite
+def sole_hulls(draw):
+    """The support hull of one sole, or of two in double support: side by
+    side, staggered (two oblique edges), toe to heel (in line or offset
+    sideways), or of a sole with two sides on the axes x = 0 and y = 0,
+    where an edge's product underflows one ULP off its line."""
+    kind = draw(st.sampled_from(["one", "side", "staggered", "toe_to_heel", "on_axes"]))
+    x, y = draw(_unit), draw(_unit)
+    if kind == "one":
+        rects = (_sole(x, y),)
+    elif kind == "side":
+        rects = (_sole(x, y + 0.1), _sole(x, y - 0.1))
+    elif kind == "staggered":
+        dx = draw(st.floats(0.01, 0.3)) * draw(st.sampled_from([-1.0, 1.0]))
+        rects = (_sole(x + dx, y + 0.1), _sole(x, y - 0.1))
+    elif kind == "toe_to_heel":
+        dy = draw(st.just(0.0) | st.floats(-0.05, 0.05))
+        rects = (_sole(x + 0.22, y + dy), _sole(x, y))
+    else:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        rects = (SoleRect(*sorted((0.0, 0.22 * sign)), *sorted((0.0, 0.1 * sign))),)
+    return support_hull(rects)
+
+
+def _ulps(v: float, k: int) -> float:
+    """v moved k ULPs up (k > 0) or down."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+@st.composite
+def edge_points(draw, hull):
+    """Points on an edge or corner of the hull, each coordinate moved 0 or
+    one ULP either way; points far from it; and points with NaN, +-inf or
+    +-0.0 coordinates."""
+    verts = hull.tolist()
+    i = draw(st.integers(0, len(verts) - 1))
+    (ax, ay), (bx, by) = verts[i], verts[(i + 1) % len(verts)]
+    t = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    off = st.sampled_from([-1, 0, 1])
+    near = (
+        _ulps(ax + t * (bx - ax), draw(off)),
+        _ulps(ay + t * (by - ay), draw(off)),
+    )
+    far = st.floats(-1e300, 1e300) | st.sampled_from([-10.0, 10.0, 1e-300, -1e-300])
+    special = st.sampled_from(_SPECIAL)
+    return draw(
+        st.just(near)
+        | st.tuples(far, far)
+        | st.tuples(special, far | special | st.just(near[1]))
+        | st.tuples(far | st.just(near[0]), special)
+    )
+
+
 @st.composite
 def wrench_blocks(draw):
     """A block of samples over 1 to 3 support phases: phase indices, their
@@ -695,40 +791,40 @@ def wrench_blocks(draw):
         tuple(np.array(draw(st.lists(value, min_size=m, max_size=m))) for _ in range(9))
         for _ in range(contacts)
     )
-    edges = [hull_edges(h) for h in phase_hulls]
-    return np.array(phase), edges, np.array(coords).T, rows
+    return np.array(phase), [compile_hull(h) for h in phase_hulls], np.array(coords).T, rows
 
 
 class TestGroundWrenchFlags:
     """The block form of the cop_clamped flag against per-sample float calls,
     bit for bit."""
 
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_clamped_is_clamp_xy(self, data):
-        hull = data.draw(hulls())
-        points = data.draw(st.lists(hull_points(hull), min_size=1, max_size=30))
-        edges = hull_edges(hull)
+        """NaN points and points one ULP off an edge included."""
+        hull = data.draw(sole_hulls() | hulls())
+        points = data.draw(
+            st.lists(hull_points(hull) | edge_points(hull), min_size=1, max_size=30)
+        )
+        compiled = compile_hull(hull)
         px, py = np.array(points).T
-        flags = _clamped(px, py, edges)
+        flags = _clamped(px, py, compiled)
         expected = []
         for x, y in points:
-            qx, qy = _clamp_xy(x, y, edges)
+            qx, qy = _clamp_xy(x, y, compiled)
             expected.append(qx != x or qy != y)
         assert flags.tolist() == expected
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(wrench_blocks())
     def test_block_flags_are_the_float_calls(self, block):
-        phase, edges, (cx, cy, ax, ay), rows = block
+        phase, hulls, (cx, cy, ax, ay), rows = block
         stab = Stabilizer(PARAMS, StabilizerGains(), DT)
-        flags = _cop_clamped(
-            stab, cx, cy, ax, ay, rows, phase, [(e, None) for e in edges]
-        )
+        flags = stab.ground_wrench(cx, cy, ax, ay, rows, hulls, phase)
         for k in range(len(phase)):
             sample = tuple(tuple(v[k].item() for v in r) for r in rows)
             flag = stab.ground_wrench(
-                *(float(v[k]) for v in (cx, cy, ax, ay)), sample, edges[phase[k]]
+                *(float(v[k]) for v in (cx, cy, ax, ay)), sample, hulls, int(phase[k])
             )
             assert bool(flags[k]) is flag, k
 
@@ -738,13 +834,123 @@ class TestGroundWrenchFlags:
         lift = (0.0, 0.0, fz, 0.0, 0.0, 0.0, 0.3, 0.0, 1.0)
         rows = (lift, lift)
         stab = Stabilizer(PARAMS, StabilizerGains(), DT)
-        edges = hull_edges(support_hull((LEFT, RIGHT)))
+        hulls = (compile_hull(support_hull((LEFT, RIGHT))),)
         with pytest.raises(error):
-            stab.ground_wrench(0.0, 0.0, 0.0, 0.0, rows, edges)
+            stab.ground_wrench(0.0, 0.0, 0.0, 0.0, rows, hulls, 0)
         block = tuple(tuple(np.full(3, v) for v in r) for r in rows)
         with pytest.raises(error):
             zeros = np.zeros(3)
-            stab.ground_wrench(zeros, zeros, zeros, zeros, block, edges)
+            stab.ground_wrench(zeros, zeros, zeros, zeros, block, hulls, np.zeros(3, int))
+
+
+class TestCompiledHull:
+    """The compiled inside test (box bounds and oblique edges) against the
+    edge loop it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_clamp_is_the_edge_loop(self, data):
+        hull = data.draw(sole_hulls() | hulls())
+        compiled, edges = compile_hull(hull), hull_edges(hull)
+        for x, y in data.draw(st.lists(edge_points(hull), min_size=1, max_size=20)):
+            got = _clamp_xy(x, y, compiled)
+            want = clamp_xy_edge_loop(x, y, edges)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (x, y)
+
+    def test_special_points_on_every_hull_kind(self):
+        """Every pair of NaN, +-inf, +-0.0, huge and hull coordinates, each
+        also one ULP either way, on each kind of hull: the scalar clamp is
+        the edge loop's and the array flags are the scalar ones."""
+        for rects, _ in self.SOLE_HULLS:
+            hull = support_hull(rects)
+            compiled, edges = compile_hull(hull), hull_edges(hull)
+            coords = {*_SPECIAL, 1e300, -1e300, *hull.ravel().tolist()}
+            coords |= {_ulps(v, k) for v in coords for k in (-1, 1)}
+            px, py = (np.array(a) for a in zip(*itertools.product(coords, repeat=2)))
+            expected = []
+            for x, y in zip(px.tolist(), py.tolist()):
+                got = _clamp_xy(x, y, compiled)
+                want = clamp_xy_edge_loop(x, y, edges)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (x, y)
+                expected.append(want[0] != x or want[1] != y)
+            assert _clamped(px, py, compiled).tolist() == expected
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_array_projection_is_the_edge_loop(self, data):
+        """_project against the edge loop's point for each point the loop
+        projects, bit for bit: -0.0 and NaN in the clamp of t, ties between
+        edges at a corner."""
+        hull = data.draw(sole_hulls() | hulls())
+        edges = hull_edges(hull)
+        points = data.draw(st.lists(edge_points(hull), min_size=1, max_size=20))
+        # the points the edge loop projects: every point of a hull of one
+        # or two vertices, else those on the right of some edge
+        outside = [
+            (x, y) for x, y in points
+            if len(edges) <= 2
+            or any(ex * (y - ay) - ey * (x - ax) < 0.0 for ax, ay, ex, ey, _ in edges)
+        ]
+        assume(outside)
+        px, py = (np.array(a) for a in zip(*outside))
+        with np.errstate(all="ignore"):
+            qx, qy = _project(px, py, edges)
+        for x, y, gx, gy in zip(px.tolist(), py.tolist(), qx.tolist(), qy.tolist()):
+            want = clamp_xy_edge_loop(x, y, edges)
+            assert [gx.hex(), gy.hex()] == [v.hex() for v in want], (x, y)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_projection_stays_within_reach(self, data):
+        """Every point _project computes, where not NaN, lies in the hull's
+        reach, so a point beyond it is moved without projecting it."""
+        hull = data.draw(sole_hulls() | hulls())
+        compiled = compile_hull(hull)
+        points = data.draw(st.lists(edge_points(hull), min_size=1, max_size=20))
+        px, py = (np.array(a) for a in zip(*points))
+        with np.errstate(all="ignore"):
+            qx, qy = _project(px, py, compiled.edges)
+        xmin, xmax, ymin, ymax = compiled.reach
+        assert not np.any((qx < xmin) | (qx > xmax) | (qy < ymin) | (qy > ymax))
+
+    SOLE_HULLS = (
+        ((LEFT,), 0),
+        ((LEFT, RIGHT), 0),
+        ((_sole(0.15, 0.1), _sole(0.0, -0.1)), 2),
+        ((_sole(0.22, 0.0), _sole(0.0, 0.0)), 0),
+        ((_sole(0.22, 0.02), _sole(0.0, 0.0)), 2),
+    )
+
+    @pytest.mark.parametrize(
+        "rects, oblique",
+        SOLE_HULLS,
+        ids=["one", "side", "staggered", "toe_to_heel", "toe_to_heel_offset"],
+    )
+    def test_sole_hulls_get_a_full_box(self, rects, oblique):
+        hull = support_hull(rects)
+        compiled = compile_hull(hull)
+        assert compiled.box == (
+            float(hull[:, 0].min()), float(hull[:, 0].max()),
+            float(hull[:, 1].min()), float(hull[:, 1].max()),
+        )
+        assert len(compiled.oblique) == oblique
+        assert compiled.edges == hull_edges(hull)
+
+    def test_edges_whose_test_underflows_stay_oblique(self):
+        """On the line y = 0 a point one ULP below is -5e-324, and 0.22 * that
+        rounds to -0.0: the edge's own test keeps it inside, so the edge
+        cannot become the bound ymin = 0 (nor x = 0 the bound xmin)."""
+        compiled = compile_hull(support_hull((SoleRect(0.0, 0.22, 0.0, 0.1),)))
+        assert compiled.box == (-math.inf, 0.22, -math.inf, 0.1)
+        assert len(compiled.oblique) == 2
+        below = math.nextafter(0.0, -math.inf)
+        assert _clamp_xy(0.1, below, compiled) == (0.1, below)
+
+    def test_degenerate_hulls_have_no_box(self):
+        for hull in (np.array([[0.2, -0.1]]), np.array([[0.0, -0.1], [0.2, 0.1]])):
+            compiled = compile_hull(hull)
+            assert compiled.box is None and compiled.oblique == ()
+            assert compiled.edges == hull_edges(hull)
 
 
 class TestClampToHull:
