@@ -10,13 +10,17 @@ The infinite-horizon tracking law splits into state feedback from a Riccati
 solution plus a finite window of feedforward gains over future references.
 The Riccati equation is solved by structure-preserving doubling, polished
 by one Newton step, on 3x3 float matrices. The gains and the per-axis state
-recursion run on Python floats. The feedforward is a correlation of the
-gains with the padded reference: each value is added in the pairwise order
-that np.sum uses for a row of its window's products, written out over
-shifted slices of the reference. So the plan's bytes rest on elementwise
-IEEE multiply and add, not on numpy's reduction internals. Nothing on the
-way to the plan calls BLAS, so its bytes do not depend on the BLAS kernel;
-only the PreviewGains stability check calls LAPACK.
+recursion run on Python floats; the implied output C x is then computed on
+the logged state arrays. The feedforward is a correlation of the gains with
+the padded reference: each value is added in the pairwise order that np.sum
+uses for a row of its window's products, written out over shifted slices of
+the reference. So the plan's bytes rest on elementwise IEEE multiply and
+add, not on numpy's reduction internals. The reference of sustained hand
+forces holds one value for long stretches, so a block of outputs whose
+windows all hold the bits of the window before them shares that window's
+sum instead of recomputing it. Nothing on the way to the plan calls BLAS,
+so its bytes do not depend on the BLAS kernel; only the PreviewGains
+stability check calls LAPACK.
 """
 
 from __future__ import annotations
@@ -301,49 +305,67 @@ def _pairwise(k_ff, ref, lo: int, n: int, b0: int, m: int) -> np.ndarray:
 
 
 def _feedforward(k_ff: np.ndarray, ref: np.ndarray, out: np.ndarray):
-    """out[..., k] = sum_j k_ff[j] ref[..., k + j]: the preview term of step k.
+    """out[i, k] = sum_j k_ff[j] ref[i, k + j]: the preview term of step k.
 
-    The last axis of ref is len(k_ff) - 1 samples longer than that of out.
-    Each value has the bits of np.sum over its window's products: the terms
-    are added in np.sum's order (see _pairwise), and the sum starts from
-    +0.0 as np.sum's does, so a sum of -0.0 terms is +0.0. Goes in blocks
-    of at most _FF_BLOCK outputs.
+    ref and out are 2-D, one row per axis; a row of ref is len(k_ff) - 1
+    samples longer than a row of out. Each value has the bits of np.sum
+    over its window's products: the terms are added in np.sum's order (see
+    _pairwise), and the sum starts from +0.0 as np.sum's does, so a sum of
+    -0.0 terms is +0.0. Goes in blocks of at most _FF_BLOCK outputs. An
+    output depends on its window's bits alone, so in a block after the
+    first, a row whose reference holds one bit pattern over the windows of
+    the output before the block and of every output in it copies that
+    output across the block; the other rows are summed.
     """
     k_ff = k_ff.tolist()
+    npv = len(k_ff)
+    bits = ref.view(np.int64)
     total = out.shape[-1]
     for b0 in range(0, total, _FF_BLOCK):
         m = min(_FF_BLOCK, total - b0)
-        block = _pairwise(k_ff, ref, 0, len(k_ff), b0, m)
-        np.add(block, 0.0, out=out[..., b0 : b0 + m])
+        rows = [slice(None)]
+        if b0:
+            windows = bits[:, b0 - 1 : b0 + m - 1 + npv]
+            held = (windows == windows[:, :1]).all(axis=1)
+            if held.any():
+                out[held, b0 : b0 + m] = out[held, b0 - 1 : b0]
+                rows = np.flatnonzero(~held)
+        for i in rows:
+            block = _pairwise(k_ff, ref[i], 0, npv, b0, m)
+            np.add(block, 0.0, out=out[i, b0 : b0 + m])
 
 
 def _preview_law(gains: PreviewGains, state, jerk, pos, vel, acc, zmp_out):
     """Run the preview law on one axis from state (p, v, a).
 
     jerk holds the feedforward term of each step on entry and the jerk on
-    return. Step k logs the state it starts from in pos, vel and acc and its
-    implied output C x in zmp_out, then advances by A x + B u with
-    u = feedforward - k_fb x. All 1-D float64 arrays of one length; returns
-    the final (p, v, a).
+    return. Step k logs the state it starts from in pos, vel and acc, then
+    advances by A x + B u with u = feedforward - k_fb x. After the
+    recursion, zmp_out gets each step's implied output C x, computed on the
+    arrays as (c0 p + c1 v) + c2 a, one IEEE operation per pass, so each
+    value has the bits of that float expression. All 1-D float64 arrays of
+    one length; returns the final (p, v, a).
     """
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = gains.A.tolist()
     b0, b1, b2 = gains.B.tolist()
     c0, c1, c2 = gains.C.tolist()
     k0, k1, k2 = gains.k_fb.tolist()
     p, v, a = state
-    pos, vel, acc, zmp_out, jerk = map(memoryview, (pos, vel, acc, zmp_out, jerk))
-    for k, ff in enumerate(jerk):
-        pos[k] = p
-        vel[k] = v
-        acc[k] = a
-        zmp_out[k] = c0 * p + c1 * v + c2 * a
+    pos_m, vel_m, acc_m, jerk_m = map(memoryview, (pos, vel, acc, jerk))
+    for k, ff in enumerate(jerk_m):
+        pos_m[k] = p
+        vel_m[k] = v
+        acc_m[k] = a
         u = ff - (k0 * p + k1 * v + k2 * a)
-        jerk[k] = u
+        jerk_m[k] = u
         p, v, a = (
             a00 * p + a01 * v + a02 * a + b0 * u,
             a10 * p + a11 * v + a12 * a + b1 * u,
             a20 * p + a21 * v + a22 * a + b2 * u,
         )
+    np.multiply(pos, c0, out=zmp_out)
+    zmp_out += c1 * vel
+    zmp_out += c2 * acc
     return p, v, a
 
 

@@ -862,8 +862,8 @@ def run_closed_loop(
     drive any number of runs with the same result as a fresh one. A
     disturbance whose contact_index is past the contacts present raises
     IndexError from the open-loop pass of the block where it first acts. A
-    divergence_limit that is not positive and a noise level that is
-    negative or not finite raise ValueError.
+    divergence_limit that is not positive, a noise level that is negative
+    or not finite, and noise without a seed raise ValueError.
     """
     timeline = traj.timeline
     dt = timeline.dt
@@ -878,6 +878,8 @@ def run_closed_loop(
         raise ValueError("noise levels must be finite and non-negative")
     n = len(traj.time)
     noisy = com_noise > 0.0 or force_noise > 0.0
+    if noisy and seed is None:
+        raise ValueError("measurement noise needs a seed, so that a rerun gives the same trace")
     rng = np.random.default_rng(seed) if noisy else None
 
     # the plan's columns are read-only views of its arrays; the loop writes

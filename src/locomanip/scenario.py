@@ -484,6 +484,9 @@ class ScenarioConfig:
             _fail("duration_s", "too long for the sample rate")
         if round(samples) < 2:
             _fail("duration_s", "too short for the sample rate, need at least 2 samples")
+        noisy = self.plant.com_noise_m > 0.0 or self.plant.force_noise_n > 0.0
+        if noisy and self.seed is None:
+            _fail("seed", "measurement noise needs a seed, so that a rerun writes the same trace")
 
     @property
     def n_samples(self) -> int:
@@ -1089,8 +1092,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scenario end to end and optionally write its outputs.
 
-    config.seed only matters when measurement noise is configured; noiseless
-    runs are bit-deterministic regardless. Exit code 0 means the run
+    config.seed only matters when measurement noise is configured, and the
+    config refuses noise without one, so every run is bit-deterministic. Exit code 0 means the run
     completed, 2 that the plant diverged and 3 that a control step failed
     (STEP_FAILURES; the metrics then carry failure and failed_at_s). Either
     way the truncated trace is still written.

@@ -201,6 +201,18 @@ class TestRun:
         assert "config error: seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_noise_without_seed_exits_one(self, tmp_path, capsys):
+        """Noise without a seed is refused before the run: exit 1 and no
+        output directory, rather than a trace no rerun reproduces."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--config", "testcase1", "--out", str(out),
+            "--override", "duration_s=2.0", "--override", "plant.com_noise_m=0.001",
+        )
+        assert code == 1
+        assert "config error: seed: measurement noise needs a seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "gains"])
     def test_short_preview_window_names_field(self, command, capsys):
         code = run_cli(

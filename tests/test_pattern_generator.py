@@ -205,6 +205,88 @@ class TestFeedforward:
         if zero_ref:
             assert not np.any(np.signbit(out))
 
+    # a quiet NaN with a payload of its own, so the bits compared are not
+    # only those of np.nan
+    _NAN = np.array(0x7FF800000000BEEF, dtype=np.int64).view(np.float64).item()
+
+    @settings(max_examples=12, deadline=None, database=None, derandomize=True)
+    @given(
+        npv=_WINDOWS,
+        n_out=st.sampled_from([_FF_BLOCK + 1, 2 * _FF_BLOCK, 2 * _FF_BLOCK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+        held=st.lists(
+            st.tuples(
+                st.sampled_from(["value", "+0", "-0", "-0|+0", "nan"]),
+                st.integers(-1, 1),
+                st.integers(-1, 1),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    @example(npv=5, n_out=2 * _FF_BLOCK + 3, seed=0, held=[("-0|+0", 0, 0), ("+0", 0, 0)])
+    @example(npv=800, n_out=2 * _FF_BLOCK + 3, seed=1, held=[("nan", -1, 1), ("value", 1, -1)])
+    @example(npv=715, n_out=_FF_BLOCK + 1, seed=2, held=[("value", 0, 0), ("-0", 0, 0)])
+    def test_held_references_equal_row_sums_bit_for_bit(self, npv, n_out, seed, held):
+        """Each row holds one value over the windows of the second block and
+        of the output before it, from one sample before to one sample after
+        their start b0-1 and their end b0+m-1+npv. The values are +0.0,
+        -0.0, a quiet NaN, a random value, or -0.0 then +0.0 from a random
+        sample on. Outside the stretch the reference is random, so a
+        stretch one sample short makes the block's windows differ, and one
+        sample long leaves them held. Every output has the bits of np.sum
+        over its window's products."""
+        rng = np.random.default_rng(seed)
+
+        def values(*shape):
+            signs = rng.choice([-1.0, 1.0], size=shape)
+            return signs * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+        k_ff = values(npv)
+        ref = values(2, n_out + npv - 1)
+        b0 = _FF_BLOCK
+        end = b0 + min(_FF_BLOCK, n_out - b0) - 1 + npv
+        for row, (kind, start_shift, end_shift) in zip(ref, held):
+            lo = b0 - 1 + start_shift
+            hi = min(end + end_shift, len(row))
+            if kind == "-0|+0":
+                flip = int(rng.integers(lo, hi + 1))
+                row[lo:flip] = -0.0
+                row[flip:hi] = 0.0
+            else:
+                row[lo:hi] = {"value": row[lo], "+0": 0.0, "-0": -0.0, "nan": self._NAN}[kind]
+        out = np.empty((n_out, 2))
+        _feedforward(k_ff, ref, out.T)
+        sums = [[np.sum(row[k : k + npv] * k_ff) for k in range(n_out)] for row in ref]
+        assert out.T.tobytes() == np.array(sums).tobytes()
+
+    @pytest.mark.parametrize("held_rows", [(), (0,), (1,), (0, 1)])
+    def test_held_rows_skip_the_sum(self, monkeypatch, held_rows):
+        """In the second block, a row whose windows all hold one value is
+        copied from the output before the block and summed by no _pairwise
+        call; the other rows go in one call, with both rows or one."""
+        npv = 20
+        rng = np.random.default_rng(3)
+        ref = rng.standard_normal((2, 2 * _FF_BLOCK + npv - 1))
+        for i in held_rows:
+            ref[i, _FF_BLOCK - 1 :] = ref[i, _FF_BLOCK - 1]
+        calls = []
+        pairwise = pattern_generator._pairwise
+
+        def spy(k_ff, ref, lo, n, b0, m):
+            if n == npv:
+                calls.append((ref.shape[:-1], b0))
+            return pairwise(k_ff, ref, lo, n, b0, m)
+
+        monkeypatch.setattr(pattern_generator, "_pairwise", spy)
+        out = np.empty((2, 2 * _FF_BLOCK))
+        _feedforward(rng.standard_normal(npv), ref, out)
+        summed = [i for i in (0, 1) if i not in held_rows]
+        second = [] if not summed else [((2,) if len(summed) == 2 else (), _FF_BLOCK)]
+        assert calls == [((2,), 0)] + second
+        for i in held_rows:
+            assert np.all(out[i, _FF_BLOCK:] == out[i, _FF_BLOCK - 1])
+
 
 def rollout(gains, refs, state=None):
     """Drive step_pg over a padded reference; returns outputs and jerks."""
@@ -338,8 +420,11 @@ class TestGenerateTrajectory:
             (2.0, 1.43, False),
             (1.0, 1.43, False),
             (2.0, 1.43, True),
+            # longer than one feedforward block, with the reference held over
+            # the whole second block, which is copied rather than summed
+            (17.0, 1.6, False),
         ],
-        ids=["longer", "shorter", "longer-715", "shorter-715", "stepping-715"],
+        ids=["longer", "shorter", "longer-715", "shorter-715", "stepping-715", "two-blocks"],
     )
     def test_equals_step_pg_rollout_bit_for_bit(self, duration, window, stepping):
         """The rollout is step_pg applied sample by sample, to the last bit,

@@ -344,11 +344,19 @@ class TestClosedLoop:
         assert np.array_equal(a["z_x^c"], b["z_x^c"])
         assert not np.array_equal(a["z_x^c"], c["z_x^c"])
 
-    def test_noise_without_seed_is_not_dropped(self):
+    @pytest.mark.parametrize(
+        "noise", [{"com_noise": 1e-4}, {"force_noise": 0.5}], ids=["com", "force"]
+    )
+    def test_noise_without_seed_is_refused(self, noise):
+        """Noise drawn from OS entropy would give a different trace on each
+        run, so it is refused before the first step; a seed of 0 is a seed."""
         traj = plan_trajectory(standing_timeline(duration=0.2))
-        clean = run_closed_loop(traj, make_stabilizer())
-        noisy = run_closed_loop(traj, make_stabilizer(), com_noise=1e-4)
-        assert not np.array_equal(clean["z_x^c"], noisy["z_x^c"])
+        with pytest.raises(ValueError, match="noise needs a seed"):
+            run_closed_loop(traj, make_stabilizer(), **noise)
+        a = run_closed_loop(traj, make_stabilizer(), seed=0, **noise)
+        b = run_closed_loop(traj, make_stabilizer(), seed=0, **noise)
+        for name in CSV_COLUMNS:
+            assert np.array_equal(a[name], b[name]), name
 
     def test_overflowing_sinusoid_phase_names_the_period(self):
         """A sinusoid whose phase overflows within the run: a ValueError

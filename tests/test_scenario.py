@@ -154,6 +154,15 @@ class TestFieldValidation:
         with pytest.raises(ConfigError, match="seed: expected an integer"):
             parse_config(minimal(seed=1.5))
 
+    @pytest.mark.parametrize(
+        "plant", [{"com_noise_m": 1e-4}, {"force_noise_n": 0.5}], ids=["com", "force"]
+    )
+    def test_noise_needs_a_seed(self, plant):
+        with pytest.raises(ConfigError, match="^seed: measurement noise needs a seed"):
+            parse_config(minimal(plant=plant))
+        assert parse_config(minimal(plant=plant, seed=0)).seed == 0
+        assert parse_config(minimal(plant={"com_noise_m": 0.0})).seed is None
+
     def test_too_few_samples(self):
         with pytest.raises(ConfigError, match="at least 2 samples"):
             parse_config(minimal(duration_s=0.001))

@@ -35,7 +35,10 @@ from locomanip.stabilizer import (
     _clamp_xy,
     _clamped,
     _convex_hull,
+    _least_distance,
+    _nnls,
     _project,
+    _sole_limited_split,
     compile_hull,
     conventional_closed_loop_matrix,
     dcm_feedback,
@@ -551,6 +554,104 @@ class TestWrenchRecombination:
                 assert fz >= -1e-9 * scale
                 assert abs(w.moment[1]) <= 0.5 * (rect.xmax - rect.xmin) * fz + 1e-9 * scale
                 assert abs(w.moment[0]) <= 0.5 * (rect.ymax - rect.ymin) * fz + 1e-9 * scale
+
+
+def _cone_residual(directions, target):
+    """Distance from target to the cone of nonnegative combinations of
+    the given columns, by scipy's NNLS; 0.0 for an empty set when target is
+    0."""
+    if directions.shape[1] == 0:
+        return float(np.linalg.norm(target))
+    return float(pytest.importorskip("scipy.optimize").nnls(directions, target)[1])
+
+
+class TestWrenchSplitOptimality:
+    """The optimality (KKT) conditions of the wrench split's three solvers,
+    checked on their outputs alone: feasibility, the equalities, and
+    multipliers of the right sign that make the gradient vanish, recovered
+    here by scipy's NNLS rather than read from the solvers."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_nnls_meets_its_kkt_conditions(self, seed):
+        """x >= 0, and the descent direction a'(b - a x) is at most 0, and 0
+        where x > 0; the residual is scipy's."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rng.integers(1, 20), rng.integers(1, 15)))
+        b = rng.standard_normal(len(a))
+        x = _nnls(a, b)
+        scale = np.abs(a).sum() * (1.0 + np.abs(b).sum())
+        grad = a.T @ (b - a @ x)
+        assert np.all(x >= 0.0)
+        assert np.all(grad <= 1e-12 * scale)
+        assert np.all(np.abs(grad[x > 0.0]) <= 1e-12 * scale)
+        best = pytest.importorskip("scipy.optimize").nnls(a, b)[1]
+        assert np.linalg.norm(a @ x - b) <= best + 1e-12 * max(1.0, best)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_least_distance_meets_its_kkt_conditions(self, seed):
+        """a z <= b, and z = -a_A' lam with lam >= 0 over the active rows A,
+        so no feasible direction shortens z; with b >= 0, z = 0."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        a = rng.standard_normal((rng.integers(1, 20), n))
+        slack = rng.exponential(1.0, len(a)) * rng.integers(0, 2, len(a))
+        b = a @ (3.0 * rng.standard_normal(n)) + slack
+        z = _least_distance(a, b)
+        scale = np.abs(b).max()
+        assert np.all(a @ z - b <= 1e-12 * scale)
+        active = a @ z - b >= -1e-9 * scale
+        assert _cone_residual(-a[active].T, z) <= 1e-12 * max(1.0, np.linalg.norm(z))
+        assert not np.any(_least_distance(a, np.abs(b)))
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), push=st.floats(0.0, 300.0))
+    def test_sole_limited_split_meets_its_kkt_conditions(self, seed, push):
+        """Two soles at random places and sizes, and a request w0 moved off
+        a feasible split along the null space of the recombination, so the
+        program is feasible: the split keeps the net force and the net
+        moment about the origin to rounding, presses each sole down with its
+        pressure point inside, and w - w0 lies in the row space of the
+        equalities minus the cone of the active sole limits."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        centers = [
+            np.array([rng.uniform(-0.2, 0.2), rng.uniform(0.05, 0.2), 0.0]),
+            np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, -0.05), 0.0]),
+        ]
+        halves = [(rng.uniform(0.05, 0.15), rng.uniform(0.03, 0.08)) for _ in centers]
+        # w = (f_left, f_right, m_left, m_right), moments about the centers
+        E = np.zeros((6, 12))
+        G = np.zeros((10, 12))
+        feasible = np.zeros(12)
+        for i, (c, (hx, hy)) in enumerate(zip(centers, halves)):
+            f, m = slice(3 * i, 3 * i + 3), slice(6 + 3 * i, 9 + 3 * i)
+            E[0:3, f] = np.eye(3)
+            E[3:6, f] = np.transpose([np.cross(c, e) for e in np.eye(3)])
+            E[3:6, m] = np.eye(3)
+            fz, mx, my = 3 * i + 2, 6 + 3 * i, 7 + 3 * i
+            for k, (col, half, sign) in enumerate(
+                [(my, hx, 1.0), (my, hx, -1.0), (mx, hy, 1.0), (mx, hy, -1.0)]
+            ):
+                G[5 * i + k, [col, fz]] = sign, -half
+            G[5 * i + 4, fz] = -1.0
+            load = rng.uniform(50.0, 500.0)
+            feasible[f] = rng.normal(0.0, 30.0), rng.normal(0.0, 30.0), load
+            feasible[m] = (
+                rng.uniform(-hy, hy) * load,
+                rng.uniform(-hx, hx) * load,
+                rng.normal(0.0, 5.0),
+            )
+        null = scipy_linalg.null_space(E)
+        w0 = feasible + null @ rng.normal(0.0, push, null.shape[1])
+        w = _sole_limited_split(w0, centers, halves)
+        scale = np.abs(w0).max()
+        assert np.all(np.abs(E @ (w - w0)) <= 1e-9 * scale)
+        assert np.all(G @ w <= 1e-12 * scale)
+        active = G @ w >= -1e-9 * scale
+        residual = _cone_residual(-null.T @ G[active].T, null.T @ (w - w0))
+        assert residual <= 1e-9 * max(1.0, np.linalg.norm(w - w0))
 
 
 class TestStepStabilizer:
