@@ -1093,10 +1093,11 @@ def run_scenario(
     """Run one scenario end to end and optionally write its outputs.
 
     config.seed only matters when measurement noise is configured, and the
-    config refuses noise without one, so every run is bit-deterministic. Exit code 0 means the run
-    completed, 2 that the plant diverged and 3 that a control step failed
-    (STEP_FAILURES; the metrics then carry failure and failed_at_s). Either
-    way the truncated trace is still written.
+    config refuses noise without one, so every run is bit-deterministic.
+    Exit code 0 means the run completed, 2 that the plant diverged and 3
+    that a control step failed (STEP_FAILURES; the metrics then carry
+    failure and failed_at_s). Either way the truncated trace is still
+    written.
 
     With write, the output directory is created before anything runs, so an
     unusable one raises OutputError first. After the run it receives

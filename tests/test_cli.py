@@ -825,3 +825,19 @@ class TestGains:
         out = capsys.readouterr().out
         assert code == 0
         assert "n_preview=320" in out
+
+    def test_noise_without_seed_exits_one(self, capsys):
+        """gains parses the same config as run, so a noisy config without a
+        seed is refused here too: the file describes a run no rerun could
+        reproduce, whichever command reads it."""
+        code = run_cli(
+            "gains", "--config", "testcase1", "--override", "plant.com_noise_m=1e-4",
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config error: seed: measurement noise needs a seed" in captured.err
+        assert captured.out == ""
+        assert run_cli(
+            "gains", "--config", "testcase1", "--override", "plant.com_noise_m=1e-4",
+            "--override", "seed=3",
+        ) == 0

@@ -1,12 +1,13 @@
 """Stage times of every bundled scenario, written to BENCH_bundled.json.
 
-    python3 tools/bench_bundled.py [--repeat 5] [--out BENCH_bundled.json]
+    python3 tools/bench_bundled.py [--out BENCH_bundled.json]
 
 Measures the checkout it sits in (`../src`), in one process. Each bundled
-scenario runs --repeat times; every stage keeps its best (smallest) time
-over the repeats. Stages are timed from outside the package, by rebinding
-the module names the callers look up around a run, so `src/` holds no
-timing code:
+scenario runs REPEAT times through scenario.run_scenario, writing its
+outputs into a temporary directory; every stage keeps its best (smallest)
+time over the repeats. Stages are timed from outside the package, by
+rebinding the module names the callers look up around a run, so `src/`
+holds no timing code:
 
 - build_scenario, and inside it the references (the gait reference and
   build_reference_frames), gains (synthesize_gains), feedforward
@@ -14,15 +15,14 @@ timing code:
 - run_closed_loop, and inside it the open-loop pass (_open_loop_block), the
   feedback pass (_feedback_pass) and the ground-wrench pass
   (Stabilizer.ground_wrench), the rest being block glue;
-- scenario_metrics, TraceLog.to_csv (into a temporary directory) and
-  run_record.
+- scenario_metrics, TraceLog.to_csv and run_record.
 
 It also records a calibration time, a fixed pure-Python float loop timed
 the same way, so records from different hosts can be scaled, and the host:
 CPU count and model, SIMD level, Python, numpy and its BLAS, PyYAML and
 whether it uses libyaml. Times are in ms; per_step_us and per_sample_us
 divide run_closed_loop and build_scenario by the steps run and the samples
-planned.
+planned (config.n_samples).
 """
 
 from __future__ import annotations
@@ -48,16 +48,21 @@ from locomanip.stabilizer import Stabilizer  # noqa: E402
 
 # (namespace, attribute, stage): the attribute is rebound in that namespace,
 # which is where its caller looks it up
-INNER_STAGES = (
+TIMED = (
+    (scenario, "build_scenario", "build_scenario"),
     (scenario, "standing_reference", "references"),
     (scenario, "stepping_reference", "references"),
     (scenario, "build_reference_frames", "references"),
     (scenario, "synthesize_gains", "gains"),
     (pattern_generator, "_feedforward", "feedforward"),
     (pattern_generator, "_preview_law", "preview_law"),
+    (scenario, "run_closed_loop", "run_closed_loop"),
     (plant_sim, "_open_loop_block", "open_loop"),
     (plant_sim, "_feedback_pass", "feedback"),
     (Stabilizer, "ground_wrench", "ground_wrench"),
+    (scenario, "scenario_metrics", "scenario_metrics"),
+    (plant_sim.TraceLog, "to_csv", "to_csv"),
+    (scenario, "run_record", "run_record"),
 )
 STAGES = (
     "build_scenario",
@@ -74,12 +79,13 @@ STAGES = (
     "to_csv",
     "run_record",
 )
+REPEAT = 5
 CALIBRATION_LOOPS = 1_000_000
 
 
 @contextlib.contextmanager
 def timed_stages(totals: dict):
-    """Rebind INNER_STAGES to wrappers that add their time to totals[stage]."""
+    """Rebind TIMED to wrappers that add their time to totals[stage]."""
 
     def wrap(fn, stage):
         def timed(*args, **kwargs):
@@ -91,9 +97,9 @@ def timed_stages(totals: dict):
 
         return timed
 
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in INNER_STAGES]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in TIMED]
     try:
-        for (owner, name, stage), (_, _, fn) in zip(INNER_STAGES, saved):
+        for (owner, name, stage), (_, _, fn) in zip(TIMED, saved):
             setattr(owner, name, wrap(fn, stage))
         yield
     finally:
@@ -101,49 +107,21 @@ def timed_stages(totals: dict):
             setattr(owner, name, fn)
 
 
-def clock(totals: dict, stage: str, fn, *args, **kwargs):
-    t0 = time.perf_counter_ns()
-    result = fn(*args, **kwargs)
-    totals[stage] += time.perf_counter_ns() - t0
-    return result
-
-
 def run_once(config, out_dir: Path) -> tuple:
-    """One timed run of a scenario: (stage totals in ns, steps, samples)."""
+    """One timed run_scenario of a scenario: (stage totals in ns, steps run)."""
     totals = dict.fromkeys(STAGES, 0)
     with timed_stages(totals):
-        bundle = clock(totals, "build_scenario", scenario.build_scenario, config)
-        try:
-            trace = clock(
-                totals,
-                "run_closed_loop",
-                scenario.run_closed_loop,
-                bundle.traj,
-                bundle.stabilizer,
-                disturbances=bundle.disturbances,
-                direct_zmp=config.plant.direct_zmp,
-                com_noise=config.plant.com_noise_m,
-                force_noise=config.plant.force_noise_n,
-                seed=config.seed,
-                divergence_limit=config.plant.divergence_limit_m,
-            )
-        except plant_sim.STEP_FAILURES as exc:
-            trace = exc.trace
+        result = scenario.run_scenario(config, out_dir=out_dir)
     totals["block_glue"] = totals["run_closed_loop"] - sum(
         totals[s] for s in ("open_loop", "feedback", "ground_wrench")
     )
-    clock(totals, "scenario_metrics", scenario.scenario_metrics, trace, bundle.traj.timeline,
-          config.metrics)
-    checksum = clock(totals, "to_csv", trace.to_csv, out_dir / "trace.csv")
-    exit_code = 3 if trace.failure else 2 if trace.diverged else 0
-    clock(totals, "run_record", scenario.run_record, config, trace, exit_code, checksum)
-    return totals, len(trace), len(bundle.traj.time)
+    return totals, len(result.trace)
 
 
-def calibration_ms(repeat: int) -> float:
+def calibration_ms() -> float:
     """Best time of a fixed pure-Python float loop."""
     best = None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter_ns()
         x = 0.0
         for _ in range(CALIBRATION_LOOPS):
@@ -181,19 +159,17 @@ def host() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_bundled.json")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
 
     scenarios = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in scenario.list_bundled_scenarios():
             config = scenario.load_config(scenario.bundled_scenario_path(name))
             best = dict.fromkeys(STAGES)
-            for _ in range(args.repeat):
-                totals, steps, samples = run_once(config, Path(tmp))
+            samples = config.n_samples
+            for _ in range(REPEAT):
+                totals, steps = run_once(config, Path(tmp))
                 for stage, ns in totals.items():
                     best[stage] = ns if best[stage] is None else min(best[stage], ns)
             ms = {stage: round(ns * 1e-6, 4) for stage, ns in best.items()}
@@ -211,9 +187,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
     record = {
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "host": host(),
-        "calibration_ms": round(calibration_ms(args.repeat), 4),
+        "calibration_ms": round(calibration_ms(), 4),
         "scenarios": scenarios,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
