@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from .core_dynamics import compute_coefficients
-from .errors import DegenerateScale, OutputError, RiccatiDivergence, SchemaMismatch
-from .pattern_generator import PreviewWeights, synthesize_gains
+from .errors import DegenerateScale, RiccatiDivergence, SchemaMismatch
+from .pattern_generator import synthesize_gains
 from .plant_sim import TraceLog
 from .scenario import (
     apply_overrides,
@@ -161,12 +161,7 @@ def _cmd_gains(args) -> int:
     config = _load(args)
     c = config.controller
     omega = compute_coefficients(config.robot.params()).omega
-    gains = synthesize_gains(
-        PreviewWeights(q_zmp=c.q_zmp, r_jerk=c.r_jerk),
-        omega,
-        config.dt_s,
-        c.preview_window_s,
-    )
+    gains = synthesize_gains(c.preview_weights(), omega, config.dt_s, c.preview_window_s)
     closed = gains.A - np.outer(gains.B, gains.k_fb)
     preview_poles = np.sort(np.abs(np.linalg.eigvals(closed)))[::-1]
     st_poles = c.stabilizer_gains().closed_loop_poles(omega)
@@ -196,7 +191,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, DegenerateScale, RiccatiDivergence) as exc:
         if isinstance(exc, SchemaMismatch):
             kind = "schema mismatch"
-        elif isinstance(exc, OutputError):
+        elif isinstance(exc, OSError):
+            # a config file that cannot be read is a ConfigError, so an
+            # OSError here is an output: a file, or a closed stdout
             kind = "output error"
         else:
             kind = "config error"

@@ -151,36 +151,26 @@ class DisturbanceProfile:
         if self.end_time < self.start_time:
             raise ValueError("disturbance ends before it starts")
 
-    def value(self, t):
-        """The signal at time t, or at each time of an array t.
-
-        A sinusoid's phase takes the same operations on an array as on a
-        float, and math.sin is taken of each phase, so an array gives the
-        values of the scalar calls bit for bit.
+    def value(self, t: np.ndarray) -> np.ndarray:
+        """The signal at each time of the array t: 0.0 outside [start_time,
+        end_time). A sinusoid's phase 2 pi (t - start_time) / period is
+        taken elementwise in that order and math.sin of each phase, so each
+        value is the float law's bit for bit. A phase that overflows raises
+        ValueError.
         """
-        if isinstance(t, np.ndarray):
-            out = np.zeros(t.shape)
-            on = (t >= self.start_time) & (t < self.end_time)
-            out[on] = self._acting(t[on])
-            return out
-        if t < self.start_time or t >= self.end_time:
-            return 0.0
-        return self._acting(t)
-
-    def _acting(self, t):
-        """The signal at times t inside the window, a float or an array. A
-        sinusoid's phase that overflows raises ValueError."""
+        out = np.zeros(t.shape)
+        on = (t >= self.start_time) & (t < self.end_time)
         if self.kind != "sinusoid":
-            return self.amplitude
+            out[on] = self.amplitude
+            return out
         with np.errstate(over="ignore"):
-            phase = 2.0 * math.pi * (t - self.start_time) / self.period
+            phase = 2.0 * math.pi * (t[on] - self.start_time) / self.period
         if not np.all(np.isfinite(phase)):
             raise ValueError(
                 f"sinusoid period {self.period!r} too short: the phase overflows"
             )
-        if isinstance(phase, np.ndarray):
-            return self.amplitude * np.fromiter(map(math.sin, phase.tolist()), float)
-        return self.amplitude * math.sin(phase)
+        out[on] = self.amplitude * np.fromiter(map(math.sin, phase.tolist()), float)
+        return out
 
 
 def apply_disturbances(rows: tuple, profiles, t: np.ndarray) -> tuple:

@@ -9,7 +9,6 @@ stabilizer consume this timeline; nothing here depends on feedback.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -81,12 +80,10 @@ class ContactBreakpoint:
 
 
 class ContactSchedule:
-    """Piecewise hand-contact plan sampled by time.
+    """Piecewise hand-contact plan: validated breakpoints.
 
     Before the first breakpoint the first entry holds; after the last, the
-    last entry holds. "hold" segments return the breakpoint's own contact
-    tuple unchanged (same object every call), so a caller can tell that the
-    contacts did not change with an `is` test.
+    last entry holds. build_reference_frames samples it (_contact_sets).
     """
 
     def __init__(self, breakpoints):
@@ -105,32 +102,10 @@ class ContactSchedule:
                         "linear segment needs equal contact counts on both ends"
                     )
         self._breakpoints = bps
-        self._times = times
 
     @property
     def breakpoints(self):
         return self._breakpoints
-
-    def sample(self, t: float) -> tuple:
-        """Contacts active at time t."""
-        idx = bisect.bisect_right(self._times, t) - 1
-        if idx < 0:
-            return self._breakpoints[0].contacts
-        bp = self._breakpoints[idx]
-        if bp.mode == "hold" or idx + 1 >= len(self._breakpoints):
-            return bp.contacts
-        nxt = self._breakpoints[idx + 1]
-        s = (t - bp.time) / (nxt.time - bp.time)
-        out = []
-        for a, b in zip(bp.contacts, nxt.contacts):
-            out.append(
-                ExternalContact(
-                    force=a.force + s * (b.force - a.force),
-                    moment=a.moment + s * (b.moment - a.moment),
-                    position=a.position + s * (b.position - a.position),
-                )
-            )
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -381,9 +356,10 @@ def _contact_sets(schedule: ContactSchedule, times: np.ndarray):
     Returns (contact_index, spans): per sample the index of its contact set,
     and per run of samples in one schedule segment (k0, k1, rows) with rows
     an (L, m, 9) array of contact_rows, L = 1 for a hold (one set for the
-    run) and L = k1 - k0 for a linear ramp (one set per sample). Sampled
-    exactly as ContactSchedule.sample: the first breakpoint holds before its
-    time, and a ramp interpolates a + s * (b - a), s = (t - t0) / (t1 - t0).
+    run) and L = k1 - k0 for a linear ramp (one set per sample). The
+    first breakpoint holds before its time, each breakpoint from its time
+    until the next, and a ramp interpolates a + s * (b - a), s = (t - t0) /
+    (t1 - t0).
     """
     bps = schedule.breakpoints
     seg = np.searchsorted([bp.time for bp in bps], times, side="right") - 1

@@ -10,7 +10,9 @@ silently disable part of an experiment. Each field is declared once, on its
 config dataclass (see _f): YAML key, reader, default and bounds. The parser
 (parse_config) and the dumper (config_to_dict) both work from those
 declarations; a `_check` method holds the rules that relate a section's
-fields to each other.
+fields to each other. ScenarioConfig._check holds those across sections,
+among them that a disturbance's contact_index names a hand contact present
+while it acts.
 
 run_scenario wires the full pipeline (references -> preview gains ->
 desired trajectory -> stabilizer -> plant loop), writes the CSV trace, a
@@ -340,6 +342,9 @@ class ControllerSection:
         _number, StabilizerGains.integrator_limit, minimum=0.0
     )
 
+    def preview_weights(self) -> PreviewWeights:
+        return PreviewWeights(q_zmp=self.q_zmp, r_jerk=self.r_jerk)
+
     def stabilizer_gains(self) -> StabilizerGains:
         return StabilizerGains(
             k_p=self.k_p,
@@ -487,6 +492,23 @@ class ScenarioConfig:
         noisy = self.plant.com_noise_m > 0.0 or self.plant.force_noise_n > 0.0
         if noisy and self.seed is None:
             _fail("seed", "measurement noise needs a seed, so that a rerun writes the same trace")
+        # a disturbance aimed at a hand contact must find it in every
+        # breakpoint it overlaps within the run; breakpoint j holds from its
+        # time (the first one from the start) until the next
+        hands = hands or (HandBreakpointSpec(time_s=0.0),)
+        for i, d in enumerate(self.disturbances):
+            end = min(d.end_s, self.duration_s)
+            if d.contact_index is None or not d.start_s < end:
+                continue
+            for j, bp in enumerate(hands):
+                begins = -math.inf if j == 0 else bp.time_s
+                ends = hands[j + 1].time_s if j + 1 < len(hands) else math.inf
+                if begins < end and d.start_s < ends and d.contact_index >= len(bp.contacts):
+                    _fail(
+                        f"disturbances[{i}].contact_index",
+                        f"contact {d.contact_index} does not exist: hands[{j}] has "
+                        f"{len(bp.contacts)} contacts while the disturbance acts",
+                    )
 
     @property
     def n_samples(self) -> int:
@@ -724,32 +746,8 @@ def _contact_schedule(hands) -> ContactSchedule:
     )
 
 
-def _check_contact_indices(config: ScenarioConfig):
-    """Reject a disturbance aimed at a hand contact absent while it acts.
-
-    Hand breakpoint i holds from its time (the first one from the start)
-    until the next breakpoint; a disturbance with a contact_index must find
-    that contact in every breakpoint it overlaps within the run.
-    """
-    hands = config.hands or (HandBreakpointSpec(time_s=0.0),)
-    for i, d in enumerate(config.disturbances):
-        end = min(d.end_s, config.duration_s)
-        if d.contact_index is None or not d.start_s < end:
-            continue
-        for j, bp in enumerate(hands):
-            begins = -math.inf if j == 0 else bp.time_s
-            ends = hands[j + 1].time_s if j + 1 < len(hands) else math.inf
-            if begins < end and d.start_s < ends and d.contact_index >= len(bp.contacts):
-                _fail(
-                    f"disturbances[{i}].contact_index",
-                    f"contact {d.contact_index} does not exist: hands[{j}] has "
-                    f"{len(bp.contacts)} contacts while the disturbance acts",
-                )
-
-
 def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
     """Wire references, preview gains, desired trajectory and stabilizer."""
-    _check_contact_indices(config)
     params = config.robot.params()
     feet = {
         "left": np.array(config.feet.left_pos_m),
@@ -778,10 +776,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioBundle:
     )
     c = config.controller
     gains = synthesize_gains(
-        PreviewWeights(q_zmp=c.q_zmp, r_jerk=c.r_jerk),
-        timeline.omega,
-        config.dt_s,
-        c.preview_window_s,
+        c.preview_weights(), timeline.omega, config.dt_s, c.preview_window_s
     )
     traj = generate_trajectory(timeline, gains)
     stabilizer = Stabilizer(
@@ -1099,12 +1094,15 @@ def run_scenario(
     failure and failed_at_s). Either way the truncated trace is still
     written.
 
-    With write, the output directory is created before anything runs, so an
-    unusable one raises OutputError first. After the run it receives
-    trace.csv, metrics.txt and then run.json (run_record), which holds the
-    checksum of the trace.csv bytes as TraceLog.to_csv wrote them. A file
-    that cannot be written raises OutputError naming it.
+    With write, the output directory is created after build_scenario and
+    before the loop runs: a config error found while building leaves no
+    directory behind, and an unusable one raises OutputError before the
+    loop. After the run it receives trace.csv, metrics.txt and then
+    run.json (run_record), which holds the checksum of the trace.csv bytes
+    as TraceLog.to_csv wrote them. A file that cannot be written raises
+    OutputError naming it.
     """
+    bundle = build_scenario(config)
     target = trace_path = metrics_path = None
     if write:
         target = Path(out_dir or config.out_dir or f"{config.name}_out")
@@ -1114,7 +1112,6 @@ def run_scenario(
             raise OutputError(
                 f"cannot create output directory {target}: {exc.strerror or exc}"
             ) from None
-    bundle = build_scenario(config)
     try:
         trace = run_closed_loop(
             bundle.traj,

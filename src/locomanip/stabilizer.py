@@ -315,11 +315,11 @@ class CompiledHull(NamedTuple):
     xmax, ymin, ymax), +-inf on a side with no such edge, and oblique the
     other edges, whose cross products are still taken. A hull of one or two
     vertices has no inside point: its box is None and oblique empty. edges
-    (hull_edges) are every edge, for the projection. reach is the hull's
-    bounding box (xmin, xmax, ymin, ymax) grown by 8 ULPs of its largest
-    coordinate M, which every point the projection computes lies in: such a
-    point a + t e, t in [0, 1], lies between a and fl(a + fl(b - a)),
-    which is within 3 ULPs of M of the next vertex b.
+    (hull_edges) are every edge, for _clamp_xy's projection. reach is the
+    hull's bounding box (xmin, xmax, ymin, ymax) grown by 8 ULPs of its
+    largest coordinate M, which every point the projection computes lies in:
+    such a point a + t e, t in [0, 1], lies between a and fl(a + fl(b -
+    a)), which is within 3 ULPs of M of the next vertex b.
     """
 
     box: tuple | None
@@ -421,41 +421,16 @@ def _clamp_xy(px, py, hull: CompiledHull):
     return best
 
 
-def _project(px, py, edges):
-    """_clamp_xy's projection onto the edges, on arrays of points: the same
-    operations elementwise. np.where(0.0 > t, 0.0, t) is max(t, 0.0) and
-    np.where(1.0 < t, 1.0, t) is min(t, 1.0), -0.0 and NaN included
-    (np.maximum would differ on both); the first edge always counts, a
-    later one where its distance is strictly smaller."""
-    for i, (ax, ay, ex, ey, ee) in enumerate(edges):
-        if ee == 0.0:
-            return np.full(len(px), ax), np.full(len(px), ay)
-        t = ((px - ax) * ex + (py - ay) * ey) / ee
-        t = np.where(0.0 > t, 0.0, t)
-        t = np.where(1.0 < t, 1.0, t)
-        qx = ax + t * ex
-        qy = ay + t * ey
-        d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
-        if i == 0:
-            best_x, best_y, best_d = qx, qy, d
-        else:
-            closer = d < best_d
-            best_x = np.where(closer, qx, best_x)
-            best_y = np.where(closer, qy, best_y)
-            best_d = np.where(closer, d, best_d)
-    return best_x, best_y
-
-
 def _clamped(px, py, hull: CompiledHull):
     """Whether _clamp_xy moves each point of the arrays (px, py), on arrays.
 
     The inside test is _clamp_xy's, elementwise. A point it finds outside
     is moved if it lies beyond the hull's reach, where no projected point
-    can equal it; the others are projected by _project. So each flag is the
-    float call's bit for bit. An inside point comes back unchanged: not
-    moved, unless it is NaN (NaN != NaN).
+    can equal it; the few others go through _clamp_xy one at a time. So
+    each flag is the float call's bit for bit. An inside point comes back
+    unchanged: not moved, unless it is NaN (NaN != NaN).
     """
-    box, oblique, edges, reach = hull
+    box, oblique, _, reach = hull
     with np.errstate(all="ignore"):
         if box is None:
             out = np.ones(len(px), dtype=bool)
@@ -471,10 +446,11 @@ def _clamped(px, py, hull: CompiledHull):
         far = out & ((px < xmin) | (px > xmax) | (py < ymin) | (py > ymax))
         flags |= far
         near = np.flatnonzero(out & ~far)
-        if len(near):
-            x, y = px[near], py[near]
-            qx, qy = _project(x, y, edges)
-            flags[near] = (qx != x) | (qy != y)
+    for i, x, y in zip(near.tolist(), px[near].tolist(), py[near].tolist()):
+        # coordinate by coordinate: a tuple comparison would find a NaN
+        # point equal to itself
+        qx, qy = _clamp_xy(x, y, hull)
+        flags[i] = qx != x or qy != y
     return flags
 
 
@@ -812,15 +788,14 @@ class Stabilizer:
         at the robot's CoM height with the command acceleration (acc_x,
         acc_y) and the measured contacts rows (net_foot_wrench), and clamps
         its pressure point (wrench_zmp) into the sample's support hull: the
-        wrench the feet can realize is capped there. hulls is a table of
-        CompiledHulls and phase the sample's index into it. The inputs are
-        floats for one sample, or arrays of samples (rows as contact_rows
-        whose values are such arrays, phase an int array); the wrench and
-        its pressure point are then taken once over all of them and the
-        hull test (_clamped) once per run of equal phase. Returns
-        cop_clamped, a bool or a bool array, each as the float call gives
-        it. Raises as check_feet_loaded where the feet are unloaded, at any
-        sample.
+        wrench the feet can realize is capped there. The inputs are arrays
+        of samples: rows as contact_rows whose values are such arrays,
+        hulls a table of CompiledHulls and phase each sample's int index
+        into it. The wrench and its pressure point are taken once over all
+        samples and the hull test (_clamped) once per run of equal phase.
+        Returns cop_clamped, a bool array: whether _clamp_xy moves each
+        sample's pressure point. Raises as check_feet_loaded where the feet
+        are unloaded, at any sample.
         """
         params = self.params
         zmp_height = params.zmp_height
@@ -830,9 +805,6 @@ class Stabilizer:
             )
             check_feet_loaded(fz)
             px, py = wrench_zmp(fx, fy, fz, mx, my, zmp_height)
-        if not isinstance(px, np.ndarray):
-            qx, qy = _clamp_xy(px, py, hulls[phase])
-            return qx != px or qy != py
         flags = np.empty(len(px), dtype=bool)
         cuts = (np.flatnonzero(np.diff(phase)) + 1).tolist()
         for s, e in zip([0, *cuts], [*cuts, len(px)]):

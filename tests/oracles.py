@@ -14,16 +14,26 @@ disturbed_rows and closed_loop_by_sample are the closed loop one sample at a
 time on Python floats, which the package's blocked loop must match bit for
 bit: trace columns, flags and the stop. clamp_xy_edge_loop is the earlier
 inside test and projection of the support hull clamp, a cross product per
-edge, which the compiled hull's must match bit for bit.
+edge, which the compiled hull's must match bit for bit. sample_schedule is
+a contact schedule at one time, which the timeline's contact sets must
+match bit for bit.
 """
 
+import bisect
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 
-from locomanip.core_dynamics import compute_coefficients, contact_terms, dcm_of
+from locomanip.core_dynamics import (
+    ExternalContact,
+    compute_coefficients,
+    contact_terms,
+    dcm_of,
+    net_foot_wrench,
+    wrench_zmp,
+)
 from locomanip.plant_sim import (
     CSV_COLUMNS,
     DIVERGENCE_LIMIT,
@@ -33,7 +43,12 @@ from locomanip.plant_sim import (
     step_plant,
 )
 from locomanip.reference_builder import SoleRect
-from locomanip.stabilizer import compile_hull, support_hull
+from locomanip.stabilizer import (
+    _clamp_xy,
+    check_feet_loaded,
+    compile_hull,
+    support_hull,
+)
 
 
 def classical_preview_rollout(gains, zmp_ref):
@@ -217,6 +232,63 @@ def write_trace_savetxt(trace, path, columns):
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
 
 
+def sample_schedule(schedule, t):
+    """The contacts of a ContactSchedule active at time t.
+
+    Before the first breakpoint the first one holds. A "hold" segment gives
+    the breakpoint's own contact tuple (the same object at every t); a
+    "linear" one interpolates a + s * (b - a), s = (t - t0) / (t1 - t0),
+    on each contact's force, moment and position.
+    """
+    bps = schedule.breakpoints
+    idx = bisect.bisect_right([bp.time for bp in bps], t) - 1
+    if idx < 0:
+        return bps[0].contacts
+    bp = bps[idx]
+    if bp.mode == "hold" or idx + 1 >= len(bps):
+        return bp.contacts
+    nxt = bps[idx + 1]
+    s = (t - bp.time) / (nxt.time - bp.time)
+    return tuple(
+        ExternalContact(
+            force=a.force + s * (b.force - a.force),
+            moment=a.moment + s * (b.moment - a.moment),
+            position=a.position + s * (b.position - a.position),
+        )
+        for a, b in zip(bp.contacts, nxt.contacts)
+    )
+
+
+def profile_value(prof, t):
+    """A DisturbanceProfile's signal at one float time t: 0.0 outside
+    [start_time, end_time), else the amplitude, or for a sinusoid amplitude
+    * sin(2 pi (t - start_time) / period), with a ValueError where that
+    phase overflows."""
+    if t < prof.start_time or t >= prof.end_time:
+        return 0.0
+    if prof.kind != "sinusoid":
+        return prof.amplitude
+    phase = 2.0 * math.pi * (t - prof.start_time) / prof.period
+    if not math.isfinite(phase):
+        raise ValueError(f"sinusoid period {prof.period!r} too short: the phase overflows")
+    return prof.amplitude * math.sin(phase)
+
+
+def cop_moved(params, cx, cy, ax, ay, rows, hull):
+    """Whether _clamp_xy moves the pressure point of the net ground wrench of
+    one sample, on floats: net_foot_wrench against the CoM (cx, cy) at the
+    CoM height with acceleration (ax, ay), check_feet_loaded, wrench_zmp,
+    then _clamp_xy into the CompiledHull hull. Each coordinate is compared
+    on its own, so a NaN point counts as moved."""
+    fx, fy, fz, mx, my, _ = net_foot_wrench(
+        params, cx, cy, params.com_height, ax, ay, 0.0, rows
+    )
+    check_feet_loaded(fz)
+    px, py = wrench_zmp(fx, fy, fz, mx, my, params.zmp_height)
+    qx, qy = _clamp_xy(px, py, hull)
+    return qx != px or qy != py
+
+
 def disturbed_rows(rows, profiles, t):
     """The true contacts at one time t: contact_rows of floats plus the
     profiles' values, rows itself when none is active.
@@ -229,7 +301,7 @@ def disturbed_rows(rows, profiles, t):
     deltas = [[0.0, 0.0, 0.0] for _ in rows]
     active = False
     for prof in profiles:
-        v = prof.value(t)
+        v = profile_value(prof, t)
         if v == 0.0:
             continue
         active = True
@@ -260,7 +332,7 @@ def closed_loop_by_sample(
     order CoM (2), velocity (2), then 3 per contact with force noise,
     Stabilizer.measure_forces over the one sample from the bands of the
     sample before, Stabilizer.step with the DCM memory of the step before,
-    Stabilizer.ground_wrench, then step_plant. The bands and the memory
+    the cop_clamped flag (cop_moved), then step_plant. The bands and the memory
     start at zero and are local variables. The compiled hull, clamp bounds
     and contact rows are rebuilt at every sample.
 
@@ -324,9 +396,7 @@ def closed_loop_by_sample(
                 float(timeline.kappa[k]), omega, plan, cx, cy, wx, wy, hull,
                 bands, memory,
             )
-            cop_clamped = stabilizer.ground_wrench(
-                cx, cy, acx, acy, measured, (hull,), 0
-            )
+            cop_clamped = cop_moved(params, cx, cy, acx, acy, measured, hull)
             npx, npy, nvx, nvy, _, _, nzx, nzy, zmp_clamped = step_plant(
                 px, py, vx, vy, zx, zy, zcx, zcy, decay,
                 (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),

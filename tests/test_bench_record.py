@@ -1,17 +1,29 @@
-"""The committed stage-time record BENCH_bundled.json is whole and sane.
+"""The committed stage-time record BENCH_bundled.json is whole and sane,
+and the tool that writes it still times every stage.
 
-The record is written by tools/bench_bundled.py; this test reads only the
-JSON. It checks the keys and that every number is finite and non-negative,
-and applies no timing bound: times belong to the host that took them.
+The record is written by tools/bench_bundled.py. One test reads only the
+JSON: it checks the keys and that every number is finite and non-negative,
+and applies no timing bound, since times belong to the host that took them.
+The other runs the tool's run_once on a short scenario, so a renamed name
+the tool rebinds fails here rather than in the next recording.
 """
 
+import importlib.util
 import json
 import math
 from pathlib import Path
 
-from locomanip.scenario import list_bundled_scenarios
+from locomanip.scenario import (
+    apply_overrides,
+    bundled_scenario_path,
+    list_bundled_scenarios,
+    load_raw_config,
+    parse_config,
+)
 
-RECORD = Path(__file__).resolve().parent.parent / "BENCH_bundled.json"
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "BENCH_bundled.json"
+TOOL = ROOT / "tools" / "bench_bundled.py"
 
 HOST_KEYS = {"cpu_count", "cpu_model", "simd", "python", "numpy", "blas", "pyyaml", "libyaml"}
 STAGES = {
@@ -56,3 +68,18 @@ def test_record_keys_and_numbers():
     values = list(numbers(record))
     assert values
     assert all(math.isfinite(v) and v >= 0 for v in values)
+
+
+def test_recorder_times_every_stage(tmp_path):
+    """Every name the tool rebinds (_feedforward, _preview_law,
+    _open_loop_block, _feedback_pass, Stabilizer.ground_wrench, ...) still
+    exists and is still called by a run: each stage takes some time."""
+    spec = importlib.util.spec_from_file_location("bench_bundled", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    raw = load_raw_config(bundled_scenario_path("nominal"))
+    config = parse_config(apply_overrides(raw, ["duration_s=0.5"]))
+    totals, steps = tool.run_once(config, tmp_path)
+    assert steps == config.n_samples
+    assert set(totals) == STAGES
+    assert all(totals[stage] > 0 for stage in STAGES), totals

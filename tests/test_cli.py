@@ -339,6 +339,24 @@ class TestRun:
         assert list(tmp_path.iterdir()) == [afile]
         assert afile.read_text() == "kept\n"
 
+    def test_build_error_leaves_no_out_dir(self, tmp_path, capsys):
+        """A config error found while building the scenario (a gap between
+        footsteps) exits 1 before the output directory is made."""
+        out = tmp_path / "o2"
+        code = run_cli(
+            "run", "--config", "testcase1", "--out", str(out),
+            "--override", "duration_s=4.0",
+            "--override",
+            "gait={kind: footsteps, footsteps: ["
+            "{foot: left, position_m: [0.0, 0.1], start_s: 1.0, end_s: 2.0}, "
+            "{foot: right, position_m: [0.0, -0.1], start_s: 2.5, end_s: 3.0}]}",
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "config error: gap between footsteps at t=2..2.5\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["trace.csv", "metrics.txt", "run.json"])
     def test_unwritable_output_file_is_an_output_error(self, name, tmp_path, capsys):
         """An output file that cannot be written exits 1 naming it, as an
@@ -841,3 +859,33 @@ class TestGains:
             "gains", "--config", "testcase1", "--override", "plant.com_noise_m=1e-4",
             "--override", "seed=3",
         ) == 0
+
+    def test_missing_contact_index_exits_one(self, capsys):
+        """gains parses the same config as run, so a disturbance aimed at a
+        hand contact that does not exist is refused here too."""
+        code = run_cli(
+            "gains", "--config", "testcase1", "--override",
+            "disturbances=[{kind: step, amplitude_n: 1.0, contact_index: 5}]",
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(
+            "config error: disturbances[0].contact_index: contact 5 does not exist"
+        )
+        assert captured.out == ""
+
+    def test_closed_stdout_is_an_output_error(self, capsys, monkeypatch):
+        """A reader that closes the pipe early (gains | head -1) is an output
+        error, not a config error."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = run_cli("gains", "--config", "testcase1")
+        assert code == 1
+        assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"

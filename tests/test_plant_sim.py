@@ -31,11 +31,7 @@ from locomanip.core_dynamics import (
     ext_zmp,
 )
 from locomanip.errors import Infeasible, NonPhysical
-from locomanip.pattern_generator import (
-    PreviewWeights,
-    generate_trajectory,
-    synthesize_gains,
-)
+from locomanip.pattern_generator import generate_trajectory, synthesize_gains
 from locomanip.plant_sim import (
     CSV_COLUMNS,
     CSV_WRITE_ROWS,
@@ -181,12 +177,11 @@ class TestDisturbanceProfile:
             kind="sinusoid", axis="x", amplitude=30.0, period=2.0,
             start_time=1.0, end_time=5.0,
         )
-        assert prof.value(0.5) == 0.0
-        assert prof.value(5.0) == 0.0
-        assert prof.value(1.5) == pytest.approx(30.0)
+        assert prof.value(np.array([0.5, 5.0, 1.5])).tolist() == pytest.approx(
+            [0.0, 0.0, 30.0]
+        )
         const = DisturbanceProfile(kind="constant", axis="y", amplitude=-5.0)
-        assert const.value(0.0) == -5.0
-        assert const.value(1e6) == -5.0
+        assert const.value(np.array([0.0, 1e6])).tolist() == [-5.0, -5.0]
 
     def test_apply_returns_same_tuple_when_inactive(self):
         rows = one_sample(contact_rows(hand_pair(fx=-50.0)))
@@ -246,7 +241,7 @@ class TestDisturbanceProfile:
         )
         by_sample = [disturbed_rows(rows, profiles, t) for t in times.tolist()]
         assert sum(r is rows for r in by_sample) > 100
-        assert profiles[0].value(0.5) == 0.0
+        assert profiles[0].value(np.array([0.5])).tolist() == [0.0]
         columns = tuple(
             tuple(np.full(len(times), v) for v in r) for r in rows
         )
@@ -369,7 +364,7 @@ class TestClosedLoop:
             with pytest.raises(ValueError, match="period 1e-310 too short"):
                 run_closed_loop(traj, make_stabilizer(), disturbances=(prof,))
             with pytest.raises(ValueError, match="period"):
-                prof.value(0.1)
+                prof.value(np.array([0.1]))
 
     def test_stabilizer_at_another_rate_is_refused(self):
         traj = plan_trajectory(standing_timeline(duration=0.2))
@@ -1126,10 +1121,7 @@ def test_plan_memory_does_not_grow_with_the_run():
     bundle = scenario_bundle("testcase3")
     c = bundle.config.controller
     gains = synthesize_gains(
-        PreviewWeights(c.q_zmp, c.r_jerk),
-        bundle.traj.omega,
-        bundle.traj.dt,
-        c.preview_window_s,
+        c.preview_weights(), bundle.traj.omega, bundle.traj.dt, c.preview_window_s
     )
     plan_excess_mb(bundle, gains, 1.0)  # first-call caches
     short, long = (plan_excess_mb(bundle, gains, s) for s in (20.0, 40.0))

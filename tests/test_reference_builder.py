@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import sample_schedule
 
 from locomanip import reference_builder
 from locomanip.core_dynamics import (
@@ -134,11 +135,11 @@ def test_contact_schedule_hold_and_ramp():
             ContactBreakpoint(1.0, hands(-50.0, 0.0), mode="hold"),
         ]
     )
-    assert sched.sample(-0.5) is sched.sample(-1.0)  # pre-plan hold
-    mid = sched.sample(0.5)
+    assert sample_schedule(sched, -0.5) is sample_schedule(sched, -1.0)  # pre-plan hold
+    mid = sample_schedule(sched, 0.5)
     assert math.isclose(mid[0].force[0], -25.0, rel_tol=0, abs_tol=1e-12)
-    late = sched.sample(3.0)
-    assert late is sched.sample(99.0)  # hold tuples keep identity
+    late = sample_schedule(sched, 3.0)
+    assert late is sample_schedule(sched, 99.0)  # hold tuples keep identity
     assert late[0].force[0] == -50.0
 
 
@@ -367,7 +368,7 @@ def test_array_plan_matches_per_sample_path(name, gait, force_kappa_one):
 
     kappa, gamma, exz = [], [], []
     for k, t in enumerate(times.tolist()):
-        contacts = sched.sample(t)
+        contacts = sample_schedule(sched, t)
         coeff = compute_coefficients(PARAMS, contacts)
         kap = 1.0 if force_kappa_one else coeff.kappa
         gx, gy = coeff.gamma.tolist()

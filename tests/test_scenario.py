@@ -100,8 +100,7 @@ class TestFieldValidation:
             RobotParams(mass=params.mass)
         )
         assert cfg.controller.stabilizer_gains() == StabilizerGains()
-        c = cfg.controller
-        assert PreviewWeights(q_zmp=c.q_zmp, r_jerk=c.r_jerk) == PreviewWeights()
+        assert cfg.controller.preview_weights() == PreviewWeights()
         assert cfg.plant.divergence_limit_m == DIVERGENCE_LIMIT
 
     def test_top_level_must_be_mapping(self):
@@ -827,7 +826,9 @@ class TestRunScenario:
         assert not (tmp_path / "mini_out").exists()
 
     def test_missing_contact_index_is_rejected(self):
-        """A push on contact 7 of two used to vanish from the run unreported."""
+        """A push on contact 7 of two used to vanish from the run unreported.
+        The config's own check refuses it, so every command that parses the
+        config does."""
         raw = apply_overrides(
             load_raw_config(bundled_scenario_path("testcase1")),
             [
@@ -836,7 +837,7 @@ class TestRunScenario:
             ],
         )
         with pytest.raises(ConfigError, match="contact 7 does not exist") as info:
-            build_scenario(parse_config(raw))
+            parse_config(raw)
         assert info.value.field == "disturbances[0].contact_index"
 
     def test_contact_index_checked_only_while_the_push_acts(self):
@@ -846,9 +847,7 @@ class TestRunScenario:
         build_scenario(parse_config(mini_config(hands=hands, disturbances=[held])))
         late = dict(held, start_s=1.2, end_s=2.5)
         with pytest.raises(ConfigError, match=r"hands\[2\] has 0 contacts") as info:
-            build_scenario(
-                parse_config(mini_config(hands=hands, disturbances=[held, late]))
-            )
+            parse_config(mini_config(hands=hands, disturbances=[held, late]))
         assert info.value.field == "disturbances[1].contact_index"
 
     def test_bundle_matches_sample_count(self):

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
-from oracles import clamp_xy_edge_loop, convex_hull_np_unique
+from hypothesis import example, given, settings, strategies as st
+from oracles import clamp_xy_edge_loop, convex_hull_np_unique, cop_moved
 
 import locomanip
 
@@ -37,7 +37,6 @@ from locomanip.stabilizer import (
     _convex_hull,
     _least_distance,
     _nnls,
-    _project,
     _sole_limited_split,
     compile_hull,
     conventional_closed_loop_matrix,
@@ -133,12 +132,13 @@ def feedback(desired, xi, gains, bands=ZEROS, memory=ZEROS):
 def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
     """One stabilizer cycle on a planned sample and measured CoM and contacts,
     the first of a run: Stabilizer.measure_forces over that one sample from
-    zero bands, Stabilizer.step from zero memory, then
-    Stabilizer.ground_wrench. Returns a namespace: zmp, acc and dcm_err
-    pairs, gamma_err, the sample's bands, the saturated and cop_clamped
-    flags, and wrench, the net ground wrench of the measured CoM and the
-    command acceleration with its pressure point clamped into the hull (the
-    wrench the feet can realize), as a Wrench."""
+    zero bands, Stabilizer.step from zero memory, then the ground-wrench
+    stage on floats, which Stabilizer.ground_wrench must match on a block
+    of that one sample. Returns a namespace: zmp, acc and dcm_err pairs,
+    gamma_err, the sample's bands, the saturated and cop_clamped flags, and
+    wrench, the net ground wrench of the measured CoM and the command
+    acceleration with its pressure point clamped into the hull (the wrench
+    the feet can realize), as a Wrench."""
     coeff = desired.coefficients
     rows = contact_rows(contacts)
     hull = compile_hull(support_hull(region))
@@ -148,14 +148,18 @@ def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
     zx, zy, ax, ay, saturated, memory = stab.step(
         coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, hull, bands, ZEROS
     )
-    cop_clamped = stab.ground_wrench(cx, cy, ax, ay, rows, (hull,), 0)
+    cop_clamped = cop_moved(PARAMS, cx, cy, ax, ay, rows, hull)
+    block = tuple(tuple(np.array([v]) for v in r) for r in rows)
+    flags = stab.ground_wrench(
+        *(np.array([v]) for v in (cx, cy, ax, ay)), block, (hull,), np.zeros(1, int)
+    )
+    assert flags.tolist() == [cop_clamped]
     h = PARAMS.zmp_height
     fx, fy, fz, mx, my, mz = net_foot_wrench(
         PARAMS, cx, cy, PARAMS.com_height, ax, ay, 0.0, rows
     )
     px, py = wrench_zmp(fx, fy, fz, mx, my, h)
     qx, qy = _clamp_to_hull(np.array([px, py]), support_hull(region)).tolist()
-    assert cop_clamped == (qx != px or qy != py)
     if cop_clamped:
         mx = qy * fz - h * fy
         my = h * fx - qx * fz
@@ -924,8 +928,9 @@ class TestGroundWrenchFlags:
         flags = stab.ground_wrench(cx, cy, ax, ay, rows, hulls, phase)
         for k in range(len(phase)):
             sample = tuple(tuple(v[k].item() for v in r) for r in rows)
-            flag = stab.ground_wrench(
-                *(float(v[k]) for v in (cx, cy, ax, ay)), sample, hulls, int(phase[k])
+            flag = cop_moved(
+                PARAMS, *(float(v[k]) for v in (cx, cy, ax, ay)), sample,
+                hulls[phase[k]],
             )
             assert bool(flags[k]) is flag, k
 
@@ -937,7 +942,7 @@ class TestGroundWrenchFlags:
         stab = Stabilizer(PARAMS, StabilizerGains(), DT)
         hulls = (compile_hull(support_hull((LEFT, RIGHT))),)
         with pytest.raises(error):
-            stab.ground_wrench(0.0, 0.0, 0.0, 0.0, rows, hulls, 0)
+            cop_moved(PARAMS, 0.0, 0.0, 0.0, 0.0, rows, hulls[0])
         block = tuple(tuple(np.full(3, v) for v in r) for r in rows)
         with pytest.raises(error):
             zeros = np.zeros(3)
@@ -978,41 +983,17 @@ class TestCompiledHull:
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
-    def test_array_projection_is_the_edge_loop(self, data):
-        """_project against the edge loop's point for each point the loop
-        projects, bit for bit: -0.0 and NaN in the clamp of t, ties between
-        edges at a corner."""
-        hull = data.draw(sole_hulls() | hulls())
-        edges = hull_edges(hull)
-        points = data.draw(st.lists(edge_points(hull), min_size=1, max_size=20))
-        # the points the edge loop projects: every point of a hull of one
-        # or two vertices, else those on the right of some edge
-        outside = [
-            (x, y) for x, y in points
-            if len(edges) <= 2
-            or any(ex * (y - ay) - ey * (x - ax) < 0.0 for ax, ay, ex, ey, _ in edges)
-        ]
-        assume(outside)
-        px, py = (np.array(a) for a in zip(*outside))
-        with np.errstate(all="ignore"):
-            qx, qy = _project(px, py, edges)
-        for x, y, gx, gy in zip(px.tolist(), py.tolist(), qx.tolist(), qy.tolist()):
-            want = clamp_xy_edge_loop(x, y, edges)
-            assert [gx.hex(), gy.hex()] == [v.hex() for v in want], (x, y)
-
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @given(st.data())
     def test_projection_stays_within_reach(self, data):
-        """Every point _project computes, where not NaN, lies in the hull's
-        reach, so a point beyond it is moved without projecting it."""
+        """Every point _clamp_xy moves a point to, where not NaN, lies in the
+        hull's reach, so _clamped may flag a point beyond it as moved
+        without projecting it."""
         hull = data.draw(sole_hulls() | hulls())
         compiled = compile_hull(hull)
-        points = data.draw(st.lists(edge_points(hull), min_size=1, max_size=20))
-        px, py = (np.array(a) for a in zip(*points))
-        with np.errstate(all="ignore"):
-            qx, qy = _project(px, py, compiled.edges)
         xmin, xmax, ymin, ymax = compiled.reach
-        assert not np.any((qx < xmin) | (qx > xmax) | (qy < ymin) | (qy > ymax))
+        for x, y in data.draw(st.lists(edge_points(hull), min_size=1, max_size=20)):
+            qx, qy = _clamp_xy(x, y, compiled)
+            if (qx != x or qy != y) and not (math.isnan(qx) or math.isnan(qy)):
+                assert not (qx < xmin or qx > xmax or qy < ymin or qy > ymax), (x, y)
 
     SOLE_HULLS = (
         ((LEFT,), 0),
