@@ -1,9 +1,9 @@
 """Command line front end: run scenarios, compare traces, audit gains.
 
 `run` writes trace.csv, metrics.txt and run.json to its output directory,
-which it creates before the run starts. `compare` takes each trace's
-summary from the run.json beside it when that records the checksum of the
-trace's bytes, and parses the CSV otherwise, with the same output.
+which it creates before the run starts. `compare` reads each trace's
+summary with scenario.read_summary, one trace at a time, and `gains`
+prints the poles PreviewGains checked (pole_abs).
 
 Exit codes: 0 success, 1 config, usage or output error, 2 plant
 divergence, 3 a control step failed mid-run (unloaded feet, non-finite
@@ -20,7 +20,6 @@ import numpy as np
 from .core_dynamics import compute_coefficients
 from .errors import DegenerateScale, RiccatiDivergence, SchemaMismatch
 from .pattern_generator import synthesize_gains
-from .plant_sim import TraceLog
 from .scenario import (
     apply_overrides,
     compare_runs,
@@ -28,10 +27,9 @@ from .scenario import (
     list_bundled_scenarios,
     load_raw_config,
     parse_config,
-    recorded_summary,
+    read_summary,
     resolve_config_path,
     run_scenario,
-    trace_summary,
 )
 
 
@@ -126,29 +124,10 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
-def _summary(path):
-    """trace_summary of the trace CSV at path. It comes from the run.json
-    beside path where that records the file's checksum (recorded_summary);
-    otherwise the CSV is parsed, and its columns are freed on return. A file
-    that cannot be read as a trace is a SchemaMismatch naming path once."""
-    summary = recorded_summary(path)
-    if summary is not None:
-        return summary
-    try:
-        trace = TraceLog.from_csv(path)
-    except (OSError, ValueError) as exc:
-        reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{path}: ")
-        raise SchemaMismatch(f"{path}: {reason}") from None
-    try:
-        return trace_summary(trace)
-    except SchemaMismatch as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from None
-
-
 def _cmd_compare(args) -> int:
     # one trace is held at a time: a's columns are freed before b is read
-    a = _summary(args.trace_a)
-    rows = compare_runs(a, _summary(args.trace_b), metric_spec=args.metric)
+    a = read_summary(args.trace_a)
+    rows = compare_runs(a, read_summary(args.trace_b), metric_spec=args.metric)
     sys.stdout.write(format_comparison(rows))
     return 0
 
@@ -162,8 +141,6 @@ def _cmd_gains(args) -> int:
     c = config.controller
     omega = compute_coefficients(config.robot.params()).omega
     gains = synthesize_gains(c.preview_weights(), omega, config.dt_s, c.preview_window_s)
-    closed = gains.A - np.outer(gains.B, gains.k_fb)
-    preview_poles = np.sort(np.abs(np.linalg.eigvals(closed)))[::-1]
     st_poles = c.stabilizer_gains().closed_loop_poles(omega)
     print(f"scenario={config.name}")
     print(f"omega_per_s={omega:.12g}")
@@ -171,7 +148,7 @@ def _cmd_gains(args) -> int:
     print(f"n_preview={gains.n_preview}")
     print(f"k_fb={_fmt_vec(gains.k_fb)}")
     print(f"sum_k_ff={np.sum(gains.k_ff):.12g}")
-    print(f"preview_pole_abs={_fmt_vec(preview_poles)}")
+    print(f"preview_pole_abs={_fmt_vec(gains.pole_abs)}")
     print(
         "stabilizer_poles="
         + ",".join("%.12g%+.12gj" % (p.real, p.imag) for p in st_poles)

@@ -38,8 +38,8 @@ def _finite_vec(value, size: int, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float).reshape(-1)
     if arr.size != size:
         raise ValueError(f"{name}: expected {size} components, got {arr.size}")
-    # same test as np.isfinite(arr).all(), at a fraction of its call cost on
-    # the 2- and 3-vectors built every control step
+    # same test as np.isfinite(arr).all(); contacts are built from the
+    # config's hand breakpoints, not in the control loop
     if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name}: components must be finite")
     arr.flags.writeable = False

@@ -3,7 +3,11 @@
 Plans a CoM jerk trajectory whose implied pendulum ZMP tracks the reference.
 External contacts are handled upstream: the generator tracks the scaled and
 offset ZMP (kappa z - gamma), for which the pendulum dynamics look classic,
-then maps its own output back to a real ZMP command for the stabilizer.
+then maps its own output back to a real ZMP command for the stabilizer. The
+plan holds what the stabilizer reads: CoM position, velocity and
+acceleration, DCM and real ZMP. The jerk and the scaled output stay inside
+the rollout: the output C x is computed into the ZMP array and turned into
+the real ZMP in place.
 
 State per axis is (position, velocity, acceleration); the control is jerk.
 The infinite-horizon tracking law splits into state feedback from a Riccati
@@ -19,12 +23,13 @@ add, not on numpy's reduction internals. The reference of sustained hand
 forces holds one value for long stretches, so a block of outputs whose
 windows all hold the bits of the window before them shares that window's
 sum instead of recomputing it. Nothing on the way to the plan calls BLAS,
-so its bytes do not depend on the BLAS kernel; only the PreviewGains
-stability check calls LAPACK.
+so its bytes do not depend on the BLAS kernel; only PreviewGains.pole_abs,
+the closed-loop poles its stability check reads, calls LAPACK.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -212,8 +217,7 @@ class PreviewGains:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        closed = self.A - np.outer(self.B, self.k_fb)
-        rho = np.max(np.abs(np.linalg.eigvals(closed)))
+        rho = self.pole_abs[0]
         if not rho < 1.0:
             raise ValueError(f"closed loop unstable, spectral radius {rho:.6f}")
         total = np.sum(np.abs(self.k_ff))
@@ -227,6 +231,14 @@ class PreviewGains:
     @property
     def n_preview(self) -> int:
         return len(self.k_ff)
+
+    @functools.cached_property
+    def pole_abs(self) -> np.ndarray:
+        """Absolute eigenvalues of the closed loop A - B k_fb, largest first."""
+        closed = self.A - np.outer(self.B, self.k_fb)
+        poles = np.sort(np.abs(np.linalg.eigvals(closed)))[::-1]
+        poles.flags.writeable = False
+        return poles
 
 
 def synthesize_gains(
@@ -380,20 +392,9 @@ class DesiredTrajectory:
     com_acc: np.ndarray
     dcm: np.ndarray
     zmp: np.ndarray
-    ext_zmp_out: np.ndarray
-    jerk: np.ndarray
 
     def __post_init__(self):
-        for name in (
-            "time",
-            "com_pos",
-            "com_vel",
-            "com_acc",
-            "dcm",
-            "zmp",
-            "ext_zmp_out",
-            "jerk",
-        ):
+        for name in ("time", "com_pos", "com_vel", "com_acc", "dcm", "zmp"):
             getattr(self, name).flags.writeable = False
 
     def __len__(self):
@@ -436,8 +437,8 @@ def generate_trajectory(
     com_pos = np.empty((n, 2))
     com_vel = np.empty((n, 2))
     com_acc = np.empty((n, 2))
-    exz_out = np.empty((n, 2))
-    jerks = np.empty((n, 2))
+    zmp = np.empty((n, 2))
+    jerks = np.empty((n, 2))  # scratch: the feedforward terms, then the jerk
     # the window of step k covers samples k+1 .. k+npv, holding the final value
     padded = np.empty((2, n - 1 + npv))
     padded[:, : n - 1] = ref[1:].T
@@ -451,18 +452,17 @@ def generate_trajectory(
             com_pos[:, i],
             com_vel[:, i],
             com_acc[:, i],
-            exz_out[:, i],
+            zmp[:, i],
         )
-    dcm = dcm_of(com_pos, com_vel, timeline.omega)
-    zmp = (exz_out + timeline.gamma) / timeline.kappa[:, None]
+    # the planned output C x tracks kappa z - gamma: map it to the real ZMP
+    zmp += timeline.gamma
+    zmp /= timeline.kappa[:, None]
     return DesiredTrajectory(
         timeline=timeline,
         time=timeline.time,
         com_pos=com_pos,
         com_vel=com_vel,
         com_acc=com_acc,
-        dcm=dcm,
+        dcm=dcm_of(com_pos, com_vel, timeline.omega),
         zmp=zmp,
-        ext_zmp_out=exz_out,
-        jerk=jerks,
     )

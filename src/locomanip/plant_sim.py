@@ -180,8 +180,9 @@ def apply_disturbances(rows: tuple, profiles, t: np.ndarray) -> tuple:
     contact_terms. Each sample comes out as the desired contacts plus the
     sum of the profiles active at its time; a sample where no profile is
     active keeps its desired values untouched. Returns rows itself when no
-    disturbance is active at any time. A contact_index beyond the contacts
-    present raises IndexError while its profile acts.
+    disturbance is active at any time. A profile raises IndexError while it
+    acts on a contact that is not present: one beyond the contacts present
+    for a contact_index, any contact for a profile without one.
     """
     deltas = None
     for prof in profiles:
@@ -197,7 +198,10 @@ def apply_disturbances(rows: tuple, profiles, t: np.ndarray) -> tuple:
         ax = _AXES[prof.axis]
         # a profile adds nothing where it is 0.0 or -0.0: a delta starts at
         # 0.0 and only sums nonzero values, so it is never -0.0 itself
-        for d in deltas if prof.contact_index is None else (deltas[prof.contact_index],):
+        targets = deltas if prof.contact_index is None else (deltas[prof.contact_index],)
+        if not targets:
+            raise IndexError("disturbance acts where no contact is present")
+        for d in targets:
             d[ax] = d[ax] + v
     if deltas is None:
         return rows

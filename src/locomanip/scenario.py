@@ -11,17 +11,21 @@ config dataclass (see _f): YAML key, reader, default and bounds. The parser
 (parse_config) and the dumper (config_to_dict) both work from those
 declarations; a `_check` method holds the rules that relate a section's
 fields to each other. ScenarioConfig._check holds those across sections,
-among them that a disturbance's contact_index names a hand contact present
-while it acts.
+among them that every force finds the hand contacts it acts on: a
+disturbance's contact_index names a contact present while it acts, a
+disturbance without one finds some contact, and force noise a contact
+during the run.
 
 run_scenario wires the full pipeline (references -> preview gains ->
 desired trajectory -> stabilizer -> plant loop), writes the CSV trace, a
 flat key=value metrics file and the run record run.json, and maps the
 outcome to a process exit code: 0 completed, 2 diverged, 3 a control step
 failed (every check of such a run fails); config errors raise and the CLI
-reports 1. run.json records what ran and the trace's TraceSummary under a
-checksum of the trace bytes, so compare can skip re-parsing a trace the run
-summarized (recorded_summary).
+reports 1. run.json records what ran and the trace's trace_summary under
+a checksum of the trace bytes. read_summary is compare's read path: it
+takes that recorded summary when the checksum holds (recorded_summary) and
+parses the CSV otherwise, so compare can skip re-parsing a trace the run
+summarized.
 
 Metric notes: each metric is declared once, in AXIS_METRICS or the run
 keys beside it. scenario_metrics, trace_metrics (and so compare) and the
@@ -492,18 +496,26 @@ class ScenarioConfig:
         noisy = self.plant.com_noise_m > 0.0 or self.plant.force_noise_n > 0.0
         if noisy and self.seed is None:
             _fail("seed", "measurement noise needs a seed, so that a rerun writes the same trace")
-        # a disturbance aimed at a hand contact must find it in every
-        # breakpoint it overlaps within the run; breakpoint j holds from its
-        # time (the first one from the start) until the next
+        # forces act on hand contacts: force noise needs one in some
+        # breakpoint within the run, a disturbance the one it names (any
+        # one, without contact_index) in every breakpoint it overlaps within
+        # the run; breakpoint j holds from its time (the first one from the
+        # start) until the next
         hands = hands or (HandBreakpointSpec(time_s=0.0),)
+        begins = [-math.inf] + [bp.time_s for bp in hands[1:]]
+        ends = begins[1:] + [math.inf]
+        if self.plant.force_noise_n > 0.0 and not any(
+            bp.contacts for bp, t in zip(hands, begins) if t < self.duration_s
+        ):
+            _fail("plant.force_noise_n", "force noise needs a hand contact during the run")
         for i, d in enumerate(self.disturbances):
             end = min(d.end_s, self.duration_s)
-            if d.contact_index is None or not d.start_s < end:
-                continue
+            needs = 1 if d.contact_index is None else d.contact_index + 1
             for j, bp in enumerate(hands):
-                begins = -math.inf if j == 0 else bp.time_s
-                ends = hands[j + 1].time_s if j + 1 < len(hands) else math.inf
-                if begins < end and d.start_s < ends and d.contact_index >= len(bp.contacts):
+                if begins[j] < end and d.start_s < min(end, ends[j]) and len(bp.contacts) < needs:
+                    if d.contact_index is None:
+                        where = f"hands[{j}] has none while it acts" if self.hands else "no hands"
+                        _fail(f"disturbances[{i}]", f"no hand contact to act on: {where}")
                     _fail(
                         f"disturbances[{i}].contact_index",
                         f"contact {d.contact_index} does not exist: hands[{j}] has "
@@ -943,22 +955,9 @@ def trace_metrics(trace: TraceLog, mask: np.ndarray | None = None) -> dict:
     return _reduce(trace.columns, mask, _CSV_METRICS)
 
 
-def _index_mask(n: int, dt: float, metrics_cfg: MetricsSection) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    mask[: min(n, int(round(metrics_cfg.skip_initial_s / dt)))] = False
-    for a, b in metrics_cfg.exclude_windows_s:
-        ia = max(0, int(round(a / dt)))
-        ib = max(0, min(n, int(round(b / dt))))
-        mask[ia:ib] = False
-    return mask
-
-
-def _window_mask(n: int, dt: float, window: MetricsWindowSpec) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    ia = max(0, int(round(window.start_s / dt)))
-    ib = max(0, min(n, int(round(window.end_s / dt))))
-    mask[ia:ib] = True
-    return mask
+def _span(n: int, dt: float, start: float, end: float) -> slice:
+    """The samples of a trace of n samples at dt from start to end seconds."""
+    return slice(*(max(0, min(n, int(round(t / dt)))) for t in (start, end)))
 
 
 def scenario_metrics(trace: TraceLog, timeline, metrics_cfg: MetricsSection) -> dict:
@@ -980,12 +979,17 @@ def scenario_metrics(trace: TraceLog, timeline, metrics_cfg: MetricsSection) -> 
     def block(mask: np.ndarray) -> dict:
         return _reduce(columns, mask, _CSV_METRICS) | _reduce(columns, mask, _PLAN_METRICS)
 
-    out.update(block(_index_mask(n, trace.dt, metrics_cfg)))
+    mask = np.ones(n, dtype=bool)
+    for a, b in ((0.0, metrics_cfg.skip_initial_s), *metrics_cfg.exclude_windows_s):
+        mask[_span(n, trace.dt, a, b)] = False
+    out.update(block(mask))
     for flag in EXTRA_COLUMNS:
         if flag in trace.extra:
             out[_clamp_count(flag)] = float(np.sum(trace.extra[flag]))
     for w in metrics_cfg.windows:
-        for k, v in block(_window_mask(n, trace.dt, w)).items():
+        mask = np.zeros(n, dtype=bool)
+        mask[_span(n, trace.dt, w.start_s, w.end_s)] = True
+        for k, v in block(mask).items():
             out[f"{w.name}.{k}"] = v
     return out
 
@@ -1215,36 +1219,22 @@ def trace_checksum(path) -> dict:
     return {"crc32": crc, "bytes": size}
 
 
-def _written_summary(trace: TraceLog) -> dict | None:
-    """The TraceSummary that trace_summary(TraceLog.from_csv(...)) gives for
-    the CSV of trace, as run.json holds it. from_csv derives dt from the
-    first two times, and %.17g round-trips every double, so the metrics are
-    the same floats. None where that read raises instead: fewer than 2
-    rows, or a metric column missing."""
-    if len(trace) < 2:
-        return None
-    time = trace["time"]
-    try:
-        summary = trace_summary(trace)
-    except SchemaMismatch:
-        return None
-    return {
-        "columns": list(trace.columns),
-        "dt": float(time[1] - time[0]),
-        "samples": summary.samples,
-        "metrics": summary.metrics,
-    }
-
-
 def run_record(config: ScenarioConfig, trace: TraceLog, exit_code: int, checksum) -> dict:
     """The run.json of a run: the config (config_to_dict) and seed, the exit
     code, the divergence or failure, the versions that ran it, then the
     trace_checksum of its trace.csv (which TraceLog.to_csv returns) and that
-    trace's summary
-    (_written_summary). Nothing in it is a timing, so a rerun writes the
-    same bytes."""
+    trace's trace_summary, with its columns in trace order. The summary is
+    None where reading the CSV back would raise instead: fewer than 2 rows,
+    or a metric column missing. A run trace's dt is its first two times,
+    as TraceLog.from_csv derives it, so the summary is the parsed trace's
+    bit for bit: %.17g round-trips every double. Nothing in the record is a
+    timing, so a rerun writes the same bytes."""
     from . import __version__
 
+    try:
+        summary = trace_summary(trace) if len(trace) >= 2 else None
+    except SchemaMismatch:
+        summary = None
     failure = None
     if trace.failure is not None:
         failure = {
@@ -1266,7 +1256,12 @@ def run_record(config: ScenarioConfig, trace: TraceLog, exit_code: int, checksum
             "libyaml": _LIBYAML,
         },
         "trace": checksum,
-        "summary": _written_summary(trace),
+        "summary": summary and {
+            "columns": list(trace.columns),
+            "dt": summary.dt,
+            "samples": summary.samples,
+            "metrics": summary.metrics,
+        },
     }
 
 
@@ -1312,6 +1307,22 @@ def recorded_summary(trace_path) -> TraceSummary | None:
     except (OSError, ValueError, LookupError, TypeError):
         return None
     return summary
+
+
+def read_summary(trace_path) -> TraceSummary:
+    """The trace_summary of the trace CSV at trace_path, as compare reads
+    it: the recorded_summary where run.json records the file's checksum,
+    otherwise that of TraceLog.from_csv, whose columns are freed on return.
+    A file that cannot be read as a trace raises SchemaMismatch naming
+    trace_path once."""
+    summary = recorded_summary(trace_path)
+    if summary is not None:
+        return summary
+    try:
+        return trace_summary(TraceLog.from_csv(trace_path))
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{trace_path}: ")
+        raise SchemaMismatch(f"{trace_path}: {reason}") from None
 
 
 def compare_runs(a: TraceSummary, b: TraceSummary, metric_spec=None) -> tuple:

@@ -4,8 +4,9 @@ and the tool that writes it still times every stage.
 The record is written by tools/bench_bundled.py. One test reads only the
 JSON: it checks the keys and that every number is finite and non-negative,
 and applies no timing bound, since times belong to the host that took them.
-The other runs the tool's run_once on a short scenario, so a renamed name
-the tool rebinds fails here rather than in the next recording.
+Another runs the tool's run_once on a short scenario, so a renamed name
+the tool rebinds fails here rather than in the next recording; a third
+checks that its build_retained_kb counts at least the plan's arrays.
 """
 
 import importlib.util
@@ -62,7 +63,9 @@ def test_record_keys_and_numbers():
     assert set(record["host"]) == HOST_KEYS
     assert set(record["scenarios"]) == set(list_bundled_scenarios())
     for name, entry in record["scenarios"].items():
-        assert set(entry) == {"steps", "samples", "ms", "per_step_us", "per_sample_us"}, name
+        assert set(entry) == {
+            "steps", "samples", "ms", "per_step_us", "per_sample_us", "build_retained_kb"
+        }, name
         assert set(entry["ms"]) == STAGES, name
         assert entry["steps"] >= 1 and entry["samples"] >= entry["steps"], name
     values = list(numbers(record))
@@ -83,3 +86,14 @@ def test_recorder_times_every_stage(tmp_path):
     assert steps == config.n_samples
     assert set(totals) == STAGES
     assert all(totals[stage] > 0 for stage in STAGES), totals
+
+
+def test_recorder_counts_what_a_build_retains():
+    """The tool's build_retained_kb of a 0.5 s nominal plan at 2 ms covers
+    at least the plan's five (250, 2) arrays."""
+    spec = importlib.util.spec_from_file_location("bench_bundled", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    raw = load_raw_config(bundled_scenario_path("nominal"))
+    config = parse_config(apply_overrides(raw, ["duration_s=0.5"]))
+    assert tool.build_retained_kb(config) >= 5 * 250 * 2 * 8 * 1e-3

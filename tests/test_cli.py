@@ -357,6 +357,31 @@ class TestRun:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "disturbances=[{kind: step, axis: x, amplitude_n: -150.0, "
+            "start_s: 2.0, end_s: 8.0}]",
+            "plant.force_noise_n=50.0",
+        ],
+        ids=["disturbance", "force-noise"],
+    )
+    def test_force_on_absent_hands_exits_one(self, override, tmp_path, capsys):
+        """nominal has no hands: a push or force noise there used to leave
+        the trace untouched and exit 0. It is a config error before the
+        output directory is made."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--config", "nominal", "--out", str(out), "--seed", "3",
+            "--override", "duration_s=6.0", "--override", override,
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error: ")
+        assert "hand contact" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["trace.csv", "metrics.txt", "run.json"])
     def test_unwritable_output_file_is_an_output_error(self, name, tmp_path, capsys):
         """An output file that cannot be written exits 1 naming it, as an

@@ -268,6 +268,21 @@ class TestDisturbanceProfile:
         with pytest.raises(IndexError):
             apply_disturbances(rows, (acting,), times)
 
+    def test_apply_rejects_a_profile_without_index_on_no_contact(self):
+        """A profile without contact_index that acts where no contact is
+        present fails instead of being dropped; a phase overflow is still
+        named first."""
+        times = np.arange(10) * 0.002
+        none = ()
+        late = DisturbanceProfile(kind="step", amplitude=5.0, start_time=1.0)
+        assert apply_disturbances(none, (late,), times) is none
+        acting = dataclasses.replace(late, start_time=0.01)
+        with pytest.raises(IndexError, match="no contact is present"):
+            apply_disturbances(none, (acting,), times)
+        fast = DisturbanceProfile(kind="sinusoid", amplitude=5.0, period=1e-310)
+        with pytest.raises(ValueError, match="period 1e-310 too short"):
+            apply_disturbances(none, (fast,), times)
+
 
 class TestClosedLoop:
     def test_static_standing_is_exact(self):
@@ -1114,10 +1129,12 @@ def plan_excess_mb(bundle, gains, seconds):
 
 def test_plan_memory_does_not_grow_with_the_run():
     """Beyond its plan, generate_trajectory holds a padded copy of the
-    reference (16 bytes a sample) and one feedforward block's temporaries
-    at a time: the same excess, to 0.25 MB, over 20 s as over 40 s. Both
-    spans are longer than one block of 8000 samples; a 10 s plan is one
-    shorter block with smaller temporaries."""
+    reference and the jerk scratch (16 bytes a sample each) and one
+    feedforward block's temporaries at a time. Its peak comes before the
+    plan's DCM is allocated, so the excess grows by 16 bytes a sample: the
+    same excess, to 0.25 MB, over 20 s as over 40 s. Both spans are longer
+    than one block of 8000 samples; a 10 s plan is one shorter block with
+    smaller temporaries."""
     bundle = scenario_bundle("testcase3")
     c = bundle.config.controller
     gains = synthesize_gains(
@@ -1126,6 +1143,29 @@ def test_plan_memory_does_not_grow_with_the_run():
     plan_excess_mb(bundle, gains, 1.0)  # first-call caches
     short, long = (plan_excess_mb(bundle, gains, s) for s in (20.0, 40.0))
     assert abs(long - short) < 0.25, (short, long)
+
+
+def test_plan_retains_only_its_arrays():
+    """Once generate_trajectory returns, what it allocated is the plan's
+    five (n, 2) arrays (CoM position, velocity and acceleration, DCM and
+    ZMP), to 64 KB: the jerk and the scaled output stay inside the
+    rollout."""
+    bundle = scenario_bundle("testcase3")
+    timeline = bundle.traj.timeline
+    c = bundle.config.controller
+    gains = synthesize_gains(
+        c.preview_weights(), timeline.omega, timeline.dt, c.preview_window_s
+    )
+    generate_trajectory(timeline, gains)  # first-call caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = generate_trajectory(timeline, gains)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    outputs = 5 * len(traj) * 2 * 8
+    assert retained <= outputs + 64 * 1024, (retained, outputs)
 
 
 def trace_io_excess_mb(tmp_path, seconds, dt=0.005):

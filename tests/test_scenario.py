@@ -53,6 +53,10 @@ def minimal(**extra):
     return raw
 
 
+# one hand contact for the whole run: force noise and disturbances need one
+ONE_HAND = [{"time_s": 0.0, "contacts": [{"position_m": [0.3, 0.0, 0.4]}]}]
+
+
 def mini_config(**extra):
     """Standing scenario with a hand-force ramp; cheap enough for many runs."""
     raw = {
@@ -158,8 +162,8 @@ class TestFieldValidation:
     )
     def test_noise_needs_a_seed(self, plant):
         with pytest.raises(ConfigError, match="^seed: measurement noise needs a seed"):
-            parse_config(minimal(plant=plant))
-        assert parse_config(minimal(plant=plant, seed=0)).seed == 0
+            parse_config(minimal(plant=plant, hands=ONE_HAND))
+        assert parse_config(minimal(plant=plant, hands=ONE_HAND, seed=0)).seed == 0
         assert parse_config(minimal(plant={"com_noise_m": 0.0})).seed is None
 
     def test_too_few_samples(self):
@@ -256,9 +260,9 @@ class TestFieldValidation:
              "end_s": 1e-10},
             {"kind": "sinusoid", "amplitude_n": 5.0, "period_s": 1e-310},
         ]
-        parse_config(minimal(disturbances=dist[:2]))
+        parse_config(minimal(disturbances=dist[:2], hands=ONE_HAND))
         with pytest.raises(ConfigError, match="phase overflows") as info:
-            parse_config(minimal(disturbances=dist))
+            parse_config(minimal(disturbances=dist, hands=ONE_HAND))
         assert info.value.field == "disturbances[2].period_s"
 
     def test_disturbance_kind_choice(self):
@@ -849,6 +853,36 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match=r"hands\[2\] has 0 contacts") as info:
             parse_config(mini_config(hands=hands, disturbances=[held, late]))
         assert info.value.field == "disturbances[1].contact_index"
+
+    def test_disturbance_without_index_needs_a_contact(self):
+        """A disturbance without contact_index acts on every hand contact
+        present. Where there is none it used to vanish from the run
+        unreported, so each breakpoint it overlaps within the run must hold
+        one."""
+        push = {"kind": "step", "amplitude_n": -150.0, "start_s": 2.0, "end_s": 8.0}
+        with pytest.raises(ConfigError, match="no hand contact to act on: no hands") as info:
+            parse_config(minimal(duration_s=6.0, disturbances=[push]))
+        assert info.value.field == "disturbances[0]"
+        parse_config(minimal(duration_s=2.0, disturbances=[push]))  # after the run
+        hands = mini_config()["hands"] + [{"time_s": 1.5, "contacts": []}]
+        held = dict(push, start_s=0.2, end_s=1.0)
+        parse_config(mini_config(hands=hands, disturbances=[held]))
+        late = dict(push, start_s=1.2, end_s=2.5)
+        with pytest.raises(ConfigError, match=r"hands\[2\] has none while it acts") as info:
+            parse_config(mini_config(hands=hands, disturbances=[held, late]))
+        assert info.value.field == "disturbances[1]"
+
+    def test_force_noise_needs_a_contact(self):
+        """Force noise is drawn per hand contact, so a run without one would
+        write the noiseless trace."""
+        noisy = {"plant": {"force_noise_n": 50.0}, "seed": 3}
+        with pytest.raises(ConfigError, match="force noise needs a hand contact") as info:
+            parse_config(minimal(**noisy))
+        assert info.value.field == "plant.force_noise_n"
+        later = [{"time_s": 0.0, "contacts": []}, dict(ONE_HAND[0], time_s=1.5)]
+        with pytest.raises(ConfigError, match="force noise needs a hand contact"):
+            parse_config(minimal(hands=later, **noisy))
+        parse_config(minimal(hands=later, duration_s=2.0, **noisy))
 
     def test_bundle_matches_sample_count(self):
         cfg = parse_config(mini_config())

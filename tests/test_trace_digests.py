@@ -27,6 +27,13 @@ the default kernel and under ``OPENBLAS_CORETYPE=Nehalem`` (no fused
 multiply-add). Another libm or numpy build may still move the last digit of
 some values; a deliberate behaviour change re-baselines these digests with
 an argued entry in CHANGES.md.
+
+The stdout of ``locomanip gains`` is pinned for the five bundled scenarios
+too. Its poles come from LAPACK's eigenvalue solvers, whose last printed
+digit does depend on the kernel: nominal's second ``preview_pole_abs`` reads
+0.993005870424 under the default kernel and 0.993005870423 under Nehalem.
+So the lines that print poles are compared to 1e-11 relative, under both
+kernels, and every other line byte for byte.
 """
 
 import hashlib
@@ -159,3 +166,83 @@ def test_digests_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
     trace_digest, metrics_digest = DIGESTS[("nominal", ())]
     assert _sha256(out / "trace.csv") == trace_digest
     assert _sha256(out / "metrics.txt") == metrics_digest
+
+
+# the lines of gains stdout that print LAPACK results
+LAPACK_LINES = ("preview_pole_abs", "stabilizer_poles", "stabilizer_pole_max_real")
+_POLES = {
+    "preview_pole_abs": "0.993035735721,0.993005870424,0.225505731216",
+    "stabilizer_poles": "-15.35817525+0j,-1.14003949101+0j",
+    "stabilizer_pole_max_real": "-1.14003949101",
+}
+
+# scenario -> (SHA-256 of gains stdout without LAPACK_LINES, those lines)
+GAINS = {
+    "cart-like": (
+        "739ea76b35b0988c7df31ad1232836b329b2e14e0d19a8851a9c34c3d027e24a",
+        _POLES,
+    ),
+    "nominal": (
+        "41b1a8699b0c923e3bb879502cb9f7097265fa3154b366f283d0e2b5a6f23774",
+        _POLES,
+    ),
+    "testcase1": (
+        "2e035e133f199ba51a73e88ae8aa25679b43eeab0f7bf452d096705c2745c237",
+        _POLES,
+    ),
+    "testcase2": (
+        "3aa188e757e486d07f5f60b1dcec776741b50500afa40660304d9e892cf28010",
+        _POLES,
+    ),
+    "testcase3": (
+        "f1689cf01a2706518b37b78c7d841e7cc5081cb6952991aa76e7369fafaf01b6",
+        {
+            "preview_pole_abs": "0.993035735721,0.993005870424,0.225505731216",
+            "stabilizer_poles": "-13.9962736131+0j,-2.50194112788+0j",
+            "stabilizer_pole_max_real": "-2.50194112788",
+        },
+    ),
+}
+
+# gains of each named scenario, each stdout framed by a line of its own
+_GAINS_SCRIPT = """
+import sys
+from locomanip.cli import main
+for name in sys.argv[1:]:
+    print("--- " + name, flush=True)
+    if main(["gains", "--config", name]) != 0:
+        sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Nehalem"], ids=["default", "Nehalem"])
+def test_gains_stdout_matches_pinned_digests(coretype):
+    """gains of every bundled scenario in a fresh process, under one
+    OpenBLAS kernel: each line byte for byte, but the pole lines, whose
+    values must agree to 1e-11 relative."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(Path(locomanip.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _GAINS_SCRIPT, *GAINS],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    outputs = done.stdout.split("--- ")[1:]
+    assert [o.split("\n", 1)[0] for o in outputs] == list(GAINS)
+    for name, output in zip(GAINS, outputs):
+        digest, poles = GAINS[name]
+        lines = output.splitlines(keepends=True)[1:]
+        kept = "".join(line for line in lines if line.split("=")[0] not in LAPACK_LINES)
+        assert hashlib.sha256(kept.encode()).hexdigest() == digest, name
+        printed = dict(line.rstrip("\n").split("=", 1) for line in lines)
+        for key, pinned in poles.items():
+            got = [complex(v) for v in printed[key].split(",")]
+            want = [complex(v) for v in pinned.split(",")]
+            assert len(got) == len(want), (name, key)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-11 * abs(w), (name, key, printed[key])

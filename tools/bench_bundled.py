@@ -17,6 +17,10 @@ holds no timing code:
   (Stabilizer.ground_wrench), the rest being block glue;
 - scenario_metrics, TraceLog.to_csv and run_record.
 
+A separate, untimed pass records build_retained_kb: the bytes that
+build_scenario's bundle holds once it returns, as tracemalloc counts them
+(KB = 1000 bytes), so a change to what a plan keeps shows in the record.
+
 It also records a calibration time, a fixed pure-Python float loop timed
 the same way, so records from different hosts can be scaled, and the host:
 CPU count and model, SIMD level, Python, numpy and its BLAS, PyYAML and
@@ -35,6 +39,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +123,19 @@ def run_once(config, out_dir: Path) -> tuple:
     return totals, len(result.trace)
 
 
+def build_retained_kb(config) -> float:
+    """The KB that build_scenario allocates and its bundle still holds once
+    it returns, after a first build has filled any first-call caches."""
+    scenario.build_scenario(config)
+    tracemalloc.start()
+    try:
+        bundle = scenario.build_scenario(config)
+        held = tracemalloc.get_traced_memory()[0]  # while bundle is alive
+    finally:
+        tracemalloc.stop()
+    return held * 1e-3
+
+
 def calibration_ms() -> float:
     """Best time of a fixed pure-Python float loop."""
     best = None
@@ -179,11 +197,13 @@ def main(argv=None) -> int:
                 "ms": ms,
                 "per_step_us": round(best["run_closed_loop"] * 1e-3 / steps, 4),
                 "per_sample_us": round(best["build_scenario"] * 1e-3 / samples, 4),
+                "build_retained_kb": round(build_retained_kb(config), 1),
             }
             print(
                 f"{name}: build {ms['build_scenario']:.1f} ms (feedforward "
                 f"{ms['feedforward']:.1f}, preview_law {ms['preview_law']:.1f}), "
-                f"loop {ms['run_closed_loop']:.1f} ms, to_csv {ms['to_csv']:.1f} ms",
+                f"loop {ms['run_closed_loop']:.1f} ms, to_csv {ms['to_csv']:.1f} ms, "
+                f"build retains {scenarios[name]['build_retained_kb']:.0f} KB",
                 file=sys.stderr,
             )
     record = {
