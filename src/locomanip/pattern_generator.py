@@ -37,7 +37,7 @@ import numpy as np
 
 from .core_dynamics import DEGENERATE_KAPPA, dcm_of
 from .errors import DegenerateScale, RiccatiDivergence
-from .reference_builder import ReferenceTimeline
+from .reference_builder import MAX_SAMPLES, ReferenceTimeline, sample_index
 
 # Feedforward weight decay required of a usable preview window: the last
 # tenth of the gains must carry under 1% of the total weight.
@@ -249,9 +249,9 @@ def synthesize_gains(
         raise ValueError("omega must be positive")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive")
-    if preview_window < MIN_PREVIEW_WINDOW:
-        raise ValueError(f"preview_window must be at least {MIN_PREVIEW_WINDOW} s")
-    n = int(round(preview_window / dt))
+    n = sample_index(preview_window, dt, MAX_SAMPLES + 1)
+    if preview_window < MIN_PREVIEW_WINDOW or n > MAX_SAMPLES:
+        raise ValueError(f"preview_window must be {MIN_PREVIEW_WINDOW} s to {MAX_SAMPLES} samples")
     A, B, C = discretize(omega, dt)
     q, r = weights.q_zmp, weights.r_jerk
     P = solve_dare_fixed_point(A, B, q * np.outer(C, C), r).tolist()

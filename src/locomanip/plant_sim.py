@@ -107,10 +107,8 @@ _MEASURED_COLUMNS = (
     "fext_sum_x", "fext_sum_y", "fext_sum_z",
 )
 
-# the columns a block writes from the feedback pass's logged tuples, in their
-# order: the tuple holds the plant velocity where the xi^a columns take
-# dcm_of(c^a, v), and then the command acceleration (x, y) for the
-# ground-wrench pass; the other CSV columns are views of the plan
+# the columns a block writes from the feedback pass's tuples, in order (the
+# velocity where xi^a is dcm_of(c^a, v)); the other CSV columns view the plan
 _STEP_COLUMNS = (
     "c_x^a", "c_y^a", "xi_x^a", "xi_y^a", "z_x^c", "z_y^c", "z_x^a", "z_y^a",
     "zmp_saturated", "zmp_clamped",
@@ -622,22 +620,18 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
     Runs apply_disturbances, the true contacts' contact_terms, the noise
     draws and Stabilizer.measure_forces from the bands of the sample before
     b0, and writes the block's _MEASURED_COLUMNS into columns. None of this
-    reads the plant. Returns (b1, inputs, measured, sample_noise, bands,
-    unloaded):
+    reads the plant. Returns (b1, inputs, fz, bands, unloaded):
 
     - b1, the block's end;
     - inputs, the per-sample inputs of the samples before the block's first
       unloaded one (to b1 at most) as lists, in the order _feedback_pass
       takes them: phase, planned kappa, plan (with one more sample), bands,
       noise (None without noise), and the true kappa, gamma_x and gamma_y;
-    - measured, the measured contacts as contact_rows over the block;
-    - sample_noise, the (samples, 4) noise on (com_x, com_y, vel_x, vel_y),
-      or None without noise;
+    - fz, the measured contacts' vertical foot force (net_foot_force);
     - bands, those of the block's last sample;
     - unloaded, the exception check_feet_loaded raises at the block's first
-      sample whose measured contacts leave the feet no downward force
-      (net_foot_force's fz is not > 0), as the ground-wrench stage would
-      raise there, or None.
+      sample whose fz is not > 0, as the ground-wrench stage would raise
+      there, or None.
     """
     timeline = traj.timeline
     params = stabilizer.params
@@ -691,7 +685,7 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
         [None] * end if sample_noise is None else sample_noise[:end].tolist(),
         *(np.broadcast_to(a, m)[:end].tolist() for a in (kappa, gx, gy)),
     )
-    return b1, inputs, measured, sample_noise, bands[-1], unloaded
+    return b1, inputs, fz, bands[-1], unloaded
 
 
 def _columns(rows: list, width: int) -> np.ndarray:
@@ -714,8 +708,8 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
     before and inputs are the lists of _open_loop_block.
 
     Returns (logged, plant, memory, failure, diverged): per step the tuple
-    (px, py, vx, vy, zcx, zcy, zx, zy, zmp_saturated, zmp_clamped, acc_x,
-    acc_y) before step_plant, the plant and the memory after the last step,
+    (px, py, vx, vy, zcx, zcy, zx, zy, zmp_saturated, zmp_clamped) before
+    step_plant, the plant and the memory after the last step,
     the STEP_FAILURES exception that stopped the pass (its step is not
     logged) or None, and whether the last step's CoM left the plan by more
     than the limit.
@@ -736,12 +730,12 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
                 hull = hulls[ph]
                 bounds = clamp_bounds[ph]
             if noise is None:
-                zcx, zcy, acx, acy, sat, memory = step(
+                zcx, zcy, sat, memory = step(
                     kappa_d, omega, plan, px, py, vx, vy, hull, band, memory
                 )
             else:
                 ncx, ncy, nvx, nvy = noise
-                zcx, zcy, acx, acy, sat, memory = step(
+                zcx, zcy, sat, memory = step(
                     kappa_d, omega, plan, px + ncx, py + ncy, vx + nvx, vy + nvy,
                     hull, band, memory,
                 )
@@ -749,7 +743,7 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
                 px, py, vx, vy, zx, zy, zcx, zcy, decay, bounds,
                 plant_omega, kappa, gx, gy, dt,
             )
-            append((px, py, vx, vy, zcx, zcy, zx, zy, sat, stepped[8], acx, acy))
+            append((px, py, vx, vy, zcx, zcy, zx, zy, sat, stepped[8]))
             px, py, vx, vy, _, _, zx, zy, _ = stepped
             if abs(px - ahead[0]) > limit or abs(py - ahead[1]) > limit:
                 return logged, None, memory, None, True
@@ -763,8 +757,8 @@ def _closed_loop_block(
 ):
     """One block from sample b0 in its three passes: _open_loop_block, then
     _feedback_pass up to the first unloaded sample, then the ground-wrench
-    pass over the steps taken, one Stabilizer.ground_wrench call on arrays.
-    Writes the block's columns.
+    pass over the steps taken, one Stabilizer.ground_wrench call on the
+    block's columns. Writes the block's columns.
     carried is what the block continues from: (plant, DCM memory, bands)
     after the sample before b0.
 
@@ -775,7 +769,7 @@ def _closed_loop_block(
     """
     omega = traj.timeline.omega
     plant, memory, bands = carried
-    b1, inputs, measured, sample_noise, bands, unloaded = _open_loop_block(
+    b1, inputs, fz, bands, unloaded = _open_loop_block(
         traj, b0, stabilizer, disturbances, columns, noise, rng, bands
     )
     logged, plant, memory, failure, diverged = _feedback_pass(
@@ -786,21 +780,18 @@ def _closed_loop_block(
     k = b0 + len(logged)
     if logged:
         steps = slice(b0, k)
-        block = _columns(logged, 12)
+        block = _columns(logged, 10)
         com_x, com_y, vel_x, vel_y = block[:4]
         for name, values in zip(
             _STEP_COLUMNS,
             (com_x, com_y, dcm_of(com_x, vel_x, omega), dcm_of(com_y, vel_y, omega),
-             *block[4:10]),
+             *block[4:]),
         ):
             columns[name][steps] = values
-        if sample_noise is not None:
-            com_x = com_x + sample_noise[: len(logged), 0]
-            com_y = com_y + sample_noise[: len(logged), 1]
         columns["cop_clamped"][steps] = stabilizer.ground_wrench(
-            com_x, com_y, block[10], block[11],
-            tuple(tuple(v[: len(logged)] for v in r) for r in measured),
-            support[0], traj.timeline.phase[steps],
+            block[4], block[5], traj.timeline.kappa[steps],
+            columns["gamma_err_x"][steps], columns["gamma_err_y"][steps],
+            fz[: len(logged)], support[0], traj.timeline.phase[steps],
         )
     return b1, k, (plant, memory, bands), failure, diverged
 
@@ -842,10 +833,10 @@ def run_closed_loop(
       raises for its fz, as the ground-wrench stage would. The block then
       writes its columns; xi_*^a is dcm_of of the logged CoM and velocity.
     - ground wrench, on arrays over the steps taken: one
-      Stabilizer.ground_wrench call against the measured CoM and contacts
-      and the command acceleration, for the cop_clamped flag; its hull test
-      runs on each phase's slice of the block. Nothing reads the net wrench
-      back, and the plant never reads a per-foot split.
+      Stabilizer.ground_wrench call at the planned CoM, on the logged command
+      ZMP and gamma_err, for the cop_clamped flag; its hull test runs on each
+      phase's slice of the block. Nothing reads the net wrench back, and the
+      plant never reads a per-foot split.
 
     Aborts and marks the trace when the actual CoM leaves the desired one
     by more than divergence_limit. A step that raises one of STEP_FAILURES

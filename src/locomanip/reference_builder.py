@@ -29,6 +29,13 @@ FEET = ("left", "right")
 # Contiguity of stance intervals is checked to this slack, seconds.
 _TIME_TOL = 1e-9
 
+MAX_SAMPLES = 10**7  # most samples in a run or a preview window, steps in a gait
+
+
+def sample_index(t: float, dt: float, limit: int) -> int:
+    """t / dt rounded half to even and clipped, in floats, to [0, limit]."""
+    return round(min(max(t / dt, 0.0), float(limit)))
+
 
 @dataclass(frozen=True, eq=False)
 class Footstep:

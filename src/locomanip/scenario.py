@@ -70,10 +70,12 @@ from .plant_sim import (
     run_closed_loop,
 )
 from .reference_builder import (
+    MAX_SAMPLES,
     ContactBreakpoint,
     ContactSchedule,
     Footstep,
     build_reference_frames,
+    sample_index,
     standing_reference,
     stepping_reference,
 )
@@ -324,10 +326,14 @@ class GaitSection:
     footsteps: tuple = _f(_items, kinds=("footsteps",), of=FootstepSpec)
 
     def _check(self, f: _Fields):
-        if self.kind == "inplace" and (
-            self.last_step_end_s < self.first_step_s + self.step_period_s
-        ):
-            _fail(f.key("last_step_end_s"), "leaves no room for a whole step")
+        if self.kind == "inplace":
+            if self.last_step_end_s < self.first_step_s + self.step_period_s:
+                _fail(f.key("last_step_end_s"), "leaves no room for a whole step")
+            end = self.last_step_end_s + 1e-9  # the last step end _gait_footsteps takes
+            if not self.step_period_s > math.ulp(end):  # so it moves every step time
+                _fail(f.key("step_period_s"), "vanishes against the step times")
+            if (end - self.first_step_s) / self.step_period_s > MAX_SAMPLES:
+                _fail(f.key("step_period_s"), f"too short: over {MAX_SAMPLES} steps")
         if self.kind == "footsteps" and not self.footsteps:
             _fail(f.key("footsteps"), "expected a non-empty list")
 
@@ -488,10 +494,11 @@ class ScenarioConfig:
             phase = 2.0 * math.pi * (min(d.end_s, self.duration_s) - d.start_s)
             if d.kind == "sinusoid" and not math.isfinite(phase / d.period_s):
                 _fail(f"disturbances[{i}].period_s", "too short: the phase overflows")
-        samples = self.duration_s / self.dt_s
-        if math.isinf(samples):
-            _fail("duration_s", "too long for the sample rate")
-        if round(samples) < 2:
+        window = self.controller.preview_window_s
+        for key, t in (("duration_s", self.duration_s), ("controller.preview_window_s", window)):
+            if sample_index(t, self.dt_s, MAX_SAMPLES + 1) > MAX_SAMPLES:
+                _fail(key, f"too long for the sample rate: over {MAX_SAMPLES} samples")
+        if self.n_samples < 2:
             _fail("duration_s", "too short for the sample rate, need at least 2 samples")
         noisy = self.plant.com_noise_m > 0.0 or self.plant.force_noise_n > 0.0
         if noisy and self.seed is None:
@@ -524,7 +531,7 @@ class ScenarioConfig:
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.duration_s / self.dt_s))
+        return sample_index(self.duration_s, self.dt_s, MAX_SAMPLES + 1)
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -957,7 +964,7 @@ def trace_metrics(trace: TraceLog, mask: np.ndarray | None = None) -> dict:
 
 def _span(n: int, dt: float, start: float, end: float) -> slice:
     """The samples of a trace of n samples at dt from start to end seconds."""
-    return slice(*(max(0, min(n, int(round(t / dt)))) for t in (start, end)))
+    return slice(*(sample_index(t, dt, n) for t in (start, end)))
 
 
 def scenario_metrics(trace: TraceLog, timeline, metrics_cfg: MetricsSection) -> dict:

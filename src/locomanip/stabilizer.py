@@ -6,7 +6,7 @@ shifting the desired CoM (the pendulum leans against the force), the
 high-frequency band by shifting the commanded ZMP within the support region.
 DCM error is regulated by PID feedback on top. The command ZMP is saturated
 into the support hull, and the flag ``cop_clamped`` records when the ground
-wrench the feet must realize has its pressure point outside that hull.
+wrench the command asks of the feet has its pressure point outside that hull.
 
 Each law has one definition. The step has three parts. The force-measurement
 half reads no robot state: Stabilizer.measure_forces runs measure_gamma_error
@@ -21,11 +21,10 @@ compiled (compile_hull): its bounding box stands for its axis-aligned edges
 in the inside test, so the hull of SoleRects is four comparisons and the
 cross products of its oblique edges. The closed loop compiles each support
 phase's hull once per run, and no hull outlives the run. The ground-wrench
-stage feeds nothing back: Stabilizer.ground_wrench builds the net ground
-wrench (net_foot_wrench) and its pressure point (wrench_zmp) once over a
-block of samples, tests them against each phase's hull on arrays
-(_clamped) and reports the cop_clamped flag, and raises when the feet are
-unloaded (check_feet_loaded).
+stage feeds nothing back: Stabilizer.ground_wrench takes the pressure point
+(wrench_zmp) of the ground wrench at the planned CoM once over a block of
+samples, tests it against each phase's hull on arrays (_clamped) for the
+cop_clamped flag, and raises when the feet are unloaded (check_feet_loaded).
 distribute_wrench (a least-distance split under sole limits) splits such a
 wrench between the feet; the closed loop, which never reads the per-foot
 wrenches, does not call it.
@@ -52,7 +51,7 @@ from .core_dynamics import (
     compute_coefficients,
     contact_terms,
     dcm_of,
-    net_foot_wrench,
+    net_foot_wrench,  # unused here: perfbench's tracer wraps this module's name
     wrench_zmp,
 )
 from .errors import DegenerateScale, Infeasible
@@ -764,47 +763,41 @@ class Stabilizer:
         CompiledHull and bands the sample's (low_x, low_y, high_x, high_y,
         rate_x, rate_y).
 
-        Returns (zmp_x, zmp_y, acc_x, acc_y, zmp_saturated, memory): the
-        command ZMP and CoM acceleration, whether the saturation moved the
-        command, and the new memory.
+        Returns (zmp_x, zmp_y, zmp_saturated, memory): the command ZMP,
+        whether the saturation moved the command, and the new memory.
         """
-        (zcx, zcy, acx, acy, _, _), memory = dcm_feedback(
+        (zcx, zcy, *_), memory = dcm_feedback(
             self.gains.pid, self.dt, kappa, omega, plan,
             dcm_of(com_x, vel_x, omega), dcm_of(com_y, vel_y, omega), bands, memory,
         )
         qx, qy = _clamp_xy(zcx, zcy, hull)
         if qx != zcx or qy != zcy:
-            w2k = omega * omega * kappa
-            acx = plan[2] - w2k * (qx - plan[6])
-            acy = plan[3] - w2k * (qy - plan[7])
-            return qx, qy, acx, acy, True, memory
-        return zcx, zcy, acx, acy, False, memory
+            return qx, qy, True, memory
+        return zcx, zcy, False, memory
 
-    def ground_wrench(self, com_x, com_y, acc_x, acc_y, rows, hulls, phase):
-        """The ground-wrench stage: whether the net ground wrench's pressure
-        point lies outside the support hull.
+    def ground_wrench(self, zmp_x, zmp_y, kappa, err_x, err_y, fz, hulls, phase):
+        """The ground-wrench stage: whether the pressure point of the ground
+        wrench the command asks for lies outside the support hull.
 
-        Builds the net ground wrench against the measured CoM (com_x, com_y)
-        at the robot's CoM height with the command acceleration (acc_x,
-        acc_y) and the measured contacts rows (net_foot_wrench), and clamps
-        its pressure point (wrench_zmp) into the sample's support hull: the
-        wrench the feet can realize is capped there. The inputs are arrays
-        of samples: rows as contact_rows whose values are such arrays,
-        hulls a table of CompiledHulls and phase each sample's int index
-        into it. The wrench and its pressure point are taken once over all
-        samples and the hull test (_clamped) once per run of equal phase.
-        Returns cop_clamped, a bool array: whether _clamp_xy moves each
-        sample's pressure point. Raises as check_feet_loaded where the feet
-        are unloaded, at any sample.
+        At the planned CoM c the command acceleration omega^2 (c - kappa z +
+        gamma) of the command ZMP z cancels c: against the measured contacts
+        the wrench has their vertical force fz and the moment zeta (kappa z +
+        gamma_err) x e_z about the ground origin, zeta = m g, so its pressure
+        point is z where the contacts are as planned. The inputs are arrays
+        of samples, z (zmp_x, zmp_y), kappa, gamma_err (err_x, err_y) and fz
+        (net_foot_force), with hulls a table of CompiledHulls and phase each
+        sample's index into it. Returns cop_clamped, a bool array: whether
+        _clamp_xy moves each sample's pressure point (_clamped, per run of
+        equal phase). Raises as check_feet_loaded where feet are unloaded.
         """
         params = self.params
-        zmp_height = params.zmp_height
+        zeta = params.mass * params.gravity
         with np.errstate(all="ignore"):
-            fx, fy, fz, mx, my, _ = net_foot_wrench(
-                params, com_x, com_y, params.com_height, acc_x, acc_y, 0.0, rows
-            )
             check_feet_loaded(fz)
-            px, py = wrench_zmp(fx, fy, fz, mx, my, zmp_height)
+            px, py = wrench_zmp(
+                0.0, 0.0, fz, zeta * (kappa * zmp_y + err_y),
+                -(zeta * (kappa * zmp_x + err_x)), params.zmp_height,
+            )
         flags = np.empty(len(px), dtype=bool)
         cuts = (np.flatnonzero(np.diff(phase)) + 1).tolist()
         for s, e in zip([0, *cuts], [*cuts, len(px)]):

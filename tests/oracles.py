@@ -31,7 +31,7 @@ from locomanip.core_dynamics import (
     compute_coefficients,
     contact_terms,
     dcm_of,
-    net_foot_wrench,
+    net_foot_force,
     wrench_zmp,
 )
 from locomanip.plant_sim import (
@@ -274,17 +274,23 @@ def profile_value(prof, t):
     return prof.amplitude * math.sin(phase)
 
 
-def cop_moved(params, cx, cy, ax, ay, rows, hull):
-    """Whether _clamp_xy moves the pressure point of the net ground wrench of
-    one sample, on floats: net_foot_wrench against the CoM (cx, cy) at the
-    CoM height with acceleration (ax, ay), check_feet_loaded, wrench_zmp,
-    then _clamp_xy into the CompiledHull hull. Each coordinate is compared
-    on its own, so a NaN point counts as moved."""
-    fx, fy, fz, mx, my, _ = net_foot_wrench(
-        params, cx, cy, params.com_height, ax, ay, 0.0, rows
-    )
+def cop_moved(params, zx, zy, kappa, ex, ey, rows, hull):
+    """Whether _clamp_xy moves the pressure point of the ground wrench the
+    command asks for at one sample, on floats. (zx, zy) is the command ZMP,
+    kappa the planned one, (ex, ey) the force error gamma_err and rows the
+    measured contacts. The wrench of the command acceleration at the
+    planned CoM has the vertical force fz of net_foot_force and the moment
+    zeta (kappa z + gamma_err) x e_z about the ground origin: then
+    check_feet_loaded, wrench_zmp, and _clamp_xy into the CompiledHull
+    hull. Each coordinate is compared on its own, so a NaN point counts as
+    moved."""
+    fz = net_foot_force(params, 0.0, 0.0, 0.0, rows)[2]
     check_feet_loaded(fz)
-    px, py = wrench_zmp(fx, fy, fz, mx, my, params.zmp_height)
+    zeta = params.mass * params.gravity
+    px, py = wrench_zmp(
+        0.0, 0.0, fz, zeta * (kappa * zy + ey), -(zeta * (kappa * zx + ex)),
+        params.zmp_height,
+    )
     qx, qy = _clamp_xy(px, py, hull)
     return qx != px or qy != py
 
@@ -392,11 +398,14 @@ def closed_loop_by_sample(
         base = SoleRect.bounding(region)
         m = ZMP_CLAMP_MARGIN
         try:
-            zcx, zcy, acx, acy, saturated, memory = stabilizer.step(
-                float(timeline.kappa[k]), omega, plan, cx, cy, wx, wy, hull,
-                bands, memory,
+            kappa_d = float(timeline.kappa[k])
+            zcx, zcy, saturated, memory = stabilizer.step(
+                kappa_d, omega, plan, cx, cy, wx, wy, hull, bands, memory
             )
-            cop_clamped = cop_moved(params, cx, cy, acx, acy, measured, hull)
+            cop_clamped = cop_moved(
+                params, zcx, zcy, kappa_d, float(gamma_x[0]), float(gamma_y[0]),
+                measured, hull,
+            )
             npx, npy, nvx, nvy, _, _, nzx, nzy, zmp_clamped = step_plant(
                 px, py, vx, vy, zx, zy, zcx, zcy, decay,
                 (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),

@@ -222,6 +222,90 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error: controller.preview_window_s: must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "command, config, overrides, message",
+        [
+            (
+                command,
+                "nominal",
+                ("controller.preview_window_s=1.0e308",),
+                "controller.preview_window_s: too long for the sample rate: "
+                "over 10000000 samples",
+            )
+            for command in ("run", "gains")
+        ]
+        + [
+            (
+                "run",
+                "nominal",
+                ("dt_s=1.0e-9",),
+                "duration_s: too long for the sample rate: over 10000000 samples",
+            ),
+            (
+                "run",
+                "testcase1",
+                (
+                    "gait.first_step_s=1.0e308",
+                    "gait.last_step_end_s=1.0e308",
+                    "gait.step_period_s=1.0",
+                ),
+                "gait.step_period_s: vanishes against the step times",
+            ),
+            (
+                "run",
+                "testcase1",
+                ("gait.step_period_s=1.0e-12",),
+                "gait.step_period_s: too short: over 10000000 steps",
+            ),
+        ],
+        ids=["window-run", "window-gains", "samples", "period-vanishes", "period-tiny"],
+    )
+    def test_huge_sizes_are_config_errors(
+        self, command, config, overrides, message, tmp_path, capsys
+    ):
+        """A finite time or size too large to sample exits 1 before anything
+        is built: no traceback, no output directory. The gait ones on
+        testcase1 would never finish building their footsteps."""
+        out = tmp_path / "o"
+        argv = [command, "--config", config]
+        for o in overrides:
+            argv += ["--override", o]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, beyond, at_end",
+        [
+            (
+                "metrics.windows",
+                "[{name: w, start_s: 0.0, end_s: 1.0e308}]",
+                "[{name: w, start_s: 0.0, end_s: 0.5}]",
+            ),
+            ("metrics.skip_initial_s", "1.0e308", "0.5"),
+            ("metrics.exclude_windows_s", "[[0.1, 1.0e308]]", "[[0.1, 0.5]]"),
+        ],
+        ids=["window", "skip", "exclude"],
+    )
+    def test_metric_times_beyond_the_run_clip_to_it(
+        self, field, beyond, at_end, tmp_path, capsys
+    ):
+        """A metrics time past the run's end (0.5 s) is the run's end: the
+        run completes and writes the metrics of the time at the end."""
+        texts = []
+        for name, value in (("beyond", beyond), ("at_end", at_end)):
+            out = tmp_path / name
+            code = run_cli(
+                "run", "--config", "nominal", "--out", str(out),
+                "--override", "duration_s=0.5", "--override", f"{field}={value}",
+            )
+            assert code == 0
+            texts.append((out / "metrics.txt").read_bytes())
+        assert "Traceback" not in capsys.readouterr().err
+        assert texts[0] == texts[1]
+
     def test_divergence_exits_two(self, mini_path, tmp_path, capsys):
         code = run_cli(
             "run",

@@ -32,6 +32,7 @@ from locomanip.pattern_generator import (
     solve_dare_fixed_point,
     synthesize_gains,
 )
+from locomanip.reference_builder import MAX_SAMPLES
 
 # feedback gains for omega=sqrt(9.81/0.8), dt=0.002, q=1, r=1e-8,
 # frozen from an independent Riccati solve
@@ -151,6 +152,14 @@ class TestSynthesis:
     def test_minimum_window_enforced(self):
         with pytest.raises(ValueError, match="window"):
             synthesize_gains(PreviewWeights(), OMEGA, DT, 0.8)
+
+    @pytest.mark.parametrize("window", [1.0e308, (MAX_SAMPLES + 1) * DT])
+    def test_window_beyond_the_sample_bound_is_refused(self, window):
+        """A finite window whose sample count overflowed int() raised
+        OverflowError; one past MAX_SAMPLES would be a list of that many
+        gains."""
+        with pytest.raises(ValueError, match="preview_window must be 1.0 s to 10000000 samples"):
+            synthesize_gains(PreviewWeights(), OMEGA, DT, window)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):

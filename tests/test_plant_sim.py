@@ -901,8 +901,8 @@ class TestReuse:
 
 
 def test_ground_wrench_pass_makes_no_scalar_clamp(monkeypatch):
-    """On testcase3 the ground-wrench pass tests its hulls on arrays only:
-    none of its 4210 flags comes from a call of the float clamp _clamp_xy.
+    """On cart-like the ground-wrench pass tests its hulls on arrays only:
+    none of its 21 flags comes from a call of the float clamp _clamp_xy.
     The feedback pass makes at most one per step, in Stabilizer.step."""
     calls = {"feedback": 0, "ground_wrench": 0}
     pass_ = ["feedback"]
@@ -922,8 +922,8 @@ def test_ground_wrench_pass_makes_no_scalar_clamp(monkeypatch):
 
     monkeypatch.setattr(stabilizer_module, "_clamp_xy", counted_clamp)
     monkeypatch.setattr(Stabilizer, "ground_wrench", marked_ground_wrench)
-    trace = loop_of(scenario_bundle("testcase3"))
-    assert trace.extra["cop_clamped"].sum() == 4210
+    trace = loop_of(scenario_bundle("cart-like"))
+    assert trace.extra["cop_clamped"].sum() == 21
     assert calls["ground_wrench"] == 0
     assert 0 < calls["feedback"] <= len(trace)
 

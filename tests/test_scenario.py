@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+from fractions import Fraction
 import re
 import types
 from pathlib import Path
@@ -16,6 +17,7 @@ from locomanip.core_dynamics import RobotParams
 from locomanip.errors import ConfigError, SchemaMismatch
 from locomanip.pattern_generator import MIN_PREVIEW_WINDOW, PreviewWeights
 from locomanip.plant_sim import CSV_COLUMNS, DIVERGENCE_LIMIT, TraceLog
+from locomanip.reference_builder import MAX_SAMPLES
 from locomanip.scenario import (
     AXIS_METRICS,
     CheckSpec,
@@ -41,6 +43,7 @@ from locomanip.scenario import (
     scenario_metrics,
     trace_metrics,
     trace_summary,
+    _span,
 )
 from locomanip.stabilizer import StabilizerGains
 
@@ -645,6 +648,27 @@ class TestScenarioMetrics:
         m = scenario_metrics(tr, flat_plan(), cfg)
         assert math.isnan(m["late.rms_zmp_dev_x"])
 
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(0, 10**6),
+        st.floats(5e-324, 1e10),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_span_is_the_clipped_rule(self, n, dt, start, end):
+        """Each time's sample is its float quotient t / dt rounded half to
+        even and clipped to [0, n], here in exact arithmetic on Fractions,
+        where no quotient overflows an int; an infinite quotient lies beyond
+        either end."""
+
+        def exact(t):
+            q = t / dt
+            if math.isinf(q):
+                return 0 if q < 0 else n
+            return max(0, min(n, round(Fraction(q))))
+
+        assert _span(n, dt, start, end) == slice(exact(start), exact(end))
+
     def test_implied_zmp_uses_plan(self):
         tr = synthetic_trace()
         tr.columns["z_y^a"][:] = 0.02
@@ -1045,6 +1069,49 @@ class TestSchema:
     def test_sample_count_beyond_float_range(self):
         with pytest.raises(ConfigError, match="duration_s: too long for the sample rate"):
             parse_config(minimal(duration_s=1e308, dt_s=1e-300))
+
+    def test_sample_count_bound(self):
+        """At most MAX_SAMPLES samples, counted as the run counts them."""
+        top = MAX_SAMPLES * 0.002
+        assert parse_config(minimal(duration_s=top)).n_samples == MAX_SAMPLES
+        with pytest.raises(ConfigError, match="^duration_s: too long for the sample rate"):
+            parse_config(minimal(duration_s=top + 0.002))
+
+    def test_preview_window_bound(self):
+        top = MAX_SAMPLES * 0.002
+        controller = {"preview_window_s": top}
+        assert parse_config(minimal(controller=controller)).controller.preview_window_s == top
+        for window in (top + 0.002, 1.0e308):
+            with pytest.raises(
+                ConfigError, match=r"^controller\.preview_window_s: too long for the sample"
+            ):
+                parse_config(minimal(controller={"preview_window_s": window}))
+
+    @pytest.mark.parametrize(
+        "gait, message",
+        [
+            (
+                {"first_step_s": 1.0e308, "last_step_end_s": 1.0e308, "step_period_s": 1.0},
+                "vanishes against the step times",
+            ),
+            # from 2**53 - 2 the times move by 1 up to 2**53, where adding
+            # 0.75 leaves a time where it is
+            (
+                {"first_step_s": 2.0**53 - 2.0, "last_step_end_s": 2.0**53 + 100.0,
+                 "step_period_s": 0.75},
+                "vanishes against the step times",
+            ),
+            ({"last_step_end_s": 17.0, "step_period_s": 1.0e-12}, "too short: over"),
+        ],
+        ids=["at-1e308", "past-2**53", "tiny"],
+    )
+    def test_step_period_must_move_every_step_time(self, gait, message):
+        """An in-place gait whose period vanishes against its step times
+        would never finish building its footsteps; one of more than
+        MAX_SAMPLES steps would take as long and hold as much as a run of
+        that many samples."""
+        with pytest.raises(ConfigError, match=rf"^gait\.step_period_s: {message}"):
+            parse_config(minimal(gait={"kind": "inplace", **gait}))
 
 
 def _paths(node, prefix=()):

@@ -16,17 +16,28 @@ from oracles import clamp_xy_edge_loop, convex_hull_np_unique, cop_moved
 import locomanip
 
 from locomanip.core_dynamics import (
+    DEGENERATE_KAPPA,
     ExternalContact,
     RobotParams,
     compute_coefficients,
     contact_rows,
+    contact_terms,
     ext_zmp,
     lipm_accel,
+    net_foot_force,
     net_foot_wrench,
     wrench_zmp,
 )
 from locomanip.errors import DegenerateScale, Infeasible, NonPhysical
+from locomanip.plant_sim import run_closed_loop
 from locomanip.reference_builder import SoleRect
+from locomanip.scenario import (
+    apply_overrides,
+    build_scenario,
+    bundled_scenario_path,
+    load_raw_config,
+    parse_config,
+)
 from locomanip.stabilizer import (
     Stabilizer,
     StabilizerGains,
@@ -133,32 +144,43 @@ def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
     """One stabilizer cycle on a planned sample and measured CoM and contacts,
     the first of a run: Stabilizer.measure_forces over that one sample from
     zero bands, Stabilizer.step from zero memory, then the ground-wrench
-    stage on floats, which Stabilizer.ground_wrench must match on a block
-    of that one sample. Returns a namespace: zmp, acc and dcm_err pairs,
-    gamma_err, the sample's bands, the saturated and cop_clamped flags, and
-    wrench, the net ground wrench of the measured CoM and the command
-    acceleration with its pressure point clamped into the hull (the wrench
-    the feet can realize), as a Wrench."""
+    stage on floats (cop_moved), which Stabilizer.ground_wrench must match
+    on a block of that one sample. Returns a namespace: zmp, acc and dcm_err
+    pairs, gamma_err, the sample's bands, the saturated and cop_clamped
+    flags, cop, the pressure point of the ground-wrench stage, and wrench.
+    acc is the command acceleration, lipm_accel at the planned CoM with the
+    command ZMP; wrench is the net ground wrench of that acceleration at the
+    planned CoM against the measured contacts, with its pressure point
+    clamped into the hull (the wrench the feet can realize), as a Wrench.
+    Its unclamped pressure point is cop to 1e-12 m, the identity the
+    ground-wrench stage rests on."""
     coeff = desired.coefficients
     rows = contact_rows(contacts)
     hull = compile_hull(support_hull(region))
     cx, cy = np.asarray(com, dtype=float).tolist()
     vx, vy = np.asarray(vel, dtype=float).tolist()
     ex, ey, (bands,) = stab.measure_forces(rows, desired.rows, 1, ZEROS)
-    zx, zy, ax, ay, saturated, memory = stab.step(
+    zx, zy, saturated, memory = stab.step(
         coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, hull, bands, ZEROS
     )
-    cop_clamped = cop_moved(PARAMS, cx, cy, ax, ay, rows, hull)
-    block = tuple(tuple(np.array([v]) for v in r) for r in rows)
+    ex, ey = float(ex[0]), float(ey[0])
+    cop_clamped = cop_moved(PARAMS, zx, zy, coeff.kappa, ex, ey, rows, hull)
+    fz = net_foot_force(PARAMS, 0.0, 0.0, 0.0, rows)[2]
     flags = stab.ground_wrench(
-        *(np.array([v]) for v in (cx, cy, ax, ay)), block, (hull,), np.zeros(1, int)
+        *(np.array([v]) for v in (zx, zy, coeff.kappa, ex, ey, fz)),
+        (hull,), np.zeros(1, int),
     )
     assert flags.tolist() == [cop_clamped]
+    cop = (ZETA * (coeff.kappa * zx + ex) / fz, ZETA * (coeff.kappa * zy + ey) / fz)
+    (c_x, c_y), (gx, gy) = desired.com_pos.tolist(), coeff.gamma.tolist()
+    ax = lipm_accel(coeff.omega, coeff.kappa, c_x, zx, gx)
+    ay = lipm_accel(coeff.omega, coeff.kappa, c_y, zy, gy)
     h = PARAMS.zmp_height
     fx, fy, fz, mx, my, mz = net_foot_wrench(
-        PARAMS, cx, cy, PARAMS.com_height, ax, ay, 0.0, rows
+        PARAMS, c_x, c_y, PARAMS.com_height, ax, ay, 0.0, rows
     )
     px, py = wrench_zmp(fx, fy, fz, mx, my, h)
+    assert np.allclose((px, py), cop, rtol=0.0, atol=1e-12)
     qx, qy = _clamp_to_hull(np.array([px, py]), support_hull(region)).tolist()
     if cop_clamped:
         mx = qy * fz - h * fy
@@ -167,10 +189,11 @@ def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
         zmp=(zx, zy),
         acc=(ax, ay),
         dcm_err=memory[2:4],
-        gamma_err=(float(ex[0]), float(ey[0])),
+        gamma_err=(ex, ey),
         bands=bands,
         saturated=saturated,
         cop_clamped=cop_clamped,
+        cop=cop,
         wrench=Wrench(force=np.array([fx, fy, fz]), moment=np.array([mx, my, mz])),
     )
 
@@ -732,12 +755,13 @@ class TestStepStabilizer:
             command_zmp - desired.zmp
         )
         assert np.allclose(np.array(out.acc), expected_acc, atol=1e-12)
-        # realizable wrench also capped: pressure point stays in the hull
-        assert out.cop_clamped
+        # with the contacts as planned the ground wrench's pressure point is
+        # the saturated command, on the hull's edge: the feet can realize it
+        assert out.cop == out.zmp
+        assert not out.cop_clamped
         w = out.wrench
         cop = np.array(wrench_zmp(*w.force, *w.moment[:2]))
-        hull = support_hull((LEFT, RIGHT))
-        assert cop[0] <= 0.11 + 1e-9
+        assert cop[0] <= 0.11 + 1e-12
 
     def test_ablation_keeps_bands_zero(self):
         desired = standing_sample(hands(fx=-50.0))
@@ -877,26 +901,33 @@ def edge_points(draw, hull):
 @st.composite
 def wrench_blocks(draw):
     """A block of samples over 1 to 3 support phases: phase indices, their
-    hulls, measured CoM and command acceleration (NaN and +-inf among
-    them) and contacts that leave the feet loaded."""
+    hulls, the command ZMP, the planned kappa and the force error (NaN and
+    +-inf among them) and measured contacts that leave the feet loaded."""
     m = draw(st.integers(1, 24))
     phase_hulls = draw(st.lists(hulls(), min_size=1, max_size=3))
     phase = draw(
         st.lists(st.integers(0, len(phase_hulls) - 1), min_size=m, max_size=m)
     )
-    coords = []
+    samples = []
     for k in range(m):
-        cx, cy = draw(hull_points(phase_hulls[phase[k]]))
-        ax = draw(st.floats(-5.0, 5.0) | st.sampled_from(_SPECIAL))
-        ay = draw(st.floats(-5.0, 5.0))
-        coords.append((cx, cy, ax, ay))
+        zx, zy = draw(hull_points(phase_hulls[phase[k]]))
+        kappa = draw(st.floats(DEGENERATE_KAPPA, 2.0))
+        ex = draw(st.floats(-0.2, 0.2) | st.sampled_from(_SPECIAL))
+        ey = draw(st.floats(-0.2, 0.2))
+        samples.append((zx, zy, kappa, ex, ey))
     contacts = draw(st.integers(0, 2))
     value = st.floats(-100.0, 100.0)
     rows = tuple(
         tuple(np.array(draw(st.lists(value, min_size=m, max_size=m))) for _ in range(9))
         for _ in range(contacts)
     )
-    return np.array(phase), [compile_hull(h) for h in phase_hulls], np.array(coords).T, rows
+    return np.array(phase), [compile_hull(h) for h in phase_hulls], np.array(samples).T, rows
+
+
+def block_fz(rows, m):
+    """The measured vertical force net_foot_force leaves the feet, over a
+    block of m samples."""
+    return np.broadcast_to(net_foot_force(PARAMS, 0.0, 0.0, 0.0, rows)[2], m)
 
 
 class TestGroundWrenchFlags:
@@ -923,18 +954,20 @@ class TestGroundWrenchFlags:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(wrench_blocks())
     def test_block_flags_are_the_float_calls(self, block):
-        phase, hulls, (cx, cy, ax, ay), rows = block
+        phase, hulls, samples, rows = block
         stab = Stabilizer(PARAMS, StabilizerGains(), DT)
-        flags = stab.ground_wrench(cx, cy, ax, ay, rows, hulls, phase)
+        flags = stab.ground_wrench(*samples, block_fz(rows, len(phase)), hulls, phase)
         for k in range(len(phase)):
             sample = tuple(tuple(v[k].item() for v in r) for r in rows)
             flag = cop_moved(
-                PARAMS, *(float(v[k]) for v in (cx, cy, ax, ay)), sample,
-                hulls[phase[k]],
+                PARAMS, *(float(v[k]) for v in samples), sample, hulls[phase[k]]
             )
             assert bool(flags[k]) is flag, k
 
-    @pytest.mark.parametrize("share, error", [(0.5, NonPhysical), (0.6, Infeasible)])
+    @pytest.mark.parametrize(
+        "share, error",
+        [(0.5, NonPhysical), (0.6, Infeasible), (math.nan, NonPhysical)],
+    )
     def test_unloaded_feet_raise_on_arrays_too(self, share, error):
         fz = share * PARAMS.mass * PARAMS.gravity
         lift = (0.0, 0.0, fz, 0.0, 0.0, 0.0, 0.3, 0.0, 1.0)
@@ -942,11 +975,96 @@ class TestGroundWrenchFlags:
         stab = Stabilizer(PARAMS, StabilizerGains(), DT)
         hulls = (compile_hull(support_hull((LEFT, RIGHT))),)
         with pytest.raises(error):
-            cop_moved(PARAMS, 0.0, 0.0, 0.0, 0.0, rows, hulls[0])
+            cop_moved(PARAMS, 0.0, 0.0, 1.0, 0.0, 0.0, rows, hulls[0])
         block = tuple(tuple(np.full(3, v) for v in r) for r in rows)
+        zeros = np.zeros(3)
         with pytest.raises(error):
-            zeros = np.zeros(3)
-            stab.ground_wrench(zeros, zeros, zeros, zeros, block, hulls, np.zeros(3, int))
+            stab.ground_wrench(
+                zeros, zeros, np.ones(3), zeros, zeros, block_fz(block, 3), hulls,
+                np.zeros(3, int),
+            )
+
+
+@st.composite
+def planned_contacts(draw):
+    """Up to three hand contacts whose vertical forces leave a planned kappa
+    in [DEGENERATE_KAPPA, 2], as contact_rows, and that kappa's lower
+    bound k_min."""
+    k_min = draw(st.sampled_from([DEGENERATE_KAPPA, 0.5, 1.0]))
+    n = draw(st.integers(0, 3))
+    fz = draw(
+        st.lists(st.floats(-ZETA / 3.0, (1.0 - k_min) * ZETA / 3.0), min_size=n, max_size=n)
+    )
+    value = st.floats(-200.0, 200.0)
+    return tuple(
+        (draw(value), draw(value), f, draw(value), draw(value), draw(value),
+         draw(value), draw(value), draw(st.floats(0.0, 1.5)))
+        for f in fz
+    ), k_min
+
+
+class TestGroundPressurePoint:
+    """The pressure point of the ground-wrench stage, where the contacts are
+    as planned."""
+
+    # |p - z| <= (3 + 4 (n + 1) / kappa) ULPs of z: the product, quotient
+    # and sum of the stage add 3 roundings, and zeta kappa and the measured
+    # fz = zeta - sum f_z each differ from their exact common value by
+    # about (n + 1) roundings of zeta, which is zeta / kappa times fz
+    @staticmethod
+    def ulps(kappa, n):
+        return 3.0 + 4.0 * (n + 1) / kappa
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(planned_contacts(), st.lists(st.tuples(_unit, _unit), min_size=1, max_size=16))
+    def test_pressure_point_is_the_command_zmp(self, contacts, zmp):
+        """Measured contacts equal to the planned ones: gamma_err is 0 and
+        the pressure point is the command ZMP to the stated ULPs."""
+        rows, k_min = contacts
+        *_, kappa, _, _ = contact_terms(rows, ZETA, PARAMS.zmp_height)
+        assert k_min <= kappa or math.isclose(kappa, k_min, abs_tol=1e-12)
+        m = len(zmp)
+        block = tuple(tuple(np.full(m, v) for v in r) for r in rows)
+        ex, ey, _ = Stabilizer(PARAMS, StabilizerGains(), DT).measure_forces(
+            block, block, m, ZEROS
+        )
+        assert not np.any(ex) and not np.any(ey)
+        zx, zy = np.array(zmp).T
+        # the pressure point as Stabilizer.ground_wrench takes it
+        point = wrench_zmp(
+            0.0, 0.0, block_fz(block, m), ZETA * (kappa * zy + ey),
+            -(ZETA * (kappa * zx + ex)), PARAMS.zmp_height,
+        )
+        tol = self.ulps(kappa, len(rows))
+        for p, z in zip(point, (zx, zy)):
+            assert np.all(np.abs(p - z) <= tol * np.spacing(np.abs(z))), (p - z, z)
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("testcase1", ("controller.k_p=4",)),
+            ("nominal", ()),
+            ("testcase2", ()),
+        ],
+    )
+    def test_flag_implies_saturation_with_contacts_as_planned(self, name, overrides):
+        """No disturbance, no noise, kappa as planned: the flag comes only
+        from a saturated command on the hull's edge, and on these runs not
+        even from that. testcase1 with k_p=4 saturates 838 steps."""
+        raw = apply_overrides(load_raw_config(bundled_scenario_path(name)), list(overrides))
+        bundle = build_scenario(parse_config(raw))
+        cfg = bundle.config
+        assert not bundle.disturbances and not cfg.ablation.force_kappa_one
+        assert cfg.plant.force_noise_n == 0.0 and cfg.plant.com_noise_m == 0.0
+        trace = run_closed_loop(
+            bundle.traj, bundle.stabilizer, direct_zmp=cfg.plant.direct_zmp,
+            divergence_limit=cfg.plant.divergence_limit_m,
+        )
+        flags = trace.extra
+        assert not np.any(flags["cop_clamped"] & ~flags["zmp_saturated"])
+        assert flags["cop_clamped"].sum() == 0
+        if overrides:
+            assert flags["zmp_saturated"].sum() == 838
 
 
 class TestCompiledHull:

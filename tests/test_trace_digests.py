@@ -5,8 +5,8 @@ bundled scenarios plus the two ablation runs of acceptance criteria 5
 (``force_kappa_one`` on testcase2) and 6 (``disable_compensation`` on
 testcase3). Three testcase1 variants cover the closed-loop paths the
 bundled runs leave out: measurement noise (so the order of the random draws
-is pinned too), a stiff ``k_p`` that saturates the command ZMP and clamps
-the centre of pressure on many steps, and a push that makes the plant
+is pinned too), a stiff ``k_p`` that saturates the command ZMP on many
+steps, and a push that makes the plant
 diverge, which must end with exit code 2 and a truncated trace. A fourth
 variant raises the CoM to 0.868 m: there omega = 3.3618214286265045 and
 ``omega**2`` differs from ``omega * omega`` in the last bit, while at the
@@ -65,7 +65,7 @@ SHORT_WINDOW = ("controller.preview_window_s=1.43", "duration_s=8.0")
 DIGESTS = {
     ("cart-like", ()): (
         "443232702fa6af4276366f9f974ccfb77cee96a28ab1ab79d32c08373eb0d82a",
-        "3f97e3c86e79c1c832e06ed0292255c3db4bb2f5d8bf3a99d35e9a6761ebb257",
+        "b520fd571060f91c7afa586580f81540f201ebf39d15115a9e8a0345f6940713",
     ),
     ("nominal", ()): (
         "587c2bb20f773ead04cf742b00182b8af6faa5a903507b9e9229edb18618c1a3",
@@ -73,7 +73,7 @@ DIGESTS = {
     ),
     ("testcase1", ()): (
         "075505f0ec65ce49f9c0156dda2726aea9e5fe7550b85f189a559da2e41877d6",
-        "b8ac42d523e75c6e49d36845816c59df81992920130a1b9af499f43c10d97ce4",
+        "cae380f8713fa41993a5ba96fdbf3f761545448243ea2e550bdfa92e518dce42",
     ),
     ("testcase2", ()): (
         "4764d5e9d9e36ed612ba432cd48b1e9044b4aabdec5e61aecae25e87f0e376ff",
@@ -81,23 +81,23 @@ DIGESTS = {
     ),
     ("testcase3", ()): (
         "44a747f52c21db8e6b611fcc820464295e11751c3ec391a76ab5011d380193cc",
-        "43c7a7ee4751e1ab0ff0c2121721d3e3c84dabb909dadceabfba2b5d12021356",
+        "75376b388a140cacd5ef892e7777631b4e17ef0dde8423854e83010b1ef38b7b",
     ),
     ("testcase2", ("ablation.force_kappa_one=true",)): (
         "6037cfbb141aff5439d6f8ec08191b089a871e902c2aa40c6acbf79ca1554d47",
-        "687fe6087fde820a9d6d8ca07528fe749119ed269309a4ac98801c3f289dad0e",
+        "da8dd1b7f5a335ac9e7b44ac2874f79cb52da7b48fd2054bd3300128381820f3",
     ),
     ("testcase3", ("ablation.disable_compensation=true",)): (
         "c2426ab8b2bca11f5843a2577c95239847e478dd0b9c3553c60fa10a3144e4bb",
-        "246e67a4bad8cea887666193d5128c6bfdbbc61260bdb480aae561948d4ff351",
+        "5da451313737d5c5506e7730b717b4f11d9249e88994c3722c730b3ba0516024",
     ),
     ("testcase1", NOISY): (
         "208c088fbfb556f157779eaa1171dbc3c6ef64ab76783e50b3f7822c6b81020b",
-        "68e4d44606fd3614d2bd55547868635208bc2e1209da4f8f98a4bebbbd5d98bb",
+        "d74f344f7d6415de8aa3b2a11287b1b73a002a0a3b03823c13ad33e9280ba0f4",
     ),
     ("testcase1", STIFF): (
         "a63622b052a629293c932edb70e6a865e97b1f3eae778a9835a7116786243b40",
-        "9afc0c2b5d87d96918da710ca26e0236454545c6333ac62bdfe4dd6e0aa33c1f",
+        "56dfcf701598b188cd08da9829d2fc659cfe5f6d9f29d86021c6e4a23367f495",
     ),
     ("testcase1", PUSHED): (
         "6759fb17c72ac911ccd2ab9793bfab347ec31adcd2b5a54d61788d348d6ca1ea",
@@ -109,7 +109,7 @@ DIGESTS = {
     ),
     ("cart-like", SHORT_WINDOW): (
         "0d585d20fc01450c80d18125f477faa8db65b8e51e2f2b7d51b537352bba5472",
-        "2023da82bc93d39b888114d892f8fd760b6c1f363e368f7459e8566bcf6d2090",
+        "b3c862b55a14318f85702361f60b890962f684329b468367ac5b4c6dd9318021",
     ),
 }
 
