@@ -4,10 +4,11 @@ Plans a CoM jerk trajectory whose implied pendulum ZMP tracks the reference.
 External contacts are handled upstream: the generator tracks the scaled and
 offset ZMP (kappa z - gamma), for which the pendulum dynamics look classic,
 then maps its own output back to a real ZMP command for the stabilizer. The
-plan holds what the stabilizer reads: CoM position, velocity and
-acceleration, DCM and real ZMP. The jerk and the scaled output stay inside
-the rollout: the output C x is computed into the ZMP array and turned into
-the real ZMP in place.
+plan holds what a run reads: CoM position and velocity, DCM and real ZMP.
+The acceleration, the jerk and the scaled output stay inside the rollout:
+the acceleration is logged into the rows of the padded reference once the
+feedforward has read them, and the output C x is computed into the ZMP array
+and turned into the real ZMP in place.
 
 State per axis is (position, velocity, acceleration); the control is jerk.
 The infinite-horizon tracking law splits into state feedback from a Riccati
@@ -383,18 +384,17 @@ def _preview_law(gains: PreviewGains, state, jerk, pos, vel, acc, zmp_out):
 
 @dataclass(frozen=True, eq=False)
 class DesiredTrajectory:
-    """Open-loop plan: CoM motion, DCM and ZMP commands over the timeline."""
+    """Open-loop plan: CoM position and velocity, DCM and ZMP over the timeline."""
 
     timeline: ReferenceTimeline
     time: np.ndarray
     com_pos: np.ndarray
     com_vel: np.ndarray
-    com_acc: np.ndarray
     dcm: np.ndarray
     zmp: np.ndarray
 
     def __post_init__(self):
-        for name in ("time", "com_pos", "com_vel", "com_acc", "dcm", "zmp"):
+        for name in ("time", "com_pos", "com_vel", "dcm", "zmp"):
             getattr(self, name).flags.writeable = False
 
     def __len__(self):
@@ -436,7 +436,6 @@ def generate_trajectory(
     state = initial_state(timeline.zmp_ref[0])
     com_pos = np.empty((n, 2))
     com_vel = np.empty((n, 2))
-    com_acc = np.empty((n, 2))
     zmp = np.empty((n, 2))
     jerks = np.empty((n, 2))  # scratch: the feedforward terms, then the jerk
     # the window of step k covers samples k+1 .. k+npv, holding the final value
@@ -444,6 +443,7 @@ def generate_trajectory(
     padded[:, : n - 1] = ref[1:].T
     padded[:, n - 1 :] = ref[-1, :, None]
     _feedforward(gains.k_ff, padded, jerks.T)
+    # the feedforward has read the reference: its rows take the acceleration
     for i in (0, 1):
         _preview_law(
             gains,
@@ -451,7 +451,7 @@ def generate_trajectory(
             jerks[:, i],
             com_pos[:, i],
             com_vel[:, i],
-            com_acc[:, i],
+            padded[i, :n],
             zmp[:, i],
         )
     # the planned output C x tracks kappa z - gamma: map it to the real ZMP
@@ -462,7 +462,6 @@ def generate_trajectory(
         time=timeline.time,
         com_pos=com_pos,
         com_vel=com_vel,
-        com_acc=com_acc,
         dcm=dcm_of(com_pos, com_vel, timeline.omega),
         zmp=zmp,
     )

@@ -221,8 +221,9 @@ def step_plant(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, 
     realized and (cx, cy) the commanded ZMP. decay is the lag factor
     exp(-rho dt), or None for direct actuation; bounds is (xmin, xmax, ymin,
     ymax) of the clamp rectangle, or None. omega, kappa, (gx, gy) are the
-    true contacts' coefficients. Returns the new (px, py, vx, vy, ax, ay,
-    zx, zy, zmp_clamped); a non-finite CoM state raises NonFiniteState.
+    true contacts' coefficients. Returns the new (px, py, vx, vy, zx, zy,
+    zmp_clamped); a non-finite CoM state or acceleration raises
+    NonFiniteState.
     """
     if decay is None:
         zx, zy = cx, cy
@@ -249,7 +250,7 @@ def step_plant(px, py, vx, vy, zx, zy, cx, cy, decay, bounds, omega, kappa, gx, 
         ):
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise NonFiniteState(f"{name}: components must be finite")
-    return px, py, vx, vy, ax, ay, zx, zy, clamped
+    return px, py, vx, vy, zx, zy, clamped
 
 
 @dataclass(eq=False)
@@ -618,15 +619,17 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
     """The open-loop pass over the block from sample b0, on arrays.
 
     Runs apply_disturbances, the true contacts' contact_terms, the noise
-    draws and Stabilizer.measure_forces from the bands of the sample before
-    b0, and writes the block's _MEASURED_COLUMNS into columns. None of this
-    reads the plant. Returns (b1, inputs, fz, bands, unloaded):
+    draws and Stabilizer.measure_forces, against the timeline's planned
+    gamma, from the bands of the sample before b0, and writes the block's
+    _MEASURED_COLUMNS into columns. None of this reads the plant. Returns
+    (b1, inputs, fz, bands, unloaded):
 
     - b1, the block's end;
     - inputs, the per-sample inputs of the samples before the block's first
       unloaded one (to b1 at most) as lists, in the order _feedback_pass
-      takes them: phase, planned kappa, plan (with one more sample), bands,
-      noise (None without noise), and the true kappa, gamma_x and gamma_y;
+      takes them: phase, planned kappa, plan (DCM and ZMP), the planned CoM
+      of the next sample, bands, noise (None without noise), and the true
+      kappa, gamma_x and gamma_y;
     - fz, the measured contacts' vertical foot force (net_foot_force);
     - bands, those of the block's last sample;
     - unloaded, the exception check_feet_loaded raises at the block's first
@@ -656,7 +659,9 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
             measured = tuple(
                 tuple(f + force_noise * next(e) for f in r[:3]) + r[3:] for r in true
             )
-    gex, gey, bands = stabilizer.measure_forces(measured, desired, m, bands)
+    gex, gey, bands = stabilizer.measure_forces(
+        measured, timeline.gamma[b0:b1], m, bands
+    )
     low_x, low_y, high_x, high_y = _columns(bands, 6)[:4]
     for name, value in zip(
         _MEASURED_COLUMNS, (gex, gey, low_x, low_y, high_x, high_y, fsx, fsy, fsz)
@@ -672,15 +677,14 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
             check_feet_loaded(fz[end])
         except STEP_FAILURES as exc:
             unloaded = exc
-    # the plan through the last step, and of the next sample (the last
-    # sample's own past the end), which the divergence test reads
-    planned = np.minimum(np.arange(b0, b0 + end + 1), n - 1)
+    # the CoM of each step's next sample (the last sample's own past the
+    # end), which the divergence test reads
+    ahead = np.minimum(np.arange(b0 + 1, b0 + end + 1), n - 1)
     inputs = (
         timeline.phase[b0 : b0 + end].tolist(),
         timeline.kappa[b0 : b0 + end].tolist(),
-        np.column_stack(
-            [a[planned] for a in (traj.com_pos, traj.com_acc, traj.dcm, traj.zmp)]
-        ).tolist(),
+        np.column_stack([traj.dcm[b0 : b0 + end], traj.zmp[b0 : b0 + end]]).tolist(),
+        traj.com_pos[ahead].tolist(),
         bands[:end],
         [None] * end if sample_noise is None else sample_noise[:end].tolist(),
         *(np.broadcast_to(a, m)[:end].tolist() for a in (kappa, gx, gy)),
@@ -700,12 +704,14 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
     time.
 
     Per sample: read the plant, add the sample's noise, run Stabilizer.step
-    on its bands and the DCM memory, then advance the plant under the true
-    contacts with step_plant. The plant state and the memory stay in local
-    variables. law is (decay, plant omega, dt, divergence limit), support
-    the run's table (compiled hulls, clamp bounds), two lists by phase,
-    plant is (px, py, vx, vy, zx, zy), memory the DCM memory of the step
-    before and inputs are the lists of _open_loop_block.
+    on its planned DCM and ZMP, its bands and the DCM memory, advance the
+    plant under the true contacts with step_plant, then test the new CoM
+    against the next sample's planned CoM. The plant state and the memory
+    stay in local variables. law is (decay, plant omega, dt, divergence
+    limit), support the run's table (compiled hulls, clamp bounds), two
+    lists by phase, plant is (px, py, vx, vy, zx, zy), memory the DCM
+    memory of the step before and inputs are the lists of
+    _open_loop_block.
 
     Returns (logged, plant, memory, failure, diverged): per step the tuple
     (px, py, vx, vy, zcx, zcy, zx, zy, zmp_saturated, zmp_clamped) before
@@ -717,14 +723,11 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
     decay, plant_omega, dt, limit = law
     hulls, clamp_bounds = support
     px, py, vx, vy, zx, zy = plant
-    phases, kappas, plans, *rest = inputs
     logged = []
     append = logged.append
     phase = None
     try:
-        for ph, kappa_d, plan, ahead, band, noise, kappa, gx, gy in zip(
-            phases, kappas, plans, itertools.islice(plans, 1, None), *rest
-        ):
+        for ph, kappa_d, plan, ahead, band, noise, kappa, gx, gy in zip(*inputs):
             if ph != phase:
                 phase = ph
                 hull = hulls[ph]
@@ -743,8 +746,8 @@ def _feedback_pass(step, omega, law, support, plant, memory, inputs):
                 px, py, vx, vy, zx, zy, zcx, zcy, decay, bounds,
                 plant_omega, kappa, gx, gy, dt,
             )
-            append((px, py, vx, vy, zcx, zcy, zx, zy, sat, stepped[8]))
-            px, py, vx, vy, _, _, zx, zy, _ = stepped
+            append((px, py, vx, vy, zcx, zcy, zx, zy, sat, stepped[6]))
+            px, py, vx, vy, zx, zy, _ = stepped
             if abs(px - ahead[0]) > limit or abs(py - ahead[1]) > limit:
                 return logged, None, memory, None, True
     except STEP_FAILURES as exc:

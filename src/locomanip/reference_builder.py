@@ -183,7 +183,6 @@ class ReferenceTimeline:
     gamma: np.ndarray
     ext_zmp_ref: np.ndarray
     omega: float
-    zeta: float
     phase: np.ndarray
     support_feet: tuple
     support_regions: tuple
@@ -462,7 +461,6 @@ def build_reference_frames(
         gamma=gamma,
         ext_zmp_ref=exz,
         omega=float(unloaded.omega),
-        zeta=float(unloaded.zeta),
         phase=supports.phase,
         support_feet=feet,
         support_regions=regions,

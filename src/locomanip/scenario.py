@@ -1336,10 +1336,11 @@ def compare_runs(a: TraceSummary, b: TraceSummary, metric_spec=None) -> tuple:
     """Per-metric comparison of two trace summaries (trace_summary) sharing
     schema, dt and duration.
 
-    ratio is b over a, with 0/0 defined as 1 so identical traces compare
-    clean. metric_spec restricts the comparison to the named metrics; a
-    name trace_metrics does not yield raises SchemaMismatch listing those
-    it does.
+    ratio is b over a as IEEE division gives it, so over a zero a an
+    infinity of b's sign times a's, with 0/0 defined as 1 so identical
+    traces compare clean. metric_spec restricts the comparison to the named
+    metrics; a name trace_metrics does not yield raises SchemaMismatch
+    listing those it does.
     """
     if a.columns != b.columns:
         raise SchemaMismatch("traces have different column sets")
@@ -1363,7 +1364,7 @@ def compare_runs(a: TraceSummary, b: TraceSummary, metric_spec=None) -> tuple:
             )
         va, vb = ma[name], mb[name]
         if va == 0.0:
-            ratio = 1.0 if vb == 0.0 else math.inf
+            ratio = 1.0 if vb == 0.0 else math.copysign(math.inf, vb * math.copysign(1.0, va))
         else:
             ratio = vb / va
         larger = "b" if vb > va else ("a" if va > vb else "equal")

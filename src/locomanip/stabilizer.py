@@ -2,32 +2,35 @@
 
 Closes the loop around the pattern generator output. Contact-force error
 enters as a ZMP-offset error gamma_err; its low-frequency band is absorbed by
-shifting the desired CoM (the pendulum leans against the force), the
-high-frequency band by shifting the commanded ZMP within the support region.
-DCM error is regulated by PID feedback on top. The command ZMP is saturated
-into the support hull, and the flag ``cop_clamped`` records when the ground
-wrench the command asks of the feet has its pressure point outside that hull.
+shifting the desired DCM, so the CoM settles where the pendulum leans against
+the force, the high-frequency band by shifting the commanded ZMP within the
+support region. DCM error is regulated by PID feedback on top. The command
+ZMP is saturated into the support hull, and the flag ``cop_clamped`` records
+when the ground wrench the command asks of the feet has its pressure point
+outside that hull.
 
 Each law has one definition. The step has three parts. The force-measurement
 half reads no robot state: Stabilizer.measure_forces runs measure_gamma_error
-elementwise and split_frequency as one float recursion over a block of
-samples, continuing from the bands it is given. The feedback half,
-Stabilizer.step, takes one sample's bands and its DCM memory and runs
-dcm_feedback and the command saturation on Python floats, up to the command
-ZMP; the closed loop of plant_sim calls it once per step. The bands and the
-memory are the caller's, which carries them from sample to sample: a
-Stabilizer holds no run state. The support hull (support_hull) comes in
-compiled (compile_hull): its bounding box stands for its axis-aligned edges
-in the inside test, so the hull of SoleRects is four comparisons and the
-cross products of its oblique edges. The closed loop compiles each support
-phase's hull once per run, and no hull outlives the run. The ground-wrench
-stage feeds nothing back: Stabilizer.ground_wrench takes the pressure point
-(wrench_zmp) of the ground wrench at the planned CoM once over a block of
-samples, tests it against each phase's hull on arrays (_clamped) for the
-cop_clamped flag, and raises when the feet are unloaded (check_feet_loaded).
-distribute_wrench (a least-distance split under sole limits) splits such a
-wrench between the feet; the closed loop, which never reads the per-foot
-wrenches, does not call it.
+elementwise, against the planned gamma the timeline holds, and
+split_frequency as one float recursion over a block of samples, continuing
+from the bands it is given. The feedback half, Stabilizer.step, takes one
+sample's bands and its DCM memory and runs dcm_feedback and the command
+saturation on Python floats, up to the command ZMP; the closed loop of
+plant_sim calls it once per step. Of the plan it reads the DCM and the ZMP;
+the command acceleration, where a check needs it, is lipm_accel of the
+command ZMP. The bands and the memory are the caller's, which carries them
+from sample to sample: a Stabilizer holds no run state. The support hull
+(support_hull) comes in compiled (compile_hull): its bounding box stands for
+its axis-aligned edges in the inside test, so the hull of SoleRects is four
+comparisons and the cross products of its oblique edges. The closed loop
+compiles each support phase's hull once per run, and no hull outlives the
+run. The ground-wrench stage feeds nothing back: Stabilizer.ground_wrench
+takes the pressure point (wrench_zmp) of the ground wrench at the planned CoM
+once over a block of samples, tests it against each phase's hull on arrays
+(_clamped) for the cop_clamped flag, and raises when the feet are unloaded
+(check_feet_loaded). distribute_wrench (a least-distance split under sole
+limits) splits such a wrench between the feet; the closed loop, which never
+reads the per-foot wrenches, does not call it.
 
 All gains are stated in conventional (no-external-force) terms; the control
 law divides by the ZMP scale kappa so the closed-loop response matches the
@@ -159,17 +162,18 @@ def conventional_closed_loop_matrix(
     return scaled_closed_loop_matrix(1.0, rho, omega, k_p, k_i, k_d)
 
 
-def measure_gamma_error(actual_rows, desired_rows, zeta: float, zmp_height: float):
+def measure_gamma_error(actual_rows, desired_gamma, zeta: float, zmp_height: float):
     """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts.
 
-    Both contact sets are given as contact_rows; zeta is the normalizing
+    The actual contacts are given as contact_rows, whose gamma is their
+    contact_terms; desired_gamma is the planned gamma, a (..., 2) array such
+    as the timeline's, for one sample or many. zeta is the normalizing
     vertical force m g. Returns (gamma_err_x, gamma_err_y). Row values may
     be arrays of many samples, as for contact_terms; the errors then come
     out elementwise.
     """
-    actual = contact_terms(actual_rows, zeta, zmp_height)
-    desired = contact_terms(desired_rows, zeta, zmp_height)
-    return actual[4] - desired[4], actual[5] - desired[5]
+    *_, gx, gy = contact_terms(actual_rows, zeta, zmp_height)
+    return gx - desired_gamma[..., 0], gy - desired_gamma[..., 1]
 
 
 def split_frequency(start, ex, ey, dt, cutoff_period) -> list:
@@ -203,23 +207,23 @@ def split_frequency(start, ex, ey, dt, cutoff_period) -> list:
     return bands
 
 
-def dcm_feedback(pid, dt, kappa, omega, plan, xi_x, xi_y, bands, memory):
-    """PID DCM regulation plus force-error compensation terms.
+def dcm_feedback(pid, dt, kappa, plan, xi_x, xi_y, bands, memory):
+    """PID DCM regulation plus force-error compensation, up to the command ZMP.
 
-    pid is StabilizerGains.pid, plan the planned sample as in
-    Stabilizer.step, (xi_x, xi_y) the actual DCM, bands the sample's (low_x,
-    low_y, high_x, high_y, rate_x, rate_y) from split_frequency and memory
-    the DCM-error memory (integral_x, integral_y, prev_x, prev_y, rate_x,
-    rate_y), zeros for the first sample. Returns two tuples: the command
-    ZMP, command CoM acceleration and shifted desired CoM as 6 floats, and
-    the new memory, whose prev pair is this sample's DCM error. The
-    low-band offset shifts the desired CoM and DCM; the high-band offset and
-    its rate enter the ZMP command as feedforward. All ZMP-shift terms are
-    scaled by 1/kappa so the closed loop matches the conventional tuning.
+    pid is StabilizerGains.pid, plan the planned sample's (xi_x, xi_y, z_x,
+    z_y), its DCM and ZMP, (xi_x, xi_y) the actual DCM, bands the sample's
+    (low_x, low_y, high_x, high_y, rate_x, rate_y) from split_frequency and
+    memory the DCM-error memory (integral_x, integral_y, prev_x, prev_y,
+    rate_x, rate_y), zeros for the first sample. Returns two tuples: the
+    command ZMP (z_x, z_y) and the new memory, whose prev pair is this
+    sample's DCM error. The low-band offset shifts the desired DCM; the
+    high-band offset and its rate enter the ZMP command as feedforward. All
+    ZMP-shift terms are scaled by 1/kappa so the closed loop matches the
+    conventional tuning.
     """
     if kappa <= DEGENERATE_KAPPA:
         raise DegenerateScale(f"ZMP scale kappa={kappa:.4f} too small to command")
-    cx, cy, ax, ay, dx, dy, zx, zy = plan
+    dx, dy, zx, zy = plan
     lx, ly, hx, hy, hrx, hry = bands
     ix, iy, px, py, rx, ry = memory
     k_p, k_i, k_d, rho, lim = pid
@@ -239,15 +243,7 @@ def dcm_feedback(pid, dt, kappa, omega, plan, xi_x, xi_y, bands, memory):
 
     corr_x = k_p * ex + k_i * ix + k_d * rx + hx + hrx / rho
     corr_y = k_p * ey + k_i * iy + k_d * ry + hy + hry / rho
-    w2 = omega * omega
-    return (
-        zx + corr_x / kappa,
-        zy + corr_y / kappa,
-        ax - w2 * corr_x,
-        ay - w2 * corr_y,
-        cx - lx,
-        cy - ly,
-    ), (ix, iy, ex, ey, rx, ry)
+    return (zx + corr_x / kappa, zy + corr_y / kappa), (ix, iy, ex, ey, rx, ry)
 
 
 def check_feet_loaded(fz):
@@ -718,12 +714,13 @@ class Stabilizer:
         self.dt = dt
         self.compensate_forces = compensate_forces
 
-    def measure_forces(self, rows, desired_rows, samples: int, start):
+    def measure_forces(self, rows, desired_gamma, samples: int, start):
         """The force-measurement half of the cycle, over successive samples.
 
-        rows and desired_rows are the measured and the planned contacts as
-        contact_rows whose values are arrays of `samples` values (or floats
-        for one sample, and () for no contact), and start the bands to
+        rows are the measured contacts as contact_rows whose values are
+        arrays of `samples` values (or floats for one sample, and () for no
+        contact), desired_gamma the planned gamma of those samples, an
+        (samples, 2) array (or (2,) for one sample), and start the bands to
         continue from: the previous sample's, or zeros for the first.
         Measures gamma_err with measure_gamma_error and splits it into bands
         with split_frequency. With compensate_forces False the bands stay at
@@ -736,7 +733,7 @@ class Stabilizer:
         """
         params = self.params
         ex, ey = measure_gamma_error(
-            rows, desired_rows, params.mass * params.gravity, params.zmp_height
+            rows, desired_gamma, params.mass * params.gravity, params.zmp_height
         )
         ex = np.broadcast_to(ex, samples)
         ey = np.broadcast_to(ey, samples)
@@ -757,17 +754,17 @@ class Stabilizer:
         DCM-error memory from the previous step (zeros for the first).
 
         kappa and omega are the planned sample's coefficients; plan is its
-        (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y): CoM position and
-        acceleration, DCM and ZMP. (com_x, com_y) and (vel_x, vel_y) are the
-        measured CoM position and velocity, hull the support hull as its
-        CompiledHull and bands the sample's (low_x, low_y, high_x, high_y,
-        rate_x, rate_y).
+        (xi_x, xi_y, z_x, z_y): DCM and ZMP. (com_x, com_y) and (vel_x,
+        vel_y) are the measured CoM position and velocity, whose DCM
+        (dcm_of at omega) the feedback regulates, hull the support hull as
+        its CompiledHull and bands the sample's (low_x, low_y, high_x,
+        high_y, rate_x, rate_y).
 
         Returns (zmp_x, zmp_y, zmp_saturated, memory): the command ZMP,
         whether the saturation moved the command, and the new memory.
         """
-        (zcx, zcy, *_), memory = dcm_feedback(
-            self.gains.pid, self.dt, kappa, omega, plan,
+        (zcx, zcy), memory = dcm_feedback(
+            self.gains.pid, self.dt, kappa, plan,
             dcm_of(com_x, vel_x, omega), dcm_of(com_y, vel_y, omega), bands, memory,
         )
         qx, qy = _clamp_xy(zcx, zcy, hull)

@@ -337,10 +337,12 @@ def closed_loop_by_sample(
     Per sample: the true contacts (disturbed_rows), the noise drawn in the
     order CoM (2), velocity (2), then 3 per contact with force noise,
     Stabilizer.measure_forces over the one sample from the bands of the
-    sample before, Stabilizer.step with the DCM memory of the step before,
-    the cop_clamped flag (cop_moved), then step_plant. The bands and the memory
-    start at zero and are local variables. The compiled hull, clamp bounds
-    and contact rows are rebuilt at every sample.
+    sample before, against the planned gamma that contact_terms gives for
+    the sample's planned contacts, Stabilizer.step with the DCM memory of
+    the step before, the cop_clamped flag (cop_moved), then step_plant. The
+    bands and the memory start at zero and are local variables. The
+    compiled hull, clamp bounds, contact rows and planned gamma are rebuilt
+    at every sample.
 
     Returns a namespace: columns (every CSV column and the bool extra
     flags over the steps taken), diverged_at (the plant's clock at the
@@ -383,14 +385,12 @@ def closed_loop_by_sample(
                     + tuple(r[3:])
                     for r in true
                 )
-        plan = (
-            *traj.com_pos[k].tolist(),
-            *traj.com_acc[k].tolist(),
-            *traj.dcm[k].tolist(),
-            *traj.zmp[k].tolist(),
-        )
+        plan = (*traj.dcm[k].tolist(), *traj.zmp[k].tolist())
+        # the planned gamma from the sample's contacts, not timeline.gamma,
+        # whose equality with it the loop relies on
+        *_, dgx, dgy = contact_terms(desired, unloaded.zeta, params.zmp_height)
         gamma_x, gamma_y, (bands,) = stabilizer.measure_forces(
-            measured, desired, 1, bands
+            measured, np.array([dgx, dgy]), 1, bands
         )
         fsx, fsy, fsz, kappa, gx, gy = contact_terms(
             true, unloaded.zeta, params.zmp_height
@@ -406,7 +406,7 @@ def closed_loop_by_sample(
                 params, zcx, zcy, kappa_d, float(gamma_x[0]), float(gamma_y[0]),
                 measured, hull,
             )
-            npx, npy, nvx, nvy, _, _, nzx, nzy, zmp_clamped = step_plant(
+            npx, npy, nvx, nvy, nzx, nzy, zmp_clamped = step_plant(
                 px, py, vx, vy, zx, zy, zcx, zcy, decay,
                 (base.xmin - m, base.xmax + m, base.ymin - m, base.ymax + m),
                 unloaded.omega, kappa, gx, gy, dt,

@@ -39,6 +39,23 @@ from locomanip.reference_builder import MAX_SAMPLES
 K_FB_REF = np.array([4715.60195026, 2705.42004837, 391.51776754])
 
 
+def rollout_with_acc(timeline, gains, monkeypatch):
+    """generate_trajectory of the timeline, and the CoM acceleration its
+    rollout logs, (n, 2): the buffer _preview_law fills, copied per axis
+    once the call returns. The plan itself keeps no acceleration."""
+    law = pattern_generator._preview_law
+    acc = []
+
+    def logged(gains, state, jerk, pos, vel, a, zmp_out):
+        out = law(gains, state, jerk, pos, vel, a, zmp_out)
+        acc.append(a.copy())
+        return out
+
+    monkeypatch.setattr(pattern_generator, "_preview_law", logged)
+    traj = generate_trajectory(timeline, gains)
+    return traj, np.column_stack(acc)
+
+
 class TestDiscretize:
     def test_matrix_entries(self):
         A, B, C = discretize(OMEGA, DT)
@@ -377,13 +394,13 @@ class TestGenerateTrajectory:
         assert np.all(traj.com_pos[0] == timeline.zmp_ref[0])
         assert np.all(traj.com_vel[0] == 0.0)
 
-    def test_model_consistency_every_sample(self):
-        """acc is lipm_accel and dcm is dcm_of, per sample and axis; dcm bit
-        for bit."""
+    def test_model_consistency_every_sample(self, monkeypatch):
+        """The rollout's acc is lipm_accel and dcm is dcm_of, per sample and
+        axis; dcm bit for bit."""
         timeline = standing_timeline(
             duration=2.0, schedule=constant_schedule(hand_pair(fx=-50.0, fz=100.0))
         )
-        traj = generate_trajectory(timeline, preview_gains())
+        traj, acc = rollout_with_acc(timeline, preview_gains(), monkeypatch)
         w = timeline.omega
         acc_model, dcm = [], []
         for c, v, z, kappa, gamma in zip(
@@ -395,7 +412,7 @@ class TestGenerateTrajectory:
         ):
             acc_model.append([lipm_accel(w, kappa, c[i], z[i], gamma[i]) for i in (0, 1)])
             dcm.append([dcm_of(c[i], v[i], w) for i in (0, 1)])
-        assert np.allclose(traj.com_acc, acc_model, atol=1e-10)
+        assert np.allclose(acc, acc_model, atol=1e-10)
         assert np.array(dcm).tobytes() == traj.dcm.tobytes()
 
     def test_tracks_shifted_ext_zmp(self):
@@ -435,14 +452,17 @@ class TestGenerateTrajectory:
         ],
         ids=["longer", "shorter", "longer-715", "shorter-715", "stepping-715", "two-blocks"],
     )
-    def test_equals_step_pg_rollout_bit_for_bit(self, duration, window, stepping):
+    def test_equals_step_pg_rollout_bit_for_bit(
+        self, duration, window, stepping, monkeypatch
+    ):
         """The rollout is step_pg applied sample by sample, to the last bit,
         on timelines longer and shorter than the preview window. 800 samples
         split into leaves of 8-sample multiples; 715 leave leftover terms.
         The standing timelines hold their reference over most windows; the
         stepping one, under a hand ramp from 0.1 s to its end, moves it on
         every sample from then on, so each window's sum shows its
-        summation order."""
+        summation order. The acceleration is the rollout's own
+        (rollout_with_acc)."""
         if stepping:
             ramp = hand_ramp_schedule(hand_pair(fx=-50.0, fz=100.0), 0.1, duration)
             timeline = inplace_timeline(duration, ramp, first=0.2, until=duration)
@@ -451,7 +471,7 @@ class TestGenerateTrajectory:
                 duration=duration, schedule=hand_ramp_schedule(hand_pair(fx=-50.0, fz=100.0))
             )
         gains = preview_gains(window=window)
-        traj = generate_trajectory(timeline, gains)
+        traj, acc = rollout_with_acc(timeline, gains, monkeypatch)
         npv = gains.n_preview
         ref = timeline.ext_zmp_ref
         padded = np.vstack([ref[1:], np.tile(ref[-1], (npv, 1))])
@@ -459,7 +479,7 @@ class TestGenerateTrajectory:
         state = initial_state(timeline.zmp_ref[0])
         for k in range(len(timeline)):
             assert state.tobytes() == np.stack(
-                [traj.com_pos[k], traj.com_vel[k], traj.com_acc[k]]
+                [traj.com_pos[k], traj.com_vel[k], acc[k]]
             ).tobytes(), k
             state, jerk, out = step_pg(state, gains, padded[k : k + npv])
             zmp = (out + timeline.gamma[k]) / timeline.kappa[k]

@@ -63,14 +63,14 @@ RHO = 20.0
 
 def resting_state(pos=(0.0, 0.0), zmp=(0.0, 0.0)):
     """A plant at rest as step_plant returns it:
-    (px, py, vx, vy, ax, ay, zx, zy, zmp_clamped)."""
-    return (*pos, 0.0, 0.0, 0.0, 0.0, *zmp, False)
+    (px, py, vx, vy, zx, zy, zmp_clamped)."""
+    return (*pos, 0.0, 0.0, *zmp, False)
 
 
 def advance(state, zc, contacts=(), direct_zmp=False, bounds=None):
     """step_plant from a state as it returns one, under the given contacts."""
     coeff = compute_coefficients(PARAMS, contacts)
-    px, py, vx, vy, _, _, zx, zy, _ = state
+    px, py, vx, vy, zx, zy, _ = state
     return step_plant(
         px, py, vx, vy, zx, zy, *np.asarray(zc, dtype=float).tolist(),
         None if direct_zmp else math.exp(-RHO * DT), bounds,
@@ -85,7 +85,7 @@ class TestStepPlant:
         for _ in range(int(1.0 / DT)):
             state = advance(state, zc)
         assert np.all(np.abs(np.array(state[0:2])) < 1e-9)
-        assert np.all(np.array(state[6:8]) == 0.0)
+        assert np.all(np.array(state[4:6]) == 0.0)
 
     def test_shifted_equilibrium_with_hands(self):
         contacts = hand_pair(fx=-50.0)
@@ -100,7 +100,7 @@ class TestStepPlant:
         state = resting_state(zmp=(0.05, 0.0))
         zc = np.array([0.02, -0.01])
         nxt = advance(state, zc, direct_zmp=True)
-        assert np.all(np.array(nxt[6:8]) == zc)
+        assert np.all(np.array(nxt[4:6]) == zc)
 
     def test_lag_is_exact_exponential(self):
         z0 = np.array([0.08, -0.03])
@@ -109,12 +109,12 @@ class TestStepPlant:
         for k in range(1, 51):
             state = advance(state, zc)
             expected = zc + (z0 - zc) * math.exp(-RHO * k * DT)
-            assert np.allclose(state[6:8], expected, atol=1e-12)
+            assert np.allclose(state[4:6], expected, atol=1e-12)
 
     def test_free_dcm_grows_exponentially(self):
         """Pinned ZMP, no contacts: the divergent mode follows 0.01 e^(w t)."""
         xi0 = 0.01
-        state = (0.5 * xi0, 0.0, 0.5 * xi0 * OMEGA, 0.0, 0.0, 0.0, 0.0, 0.0, False)
+        state = (0.5 * xi0, 0.0, 0.5 * xi0 * OMEGA, 0.0, 0.0, 0.0, False)
         n = int(0.5 / DT)
         for _ in range(n):
             state = advance(state, np.zeros(2), direct_zmp=True)
@@ -128,8 +128,8 @@ class TestStepPlant:
             state, np.array([0.4, 0.0]), direct_zmp=True,
             bounds=(rect.xmin, rect.xmax, rect.ymin, rect.ymax),
         )
-        assert nxt[8]
-        assert nxt[6] == pytest.approx(0.13, abs=1e-15)
+        assert nxt[6]
+        assert nxt[4] == pytest.approx(0.13, abs=1e-15)
 
     def test_non_finite_state_is_rejected(self):
         with pytest.raises(ValueError, match="position: components must be finite"):
@@ -1129,9 +1129,10 @@ def plan_excess_mb(bundle, gains, seconds):
 
 def test_plan_memory_does_not_grow_with_the_run():
     """Beyond its plan, generate_trajectory holds a padded copy of the
-    reference and the jerk scratch (16 bytes a sample each) and one
-    feedforward block's temporaries at a time. Its peak comes before the
-    plan's DCM is allocated, so the excess grows by 16 bytes a sample: the
+    reference, whose rows then take the acceleration, and the jerk scratch
+    (16 bytes a sample each) and one feedforward block's temporaries at a
+    time. Its peak comes before the plan's DCM is allocated, so the excess
+    grows by 16 bytes a sample: the
     same excess, to 0.25 MB, over 20 s as over 40 s. Both spans are longer
     than one block of 8000 samples; a 10 s plan is one shorter block with
     smaller temporaries."""
@@ -1147,8 +1148,8 @@ def test_plan_memory_does_not_grow_with_the_run():
 
 def test_plan_retains_only_its_arrays():
     """Once generate_trajectory returns, what it allocated is the plan's
-    five (n, 2) arrays (CoM position, velocity and acceleration, DCM and
-    ZMP), to 64 KB: the jerk and the scaled output stay inside the
+    four (n, 2) arrays (CoM position and velocity, DCM and ZMP), to 64 KB:
+    the acceleration, the jerk and the scaled output stay inside the
     rollout."""
     bundle = scenario_bundle("testcase3")
     timeline = bundle.traj.timeline
@@ -1164,7 +1165,7 @@ def test_plan_retains_only_its_arrays():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    outputs = 5 * len(traj) * 2 * 8
+    outputs = 4 * len(traj) * 2 * 8
     assert retained <= outputs + 64 * 1024, (retained, outputs)
 
 

@@ -954,6 +954,23 @@ class TestCompareRuns:
         rows = compare(a, b, metric_spec=["rms_zmp_dev_y"])
         assert math.isinf(rows[0].ratio)
 
+    def test_zero_to_negative_is_minus_infinity(self):
+        """b / a over a zero a has IEEE's sign: b's times a's."""
+        a = synthetic_trace()
+        b = shifted_trace(a, "z_x^a", 0.01)
+        metric = "mean_com_zmp_offset_x"
+        (row,) = compare(a, b, metric_spec=[metric])
+        assert row.a == 0.0 and row.b < 0.0
+        assert row.ratio == -math.inf and row.larger == "a"
+        c = shifted_trace(a, "z_x^a", -0.01)
+        neg_zero = trace_summary(a)
+        neg_zero.metrics[metric] = -0.0
+        for other, sign in ((b, 1.0), (c, -1.0)):
+            (row,) = compare_runs(neg_zero, trace_summary(other), [metric])
+            assert row.ratio == sign * math.inf
+        (row,) = compare_runs(neg_zero, trace_summary(a), [metric])
+        assert row.ratio == 1.0
+
     def test_metric_spec_order_preserved(self):
         tr = synthetic_trace()
         names = ["rms_com_dev_y", "rms_zmp_dev_x", "max_dcm_err_x"]

@@ -88,27 +88,32 @@ def standing_sample(contacts=(), com=None, zmp=None):
         com = ext_zmp(coeff.kappa, zmp, coeff.gamma)
     com = np.asarray(com, dtype=float)
     acc = lipm_accel(coeff.omega, coeff.kappa, com, zmp, coeff.gamma)
-    return planned(com, acc, com.copy(), zmp, coeff, contacts)
+    return planned(com, acc, com.copy(), zmp, coeff)
 
 
-def planned(com, acc, dcm, zmp, coeff, contacts=()):
-    """A planned sample: its arrays, coefficients, contact_rows and the plan
-    tuple (c_x, c_y, a_x, a_y, xi_x, xi_y, z_x, z_y) the laws take."""
+def planned(com, acc, dcm, zmp, coeff):
+    """A planned sample: its arrays, coefficients and the plan tuple (xi_x,
+    xi_y, z_x, z_y) the laws take. acc is the sample's model acceleration,
+    which the command acceleration of a zero feedback equals."""
     return SimpleNamespace(
         com_pos=com,
         com_acc=acc,
         dcm=dcm,
         zmp=zmp,
         coefficients=coeff,
-        rows=contact_rows(contacts),
-        plan=(*com.tolist(), *acc.tolist(), *dcm.tolist(), *zmp.tolist()),
+        plan=(*dcm.tolist(), *zmp.tolist()),
     )
 
 
 def gamma_error(desired, actual):
+    """measure_gamma_error of the actual contacts against the gamma of the
+    desired ones."""
     return np.array(
         measure_gamma_error(
-            contact_rows(actual), contact_rows(desired), ZETA, PARAMS.zmp_height
+            contact_rows(actual),
+            compute_coefficients(PARAMS, desired).gamma,
+            ZETA,
+            PARAMS.zmp_height,
         )
     )
 
@@ -130,14 +135,12 @@ def split(bands, gam, cutoff=1.0):
 
 def feedback(desired, xi, gains, bands=ZEROS, memory=ZEROS):
     """dcm_feedback on a planned sample with the given bands and memory.
-    Returns (command_zmp, command_acc, shifted_com, dcm_err) as arrays, and
-    the new memory."""
-    coeff = desired.coefficients
-    out, memory = dcm_feedback(
-        gains.pid, DT, coeff.kappa, coeff.omega, desired.plan,
+    Returns (command_zmp, dcm_err) as arrays, and the new memory."""
+    zmp, memory = dcm_feedback(
+        gains.pid, DT, desired.coefficients.kappa, desired.plan,
         *np.asarray(xi).tolist(), bands, memory,
     )
-    return (*(np.array(p) for p in (out[0:2], out[2:4], out[4:6], memory[2:4])), memory)
+    return np.array(zmp), np.array(memory[2:4]), memory
 
 
 def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
@@ -159,7 +162,7 @@ def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
     hull = compile_hull(support_hull(region))
     cx, cy = np.asarray(com, dtype=float).tolist()
     vx, vy = np.asarray(vel, dtype=float).tolist()
-    ex, ey, (bands,) = stab.measure_forces(rows, desired.rows, 1, ZEROS)
+    ex, ey, (bands,) = stab.measure_forces(rows, coeff.gamma, 1, ZEROS)
     zx, zy, saturated, memory = stab.step(
         coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, hull, bands, ZEROS
     )
@@ -284,12 +287,8 @@ class TestSplitFrequency:
 class TestDcmFeedback:
     def test_zero_error_passthrough(self):
         desired = standing_sample(hands(fx=-50.0))
-        z_c, acc_c, com_shift, err, _ = feedback(
-            desired, desired.dcm, StabilizerGains()
-        )
+        z_c, err, _ = feedback(desired, desired.dcm, StabilizerGains())
         assert np.all(z_c == desired.zmp)
-        assert np.all(acc_c == desired.com_acc)
-        assert np.all(com_shift == desired.com_pos)
         assert np.all(err == 0.0)
 
     def test_proportional_gain_scales_inverse_kappa(self):
@@ -302,35 +301,27 @@ class TestDcmFeedback:
         desired = standing_sample(contacts)
         assert desired.coefficients.kappa == pytest.approx(0.5, rel=1e-12)
         e = np.array([0.01, -0.004])
-        z_c, acc_c, _, _, _ = feedback(desired, desired.dcm + e, StabilizerGains())
+        z_c, _, _ = feedback(desired, desired.dcm + e, StabilizerGains())
         assert np.allclose(z_c - desired.zmp, 2.5 * e, atol=1e-15)
-        assert np.allclose(
-            acc_c - desired.com_acc, -(OMEGA**2) * 1.25 * e, atol=1e-12
-        )
 
     def test_low_band_shifts_com_not_zmp(self):
         desired = standing_sample()
         low = np.array([-0.03, 0.0])
         # actual DCM tracks the shifted reference: no residual feedback
         bands = (*low.tolist(), *ZEROS[2:])
-        z_c, acc_c, com_shift, err, _ = feedback(
+        z_c, err, _ = feedback(
             desired, desired.dcm - low, StabilizerGains(), bands=bands
         )
-        assert np.all(com_shift == desired.com_pos - low)
         assert np.allclose(err, 0.0, atol=1e-15)
         assert np.allclose(z_c, desired.zmp, atol=1e-15)
-        assert np.allclose(acc_c, desired.com_acc, atol=1e-12)
 
     def test_high_band_feeds_zmp_forward(self):
         desired = standing_sample()
         kappa = desired.coefficients.kappa
         high = np.array([0.02, 0.0])
         bands = (0.0, 0.0, *high.tolist(), 0.0, 0.0)
-        z_c, acc_c, _, _, _ = feedback(
-            desired, desired.dcm, StabilizerGains(), bands=bands
-        )
+        z_c, _, _ = feedback(desired, desired.dcm, StabilizerGains(), bands=bands)
         assert np.allclose(z_c - desired.zmp, high / kappa, atol=1e-15)
-        assert np.allclose(acc_c - desired.com_acc, -(OMEGA**2) * high, atol=1e-12)
 
     def test_degenerate_kappa_rejected(self):
         contacts = (
@@ -1021,12 +1012,12 @@ class TestGroundPressurePoint:
         """Measured contacts equal to the planned ones: gamma_err is 0 and
         the pressure point is the command ZMP to the stated ULPs."""
         rows, k_min = contacts
-        *_, kappa, _, _ = contact_terms(rows, ZETA, PARAMS.zmp_height)
+        *_, kappa, gx, gy = contact_terms(rows, ZETA, PARAMS.zmp_height)
         assert k_min <= kappa or math.isclose(kappa, k_min, abs_tol=1e-12)
         m = len(zmp)
         block = tuple(tuple(np.full(m, v) for v in r) for r in rows)
         ex, ey, _ = Stabilizer(PARAMS, StabilizerGains(), DT).measure_forces(
-            block, block, m, ZEROS
+            block, np.tile((gx, gy), (m, 1)), m, ZEROS
         )
         assert not np.any(ex) and not np.any(ey)
         zx, zy = np.array(zmp).T
