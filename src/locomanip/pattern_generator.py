@@ -14,9 +14,11 @@ State per axis is (position, velocity, acceleration); the control is jerk.
 The infinite-horizon tracking law splits into state feedback from a Riccati
 solution plus a finite window of feedforward gains over future references.
 The Riccati equation is solved by structure-preserving doubling, polished
-by one Newton step, on 3x3 float matrices. The gains and the per-axis state
-recursion run on Python floats; the implied output C x is then computed on
-the logged state arrays. The feedforward is a correlation of the gains with
+by one Newton step. Each 3x3 matrix there is a row-major 9-tuple of Python
+floats, and its products, transposes and elimination are written out entry
+by entry. The gains and the per-axis state recursion run on Python floats;
+the implied output C x is then computed on the logged state arrays. The
+feedforward is a correlation of the gains with
 the padded reference: each value is added in the pairwise order that np.sum
 uses for a row of its window's products, written out over shifted slices of
 the reference. So the plan's bytes rest on elementwise IEEE multiply and
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,50 +77,73 @@ def discretize(omega: float, dt: float):
 
 def _mul(X, Y):
     """3x3 float product, each entry summed left to right."""
-    return [
-        [X[i][0] * Y[0][j] + X[i][1] * Y[1][j] + X[i][2] * Y[2][j] for j in range(3)]
-        for i in range(3)
-    ]
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = X
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = Y
+    return (
+        x0 * y0 + x1 * y3 + x2 * y6, x0 * y1 + x1 * y4 + x2 * y7, x0 * y2 + x1 * y5 + x2 * y8,
+        x3 * y0 + x4 * y3 + x5 * y6, x3 * y1 + x4 * y4 + x5 * y7, x3 * y2 + x4 * y5 + x5 * y8,
+        x6 * y0 + x7 * y3 + x8 * y6, x6 * y1 + x7 * y4 + x8 * y7, x6 * y2 + x7 * y5 + x8 * y8,
+    )  # fmt: skip
 
 
 def _t(X):
-    return [list(col) for col in zip(*X)]
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = X
+    return (x0, x3, x6, x1, x4, x7, x2, x5, x8)
 
 
 def _sym_sum(X, Y):
     """(X + Y) with its two triangles averaged."""
-    S = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
-    return [[0.5 * (S[i][j] + S[j][i]) for j in range(3)] for i in range(3)]
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = map(operator.add, X, Y)
+    s1 = 0.5 * (s1 + s3)
+    s2 = 0.5 * (s2 + s6)
+    s5 = 0.5 * (s5 + s7)
+    return (0.5 * (s0 + s0), s1, s2, s1, 0.5 * (s4 + s4), s5, s2, s5, 0.5 * (s8 + s8))
 
 
-def _solve(W, R):
-    """W^-1 R for a 3x3 W by Gaussian elimination with partial pivoting.
+def _eliminate(row, pivot_row, c):
+    """row - f pivot_row with f = row[c] / pivot_row[c]."""
+    f = row[c] / pivot_row[c]
+    return [x - f * y for x, y in zip(row, pivot_row)]
 
-    R is a list of three rows of any width. Raises RiccatiDivergence on a
-    zero pivot.
+
+def _solve(W, a, G):
+    """W^-1 a and W^-1 G for a 3x3 W, by Gaussian elimination with partial
+    pivoting on the rows [W a G].
+
+    The pivot of a column is the first of its rows of largest magnitude.
+    Raises RiccatiDivergence on a zero pivot.
     """
-    M = [list(W[i]) + list(R[i]) for i in range(3)]
-    for c in range(3):
-        p = max(range(c, 3), key=lambda i: abs(M[i][c]))
-        M[c], M[p] = M[p], M[c]
-        pivot = M[c][c]
-        if pivot == 0.0:
-            raise RiccatiDivergence("doubling step met a singular matrix")
-        for i in range(c + 1, 3):
-            f = M[i][c] / pivot
-            M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    X = [None, None, None]
-    for i in (2, 1, 0):
-        row = M[i]
-        X[i] = [
-            (row[3 + j] - sum(row[k] * X[k][j] for k in range(i + 1, 3))) / row[i]
-            for j in range(len(R[0]))
-        ]
-    return X
+    r0, r1, r2 = (W[i : i + 3] + a[i : i + 3] + G[i : i + 3] for i in (0, 3, 6))
+    if abs(r1[0]) > abs(r0[0]):
+        if abs(r2[0]) > abs(r1[0]):
+            r0, r2 = r2, r0
+        else:
+            r0, r1 = r1, r0
+    elif abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    if r0[0] == 0.0:
+        raise RiccatiDivergence("doubling step met a singular matrix")
+    r1 = _eliminate(r1, r0, 0)
+    r2 = _eliminate(r2, r0, 0)
+    if abs(r2[1]) > abs(r1[1]):
+        r1, r2 = r2, r1
+    if r1[1] == 0.0:
+        raise RiccatiDivergence("doubling step met a singular matrix")
+    r2 = _eliminate(r2, r1, 1)
+    d2 = r2[2]
+    if d2 == 0.0:
+        raise RiccatiDivergence("doubling step met a singular matrix")
+    # back-substitution; each sum starts from 0.0, so a sum of -0.0 is +0.0
+    x2 = [v / d2 for v in r2[3:]]
+    d1, m = r1[1], r1[2]
+    x1 = [(v - (0.0 + m * z)) / d1 for v, z in zip(r1[3:], x2)]
+    d0, m, n = r0[0], r0[1], r0[2]
+    x0 = [(v - (0.0 + m * y + n * z)) / d0 for v, y, z in zip(r0[3:], x1, x2)]
+    return (*x0[:3], *x1[:3], *x2[:3]), (*x0[3:], *x1[3:], *x2[3:])
 
 
 def _doubling(a, G, H):
-    """Structure-preserving doubling on 3x3 float matrices; returns H.
+    """Structure-preserving doubling on row-major 3x3 float 9-tuples; returns H.
 
     From A0 = a, G0 = G and H0 = H, each step sets W = I + GH and
         H <- H + A'H W^-1 A,  G <- G + A W^-1 G A',  A <- A W^-1 A,
@@ -128,33 +154,73 @@ def _doubling(a, G, H):
     _DARE_MAX_STEPS steps do not settle.
     """
     for _ in range(_DARE_MAX_STEPS):
-        GH = _mul(G, H)
-        W = [[float(i == j) + GH[i][j] for j in range(3)] for i in range(3)]
-        S = _solve(W, [ra + rg for ra, rg in zip(a, G)])
-        WA = [row[:3] for row in S]
-        WG = [row[3:] for row in S]
-        H_next = _sym_sum(H, _mul(_t(a), _mul(H, WA)))
-        G = _sym_sum(G, _mul(_mul(a, WG), _t(a)))
+        g0, g1, g2, g3, g4, g5, g6, g7, g8 = _mul(G, H)
+        # I + GH; adding 0.0 turns a -0.0 entry into +0.0
+        W = (
+            1.0 + g0, 0.0 + g1, 0.0 + g2,
+            0.0 + g3, 1.0 + g4, 0.0 + g5,
+            0.0 + g6, 0.0 + g7, 1.0 + g8,
+        )  # fmt: skip
+        WA, WG = _solve(W, a, G)
+        at = _t(a)
+        H_next = _sym_sum(H, _mul(at, _mul(H, WA)))
+        G = _sym_sum(G, _mul(_mul(a, WG), at))
         a = _mul(a, WA)
-        if not all(math.isfinite(v) for X in (H_next, G, a) for row in X for v in row):
+        if not all(map(math.isfinite, H_next + G + a)):
             raise RiccatiDivergence("Riccati doubling produced non-finite values")
-        change = max(abs(x - y) for rx, ry in zip(H_next, H) for x, y in zip(rx, ry))
+        change = max(map(abs, map(operator.sub, H_next, H)))
         H = H_next
-        if change <= _DARE_TOL * max(abs(v) for row in H for v in row):
+        if change <= _DARE_TOL * max(map(abs, H)):
             return H
     raise RiccatiDivergence(f"Riccati doubling did not settle in {_DARE_MAX_STEPS} steps")
 
 
 def _feedback(a, b, P, r: float):
-    """State feedback k = B'PA / s and s = r + B'PB, on floats."""
-    bp = [b[0] * P[0][j] + b[1] * P[1][j] + b[2] * P[2][j] for j in range(3)]
-    s = r + (bp[0] * b[0] + bp[1] * b[1] + bp[2] * b[2])
-    return [(bp[0] * a[0][j] + bp[1] * a[1][j] + bp[2] * a[2][j]) / s for j in range(3)], s
+    """State feedback k = B'PA / s and s = r + B'PB, on 9-tuples a, P and column b."""
+    b0, b1, b2 = b
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = P
+    e0 = b0 * p0 + b1 * p3 + b2 * p6
+    e1 = b0 * p1 + b1 * p4 + b2 * p7
+    e2 = b0 * p2 + b1 * p5 + b2 * p8
+    s = r + (e0 * b0 + e1 * b1 + e2 * b2)
+    return (
+        (e0 * a[0] + e1 * a[3] + e2 * a[6]) / s,
+        (e0 * a[1] + e1 * a[4] + e2 * a[7]) / s,
+        (e0 * a[2] + e1 * a[5] + e2 * a[8]) / s,
+    ), s
 
 
 def _closed_loop(a, b, k):
-    """A - B k for float rows a, column b and row k."""
-    return [[a[i][j] - b[i] * k[j] for j in range(3)] for i in range(3)]
+    """A - B k for a 9-tuple a, column b and row k."""
+    b0, b1, b2 = b
+    k0, k1, k2 = k
+    return (
+        a[0] - b0 * k0, a[1] - b0 * k1, a[2] - b0 * k2,
+        a[3] - b1 * k0, a[4] - b1 * k1, a[5] - b1 * k2,
+        a[6] - b2 * k0, a[7] - b2 * k1, a[8] - b2 * k2,
+    )  # fmt: skip
+
+
+def _dare(A, B, q_state, r: float):
+    """solve_dare_fixed_point as a row-major 9-tuple."""
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError("r must be positive")
+    a = tuple(np.asarray(A, dtype=float).reshape(9).tolist())
+    b = np.asarray(B, dtype=float).reshape(3).tolist()
+    Q = tuple(np.asarray(q_state, dtype=float).reshape(9).tolist())
+    P = _doubling(a, tuple(bi * bj / r for bi in b for bj in b), Q)
+    k, s = _feedback(a, b, P, r)
+    k0, k1, k2 = k
+    sk0, sk1, sk2 = s * k0, s * k1, s * k2
+    AtPA = _mul(_t(a), _mul(P, a))
+    residual = map(
+        operator.sub,
+        map(operator.add, Q, AtPA),
+        (sk0 * k0, sk0 * k1, sk0 * k2, sk1 * k0, sk1 * k1, sk1 * k2, sk2 * k0, sk2 * k1, sk2 * k2),
+    )
+    R = _sym_sum(residual, map(operator.neg, P))
+    E = _doubling(_closed_loop(a, b, k), (0.0,) * 9, R)
+    return _sym_sum(P, E)
 
 
 def solve_dare_fixed_point(
@@ -170,23 +236,11 @@ def solve_dare_fixed_point(
     residual of P and Ac = A - Bk its closed loop, found by the same
     doubling with G = 0. The step matters where r is small and dt large:
     at q/r = 1e12 and dt = 5 ms doubling alone is 2e-11 off in relative
-    terms, with the step 4e-15. Raises RiccatiDivergence as _doubling does.
+    terms, with the step 4e-15. Every matrix is a row-major 9-tuple of
+    Python floats, its algebra written out entry by entry. Raises
+    RiccatiDivergence as _doubling does.
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError("r must be positive")
-    a = np.asarray(A, dtype=float).tolist()
-    b = np.asarray(B, dtype=float).reshape(3).tolist()
-    Q = np.asarray(q_state, dtype=float).tolist()
-    P = _doubling(a, [[bi * bj / r for bj in b] for bi in b], Q)
-    k, s = _feedback(a, b, P, r)
-    closed = _closed_loop(a, b, k)
-    AtPA = _mul(_t(a), _mul(P, a))
-    R = _sym_sum(
-        [[Q[i][j] + AtPA[i][j] - s * k[i] * k[j] for j in range(3)] for i in range(3)],
-        [[-v for v in row] for row in P],
-    )
-    E = _doubling(closed, [[0.0] * 3 for _ in range(3)], R)
-    return np.array(_sym_sum(P, E))
+    return np.array(_dare(A, B, q_state, r)).reshape(3, 3)
 
 
 @dataclass(frozen=True)
@@ -255,12 +309,12 @@ def synthesize_gains(
         raise ValueError(f"preview_window must be {MIN_PREVIEW_WINDOW} s to {MAX_SAMPLES} samples")
     A, B, C = discretize(omega, dt)
     q, r = weights.q_zmp, weights.r_jerk
-    P = solve_dare_fixed_point(A, B, q * np.outer(C, C), r).tolist()
-    a = A.tolist()
+    P = _dare(A, B, q * np.outer(C, C), r)
+    a = A.reshape(9).tolist()
     b = b0, b1, b2 = B.tolist()
     k_fb, s = _feedback(a, b, P, r)
     # k_ff[j] = B' w_j / s with w_0 = q C and w_{j+1} = (A - B k_fb)' w_j
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = _closed_loop(a, b, k_fb)
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = _closed_loop(a, b, k_fb)
     w0, w1, w2 = (c * q for c in C.tolist())
     k_ff = []
     for _ in range(n):

@@ -619,7 +619,8 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
     """The open-loop pass over the block from sample b0, on arrays.
 
     Runs apply_disturbances, the true contacts' contact_terms, the noise
-    draws and Stabilizer.measure_forces, against the timeline's planned
+    draws, the measured contacts' contact_terms if force noise was added to
+    them, and Stabilizer.measure_forces, against the timeline's planned
     gamma, from the bands of the sample before b0, and writes the block's
     _MEASURED_COLUMNS into columns. None of this reads the plant. Returns
     (b1, inputs, fz, bands, unloaded):
@@ -642,10 +643,10 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
     b1, desired = _block_contacts(timeline, b0, min(b0 + BLOCK_SAMPLES, n))
     m = b1 - b0
     true = apply_disturbances(desired, disturbances, traj.time[b0:b1])
-    fsx, fsy, fsz, kappa, gx, gy = contact_terms(
-        true, params.mass * params.gravity, params.zmp_height
-    )
-    measured = true
+    zeta = params.mass * params.gravity
+    fsx, fsy, fsz, kappa, gx, gy = contact_terms(true, zeta, params.zmp_height)
+    # the measured contacts and their gamma: the true ones without force noise
+    measured, mgx, mgy = true, gx, gy
     sample_noise = None
     if rng is not None:
         com_noise, vel_noise, force_noise = noise
@@ -659,9 +660,8 @@ def _open_loop_block(traj, b0, stabilizer, disturbances, columns, noise, rng, ba
             measured = tuple(
                 tuple(f + force_noise * next(e) for f in r[:3]) + r[3:] for r in true
             )
-    gex, gey, bands = stabilizer.measure_forces(
-        measured, timeline.gamma[b0:b1], m, bands
-    )
+            *_, mgx, mgy = contact_terms(measured, zeta, params.zmp_height)
+    gex, gey, bands = stabilizer.measure_forces(mgx, mgy, timeline.gamma[b0:b1], m, bands)
     low_x, low_y, high_x, high_y = _columns(bands, 6)[:4]
     for name, value in zip(
         _MEASURED_COLUMNS, (gex, gey, low_x, low_y, high_x, high_y, fsx, fsy, fsz)

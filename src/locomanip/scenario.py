@@ -53,7 +53,7 @@ import importlib.resources
 import numpy as np
 import yaml
 
-from .core_dynamics import ExternalContact, RobotParams
+from .core_dynamics import ExternalContact, RobotParams, compute_coefficients
 from .errors import ConfigError, OutputError, SchemaMismatch
 from .pattern_generator import (
     MIN_PREVIEW_WINDOW,
@@ -500,6 +500,13 @@ class ScenarioConfig:
                 _fail(key, f"too long for the sample rate: over {MAX_SAMPLES} samples")
         if self.n_samples < 2:
             _fail("duration_s", "too short for the sample rate, need at least 2 samples")
+        # the stabilizer's closed loop must be stable at the robot's omega,
+        # whichever command reads the config
+        omega = compute_coefficients(self.robot.params()).omega
+        try:
+            self.controller.stabilizer_gains().check_stable(omega)
+        except ValueError as exc:
+            _fail("controller", str(exc))
         noisy = self.plant.com_noise_m > 0.0 or self.plant.force_noise_n > 0.0
         if noisy and self.seed is None:
             _fail("seed", "measurement noise needs a seed, so that a rerun writes the same trace")

@@ -11,19 +11,19 @@ outside that hull.
 
 Each law has one definition. The step has three parts. The force-measurement
 half reads no robot state: Stabilizer.measure_forces runs measure_gamma_error
-elementwise, against the planned gamma the timeline holds, and
-split_frequency as one float recursion over a block of samples, continuing
-from the bands it is given. The feedback half, Stabilizer.step, takes one
-sample's bands and its DCM memory and runs dcm_feedback and the command
-saturation on Python floats, up to the command ZMP; the closed loop of
-plant_sim calls it once per step. Of the plan it reads the DCM and the ZMP;
-the command acceleration, where a check needs it, is lipm_accel of the
-command ZMP. The bands and the memory are the caller's, which carries them
-from sample to sample: a Stabilizer holds no run state. The support hull
-(support_hull) comes in compiled (compile_hull): its bounding box stands for
-its axis-aligned edges in the inside test, so the hull of SoleRects is four
-comparisons and the cross products of its oblique edges. The closed loop
-compiles each support phase's hull once per run, and no hull outlives the
+elementwise, the measured contacts' gamma against the planned gamma the
+timeline holds, and split_frequency as one float recursion over a block of
+samples, continuing from the bands it is given. The feedback half,
+Stabilizer.step, takes one sample's bands and its DCM memory and runs
+dcm_feedback and the command saturation on Python floats, up to the command
+ZMP; the closed loop of plant_sim calls it once per step. Of the plan it reads
+the DCM and the ZMP; the command acceleration, where a check needs it, is
+lipm_accel of the command ZMP. The bands and the memory are the caller's,
+which carries them from sample to sample: a Stabilizer holds no run state. The
+support hull (support_hull) comes in compiled (compile_hull): its bounding box
+stands for its axis-aligned edges in the inside test, so the hull of SoleRects
+is four comparisons and the cross products of its oblique edges. The closed
+loop compiles each support phase's hull once per run, and no hull outlives the
 run. The ground-wrench stage feeds nothing back: Stabilizer.ground_wrench
 takes the pressure point (wrench_zmp) of the ground wrench at the planned CoM
 once over a block of samples, tests it against each phase's hull on arrays
@@ -52,7 +52,6 @@ from .core_dynamics import (
     RobotParams,
     check_vertical_force,
     compute_coefficients,
-    contact_terms,
     dcm_of,
     net_foot_wrench,  # unused here: perfbench's tracer wraps this module's name
     wrench_zmp,
@@ -162,18 +161,16 @@ def conventional_closed_loop_matrix(
     return scaled_closed_loop_matrix(1.0, rho, omega, k_p, k_i, k_d)
 
 
-def measure_gamma_error(actual_rows, desired_gamma, zeta: float, zmp_height: float):
+def measure_gamma_error(gamma_x, gamma_y, desired_gamma):
     """ZMP-offset error gamma(actual) - gamma(desired) of the hand contacts.
 
-    The actual contacts are given as contact_rows, whose gamma is their
-    contact_terms; desired_gamma is the planned gamma, a (..., 2) array such
-    as the timeline's, for one sample or many. zeta is the normalizing
-    vertical force m g. Returns (gamma_err_x, gamma_err_y). Row values may
-    be arrays of many samples, as for contact_terms; the errors then come
-    out elementwise.
+    gamma_x and gamma_y are the actual contacts' gamma, as contact_terms
+    gives it; desired_gamma is the planned gamma, a (..., 2) array such as
+    the timeline's, for one sample or many. Returns (gamma_err_x,
+    gamma_err_y). The actual gamma may be arrays of many samples; the
+    errors then come out elementwise.
     """
-    *_, gx, gy = contact_terms(actual_rows, zeta, zmp_height)
-    return gx - desired_gamma[..., 0], gy - desired_gamma[..., 1]
+    return gamma_x - desired_gamma[..., 0], gamma_y - desired_gamma[..., 1]
 
 
 def split_frequency(start, ex, ey, dt, cutoff_period) -> list:
@@ -714,16 +711,16 @@ class Stabilizer:
         self.dt = dt
         self.compensate_forces = compensate_forces
 
-    def measure_forces(self, rows, desired_gamma, samples: int, start):
+    def measure_forces(self, gamma_x, gamma_y, desired_gamma, samples: int, start):
         """The force-measurement half of the cycle, over successive samples.
 
-        rows are the measured contacts as contact_rows whose values are
-        arrays of `samples` values (or floats for one sample, and () for no
-        contact), desired_gamma the planned gamma of those samples, an
-        (samples, 2) array (or (2,) for one sample), and start the bands to
-        continue from: the previous sample's, or zeros for the first.
-        Measures gamma_err with measure_gamma_error and splits it into bands
-        with split_frequency. With compensate_forces False the bands stay at
+        gamma_x and gamma_y are the measured contacts' gamma (contact_terms),
+        arrays of `samples` values (or floats for one sample or no contact),
+        desired_gamma the planned gamma of those samples, an (samples, 2)
+        array (or (2,) for one sample), and start the bands to continue
+        from: the previous sample's, or zeros for the first. Measures
+        gamma_err with measure_gamma_error and splits it into bands with
+        split_frequency. With compensate_forces False the bands stay at
         start (zeros, in ablation mode); gamma_err is still measured for
         logging. None of this reads the robot's state.
 
@@ -731,10 +728,7 @@ class Stabilizer:
         values and the list of split_frequency, whose tuples are the bands
         argument of step.
         """
-        params = self.params
-        ex, ey = measure_gamma_error(
-            rows, desired_gamma, params.mass * params.gravity, params.zmp_height
-        )
+        ex, ey = measure_gamma_error(gamma_x, gamma_y, desired_gamma)
         ex = np.broadcast_to(ex, samples)
         ey = np.broadcast_to(ey, samples)
         if self.compensate_forces:

@@ -5,7 +5,10 @@ with explicit scalar updates, so it shares nothing with the package's
 trajectory generator except the synthesized gains. finite_horizon_ls_inputs
 solves the same tracking problem as a dense least-squares program with a
 Riccati tail cost from scipy, which is an entirely different solution path
-than the recursive preview law. step_pg is one sample of the package's
+than the recursive preview law. solve_dare_nested and
+synthesize_gains_nested are the earlier gain synthesis on nested-list 3x3
+matrices, whose Riccati solution, gains and errors the package's flat-tuple
+solver must match bit for bit. step_pg is one sample of the package's
 preview law with the feedforward as a plain np.sum per window, which the
 package's rollout must match to the last bit. convex_hull_np_unique and
 write_trace_savetxt are the earlier whole-array forms of the support hull
@@ -34,6 +37,14 @@ from locomanip.core_dynamics import (
     net_foot_force,
     wrench_zmp,
 )
+from locomanip.errors import RiccatiDivergence
+from locomanip.pattern_generator import (
+    _DARE_MAX_STEPS,
+    _DARE_TOL,
+    MIN_PREVIEW_WINDOW,
+    PreviewGains,
+    discretize,
+)
 from locomanip.plant_sim import (
     CSV_COLUMNS,
     DIVERGENCE_LIMIT,
@@ -42,7 +53,7 @@ from locomanip.plant_sim import (
     ZMP_CLAMP_MARGIN,
     step_plant,
 )
-from locomanip.reference_builder import SoleRect
+from locomanip.reference_builder import MAX_SAMPLES, SoleRect, sample_index
 from locomanip.stabilizer import (
     _clamp_xy,
     check_feet_loaded,
@@ -118,6 +129,134 @@ def clamp_xy_edge_loop(px, py, edges):
             best_d = d
             best = (qx, qy)
     return best
+
+
+def _mul(X, Y):
+    """3x3 float product, each entry summed left to right."""
+    return [
+        [X[i][0] * Y[0][j] + X[i][1] * Y[1][j] + X[i][2] * Y[2][j] for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _t(X):
+    return [list(col) for col in zip(*X)]
+
+
+def _sym_sum(X, Y):
+    """(X + Y) with its two triangles averaged."""
+    S = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+    return [[0.5 * (S[i][j] + S[j][i]) for j in range(3)] for i in range(3)]
+
+
+def _solve(W, R):
+    """W^-1 R for a 3x3 W by Gaussian elimination with partial pivoting.
+
+    R is a list of three rows of any width. Raises RiccatiDivergence on a
+    zero pivot.
+    """
+    M = [list(W[i]) + list(R[i]) for i in range(3)]
+    for c in range(3):
+        p = max(range(c, 3), key=lambda i: abs(M[i][c]))
+        M[c], M[p] = M[p], M[c]
+        pivot = M[c][c]
+        if pivot == 0.0:
+            raise RiccatiDivergence("doubling step met a singular matrix")
+        for i in range(c + 1, 3):
+            f = M[i][c] / pivot
+            M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    X = [None, None, None]
+    for i in (2, 1, 0):
+        row = M[i]
+        X[i] = [
+            (row[3 + j] - sum(row[k] * X[k][j] for k in range(i + 1, 3))) / row[i]
+            for j in range(len(R[0]))
+        ]
+    return X
+
+
+def _doubling(a, G, H):
+    """Structure-preserving doubling on nested-list 3x3 matrices; returns H."""
+    for _ in range(_DARE_MAX_STEPS):
+        GH = _mul(G, H)
+        W = [[float(i == j) + GH[i][j] for j in range(3)] for i in range(3)]
+        S = _solve(W, [ra + rg for ra, rg in zip(a, G)])
+        WA = [row[:3] for row in S]
+        WG = [row[3:] for row in S]
+        H_next = _sym_sum(H, _mul(_t(a), _mul(H, WA)))
+        G = _sym_sum(G, _mul(_mul(a, WG), _t(a)))
+        a = _mul(a, WA)
+        if not all(math.isfinite(v) for X in (H_next, G, a) for row in X for v in row):
+            raise RiccatiDivergence("Riccati doubling produced non-finite values")
+        change = max(abs(x - y) for rx, ry in zip(H_next, H) for x, y in zip(rx, ry))
+        H = H_next
+        if change <= _DARE_TOL * max(abs(v) for row in H for v in row):
+            return H
+    raise RiccatiDivergence(f"Riccati doubling did not settle in {_DARE_MAX_STEPS} steps")
+
+
+def _feedback(a, b, P, r):
+    """State feedback k = B'PA / s and s = r + B'PB, on floats."""
+    bp = [b[0] * P[0][j] + b[1] * P[1][j] + b[2] * P[2][j] for j in range(3)]
+    s = r + (bp[0] * b[0] + bp[1] * b[1] + bp[2] * b[2])
+    return [(bp[0] * a[0][j] + bp[1] * a[1][j] + bp[2] * a[2][j]) / s for j in range(3)], s
+
+
+def _closed_loop(a, b, k):
+    """A - B k for float rows a, column b and row k."""
+    return [[a[i][j] - b[i] * k[j] for j in range(3)] for i in range(3)]
+
+
+def solve_dare_nested(A, B, q_state, r):
+    """Riccati solution by doubling plus one Newton step, on nested lists.
+
+    The same law as pattern_generator.solve_dare_fixed_point: doubling from
+    G0 = BB'/r and H0 = q_state, then the Stein correction E of the
+    residual R of P through the closed loop A - Bk, as P + E symmetrized.
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError("r must be positive")
+    a = np.asarray(A, dtype=float).tolist()
+    b = np.asarray(B, dtype=float).reshape(3).tolist()
+    Q = np.asarray(q_state, dtype=float).tolist()
+    P = _doubling(a, [[bi * bj / r for bj in b] for bi in b], Q)
+    k, s = _feedback(a, b, P, r)
+    closed = _closed_loop(a, b, k)
+    AtPA = _mul(_t(a), _mul(P, a))
+    R = _sym_sum(
+        [[Q[i][j] + AtPA[i][j] - s * k[i] * k[j] for j in range(3)] for i in range(3)],
+        [[-v for v in row] for row in P],
+    )
+    E = _doubling(closed, [[0.0] * 3 for _ in range(3)], R)
+    return np.array(_sym_sum(P, E))
+
+
+def synthesize_gains_nested(weights, omega, dt, preview_window):
+    """pattern_generator.synthesize_gains with the nested-list solver."""
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError("omega must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive")
+    n = sample_index(preview_window, dt, MAX_SAMPLES + 1)
+    if preview_window < MIN_PREVIEW_WINDOW or n > MAX_SAMPLES:
+        raise ValueError(f"preview_window must be {MIN_PREVIEW_WINDOW} s to {MAX_SAMPLES} samples")
+    A, B, C = discretize(omega, dt)
+    q, r = weights.q_zmp, weights.r_jerk
+    P = solve_dare_nested(A, B, q * np.outer(C, C), r).tolist()
+    a = A.tolist()
+    b = b0, b1, b2 = B.tolist()
+    k_fb, s = _feedback(a, b, P, r)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = _closed_loop(a, b, k_fb)
+    w0, w1, w2 = (c * q for c in C.tolist())
+    k_ff = []
+    for _ in range(n):
+        k_ff.append((b0 * w0 + b1 * w1 + b2 * w2) / s)
+        w0, w1, w2 = (
+            c00 * w0 + c10 * w1 + c20 * w2,
+            c01 * w0 + c11 * w1 + c21 * w2,
+            c02 * w0 + c12 * w1 + c22 * w2,
+        )
+    return PreviewGains(k_fb=k_fb, k_ff=k_ff, dt=dt, omega=omega, A=A, B=B, C=C)
 
 
 def step_pg(state, gains, refs):
@@ -389,8 +528,9 @@ def closed_loop_by_sample(
         # the planned gamma from the sample's contacts, not timeline.gamma,
         # whose equality with it the loop relies on
         *_, dgx, dgy = contact_terms(desired, unloaded.zeta, params.zmp_height)
+        *_, mgx, mgy = contact_terms(measured, unloaded.zeta, params.zmp_height)
         gamma_x, gamma_y, (bands,) = stabilizer.measure_forces(
-            measured, np.array([dgx, dgy]), 1, bands
+            mgx, mgy, np.array([dgx, dgy]), 1, bands
         )
         fsx, fsy, fsz, kappa, gx, gy = contact_terms(
             true, unloaded.zeta, params.zmp_height

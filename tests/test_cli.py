@@ -983,6 +983,23 @@ class TestGains:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["run", "gains"])
+    def test_unstable_stabilizer_gains_exit_one(self, command, tmp_path, capsys):
+        """gains parses the same config as run, so stabilizer gains whose
+        closed loop is unstable at the robot's omega (k_p < 1 here) are
+        refused by both, naming the controller section."""
+        code = run_cli(
+            command, "--config", "testcase1", "--override", "controller.k_p=0.5",
+            *(("--out", str(tmp_path / "o")) if command == "run" else ()),
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(
+            "config error: controller: gains are unstable for omega=3.50179, rho=20:"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_closed_stdout_is_an_output_error(self, capsys, monkeypatch):
         """A reader that closes the pipe early (gains | head -1) is an output
         error, not a config error."""

@@ -16,7 +16,7 @@ from _pipeline import (
     preview_gains,
     standing_timeline,
 )
-from oracles import step_pg
+from oracles import solve_dare_nested, step_pg, synthesize_gains_nested
 
 from locomanip import pattern_generator
 from locomanip.cli import main
@@ -90,6 +90,98 @@ class TestRiccati:
     def test_feedback_gain_regression(self):
         gains = preview_gains()
         assert np.allclose(gains.k_fb, K_FB_REF, rtol=1e-9)
+
+
+def outcome(f, *args):
+    """The bytes of what f returns (P, or k_fb and k_ff of PreviewGains),
+    or the type and message of what it raises."""
+    try:
+        out = f(*args)
+    except (ValueError, RiccatiDivergence) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, np.ndarray):
+        return out.shape, out.tobytes()
+    return out.k_fb.tobytes(), out.k_ff.tobytes()
+
+
+_ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0]
+
+
+class TestFlatSolver:
+    """The Riccati solver on 9-tuples against the nested-list one it
+    replaced: the same P and gains in every bit, or the same error."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        q_exp=st.floats(-6.0, 6.0),
+        r_exp=st.floats(-14.0, -2.0),
+        omega=st.floats(3.0, 8.0),
+        dt=st.floats(0.0005, 0.02),
+        window=st.floats(1.0, 3.0),
+    )
+    # the default weights of a scenario, then the overrides of q_zmp and
+    # r_jerk that reach each error: non-finite, singular, did not settle
+    @example(q_exp=0.0, r_exp=-8.0, omega=OMEGA, dt=DT, window=1.6)
+    @example(q_exp=0.0, r_exp=-300.0, omega=OMEGA, dt=DT, window=1.6)
+    @example(q_exp=20.0, r_exp=-8.0, omega=OMEGA, dt=DT, window=1.6)
+    @example(q_exp=300.0, r_exp=-8.0, omega=OMEGA, dt=DT, window=1.6)
+    @example(q_exp=0.0, r_exp=300.0, omega=OMEGA, dt=DT, window=1.6)
+    @example(q_exp=-300.0, r_exp=-8.0, omega=OMEGA, dt=DT, window=1.6)
+    def test_equals_nested_solver_bit_for_bit(self, q_exp, r_exp, omega, dt, window):
+        q, r = 10.0**q_exp, 10.0**r_exp
+        A, B, C = discretize(omega, dt)
+        q_state = q * np.outer(C, C)
+        assert outcome(solve_dare_fixed_point, A, B, q_state, r) == outcome(
+            solve_dare_nested, A, B, q_state, r
+        )
+        weights = PreviewWeights(q_zmp=q, r_jerk=r)
+        assert outcome(synthesize_gains, weights, omega, dt, window) == outcome(
+            synthesize_gains_nested, weights, omega, dt, window
+        )
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        a=st.lists(st.sampled_from(_ENTRIES), min_size=9, max_size=9),
+        b=st.lists(st.sampled_from(_ENTRIES), min_size=3, max_size=3),
+        q=st.lists(st.sampled_from(_ENTRIES), min_size=9, max_size=9),
+        r=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    # pivot ties: a later row of equal magnitude must not take the pivot,
+    # in the first column and in the second
+    @example(
+        a=[0.5, -0.0, -0.0, -1.0, 0.0, 0.0, -0.0, 0.0, 0.5],
+        b=[2.0, 2.0, -1.0],
+        q=[-0.0, 0.5, -1.0, 0.0, 0.5, 1.0, 0.5, -0.0, 2.0],
+        r=2.0,
+    )
+    @example(
+        a=[1.0, 0.0, -1.0, 2.0, -0.0, 0.0, 0.0, 1.0, 1.0],
+        b=[-0.0, -0.0, 1.0],
+        q=[2.0, -0.0, 0.0, -1.0, 2.0, 2.0, -1.0, 1.0, 0.0],
+        r=2.0,
+    )
+    def test_general_matrices_bit_for_bit(self, a, b, q, r):
+        """Small-integer matrices with signed zeros: ties between pivot
+        candidates, zero pivots and zeros whose sign the sums must keep."""
+        A, B, Q = np.reshape(a, (3, 3)), np.array(b), np.reshape(q, (3, 3))
+        assert outcome(solve_dare_fixed_point, A, B, Q, r) == outcome(
+            solve_dare_nested, A, B, Q, r
+        )
+
+    @pytest.mark.parametrize(
+        "q, r, message",
+        [
+            (1.0, 1.0e-300, "non-finite"),
+            (1.0e20, 1.0e-8, "non-finite"),
+            (1.0e300, 1.0e-8, "singular"),
+            (1.0, 1.0e300, "did not settle in 50 steps"),
+            (1.0e-300, 1.0e-8, "did not settle in 50 steps"),
+        ],
+    )
+    def test_error_examples_reach_their_message(self, q, r, message):
+        """The @example weights above reach each RiccatiDivergence."""
+        with pytest.raises(RiccatiDivergence, match=message):
+            synthesize_gains(PreviewWeights(q_zmp=q, r_jerk=r), OMEGA, DT, 1.6)
 
 
 class TestDoubling:

@@ -106,14 +106,12 @@ def planned(com, acc, dcm, zmp, coeff):
 
 
 def gamma_error(desired, actual):
-    """measure_gamma_error of the actual contacts against the gamma of the
-    desired ones."""
+    """measure_gamma_error of the actual contacts' gamma against the gamma
+    of the desired ones."""
     return np.array(
         measure_gamma_error(
-            contact_rows(actual),
+            *compute_coefficients(PARAMS, actual).gamma,
             compute_coefficients(PARAMS, desired).gamma,
-            ZETA,
-            PARAMS.zmp_height,
         )
     )
 
@@ -162,7 +160,8 @@ def stabilize(stab, desired, com, vel, contacts, region=(LEFT, RIGHT)):
     hull = compile_hull(support_hull(region))
     cx, cy = np.asarray(com, dtype=float).tolist()
     vx, vy = np.asarray(vel, dtype=float).tolist()
-    ex, ey, (bands,) = stab.measure_forces(rows, coeff.gamma, 1, ZEROS)
+    *_, gx, gy = contact_terms(rows, ZETA, PARAMS.zmp_height)
+    ex, ey, (bands,) = stab.measure_forces(gx, gy, coeff.gamma, 1, ZEROS)
     zx, zy, saturated, memory = stab.step(
         coeff.kappa, coeff.omega, desired.plan, cx, cy, vx, vy, hull, bands, ZEROS
     )
@@ -1016,8 +1015,9 @@ class TestGroundPressurePoint:
         assert k_min <= kappa or math.isclose(kappa, k_min, abs_tol=1e-12)
         m = len(zmp)
         block = tuple(tuple(np.full(m, v) for v in r) for r in rows)
+        *_, bgx, bgy = contact_terms(block, ZETA, PARAMS.zmp_height)
         ex, ey, _ = Stabilizer(PARAMS, StabilizerGains(), DT).measure_forces(
-            block, np.tile((gx, gy), (m, 1)), m, ZEROS
+            bgx, bgy, np.tile((gx, gy), (m, 1)), m, ZEROS
         )
         assert not np.any(ex) and not np.any(ey)
         zx, zy = np.array(zmp).T
